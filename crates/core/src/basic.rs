@@ -521,15 +521,32 @@ impl BasicDict {
         }
     }
 
-    /// Read all live entries of bucket `index` (for global rebuilding's
-    /// enumeration). Bucket indices run `0 .. buckets()` in stripe-major
-    /// order.
-    pub fn scan_bucket(&self, disks: &mut DiskArray, index: usize) -> Vec<(u64, Vec<Word>)> {
-        assert!(index < self.cfg.buckets, "bucket {index} out of range");
-        let per = self.cfg.buckets / self.cfg.degree;
-        let (stripe, j) = (index / per, index % per);
-        let blocks = disks.read(&self.bucket_addrs(stripe, j), ReadOptions::default()).into_blocks();
-        self.codec.live_entries(&blocks.concat())
+    /// Read all live entries of the buckets `range` in **one** charged
+    /// batch (global rebuilding's enumeration). Bucket indices run
+    /// `0 .. buckets()` disk-interleaved — index `i` is bucket `i / d` of
+    /// stripe `i mod d` — so up to `d` consecutive buckets sit on distinct
+    /// disks and cost `blocks_per_bucket` parallel I/Os together.
+    ///
+    /// # Panics
+    /// Panics if the range exceeds `buckets()`.
+    pub fn scan_buckets(
+        &self,
+        disks: &mut DiskArray,
+        range: std::ops::Range<usize>,
+    ) -> Vec<(u64, Vec<Word>)> {
+        assert!(
+            range.end <= self.cfg.buckets,
+            "buckets {range:?} out of range"
+        );
+        let d = self.cfg.degree;
+        let addrs: Vec<BlockAddr> = range
+            .flat_map(|i| self.bucket_addrs(i % d, i / d))
+            .collect();
+        let blocks = disks.read(&addrs, ReadOptions::default()).into_blocks();
+        blocks
+            .chunks(self.blocks_per_bucket)
+            .flat_map(|bucket| self.codec.live_entries(&bucket.concat()))
+            .collect()
     }
 
     /// Observed maximum bucket load (peeks without I/O; diagnostics only).
@@ -763,10 +780,17 @@ mod tests {
             expect.insert(k, vec![k * 2]);
         }
         let mut seen = std::collections::HashMap::new();
-        for b in 0..dict.buckets() {
-            for (k, p) in dict.scan_bucket(&mut disks, b) {
+        for b in (0..dict.buckets()).step_by(2) {
+            let scope = disks.begin_op();
+            let end = (b + 2).min(dict.buckets());
+            for (k, p) in dict.scan_buckets(&mut disks, b..end) {
                 assert!(seen.insert(k, p).is_none(), "key {k} in two buckets");
             }
+            assert_eq!(
+                disks.end_op(scope).parallel_ios,
+                1,
+                "consecutive buckets sit on distinct disks"
+            );
         }
         assert_eq!(seen, expect);
     }

@@ -40,17 +40,57 @@ use pdm::{
     BatchExecutor, BatchPlan, BlockAddr, BlockHealth, DiskArray, IoFaultKind, OpCost, ReadOptions,
     Word, WriteOptions,
 };
+use std::ops::Range;
 
 /// Journal-entry metadata opcodes (`meta[1]`); `meta[0]` is the
 /// instance tag ([`DynamicDict::meta_tag`]).
 pub(crate) const META_INSERT: Word = 1;
+/// A tombstone. A third word, when present, is the tag of a *second*
+/// instance the same intent deleted the key from: the global-rebuilding
+/// wrapper tombstones a key living in both of its structures with one
+/// intent.
 pub(crate) const META_DELETE: Word = 2;
 pub(crate) const META_BATCH: Word = 3;
-/// An insert performed by the global-rebuilding wrapper's migration (a
-/// *copy* of a key still present in the old structure). Counter deltas
-/// equal [`META_INSERT`]'s; the wrapper additionally bumps its
-/// `copied` double-count on replay.
-pub(crate) const META_MIGRATE: Word = 4;
+/// One commit of the global-rebuilding wrapper's migration step
+/// ([`DynamicDict::migrate_from`]): *copies* of keys still present in the
+/// old structure. Layout and counter deltas equal [`META_BATCH`]'s, and
+/// the summed counts also enter [`DynamicDict::copies`].
+pub(crate) const META_MIGRATE_BATCH: Word = 4;
+
+/// One key's first-round probe: its membership buckets followed by its
+/// level-1 candidate fields — `2d` blocks on the structure's `2d` disks,
+/// one parallel I/O, and all a miss or a level-1 key ever needs. Computed
+/// apart from the read so a caller holding two structures on disjoint
+/// disks (the global-rebuilding wrapper) can fetch both probes at once.
+#[derive(Debug, Clone)]
+pub(crate) struct Probe {
+    /// Membership addresses (`..msplit`), then level-1 field addresses.
+    pub(crate) addrs: Vec<BlockAddr>,
+    msplit: usize,
+    positions0: Vec<(usize, usize)>,
+}
+
+/// What a key's first-round blocks say about it.
+#[derive(Debug)]
+pub(crate) enum FirstRound {
+    /// No membership record: the key is not stored.
+    Absent,
+    /// Stored on level 1 and decoded from the probe itself (fail-closed:
+    /// `None` when the chain is damaged).
+    Here(Option<Vec<Word>>),
+    /// Stored deeper: one more read finishes the lookup.
+    Deeper(DeeperRecord),
+}
+
+/// A record on a level past the first, located but not yet read.
+#[derive(Debug)]
+pub(crate) struct DeeperRecord {
+    level: usize,
+    head: usize,
+    positions: Vec<(usize, usize)>,
+    /// The `d` field blocks to read for [`DynamicDict::decode_deeper`].
+    pub(crate) addrs: Vec<BlockAddr>,
+}
 
 /// The Theorem 7 dynamic dictionary.
 ///
@@ -67,18 +107,13 @@ pub struct DynamicDict {
     len: usize,
     insertions: usize,
     level_population: Vec<usize>,
+    /// Keys stored here as *copies* of records a migration source still
+    /// holds ([`Self::migrate_from`]); the global-rebuilding wrapper's
+    /// inclusion–exclusion term. Zero outside a rebuild window.
+    copies: usize,
     /// Watermark: journal seq of the newest op reflected in the
     /// counters above. [`Self::apply_replay`] applies only newer deltas.
     pub(crate) journal_seq: u64,
-    /// Whether this instance writes the journal's superblock metadata
-    /// checkpoint (its serialized counters). True standalone; the
-    /// global-rebuilding [`crate::Dictionary`] clears it on its
-    /// sub-dictionaries because two structures share one journal.
-    pub(crate) checkpoint_owner: bool,
-    /// Opcode stamped on sequential inserts' intents ([`META_INSERT`]
-    /// normally; the rebuild wrapper switches to [`META_MIGRATE`] around
-    /// its migration copies so replay can tell them apart).
-    pub(crate) insert_meta_op: Word,
 }
 
 #[derive(Debug, Clone)]
@@ -162,9 +197,8 @@ impl DynamicDict {
             len: 0,
             insertions: 0,
             level_population: vec![0; l],
+            copies: 0,
             journal_seq: disks.last_journal_seq(),
-            checkpoint_owner: true,
-            insert_meta_op: META_INSERT,
         })
     }
 
@@ -197,13 +231,13 @@ impl DynamicDict {
         let mut dict = Self::create(disks, alloc, first_disk, params)?;
         let report = disks.recover();
         let meta = disks.journal_meta();
-        if !meta.is_empty() && !dict.restore_meta(&meta) {
+        if !meta.is_empty() && !dict.adopt_section(&meta) {
             return Err(DictError::UnsupportedParams(
                 "journal checkpoint does not belong to this dictionary".into(),
             ));
         }
         dict.apply_replay(&report);
-        disks.journal_checkpoint(&dict.checkpoint_meta());
+        disks.journal_checkpoint(&dict.checkpoint_section());
         Ok((dict, report))
     }
 
@@ -218,33 +252,67 @@ impl DynamicDict {
         ((r.first_disk as Word) << 32) | r.first_block as Word
     }
 
-    /// The metadata checkpoint persisted in the journal superblock:
-    /// `[tag, len, insertions, level populations…]`. Together with the
-    /// applied-seq watermark persisted alongside it, this reconstructs
-    /// the counters exactly: the checkpoint covers ops up to that seq,
-    /// and newer intents still in the ring carry the deltas.
-    pub(crate) fn checkpoint_meta(&self) -> Vec<Word> {
-        let mut meta = vec![self.meta_tag(), self.len as Word, self.insertions as Word];
-        meta.extend(self.level_population.iter().map(|&p| p as Word));
-        meta
+    /// This instance's section of the metadata checkpoint persisted in the
+    /// journal superblock: `[tag, words following, seq, len, insertions,
+    /// copies, level populations…]`. The checkpoint is a list of such
+    /// sections, one per instance sharing the journal (one standalone; the
+    /// active structure and its replacement under global rebuilding), each
+    /// kept current by its owner after every intent it appends
+    /// ([`Self::after_op`]). `seq` is the owner's watermark when the
+    /// counters were taken: they reflect exactly its intents up to `seq`,
+    /// and newer intents still in the ring carry the deltas — so whichever
+    /// moment a group-commit truncation freezes the checkpoint at, counters
+    /// and replay add up exactly.
+    pub(crate) fn checkpoint_section(&self) -> Vec<Word> {
+        let mut section = vec![
+            self.meta_tag(),
+            (4 + self.levels.len()) as Word,
+            self.journal_seq,
+            self.len as Word,
+            self.insertions as Word,
+            self.copies as Word,
+        ];
+        section.extend(self.level_population.iter().map(|&p| p as Word));
+        section
     }
 
-    /// Restore counters from a [`Self::checkpoint_meta`] image; `false`
-    /// if the words do not belong to this instance. Resets the journal
-    /// watermark: every intent a subsequent replay hands back is newer
-    /// than the checkpoint (truncation discards the rest) and must be
-    /// applied on top.
-    pub(crate) fn restore_meta(&mut self, meta: &[Word]) -> bool {
-        if meta.len() != 3 + self.levels.len() || meta[0] != self.meta_tag() {
+    /// Where this instance's section sits in a checkpoint `meta`.
+    fn find_section(&self, meta: &[Word]) -> Option<Range<usize>> {
+        let tag = self.meta_tag();
+        let mut at = 0;
+        while at + 2 <= meta.len() {
+            let end = at + 2 + meta[at + 1] as usize;
+            if meta[at] == tag {
+                return (end <= meta.len()).then_some(at..end);
+            }
+            at = end;
+        }
+        None
+    }
+
+    /// Adopt the counters of this instance's section of the checkpoint
+    /// `meta` unless the instance already holds newer ones (its watermark
+    /// is past the section's — a live instance recovering in place).
+    /// Returns `false` if `meta` has no well-formed section under this
+    /// instance's tag.
+    pub(crate) fn adopt_section(&mut self, meta: &[Word]) -> bool {
+        let Some(range) = self.find_section(meta) else {
+            return false;
+        };
+        let section = &meta[range];
+        if section.len() != 6 + self.levels.len() {
             return false;
         }
-        self.len = meta[1] as usize;
-        self.insertions = meta[2] as usize;
-        for (p, &w) in self.level_population.iter_mut().zip(&meta[3..]) {
-            *p = w as usize;
+        if section[2] >= self.journal_seq {
+            self.journal_seq = section[2];
+            self.len = section[3] as usize;
+            self.insertions = section[4] as usize;
+            self.copies = section[5] as usize;
+            for (p, &w) in self.level_population.iter_mut().zip(&section[6..]) {
+                *p = w as usize;
+            }
+            self.membership.set_len(self.len);
         }
-        self.membership.set_len(self.len);
-        self.journal_seq = 0;
         true
     }
 
@@ -258,11 +326,14 @@ impl DynamicDict {
         let tag = self.meta_tag();
         let mut applied = 0;
         for intent in &report.replayed {
-            if intent.seq <= self.journal_seq || intent.meta.first() != Some(&tag) {
+            let op = intent.meta.get(1);
+            let mine = intent.meta.first() == Some(&tag)
+                || (op == Some(&META_DELETE) && intent.meta.get(2) == Some(&tag));
+            if intent.seq <= self.journal_seq || !mine {
                 continue;
             }
-            match intent.meta.get(1) {
-                Some(&(META_INSERT | META_MIGRATE)) => {
+            match op {
+                Some(&META_INSERT) => {
                     let level = intent.meta.get(2).map_or(0, |&l| l as usize);
                     self.membership.note_inserted();
                     self.len += 1;
@@ -274,10 +345,17 @@ impl DynamicDict {
                 Some(&META_DELETE) => {
                     self.membership.note_deleted();
                     self.len = self.len.saturating_sub(1);
+                    if intent.meta.len() > 2 && intent.meta[0] == tag {
+                        // Tombstoned here and in its migration source.
+                        self.copies = self.copies.saturating_sub(1);
+                    }
                 }
-                Some(&META_BATCH) => {
+                Some(&(META_BATCH | META_MIGRATE_BATCH)) => {
                     for (level, &dp) in intent.meta[2..].iter().enumerate() {
                         let dp = dp as usize;
+                        if op == Some(&META_MIGRATE_BATCH) {
+                            self.copies += dp;
+                        }
                         self.len += dp;
                         self.insertions += dp;
                         if let Some(p) = self.level_population.get_mut(level) {
@@ -297,17 +375,35 @@ impl DynamicDict {
     }
 
     /// Post-mutation journal bookkeeping: advance the watermark to the
-    /// intent just appended and (when this instance owns the superblock
-    /// checkpoint) stage the updated counters for the next group-commit
-    /// truncation.
+    /// intent just appended and stage the updated counters — this
+    /// instance's [section](Self::checkpoint_section) of the checkpoint,
+    /// other instances' sections left as they are — for the next
+    /// group-commit truncation.
     fn after_op(&mut self, disks: &mut DiskArray) {
         if !disks.journal_enabled() {
             return;
         }
         self.journal_seq = self.journal_seq.max(disks.last_journal_seq());
-        if self.checkpoint_owner {
-            disks.journal_set_meta(&self.checkpoint_meta());
+        let mut meta = disks.journal_meta();
+        let section = self.checkpoint_section();
+        match self.find_section(&meta) {
+            Some(range) => {
+                meta.splice(range, section);
+            }
+            None => meta.extend(section),
         }
+        disks.journal_set_meta(&meta);
+    }
+
+    /// Keys stored here that a migration source still holds.
+    pub(crate) fn copies(&self) -> usize {
+        self.copies
+    }
+
+    /// The migration source is gone: nothing stored here is a copy any
+    /// more.
+    pub(crate) fn forget_source(&mut self) {
+        self.copies = 0;
     }
 
     /// Live keys.
@@ -392,13 +488,86 @@ impl DynamicDict {
 
     /// Verified read with one retry: transient windows pass with the
     /// clock, so the retry is only charged when a probe actually failed.
-    fn read_retry(disks: &mut DiskArray, addrs: &[BlockAddr]) -> (Vec<Vec<Word>>, Vec<BlockHealth>) {
+    pub(crate) fn read_retry(
+        disks: &mut DiskArray,
+        addrs: &[BlockAddr],
+    ) -> (Vec<Vec<Word>>, Vec<BlockHealth>) {
         let out = disks.read(addrs, ReadOptions::verified());
         if out.all_ok() {
             return (out.blocks, out.healths);
         }
         let retry = disks.read(addrs, ReadOptions::verified());
         (retry.blocks, retry.healths)
+    }
+
+    /// The first-round probe of `key` (no I/O).
+    pub(crate) fn probe(&self, key: u64) -> Probe {
+        let mut addrs = self.membership.probe_addrs(key);
+        let msplit = addrs.len();
+        let positions0 = self.level_positions(0, key);
+        addrs.extend(self.levels[0].fields.probe_addrs(&positions0));
+        Probe {
+            addrs,
+            msplit,
+            positions0,
+        }
+    }
+
+    /// Decode `key` from the blocks read for its [`Probe`] (no I/O).
+    pub(crate) fn first_round(&self, key: u64, probe: &Probe, blocks: &[Vec<Word>]) -> FirstRound {
+        let (mblocks, fblocks0) = blocks.split_at(probe.msplit);
+        let Some(payload) = self.membership.decode_find(key, mblocks) else {
+            return FirstRound::Absent;
+        };
+        let (head, level) = Self::unpack_payload(payload[0]);
+        if level == 0 {
+            let raw = self.levels[0].fields.extract(&probe.positions0, fblocks0);
+            return FirstRound::Here(self.decode_satellite(head, &raw));
+        }
+        let positions = self.level_positions(level, key);
+        let addrs = self.levels[level].fields.probe_addrs(&positions);
+        FirstRound::Deeper(DeeperRecord {
+            level,
+            head,
+            positions,
+            addrs,
+        })
+    }
+
+    /// Decode a deeper record from the blocks read for its `addrs`.
+    pub(crate) fn decode_deeper(
+        &self,
+        record: &DeeperRecord,
+        blocks: &[Vec<Word>],
+    ) -> Option<Vec<Word>> {
+        let raw = self.levels[record.level]
+            .fields
+            .extract(&record.positions, blocks);
+        self.decode_satellite(record.head, &raw)
+    }
+
+    /// Finish a lookup whose first-round blocks are already read: decode
+    /// them, paying one more (retried) read only for a deeper record.
+    /// Returns the satellite and whether any block involved was damaged.
+    pub(crate) fn finish_lookup(
+        &self,
+        disks: &mut DiskArray,
+        key: u64,
+        probe: &Probe,
+        blocks: &[Vec<Word>],
+        healths: &[BlockHealth],
+    ) -> (Option<Vec<Word>>, bool) {
+        let mut degraded = !healths.iter().all(|h| h.is_ok());
+        let satellite = match self.first_round(key, probe, blocks) {
+            FirstRound::Absent => None,
+            FirstRound::Here(satellite) => satellite,
+            FirstRound::Deeper(record) => {
+                let (fblocks, fh) = Self::read_retry(disks, &record.addrs);
+                degraded |= !fh.iter().all(|h| h.is_ok());
+                self.decode_deeper(&record, &fblocks)
+            }
+        };
+        (satellite, degraded)
     }
 
     /// Lookup. 1 parallel I/O when the key is absent or lives on level 1;
@@ -411,35 +580,9 @@ impl DynamicDict {
     pub fn lookup(&self, disks: &mut DiskArray, key: u64) -> LookupOutcome {
         let scope = disks.begin_op();
         // Parallel probe: membership buckets + level-1 fields.
-        let maddrs = self.membership.probe_addrs(key);
-        let positions0 = self.level_positions(0, key);
-        let faddrs0 = self.levels[0].fields.probe_addrs(&positions0);
-        let msplit = maddrs.len();
-        let mut all = maddrs;
-        all.extend(faddrs0);
-        let (blocks, healths) = Self::read_retry(disks, &all);
-        let mut degraded = !healths.iter().all(|h| h.is_ok());
-        let (mblocks, fblocks0) = blocks.split_at(msplit);
-
-        let Some(payload) = self.membership.decode_find(key, mblocks) else {
-            let cost = disks.end_op(scope);
-            return if degraded {
-                LookupOutcome::degraded(None, cost)
-            } else {
-                LookupOutcome::new(None, cost)
-            };
-        };
-        let (head, level) = Self::unpack_payload(payload[0]);
-        let raw = if level == 0 {
-            self.levels[0].fields.extract(&positions0, fblocks0)
-        } else {
-            let positions = self.level_positions(level, key);
-            let addrs = self.levels[level].fields.probe_addrs(&positions);
-            let (fblocks, fh) = Self::read_retry(disks, &addrs);
-            degraded |= !fh.iter().all(|h| h.is_ok());
-            self.levels[level].fields.extract(&positions, &fblocks)
-        };
-        let satellite = self.decode_satellite(head, &raw);
+        let probe = self.probe(key);
+        let (blocks, healths) = Self::read_retry(disks, &probe.addrs);
+        let (satellite, degraded) = self.finish_lookup(disks, key, &probe, &blocks, &healths);
         let cost = disks.end_op(scope);
         if degraded {
             LookupOutcome::degraded(satellite, cost)
@@ -476,62 +619,81 @@ impl DynamicDict {
         let mut all: Vec<BlockAddr> = Vec::new();
         let mut meta = Vec::with_capacity(keys.len());
         for &key in keys {
-            let maddrs = self.membership.probe_addrs(key);
-            let positions0 = self.level_positions(0, key);
-            let faddrs0 = self.levels[0].fields.probe_addrs(&positions0);
+            let probe = self.probe(key);
             let start = all.len();
-            let msplit = maddrs.len();
-            all.extend(maddrs);
-            all.extend(faddrs0);
-            meta.push((positions0, start..all.len(), msplit));
+            all.extend_from_slice(&probe.addrs);
+            meta.push((probe, start..all.len()));
         }
         let plan = BatchPlan::new(disks.disks(), &all);
         let reads = plan.execute_read(disks);
 
         let mut results: Vec<Option<Vec<Word>>> = vec![None; keys.len()];
-        // Stragglers living on level > 1 need a second probe:
-        // (key index, level, head stripe, positions).
-        type Straggler = (usize, usize, usize, Vec<(usize, usize)>);
-        let mut stragglers: Vec<Straggler> = Vec::new();
+        // Stragglers living on level > 1 need a second probe.
+        let mut stragglers: Vec<(usize, DeeperRecord)> = Vec::new();
         let mut addrs2: Vec<BlockAddr> = Vec::new();
         let mut ranges2 = Vec::new();
-        for (i, (&key, (positions0, range, msplit))) in keys.iter().zip(meta).enumerate() {
+        for (i, (&key, (probe, range))) in keys.iter().zip(meta).enumerate() {
             if !reads.range_ok(range.clone()) {
                 results[i] = self.lookup(disks, key).satellite;
                 continue;
             }
-            let blocks = reads.gather(range);
-            let (mblocks, fblocks0) = blocks.split_at(msplit);
-            let Some(payload) = self.membership.decode_find(key, mblocks) else {
-                continue;
-            };
-            let (head, level) = Self::unpack_payload(payload[0]);
-            if level == 0 {
-                let raw = self.levels[0].fields.extract(&positions0, fblocks0);
-                results[i] = self.decode_satellite(head, &raw);
-            } else {
-                let positions = self.level_positions(level, key);
-                let start = addrs2.len();
-                addrs2.extend(self.levels[level].fields.probe_addrs(&positions));
-                ranges2.push(start..addrs2.len());
-                stragglers.push((i, level, head, positions));
+            match self.first_round(key, &probe, &reads.gather(range)) {
+                FirstRound::Absent => {}
+                FirstRound::Here(satellite) => results[i] = satellite,
+                FirstRound::Deeper(record) => {
+                    let start = addrs2.len();
+                    addrs2.extend_from_slice(&record.addrs);
+                    ranges2.push(start..addrs2.len());
+                    stragglers.push((i, record));
+                }
             }
         }
         // Phase 2: one plan over every straggler's own level.
         if !stragglers.is_empty() {
             let plan = BatchPlan::new(disks.disks(), &addrs2);
             let reads = plan.execute_read(disks);
-            for ((i, level, head, positions), range) in stragglers.into_iter().zip(ranges2) {
+            for ((i, record), range) in stragglers.into_iter().zip(ranges2) {
                 if !reads.range_ok(range.clone()) {
                     results[i] = self.lookup(disks, keys[i]).satellite;
                     continue;
                 }
-                let fblocks = reads.gather(range);
-                let raw = self.levels[level].fields.extract(&positions, &fblocks);
-                results[i] = self.decode_satellite(head, &raw);
+                results[i] = self.decode_deeper(&record, &reads.gather(range));
             }
         }
         (results, disks.end_op(scope))
+    }
+
+    /// Staged writes one more insertion may add to a commit that must
+    /// still fit the journal ring as one intent: the migration step commits
+    /// what it has staged once [`BatchExecutor::staged_writes`] exceeds
+    /// this (`usize::MAX` without a journal).
+    fn intent_room(&self, disks: &DiskArray) -> usize {
+        let per_key = self.enc.fields_per_key + self.membership.blocks_per_bucket();
+        disks
+            .journal_intent_capacity(2 + self.levels.len())
+            .saturating_sub(per_key)
+    }
+
+    /// Commit what `ex` has staged as one journal intent tagged `op`
+    /// ([`META_BATCH`] or [`META_MIGRATE_BATCH`]). The metadata carries
+    /// the per-level insertion counts since `pops_before` (compressed — a
+    /// commit may stage more keys than metadata words), enough to
+    /// reconcile `len`/`insertions`/populations on replay; `pops_before`
+    /// then moves up to now, so the next commit of the same executor
+    /// carries only its own keys.
+    fn commit_staged(&mut self, ex: &mut BatchExecutor<'_>, op: Word, pops_before: &mut Vec<usize>) {
+        let mut meta = vec![self.meta_tag(), op];
+        meta.extend(
+            self.level_population
+                .iter()
+                .zip(pops_before.iter())
+                .map(|(&now, &before)| (now - before) as Word),
+        );
+        let _ = ex.commit_checked_with_meta(&meta);
+        pops_before.clone_from(&self.level_population);
+        // Per commit, not per batch: a group-commit truncation between two
+        // commits must pair the first one's seq with counters that hold it.
+        self.after_op(ex.disks_mut());
     }
 
     /// Batched insert with sequential semantics: keys are placed
@@ -558,11 +720,9 @@ impl DynamicDict {
         let scope = disks.begin_op();
         let mut all: Vec<BlockAddr> = Vec::new();
         for (key, _) in entries {
-            all.extend(self.membership.probe_addrs(*key));
-            let positions0 = self.level_positions(0, *key);
-            all.extend(self.levels[0].fields.probe_addrs(&positions0));
+            all.extend(self.probe(*key).addrs);
         }
-        let pops_before = self.level_population.clone();
+        let mut pops_before = self.level_population.clone();
         let mut ex = BatchExecutor::new(disks);
         ex.prefetch(&all);
         let mut results = Vec::with_capacity(entries.len());
@@ -577,32 +737,13 @@ impl DynamicDict {
                 break;
             }
         }
-        // The whole batch commits as one journal intent; the metadata
-        // carries per-level insertion counts (compressed — a batch may
-        // stage more keys than metadata words), enough to reconcile
-        // `len`/`insertions`/populations on replay.
-        let mut meta = vec![self.meta_tag(), META_BATCH];
-        meta.extend(
-            self.level_population
-                .iter()
-                .zip(&pops_before)
-                .map(|(&now, &before)| (now - before) as Word),
-        );
-        let _ = ex.commit_checked_with_meta(&meta);
+        self.commit_staged(&mut ex, META_BATCH, &mut pops_before);
         drop(ex);
-        self.after_op(disks);
         (results, disks.end_op(scope))
     }
 
-    /// One first-fit insertion through a batch executor: reads come from
-    /// the executor's cache (which reflects earlier keys' staged writes),
-    /// writes are staged rather than flushed.
-    fn insert_staged(
-        &mut self,
-        ex: &mut BatchExecutor<'_>,
-        key: u64,
-        satellite: &[Word],
-    ) -> Result<(), DictError> {
+    /// The checks an insertion makes before any I/O.
+    pub(crate) fn check_insertable(&self, satellite: &[Word]) -> Result<(), DictError> {
         if satellite.len() != self.params.satellite_words {
             return Err(DictError::SatelliteWidth {
                 expected: self.params.satellite_words,
@@ -614,6 +755,19 @@ impl DynamicDict {
                 capacity: self.params.capacity,
             });
         }
+        Ok(())
+    }
+
+    /// One first-fit insertion through a batch executor: reads come from
+    /// the executor's cache (which reflects earlier keys' staged writes),
+    /// writes are staged rather than flushed.
+    fn insert_staged(
+        &mut self,
+        ex: &mut BatchExecutor<'_>,
+        key: u64,
+        satellite: &[Word],
+    ) -> Result<(), DictError> {
+        self.check_insertable(satellite)?;
         let maddrs = self.membership.probe_addrs(key);
         let (mut mblocks, mut mhealths) = ex.get_many_verified(&maddrs);
         if !mhealths.iter().all(|h| h.is_ok()) {
@@ -668,7 +822,7 @@ impl DynamicDict {
             for ((stripe, bits), &(s, j)) in encoded.iter().zip(&keep) {
                 debug_assert_eq!(*stripe, s);
                 fa.patch((s, j), &mut fblocks[s], bits);
-                ex.stage_write(addrs[s], fblocks[s].clone());
+                ex.stage_write(addrs[s], std::mem::take(&mut fblocks[s]));
             }
         }
         for (a, img) in mwrites {
@@ -689,32 +843,34 @@ impl DynamicDict {
         key: u64,
         satellite: &[Word],
     ) -> Result<OpCost, DictError> {
-        if satellite.len() != self.params.satellite_words {
-            return Err(DictError::SatelliteWidth {
-                expected: self.params.satellite_words,
-                got: satellite.len(),
-            });
-        }
-        if self.insertions >= self.params.capacity {
-            return Err(DictError::CapacityExhausted {
-                capacity: self.params.capacity,
-            });
-        }
+        self.check_insertable(satellite)?;
         let scope = disks.begin_op();
-
         // First parallel I/O: membership probe + level-1 fields.
-        let maddrs = self.membership.probe_addrs(key);
-        let positions0 = self.level_positions(0, key);
-        let faddrs0 = self.levels[0].fields.probe_addrs(&positions0);
-        let msplit = maddrs.len();
-        let mut all = maddrs;
-        all.extend(faddrs0.clone());
-        let (blocks, healths) = Self::read_retry(disks, &all);
+        let probe = self.probe(key);
+        let (blocks, healths) = Self::read_retry(disks, &probe.addrs);
+        self.insert_probed(disks, key, satellite, &probe, &blocks, &healths)?;
+        Ok(disks.end_op(scope))
+    }
+
+    /// The insertion proper, given the blocks and healths read for the
+    /// key's [`Probe`]: duplicate check, first-fit level search (deeper
+    /// levels read on demand), and the one (journaled) write. The caller
+    /// has run [`Self::check_insertable`].
+    pub(crate) fn insert_probed(
+        &mut self,
+        disks: &mut DiskArray,
+        key: u64,
+        satellite: &[Word],
+        probe: &Probe,
+        blocks: &[Vec<Word>],
+        healths: &[BlockHealth],
+    ) -> Result<(), DictError> {
+        let msplit = probe.msplit;
         let (mblocks, fblocks0) = blocks.split_at(msplit);
         let (mhealths, fhealths0) = healths.split_at(msplit);
         // An unreadable membership bucket makes the duplicate check
         // unsound: fail typed rather than risk a double insert.
-        if let Some(e) = Self::io_error(&all[..msplit], mhealths) {
+        if let Some(e) = Self::io_error(&probe.addrs[..msplit], mhealths) {
             return Err(e);
         }
         if self.membership.decode_find(key, mblocks).is_some() {
@@ -723,14 +879,14 @@ impl DynamicDict {
 
         // First-fit level search: (level, chosen positions, probed
         // addresses, probed block images).
-        type Probe = (usize, Vec<(usize, usize)>, Vec<BlockAddr>, Vec<Vec<Word>>);
+        type Fit = (usize, Vec<(usize, usize)>, Vec<BlockAddr>, Vec<Vec<Word>>);
         let m = self.enc.fields_per_key;
-        let mut chosen: Option<Probe> = None;
+        let mut chosen: Option<Fit> = None;
         for level in 0..self.levels.len() {
             let (positions, addrs, fblocks, fhealths) = if level == 0 {
                 (
-                    positions0.clone(),
-                    faddrs0.clone(),
+                    probe.positions0.clone(),
+                    probe.addrs[msplit..].to_vec(),
                     fblocks0.to_vec(),
                     fhealths0.to_vec(),
                 )
@@ -772,7 +928,7 @@ impl DynamicDict {
         }
         let mut writes: Vec<(BlockAddr, Vec<Word>)> = touched
             .into_iter()
-            .map(|s| (addrs[s], fblocks[s].clone()))
+            .map(|s| (addrs[s], std::mem::take(&mut fblocks[s])))
             .collect();
 
         // Membership record in the same write batch (disjoint disks).
@@ -786,7 +942,7 @@ impl DynamicDict {
         // membership record) becomes one intent entry, crash-atomic under
         // any crash point; without one this is the plain checked write.
         let whealths = if disks.journal_enabled() {
-            let meta = [self.meta_tag(), self.insert_meta_op, level as Word];
+            let meta = [self.meta_tag(), META_INSERT, level as Word];
             disks.journaled_write_batch_checked(&refs, &meta)
         } else {
             disks.write(&refs, WriteOptions::checked()).healths
@@ -802,11 +958,7 @@ impl DynamicDict {
                 // The op is acked as failed, so its intent must never
                 // replay (a later recovery would resurrect the key the
                 // caller was told is absent): truncate it now.
-                let meta = if self.checkpoint_owner {
-                    self.checkpoint_meta()
-                } else {
-                    disks.journal_meta()
-                };
+                let meta = disks.journal_meta();
                 disks.journal_checkpoint(&meta);
             }
             return Err(e);
@@ -816,7 +968,7 @@ impl DynamicDict {
         self.insertions += 1;
         self.level_population[level] += 1;
         self.after_op(disks);
-        Ok(disks.end_op(scope))
+        Ok(())
     }
 
     /// Delete: tombstone the membership record (fields are not reclaimed —
@@ -845,19 +997,42 @@ impl DynamicDict {
             writes.iter().map(|(a, w)| (*a, w.as_slice())).collect();
         let meta = [self.meta_tag(), META_DELETE];
         let _ = disks.journaled_write_batch_checked(&refs, &meta);
-        self.membership.note_deleted();
-        self.len -= 1;
-        self.after_op(disks);
+        self.note_deleted(disks, false);
         (true, disks.end_op(scope))
     }
 
-    /// Enumerate live keys of one membership bucket (for global
-    /// rebuilding). `bucket` ranges over `0..membership_buckets()`.
-    pub fn scan_bucket(&self, disks: &mut DiskArray, bucket: usize) -> Vec<u64> {
+    /// The membership dictionary (disks `0..d` of the structure): its
+    /// probe addresses, presence decode and tombstone planning are what a
+    /// caller needs to fold this structure's delete or duplicate check
+    /// into a read of its own. After issuing a planned tombstone (journaled
+    /// under this instance's tag) the caller calls [`Self::note_deleted`].
+    pub(crate) fn membership(&self) -> &BasicDict {
+        &self.membership
+    }
+
+    /// Record a committed (journaled) tombstone; `was_copy` when the same
+    /// intent also tombstoned the key in this structure's migration source.
+    pub(crate) fn note_deleted(&mut self, disks: &mut DiskArray, was_copy: bool) {
+        self.membership.note_deleted();
+        self.len -= 1;
+        if was_copy {
+            self.copies -= 1;
+        }
+        self.after_op(disks);
+    }
+
+    /// The live records of membership buckets `buckets` (a sub-range of
+    /// `0..membership_buckets()`), read in one charged batch: `(key, head
+    /// stripe, level)` per record, bucket by bucket. Consecutive buckets
+    /// sit on distinct disks, so a short range costs one parallel I/O.
+    fn scan_records(&self, disks: &mut DiskArray, buckets: Range<usize>) -> Vec<(u64, usize, usize)> {
         self.membership
-            .scan_bucket(disks, bucket)
+            .scan_buckets(disks, buckets)
             .into_iter()
-            .map(|(k, _)| k)
+            .map(|(key, payload)| {
+                let (head, level) = Self::unpack_payload(payload[0]);
+                (key, head, level)
+            })
             .collect()
     }
 
@@ -865,6 +1040,90 @@ impl DynamicDict {
     #[must_use]
     pub fn membership_buckets(&self) -> usize {
         self.membership.buckets()
+    }
+
+    /// One migration step of global rebuilding, as **one planned batch**:
+    /// copy every live record of `old`'s membership buckets `buckets` into
+    /// this structure. Both structures live on `disks`, on disjoint disk
+    /// ranges.
+    ///
+    /// 1. The buckets are scanned in one charged read; each record found
+    ///    names its own level and chain head, so `old`'s membership is not
+    ///    probed again.
+    /// 2. One plan reads every record's fields in `old` *and* every key's
+    ///    first-round probe here — per-disk-maximum rounds across both
+    ///    disk ranges, not a sum over keys.
+    /// 3. Keys are placed first-fit in scan order, each seeing its
+    ///    predecessors' staged fields. A key already stored here (deleted
+    ///    and re-inserted during the rebuild, or copied by a step that a
+    ///    crash cut after its commit) is skipped by the insertion's own
+    ///    duplicate check.
+    /// 4. The staged blocks commit as one [`META_MIGRATE_BATCH`] intent —
+    ///    or, when two full buckets stage more than the ring holds, as
+    ///    several in scan order, each atomic, so that no step ever bypasses
+    ///    the journal.
+    ///
+    /// Returns how many keys were copied, and the error that stopped the
+    /// step early if one did (what was staged before it is committed).
+    pub(crate) fn migrate_from(
+        &mut self,
+        disks: &mut DiskArray,
+        old: &DynamicDict,
+        buckets: Range<usize>,
+    ) -> (usize, Result<(), DictError>) {
+        let records = old.scan_records(disks, buckets);
+        if records.is_empty() {
+            return (0, Ok(()));
+        }
+        let mut all: Vec<BlockAddr> = Vec::new();
+        let mut sources = Vec::with_capacity(records.len());
+        for &(key, _, level) in &records {
+            let positions = old.level_positions(level, key);
+            let addrs = old.levels[level].fields.probe_addrs(&positions);
+            all.extend_from_slice(&addrs);
+            all.extend(self.probe(key).addrs);
+            sources.push((positions, addrs));
+        }
+        let room = self.intent_room(disks);
+        let mut pops_before = self.level_population.clone();
+        let mut ex = BatchExecutor::new(disks);
+        ex.prefetch(&all);
+        let mut copied = 0;
+        let mut outcome = Ok(());
+        for (&(key, head, level), (positions, addrs)) in records.iter().zip(sources) {
+            let (mut blocks, healths) = ex.get_many_verified(&addrs);
+            if !healths.iter().all(|h| h.is_ok()) {
+                ex.refresh(&addrs);
+                blocks = ex.get_many(&addrs);
+            }
+            let raw = old.levels[level].fields.extract(&positions, &blocks);
+            let Some(satellite) = old.decode_satellite(head, &raw) else {
+                continue; // damaged in `old`: reads as a miss there too
+            };
+            if ex.staged_writes() > room {
+                self.commit_staged(&mut ex, META_MIGRATE_BATCH, &mut pops_before);
+            }
+            match self.insert_staged(&mut ex, key, &satellite) {
+                Ok(()) => {
+                    copied += 1;
+                    self.copies += 1;
+                }
+                Err(DictError::DuplicateKey(_)) => {}
+                Err(e) => {
+                    outcome = Err(e);
+                    break;
+                }
+            }
+        }
+        self.commit_staged(&mut ex, META_MIGRATE_BATCH, &mut pops_before);
+        (copied, outcome)
+    }
+
+    /// Test hook: slots per membership bucket — the most records one
+    /// scanned bucket can hand a migration step.
+    #[cfg(test)]
+    pub(crate) fn bucket_slots(&self) -> usize {
+        self.membership.config().bucket_slots
     }
 
     /// Test hook: mark every candidate field of `key` occupied on every
@@ -1053,8 +1312,9 @@ mod tests {
         }
         dict.delete(&mut disks, ks[0]);
         let mut seen = std::collections::HashSet::new();
-        for b in 0..dict.membership_buckets() {
-            for k in dict.scan_bucket(&mut disks, b) {
+        for b in (0..dict.membership_buckets()).step_by(3) {
+            let end = (b + 3).min(dict.membership_buckets());
+            for (k, ..) in dict.scan_records(&mut disks, b..end) {
                 assert!(seen.insert(k));
             }
         }
@@ -1232,7 +1492,7 @@ mod tests {
             let mut rec = dict0.clone();
             let report = disks.recover();
             rec.apply_replay(&report);
-            disks.journal_checkpoint(&rec.checkpoint_meta());
+            disks.journal_checkpoint(&rec.checkpoint_section());
 
             let out = rec.lookup(&mut disks, victim);
             if out.found() {
@@ -1277,7 +1537,7 @@ mod tests {
             let mut rec = dict0.clone();
             let report = disks.recover();
             rec.apply_replay(&report);
-            disks.journal_checkpoint(&rec.checkpoint_meta());
+            disks.journal_checkpoint(&rec.checkpoint_section());
 
             let found = rec.lookup(&mut disks, 9).found();
             if found {
@@ -1316,7 +1576,7 @@ mod tests {
             let mut rec = dict0.clone();
             let report = disks.recover();
             rec.apply_replay(&report);
-            disks.journal_checkpoint(&rec.checkpoint_meta());
+            disks.journal_checkpoint(&rec.checkpoint_section());
 
             let found: Vec<bool> = entries
                 .iter()

@@ -221,7 +221,7 @@ impl RawDict for DynamicDict {
         self.apply_replay(report);
     }
     fn raw_checkpoint_meta(&self) -> Vec<Word> {
-        self.checkpoint_meta()
+        self.checkpoint_section()
     }
 }
 

@@ -7,6 +7,14 @@
 //! ... to each dictionary", and the Section 4 preamble runs two whole
 //! structures side by side for global rebuilding). [`DiskAllocator`] is a
 //! per-disk bump allocator handing out [`Region`]s.
+//!
+//! Individual regions are never freed — a structure never moves data once
+//! it is written — but a whole *slot* is: when the global-rebuilding
+//! wrapper abandons a structure it discards the slot's blocks on the array
+//! and calls [`DiskAllocator::release_tail`], so the next structure built
+//! on those disks reuses the same block range. Storage is therefore
+//! bounded by what is allocated at any one time (for [`crate::Dictionary`]:
+//! the journal ring plus two slots), not by the history of allocations.
 
 use pdm::{BlockAddr, DiskArray};
 
@@ -53,8 +61,11 @@ impl Region {
 
 /// Per-disk bump allocator over a [`DiskArray`].
 ///
-/// Regions are never freed (data structures in the paper never move data);
-/// the global-rebuilding wrapper accounts live space separately.
+/// Bump pointers only fall through [`release_tail`](Self::release_tail),
+/// which gives up everything above a block index on a range of disks at
+/// once; the caller discards those blocks on the array
+/// ([`DiskArray::discard_tail`]) before allocating there again, because a
+/// fresh region is expected to read as zeros.
 #[derive(Debug, Clone)]
 pub struct DiskAllocator {
     next_free: Vec<usize>,
@@ -110,6 +121,18 @@ impl DiskAllocator {
         }
     }
 
+    /// Give up every block at index `first_block` or above on the disks
+    /// `first_disk .. first_disk + disks`: their bump pointers fall back to
+    /// `first_block` (pointers already below it stay).
+    ///
+    /// # Panics
+    /// Panics if the disk range exceeds the allocator.
+    pub fn release_tail(&mut self, first_disk: usize, disks: usize, first_block: usize) {
+        for next in &mut self.next_free[first_disk..first_disk + disks] {
+            *next = (*next).min(first_block);
+        }
+    }
+
     /// Current bump pointer of a disk (for space accounting).
     #[must_use]
     pub fn used_blocks(&self, disk: usize) -> usize {
@@ -152,6 +175,23 @@ mod tests {
         assert!(arr.blocks_on(0) >= 10);
         let addr = r.addr(1, 9);
         assert_eq!(addr, BlockAddr::new(1, 9));
+    }
+
+    #[test]
+    fn released_tail_is_handed_out_again() {
+        let mut arr = DiskArray::new(PdmConfig::new(8, 4), 0);
+        let mut alloc = DiskAllocator::new(8);
+        let ring = alloc.alloc(&mut arr, 0, 8, 2);
+        let a = alloc.alloc(&mut arr, 0, 4, 6);
+        let b = alloc.alloc(&mut arr, 4, 4, 3);
+        let grown = arr.blocks_on(0);
+        alloc.release_tail(0, 4, ring.blocks_per_disk);
+        assert_eq!(alloc.used_blocks(0), 2);
+        assert_eq!(alloc.used_blocks(4), 5, "the other disks keep their regions");
+        let again = alloc.alloc(&mut arr, 0, 4, 6);
+        assert_eq!(again, a, "the same block range is reused");
+        assert_eq!(arr.blocks_on(0), grown, "reuse lengthens nothing");
+        assert_eq!(b.first_block, 2);
     }
 
     #[test]

@@ -186,6 +186,28 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// blocks zeroed. Never shrinks.
     fn grow(&mut self, blocks_per_disk: usize);
 
+    /// Discard every block at index `first_block` or above on the disks
+    /// `first_disk .. first_disk + disks`: their content is given up and
+    /// they read as zeros afterwards, like blocks fresh from
+    /// [`grow`](StorageBackend::grow). Disk lengths do not change. Like
+    /// `grow` this is bookkeeping, not I/O: it is uncharged, and it is the
+    /// caller's job ([`crate::DiskArray::discard_tail`]) to make sure no
+    /// journal intent still names a discarded block.
+    ///
+    /// The default zeroes block by block through
+    /// [`poke`](StorageBackend::poke), so a decorator that forwards `poke`
+    /// inherits a correct implementation; [`MemBackend`] clears in place
+    /// and the file backend drops the range from its files without
+    /// writing zeros.
+    fn discard_tail(&mut self, first_disk: usize, disks: usize, first_block: usize) {
+        let zeros = vec![0 as Word; self.block_words()];
+        for disk in first_disk..first_disk + disks {
+            for block in first_block..self.blocks_on(disk) {
+                self.poke(BlockAddr::new(disk, block), &zeros);
+            }
+        }
+    }
+
     /// Execute one submission and return its completions (reads in
     /// request order). The submission is split per disk and issued to
     /// every disk's queue before any completion is joined.
@@ -292,6 +314,14 @@ impl StorageBackend for MemBackend {
         }
     }
 
+    fn discard_tail(&mut self, first_disk: usize, disks: usize, first_block: usize) {
+        for disk in &mut self.disks[first_disk..first_disk + disks] {
+            for block in disk.iter_mut().skip(first_block) {
+                block.fill(0);
+            }
+        }
+    }
+
     fn submit(&mut self, batch: IoSubmission<'_>) -> CompletionSet {
         let reads = self.submit_reads(batch.reads);
         for &(a, data) in batch.writes {
@@ -391,6 +421,70 @@ mod tests {
         assert_eq!(snap[0][2].as_ref(), &[0, 0]);
         let b2 = MemBackend::from_image(2, snap);
         assert_eq!(b2.peek(BlockAddr::new(1, 0)), vec![4; 2]);
+    }
+
+    #[test]
+    fn discard_tail_zeroes_the_range_and_nothing_else() {
+        /// A decorator that forwards only the required methods, so it
+        /// exercises the trait's default `discard_tail`.
+        #[derive(Debug)]
+        struct Forwarding(MemBackend);
+        impl StorageBackend for Forwarding {
+            fn kind(&self) -> &'static str {
+                "forwarding"
+            }
+            fn disks(&self) -> usize {
+                self.0.disks()
+            }
+            fn block_words(&self) -> usize {
+                self.0.block_words()
+            }
+            fn blocks_on(&self, disk: usize) -> usize {
+                self.0.blocks_on(disk)
+            }
+            fn grow(&mut self, blocks_per_disk: usize) {
+                self.0.grow(blocks_per_disk);
+            }
+            fn submit(&mut self, batch: IoSubmission<'_>) -> CompletionSet {
+                self.0.submit(batch)
+            }
+            fn submit_reads(&self, reads: &[BlockAddr]) -> CompletionSet {
+                self.0.submit_reads(reads)
+            }
+            fn peek(&self, addr: BlockAddr) -> Vec<Word> {
+                self.0.peek(addr)
+            }
+            fn poke(&mut self, addr: BlockAddr, data: &[Word]) {
+                self.0.poke(addr, data);
+            }
+            fn snapshot(&self) -> Vec<Vec<Box<[Word]>>> {
+                self.0.snapshot()
+            }
+            fn flush_begin(&mut self) -> FlushTicket {
+                self.0.flush_begin()
+            }
+            fn flush_join(&mut self, ticket: FlushTicket) {
+                self.0.flush_join(ticket);
+            }
+        }
+
+        let mut mem = MemBackend::new(4, 2, 3);
+        for d in 0..4 {
+            for b in 0..3 {
+                mem.poke(BlockAddr::new(d, b), &[7; 2]);
+            }
+        }
+        let mut fwd = Forwarding(mem.clone());
+        mem.discard_tail(1, 2, 1);
+        fwd.discard_tail(1, 2, 1);
+        assert_eq!(mem.snapshot(), fwd.snapshot(), "default and override agree");
+        for d in 0..4 {
+            for b in 0..3 {
+                let want = if (1..3).contains(&d) && b >= 1 { 0 } else { 7 };
+                assert_eq!(mem.peek(BlockAddr::new(d, b)), vec![want; 2], "({d}, {b})");
+            }
+            assert_eq!(mem.blocks_on(d), 3, "lengths unchanged");
+        }
     }
 
     #[test]

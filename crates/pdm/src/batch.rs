@@ -34,7 +34,39 @@ use crate::integrity::BlockHealth;
 use crate::metrics::IoEvent;
 use crate::stats::OpCost;
 use crate::Word;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Two-word multiplicative hasher for [`BlockAddr`] keys (rotate, xor,
+/// multiply per word). The addresses are produced by this process's own
+/// layout code, never by outside input, so the collision resistance of
+/// the default SipHash buys nothing here and costs most of a batch's
+/// planning time.
+#[derive(Debug, Default, Clone, Copy)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+}
+
+type AddrMap<V> = HashMap<BlockAddr, V, BuildHasherDefault<AddrHasher>>;
+type AddrSet = HashSet<BlockAddr, BuildHasherDefault<AddrHasher>>;
 
 /// A deduplicated, round-scheduled set of block requests.
 ///
@@ -76,7 +108,8 @@ impl BatchPlan {
     #[must_use]
     pub fn new(disks: usize, requests: &[BlockAddr]) -> Self {
         assert!(disks > 0, "need at least one disk");
-        let mut index: HashMap<BlockAddr, usize> = HashMap::with_capacity(requests.len());
+        let mut index: AddrMap<usize> =
+            AddrMap::with_capacity_and_hasher(requests.len(), BuildHasherDefault::default());
         let mut unique = Vec::new();
         let mut slot = Vec::with_capacity(requests.len());
         let mut per_disk = vec![0usize; disks];
@@ -164,19 +197,27 @@ impl BatchPlan {
     /// [`BatchReads::health`]). Failed blocks are sanitized to zeros, as
     /// in a verified [`DiskArray::read`].
     pub fn execute_read_verified(&self, disks: &mut DiskArray) -> BatchReads {
+        let (blocks, healths) = self.read_unique(disks);
+        BatchReads {
+            blocks,
+            healths,
+            slot: self.slot.clone(),
+        }
+    }
+
+    /// The charged, verified read behind
+    /// [`execute_read_verified`](BatchPlan::execute_read_verified): block
+    /// images and healths aligned with
+    /// [`unique_blocks`](BatchPlan::unique_blocks), rounds recorded.
+    fn read_unique(&self, disks: &mut DiskArray) -> (Vec<Vec<Word>>, Vec<BlockHealth>) {
         let out = disks.read(&self.unique, ReadOptions::verified());
-        let (blocks, healths) = (out.blocks, out.healths);
         disks.record_rounds(self.num_rounds() as u64);
         for round in &self.rounds {
             disks.emit_io_event(IoEvent::RoundScheduled {
                 blocks: round.len() as u64,
             });
         }
-        BatchReads {
-            blocks,
-            healths,
-            slot: self.slot.clone(),
-        }
+        (out.blocks, out.healths)
     }
 
     /// Execute the plan through a **shared** reference: returns the reads
@@ -301,9 +342,11 @@ impl BatchReads {
 #[derive(Debug)]
 pub struct BatchExecutor<'a> {
     disks: &'a mut DiskArray,
-    cache: HashMap<BlockAddr, Vec<Word>>,
+    cache: AddrMap<Vec<Word>>,
     /// Dirty addresses in first-staged order (each appears once).
     dirty: Vec<BlockAddr>,
+    /// Membership index over `dirty`.
+    dirty_set: AddrSet,
 }
 
 impl<'a> BatchExecutor<'a> {
@@ -311,14 +354,22 @@ impl<'a> BatchExecutor<'a> {
     pub fn new(disks: &'a mut DiskArray) -> Self {
         BatchExecutor {
             disks,
-            cache: HashMap::new(),
+            cache: AddrMap::default(),
             dirty: Vec::new(),
+            dirty_set: AddrSet::default(),
         }
     }
 
     /// The disk array geometry (for planning probe addresses).
     #[must_use]
     pub fn disks(&self) -> &DiskArray {
+        self.disks
+    }
+
+    /// The underlying array, for journal bookkeeping between two commits
+    /// of one executor. Blocks written through it behind the executor's
+    /// back are not reflected in its cache.
+    pub fn disks_mut(&mut self) -> &mut DiskArray {
         self.disks
     }
 
@@ -341,9 +392,9 @@ impl<'a> BatchExecutor<'a> {
         self.disks.emit_io_event(IoEvent::CacheMiss {
             blocks: plan.num_unique_blocks() as u64,
         });
-        let reads = plan.execute_read(self.disks);
-        for (i, &a) in plan.unique_blocks().iter().enumerate() {
-            self.cache.insert(a, reads.blocks[i].clone());
+        let (blocks, _) = plan.read_unique(self.disks);
+        for (&a, block) in plan.unique_blocks().iter().zip(blocks) {
+            self.cache.insert(a, block);
         }
     }
 
@@ -366,8 +417,16 @@ impl<'a> BatchExecutor<'a> {
     /// Clone the current images of several addresses (cache misses are
     /// charged individually, as in [`get`](BatchExecutor::get)).
     pub fn get_many(&mut self, addrs: &[BlockAddr]) -> Vec<Vec<Word>> {
-        self.prefetch(addrs);
-        addrs.iter().map(|&a| self.cache[&a].clone()).collect()
+        if addrs.iter().all(|a| self.cache.contains_key(a)) {
+            if !addrs.is_empty() {
+                self.disks.emit_io_event(IoEvent::CacheHit {
+                    blocks: addrs.len() as u64,
+                });
+            }
+        } else {
+            self.prefetch(addrs);
+        }
+        addrs.iter().map(|a| self.cache[a].clone()).collect()
     }
 
     /// [`get_many`](BatchExecutor::get_many) with each address's current
@@ -386,7 +445,7 @@ impl<'a> BatchExecutor<'a> {
         let healths = addrs
             .iter()
             .map(|a| {
-                if self.dirty.contains(a) {
+                if self.dirty_set.contains(a) {
                     BlockHealth::Ok
                 } else {
                     self.disks.block_health(*a)
@@ -405,15 +464,15 @@ impl<'a> BatchExecutor<'a> {
         let retry: Vec<BlockAddr> = addrs
             .iter()
             .copied()
-            .filter(|a| !self.dirty.contains(a))
+            .filter(|a| !self.dirty_set.contains(a))
             .collect();
-        let mut fresh: HashMap<BlockAddr, BlockHealth> = HashMap::new();
+        let mut fresh: AddrMap<BlockHealth> = AddrMap::default();
         if !retry.is_empty() {
             let plan = BatchPlan::new(self.disks.disks(), &retry);
-            let reads = plan.execute_read_verified(self.disks);
-            for (i, &a) in plan.unique_blocks().iter().enumerate() {
-                self.cache.insert(a, reads.blocks[i].clone());
-                fresh.insert(a, reads.healths[i]);
+            let (blocks, healths) = plan.read_unique(self.disks);
+            for ((&a, block), health) in plan.unique_blocks().iter().zip(blocks).zip(healths) {
+                self.cache.insert(a, block);
+                fresh.insert(a, health);
             }
         }
         addrs
@@ -436,7 +495,7 @@ impl<'a> BatchExecutor<'a> {
             self.disks.block_words(),
             "batch staging requires full-block images"
         );
-        if !self.dirty.contains(&addr) {
+        if self.dirty_set.insert(addr) {
             self.dirty.push(addr);
         }
         self.cache.insert(addr, data);
@@ -522,6 +581,7 @@ impl<'a> BatchExecutor<'a> {
                 }
             }
             self.dirty.retain(|a| failed.iter().any(|(f, _)| f == a));
+            self.dirty_set.retain(|a| failed.iter().any(|(f, _)| f == a));
         }
         CommitReport {
             cost: self.disks.end_op(scope),

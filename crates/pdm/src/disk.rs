@@ -399,6 +399,51 @@ impl DiskArray {
         }
     }
 
+    /// Give up every block at index `first_block` or above on the disks
+    /// `first_disk .. first_disk + disks` (no I/O charged — the same
+    /// standing as [`grow`](DiskArray::grow): it models handing space
+    /// back, not moving data). Discarded blocks read as zeros; with
+    /// integrity enabled they are re-sealed over the zeros and lose their
+    /// verified-clean bit, so a recycled block can never read as a
+    /// checksum mismatch. Returns the number of blocks discarded.
+    ///
+    /// The caller must first make sure no journal intent still names a
+    /// block of the range ([`journal_checkpoint`](DiskArray::journal_checkpoint)):
+    /// a later replay would write the stale image back over the zeros.
+    ///
+    /// A no-op once an installed crash point has fired: the machine is
+    /// dead, and the surviving image must keep what the roll-back of the
+    /// operation in flight still needs.
+    ///
+    /// # Panics
+    /// Panics if the disk range exceeds the array.
+    pub fn discard_tail(&mut self, first_disk: usize, disks: usize, first_block: usize) -> u64 {
+        assert!(
+            first_disk + disks <= self.cfg.disks,
+            "disk range {}..{} exceeds array of {} disks",
+            first_disk,
+            first_disk + disks,
+            self.cfg.disks
+        );
+        if self.crash_fired() {
+            return 0;
+        }
+        self.backend.discard_tail(first_disk, disks, first_block);
+        let zeros = vec![0 as Word; self.cfg.block_words];
+        let mut discarded = 0;
+        for d in first_disk..first_disk + disks {
+            let end = self.backend.blocks_on(d);
+            discarded += end.saturating_sub(first_block) as u64;
+            if let Some(sums) = &mut self.checksums {
+                for (b, sum) in sums[d].iter_mut().enumerate().skip(first_block) {
+                    *sum = self.codec.checksum(BlockAddr::new(d, b), &zeros);
+                    self.verified_clean[d][b] = false;
+                }
+            }
+        }
+        discarded
+    }
+
     /// Current global I/O counters.
     #[must_use]
     pub fn stats(&self) -> IoStats {
@@ -1367,6 +1412,41 @@ mod tests {
         disks.grow(6);
         assert_eq!(disks.block_health(BlockAddr::new(0, 5)), BlockHealth::Ok);
         assert_eq!(disks.scrub_verify().checksum_failures, 0);
+    }
+
+    #[test]
+    fn discard_tail_zeroes_reseals_and_charges_nothing() {
+        let mut disks = small();
+        for d in 0..4 {
+            for b in 0..4 {
+                disks.write_block(BlockAddr::new(d, b), &[3; 8]);
+            }
+        }
+        disks.enable_integrity();
+        let before = disks.stats();
+        assert_eq!(disks.discard_tail(2, 2, 1), 6);
+        assert_eq!(disks.stats(), before, "discard is uncharged");
+        assert_eq!(disks.blocks_on(2), 4, "lengths unchanged");
+        let gone = BlockAddr::new(3, 2);
+        let out = disks.read(&[gone, BlockAddr::new(2, 0), BlockAddr::new(1, 3)], ReadOptions::verified());
+        assert!(out.all_ok(), "a recycled block must not read as a mismatch: {:?}", out.healths);
+        assert_eq!(out.blocks, vec![vec![0; 8], vec![3; 8], vec![3; 8]]);
+        assert_eq!(disks.scrub_verify().checksum_failures, 0);
+        // Recycled blocks take writes like any other.
+        disks.write_block(gone, &[4; 8]);
+        assert_eq!(disks.read_block(gone), vec![4; 8]);
+    }
+
+    #[test]
+    fn discard_tail_is_skipped_once_the_crash_point_fired() {
+        let mut disks = small();
+        let a = BlockAddr::new(1, 2);
+        disks.write_block(a, &[6; 8]);
+        disks.set_fault_plan(FaultPlan::new().crash_after(0));
+        disks.write_block(BlockAddr::new(0, 0), &[1; 8]); // dropped: the crash fires
+        assert!(disks.crash_fired());
+        assert_eq!(disks.discard_tail(0, 4, 0), 0);
+        assert_eq!(disks.peek(a), vec![6; 8], "a dead machine discards nothing");
     }
 
     #[test]

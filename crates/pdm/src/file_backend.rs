@@ -504,6 +504,23 @@ impl StorageBackend for FileBackend {
         .expect("rewriting meta after grow");
     }
 
+    /// Truncates each file to `first_block` blocks and extends it back to
+    /// full length: the filesystem drops the extents and serves the range
+    /// as zeros (a hole on filesystems with sparse files) without a zero
+    /// being written. The range is no longer materialized; later writes
+    /// into it pay extent allocation again.
+    fn discard_tail(&mut self, first_disk: usize, disks: usize, first_block: usize) {
+        if first_block >= self.blocks {
+            return;
+        }
+        let keep = self.offset_of(first_block);
+        let full = self.offset_of(self.blocks);
+        for f in &self.control[first_disk..first_disk + disks] {
+            f.set_len(keep).expect("truncating disk file");
+            f.set_len(full).expect("re-extending disk file");
+        }
+    }
+
     fn submit(&mut self, batch: IoSubmission<'_>) -> CompletionSet {
         self.run(batch)
     }
@@ -717,6 +734,40 @@ mod tests {
         }
         let fb = FileBackend::open(&dir, FileBackendOptions::default()).unwrap();
         assert_eq!(fb.blocks_on(1), 5);
+        drop(fb);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn discard_tail_reads_zero_and_survives_reopen() {
+        let dir = tmpdir("discard");
+        {
+            let mut fb =
+                FileBackend::create(&dir, 3, 4, 4, FileBackendOptions::default()).unwrap();
+            for d in 0..3 {
+                for b in 0..4 {
+                    fb.poke(BlockAddr::new(d, b), &[9; 4]);
+                }
+            }
+            fb.discard_tail(1, 2, 2);
+            // Workers hold their own handles: they must see the zeros too.
+            let got = fb.submit(IoSubmission::reads(&[
+                BlockAddr::new(1, 1),
+                BlockAddr::new(1, 2),
+                BlockAddr::new(2, 3),
+                BlockAddr::new(0, 3),
+            ]));
+            assert_eq!(got.reads, vec![vec![9; 4], vec![0; 4], vec![0; 4], vec![9; 4]]);
+            // A discarded block takes writes again.
+            let w = [5 as Word; 4];
+            let writes: Vec<(BlockAddr, &[Word])> = vec![(BlockAddr::new(2, 3), &w[..])];
+            fb.submit(IoSubmission::writes(&writes).with_sync(true));
+        }
+        let fb = FileBackend::open(&dir, FileBackendOptions::default()).unwrap();
+        assert_eq!(fb.blocks_on(1), 4, "lengths unchanged");
+        assert_eq!(fb.peek(BlockAddr::new(1, 3)), vec![0; 4]);
+        assert_eq!(fb.peek(BlockAddr::new(2, 3)), vec![5; 4]);
+        assert_eq!(fb.peek(BlockAddr::new(2, 1)), vec![9; 4]);
         drop(fb);
         let _ = std::fs::remove_dir_all(&dir);
     }

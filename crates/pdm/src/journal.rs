@@ -215,6 +215,14 @@ fn cont_triples(block_words: usize) -> usize {
     (block_words - 1).saturating_sub(3) / 3
 }
 
+/// Ring slots an intent of `k` targets and `meta_len` metadata words
+/// occupies: payload images, continuation descriptors, head.
+fn intent_slots(block_words: usize, k: usize, meta_len: usize) -> usize {
+    let t_head = head_triples(block_words, meta_len);
+    let conts = k.saturating_sub(t_head).div_ceil(cont_triples(block_words).max(1));
+    k + conts + 1
+}
+
 fn pack_counts(k: usize, conts: usize, meta_len: usize) -> Word {
     debug_assert!(k <= 0xFFFF && conts <= 0xFFFF && meta_len <= 0xFFFF);
     (k as Word) | ((conts as Word) << 16) | ((meta_len as Word) << 32)
@@ -355,6 +363,26 @@ impl DiskArray {
         self.journal.as_ref().map_or(0, |j| j.bypassed)
     }
 
+    /// The most targets one intent carrying `meta_len` metadata words can
+    /// name and still fit the ring (`usize::MAX` without a journal). A
+    /// larger batch bypasses the journal
+    /// ([`journal_bypassed`](DiskArray::journal_bypassed)); a writer that
+    /// must not — global rebuilding's migration step — splits its commit
+    /// at this size instead.
+    #[must_use]
+    pub fn journal_intent_capacity(&self, meta_len: usize) -> usize {
+        let Some(j) = &self.journal else {
+            return usize::MAX;
+        };
+        let b = self.block_words();
+        let data_slots = j.region.slots(self.disks()) - 1;
+        let mut k = data_slots.saturating_sub(1).min(0xFFFF);
+        while k > 0 && intent_slots(b, k, meta_len) > data_slots {
+            k -= 1;
+        }
+        k
+    }
+
     /// The metadata checkpoint currently associated with the journal
     /// (the owner's last [`journal_set_meta`](DiskArray::journal_set_meta)
     /// / [`journal_checkpoint`](DiskArray::journal_checkpoint), or after
@@ -459,12 +487,8 @@ impl DiskArray {
         let k = writes.len();
         let t_head = head_triples(b, meta.len());
         let t_cont = cont_triples(b);
-        let conts = if k > t_head {
-            (k - t_head).div_ceil(t_cont.max(1))
-        } else {
-            0
-        };
-        let n_slots = k + conts + 1;
+        let n_slots = intent_slots(b, k, meta.len());
+        let conts = n_slots - k - 1;
         let data_slots = {
             let j = self.journal.as_ref().expect("journal enabled");
             j.region.slots(d) - 1
@@ -940,6 +964,29 @@ mod tests {
         assert!(healths.iter().all(|h| h.is_ok()));
         assert_eq!(disks.journal_bypassed(), 1);
         assert_eq!(disks.read_block(BlockAddr::new(0, 0)), img(0));
+    }
+
+    #[test]
+    fn intent_capacity_is_the_largest_batch_that_stays_in_the_ring() {
+        // 8 rows × 2 disks = 15 data slots of 16-word blocks: 4 head
+        // triples, then 4 per continuation.
+        let mut disks = DiskArray::new(PdmConfig::new(2, B), 40);
+        assert_eq!(disks.journal_intent_capacity(0), usize::MAX, "no journal, no limit");
+        disks.enable_journal(JournalRegion {
+            first_block: 32,
+            rows: 8,
+        });
+        let cap = disks.journal_intent_capacity(0);
+        assert_eq!(cap, 12, "12 images + 2 continuations + head = 15 slots");
+        let writes: Vec<(BlockAddr, Vec<Word>)> = (0..cap + 1)
+            .map(|i| (BlockAddr::new(i % 2, i / 2), img(i as Word)))
+            .collect();
+        let refs: Vec<(BlockAddr, &[Word])> =
+            writes.iter().map(|(a, v)| (*a, v.as_slice())).collect();
+        disks.journaled_write_batch_checked(&refs[..cap], &[]);
+        assert_eq!(disks.journal_bypassed(), 0, "a full-capacity intent fits");
+        disks.journaled_write_batch_checked(&refs, &[]);
+        assert_eq!(disks.journal_bypassed(), 1, "one more target does not");
     }
 
     #[test]

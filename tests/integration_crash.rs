@@ -272,31 +272,30 @@ fn recovery_distrusts_pre_crash_verification() {
     );
 }
 
-/// The rebuilding wrapper mid-migration, under every crash point of one
-/// insert (which also advances the migration): resume from a pre-op
-/// snapshot of the process state plus the crashed disk image (superblock
-/// re-read from disk), replay, and the wrapper must account both the
-/// re-inserted key and the re-copied migration rows — then finish the
-/// rebuild cleanly.
-#[test]
-fn rebuilding_dictionary_is_crash_consistent_during_migration() {
-    let params = DictParams::new(16, UNIVERSE, 1)
-        .with_degree(20)
-        .with_epsilon(0.5)
-        .with_seed(0xC4A5)
-        .with_journal(JOURNAL_ROWS);
-    let mut dict = Dictionary::new(params, 64).unwrap();
-    let keys = dense_keys(60);
-    let mut inserted: Vec<u64> = Vec::new();
-    let mut it = keys.iter();
-    while !dict.is_rebuilding() {
-        let k = *it.next().expect("rebuild never started");
-        dict.insert(k, &sat(k, 1)).unwrap();
-        inserted.push(k);
-    }
-    assert!(dict.disks().journal_enabled());
+/// One operation on the rebuilding wrapper, cut at every crash point.
+#[derive(Debug, Clone, Copy)]
+enum Cut {
+    Insert(u64),
+    Delete(u64),
+}
 
-    let victim = KEY_SPACE + 7_000;
+/// The rebuilding wrapper inside a window, under **every** crash point of
+/// `cut` (which also runs a batched migration step — and, when `dict` is one
+/// step from the end, the swap → checkpoint → discard that follows it):
+/// resume from a pre-op snapshot of the process state plus the crashed disk
+/// image (superblock re-read from disk) and recover. At each point the cut
+/// operation is all-or-nothing, every other key of `live` is intact, `len()`
+/// is exact, the journal is truncated — and stays exact through the rest of
+/// the rebuild, with nothing having bypassed the journal.
+fn rebuild_crash_matrix(dict: &Dictionary, live: &BTreeSet<u64>, cut: Cut) {
+    assert!(dict.is_rebuilding(), "the matrix is for operations inside a window");
+    let run = |d: &mut Dictionary| match cut {
+        Cut::Insert(k) => Dictionary::insert(d, k, &sat(k, 1)).map(|_| ()),
+        Cut::Delete(k) => Dictionary::delete(d, k).map(|_| ()),
+    };
+    let cut_key = match cut {
+        Cut::Insert(k) | Cut::Delete(k) => k,
+    };
     let mut crash_at = 0u64;
     loop {
         let mut trial = dict.clone();
@@ -304,8 +303,19 @@ fn rebuilding_dictionary_is_crash_consistent_during_migration() {
             .disks_mut()
             .unwrap()
             .set_fault_plan(FaultPlan::new().crash_after(crash_at));
-        let res = Dictionary::insert(&mut trial, victim, &sat(victim, 1));
-        let fired = trial.disks().crash_fired();
+        let res = run(&mut trial);
+        if !trial.disks().crash_fired() {
+            // The whole operation landed: nothing to recover, and the
+            // matrix is exhausted.
+            res.unwrap();
+            let want = match cut {
+                Cut::Insert(_) => live.len() + 1,
+                Cut::Delete(_) => live.len() - 1,
+            };
+            assert_eq!(trial.len(), want, "{cut:?} without a crash");
+            assert_eq!(trial.disks().journal_bypassed(), 0);
+            break;
+        }
         let mut image = trial.disks().clone();
         drop(trial);
         image.clear_fault_plan();
@@ -318,20 +328,30 @@ fn rebuilding_dictionary_is_crash_consistent_during_migration() {
         *survivor.disks_mut().unwrap() = image;
         let _ = Dict::recover(&mut survivor);
 
-        for &k in &inserted {
+        let mut present = 0;
+        for &k in live {
+            if k == cut_key {
+                continue;
+            }
             assert_eq!(
                 survivor.lookup(k).satellite,
                 Some(sat(k, 1)),
-                "acked key {k} lost at crash point {crash_at}"
+                "acked key {k} lost at crash point {crash_at} of {cut:?}"
             );
+            present += 1;
         }
-        match survivor.lookup(victim).satellite {
-            Some(got) => assert_eq!(got, sat(victim, 1), "victim torn at {crash_at}"),
-            None => assert!(
-                fired,
-                "victim vanished without a crash at point {crash_at} ({res:?})"
-            ),
+        // The cut operation is in doubt, never torn.
+        if let Some(got) = survivor.lookup(cut_key).satellite {
+            assert_eq!(got, sat(cut_key, 1), "{cut:?} torn at crash point {crash_at}");
+            present += 1;
         }
+        assert_eq!(
+            survivor.len(),
+            present,
+            "recovered length disagrees with recovered contents at crash point {crash_at} of {cut:?}"
+        );
+        let second = Dict::recover(&mut survivor);
+        assert!(second.is_clean(), "journal not truncated at crash point {crash_at}: {second:?}");
 
         // Drive the rebuild to completion on the recovered state.
         let mut extra = 0u64;
@@ -340,19 +360,149 @@ fn rebuilding_dictionary_is_crash_consistent_during_migration() {
             extra += 1;
             survivor.insert(nk, &sat(nk, 1)).unwrap();
         }
-        for &k in &inserted {
-            assert_eq!(
-                survivor.lookup(k).satellite,
-                Some(sat(k, 1)),
-                "key {k} lost finishing the rebuild after crash point {crash_at}"
-            );
+        for &k in live {
+            if k != cut_key {
+                assert_eq!(
+                    survivor.lookup(k).satellite,
+                    Some(sat(k, 1)),
+                    "key {k} lost finishing the rebuild after crash point {crash_at} of {cut:?}"
+                );
+            }
         }
+        assert_eq!(
+            survivor.len(),
+            present + extra as usize,
+            "length drifted finishing the rebuild after crash point {crash_at} of {cut:?}"
+        );
+        assert_eq!(survivor.disks().journal_bypassed(), 0);
 
-        if !fired {
-            break; // the whole op landed: the matrix is exhausted
-        }
         crash_at += 1;
-        assert!(crash_at < 500, "crash point never drained");
+        assert!(crash_at < 2_000, "crash point never drained");
+    }
+}
+
+/// Journal intents one more insert into `dict` would append.
+fn intents_of_next_insert(dict: &Dictionary, key: u64) -> u64 {
+    let mut trial = dict.clone();
+    let before = trial.disks().last_journal_seq();
+    trial.insert(key, &sat(key, 1)).unwrap();
+    trial.disks().last_journal_seq() - before
+}
+
+/// Block writes the tombstone of `key` itself costs inside `dict`'s window —
+/// the migration step every delete also runs is measured on an absent key
+/// and subtracted. Images, descriptor, in-place blocks: 5 when one intent
+/// covers a key living in both structures, 3 for a key in just one.
+fn tombstone_writes(dict: &Dictionary, key: u64) -> i64 {
+    let writes_of = |k: u64| {
+        let mut trial = dict.clone();
+        let (_, cost) = Dictionary::delete(&mut trial, k).unwrap();
+        cost.block_writes as i64
+    };
+    writes_of(key) - writes_of(KEY_SPACE + 9_999)
+}
+
+/// A journaled rebuilding dictionary filled until its first window opens,
+/// with the keys it holds and the supply of further ones.
+fn open_window(
+    capacity: usize,
+    journal_rows: usize,
+) -> (Dictionary, BTreeSet<u64>, impl Iterator<Item = u64>) {
+    let params = DictParams::new(capacity, UNIVERSE, 1)
+        .with_degree(20)
+        .with_epsilon(0.5)
+        .with_seed(0xC4A5)
+        .with_journal(journal_rows);
+    let mut dict = Dictionary::new(params, 64).unwrap();
+    let mut live: BTreeSet<u64> = BTreeSet::new();
+    let mut keys = dense_keys(2_000).into_iter();
+    while !dict.is_rebuilding() {
+        let k = keys.next().expect("rebuild never started");
+        dict.insert(k, &sat(k, 1)).unwrap();
+        live.insert(k);
+    }
+    assert!(dict.disks().journal_enabled());
+    (dict, live, keys)
+}
+
+/// The crash matrix over the states of a window that differ in what a crash
+/// can cut: an insert with a batched step behind it; a delete of a key
+/// already copied (one tombstone intent over both structures); and the final
+/// step, which swaps, checkpoints and discards.
+#[test]
+fn rebuilding_dictionary_is_crash_consistent_during_migration() {
+    let victim = KEY_SPACE + 7_000;
+    let (mut dict, mut live, mut keys) = open_window(64, JOURNAL_ROWS);
+    rebuild_crash_matrix(&dict, &live, Cut::Insert(victim));
+    let mut cut_a_copied_delete = false;
+    loop {
+        let copied = live.iter().copied().find(|&k| tombstone_writes(&dict, k) == 5);
+        if let (false, Some(k)) = (cut_a_copied_delete, copied) {
+            cut_a_copied_delete = true;
+            rebuild_crash_matrix(&dict, &live, Cut::Delete(k));
+        }
+        // The final step: one more operation ends the window.
+        let mut probe = dict.clone();
+        probe.insert(victim, &sat(victim, 1)).unwrap();
+        if !probe.is_rebuilding() {
+            rebuild_crash_matrix(&dict, &live, Cut::Insert(victim));
+            let k = copied.expect("nothing copied by the last step");
+            rebuild_crash_matrix(&dict, &live, Cut::Delete(k));
+            break;
+        }
+        let k = keys.next().expect("window never closed");
+        dict.insert(k, &sat(k, 1)).unwrap();
+        live.insert(k);
+    }
+    assert!(cut_a_copied_delete, "no delete of a copied key was cut");
+}
+
+/// A step that stages more blocks than a one-row ring holds commits as
+/// several intents, so the ring truncates *inside* the operation and the
+/// pre-op process state no longer sees the first of them replayed: the
+/// counters must then come from the checkpoint the truncation persisted.
+#[test]
+fn a_migration_step_split_across_intents_is_crash_consistent() {
+    let victim = KEY_SPACE + 7_000;
+    let (mut dict, mut live, mut keys) = open_window(256, 1);
+    // One intent for the insert, one per commit of the step.
+    while intents_of_next_insert(&dict, victim) <= 2 {
+        assert!(dict.is_rebuilding(), "no step of the window was split");
+        let k = keys.next().expect("keys ran out");
+        dict.insert(k, &sat(k, 1)).unwrap();
+        live.insert(k);
+    }
+    rebuild_crash_matrix(&dict, &live, Cut::Insert(victim));
+}
+
+/// Integrity checksums across a discard: the `rebuild` front runs through
+/// several rebuilds with every block sealed, so each replacement after the
+/// first is laid out over recycled blocks — which must read as clean
+/// zeros, never as a checksum mismatch.
+#[test]
+fn recycled_blocks_never_read_as_checksum_mismatches() {
+    let f = frontend("rebuild");
+    let keys = dense_keys(300);
+    let entries: Vec<(u64, Vec<Word>)> = keys[..20].iter().map(|&k| (k, sat(k, f.sigma))).collect();
+    let mut dict = (f.build)(0, &entries, 0x5EA1);
+    dict.disks_mut().unwrap().enable_integrity();
+    for (i, &k) in keys.iter().enumerate().skip(20) {
+        dict.insert(k, &sat(k, f.sigma)).unwrap();
+        // Churn, so rebuilds keep coming at a bounded size.
+        assert!(dict.delete(keys[i - 20]).unwrap().0);
+        let out = dict.lookup(k);
+        assert_eq!(out.satellite, Some(sat(k, f.sigma)), "key {k}");
+        assert!(out.is_exact(), "lookup of {k} met a damaged block");
+    }
+    assert_eq!(dict.len(), 20);
+    let disks = dict.disks().unwrap();
+    assert_eq!(disks.degraded_reads(), 0, "a recycled block failed verification");
+    let report = dict.scrub();
+    assert_eq!(report.checksum_failures, 0, "{report:?}");
+    for &k in &keys[280..] {
+        let out = dict.lookup(k);
+        assert_eq!(out.satellite, Some(sat(k, f.sigma)));
+        assert!(out.is_exact());
     }
 }
 

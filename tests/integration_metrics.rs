@@ -89,6 +89,77 @@ fn basic_max_bucket_load_within_lemma3_bound_in_exported_metrics() {
     assert_eq!(snap.gauge("dict_len", &labels), Some(n as i64));
 }
 
+/// Global rebuilding, read off the exported metrics: every migration step
+/// records its keys and its rounds, every finished rebuild hands its old
+/// slot's blocks back, and the storage gauge shows the result — space that
+/// does not grow with the number of rebuilds.
+#[test]
+fn rebuild_reclaim_and_step_cost_show_in_exported_metrics() {
+    let f = frontend("rebuild");
+    let mut dict = (f.build)(0, &[], 0x5EED);
+    let registry = Arc::new(MetricsRegistry::new());
+    dict.set_metrics(Some(Arc::clone(&registry)));
+    let labels = [("dict", "rebuild")];
+
+    let keys = dense_keys(400);
+    let mut blocks_after_two = 0;
+    for (i, &k) in keys.iter().enumerate() {
+        dict.insert(k, &harness::sat(k, f.sigma)).unwrap();
+        if i >= 20 {
+            // Steady live set: rebuilds recur at one size.
+            assert!(dict.delete(keys[i - 20]).unwrap().0);
+        }
+        let rebuilds = registry.snapshot().counter("dict_rebuilds_total", &labels);
+        if rebuilds == Some(2) && blocks_after_two == 0 {
+            dict.refresh_gauges();
+            blocks_after_two = registry
+                .snapshot()
+                .gauge("dict_storage_blocks", &labels)
+                .expect("storage gauge exported");
+        }
+    }
+    dict.refresh_gauges();
+    let snap = registry.snapshot();
+
+    let rebuilds = snap.counter("dict_rebuilds_total", &labels).expect("rebuild counter");
+    assert!(rebuilds >= 4, "only {rebuilds} rebuilds; the stream should cross several");
+    let reclaimed = snap
+        .counter("dict_rebuild_reclaimed_blocks_total", &labels)
+        .expect("reclaim counter exported");
+    assert!(
+        reclaimed >= rebuilds,
+        "{rebuilds} rebuilds reclaimed only {reclaimed} blocks"
+    );
+
+    let disks = dict.disks().unwrap();
+    let on_disk: usize = (0..disks.disks()).map(|d| disks.blocks_on(d)).sum();
+    let gauge = snap.gauge("dict_storage_blocks", &labels).expect("storage gauge exported");
+    assert_eq!(gauge, on_disk as i64, "gauge disagrees with the array");
+    assert!(blocks_after_two > 0, "never sampled the gauge after rebuild 2");
+    assert!(
+        4 * gauge <= 5 * blocks_after_two,
+        "storage went from {blocks_after_two} blocks after 2 rebuilds to {gauge} after {rebuilds}"
+    );
+
+    let keys_per_step = snap
+        .histogram("dict_migrated_keys_per_op", &labels)
+        .expect("migrated-keys histogram exported");
+    let step_rounds = snap
+        .histogram("dict_migration_step_rounds", &labels)
+        .expect("step-rounds histogram exported");
+    assert_eq!(step_rounds.count, keys_per_step.count, "one observation per step each");
+    assert!(step_rounds.count > rebuilds, "a rebuild takes several steps");
+    // A step is one scan round, a read plan and a commit of at most one
+    // block per key per disk: never more than a small multiple of its keys.
+    assert!(step_rounds.max >= 1);
+    assert!(
+        step_rounds.max <= 3 * keys_per_step.max + 3,
+        "a step of at most {} keys cost {} rounds",
+        keys_per_step.max,
+        step_rounds.max
+    );
+}
+
 /// Installing hooks must not change behavior: twin fronts with identical
 /// seeds, one instrumented, must do byte-identical work. (The pdm crate
 /// pins the same property at the executor level; this is the end-to-end

@@ -317,6 +317,9 @@ fn crash_drill_every_acked_write_survives_recovery() {
     let mut shards = engine.shutdown();
     let image = {
         let disks = shards[0].disks_mut().unwrap();
+        // Whatever sizes the engine's windows grew to, every commit went
+        // through the ring: a bypassed batch would be unprotected here.
+        assert_eq!(disks.journal_bypassed(), 0, "a batch commit bypassed the journal");
         disks.clear_fault_plan();
         disks.clone()
     };
