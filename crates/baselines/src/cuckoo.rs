@@ -149,7 +149,7 @@ impl CuckooDict {
 
     fn read_cell(&mut self, table: usize, cell: usize) -> Vec<Word> {
         let addrs = self.cell_addrs(table, cell);
-        self.disks.read(&addrs, ReadOptions::default()).into_blocks().concat()
+        self.disks.read(&addrs, ReadOptions::default()).blocks.into_words()
     }
 
     fn write_cell(&mut self, table: usize, cell: usize, buf: &[Word]) {
@@ -173,13 +173,13 @@ impl CuckooDict {
         let scope = self.disks.begin_op();
         let mut addrs = self.cell_addrs(0, self.cell_of(0, key));
         addrs.extend(self.cell_addrs(1, self.cell_of(1, key)));
-        let blocks = self.disks.read(&addrs, ReadOptions::default()).into_blocks();
-        let c0 = blocks[..self.half].concat();
-        let c1 = blocks[self.half..].concat();
+        // Each cell is `half` consecutive blocks of the round's buffer.
+        let cells = self.disks.read(&addrs, ReadOptions::default()).blocks.into_words();
+        let (c0, c1) = cells.split_at(cells.len() / 2);
         let found = self
             .slots
-            .find(&c0, key)
-            .or_else(|| self.slots.find(&c1, key));
+            .find(c0, key)
+            .or_else(|| self.slots.find(c1, key));
         (found, self.disks.end_op(scope))
     }
 

@@ -140,7 +140,7 @@ fn replay(disks: &mut DiskArray, dict: &mut DynamicDict, keys: &[u64]) -> (Vec<u
     cut(disks, &mut ios);
     // Deletes for a quarter of the keys: the "delete" class.
     for &k in keys.iter().take(keys.len() / 4) {
-        let (found, _) = dict.delete(disks, k);
+        let (found, _) = dict.delete(disks, k).expect("no fault plan is active");
         assert!(found);
     }
     cut(disks, &mut ios);

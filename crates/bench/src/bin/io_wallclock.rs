@@ -27,7 +27,7 @@
 //! Smoke: `cargo run -p bench --release --bin io_wallclock -- --smoke`
 //! Writes `target/experiments/BENCH_io.json` either way.
 
-use pdm::{BlockAddr, FileBackend, FileBackendOptions, StorageBackend, Word};
+use pdm::{BlockAddr, BlockView, FileBackend, FileBackendOptions, StorageBackend, Word};
 use std::path::PathBuf;
 use std::time::Instant;
 

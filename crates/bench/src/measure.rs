@@ -339,7 +339,7 @@ impl Subject for DynamicSubject {
         (out.found(), out.cost)
     }
     fn delete(&mut self, key: u64) -> Option<(bool, OpCost)> {
-        Some(self.dict.delete(&mut self.disks, key))
+        self.dict.delete(&mut self.disks, key).ok()
     }
     fn space_words(&self) -> usize {
         self.dict.space_words(&self.disks)

@@ -25,7 +25,11 @@ use crate::bucket::BucketCodec;
 use crate::layout::{DiskAllocator, Region};
 use crate::traits::{DictError, LookupOutcome};
 use expander::{FamilyExpander, FamilyKind, NeighborFamily, NeighborFn};
-use pdm::{BatchExecutor, BatchPlan, BlockAddr, DiskArray, OpCost, ReadOptions, Word, WriteOptions};
+use pdm::{
+    BatchExecutor, BatchPlan, BlockAddr, BlockView, DiskArray, OpCost, ReadOptions, Word,
+    WriteOptions,
+};
+use std::borrow::Cow;
 
 /// Sizing and identity parameters for a [`BasicDict`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,6 +129,26 @@ impl BasicDictConfig {
             ));
         }
         Ok(())
+    }
+}
+
+/// The new content of one bucket (consecutive blocks of one disk), planned
+/// from a probe and ready to write: the only copy an update makes.
+#[derive(Debug, Clone)]
+pub struct BucketPatch {
+    first: BlockAddr,
+    image: Vec<Word>,
+    blocks: usize,
+}
+
+impl BucketPatch {
+    /// The block writes that commit the patch.
+    pub fn writes(&self) -> impl Iterator<Item = (BlockAddr, &[Word])> {
+        let first = self.first;
+        self.image
+            .chunks(self.image.len() / self.blocks)
+            .enumerate()
+            .map(move |(b, words)| (BlockAddr::new(first.disk, first.block + b), words))
     }
 }
 
@@ -228,10 +252,9 @@ impl BasicDict {
     }
 
     /// The block addresses of bucket `(stripe, j)`.
-    fn bucket_addrs(&self, stripe: usize, j: usize) -> Vec<BlockAddr> {
+    fn bucket_addrs(&self, stripe: usize, j: usize) -> impl Iterator<Item = BlockAddr> + '_ {
         (0..self.blocks_per_bucket)
-            .map(|b| self.region.addr(stripe, j * self.blocks_per_bucket + b))
-            .collect()
+            .map(move |b| self.region.addr(stripe, j * self.blocks_per_bucket + b))
     }
 
     /// Block addresses probed for `key`: all blocks of its `d` candidate
@@ -241,42 +264,70 @@ impl BasicDict {
     #[must_use]
     pub fn probe_addrs(&self, key: u64) -> Vec<BlockAddr> {
         let mut out = Vec::with_capacity(self.cfg.degree * self.blocks_per_bucket);
+        self.extend_probe_addrs(key, &mut out);
+        out
+    }
+
+    /// Append [`probe_addrs`](Self::probe_addrs) of `key` to `out`.
+    pub fn extend_probe_addrs(&self, key: u64, out: &mut Vec<BlockAddr>) {
         for (stripe, y) in self.graph.neighbors(key).into_iter().enumerate() {
             let (s, j) = self.graph.stripe_of(y);
             debug_assert_eq!(s, stripe);
             out.extend(self.bucket_addrs(stripe, j));
         }
-        out
     }
 
-    /// Reassemble per-bucket buffers from blocks returned for
-    /// [`probe_addrs`](Self::probe_addrs).
-    fn bucket_bufs(&self, blocks: &[Vec<Word>]) -> Vec<Vec<Word>> {
-        blocks
-            .chunks(self.blocks_per_bucket)
-            .map(|c| c.concat())
-            .collect()
+    /// Candidate bucket `i` of the blocks read for
+    /// [`probe_addrs`](Self::probe_addrs): the block itself when a bucket
+    /// is one block, its blocks joined otherwise.
+    fn bucket<'a>(&self, blocks: &'a impl BlockView, i: usize) -> Cow<'a, [Word]> {
+        let bpb = self.blocks_per_bucket;
+        if bpb == 1 {
+            Cow::Borrowed(blocks.block(i))
+        } else {
+            Cow::Owned((i * bpb..(i + 1) * bpb).flat_map(|b| blocks.block(b)).copied().collect())
+        }
     }
 
     /// Decode a lookup from pre-read probe blocks (for composed structures
-    /// that merge several probes into one parallel I/O).
-    #[must_use]
-    pub fn decode_find(&self, key: u64, probe_blocks: &[Vec<Word>]) -> Option<Vec<Word>> {
-        self.bucket_bufs(probe_blocks)
-            .iter()
-            .find_map(|buf| self.codec.find(buf, key))
+    /// that merge several probes into one parallel I/O), handing `key`'s
+    /// payload to `take` where it lies in the probe.
+    pub fn find_with<R>(
+        &self,
+        key: u64,
+        probe_blocks: &impl BlockView,
+        take: impl FnOnce(&[Word]) -> R,
+    ) -> Option<R> {
+        for i in 0..self.cfg.degree {
+            if let Some(payload) = self.codec.find(&self.bucket(probe_blocks, i), key) {
+                return Some(take(payload));
+            }
+        }
+        None
     }
 
-    /// Plan an insertion given pre-read probe blocks: choose the least
-    /// loaded candidate bucket (greedy, ties to the lowest stripe) and
-    /// return the block writes that commit it. The caller issues the
-    /// writes and then calls [`note_inserted`](Self::note_inserted).
+    /// [`find_with`](Self::find_with), copying the payload out.
+    #[must_use]
+    pub fn decode_find(&self, key: u64, probe_blocks: &impl BlockView) -> Option<Vec<Word>> {
+        self.find_with(key, probe_blocks, <[Word]>::to_vec)
+    }
+
+    /// Plan an insertion given pre-read probe blocks: the checks, the
+    /// bucket choice and the record, in that order. The caller issues the
+    /// patch's writes and then calls [`note_inserted`](Self::note_inserted).
     pub fn plan_insert(
         &self,
         key: u64,
         payload: &[Word],
-        probe_blocks: &[Vec<Word>],
-    ) -> Result<Vec<(BlockAddr, Vec<Word>)>, DictError> {
+        probe_blocks: &impl BlockView,
+    ) -> Result<BucketPatch, DictError> {
+        self.check_insertable(payload)?;
+        let patch = self.choose_bucket(key, probe_blocks)?;
+        self.fill(patch, key, payload)
+    }
+
+    /// The checks an insertion makes without looking at any block.
+    pub fn check_insertable(&self, payload: &[Word]) -> Result<(), DictError> {
         if payload.len() != self.cfg.payload_words {
             return Err(DictError::SatelliteWidth {
                 expected: self.cfg.payload_words,
@@ -288,38 +339,54 @@ impl BasicDict {
                 capacity: self.cfg.capacity,
             });
         }
-        let mut bufs = self.bucket_bufs(probe_blocks);
-        if bufs.iter().any(|b| self.codec.find(b, key).is_some()) {
-            return Err(DictError::DuplicateKey(key));
-        }
-        // Greedy k = 1 choice from the read blocks themselves.
-        let loads: Vec<usize> = bufs.iter().map(|b| self.codec.live_count(b)).collect();
-        let mut order: Vec<usize> = (0..bufs.len()).collect();
-        order.sort_by_key(|&i| (loads[i], i));
-        for &choice in &order {
-            if self.codec.insert(&mut bufs[choice], key, payload) {
-                return Ok(self.bucket_writes(key, choice, &bufs[choice]));
+        Ok(())
+    }
+
+    /// One pass over the candidates read for `key`: a duplicate fails,
+    /// otherwise the least loaded bucket (greedy `k = 1` from the read
+    /// blocks themselves, ties to the lowest stripe) is copied — the only
+    /// bucket an insertion copies — for [`fill`](Self::fill) to complete.
+    pub fn choose_bucket(
+        &self,
+        key: u64,
+        probe_blocks: &impl BlockView,
+    ) -> Result<BucketPatch, DictError> {
+        let mut least = (usize::MAX, 0);
+        for i in 0..self.cfg.degree {
+            let bucket = self.bucket(probe_blocks, i);
+            let (found, load) = self.codec.find_and_count(&bucket, key);
+            if found.is_some() {
+                return Err(DictError::DuplicateKey(key));
             }
+            least = least.min((load, i));
         }
-        Err(DictError::BucketOverflow { key })
+        Ok(self.patch(key, least.1, probe_blocks))
+    }
+
+    /// Put `key`'s record into the bucket [`choose_bucket`](Self::choose_bucket)
+    /// picked. A bucket rejects a record only when every slot is live, and
+    /// then so does every other candidate: the chosen one has the fewest.
+    pub fn fill(
+        &self,
+        mut patch: BucketPatch,
+        key: u64,
+        payload: &[Word],
+    ) -> Result<BucketPatch, DictError> {
+        if self.codec.insert(&mut patch.image, key, payload) {
+            Ok(patch)
+        } else {
+            Err(DictError::BucketOverflow { key })
+        }
     }
 
     /// Plan a deletion (tombstone) from pre-read probe blocks; `None` when
     /// the key is absent.
     #[must_use]
-    pub fn plan_delete(
-        &self,
-        key: u64,
-        probe_blocks: &[Vec<Word>],
-    ) -> Option<Vec<(BlockAddr, Vec<Word>)>> {
-        let mut bufs = self.bucket_bufs(probe_blocks);
-        for (i, buf) in bufs.iter_mut().enumerate() {
-            if self.codec.delete(buf, key) {
-                let writes = self.bucket_writes(key, i, buf);
-                return Some(writes);
-            }
-        }
-        None
+    pub fn plan_delete(&self, key: u64, probe_blocks: &impl BlockView) -> Option<BucketPatch> {
+        let i = self.holder(key, probe_blocks)?;
+        let mut patch = self.patch(key, i, probe_blocks);
+        self.codec.delete(&mut patch.image, key);
+        Some(patch)
     }
 
     /// Plan a payload update in place; `None` when the key is absent.
@@ -328,33 +395,30 @@ impl BasicDict {
         &self,
         key: u64,
         payload: &[Word],
-        probe_blocks: &[Vec<Word>],
-    ) -> Option<Vec<(BlockAddr, Vec<Word>)>> {
+        probe_blocks: &impl BlockView,
+    ) -> Option<BucketPatch> {
         assert_eq!(payload.len(), self.cfg.payload_words, "payload width");
-        let mut bufs = self.bucket_bufs(probe_blocks);
-        for (i, buf) in bufs.iter_mut().enumerate() {
-            if self.codec.update(buf, key, payload) {
-                let writes = self.bucket_writes(key, i, buf);
-                return Some(writes);
-            }
-        }
-        None
+        let i = self.holder(key, probe_blocks)?;
+        let mut patch = self.patch(key, i, probe_blocks);
+        self.codec.update(&mut patch.image, key, payload);
+        Some(patch)
     }
 
-    fn bucket_writes(
-        &self,
-        key: u64,
-        candidate_index: usize,
-        buf: &[Word],
-    ) -> Vec<(BlockAddr, Vec<Word>)> {
-        let y = self.graph.neighbor(key, candidate_index);
-        let (stripe, j) = self.graph.stripe_of(y);
-        let bw = buf.len() / self.blocks_per_bucket;
-        self.bucket_addrs(stripe, j)
-            .into_iter()
-            .enumerate()
-            .map(|(b, addr)| (addr, buf[b * bw..(b + 1) * bw].to_vec()))
-            .collect()
+    /// The candidate bucket holding `key` live, if any.
+    fn holder(&self, key: u64, probe_blocks: &impl BlockView) -> Option<usize> {
+        (0..self.cfg.degree)
+            .find(|&i| self.codec.find(&self.bucket(probe_blocks, i), key).is_some())
+    }
+
+    /// A copy of `key`'s candidate bucket `candidate`, addressed for
+    /// writing back.
+    fn patch(&self, key: u64, candidate: usize, probe_blocks: &impl BlockView) -> BucketPatch {
+        let (stripe, j) = self.graph.stripe_of(self.graph.neighbor(key, candidate));
+        BucketPatch {
+            first: self.region.addr(stripe, j * self.blocks_per_bucket),
+            image: self.bucket(probe_blocks, candidate).into_owned(),
+            blocks: self.blocks_per_bucket,
+        }
     }
 
     /// Record a committed insertion.
@@ -377,8 +441,22 @@ impl BasicDict {
     /// Lookup: one batched probe (1 parallel I/O per bucket-block row).
     pub fn lookup(&self, disks: &mut DiskArray, key: u64) -> LookupOutcome {
         let scope = disks.begin_op();
-        let blocks = disks.read(&self.probe_addrs(key), ReadOptions::default()).into_blocks();
+        let blocks = disks.read(&self.probe_addrs(key), ReadOptions::default()).blocks;
         LookupOutcome::new(self.decode_find(key, &blocks), disks.end_op(scope))
+    }
+
+    /// Read `key`'s probe, plan a patch from it, and write the patch back.
+    fn patch_probe<E>(
+        &self,
+        disks: &mut DiskArray,
+        key: u64,
+        plan: impl FnOnce(&pdm::BlockBuf) -> Result<BucketPatch, E>,
+    ) -> Result<(), E> {
+        let blocks = disks.read(&self.probe_addrs(key), ReadOptions::default()).blocks;
+        let patch = plan(&blocks)?;
+        let refs: Vec<(BlockAddr, &[Word])> = patch.writes().collect();
+        disks.write(&refs, WriteOptions::default());
+        Ok(())
     }
 
     /// Insert: read probe + write chosen bucket (2 parallel I/Os in the
@@ -390,11 +468,7 @@ impl BasicDict {
         payload: &[Word],
     ) -> Result<OpCost, DictError> {
         let scope = disks.begin_op();
-        let blocks = disks.read(&self.probe_addrs(key), ReadOptions::default()).into_blocks();
-        let writes = self.plan_insert(key, payload, &blocks)?;
-        let refs: Vec<(BlockAddr, &[Word])> =
-            writes.iter().map(|(a, w)| (*a, w.as_slice())).collect();
-        disks.write(&refs, WriteOptions::default());
+        self.patch_probe(disks, key, |blocks| self.plan_insert(key, payload, blocks))?;
         self.note_inserted();
         Ok(disks.end_op(scope))
     }
@@ -402,32 +476,22 @@ impl BasicDict {
     /// Delete (tombstone). Returns whether the key was present.
     pub fn delete(&mut self, disks: &mut DiskArray, key: u64) -> (bool, OpCost) {
         let scope = disks.begin_op();
-        let blocks = disks.read(&self.probe_addrs(key), ReadOptions::default()).into_blocks();
-        match self.plan_delete(key, &blocks) {
-            Some(writes) => {
-                let refs: Vec<(BlockAddr, &[Word])> =
-                    writes.iter().map(|(a, w)| (*a, w.as_slice())).collect();
-                disks.write(&refs, WriteOptions::default());
-                self.note_deleted();
-                (true, disks.end_op(scope))
-            }
-            None => (false, disks.end_op(scope)),
+        let was = self
+            .patch_probe(disks, key, |blocks| self.plan_delete(key, blocks).ok_or(()))
+            .is_ok();
+        if was {
+            self.note_deleted();
         }
+        (was, disks.end_op(scope))
     }
 
     /// Overwrite the payload of an existing key. Returns whether present.
     pub fn update(&mut self, disks: &mut DiskArray, key: u64, payload: &[Word]) -> (bool, OpCost) {
         let scope = disks.begin_op();
-        let blocks = disks.read(&self.probe_addrs(key), ReadOptions::default()).into_blocks();
-        match self.plan_update(key, payload, &blocks) {
-            Some(writes) => {
-                let refs: Vec<(BlockAddr, &[Word])> =
-                    writes.iter().map(|(a, w)| (*a, w.as_slice())).collect();
-                disks.write(&refs, WriteOptions::default());
-                (true, disks.end_op(scope))
-            }
-            None => (false, disks.end_op(scope)),
-        }
+        let was = self
+            .patch_probe(disks, key, |blocks| self.plan_update(key, payload, blocks).ok_or(()))
+            .is_ok();
+        (was, disks.end_op(scope))
     }
 
     /// Batched lookup: all keys' probes are planned as **one** batch, so
@@ -448,14 +512,14 @@ impl BasicDict {
         let per = self.cfg.degree * self.blocks_per_bucket;
         let mut requests = Vec::with_capacity(keys.len() * per);
         for &k in keys {
-            requests.extend(self.probe_addrs(k));
+            self.extend_probe_addrs(k, &mut requests);
         }
         let plan = BatchPlan::new(disks.disks(), &requests);
         let reads = plan.execute_read(disks);
         let results = keys
             .iter()
             .enumerate()
-            .map(|(i, &k)| self.decode_find(k, &reads.gather(i * per..(i + 1) * per)))
+            .map(|(i, &k)| self.decode_find(k, &reads.sub(i * per..(i + 1) * per)))
             .collect();
         (results, disks.end_op(scope))
     }
@@ -473,24 +537,20 @@ impl BasicDict {
         let scope = disks.begin_op();
         let mut all: Vec<BlockAddr> = Vec::new();
         for (key, _) in entries {
-            all.extend(self.probe_addrs(*key));
+            self.extend_probe_addrs(*key, &mut all);
         }
         let mut ex = BatchExecutor::new(disks);
         ex.prefetch(&all);
         let mut results = Vec::with_capacity(entries.len());
-        for (key, payload) in entries {
-            let addrs = self.probe_addrs(*key);
-            let blocks = ex.get_many(&addrs);
-            match self.plan_insert(*key, payload, &blocks) {
-                Ok(writes) => {
-                    for (a, img) in writes {
-                        ex.stage_write(a, img);
-                    }
-                    self.note_inserted();
-                    results.push(Ok(()));
+        let per = self.cfg.degree * self.blocks_per_bucket;
+        for (i, (key, payload)) in entries.iter().enumerate() {
+            let planned = self.plan_insert(*key, payload, &ex.get_many(&all[i * per..(i + 1) * per]));
+            results.push(planned.map(|patch| {
+                for (a, img) in patch.writes() {
+                    ex.stage_write(a, img);
                 }
-                Err(e) => results.push(Err(e)),
-            }
+                self.note_inserted();
+            }));
         }
         let _ = ex.commit();
         (results, disks.end_op(scope))
@@ -503,20 +563,16 @@ impl BasicDict {
     /// sampled expander missing its load-balancing parameters.
     #[cfg(test)]
     pub(crate) fn saturate_probe_buckets(&self, disks: &mut DiskArray, key: u64, fake_base: u64) {
-        let addrs = self.probe_addrs(key);
-        let blocks = disks.read(&addrs, ReadOptions::default()).into_blocks();
-        let mut bufs = self.bucket_bufs(&blocks);
+        let blocks = disks.read(&self.probe_addrs(key), ReadOptions::default()).blocks;
         let payload = vec![0 as Word; self.cfg.payload_words];
         let mut fake = fake_base;
-        for buf in &mut bufs {
-            while self.codec.insert(buf, fake, &payload) {
+        for i in 0..self.cfg.degree {
+            let mut patch = self.patch(key, i, &blocks);
+            while self.codec.insert(&mut patch.image, fake, &payload) {
                 fake += 1;
             }
-        }
-        let bw = disks.block_words();
-        for (i, buf) in bufs.iter().enumerate() {
-            for b in 0..self.blocks_per_bucket {
-                disks.write_block(addrs[i * self.blocks_per_bucket + b], &buf[b * bw..(b + 1) * bw]);
+            for (addr, words) in patch.writes() {
+                disks.write_block(addr, words);
             }
         }
     }
@@ -542,10 +598,9 @@ impl BasicDict {
         let addrs: Vec<BlockAddr> = range
             .flat_map(|i| self.bucket_addrs(i % d, i / d))
             .collect();
-        let blocks = disks.read(&addrs, ReadOptions::default()).into_blocks();
-        blocks
-            .chunks(self.blocks_per_bucket)
-            .flat_map(|bucket| self.codec.live_entries(&bucket.concat()))
+        let blocks = disks.read(&addrs, ReadOptions::default()).blocks;
+        (0..blocks.len() / self.blocks_per_bucket)
+            .flat_map(|i| self.codec.live_entries(&self.bucket(&blocks, i)))
             .collect()
     }
 
@@ -558,8 +613,7 @@ impl BasicDict {
             for j in 0..per {
                 let buf: Vec<Word> = self
                     .bucket_addrs(stripe, j)
-                    .into_iter()
-                    .flat_map(|a| disks.peek(a).to_vec())
+                    .flat_map(|a| disks.peek(a))
                     .collect();
                 max = max.max(self.codec.live_count(&buf));
             }

@@ -49,22 +49,39 @@ impl BucketCodec {
         &mut buf[i * w..(i + 1) * w]
     }
 
-    /// Find a live slot holding `key`; returns its payload.
+    /// Find a live slot holding `key`; returns its payload, a slice into
+    /// the bucket.
     #[must_use]
-    pub fn find(&self, buf: &[Word], key: u64) -> Option<Vec<Word>> {
-        (0..self.capacity(buf.len())).find_map(|i| {
-            let s = self.slot(buf, i);
-            (s[0] == FLAG_LIVE && s[1] == key).then(|| s[2..].to_vec())
-        })
+    pub fn find<'a>(&self, buf: &'a [Word], key: u64) -> Option<&'a [Word]> {
+        self.find_and_count(buf, key).0
     }
 
     /// Number of live (non-tombstoned) slots — the bucket's load for the
     /// greedy balancing decision.
     #[must_use]
     pub fn live_count(&self, buf: &[Word]) -> usize {
-        (0..self.capacity(buf.len()))
-            .filter(|&i| self.slot(buf, i)[0] == FLAG_LIVE)
-            .count()
+        self.live_slots(buf).count()
+    }
+
+    /// One pass for an insertion's two questions: `key`'s payload if the
+    /// bucket holds it live, and the bucket's load
+    /// ([`live_count`](Self::live_count)).
+    #[must_use]
+    pub fn find_and_count<'a>(&self, buf: &'a [Word], key: u64) -> (Option<&'a [Word]>, usize) {
+        let mut found = None;
+        let mut live = 0;
+        for s in self.live_slots(buf) {
+            live += 1;
+            if s[1] == key && found.is_none() {
+                found = Some(&s[2..]);
+            }
+        }
+        (found, live)
+    }
+
+    fn live_slots<'a>(&self, buf: &'a [Word]) -> impl Iterator<Item = &'a [Word]> {
+        buf.chunks_exact(self.slot_words())
+            .filter(|s| s[0] == FLAG_LIVE)
     }
 
     /// Insert `(key, payload)` into the first free or tombstoned slot.
@@ -115,11 +132,8 @@ impl BucketCodec {
     /// All live `(key, payload)` pairs, in slot order.
     #[must_use]
     pub fn live_entries(&self, buf: &[Word]) -> Vec<(u64, Vec<Word>)> {
-        (0..self.capacity(buf.len()))
-            .filter_map(|i| {
-                let s = self.slot(buf, i);
-                (s[0] == FLAG_LIVE).then(|| (s[1], s[2..].to_vec()))
-            })
+        self.live_slots(buf)
+            .map(|s| (s[1], s[2..].to_vec()))
             .collect()
     }
 }
@@ -137,7 +151,9 @@ mod tests {
         let c = BucketCodec::new(2);
         let mut b = buf(&c, 4);
         assert!(c.insert(&mut b, 42, &[7, 8]));
-        assert_eq!(c.find(&b, 42), Some(vec![7, 8]));
+        assert_eq!(c.find(&b, 42), Some(&[7, 8][..]));
+        assert_eq!(c.find_and_count(&b, 42), (Some(&[7, 8][..]), 1));
+        assert_eq!(c.find_and_count(&b, 43), (None, 1));
         assert_eq!(c.find(&b, 43), None);
         assert_eq!(c.live_count(&b), 1);
     }
@@ -149,7 +165,7 @@ mod tests {
         let mut b = buf(&c, 2);
         assert_eq!(c.find(&b, 0), None);
         assert!(c.insert(&mut b, 0, &[]));
-        assert_eq!(c.find(&b, 0), Some(vec![]));
+        assert_eq!(c.find(&b, 0), Some(&[][..]));
     }
 
     #[test]
@@ -172,8 +188,8 @@ mod tests {
         assert_eq!(c.live_count(&b), 1);
         // Tombstone slot is reused by the next insertion.
         assert!(c.insert(&mut b, 3, &[30]));
-        assert_eq!(c.find(&b, 3), Some(vec![30]));
-        assert_eq!(c.find(&b, 2), Some(vec![20]));
+        assert_eq!(c.find(&b, 3), Some(&[30][..]));
+        assert_eq!(c.find(&b, 2), Some(&[20][..]));
     }
 
     #[test]
@@ -189,7 +205,7 @@ mod tests {
         let mut b = buf(&c, 2);
         c.insert(&mut b, 5, &[1]);
         assert!(c.update(&mut b, 5, &[99]));
-        assert_eq!(c.find(&b, 5), Some(vec![99]));
+        assert_eq!(c.find(&b, 5), Some(&[99][..]));
         assert!(!c.update(&mut b, 6, &[0]));
     }
 

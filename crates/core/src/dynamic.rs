@@ -30,15 +30,15 @@
 
 use crate::basic::{BasicDict, BasicDictConfig};
 use crate::config::DictParams;
-use crate::fields::FieldArray;
+use crate::fields::{FieldArray, FieldPos};
 use crate::layout::DiskAllocator;
 use crate::one_probe::encoding::Chain;
 use crate::traits::{DictError, LookupOutcome};
 use expander::{params, FamilyExpander, NeighborFamily, NeighborFn};
 use pdm::journal::{JournalRegion, RecoveryReport};
 use pdm::{
-    BatchExecutor, BatchPlan, BlockAddr, BlockHealth, DiskArray, IoFaultKind, OpCost, ReadOptions,
-    Word, WriteOptions,
+    BatchExecutor, BatchPlan, BlockAddr, BlockBuf, BlockHealth, BlockView, DiskArray, IoFaultKind,
+    OpCost, ReadOptions, Word,
 };
 use std::ops::Range;
 
@@ -60,14 +60,16 @@ pub(crate) const META_MIGRATE_BATCH: Word = 4;
 /// One key's first-round probe: its membership buckets followed by its
 /// level-1 candidate fields — `2d` blocks on the structure's `2d` disks,
 /// one parallel I/O, and all a miss or a level-1 key ever needs. Computed
-/// apart from the read so a caller holding two structures on disjoint
-/// disks (the global-rebuilding wrapper) can fetch both probes at once.
+/// apart from the read, its addresses appended to the caller's list, so a
+/// caller holding two structures on disjoint disks (the global-rebuilding
+/// wrapper) can fetch both probes at once.
 #[derive(Debug, Clone)]
 pub(crate) struct Probe {
-    /// Membership addresses (`..msplit`), then level-1 field addresses.
-    pub(crate) addrs: Vec<BlockAddr>,
-    msplit: usize,
-    positions0: Vec<(usize, usize)>,
+    /// How many of the probe's addresses are membership addresses; the
+    /// rest are the level-1 field addresses.
+    pub(crate) msplit: usize,
+    /// The key's candidate field on each stripe of level 1.
+    fields0: Vec<usize>,
 }
 
 /// What a key's first-round blocks say about it.
@@ -87,9 +89,22 @@ pub(crate) enum FirstRound {
 pub(crate) struct DeeperRecord {
     level: usize,
     head: usize,
-    positions: Vec<(usize, usize)>,
+    fields: Vec<usize>,
     /// The `d` field blocks to read for [`DynamicDict::decode_deeper`].
     pub(crate) addrs: Vec<BlockAddr>,
+}
+
+/// A level with room for one more chain: where the chain starts, and the
+/// patched images of the blocks it is written into.
+struct Fit {
+    head: usize,
+    targets: Vec<BlockAddr>,
+    images: BlockBuf,
+}
+
+/// Field positions from per-stripe field indices (`fields[s]` on stripe `s`).
+fn positions(fields: &[usize]) -> impl Iterator<Item = FieldPos> + '_ {
+    fields.iter().copied().enumerate()
 }
 
 /// The Theorem 7 dynamic dictionary.
@@ -464,17 +479,24 @@ impl DynamicDict {
         ((payload & 0xFFFF_FFFF) as usize, (payload >> 32) as usize)
     }
 
-    fn level_positions(&self, level: usize, key: u64) -> Vec<(usize, usize)> {
-        let lv = &self.levels[level];
-        lv.graph
-            .neighbors(key)
-            .into_iter()
-            .map(|y| lv.graph.stripe_of(y))
-            .collect()
+    /// `key`'s candidate field on each stripe of `level`: entry `s` is the
+    /// field's index within stripe `s` (one neighbor per stripe).
+    fn level_fields(&self, level: usize, key: u64) -> Vec<usize> {
+        let graph = &self.levels[level].graph;
+        let mut fields = graph.neighbors(key);
+        for (stripe, y) in fields.iter_mut().enumerate() {
+            let (s, j) = graph.stripe_of(*y);
+            debug_assert_eq!(s, stripe);
+            *y = j;
+        }
+        fields
     }
 
     /// The first unhealthy probe in a verified batch as a typed error.
-    fn io_error(addrs: &[BlockAddr], healths: &[BlockHealth]) -> Option<DictError> {
+    pub(crate) fn io_error<'a>(
+        addrs: impl IntoIterator<Item = &'a BlockAddr>,
+        healths: &[BlockHealth],
+    ) -> Option<DictError> {
         healths
             .iter()
             .zip(addrs)
@@ -491,7 +513,7 @@ impl DynamicDict {
     pub(crate) fn read_retry(
         disks: &mut DiskArray,
         addrs: &[BlockAddr],
-    ) -> (Vec<Vec<Word>>, Vec<BlockHealth>) {
+    ) -> (BlockBuf, Vec<BlockHealth>) {
         let out = disks.read(addrs, ReadOptions::verified());
         if out.all_ok() {
             return (out.blocks, out.healths);
@@ -500,36 +522,43 @@ impl DynamicDict {
         (retry.blocks, retry.healths)
     }
 
-    /// The first-round probe of `key` (no I/O).
-    pub(crate) fn probe(&self, key: u64) -> Probe {
-        let mut addrs = self.membership.probe_addrs(key);
-        let msplit = addrs.len();
-        let positions0 = self.level_positions(0, key);
-        addrs.extend(self.levels[0].fields.probe_addrs(&positions0));
-        Probe {
-            addrs,
-            msplit,
-            positions0,
-        }
+    /// The first-round probe of `key` (no I/O); its addresses are appended
+    /// to `addrs`.
+    pub(crate) fn probe(&self, key: u64, addrs: &mut Vec<BlockAddr>) -> Probe {
+        let start = addrs.len();
+        addrs.reserve(2 * self.params.degree);
+        self.membership.extend_probe_addrs(key, addrs);
+        let msplit = addrs.len() - start;
+        let fields0 = self.level_fields(0, key);
+        addrs.extend(self.levels[0].fields.probe_addrs(positions(&fields0)));
+        Probe { msplit, fields0 }
     }
 
     /// Decode `key` from the blocks read for its [`Probe`] (no I/O).
-    pub(crate) fn first_round(&self, key: u64, probe: &Probe, blocks: &[Vec<Word>]) -> FirstRound {
-        let (mblocks, fblocks0) = blocks.split_at(probe.msplit);
-        let Some(payload) = self.membership.decode_find(key, mblocks) else {
+    /// `scratch` is working space for the extracted fields.
+    pub(crate) fn first_round(
+        &self,
+        key: u64,
+        probe: &Probe,
+        blocks: &impl BlockView,
+        scratch: &mut Vec<Word>,
+    ) -> FirstRound {
+        let mblocks = blocks.sub(0..probe.msplit);
+        let record = |payload: &[Word]| Self::unpack_payload(payload[0]);
+        let Some((head, level)) = self.membership.find_with(key, &mblocks, record) else {
             return FirstRound::Absent;
         };
-        let (head, level) = Self::unpack_payload(payload[0]);
         if level == 0 {
-            let raw = self.levels[0].fields.extract(&probe.positions0, fblocks0);
-            return FirstRound::Here(self.decode_satellite(head, &raw));
+            let fblocks0 = blocks.sub(probe.msplit..blocks.len());
+            self.levels[0].fields.extract(positions(&probe.fields0), &fblocks0, scratch);
+            return FirstRound::Here(self.decode_satellite(head, scratch));
         }
-        let positions = self.level_positions(level, key);
-        let addrs = self.levels[level].fields.probe_addrs(&positions);
+        let fields = self.level_fields(level, key);
+        let addrs = self.levels[level].fields.probe_addrs(positions(&fields)).collect();
         FirstRound::Deeper(DeeperRecord {
             level,
             head,
-            positions,
+            fields,
             addrs,
         })
     }
@@ -538,12 +567,12 @@ impl DynamicDict {
     pub(crate) fn decode_deeper(
         &self,
         record: &DeeperRecord,
-        blocks: &[Vec<Word>],
+        blocks: &impl BlockView,
+        scratch: &mut Vec<Word>,
     ) -> Option<Vec<Word>> {
-        let raw = self.levels[record.level]
-            .fields
-            .extract(&record.positions, blocks);
-        self.decode_satellite(record.head, &raw)
+        let fields = &self.levels[record.level].fields;
+        fields.extract(positions(&record.fields), blocks, scratch);
+        self.decode_satellite(record.head, scratch)
     }
 
     /// Finish a lookup whose first-round blocks are already read: decode
@@ -554,17 +583,18 @@ impl DynamicDict {
         disks: &mut DiskArray,
         key: u64,
         probe: &Probe,
-        blocks: &[Vec<Word>],
+        blocks: &impl BlockView,
         healths: &[BlockHealth],
     ) -> (Option<Vec<Word>>, bool) {
         let mut degraded = !healths.iter().all(|h| h.is_ok());
-        let satellite = match self.first_round(key, probe, blocks) {
+        let mut scratch = Vec::new();
+        let satellite = match self.first_round(key, probe, blocks, &mut scratch) {
             FirstRound::Absent => None,
             FirstRound::Here(satellite) => satellite,
             FirstRound::Deeper(record) => {
                 let (fblocks, fh) = Self::read_retry(disks, &record.addrs);
                 degraded |= !fh.iter().all(|h| h.is_ok());
-                self.decode_deeper(&record, &fblocks)
+                self.decode_deeper(&record, &fblocks, &mut scratch)
             }
         };
         (satellite, degraded)
@@ -580,8 +610,9 @@ impl DynamicDict {
     pub fn lookup(&self, disks: &mut DiskArray, key: u64) -> LookupOutcome {
         let scope = disks.begin_op();
         // Parallel probe: membership buckets + level-1 fields.
-        let probe = self.probe(key);
-        let (blocks, healths) = Self::read_retry(disks, &probe.addrs);
+        let mut addrs = Vec::new();
+        let probe = self.probe(key, &mut addrs);
+        let (blocks, healths) = Self::read_retry(disks, &addrs);
         let (satellite, degraded) = self.finish_lookup(disks, key, &probe, &blocks, &healths);
         let cost = disks.end_op(scope);
         if degraded {
@@ -591,8 +622,10 @@ impl DynamicDict {
         }
     }
 
-    fn decode_satellite(&self, head: usize, raw: &[Vec<Word>]) -> Option<Vec<Word>> {
-        self.enc.decode(head, raw).map(|mut s| {
+    /// Decode the chain starting at stripe `head` of the `d` extracted
+    /// `fields`.
+    fn decode_satellite(&self, head: usize, fields: &[Word]) -> Option<Vec<Word>> {
+        self.enc.decode(head, fields).map(|mut s| {
             s.truncate(self.params.satellite_words);
             s.resize(self.params.satellite_words, 0);
             s
@@ -616,28 +649,28 @@ impl DynamicDict {
     ) -> (Vec<Option<Vec<Word>>>, OpCost) {
         let scope = disks.begin_op();
         // Phase 1: membership + level-1 fields for every key, one plan.
-        let mut all: Vec<BlockAddr> = Vec::new();
-        let mut meta = Vec::with_capacity(keys.len());
+        let mut all: Vec<BlockAddr> = Vec::with_capacity(keys.len() * 2 * self.params.degree);
+        let mut probes = Vec::with_capacity(keys.len());
         for &key in keys {
-            let probe = self.probe(key);
             let start = all.len();
-            all.extend_from_slice(&probe.addrs);
-            meta.push((probe, start..all.len()));
+            let probe = self.probe(key, &mut all);
+            probes.push((probe, start..all.len()));
         }
         let plan = BatchPlan::new(disks.disks(), &all);
         let reads = plan.execute_read(disks);
 
         let mut results: Vec<Option<Vec<Word>>> = vec![None; keys.len()];
+        let mut scratch = Vec::new();
         // Stragglers living on level > 1 need a second probe.
         let mut stragglers: Vec<(usize, DeeperRecord)> = Vec::new();
         let mut addrs2: Vec<BlockAddr> = Vec::new();
         let mut ranges2 = Vec::new();
-        for (i, (&key, (probe, range))) in keys.iter().zip(meta).enumerate() {
+        for (i, (&key, (probe, range))) in keys.iter().zip(probes).enumerate() {
             if !reads.range_ok(range.clone()) {
                 results[i] = self.lookup(disks, key).satellite;
                 continue;
             }
-            match self.first_round(key, &probe, &reads.gather(range)) {
+            match self.first_round(key, &probe, &reads.sub(range), &mut scratch) {
                 FirstRound::Absent => {}
                 FirstRound::Here(satellite) => results[i] = satellite,
                 FirstRound::Deeper(record) => {
@@ -657,7 +690,7 @@ impl DynamicDict {
                     results[i] = self.lookup(disks, keys[i]).satellite;
                     continue;
                 }
-                results[i] = self.decode_deeper(&record, &reads.gather(range));
+                results[i] = self.decode_deeper(&record, &reads.sub(range), &mut scratch);
             }
         }
         (results, disks.end_op(scope))
@@ -720,7 +753,7 @@ impl DynamicDict {
         let scope = disks.begin_op();
         let mut all: Vec<BlockAddr> = Vec::new();
         for (key, _) in entries {
-            all.extend(self.probe(*key).addrs);
+            self.probe(*key, &mut all);
         }
         let mut pops_before = self.level_population.clone();
         let mut ex = BatchExecutor::new(disks);
@@ -758,6 +791,31 @@ impl DynamicDict {
         Ok(())
     }
 
+    /// First-fit test of one level: the stripes of the first `m` of the
+    /// key's candidate `fields` that are unoccupied in `fblocks` (the
+    /// blocks read for them, stripe order), if there are `m`. Routes
+    /// around damage: a field on an unreadable block counts as occupied,
+    /// so no data is placed where a write would be dropped or a later
+    /// read sanitized.
+    fn free_stripes(
+        &self,
+        level: usize,
+        fields: &[usize],
+        fblocks: &impl BlockView,
+        fhealths: &[BlockHealth],
+        scratch: &mut Vec<Word>,
+    ) -> Option<Vec<usize>> {
+        self.levels[level].fields.extract(positions(fields), fblocks, scratch);
+        let (m, w) = (self.enc.fields_per_key, self.enc.field_words());
+        let mut free = Vec::with_capacity(m);
+        free.extend(
+            (0..fields.len())
+                .filter(|&s| fhealths[s].is_ok() && !self.enc.is_occupied(&scratch[s * w..]))
+                .take(m),
+        );
+        (free.len() == m).then_some(free)
+    }
+
     /// One first-fit insertion through a batch executor: reads come from
     /// the executor's cache (which reflects earlier keys' staged writes),
     /// writes are staged rather than flushed.
@@ -780,52 +838,40 @@ impl DynamicDict {
                 return Err(e);
             }
         }
-        if self.membership.decode_find(key, &mblocks).is_some() {
-            return Err(DictError::DuplicateKey(key));
-        }
+        let bucket = self.membership.choose_bucket(key, &mblocks)?;
 
-        let m = self.enc.fields_per_key;
+        let mut scratch = Vec::new();
         let mut chosen = None;
         for level in 0..self.levels.len() {
-            let positions = self.level_positions(level, key);
-            let addrs = self.levels[level].fields.probe_addrs(&positions);
+            let fields = self.level_fields(level, key);
+            let addrs: Vec<BlockAddr> =
+                self.levels[level].fields.probe_addrs(positions(&fields)).collect();
             let (fblocks, fhealths) = ex.get_many_verified(&addrs);
-            let raw = self.levels[level].fields.extract(&positions, &fblocks);
-            // Route around damage: a field on an unreadable block counts
-            // as occupied, so no data is placed where a write would be
-            // dropped or a later read sanitized.
-            let free: Vec<usize> = (0..positions.len())
-                .filter(|&i| fhealths[i].is_ok() && !self.enc.is_occupied(&raw[i]))
-                .collect();
-            if free.len() >= m {
-                let keep: Vec<(usize, usize)> = free[..m].iter().map(|&i| positions[i]).collect();
-                chosen = Some((level, keep, addrs, fblocks));
+            if let Some(stripes) =
+                self.free_stripes(level, &fields, &fblocks, &fhealths, &mut scratch)
+            {
+                chosen = Some((level, fields, addrs, stripes));
                 break;
             }
         }
-        let Some((level, keep, addrs, mut fblocks)) = chosen else {
+        let Some((level, fields, addrs, stripes)) = chosen else {
             return Err(DictError::LevelsExhausted { key });
         };
 
-        let stripes: Vec<usize> = keep.iter().map(|&(s, _)| s).collect();
-        // Plan the membership record before staging anything: plan_insert
-        // only reads the probe blocks and can still fail (BucketOverflow),
-        // and an aborted key must leave the executor's dirty set untouched
-        // — otherwise orphaned field slots would flush at commit and the
-        // batch would diverge from the sequential path, which discards all
-        // writes on the same error.
-        let mpayload = Self::pack_payload(stripes[0], level);
-        let mwrites = self.membership.plan_insert(key, &[mpayload], &mblocks)?;
+        // Complete the membership record before staging anything: it can
+        // still fail (BucketOverflow), and an aborted key must leave the
+        // executor's dirty set untouched — otherwise orphaned field slots
+        // would flush at commit and the batch would diverge from the
+        // sequential path, which discards all writes on the same error.
+        let mpayload = [Self::pack_payload(stripes[0], level)];
+        self.membership.check_insertable(&mpayload)?;
+        let bucket = self.membership.fill(bucket, key, &mpayload)?;
         let encoded = self.enc.encode(&stripes, satellite);
-        {
-            let fa = &self.levels[level].fields;
-            for ((stripe, bits), &(s, j)) in encoded.iter().zip(&keep) {
-                debug_assert_eq!(*stripe, s);
-                fa.patch((s, j), &mut fblocks[s], bits);
-                ex.stage_write(addrs[s], std::mem::take(&mut fblocks[s]));
-            }
+        let fa = &self.levels[level].fields;
+        for (&s, bits) in stripes.iter().zip(encoded.chunks(self.enc.field_words())) {
+            fa.patch((s, fields[s]), ex.stage_mut(addrs[s]), bits);
         }
-        for (a, img) in mwrites {
+        for (a, img) in bucket.writes() {
             ex.stage_write(a, img);
         }
         self.membership.note_inserted();
@@ -846,109 +892,110 @@ impl DynamicDict {
         self.check_insertable(satellite)?;
         let scope = disks.begin_op();
         // First parallel I/O: membership probe + level-1 fields.
-        let probe = self.probe(key);
-        let (blocks, healths) = Self::read_retry(disks, &probe.addrs);
-        self.insert_probed(disks, key, satellite, &probe, &blocks, &healths)?;
+        let mut addrs = Vec::new();
+        let probe = self.probe(key, &mut addrs);
+        let (blocks, healths) = Self::read_retry(disks, &addrs);
+        self.insert_probed(disks, key, satellite, &probe, &addrs, &blocks, &healths)?;
         Ok(disks.end_op(scope))
     }
 
-    /// The insertion proper, given the blocks and healths read for the
-    /// key's [`Probe`]: duplicate check, first-fit level search (deeper
-    /// levels read on demand), and the one (journaled) write. The caller
-    /// has run [`Self::check_insertable`].
+    /// One level's first-fit step outside a batch: if `fields` (read as
+    /// `fblocks` from `addrs`) have room, the chain of `satellite` patched
+    /// into copies of the `m` blocks it lands in — the only field blocks
+    /// an insertion copies.
+    #[allow(clippy::too_many_arguments)]
+    fn fit_level(
+        &self,
+        level: usize,
+        fields: &[usize],
+        addrs: &[BlockAddr],
+        fblocks: &impl BlockView,
+        fhealths: &[BlockHealth],
+        satellite: &[Word],
+        scratch: &mut Vec<Word>,
+    ) -> Option<Fit> {
+        let stripes = self.free_stripes(level, fields, fblocks, fhealths, scratch)?;
+        let encoded = self.enc.encode(&stripes, satellite);
+        let fa = &self.levels[level].fields;
+        let mut images = BlockBuf::with_capacity(fblocks.block(0).len(), stripes.len());
+        for (t, (&s, bits)) in stripes.iter().zip(encoded.chunks(self.enc.field_words())).enumerate() {
+            images.push(fblocks.block(s));
+            fa.patch((s, fields[s]), images.block_mut(t), bits);
+        }
+        Some(Fit {
+            head: stripes[0],
+            targets: stripes.iter().map(|&s| addrs[s]).collect(),
+            images,
+        })
+    }
+
+    /// The insertion proper, given the blocks and healths read from
+    /// `addrs` for the key's [`Probe`]: duplicate check, first-fit level
+    /// search (deeper levels read on demand), and the one (journaled)
+    /// write. The caller has run [`Self::check_insertable`].
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn insert_probed(
         &mut self,
         disks: &mut DiskArray,
         key: u64,
         satellite: &[Word],
         probe: &Probe,
-        blocks: &[Vec<Word>],
+        addrs: &[BlockAddr],
+        blocks: &impl BlockView,
         healths: &[BlockHealth],
     ) -> Result<(), DictError> {
-        let msplit = probe.msplit;
-        let (mblocks, fblocks0) = blocks.split_at(msplit);
-        let (mhealths, fhealths0) = healths.split_at(msplit);
+        let (maddrs, faddrs0) = addrs.split_at(probe.msplit);
+        let (mhealths, fhealths0) = healths.split_at(probe.msplit);
         // An unreadable membership bucket makes the duplicate check
         // unsound: fail typed rather than risk a double insert.
-        if let Some(e) = Self::io_error(&probe.addrs[..msplit], mhealths) {
+        if let Some(e) = Self::io_error(maddrs, mhealths) {
             return Err(e);
         }
-        if self.membership.decode_find(key, mblocks).is_some() {
-            return Err(DictError::DuplicateKey(key));
-        }
+        let bucket = self
+            .membership
+            .choose_bucket(key, &blocks.sub(0..probe.msplit))?;
 
-        // First-fit level search: (level, chosen positions, probed
-        // addresses, probed block images).
-        type Fit = (usize, Vec<(usize, usize)>, Vec<BlockAddr>, Vec<Vec<Word>>);
-        let m = self.enc.fields_per_key;
-        let mut chosen: Option<Fit> = None;
-        for level in 0..self.levels.len() {
-            let (positions, addrs, fblocks, fhealths) = if level == 0 {
-                (
-                    probe.positions0.clone(),
-                    probe.addrs[msplit..].to_vec(),
-                    fblocks0.to_vec(),
-                    fhealths0.to_vec(),
-                )
-            } else {
-                let positions = self.level_positions(level, key);
-                let addrs = self.levels[level].fields.probe_addrs(&positions);
-                // One more parallel I/O (plus a retry only under faults).
-                let (fblocks, fhealths) = Self::read_retry(disks, &addrs);
-                (positions, addrs, fblocks, fhealths)
-            };
-            let raw = self.levels[level].fields.extract(&positions, &fblocks);
-            // Route around damage: fields on unreadable blocks count as
-            // occupied, so data never lands where writes would be dropped.
-            let free: Vec<usize> = (0..positions.len())
-                .filter(|&i| fhealths[i].is_ok() && !self.enc.is_occupied(&raw[i]))
-                .collect();
-            if free.len() >= m {
-                let keep: Vec<(usize, usize)> = free[..m].iter().map(|&i| positions[i]).collect();
-                chosen = Some((level, keep, addrs, fblocks));
+        // First-fit level search. A level's `d` blocks sit one per stripe,
+        // so the chain's field at stripe `s` patches block `s`.
+        let mut scratch = Vec::new();
+        let fblocks0 = blocks.sub(probe.msplit..blocks.len());
+        let mut chosen = self
+            .fit_level(0, &probe.fields0, faddrs0, &fblocks0, fhealths0, satellite, &mut scratch)
+            .map(|fit| (0, fit));
+        for level in 1..self.levels.len() {
+            if chosen.is_some() {
                 break;
             }
+            let fields = self.level_fields(level, key);
+            let addrs: Vec<BlockAddr> =
+                self.levels[level].fields.probe_addrs(positions(&fields)).collect();
+            // One more parallel I/O (plus a retry only under faults).
+            let (fblocks, fhealths) = Self::read_retry(disks, &addrs);
+            chosen = self
+                .fit_level(level, &fields, &addrs, &fblocks, &fhealths, satellite, &mut scratch)
+                .map(|fit| (level, fit));
         }
-        let Some((level, keep, addrs, mut fblocks)) = chosen else {
+        let Some((level, fit)) = chosen else {
             return Err(DictError::LevelsExhausted { key });
         };
 
-        // Encode the chain into the free fields (stripe order) and patch
-        // the level's block images. `addrs[i]` is the block of stripe `i`
-        // (one field per stripe), so the chain's field at stripe `s`
-        // patches image `s`.
-        let stripes: Vec<usize> = keep.iter().map(|&(s, _)| s).collect();
-        let encoded = self.enc.encode(&stripes, satellite);
-        let fa = &self.levels[level].fields;
-        let mut touched: Vec<usize> = Vec::with_capacity(m);
-        for ((stripe, bits), &(s, j)) in encoded.iter().zip(&keep) {
-            debug_assert_eq!(*stripe, s);
-            fa.patch((s, j), &mut fblocks[s], bits);
-            touched.push(s);
-        }
-        let mut writes: Vec<(BlockAddr, Vec<Word>)> = touched
-            .into_iter()
-            .map(|s| (addrs[s], std::mem::take(&mut fblocks[s])))
-            .collect();
-
         // Membership record in the same write batch (disjoint disks).
-        let mpayload = Self::pack_payload(stripes[0], level);
-        let mwrites = self.membership.plan_insert(key, &[mpayload], mblocks)?;
-        writes.extend(mwrites);
-
-        let refs: Vec<(BlockAddr, &[Word])> =
-            writes.iter().map(|(a, w)| (*a, w.as_slice())).collect();
+        let mpayload = [Self::pack_payload(fit.head, level)];
+        self.membership.check_insertable(&mpayload)?;
+        let bucket = self.membership.fill(bucket, key, &mpayload)?;
+        let refs: Vec<(BlockAddr, &[Word])> = fit
+            .targets
+            .iter()
+            .copied()
+            .zip(fit.images.iter())
+            .chain(bucket.writes())
+            .collect();
         // With a journal enabled the multi-block group (field patches +
         // membership record) becomes one intent entry, crash-atomic under
         // any crash point; without one this is the plain checked write.
-        let whealths = if disks.journal_enabled() {
-            let meta = [self.meta_tag(), META_INSERT, level as Word];
-            disks.journaled_write_batch_checked(&refs, &meta)
-        } else {
-            disks.write(&refs, WriteOptions::checked()).healths
-        };
-        let waddrs: Vec<BlockAddr> = writes.iter().map(|(a, _)| *a).collect();
-        if let Some(e) = Self::io_error(&waddrs, &whealths) {
+        let meta = [self.meta_tag(), META_INSERT, level as Word];
+        let whealths = disks.journaled_write_batch_checked(&refs, &meta);
+        if let Some(e) = Self::io_error(refs.iter().map(|(a, _)| a), &whealths) {
             // Some block of the insert did not land (disk died or the
             // write tore). The key is not counted as stored; whatever
             // fragment did land decodes fail-closed (a chain missing a
@@ -979,26 +1026,26 @@ impl DynamicDict {
     /// (journal-all-mutations: if it bypassed the ring, a later recovery
     /// replaying an older intact intent over the same bucket block would
     /// resurrect the key).
-    pub fn delete(&mut self, disks: &mut DiskArray, key: u64) -> (bool, OpCost) {
+    ///
+    /// # Errors
+    /// [`DictError::Io`] when the key was not found and some membership
+    /// probe stayed unreadable after the one retry: a stored key's bucket
+    /// may be the one that read as zeros, so "absent" would be a guess.
+    pub fn delete(&mut self, disks: &mut DiskArray, key: u64) -> Result<(bool, OpCost), DictError> {
         let scope = disks.begin_op();
-        if !disks.journal_enabled() {
-            let (was, _) = self.membership.delete(disks, key);
-            if was {
-                self.len -= 1;
-            }
-            return (was, disks.end_op(scope));
-        }
         let addrs = self.membership.probe_addrs(key);
-        let (blocks, _healths) = Self::read_retry(disks, &addrs);
-        let Some(writes) = self.membership.plan_delete(key, &blocks) else {
-            return (false, disks.end_op(scope));
+        let (blocks, healths) = Self::read_retry(disks, &addrs);
+        let Some(patch) = self.membership.plan_delete(key, &blocks) else {
+            return match Self::io_error(&addrs, &healths) {
+                Some(e) => Err(e),
+                None => Ok((false, disks.end_op(scope))),
+            };
         };
-        let refs: Vec<(BlockAddr, &[Word])> =
-            writes.iter().map(|(a, w)| (*a, w.as_slice())).collect();
+        let refs: Vec<(BlockAddr, &[Word])> = patch.writes().collect();
         let meta = [self.meta_tag(), META_DELETE];
         let _ = disks.journaled_write_batch_checked(&refs, &meta);
         self.note_deleted(disks, false);
-        (true, disks.end_op(scope))
+        Ok((true, disks.end_op(scope)))
     }
 
     /// The membership dictionary (disks `0..d` of the structure): its
@@ -1078,11 +1125,11 @@ impl DynamicDict {
         let mut all: Vec<BlockAddr> = Vec::new();
         let mut sources = Vec::with_capacity(records.len());
         for &(key, _, level) in &records {
-            let positions = old.level_positions(level, key);
-            let addrs = old.levels[level].fields.probe_addrs(&positions);
-            all.extend_from_slice(&addrs);
-            all.extend(self.probe(key).addrs);
-            sources.push((positions, addrs));
+            let fields = old.level_fields(level, key);
+            let at = all.len();
+            all.extend(old.levels[level].fields.probe_addrs(positions(&fields)));
+            sources.push((fields, at..all.len()));
+            self.probe(key, &mut all);
         }
         let room = self.intent_room(disks);
         let mut pops_before = self.level_population.clone();
@@ -1090,14 +1137,16 @@ impl DynamicDict {
         ex.prefetch(&all);
         let mut copied = 0;
         let mut outcome = Ok(());
-        for (&(key, head, level), (positions, addrs)) in records.iter().zip(sources) {
-            let (mut blocks, healths) = ex.get_many_verified(&addrs);
+        let mut scratch = Vec::new();
+        for (&(key, head, level), (fields, range)) in records.iter().zip(sources) {
+            let addrs = &all[range];
+            let (mut blocks, healths) = ex.get_many_verified(addrs);
             if !healths.iter().all(|h| h.is_ok()) {
-                ex.refresh(&addrs);
-                blocks = ex.get_many(&addrs);
+                ex.refresh(addrs);
+                blocks = ex.get_many(addrs);
             }
-            let raw = old.levels[level].fields.extract(&positions, &blocks);
-            let Some(satellite) = old.decode_satellite(head, &raw) else {
+            old.levels[level].fields.extract(positions(&fields), &blocks, &mut scratch);
+            let Some(satellite) = old.decode_satellite(head, &scratch) else {
                 continue; // damaged in `old`: reads as a miss there too
             };
             if ex.staged_writes() > room {
@@ -1136,7 +1185,7 @@ impl DynamicDict {
         let mut field = vec![0 as Word; self.enc.field_words()];
         field[0] = 1; // occupied bit; no chain ever links through it
         for level in 0..self.levels.len() {
-            for pos in self.level_positions(level, key) {
+            for pos in positions(&self.level_fields(level, key)) {
                 self.levels[level].fields.write_field(disks, pos, &field);
             }
         }
@@ -1258,7 +1307,7 @@ mod tests {
     fn delete_then_miss_then_reinsert() {
         let (mut disks, mut dict) = setup(50, 1, 0.5);
         dict.insert(&mut disks, 42, &[1]).unwrap();
-        let (was, cost) = dict.delete(&mut disks, 42);
+        let (was, cost) = dict.delete(&mut disks, 42).unwrap();
         assert!(was);
         assert_eq!(cost.parallel_ios, 2);
         assert!(!dict.lookup(&mut disks, 42).found());
@@ -1310,7 +1359,7 @@ mod tests {
         for k in &ks {
             dict.insert(&mut disks, *k, &[*k]).unwrap();
         }
-        dict.delete(&mut disks, ks[0]);
+        dict.delete(&mut disks, ks[0]).unwrap();
         let mut seen = std::collections::HashSet::new();
         for b in (0..dict.membership_buckets()).step_by(3) {
             let end = (b + 3).min(dict.membership_buckets());
@@ -1430,6 +1479,52 @@ mod tests {
             }
         }
         assert!(io_errors > 0, "keys probing disk 0 must fail typed");
+    }
+
+    /// The delete-side twin: with a membership disk unreadable, a stored
+    /// key's bucket may be the one that read as zeros, so "not found" must
+    /// fail typed — on both the journaled and the unjournaled path —
+    /// and `Ok(false)` is reserved for probes that read clean.
+    #[test]
+    fn dead_membership_disk_fails_deletes_typed() {
+        for journaled in [false, true] {
+            let (mut disks, mut dict) = if journaled {
+                setup_journaled(100, 1)
+            } else {
+                setup(100, 1, 0.5)
+            };
+            let ks = keys(100);
+            for k in &ks {
+                dict.insert(&mut disks, *k, &[*k]).unwrap();
+            }
+            disks.enable_integrity();
+            disks.set_fault_plan(pdm::FaultPlan::new().dead_disk(0));
+            let (mut gone, mut typed) = (Vec::new(), Vec::new());
+            for &k in &ks {
+                match dict.delete(&mut disks, k) {
+                    Ok((was, _)) => {
+                        assert!(was, "stored key {k} reported absent off a dead disk");
+                        gone.push(k);
+                    }
+                    Err(DictError::Io { kind, disk, .. }) => {
+                        assert_eq!((kind, disk), (pdm::IoFaultKind::DiskDead, 0));
+                        typed.push(k);
+                    }
+                    Err(e) => panic!("unexpected error {e}"),
+                }
+            }
+            assert!(!gone.is_empty(), "records on live disks still delete");
+            assert!(!typed.is_empty(), "records on disk 0 must fail typed");
+            assert_eq!(dict.len(), typed.len(), "journaled = {journaled}");
+            // An absent key is just as unknowable while the disk is dead…
+            assert!(matches!(dict.delete(&mut disks, 1 << 29), Err(DictError::Io { .. })));
+            // …and certifiably absent once every probe reads clean again.
+            disks.clear_fault_plan();
+            assert!(!dict.delete(&mut disks, 1 << 29).unwrap().0);
+            for k in gone {
+                assert!(!dict.lookup(&mut disks, k).found(), "deleted key {k} came back");
+            }
+        }
     }
 
     #[test]

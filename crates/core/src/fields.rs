@@ -9,7 +9,7 @@
 use crate::layout::{DiskAllocator, Region};
 use crate::traits::DictError;
 use pdm::bits::{copy_bits, extract_bits};
-use pdm::{BlockAddr, DiskArray, Word, WORD_BITS};
+use pdm::{BlockAddr, BlockView, DiskArray, Word, WORD_BITS};
 
 /// A striped array of fixed-width bit fields.
 #[derive(Debug, Clone)]
@@ -62,6 +62,12 @@ impl FieldArray {
         self.field_bits
     }
 
+    /// Words one extracted field occupies (zero-padded to a word boundary).
+    #[must_use]
+    pub fn field_words(&self) -> usize {
+        self.field_bits.div_ceil(WORD_BITS)
+    }
+
     /// Fields per stripe (`v / d`).
     #[must_use]
     pub fn stripe_size(&self) -> usize {
@@ -105,21 +111,37 @@ impl FieldArray {
     /// Addresses of the blocks holding `positions` (in order; duplicates
     /// preserved — the disk layer batches them at no extra cost when they
     /// coincide... they are distinct blocks whenever stripes are distinct).
-    #[must_use]
-    pub fn probe_addrs(&self, positions: &[FieldPos]) -> Vec<BlockAddr> {
-        positions.iter().map(|&p| self.addr_of(p)).collect()
+    pub fn probe_addrs<'a>(
+        &'a self,
+        positions: impl IntoIterator<Item = FieldPos> + 'a,
+    ) -> impl Iterator<Item = BlockAddr> + 'a {
+        positions.into_iter().map(|p| self.addr_of(p))
     }
 
-    /// Extract the field bits at `positions[i]` from `blocks[i]` (the
-    /// blocks returned for [`probe_addrs`](Self::probe_addrs)).
-    #[must_use]
-    pub fn extract(&self, positions: &[FieldPos], blocks: &[Vec<Word>]) -> Vec<Vec<Word>> {
-        assert_eq!(positions.len(), blocks.len(), "positions/blocks mismatch");
-        positions
-            .iter()
-            .zip(blocks)
-            .map(|(&(_, j), block)| extract_bits(block, self.bit_offset(j), self.field_bits))
-            .collect()
+    /// Extract the field bits at the `i`-th position from block `i` of
+    /// `blocks` (the blocks read for [`probe_addrs`](Self::probe_addrs))
+    /// into `out`, which is overwritten: field `i` occupies words
+    /// `i·w..(i+1)·w` with `w =` [`field_words`](Self::field_words), bits
+    /// past the field's width zero. Reusing one `out` across calls
+    /// extracts without allocating.
+    ///
+    /// # Panics
+    /// Panics unless there is exactly one position per block.
+    pub fn extract(
+        &self,
+        positions: impl IntoIterator<Item = FieldPos>,
+        blocks: &impl BlockView,
+        out: &mut Vec<Word>,
+    ) {
+        let w = self.field_words();
+        out.clear();
+        out.resize(blocks.len() * w, 0);
+        let mut fields = out.chunks_exact_mut(w);
+        for (i, (_, j)) in positions.into_iter().enumerate() {
+            let field = fields.next().expect("positions/blocks mismatch");
+            copy_bits(field, 0, blocks.block(i), self.bit_offset(j), self.field_bits);
+        }
+        assert!(fields.next().is_none(), "positions/blocks mismatch");
     }
 
     /// Patch field `positions[i]`'s bits inside its block image
@@ -253,12 +275,13 @@ mod tests {
     fn one_field_per_stripe_is_one_parallel_io() {
         let (mut disks, fa) = setup(64, 8);
         let positions: Vec<FieldPos> = (0..4).map(|s| (s, s * 2)).collect();
-        let addrs = fa.probe_addrs(&positions);
+        let addrs: Vec<BlockAddr> = fa.probe_addrs(positions.iter().copied()).collect();
         let scope = disks.begin_op();
-        let blocks = disks.read(&addrs, pdm::ReadOptions::default()).into_blocks();
+        let blocks = disks.read(&addrs, pdm::ReadOptions::default()).blocks;
         assert_eq!(disks.end_op(scope).parallel_ios, 1);
-        let fields = fa.extract(&positions, &blocks);
-        assert_eq!(fields.len(), 4);
+        let mut fields = vec![7; 9];
+        fa.extract(positions.iter().copied(), &blocks, &mut fields);
+        assert_eq!(fields, [0; 4], "one zeroed word per 64-bit field");
     }
 
     #[test]

@@ -197,7 +197,7 @@ impl RawDict for DynamicDict {
         disks: &mut DiskArray,
         key: u64,
     ) -> Result<(bool, OpCost), DictError> {
-        Ok(self.delete(disks, key))
+        self.delete(disks, key)
     }
     fn raw_lookup_batch(
         &self,

@@ -97,7 +97,7 @@ impl MicroDict {
     pub fn lookup(&self, disks: &mut DiskArray, key: u64) -> LookupOutcome {
         let scope = disks.begin_op();
         let block = disks.read_block(self.leaf_of(key));
-        LookupOutcome::new(self.codec.find(&block, key), disks.end_op(scope))
+        LookupOutcome::new(self.codec.find(&block, key).map(<[Word]>::to_vec), disks.end_op(scope))
     }
 
     /// Insert: one read + one write, independent of bucket size.

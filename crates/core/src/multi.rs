@@ -17,7 +17,7 @@ use crate::basic::{BasicDict, BasicDictConfig};
 use crate::layout::DiskAllocator;
 use crate::traits::{DictError, LookupOutcome};
 use expander::mix::mix64;
-use pdm::{BlockAddr, DiskArray, OpCost, ReadOptions, Word, WriteOptions};
+use pdm::{BlockAddr, BlockView, DiskArray, OpCost, ReadOptions, Word, WriteOptions};
 
 /// `C` Section 4.1 dictionaries on disjoint disk ranges with batched,
 /// cost-merged operations.
@@ -103,17 +103,16 @@ impl ParallelInstances {
         let mut addrs: Vec<BlockAddr> = Vec::new();
         let mut spans = Vec::with_capacity(keys.len());
         for &key in keys {
-            let inst = &self.instances[self.instance_of(key)];
-            let a = inst.probe_addrs(key);
-            spans.push((addrs.len(), a.len()));
-            addrs.extend(a);
+            let start = addrs.len();
+            self.instances[self.instance_of(key)].extend_probe_addrs(key, &mut addrs);
+            spans.push(start..addrs.len());
         }
-        let blocks = disks.read(&addrs, ReadOptions::default()).into_blocks();
+        let blocks = disks.read(&addrs, ReadOptions::default()).blocks;
         let results = keys
             .iter()
             .zip(spans)
-            .map(|(&key, (off, len))| {
-                self.instances[self.instance_of(key)].decode_find(key, &blocks[off..off + len])
+            .map(|(&key, span)| {
+                self.instances[self.instance_of(key)].decode_find(key, &blocks.sub(span))
             })
             .collect();
         (results, disks.end_op(scope))
@@ -159,25 +158,22 @@ impl ParallelInstances {
             let mut addrs: Vec<BlockAddr> = Vec::new();
             let mut spans = Vec::with_capacity(this_round.len());
             for (key, _) in this_round.iter().copied() {
-                let a = self.instances[self.instance_of(*key)].probe_addrs(*key);
-                spans.push((addrs.len(), a.len()));
-                addrs.extend(a);
+                let start = addrs.len();
+                self.instances[self.instance_of(*key)].extend_probe_addrs(*key, &mut addrs);
+                spans.push(start..addrs.len());
             }
-            let blocks = disks.read(&addrs, ReadOptions::default()).into_blocks();
+            let blocks = disks.read(&addrs, ReadOptions::default()).blocks;
             // Merged writes (1 parallel I/O: distinct instances, distinct
             // disks; within an instance the chosen bucket is one disk).
-            let mut writes: Vec<(BlockAddr, Vec<Word>)> = Vec::new();
-            let mut committed = Vec::new();
-            for ((key, sat), (off, len)) in this_round.iter().copied().zip(spans) {
+            let mut patches = Vec::with_capacity(this_round.len());
+            for ((key, sat), span) in this_round.iter().copied().zip(spans) {
                 let i = self.instance_of(*key);
-                let w = self.instances[i].plan_insert(*key, sat, &blocks[off..off + len])?;
-                writes.extend(w);
-                committed.push(i);
+                patches.push((i, self.instances[i].plan_insert(*key, sat, &blocks.sub(span))?));
             }
             let refs: Vec<(BlockAddr, &[Word])> =
-                writes.iter().map(|(a, w)| (*a, w.as_slice())).collect();
+                patches.iter().flat_map(|(_, patch)| patch.writes()).collect();
             disks.write(&refs, WriteOptions::default());
-            for i in committed {
+            for (i, _) in patches {
                 self.instances[i].note_inserted();
             }
             pending = deferred;

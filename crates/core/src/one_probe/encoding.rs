@@ -21,7 +21,7 @@
 //!   the field is record data — "the fraction of an array field dedicated
 //!   to pointer data will vary among fields".
 
-use pdm::bits::{bits_for, BitReader, BitWriter};
+use pdm::bits::{bits_for, copy_bits, BitReader, BitWriter};
 use pdm::{Word, WORD_BITS};
 
 /// Case (b) field format with per-field slot indexes and XOR parity.
@@ -90,6 +90,13 @@ impl CaseB {
         1 + self.id_bits + self.slot_bits + self.chunk_bits
     }
 
+    /// Words one field occupies in a flat field buffer
+    /// ([`crate::fields::FieldArray::extract`]).
+    #[must_use]
+    pub fn field_words(&self) -> usize {
+        self.field_bits().div_ceil(WORD_BITS)
+    }
+
     /// Bit `b` of data chunk `t` of `satellite` (bits past `σ` read 0).
     fn data_bit(&self, satellite: &[Word], t: usize, b: usize) -> bool {
         let bit = t * self.chunk_bits + b;
@@ -118,7 +125,7 @@ impl CaseB {
             w.write_bit(self.chunk_bit(satellite, t, b));
         }
         let mut words = w.into_words();
-        words.resize(self.field_bits().div_ceil(WORD_BITS), 0);
+        words.resize(self.field_words(), 0);
         words
     }
 
@@ -136,12 +143,13 @@ impl CaseB {
         (slot < self.fields_per_key).then_some(FieldHeader { id, slot })
     }
 
-    /// Decode a lookup from the `d` fields of `Γ(x)` — the healthy-read
-    /// path, equivalent to [`decode_erasure`](CaseB::decode_erasure) with
-    /// no erasures.
+    /// Decode a lookup from the `d` fields of `Γ(x)`, back to back in
+    /// stripe order ([`field_words`](CaseB::field_words) each) — the
+    /// healthy-read path, equivalent to
+    /// [`decode_erasure`](CaseB::decode_erasure) with no erasures.
     #[must_use]
-    pub fn decode(&self, fields: &[Vec<Word>]) -> Option<(u64, Vec<Word>)> {
-        self.decode_erasure(fields, &vec![false; fields.len()])
+    pub fn decode(&self, fields: &[Word]) -> Option<(u64, Vec<Word>)> {
+        self.decode_erasure(fields, &vec![false; self.degree])
     }
 
     /// Decode a lookup when some probed fields are *erasures* — reads the
@@ -160,7 +168,7 @@ impl CaseB {
     /// when no identifier wins or more chunks are missing than parity can
     /// repair (fail closed: never fabricate satellite bits).
     #[must_use]
-    pub fn decode_erasure(&self, fields: &[Vec<Word>], erased: &[bool]) -> Option<(u64, Vec<Word>)> {
+    pub fn decode_erasure(&self, fields: &[Word], erased: &[bool]) -> Option<(u64, Vec<Word>)> {
         self.decode_detail(fields, erased).map(|(id, sat, _)| (id, sat))
     }
 
@@ -171,15 +179,16 @@ impl CaseB {
     #[must_use]
     pub fn decode_detail(
         &self,
-        fields: &[Vec<Word>],
+        fields: &[Word],
         erased: &[bool],
     ) -> Option<(u64, Vec<Word>, bool)> {
-        debug_assert_eq!(fields.len(), self.degree);
-        debug_assert_eq!(erased.len(), fields.len());
+        debug_assert_eq!(fields.len(), self.degree * self.field_words());
+        debug_assert_eq!(erased.len(), self.degree);
+        let fields = fields.chunks_exact(self.field_words());
         let e = erased.iter().filter(|&&x| x).count();
         // Parse surviving headers.
         let parsed: Vec<Option<FieldHeader>> = fields
-            .iter()
+            .clone()
             .zip(erased)
             .map(|(f, &gone)| if gone { None } else { self.parse_header(f) })
             .collect();
@@ -193,8 +202,8 @@ impl CaseB {
             return None;
         }
         // Collect the winner's chunks by slot.
-        let mut chunks: Vec<Option<&Vec<Word>>> = vec![None; self.fields_per_key];
-        for (f, h) in fields.iter().zip(&parsed) {
+        let mut chunks: Vec<Option<&[Word]>> = vec![None; self.fields_per_key];
+        for (f, h) in fields.zip(&parsed) {
             if let Some(h) = h {
                 if h.id == winner && chunks[h.slot].is_none() {
                     chunks[h.slot] = Some(f);
@@ -215,7 +224,7 @@ impl CaseB {
         // Merge chunks into the record, reconstructing at most one from
         // parity (missing data bit = parity bit XOR all other data bits).
         let mut out = vec![0 as Word; self.sigma_bits.div_ceil(WORD_BITS).max(1)];
-        let chunk_payload = |f: &Vec<Word>, b: usize| {
+        let chunk_payload = |f: &[Word], b: usize| {
             let mut r = BitReader::new(f);
             r.seek(1 + self.id_bits + self.slot_bits + b);
             r.read_bit()
@@ -286,44 +295,37 @@ impl Chain {
     }
 
     /// Encode the record into the fields at `stripes` (strictly
-    /// increasing, length `m`). Returns `(stripe, field bits)` pairs.
+    /// increasing, length `m`). Returns the `m` fields back to back,
+    /// [`field_words`](Chain::field_words) each: field `t` belongs at
+    /// stripe `stripes[t]`.
     ///
     /// # Panics
     /// Panics if `stripes` is not strictly increasing, has the wrong
     /// length, or the data does not fit (impossible for parameters built
     /// by [`Chain::new`] — enforced by a debug assertion).
     #[must_use]
-    pub fn encode(&self, stripes: &[usize], satellite: &[Word]) -> Vec<(usize, Vec<Word>)> {
+    pub fn encode(&self, stripes: &[usize], satellite: &[Word]) -> Vec<Word> {
         assert_eq!(stripes.len(), self.fields_per_key, "need m fields");
         assert!(
             stripes.windows(2).all(|w| w[0] < w[1]),
             "stripes must be strictly increasing"
         );
         assert!(*stripes.last().expect("non-empty") < self.degree);
-        let mut out = Vec::with_capacity(stripes.len());
+        let mut out = vec![0 as Word; stripes.len() * self.field_words()];
         let mut bit_cursor = 0usize;
-        for (t, &stripe) in stripes.iter().enumerate() {
-            let delta = if t + 1 < stripes.len() {
-                stripes[t + 1] - stripes[t]
-            } else {
-                0
-            };
-            let mut w = BitWriter::new();
-            w.write_bit(true); // occupied
-            w.write_unary(delta as u64);
-            let data_bits = self.field_bits - w.len_bits();
-            for _ in 0..data_bits {
-                let val = if bit_cursor < self.sigma_bits {
-                    (satellite[bit_cursor / WORD_BITS] >> (bit_cursor % WORD_BITS)) & 1 == 1
-                } else {
-                    false
-                };
-                w.write_bit(val);
-                bit_cursor += 1;
+        for (t, field) in out.chunks_exact_mut(self.field_words()).enumerate() {
+            let delta = stripes.get(t + 1).map_or(0, |next| next - stripes[t]);
+            // Occupied bit, then `delta` in unary: `delta + 1` ones and
+            // the terminating zero.
+            for bit in 0..=delta {
+                field[bit / WORD_BITS] |= 1 << (bit % WORD_BITS);
             }
-            let mut words = w.into_words();
-            words.resize(self.field_words(), 0);
-            out.push((stripe, words));
+            let data_bits = self.field_bits - (delta + 2);
+            let take = data_bits.min(self.sigma_bits.saturating_sub(bit_cursor));
+            if take > 0 {
+                copy_bits(field, delta + 2, satellite, bit_cursor, take);
+            }
+            bit_cursor += data_bits;
         }
         debug_assert!(
             bit_cursor >= self.sigma_bits,
@@ -340,11 +342,14 @@ impl Chain {
     }
 
     /// Decode a chain starting at `head_stripe`, given all `d` fields of
-    /// `Γ(x)` indexed by stripe. Returns `None` on a malformed chain
-    /// (e.g. an unoccupied link — the key was never stored here).
+    /// `Γ(x)` back to back in stripe order
+    /// ([`field_words`](Chain::field_words) each). Returns `None` on a
+    /// malformed chain (e.g. an unoccupied link — the key was never
+    /// stored here).
     #[must_use]
-    pub fn decode(&self, head_stripe: usize, fields_by_stripe: &[Vec<Word>]) -> Option<Vec<Word>> {
-        debug_assert_eq!(fields_by_stripe.len(), self.degree);
+    pub fn decode(&self, head_stripe: usize, fields_by_stripe: &[Word]) -> Option<Vec<Word>> {
+        let w = self.field_words();
+        debug_assert_eq!(fields_by_stripe.len(), self.degree * w);
         let mut out = vec![0 as Word; self.sigma_bits.div_ceil(WORD_BITS).max(1)];
         let mut bit_cursor = 0usize;
         let mut stripe = head_stripe;
@@ -352,22 +357,19 @@ impl Chain {
             if stripe >= self.degree {
                 return None;
             }
-            let f = &fields_by_stripe[stripe];
+            let f = &fields_by_stripe[stripe * w..(stripe + 1) * w];
             let mut r = BitReader::new(f);
             if !r.read_bit() {
                 return None; // unoccupied link: not a valid chain
             }
             let delta = r.read_unary() as usize;
-            let data_bits = self.field_bits - r.position();
-            for _ in 0..data_bits {
-                let bit = r.read_bit();
-                if bit_cursor < self.sigma_bits {
-                    if bit {
-                        out[bit_cursor / WORD_BITS] |= 1 << (bit_cursor % WORD_BITS);
-                    }
-                    bit_cursor += 1;
-                }
+            // A pointer running past the field is not one `encode` wrote.
+            let data_bits = self.field_bits.checked_sub(r.position())?;
+            let take = data_bits.min(self.sigma_bits - bit_cursor);
+            if take > 0 {
+                copy_bits(&mut out, bit_cursor, f, r.position(), take);
             }
+            bit_cursor += take;
             if delta == 0 {
                 break;
             }
@@ -386,6 +388,17 @@ impl Chain {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `d` fields of a key's neighborhood, zero except for `encoded`
+    /// (the fields [`Chain::encode`] made for `stripes`).
+    fn lay_out(enc: &Chain, stripes: &[usize], encoded: &[Word]) -> Vec<Word> {
+        let w = enc.field_words();
+        let mut fields = vec![0; enc.degree * w];
+        for (&s, bits) in stripes.iter().zip(encoded.chunks(w)) {
+            fields[s * w..(s + 1) * w].copy_from_slice(bits);
+        }
+        fields
+    }
 
     fn sat(words: usize, seed: u64) -> Vec<Word> {
         (0..words)
@@ -406,7 +419,7 @@ mod tests {
         // Unrelated keys occupy two other stripes.
         fields[3] = enc.encode(77, &sat(4, 9), 0);
         fields[6] = enc.encode(78, &sat(4, 10), 1);
-        let (id, got) = enc.decode(&fields).expect("majority must be found");
+        let (id, got) = enc.decode(&fields.concat()).expect("majority must be found");
         assert_eq!(id, 123);
         assert_eq!(got, satellite);
     }
@@ -419,7 +432,7 @@ mod tests {
         for (t, f) in fields.iter_mut().enumerate().take(7) {
             *f = enc.encode(5, &sat(1, 3), t % enc.fields_per_key);
         }
-        assert!(enc.decode(&fields).is_none());
+        assert!(enc.decode(&fields.concat()).is_none());
     }
 
     #[test]
@@ -429,7 +442,7 @@ mod tests {
         for (t, &s) in [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9].iter().enumerate() {
             fields[s] = enc.encode(3, &[], t);
         }
-        let (id, got) = enc.decode(&fields).unwrap();
+        let (id, got) = enc.decode(&fields.concat()).unwrap();
         assert_eq!(id, 3);
         assert!(got.is_empty());
     }
@@ -454,7 +467,7 @@ mod tests {
             let mut erased = vec![false; 15];
             erased[s] = true;
             let (id, got) = enc
-                .decode_erasure(&fields, &erased)
+                .decode_erasure(&fields.concat(), &erased)
                 .expect("single erasure must be repairable");
             assert_eq!(id, 123);
             assert_eq!(got, satellite, "erasing stripe {s} corrupted the record");
@@ -474,7 +487,7 @@ mod tests {
             fields[s] = enc.encode(9, &satellite, t);
         }
         fields[4] = vec![0; fields[4].len()]; // silently lost data chunk
-        let (id, got) = enc.decode(&fields).expect("parity covers one loss");
+        let (id, got) = enc.decode(&fields.concat()).expect("parity covers one loss");
         assert_eq!(id, 9);
         assert_eq!(got, satellite);
     }
@@ -492,7 +505,7 @@ mod tests {
         fields[4] = vec![0; fields[4].len()];
         // Two data chunks gone: majority still holds (8 of 15) but the
         // value is unrecoverable — must return None, never garbage.
-        assert!(enc.decode(&fields).is_none());
+        assert!(enc.decode(&fields.concat()).is_none());
     }
 
     #[test]
@@ -504,7 +517,7 @@ mod tests {
         fields[0] = enc.encode(55, &sat(1, 1), 0);
         let erased: Vec<bool> = (0..15).map(|i| i != 0).collect();
         assert!(
-            enc.decode_erasure(&fields, &erased).is_none(),
+            enc.decode_erasure(&fields.concat(), &erased).is_none(),
             "12c > d guard must reject a 1-field impostor"
         );
     }
@@ -535,11 +548,7 @@ mod tests {
         let enc = Chain::new(300, 13); // m = 9
         let satellite = sat(5, 42);
         let stripes = [0usize, 1, 3, 4, 6, 8, 9, 11, 12];
-        let encoded = enc.encode(&stripes, &satellite);
-        let mut fields = vec![vec![0; enc.field_words()]; 13];
-        for (s, bits) in &encoded {
-            fields[*s] = bits.clone();
-        }
+        let fields = lay_out(&enc, &stripes, &enc.encode(&stripes, &satellite));
         let got = enc.decode(0, &fields).expect("chain decodes");
         // Compare only the σ bits.
         for bit in 0..300 {
@@ -556,11 +565,7 @@ mod tests {
         let enc = Chain::new(64, 13);
         let satellite = sat(1, 1);
         let stripes: Vec<usize> = (4..13).collect(); // m = 9 fields
-        let encoded = enc.encode(&stripes, &satellite);
-        let mut fields = vec![vec![0; enc.field_words()]; 13];
-        for (s, bits) in &encoded {
-            fields[*s] = bits.clone();
-        }
+        let fields = lay_out(&enc, &stripes, &enc.encode(&stripes, &satellite));
         let got = enc.decode(4, &fields).unwrap();
         assert_eq!(got[0], satellite[0]);
     }
@@ -568,7 +573,7 @@ mod tests {
     #[test]
     fn chain_decode_rejects_unoccupied_head() {
         let enc = Chain::new(64, 13);
-        let fields = vec![vec![0; enc.field_words()]; 13];
+        let fields = vec![0; 13 * enc.field_words()];
         assert!(enc.decode(0, &fields).is_none());
     }
 
@@ -577,7 +582,7 @@ mod tests {
         let enc = Chain::new(64, 13);
         let stripes: Vec<usize> = (0..9).collect();
         let encoded = enc.encode(&stripes, &sat(1, 2));
-        assert!(enc.is_occupied(&encoded[0].1));
+        assert!(enc.is_occupied(&encoded));
         assert!(!enc.is_occupied(&vec![0; enc.field_words()]));
     }
 

@@ -196,11 +196,11 @@ impl<G: NeighborFn> HeadModelOneProbe<G> {
         let mut ys = self.graph.neighbors(key);
         ys.sort_unstable();
         let addrs: Vec<BlockAddr> = ys.iter().map(|&y| self.fields.addr_of(y)).collect();
-        let blocks = disks.read(&addrs, ReadOptions::default()).into_blocks();
-        let raw: Vec<Vec<Word>> = ys
+        let blocks = disks.read(&addrs, ReadOptions::default()).blocks;
+        let raw: Vec<Word> = ys
             .iter()
-            .zip(&blocks)
-            .map(|(&y, b)| extract_bits(b, self.fields.bit_offset(y), self.enc.field_bits()))
+            .zip(blocks.iter())
+            .flat_map(|(&y, b)| extract_bits(b, self.fields.bit_offset(y), self.enc.field_bits()))
             .collect();
         let satellite = self.enc.decode(&raw).map(|(_, mut s)| {
             s.truncate(self.sigma_words);

@@ -13,13 +13,16 @@
 
 use crate::basic::{BasicDict, BasicDictConfig};
 use crate::config::DictParams;
-use crate::fields::FieldArray;
+use crate::fields::{FieldArray, FieldPos};
 use crate::layout::{DiskAllocator, Region};
 use crate::one_probe::construct::{sorted_construct, ConstructStats};
 use crate::one_probe::encoding::{CaseB, Chain};
 use crate::traits::{DictError, LookupOutcome};
 use expander::{FamilyExpander, NeighborFamily, NeighborFn};
-use pdm::{BatchPlan, BlockAddr, BlockHealth, DiskArray, OpCost, ReadOptions, ScrubReport, Word, WriteOptions, WORD_BITS};
+use pdm::{
+    BatchPlan, BlockAddr, BlockBuf, BlockHealth, BlockView, DiskArray, OpCost, ReadOptions,
+    ScrubReport, Word, WriteOptions, WORD_BITS,
+};
 
 /// Which Theorem 6 case to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,7 +237,9 @@ impl<G: NeighborFn> OneProbeStatic<G> {
                     field_words,
                     |key, _rank, stripes, satellite| {
                         heads.push((key, vec![stripes[0] as Word]));
-                        enc.encode(stripes, satellite)
+                        let encoded = enc.encode(stripes, satellite);
+                        let fields = encoded.chunks(field_words).map(<[Word]>::to_vec);
+                        stripes.iter().copied().zip(fields).collect()
                     },
                 )?;
                 let mut membership = membership;
@@ -360,28 +365,8 @@ impl<G: NeighborFn> OneProbeStatic<G> {
         let mut all: Vec<BlockAddr> = Vec::new();
         let mut meta = Vec::with_capacity(keys.len());
         for &key in keys {
-            let positions: Vec<(usize, usize)> = self
-                .graph
-                .neighbors(key)
-                .into_iter()
-                .map(|y| self.graph.stripe_of(y))
-                .collect();
             let start = all.len();
-            let msplit = match &self.variant {
-                VariantImpl::B { fields, .. } => {
-                    all.extend(fields.probe_addrs(&positions));
-                    0
-                }
-                VariantImpl::A {
-                    membership, fields, ..
-                } => {
-                    let maddrs = membership.probe_addrs(key);
-                    let msplit = maddrs.len();
-                    all.extend(maddrs);
-                    all.extend(fields.probe_addrs(&positions));
-                    msplit
-                }
-            };
+            let (positions, msplit) = self.probe(key, &mut all);
             meta.push((positions, start..all.len(), msplit));
         }
         let plan = BatchPlan::new(disks.disks(), &all);
@@ -390,39 +375,83 @@ impl<G: NeighborFn> OneProbeStatic<G> {
             .iter()
             .zip(meta)
             .map(|(&key, (positions, range, msplit))| {
-                let healths = reads.gather_healths(range.clone());
-                let blocks = reads.gather(range);
-                match &self.variant {
-                    VariantImpl::B { fields, enc, .. } => {
-                        let raw = fields.extract(&positions, &blocks);
-                        let erased: Vec<bool> = healths.iter().map(|h| !h.is_ok()).collect();
-                        enc.decode_erasure(&raw, &erased).map(|(_, sat)| {
-                            let mut s = sat;
-                            s.truncate(self.sigma_words);
-                            s.resize(self.sigma_words, 0);
-                            s
-                        })
-                    }
-                    VariantImpl::A {
-                        membership,
-                        fields,
-                        enc,
-                    } => {
-                        let (mblocks, fblocks) = blocks.split_at(msplit);
-                        membership.decode_find(key, mblocks).and_then(|payload| {
-                            let head = payload[0] as usize;
-                            let raw = fields.extract(&positions, fblocks);
-                            enc.decode(head, &raw).map(|mut s| {
-                                s.truncate(self.sigma_words);
-                                s.resize(self.sigma_words, 0);
-                                s
-                            })
-                        })
-                    }
-                }
+                let ok = |i: usize| reads.health(range.start + i).is_ok();
+                self.decode_probe(key, &positions, msplit, &reads.sub(range.clone()), ok)
+                    .0
             })
             .collect();
         (results, disks.end_op(scope))
+    }
+
+    /// Append `key`'s single probe to `addrs` — for case (a) the
+    /// membership buckets on the first `d` disks, then for both cases its
+    /// `d` fields — and return the fields' positions and how many of the
+    /// appended addresses are membership addresses.
+    fn probe(&self, key: u64, addrs: &mut Vec<BlockAddr>) -> (Vec<FieldPos>, usize) {
+        let positions: Vec<FieldPos> = self
+            .graph
+            .neighbors(key)
+            .into_iter()
+            .map(|y| self.graph.stripe_of(y))
+            .collect();
+        let start = addrs.len();
+        let fields = match &self.variant {
+            VariantImpl::B { fields, .. } => fields,
+            VariantImpl::A {
+                membership, fields, ..
+            } => {
+                membership.extend_probe_addrs(key, addrs);
+                fields
+            }
+        };
+        let msplit = addrs.len() - start;
+        addrs.extend(fields.probe_addrs(positions.iter().copied()));
+        (positions, msplit)
+    }
+
+    /// Decode `key` from the blocks read for its [`probe`](Self::probe);
+    /// `ok(i)` is whether block `i` of them read cleanly. Returns the
+    /// satellite and whether parity had to complete it.
+    fn decode_probe(
+        &self,
+        key: u64,
+        positions: &[FieldPos],
+        msplit: usize,
+        blocks: &impl BlockView,
+        ok: impl Fn(usize) -> bool,
+    ) -> (Option<Vec<Word>>, bool) {
+        let fblocks = blocks.sub(msplit..blocks.len());
+        let mut raw = Vec::new();
+        let sized = |mut s: Vec<Word>| {
+            s.truncate(self.sigma_words);
+            s.resize(self.sigma_words, 0);
+            s
+        };
+        match &self.variant {
+            VariantImpl::B { fields, enc, .. } => {
+                fields.extract(positions.iter().copied(), &fblocks, &mut raw);
+                let erased: Vec<bool> = (0..positions.len()).map(|i| !ok(i)).collect();
+                match enc.decode_detail(&raw, &erased) {
+                    Some((_, sat, repaired)) => (Some(sized(sat)), repaired),
+                    None => (None, false),
+                }
+            }
+            VariantImpl::A {
+                membership,
+                fields,
+                enc,
+            } => {
+                // Damaged blocks arrive sanitized to zero, which every
+                // decoder reads as absent/unoccupied — the chain format
+                // has no parity, so damage fails closed to a miss.
+                let head = membership.find_with(key, &blocks.sub(0..msplit), |p| p[0] as usize);
+                let satellite = head.and_then(|head| {
+                    fields.extract(positions.iter().copied(), &fblocks, &mut raw);
+                    enc.decode(head, &raw).map(sized)
+                });
+                (satellite, false)
+            }
+        }
     }
 
     /// One-probe lookup through a **shared** reference — the paper's
@@ -431,68 +460,20 @@ impl<G: NeighborFn> OneProbeStatic<G> {
     /// so any number of threads may call this simultaneously (see the
     /// `concurrent_reads` example). The returned cost is computed but not
     /// recorded in the array's counters.
+    ///
+    /// One batch probes everything: for case (a) the membership buckets on
+    /// the first `d` disks and the fields on the second `d` disks.
     #[must_use]
     pub fn lookup_shared(&self, disks: &DiskArray, key: u64) -> LookupOutcome {
-        let positions: Vec<(usize, usize)> = self
-            .graph
-            .neighbors(key)
-            .into_iter()
-            .map(|y| self.graph.stripe_of(y))
-            .collect();
-        match &self.variant {
-            VariantImpl::B { fields, enc, .. } => {
-                let addrs = fields.probe_addrs(&positions);
-                let out = disks.read_shared(&addrs, ReadOptions::verified());
-                let (blocks, healths, cost) = (out.blocks, out.healths, out.cost);
-                let raw = fields.extract(&positions, &blocks);
-                let erased: Vec<bool> = healths.iter().map(|h| !h.is_ok()).collect();
-                let mut parity_used = false;
-                let satellite = enc.decode_detail(&raw, &erased).map(|(_, sat, repaired)| {
-                    parity_used = repaired;
-                    let mut s = sat;
-                    s.truncate(self.sigma_words);
-                    s.resize(self.sigma_words, 0);
-                    s
-                });
-                if healths.iter().all(|h| h.is_ok()) && !parity_used {
-                    LookupOutcome::new(satellite, cost)
-                } else {
-                    LookupOutcome::degraded(satellite, cost)
-                }
-            }
-            VariantImpl::A {
-                membership,
-                fields,
-                enc,
-            } => {
-                // One batch probes both halves: the membership buckets on
-                // the first d disks, the fields on the second d disks.
-                let maddrs = membership.probe_addrs(key);
-                let faddrs = fields.probe_addrs(&positions);
-                let msplit = maddrs.len();
-                let mut all = maddrs;
-                all.extend(faddrs);
-                let out = disks.read_shared(&all, ReadOptions::verified());
-                let (blocks, healths, cost) = (out.blocks, out.healths, out.cost);
-                let (mblocks, fblocks) = blocks.split_at(msplit);
-                // Damaged blocks arrive sanitized to zero, which every
-                // decoder reads as absent/unoccupied — the chain format
-                // has no parity, so damage fails closed to a miss.
-                let satellite = membership.decode_find(key, mblocks).and_then(|payload| {
-                    let head = payload[0] as usize;
-                    let raw = fields.extract(&positions, fblocks);
-                    enc.decode(head, &raw).map(|mut s| {
-                        s.truncate(self.sigma_words);
-                        s.resize(self.sigma_words, 0);
-                        s
-                    })
-                });
-                if healths.iter().all(|h| h.is_ok()) {
-                    LookupOutcome::new(satellite, cost)
-                } else {
-                    LookupOutcome::degraded(satellite, cost)
-                }
-            }
+        let mut addrs = Vec::new();
+        let (positions, msplit) = self.probe(key, &mut addrs);
+        let out = disks.read_shared(&addrs, ReadOptions::verified());
+        let ok = |i: usize| out.healths[i].is_ok();
+        let (satellite, parity_used) = self.decode_probe(key, &positions, msplit, &out.blocks, ok);
+        if out.all_ok() && !parity_used {
+            LookupOutcome::new(satellite, out.cost)
+        } else {
+            LookupOutcome::degraded(satellite, out.cost)
         }
     }
 
@@ -532,7 +513,7 @@ impl<G: NeighborFn> OneProbeStatic<G> {
 
         // Read both manifest replicas (damaged blocks arrive zeroed).
         let mblocks = manifest.blocks();
-        let mut rep_imgs: Vec<Vec<Vec<Word>>> = Vec::with_capacity(2);
+        let mut rep_imgs: Vec<BlockBuf> = Vec::with_capacity(2);
         for replica in 0..2 {
             let addrs: Vec<BlockAddr> = (0..mblocks).map(|j| manifest.addr(replica, j)).collect();
             let out = disks.read(&addrs, ReadOptions::verified());
@@ -569,8 +550,7 @@ impl<G: NeighborFn> OneProbeStatic<G> {
             if let Some(rec) = rec {
                 for (r, &copy) in copies.iter().enumerate() {
                     if copy != rec {
-                        rep_imgs[r][j][2 * k] = rec.0;
-                        rep_imgs[r][j][2 * k + 1] = rec.1;
+                        rep_imgs[r].block_mut(j)[2 * k..2 * k + 2].copy_from_slice(&[rec.0, rec.1]);
                         dirty_manifest[r][j] = true;
                     }
                 }
@@ -580,16 +560,14 @@ impl<G: NeighborFn> OneProbeStatic<G> {
 
         // Read the whole field array, row by row (one parallel I/O each).
         let rows = fields.region().blocks_per_disk;
-        let mut imgs: Vec<Vec<Vec<Word>>> = vec![Vec::with_capacity(rows); d];
+        let mut imgs: Vec<BlockBuf> = Vec::with_capacity(rows); // [row][stripe]
         for row in 0..rows {
             let addrs: Vec<BlockAddr> = (0..d).map(|s| fields.addr_of_row(s, row)).collect();
             let out = disks.read(&addrs, ReadOptions::verified());
             let (blocks, healths) = (out.blocks, out.healths);
             report.blocks_scanned += d as u64;
             count_bad(&mut report, &healths);
-            for (s, img) in blocks.into_iter().enumerate() {
-                imgs[s].push(img);
-            }
+            imgs.push(blocks);
         }
 
         // Per key: verify the m fields by parsing, erasure-decode the
@@ -606,17 +584,17 @@ impl<G: NeighborFn> OneProbeStatic<G> {
                 .iter()
                 .map(|&s| self.graph.stripe_of(neighbors[s]))
                 .collect();
-            let mut probe = vec![vec![0 as Word; field_words]; d];
+            let mut probe = vec![0 as Word; d * field_words];
             let mut erased = vec![false; d];
             let mut damaged: Vec<usize> = Vec::new(); // slot indexes
+            let mut f = Vec::new();
             for (t, &(s, j)) in positions.iter().enumerate() {
-                let img = &imgs[s][j / fpb];
-                let f = fields.extract(&[(s, j)], std::slice::from_ref(img));
+                fields.extract([(s, j)], &imgs[j / fpb].sub(s..s + 1), &mut f);
                 let ok = enc
-                    .parse_header(&f[0])
+                    .parse_header(&f)
                     .is_some_and(|h| h.id == i as u64 && h.slot == t);
                 if ok {
-                    probe[s] = f.into_iter().next().expect("one field");
+                    probe[s * field_words..(s + 1) * field_words].copy_from_slice(&f);
                 } else {
                     erased[s] = true;
                     damaged.push(t);
@@ -630,7 +608,7 @@ impl<G: NeighborFn> OneProbeStatic<G> {
                     for &t in &damaged {
                         let (s, j) = positions[t];
                         let new_field = enc.encode(i as u64, &sat, t);
-                        fields.patch((s, j), &mut imgs[s][j / fpb], &new_field);
+                        fields.patch((s, j), imgs[j / fpb].block_mut(s), &new_field);
                         *repaired_per_block.entry((s, j / fpb)).or_insert(0) += 1;
                     }
                 }
@@ -643,7 +621,7 @@ impl<G: NeighborFn> OneProbeStatic<G> {
         // as repairs — run the scrub again after the disk is replaced.
         let mut writes: Vec<(BlockAddr, &[Word], u64)> = Vec::new();
         for (&(s, row), &nf) in &repaired_per_block {
-            writes.push((fields.addr_of_row(s, row), &imgs[s][row], nf));
+            writes.push((fields.addr_of_row(s, row), &imgs[row][s], nf));
         }
         for r in 0..2 {
             for j in 0..mblocks {

@@ -67,7 +67,9 @@ use crate::dynamic::{DynamicDict, FirstRound, META_DELETE};
 use crate::layout::DiskAllocator;
 use crate::traits::{Dict, DictError, LookupOutcome, OpRecorder};
 use pdm::metrics::{Counter, Gauge, Histogram, IoMetricsSink, MetricsRegistry};
-use pdm::{BatchPlan, BlockAddr, DiskArray, IoStats, OpCost, PdmConfig, ScrubReport, Word};
+use pdm::{
+    BatchPlan, BlockAddr, BlockView, DiskArray, IoStats, OpCost, PdmConfig, ScrubReport, Word,
+};
 use std::sync::Arc;
 
 /// Buckets migrated per operation during a rebuild. Each bucket holds
@@ -236,10 +238,10 @@ impl Dictionary {
         let Some(b) = &self.building else {
             return self.active.lookup(&mut self.disks, key);
         };
-        let new_probe = b.dict.probe(key);
-        let old_probe = self.active.probe(key);
-        let split = new_probe.addrs.len();
-        let all = [new_probe.addrs.as_slice(), old_probe.addrs.as_slice()].concat();
+        let mut all = Vec::new();
+        let new_probe = b.dict.probe(key, &mut all);
+        let split = all.len();
+        let old_probe = self.active.probe(key, &mut all);
         let (blocks, healths) = DynamicDict::read_retry(&mut self.disks, &all);
         // Replacement first: it holds the newest version of every key it
         // holds at all.
@@ -247,7 +249,7 @@ impl Dictionary {
             &mut self.disks,
             key,
             &new_probe,
-            &blocks[..split],
+            &blocks.sub(0..split),
             &healths[..split],
         );
         let (satellite, degraded) = if satellite.is_some() {
@@ -260,7 +262,7 @@ impl Dictionary {
                 &mut self.disks,
                 key,
                 &old_probe,
-                &blocks[split..],
+                &blocks.sub(split..all.len()),
                 &healths[split..],
             );
             (satellite, tainted || degraded)
@@ -290,18 +292,18 @@ impl Dictionary {
         {
             let b = self.building.as_ref().expect("rebuild in flight");
             for &key in keys {
-                let new_probe = b.dict.probe(key);
-                let old_probe = self.active.probe(key);
                 let start = all.len();
-                all.extend_from_slice(&new_probe.addrs);
+                let new_probe = b.dict.probe(key, &mut all);
                 let split = all.len();
-                all.extend_from_slice(&old_probe.addrs);
+                let old_probe = self.active.probe(key, &mut all);
                 probes.push((new_probe, old_probe, start, split, all.len()));
             }
         }
-        let reads = BatchPlan::new(self.disks.disks(), &all).execute_read(&mut self.disks);
+        let plan = BatchPlan::new(self.disks.disks(), &all);
+        let reads = plan.execute_read(&mut self.disks);
 
         let mut results: Vec<Option<Vec<Word>>> = vec![None; keys.len()];
+        let mut scratch = Vec::new();
         // (key index, in the replacement?, record) of keys stored deeper.
         let mut stragglers = Vec::new();
         let mut addrs2: Vec<BlockAddr> = Vec::new();
@@ -313,14 +315,14 @@ impl Dictionary {
                 continue;
             }
             let b = self.building.as_ref().expect("rebuild in flight");
-            let mut found = b
-                .dict
-                .first_round(keys[i], &new_probe, &reads.gather(start..split));
+            let mut found =
+                b.dict
+                    .first_round(keys[i], &new_probe, &reads.sub(start..split), &mut scratch);
             let mut in_new = true;
             if matches!(found, FirstRound::Absent | FirstRound::Here(None)) {
-                found = self
-                    .active
-                    .first_round(keys[i], &old_probe, &reads.gather(split..end));
+                found =
+                    self.active
+                        .first_round(keys[i], &old_probe, &reads.sub(split..end), &mut scratch);
                 in_new = false;
             }
             match found {
@@ -335,13 +337,14 @@ impl Dictionary {
             }
         }
         if !stragglers.is_empty() {
-            let reads = BatchPlan::new(self.disks.disks(), &addrs2).execute_read(&mut self.disks);
+            let plan = BatchPlan::new(self.disks.disks(), &addrs2);
+            let reads = plan.execute_read(&mut self.disks);
             for ((i, in_new, record), range) in stragglers.into_iter().zip(ranges2) {
                 let b = self.building.as_ref().expect("rebuild in flight");
                 let dict = if in_new { &b.dict } else { &self.active };
                 let decoded = reads
                     .range_ok(range.clone())
-                    .then(|| dict.decode_deeper(&record, &reads.gather(range)));
+                    .then(|| dict.decode_deeper(&record, &reads.sub(range), &mut scratch));
                 results[i] = match decoded {
                     // A replacement record that fails to decode falls
                     // through to the old structure, and a damaged read
@@ -441,13 +444,13 @@ impl Dictionary {
         // (whose membership record is the authority on what it holds)
         // share one parallel I/O.
         let b = self.building.as_mut().expect("rebuild in flight");
-        let probe = b.dict.probe(key);
-        let split = probe.addrs.len();
-        let mut all = probe.addrs.clone();
+        let mut all = Vec::new();
+        let probe = b.dict.probe(key, &mut all);
+        let split = all.len();
         let old = self.active.membership();
-        all.extend(old.probe_addrs(key));
+        old.extend_probe_addrs(key, &mut all);
         let (blocks, healths) = DynamicDict::read_retry(&mut self.disks, &all);
-        if old.decode_find(key, &blocks[split..]).is_some() {
+        if old.find_with(key, &blocks.sub(split..all.len()), |_| ()).is_some() {
             return Err(DictError::DuplicateKey(key));
         }
         b.dict.check_insertable(satellite)?;
@@ -456,7 +459,8 @@ impl Dictionary {
             key,
             satellite,
             &probe,
-            &blocks[..split],
+            &all[..split],
+            &blocks.sub(0..split),
             &healths[..split],
         )?;
         self.advance_rebuild()?;
@@ -469,29 +473,44 @@ impl Dictionary {
     pub fn delete(&mut self, key: u64) -> Result<(bool, OpCost), DictError> {
         let scope = self.disks.begin_op();
         let was = match &mut self.building {
-            None => self.active.delete(&mut self.disks, key).0,
+            None => self.active.delete(&mut self.disks, key)?.0,
             Some(b) => {
                 let mut addrs = b.dict.membership().probe_addrs(key);
                 let split = addrs.len();
-                addrs.extend(self.active.membership().probe_addrs(key));
-                let (blocks, _) = DynamicDict::read_retry(&mut self.disks, &addrs);
-                let in_new = b.dict.membership().plan_delete(key, &blocks[..split]);
-                let in_old = self.active.membership().plan_delete(key, &blocks[split..]);
+                self.active.membership().extend_probe_addrs(key, &mut addrs);
+                let (blocks, healths) = DynamicDict::read_retry(&mut self.disks, &addrs);
+                let in_new = b.dict.membership().plan_delete(key, &blocks.sub(0..split));
+                let in_old = self
+                    .active
+                    .membership()
+                    .plan_delete(key, &blocks.sub(split..addrs.len()));
+                // A structure whose probe stayed unreadable and did not
+                // show the key may still hold it: tombstoning only the
+                // other copy, or answering "absent", would be a guess.
+                let unknown = |found: bool, range: std::ops::Range<usize>| match found {
+                    true => None,
+                    false => DynamicDict::io_error(&addrs[range.clone()], &healths[range]),
+                };
+                if let Some(e) = unknown(in_new.is_some(), 0..split)
+                    .or_else(|| unknown(in_old.is_some(), split..addrs.len()))
+                {
+                    return Err(e);
+                }
                 // The intent is tagged with the first structure it touches;
                 // the second, if any, rides along (see `META_DELETE`).
                 let mut meta = Vec::with_capacity(3);
                 let mut writes = Vec::new();
-                if let Some(w) = &in_new {
+                if let Some(patch) = &in_new {
                     meta.extend([b.dict.meta_tag(), META_DELETE]);
-                    writes.extend(w.iter().map(|(a, img)| (*a, img.as_slice())));
+                    writes.extend(patch.writes());
                 }
-                if let Some(w) = &in_old {
+                if let Some(patch) = &in_old {
                     if meta.is_empty() {
                         meta.extend([self.active.meta_tag(), META_DELETE]);
                     } else {
                         meta.push(self.active.meta_tag());
                     }
-                    writes.extend(w.iter().map(|(a, img)| (*a, img.as_slice())));
+                    writes.extend(patch.writes());
                 }
                 if !writes.is_empty() {
                     let _ = self.disks.journaled_write_batch_checked(&writes, &meta);
@@ -1056,6 +1075,45 @@ mod tests {
         }
         for k in 0..10u64 {
             assert_eq!(dict.lookup(k).satellite, Some(vec![k]), "pre-key {k}");
+        }
+    }
+
+    /// The window delete reads both structures' membership probes; while
+    /// either stays unreadable, a key it does not show may still be there,
+    /// so the delete fails typed instead of answering "absent" — and does
+    /// not tombstone the one copy it can see.
+    #[test]
+    fn window_delete_fails_typed_off_an_unreadable_probe() {
+        let mut dict = Dictionary::new(params(64, 1).with_journal(2), 64).unwrap();
+        let mut n = 0u64;
+        while !dict.is_rebuilding() {
+            dict.insert(n, &[n]).unwrap();
+            n += 1;
+        }
+        dict.disks.enable_integrity();
+        // Disk 0: a membership disk of the old (active) structure.
+        dict.disks.set_fault_plan(pdm::FaultPlan::new().dead_disk(0));
+        let (mut gone, mut typed) = (Vec::new(), Vec::new());
+        for k in 0..n {
+            if !dict.is_rebuilding() {
+                break; // the old structure, and what died with disk 0, is gone
+            }
+            match dict.delete(k) {
+                Ok((was, _)) => {
+                    assert!(was, "stored key {k} reported absent off a dead disk");
+                    gone.push(k);
+                }
+                Err(DictError::Io { kind, disk, .. }) => {
+                    assert_eq!((kind, disk), (pdm::IoFaultKind::DiskDead, 0));
+                    typed.push(k);
+                }
+                Err(e) => panic!("unexpected error {e}"),
+            }
+        }
+        assert!(!typed.is_empty(), "every probe of the old structure touches disk 0");
+        dict.disks.clear_fault_plan();
+        for k in gone {
+            assert!(!dict.lookup(k).found(), "deleted key {k} came back");
         }
     }
 

@@ -16,7 +16,7 @@ use crate::bucket::BucketCodec;
 use crate::layout::{DiskAllocator, Region};
 use crate::traits::{DictError, LookupOutcome};
 use expander::{FamilyExpander, FamilyKind, NeighborFamily, NeighborFn};
-use pdm::{BlockAddr, DiskArray, OpCost, ReadOptions, Word, WriteOptions};
+use pdm::{BlockAddr, BlockBuf, DiskArray, OpCost, ReadOptions, Word, WriteOptions};
 
 /// Sizing parameters for a [`WideDict`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,8 +205,10 @@ impl WideDict {
             .collect()
     }
 
-    fn bucket_bufs(&self, blocks: &[Vec<Word>]) -> Vec<Vec<Word>> {
-        blocks
+    /// One buffer per bucket: consecutive blocks of the round's buffer.
+    fn bucket_bufs(&self, blocks: &BlockBuf) -> Vec<Vec<Word>> {
+        let bucket: Vec<&[Word]> = blocks.iter().collect();
+        bucket
             .chunks(self.blocks_per_bucket)
             .map(|c| c.concat())
             .collect()
@@ -215,7 +217,7 @@ impl WideDict {
     /// Lookup: one parallel I/O, returning up to `k · chunk_words` words.
     pub fn lookup(&self, disks: &mut DiskArray, key: u64) -> LookupOutcome {
         let scope = disks.begin_op();
-        let blocks = disks.read(&self.probe_addrs(key), ReadOptions::default()).into_blocks();
+        let blocks = disks.read(&self.probe_addrs(key), ReadOptions::default()).blocks;
         let bufs = self.bucket_bufs(&blocks);
         // Gather this key's chunks from all candidate buckets.
         let mut chunks: Vec<(u64, Vec<Word>)> = Vec::new();
@@ -260,7 +262,7 @@ impl WideDict {
             });
         }
         let scope = disks.begin_op();
-        let blocks = disks.read(&self.probe_addrs(key), ReadOptions::default()).into_blocks();
+        let blocks = disks.read(&self.probe_addrs(key), ReadOptions::default()).blocks;
         let mut bufs = self.bucket_bufs(&blocks);
         if bufs
             .iter()
@@ -311,7 +313,7 @@ impl WideDict {
     /// anyway). 2 parallel I/Os.
     pub fn delete(&mut self, disks: &mut DiskArray, key: u64) -> (bool, OpCost) {
         let scope = disks.begin_op();
-        let blocks = disks.read(&self.probe_addrs(key), ReadOptions::default()).into_blocks();
+        let blocks = disks.read(&self.probe_addrs(key), ReadOptions::default()).blocks;
         let mut bufs = self.bucket_bufs(&blocks);
         let mut writes: Vec<(BlockAddr, Vec<Word>)> = Vec::new();
         let mut found = false;

@@ -43,10 +43,11 @@ proptest! {
             .map(|i| expander::mix::mix64(seed ^ i))
             .collect();
         let encoded = enc.encode(&stripes, &satellite);
-        prop_assert_eq!(encoded.len(), m);
-        let mut fields = vec![vec![0; enc.field_words()]; d];
-        for (stripe, bits) in &encoded {
-            fields[*stripe] = bits.clone();
+        let w = enc.field_words();
+        prop_assert_eq!(encoded.len(), m * w);
+        let mut fields = vec![0; d * w];
+        for (&stripe, bits) in stripes.iter().zip(encoded.chunks(w)) {
+            fields[stripe * w..(stripe + 1) * w].copy_from_slice(bits);
         }
         let got = enc.decode(stripes[0], &fields).expect("valid chain decodes");
         for bit in 0..sigma_bits {
@@ -65,7 +66,7 @@ proptest! {
         let m = enc.fields_per_key;
         let stripes: Vec<usize> = (0..m).collect();
         let encoded = enc.encode(&stripes, &vec![0; sigma_words(sigma_bits)]);
-        for (_, bits) in &encoded {
+        for bits in encoded.chunks(enc.field_words()) {
             prop_assert!(enc.is_occupied(bits));
         }
         prop_assert!(!enc.is_occupied(&vec![0; enc.field_words()]));
@@ -113,7 +114,7 @@ proptest! {
         for (t, stripe) in (0..d).filter(|s| !owner.contains(s)).enumerate() {
             fields[stripe] = enc.encode(other_id, &other_sat, t % m.max(1));
         }
-        let (got_id, got_sat) = enc.decode(&fields).expect("majority holds");
+        let (got_id, got_sat) = enc.decode(&fields.concat()).expect("majority holds");
         prop_assert_eq!(got_id, id);
         for bit in 0..sigma_bits {
             prop_assert_eq!(
@@ -141,7 +142,7 @@ proptest! {
             s = expander::mix::mix64(s);
             *field = enc.encode(u64::from(i as u32 % 3), &[s], i % enc.fields_per_key);
         }
-        prop_assert!(enc.decode(&fields).is_none());
+        prop_assert!(enc.decode(&fields.concat()).is_none());
     }
 }
 

@@ -22,11 +22,13 @@
 //!   barriers) overlap in real time exactly the way the PDM cost model
 //!   assumes they do.
 //!
-//! ## Completion-order canonicalization
+//! ## The completion contract
 //!
 //! Physical completions arrive in whatever order the disks finish.
-//! [`CompletionSet::reads`] is always reassembled into **request order**
-//! before it is returned. This is deliberate: every layer above (the batch
+//! [`CompletionSet::reads`] is **one flat buffer** ([`BlockBuf`]) holding
+//! the block images in **request order**; views into it stay valid until
+//! the buffer is dropped, and the array sanitizes a failed block by zeroing
+//! its slice in place. Request order is deliberate: every layer above (the batch
 //! engine's slot mapping, the journal's replay matrices, the differential
 //! test harness) indexes completions by request position, and PR 4 pinned
 //! the *write* order to canonical `(disk, block)` sorting so that
@@ -48,6 +50,7 @@
 //! * A submission's writes are visible to every later read (on any disk)
 //!   once [`StorageBackend::submit`] returns.
 
+use crate::blocks::BlockBuf;
 use crate::disk::BlockAddr;
 use crate::integrity::IoFaultKind;
 use crate::Word;
@@ -103,7 +106,7 @@ impl<'a> IoSubmission<'a> {
 #[derive(Debug, Clone, Default)]
 pub struct CompletionSet {
     /// One block image per entry of [`IoSubmission::reads`], same order.
-    pub reads: Vec<Vec<Word>>,
+    pub reads: BlockBuf,
 }
 
 /// Ticket for an in-flight durability barrier started with
@@ -163,6 +166,11 @@ impl std::error::Error for BackendError {}
 /// Implementations are driven exclusively through whole batches — there
 /// is no single-block fast path to accidentally serialize on — and must
 /// uphold the ordering/durability contract in the [module docs](self).
+///
+/// The required methods are **frozen**: decorators outside this workspace
+/// implement the trait (the wall-clock benchmark's tracing backend), so a
+/// method may be added only with a default body, and none may be removed
+/// or re-signed.
 ///
 /// [`peek`](StorageBackend::peek) / [`poke`](StorageBackend::poke) are
 /// the uncharged test/debug escape hatches [`crate::DiskArray`] has
@@ -332,12 +340,11 @@ impl StorageBackend for MemBackend {
     }
 
     fn submit_reads(&self, reads: &[BlockAddr]) -> CompletionSet {
-        CompletionSet {
-            reads: reads
-                .iter()
-                .map(|&a| self.disks[a.disk][a.block].to_vec())
-                .collect(),
+        let mut out = BlockBuf::with_capacity(self.block_words, reads.len());
+        for &a in reads {
+            out.push(&self.disks[a.disk][a.block]);
         }
+        CompletionSet { reads: out }
     }
 
     fn peek(&self, addr: BlockAddr) -> Vec<Word> {
@@ -378,9 +385,7 @@ mod tests {
             BlockAddr::new(2, 1),
             BlockAddr::new(1, 0),
         ]));
-        assert_eq!(got.reads[0], vec![9; 4]);
-        assert_eq!(got.reads[1], vec![7; 4]);
-        assert_eq!(got.reads[2], vec![0; 4]);
+        assert_eq!(got.reads.into_words(), [[9; 4], [7; 4], [0; 4]].concat());
     }
 
     #[test]
@@ -405,7 +410,7 @@ mod tests {
             writes: &writes,
             sync_after: false,
         });
-        assert_eq!(got.reads[0], vec![3; 2], "reads precede writes");
+        assert_eq!(got.reads[0], [3; 2], "reads precede writes");
         assert_eq!(b.peek(BlockAddr::new(0, 0)), vec![8; 2]);
     }
 

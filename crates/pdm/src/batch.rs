@@ -14,8 +14,8 @@
 //!   maximum number of unique blocks on any one disk — exactly the
 //!   `ParallelDisk` model cost [`DiskArray`] charges for the batch, so
 //!   the greedy schedule is optimal for that model.
-//! * [`BatchReads`] — the result of executing a read plan, mapping each
-//!   original request (duplicates included) back to its block image.
+//! * [`BatchReads`] — the result of executing a read plan: the round's one
+//!   flat buffer, viewed by original request (duplicates included).
 //! * [`BatchExecutor`] — a read-cache + staged-write layer for batched
 //!   *updates*: reads are served from the cache at access time (so a key
 //!   later in the batch observes the staged writes of earlier keys, and
@@ -29,12 +29,13 @@
 //! cost per lookup drops toward the paper's `⌈m·d'/D⌉ / m` as batches
 //! share buckets.
 
+use crate::blocks::{BlockBuf, BlockView};
 use crate::disk::{BlockAddr, DiskArray, ReadOptions, WriteOptions};
 use crate::integrity::BlockHealth;
 use crate::metrics::IoEvent;
 use crate::stats::OpCost;
 use crate::Word;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Two-word multiplicative hasher for [`BlockAddr`] keys (rotate, xor,
@@ -66,7 +67,6 @@ impl Hasher for AddrHasher {
 }
 
 type AddrMap<V> = HashMap<BlockAddr, V, BuildHasherDefault<AddrHasher>>;
-type AddrSet = HashSet<BlockAddr, BuildHasherDefault<AddrHasher>>;
 
 /// A deduplicated, round-scheduled set of block requests.
 ///
@@ -93,8 +93,10 @@ pub struct BatchPlan {
     unique: Vec<BlockAddr>,
     /// `slot[i]` = index into `unique` serving request `i`.
     slot: Vec<usize>,
-    /// `rounds[r]` = indices into `unique`, at most one per disk.
-    rounds: Vec<Vec<usize>>,
+    /// `round_of[u]` = the round unique block `u` is scheduled in.
+    round_of: Vec<usize>,
+    /// `round_sizes[r]` = blocks in round `r`, at most one per disk.
+    round_sizes: Vec<usize>,
 }
 
 impl BatchPlan {
@@ -113,7 +115,8 @@ impl BatchPlan {
         let mut unique = Vec::new();
         let mut slot = Vec::with_capacity(requests.len());
         let mut per_disk = vec![0usize; disks];
-        let mut rounds: Vec<Vec<usize>> = Vec::new();
+        let mut round_of = Vec::new();
+        let mut round_sizes: Vec<usize> = Vec::new();
         for &a in requests {
             assert!(
                 a.disk < disks,
@@ -121,15 +124,15 @@ impl BatchPlan {
                 a.disk
             );
             let idx = *index.entry(a).or_insert_with(|| {
-                let idx = unique.len();
                 unique.push(a);
                 let r = per_disk[a.disk];
                 per_disk[a.disk] += 1;
-                if rounds.len() <= r {
-                    rounds.push(Vec::new());
+                if round_sizes.len() <= r {
+                    round_sizes.push(0);
                 }
-                rounds[r].push(idx);
-                idx
+                round_sizes[r] += 1;
+                round_of.push(r);
+                unique.len() - 1
             });
             slot.push(idx);
         }
@@ -137,7 +140,8 @@ impl BatchPlan {
             disks,
             unique,
             slot,
-            rounds,
+            round_of,
+            round_sizes,
         }
     }
 
@@ -164,7 +168,7 @@ impl BatchPlan {
     /// of executing the plan.
     #[must_use]
     pub fn num_rounds(&self) -> usize {
-        self.rounds.len()
+        self.round_sizes.len()
     }
 
     /// The unique blocks, in first-seen order.
@@ -179,45 +183,39 @@ impl BatchPlan {
     /// Panics if `r >= num_rounds()`.
     #[must_use]
     pub fn round(&self, r: usize) -> Vec<BlockAddr> {
-        self.rounds[r].iter().map(|&i| self.unique[i]).collect()
+        assert!(r < self.num_rounds(), "round {r} out of range");
+        let in_round = self.unique.iter().zip(&self.round_of);
+        in_round.filter(|(_, &at)| at == r).map(|(&a, _)| a).collect()
     }
 
-    /// Execute the plan as one charged read batch over the unique blocks,
-    /// recording the scheduled rounds.
+    /// Record the plan's rounds on `disks`: the round counter, and one
+    /// [`IoEvent::RoundScheduled`] per round.
+    fn record_rounds(&self, disks: &mut DiskArray) {
+        disks.record_rounds(self.num_rounds() as u64);
+        for &blocks in &self.round_sizes {
+            disks.emit_io_event(IoEvent::RoundScheduled {
+                blocks: blocks as u64,
+            });
+        }
+    }
+
+    /// Execute the plan as one charged, verified read batch over the
+    /// unique blocks, recording the scheduled rounds. Failed blocks are
+    /// sanitized to zeros, as in a verified [`DiskArray::read`], and their
+    /// [`BlockHealth`] is kept in the returned [`BatchReads`] (see
+    /// [`BatchReads::health`]).
     ///
     /// In the `ParallelDisk` model the charge equals
     /// [`num_rounds`](BatchPlan::num_rounds); in the `ParallelDiskHead`
     /// model the charge may be lower (heads pack same-disk blocks).
-    pub fn execute_read(&self, disks: &mut DiskArray) -> BatchReads {
-        self.execute_read_verified(disks)
-    }
-
-    /// [`execute_read`](BatchPlan::execute_read) with per-block
-    /// [`BlockHealth`] recorded in the returned [`BatchReads`] (see
-    /// [`BatchReads::health`]). Failed blocks are sanitized to zeros, as
-    /// in a verified [`DiskArray::read`].
-    pub fn execute_read_verified(&self, disks: &mut DiskArray) -> BatchReads {
-        let (blocks, healths) = self.read_unique(disks);
-        BatchReads {
-            blocks,
-            healths,
-            slot: self.slot.clone(),
-        }
-    }
-
-    /// The charged, verified read behind
-    /// [`execute_read_verified`](BatchPlan::execute_read_verified): block
-    /// images and healths aligned with
-    /// [`unique_blocks`](BatchPlan::unique_blocks), rounds recorded.
-    fn read_unique(&self, disks: &mut DiskArray) -> (Vec<Vec<Word>>, Vec<BlockHealth>) {
+    pub fn execute_read(&self, disks: &mut DiskArray) -> BatchReads<'_> {
         let out = disks.read(&self.unique, ReadOptions::verified());
-        disks.record_rounds(self.num_rounds() as u64);
-        for round in &self.rounds {
-            disks.emit_io_event(IoEvent::RoundScheduled {
-                blocks: round.len() as u64,
-            });
+        self.record_rounds(disks);
+        BatchReads {
+            blocks: out.blocks,
+            healths: out.healths,
+            slot: &self.slot,
         }
-        (out.blocks, out.healths)
     }
 
     /// Execute the plan through a **shared** reference: returns the reads
@@ -228,62 +226,43 @@ impl BatchPlan {
     /// to [`DiskArray::charge_cost`] and the round count to
     /// [`DiskArray::record_rounds`].
     #[must_use]
-    pub fn execute_read_shared(&self, disks: &DiskArray) -> (BatchReads, OpCost) {
+    pub fn execute_read_shared(&self, disks: &DiskArray) -> (BatchReads<'_>, OpCost) {
         let out = disks.read_shared(&self.unique, ReadOptions::verified());
         (
             BatchReads {
                 blocks: out.blocks,
                 healths: out.healths,
-                slot: self.slot.clone(),
+                slot: &self.slot,
             },
             out.cost,
         )
     }
 }
 
-/// Blocks produced by executing a read [`BatchPlan`], addressable by
-/// original request index (duplicates resolve to the same block image).
+/// Blocks produced by executing a read [`BatchPlan`]: a [`BlockView`] by
+/// original request index (duplicates resolve to the same block image;
+/// [`BlockView::sub`] gives one operation's contiguous probes). Borrows
+/// the plan's request-to-block mapping.
 #[derive(Debug, Clone)]
-pub struct BatchReads {
+pub struct BatchReads<'p> {
     /// Unique blocks, aligned with `BatchPlan::unique_blocks`.
-    blocks: Vec<Vec<Word>>,
+    blocks: BlockBuf,
     /// Health per unique block, aligned with `blocks`.
     healths: Vec<BlockHealth>,
-    slot: Vec<usize>,
+    slot: &'p [usize],
 }
 
-impl BatchReads {
-    /// Number of original requests.
-    #[must_use]
-    pub fn len(&self) -> usize {
+impl BlockView for BatchReads<'_> {
+    fn len(&self) -> usize {
         self.slot.len()
     }
 
-    /// Whether the plan had no requests.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.slot.is_empty()
+    fn block(&self, i: usize) -> &[Word] {
+        self.blocks.block(self.slot[i])
     }
+}
 
-    /// The block serving request `i`.
-    ///
-    /// # Panics
-    /// Panics if `i >= len()`.
-    #[must_use]
-    pub fn get(&self, i: usize) -> &[Word] {
-        &self.blocks[self.slot[i]]
-    }
-
-    /// Clone the blocks serving a contiguous request range — the shape
-    /// dictionary decode paths expect for one operation's probes.
-    ///
-    /// # Panics
-    /// Panics if the range exceeds `len()`.
-    #[must_use]
-    pub fn gather(&self, range: std::ops::Range<usize>) -> Vec<Vec<Word>> {
-        range.map(|i| self.blocks[self.slot[i]].clone()).collect()
-    }
-
+impl BatchReads<'_> {
     /// The health of the block serving request `i` (as observed when the
     /// plan executed).
     ///
@@ -294,23 +273,25 @@ impl BatchReads {
         self.healths[self.slot[i]]
     }
 
-    /// The healths of the blocks serving a contiguous request range.
-    ///
-    /// # Panics
-    /// Panics if the range exceeds `len()`.
-    #[must_use]
-    pub fn gather_healths(&self, range: std::ops::Range<usize>) -> Vec<BlockHealth> {
-        range.map(|i| self.healths[self.slot[i]]).collect()
-    }
-
     /// Whether every block serving the request range read cleanly.
     ///
     /// # Panics
     /// Panics if the range exceeds `len()`.
     #[must_use]
     pub fn range_ok(&self, mut range: std::ops::Range<usize>) -> bool {
-        range.all(|i| self.healths[self.slot[i]].is_ok())
+        range.all(|i| self.health(i).is_ok())
     }
+}
+
+/// Where the executor holds an address's current image.
+#[derive(Debug, Clone, Copy)]
+struct Held {
+    /// Index into `BatchExecutor::bufs`.
+    buf: usize,
+    /// Block position inside that buffer.
+    slot: usize,
+    /// Staged for writing and not yet landed.
+    dirty: bool,
 }
 
 /// A read-cache + staged-write layer executing batched updates with
@@ -325,15 +306,17 @@ impl BatchReads {
 /// planned write batch. Dropping the executor without committing
 /// discards staged writes.
 ///
+/// Every read round's buffer is kept whole, with an address → position
+/// index, and a staged write modifies the block where it lies: staging
+/// copies nothing and holds no second image.
+///
 /// ```
 /// use pdm::{BatchExecutor, BlockAddr, DiskArray, PdmConfig};
 /// let mut disks = DiskArray::new(PdmConfig::new(2, 4), 2);
 /// let a = BlockAddr::new(0, 0);
 /// let mut ex = BatchExecutor::new(&mut disks);
 /// ex.prefetch(&[a]);
-/// let mut block = ex.get(a).to_vec();
-/// block[0] = 7;
-/// ex.stage_write(a, block);
+/// ex.stage_mut(a)[0] = 7;
 /// assert_eq!(ex.get(a)[0], 7, "reads observe staged writes");
 /// let cost = ex.commit();
 /// assert_eq!(cost.block_writes, 1);
@@ -342,21 +325,25 @@ impl BatchReads {
 #[derive(Debug)]
 pub struct BatchExecutor<'a> {
     disks: &'a mut DiskArray,
-    cache: AddrMap<Vec<Word>>,
+    /// `bufs[0]` collects the blocks that arrive one at a time (a
+    /// [`get`](BatchExecutor::get) miss, a write staged over a block never
+    /// read); each later entry is the buffer of one read round.
+    bufs: Vec<BlockBuf>,
+    /// The current image of every address read or staged so far.
+    held: AddrMap<Held>,
     /// Dirty addresses in first-staged order (each appears once).
     dirty: Vec<BlockAddr>,
-    /// Membership index over `dirty`.
-    dirty_set: AddrSet,
 }
 
 impl<'a> BatchExecutor<'a> {
     /// Start a batch over `disks`.
     pub fn new(disks: &'a mut DiskArray) -> Self {
+        let singles = BlockBuf::with_capacity(disks.block_words(), 0);
         BatchExecutor {
             disks,
-            cache: AddrMap::default(),
+            bufs: vec![singles],
+            held: AddrMap::default(),
             dirty: Vec::new(),
-            dirty_set: AddrSet::default(),
         }
     }
 
@@ -373,13 +360,32 @@ impl<'a> BatchExecutor<'a> {
         self.disks
     }
 
+    /// Read `addrs` (distinct unique blocks of `plan`) as one verified
+    /// batch and hold the round's buffer; clean addresses now resolve to
+    /// it. Returns the healths, aligned with `plan.unique_blocks()`.
+    fn read_round(&mut self, plan: &BatchPlan) -> Vec<BlockHealth> {
+        let out = self.disks.read(plan.unique_blocks(), ReadOptions::verified());
+        plan.record_rounds(self.disks);
+        let buf = self.bufs.len();
+        for (slot, &a) in plan.unique_blocks().iter().enumerate() {
+            self.held.insert(a, Held { buf, slot, dirty: false });
+        }
+        self.bufs.push(out.blocks);
+        out.healths
+    }
+
+    fn image(&self, addr: BlockAddr) -> &[Word] {
+        let at = self.held[&addr];
+        self.bufs[at.buf].block(at.slot)
+    }
+
     /// Read every not-yet-cached address in `addrs` as one planned batch,
     /// charging its model cost.
     pub fn prefetch(&mut self, addrs: &[BlockAddr]) {
         let missing: Vec<BlockAddr> = addrs
             .iter()
             .copied()
-            .filter(|a| !self.cache.contains_key(a))
+            .filter(|a| !self.held.contains_key(a))
             .collect();
         let hits = (addrs.len() - missing.len()) as u64;
         if hits > 0 {
@@ -392,10 +398,7 @@ impl<'a> BatchExecutor<'a> {
         self.disks.emit_io_event(IoEvent::CacheMiss {
             blocks: plan.num_unique_blocks() as u64,
         });
-        let (blocks, _) = plan.read_unique(self.disks);
-        for (&a, block) in plan.unique_blocks().iter().zip(blocks) {
-            self.cache.insert(a, block);
-        }
+        self.read_round(&plan);
     }
 
     /// The current image of `addr`: staged write if any, else cached
@@ -403,21 +406,22 @@ impl<'a> BatchExecutor<'a> {
     /// as its own round), so under-prefetching stays correct — just
     /// costlier.
     pub fn get(&mut self, addr: BlockAddr) -> &[Word] {
-        if self.cache.contains_key(&addr) {
+        if self.held.contains_key(&addr) {
             self.disks.emit_io_event(IoEvent::CacheHit { blocks: 1 });
         } else {
             self.disks.emit_io_event(IoEvent::CacheMiss { blocks: 1 });
             let block = self.disks.read_block(addr);
             self.disks.record_rounds(1);
-            self.cache.insert(addr, block);
+            self.hold_single(addr, &block);
         }
-        &self.cache[&addr]
+        self.image(addr)
     }
 
-    /// Clone the current images of several addresses (cache misses are
-    /// charged individually, as in [`get`](BatchExecutor::get)).
-    pub fn get_many(&mut self, addrs: &[BlockAddr]) -> Vec<Vec<Word>> {
-        if addrs.iter().all(|a| self.cache.contains_key(a)) {
+    /// The current images of several addresses, as a view in `addrs`
+    /// order (cache misses are read as one planned batch, as in
+    /// [`prefetch`](BatchExecutor::prefetch)).
+    pub fn get_many<'s>(&'s mut self, addrs: &'s [BlockAddr]) -> StagedBlocks<'s> {
+        if addrs.iter().all(|a| self.held.contains_key(a)) {
             if !addrs.is_empty() {
                 self.disks.emit_io_event(IoEvent::CacheHit {
                     blocks: addrs.len() as u64,
@@ -426,7 +430,7 @@ impl<'a> BatchExecutor<'a> {
         } else {
             self.prefetch(addrs);
         }
-        addrs.iter().map(|a| self.cache[a].clone()).collect()
+        StagedBlocks { ex: self, addrs }
     }
 
     /// [`get_many`](BatchExecutor::get_many) with each address's current
@@ -436,16 +440,16 @@ impl<'a> BatchExecutor<'a> {
     /// image may have been sanitized by an *earlier* window even if the
     /// health has since recovered; call
     /// [`refresh`](BatchExecutor::refresh) to re-read such blocks.
-    pub fn get_many_verified(
-        &mut self,
-        addrs: &[BlockAddr],
-    ) -> (Vec<Vec<Word>>, Vec<BlockHealth>) {
+    pub fn get_many_verified<'s>(
+        &'s mut self,
+        addrs: &'s [BlockAddr],
+    ) -> (StagedBlocks<'s>, Vec<BlockHealth>) {
         // Health is sampled BEFORE the prefetch so it reflects the clock
         // the read executes at (the read itself advances the clock).
         let healths = addrs
             .iter()
             .map(|a| {
-                if self.dirty_set.contains(a) {
+                if self.held.get(a).is_some_and(|at| at.dirty) {
                     BlockHealth::Ok
                 } else {
                     self.disks.block_health(*a)
@@ -464,16 +468,13 @@ impl<'a> BatchExecutor<'a> {
         let retry: Vec<BlockAddr> = addrs
             .iter()
             .copied()
-            .filter(|a| !self.dirty_set.contains(a))
+            .filter(|a| !self.held.get(a).is_some_and(|at| at.dirty))
             .collect();
         let mut fresh: AddrMap<BlockHealth> = AddrMap::default();
         if !retry.is_empty() {
             let plan = BatchPlan::new(self.disks.disks(), &retry);
-            let (blocks, healths) = plan.read_unique(self.disks);
-            for ((&a, block), health) in plan.unique_blocks().iter().zip(blocks).zip(healths) {
-                self.cache.insert(a, block);
-                fresh.insert(a, health);
-            }
+            let healths = self.read_round(&plan);
+            fresh.extend(plan.unique_blocks().iter().copied().zip(healths));
         }
         addrs
             .iter()
@@ -481,24 +482,49 @@ impl<'a> BatchExecutor<'a> {
             .collect()
     }
 
-    /// Stage a full-block write. Subsequent reads of `addr` within this
-    /// batch observe `data`; disk content changes only on
+    /// Hold `block` as `addr`'s image, outside any round buffer.
+    fn hold_single(&mut self, addr: BlockAddr, block: &[Word]) {
+        let slot = self.bufs[0].len();
+        self.bufs[0].push(block);
+        self.held.insert(addr, Held { buf: 0, slot, dirty: false });
+    }
+
+    /// Stage `addr` for writing and return its image to modify in place
+    /// (read first if not cached, as in [`get`](BatchExecutor::get)).
+    /// Subsequent reads of `addr` within this batch observe the
+    /// modifications; disk content changes only on
     /// [`commit`](BatchExecutor::commit).
+    pub fn stage_mut(&mut self, addr: BlockAddr) -> &mut [Word] {
+        if !self.held.contains_key(&addr) {
+            self.get(addr);
+        }
+        let at = self.held.get_mut(&addr).expect("just read");
+        if !at.dirty {
+            at.dirty = true;
+            self.dirty.push(addr);
+        }
+        self.bufs[at.buf].block_mut(at.slot)
+    }
+
+    /// Stage a full-block write of `data`, whatever `addr` held before
+    /// (which is not read).
     ///
     /// # Panics
     /// Panics if `data` is not exactly one block wide — partial writes
     /// would need the current block content merged in, and every writer
     /// in this workspace produces full-block images.
-    pub fn stage_write(&mut self, addr: BlockAddr, data: Vec<Word>) {
+    pub fn stage_write(&mut self, addr: BlockAddr, data: &[Word]) {
         assert_eq!(
             data.len(),
             self.disks.block_words(),
             "batch staging requires full-block images"
         );
-        if self.dirty_set.insert(addr) {
-            self.dirty.push(addr);
+        if self.held.contains_key(&addr) {
+            self.stage_mut(addr).copy_from_slice(data);
+        } else {
+            self.hold_single(addr, data);
+            self.stage_mut(addr);
         }
-        self.cache.insert(addr, data);
     }
 
     /// Number of distinct blocks currently staged for writing.
@@ -554,40 +580,52 @@ impl<'a> BatchExecutor<'a> {
             // Satellite fix: one canonical commit order (see above).
             self.dirty.sort_unstable();
             let plan = BatchPlan::new(self.disks.disks(), &self.dirty);
-            let writes: Vec<(BlockAddr, &[Word])> = plan
-                .unique_blocks()
-                .iter()
-                .map(|a| (*a, self.cache[a].as_slice()))
-                .collect();
+            let (bufs, held) = (&self.bufs, &self.held);
+            let image = |a: &BlockAddr| bufs[held[a].buf].block(held[a].slot);
+            let writes: Vec<(BlockAddr, &[Word])> =
+                plan.unique_blocks().iter().map(|a| (*a, image(a))).collect();
             let healths = if self.disks.journal_enabled() {
                 self.disks.journaled_write_batch_checked(&writes, meta)
             } else {
                 self.disks.write(&writes, WriteOptions::checked()).healths
             };
-            self.disks.record_rounds(plan.num_rounds() as u64);
-            for r in 0..plan.num_rounds() {
-                self.disks.emit_io_event(IoEvent::RoundScheduled {
-                    blocks: plan.rounds[r].len() as u64,
-                });
-            }
+            plan.record_rounds(self.disks);
             self.disks.emit_io_event(IoEvent::BatchCommitted {
                 dirty_blocks: plan.num_unique_blocks() as u64,
             });
             for (&a, h) in plan.unique_blocks().iter().zip(&healths) {
                 if h.is_ok() {
                     landed.push(a);
+                    self.held.get_mut(&a).expect("staged blocks are held").dirty = false;
                 } else {
                     failed.push((a, *h));
                 }
             }
             self.dirty.retain(|a| failed.iter().any(|(f, _)| f == a));
-            self.dirty_set.retain(|a| failed.iter().any(|(f, _)| f == a));
         }
         CommitReport {
             cost: self.disks.end_op(scope),
             landed,
             failed,
         }
+    }
+}
+
+/// The executor's current images of a list of addresses
+/// ([`BatchExecutor::get_many`]), in the list's order.
+#[derive(Debug)]
+pub struct StagedBlocks<'s> {
+    ex: &'s BatchExecutor<'s>,
+    addrs: &'s [BlockAddr],
+}
+
+impl BlockView for StagedBlocks<'_> {
+    fn len(&self) -> usize {
+        self.addrs.len()
+    }
+
+    fn block(&self, i: usize) -> &[Word] {
+        self.ex.image(self.addrs[i])
     }
 }
 
@@ -678,7 +716,7 @@ mod tests {
         assert_eq!(cost.parallel_ios, 1, "four requests, one block, one round");
         assert_eq!(cost.block_reads, 1);
         for i in 0..4 {
-            assert_eq!(reads.get(i), &[9; 4]);
+            assert_eq!(reads.block(i), &[9; 4]);
         }
     }
 
@@ -757,7 +795,7 @@ mod tests {
         let charged = plan.execute_read(&mut disks);
         assert_eq!(disks.stats().since(&before), cost);
         for i in 0..addrs.len() {
-            assert_eq!(shared.get(i), charged.get(i));
+            assert_eq!(shared.block(i), charged.block(i));
         }
         disks.charge_cost(cost);
         disks.record_rounds(plan.num_rounds() as u64);
@@ -765,14 +803,16 @@ mod tests {
     }
 
     #[test]
-    fn gather_returns_per_request_blocks() {
+    fn sub_views_return_per_request_blocks() {
         let mut disks = array(2, 4);
         disks.poke(BlockAddr::new(0, 1), &[1; 4]);
         disks.poke(BlockAddr::new(1, 1), &[2; 4]);
         let addrs = [BlockAddr::new(0, 1), BlockAddr::new(1, 1), BlockAddr::new(0, 1)];
-        let reads = BatchPlan::new(2, &addrs).execute_read(&mut disks);
-        assert_eq!(reads.gather(0..2), vec![vec![1; 4], vec![2; 4]]);
-        assert_eq!(reads.gather(2..3), vec![vec![1; 4]]);
+        let plan = BatchPlan::new(2, &addrs);
+        let reads = plan.execute_read(&mut disks);
+        let (first, second) = (reads.sub(0..2), reads.sub(2..3));
+        assert_eq!((first.block(0), first.block(1)), (&[1; 4][..], &[2; 4][..]));
+        assert_eq!((second.len(), second.block(0)), (1, &[1; 4][..]));
     }
 
     #[test]
@@ -789,7 +829,7 @@ mod tests {
         let mut ex = BatchExecutor::new(&mut disks);
         ex.prefetch(&[a, b]);
         assert_eq!(ex.get(a), &[0; 4]);
-        ex.stage_write(a, vec![5; 4]);
+        ex.stage_write(a, &[5; 4]);
         assert_eq!(ex.get(a), &[5; 4], "read-your-writes within the batch");
         assert_eq!(ex.get(b), &[0; 4], "other blocks unaffected");
         assert_eq!(disks.peek(a), &[0; 4], "disk unchanged before commit");
@@ -804,10 +844,10 @@ mod tests {
         for (i, &a) in addrs.iter().enumerate() {
             let mut img = ex.get(a).to_vec();
             img[0] = i as Word + 1;
-            ex.stage_write(a, img);
+            ex.stage_write(a, &img);
             // Restage the same block: still one write.
             let img = ex.get(a).to_vec();
-            ex.stage_write(a, img);
+            ex.stage_write(a, &img);
         }
         assert_eq!(ex.staged_writes(), 4);
         let cost = ex.commit();
@@ -824,7 +864,7 @@ mod tests {
         let a = BlockAddr::new(0, 0);
         {
             let mut ex = BatchExecutor::new(&mut disks);
-            ex.stage_write(a, vec![7; 4]);
+            ex.stage_write(a, &[7; 4]);
         }
         assert_eq!(disks.peek(a), &[0; 4]);
     }
@@ -864,7 +904,7 @@ mod tests {
         let scope = disks.begin_op();
         let mut ex = BatchExecutor::new(&mut disks);
         ex.prefetch(&[BlockAddr::new(0, 0), BlockAddr::new(1, 0)]);
-        ex.stage_write(BlockAddr::new(0, 0), vec![1; 4]);
+        ex.stage_write(BlockAddr::new(0, 0), &[1; 4]);
         let write_cost = ex.commit();
         let total = disks.end_op(scope);
         assert_eq!(write_cost.parallel_ios, 1);
@@ -894,11 +934,11 @@ mod tests {
             ];
             let plan = BatchPlan::new(4, &addrs);
             let reads = plan.execute_read(&mut disks);
-            let imgs: Vec<Vec<Word>> = (0..reads.len()).map(|i| reads.get(i).to_vec()).collect();
+            let imgs: Vec<Vec<Word>> = (0..reads.len()).map(|i| reads.block(i).to_vec()).collect();
             let mut ex = BatchExecutor::new(&mut disks);
             ex.prefetch(&addrs);
             let img = ex.get(addrs[0]).to_vec();
-            ex.stage_write(addrs[0], img);
+            ex.stage_write(addrs[0], &img);
             let _ = ex.commit();
             (disks.stats(), imgs)
         };
@@ -925,7 +965,7 @@ mod tests {
         ex.prefetch(&[a, b]); // two misses, one round of width 2
         ex.prefetch(&[a, b]); // two hits
         let img = ex.get(a).to_vec(); // one hit
-        ex.stage_write(a, img);
+        ex.stage_write(a, &img);
         let _ = ex.commit(); // one dirty block, one write round
         let s = reg.snapshot();
         assert_eq!(s.counter(CACHE_EVENTS_TOTAL, &[("event", "miss")]), Some(2));
@@ -942,7 +982,7 @@ mod tests {
     fn executor_rejects_partial_writes() {
         let mut disks = array(2, 4);
         let mut ex = BatchExecutor::new(&mut disks);
-        ex.stage_write(BlockAddr::new(0, 0), vec![1, 2]);
+        ex.stage_write(BlockAddr::new(0, 0), &[1, 2]);
     }
 
     #[test]
@@ -959,8 +999,8 @@ mod tests {
         let b = BlockAddr::new(1, 0);
         let mut ex = BatchExecutor::new(&mut disks);
         ex.prefetch(&[a, b]);
-        ex.stage_write(a, vec![7; 4]);
-        ex.stage_write(b, vec![8; 4]);
+        ex.stage_write(a, &[7; 4]);
+        ex.stage_write(b, &[8; 4]);
         let report = ex.commit_checked();
         assert_eq!(report.landed, vec![a]);
         assert_eq!(report.failed, vec![(b, BlockHealth::TornWrite)]);
@@ -986,8 +1026,8 @@ mod tests {
         let dead = BlockAddr::new(2, 1);
         let live = BlockAddr::new(3, 1);
         let mut ex = BatchExecutor::new(&mut disks);
-        ex.stage_write(dead, vec![5; 4]);
-        ex.stage_write(live, vec![6; 4]);
+        ex.stage_write(dead, &[5; 4]);
+        ex.stage_write(live, &[6; 4]);
         let report = ex.commit_checked();
         assert_eq!(report.landed, vec![live]);
         assert_eq!(report.failed, vec![(dead, BlockHealth::DiskDead)]);
@@ -1010,9 +1050,10 @@ mod tests {
         // The next (= first since install) read batch on disk 0 fails.
         disks.set_fault_plan(FaultPlan::new().transient_read(0, 0, 1));
         let mut ex = BatchExecutor::new(&mut disks);
-        let (blocks, healths) = ex.get_many_verified(&[a]);
+        let addrs = [a];
+        let (blocks, healths) = ex.get_many_verified(&addrs);
         assert_eq!(healths, vec![BlockHealth::TransientError]);
-        assert_eq!(blocks[0], vec![0; 4], "window active: sanitized");
+        assert_eq!(blocks.block(0), [0; 4], "window active: sanitized");
         let healths = ex.refresh(&[a]);
         assert_eq!(healths, vec![BlockHealth::Ok], "retry cleared the window");
         assert_eq!(ex.get(a), &[3; 4], "cache now holds the real content");
@@ -1039,7 +1080,7 @@ mod tests {
             disks.set_fault_plan(FaultPlan::new().crash_after(j));
             let mut ex = BatchExecutor::new(&mut disks);
             for (i, &a) in staged.iter().enumerate() {
-                ex.stage_write(a, vec![10 + i as Word; 4]);
+                ex.stage_write(a, &[10 + i as Word; 4]);
             }
             let _ = ex.commit_checked();
             disks.clear_fault_plan();
@@ -1075,7 +1116,7 @@ mod tests {
             disks.set_fault_plan(FaultPlan::new().crash_after(k));
             let mut ex = BatchExecutor::new(&mut disks);
             for (i, &a) in targets.iter().enumerate() {
-                ex.stage_write(a, vec![100 + i as Word; 16]);
+                ex.stage_write(a, &[100 + i as Word; 16]);
             }
             let _ = ex.commit_checked_with_meta(&[k]);
             disks.clear_fault_plan();

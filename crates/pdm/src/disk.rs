@@ -8,6 +8,7 @@
 //! real overlapped I/O (`pdm::file_backend`).
 
 use crate::backend::{BackendError, FlushTicket, IoSubmission, MemBackend, StorageBackend};
+use crate::blocks::BlockBuf;
 use crate::config::PdmConfig;
 use crate::fault::{Fault, FaultPlan, FaultState};
 use crate::integrity::{BlockCodec, BlockHealth, MixCodec, ScrubReport};
@@ -97,7 +98,7 @@ impl WriteOptions {
 pub struct IoOutcome {
     /// For reads: one block image per requested address, request order,
     /// failed blocks sanitized to zeros. Empty for writes.
-    pub blocks: Vec<Vec<Word>>,
+    pub blocks: BlockBuf,
     /// Per-block health, request order. Populated only when the options
     /// asked for verification (`verify: true`); empty means "not
     /// requested", which callers may treat as all-`Ok` only if they
@@ -120,7 +121,7 @@ impl IoOutcome {
 
     /// Consume the outcome, keeping only the block images.
     #[must_use]
-    pub fn into_blocks(self) -> Vec<Vec<Word>> {
+    pub fn into_blocks(self) -> BlockBuf {
         self.blocks
     }
 }
@@ -746,15 +747,7 @@ impl DiskArray {
         }
         // Every address in the batch shares its disk's current (not yet
         // advanced) read index, then the clocks of all touched disks tick.
-        let healths: Vec<BlockHealth> = addrs
-            .iter()
-            .zip(&blocks)
-            .map(|(&a, content)| self.health_of(a, content, None))
-            .collect();
-        let bad = healths.iter().filter(|h| !h.is_ok()).count() as u64;
-        if bad > 0 {
-            self.degraded_reads.fetch_add(bad, Ordering::Relaxed);
-        }
+        let healths = self.sanitize(addrs, &mut blocks);
         if self.checksums.is_some() {
             // A block that read clean stays clean until the medium can be
             // damaged again; skip re-verifying it on later reads.
@@ -769,17 +762,33 @@ impl DiskArray {
                 fs.tick_reads(&self.per_disk_scratch);
             }
         }
-        for (block, h) in blocks.iter_mut().zip(&healths) {
-            if !h.is_ok() {
-                block.clear();
-                block.resize(self.cfg.block_words, 0);
-            }
-        }
         IoOutcome {
             blocks,
             healths: if opts.verify { healths } else { Vec::new() },
             cost: self.stats.since(&before),
         }
+    }
+
+    /// The hazard pass of a read: classify every block against the fault
+    /// state and checksums, zero the failed ones in place, and count them
+    /// as degraded reads.
+    fn sanitize(&self, addrs: &[BlockAddr], blocks: &mut BlockBuf) -> Vec<BlockHealth> {
+        let healths: Vec<BlockHealth> = addrs
+            .iter()
+            .zip(blocks.iter())
+            .map(|(&a, content)| self.health_of(a, content, None))
+            .collect();
+        let mut bad = 0;
+        for (i, h) in healths.iter().enumerate() {
+            if !h.is_ok() {
+                blocks.block_mut(i).fill(0);
+                bad += 1;
+            }
+        }
+        if bad > 0 {
+            self.degraded_reads.fetch_add(bad, Ordering::Relaxed);
+        }
+        healths
     }
 
     /// Write a batch of blocks, charging the model cost.
@@ -824,7 +833,7 @@ impl DiskArray {
             self.backend
                 .submit(IoSubmission::writes(writes).with_sync(opts.sync));
             return IoOutcome {
-                blocks: Vec::new(),
+                blocks: BlockBuf::default(),
                 healths: if opts.verify {
                     vec![BlockHealth::Ok; writes.len()]
                 } else {
@@ -927,7 +936,7 @@ impl DiskArray {
             }
         }
         IoOutcome {
-            blocks: Vec::new(),
+            blocks: BlockBuf::default(),
             healths: if opts.verify { healths } else { Vec::new() },
             cost: self.stats.since(&before),
         }
@@ -979,21 +988,7 @@ impl DiskArray {
                 cost,
             };
         }
-        let healths: Vec<BlockHealth> = addrs
-            .iter()
-            .zip(&blocks)
-            .map(|(&a, content)| self.health_of(a, content, None))
-            .collect();
-        let bad = healths.iter().filter(|h| !h.is_ok()).count() as u64;
-        if bad > 0 {
-            self.degraded_reads.fetch_add(bad, Ordering::Relaxed);
-        }
-        for (block, h) in blocks.iter_mut().zip(&healths) {
-            if !h.is_ok() {
-                block.clear();
-                block.resize(self.cfg.block_words, 0);
-            }
-        }
+        let healths = self.sanitize(addrs, &mut blocks);
         IoOutcome {
             blocks,
             healths: if opts.verify { healths } else { Vec::new() },
@@ -1079,8 +1074,7 @@ impl DiskArray {
     pub fn read_block(&mut self, addr: BlockAddr) -> Vec<Word> {
         self.read(&[addr], ReadOptions::default())
             .blocks
-            .pop()
-            .expect("one block requested")
+            .into_words()
     }
 
     /// Write one block (one parallel I/O).
@@ -1119,6 +1113,7 @@ impl DiskArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocks::BlockView;
     use crate::config::Model;
 
     fn small() -> DiskArray {
@@ -1233,7 +1228,7 @@ mod tests {
             ],
             ReadOptions::default(),
         );
-        assert_eq!(out.blocks[0], vec![5; 8]);
+        assert_eq!(out.blocks[0], [5; 8]);
         let cost = out.cost;
         assert_eq!(cost.parallel_ios, 2); // two blocks on disk 1
         assert_eq!(cost.block_reads, 3);
@@ -1284,8 +1279,8 @@ mod tests {
         disks.write_block(live, &[9; 8]);
         disks.set_fault_plan(FaultPlan::new().dead_disk(2));
         let out = disks.read(&[dead, live], ReadOptions::verified());
-        assert_eq!(out.blocks[0], vec![0; 8], "dead-disk read sanitizes to zeros");
-        assert_eq!(out.blocks[1], vec![9; 8]);
+        assert_eq!(out.blocks[0], [0; 8], "dead-disk read sanitizes to zeros");
+        assert_eq!(out.blocks[1], [9; 8]);
         assert_eq!(out.healths, vec![BlockHealth::DiskDead, BlockHealth::Ok]);
         let wh = disks
             .write(&[(dead, &[3; 8][..]), (live, &[4; 8][..])], WriteOptions::checked())
@@ -1307,10 +1302,10 @@ mod tests {
         disks.set_fault_plan(FaultPlan::new().transient_read(1, 0, 1));
         let out = disks.read(&[a], ReadOptions::verified());
         assert_eq!(out.healths[0], BlockHealth::TransientError);
-        assert_eq!(out.blocks[0], vec![0; 8]);
+        assert_eq!(out.blocks[0], [0; 8]);
         let out = disks.read(&[a], ReadOptions::verified());
         assert_eq!(out.healths[0], BlockHealth::Ok, "data was intact underneath");
-        assert_eq!(out.blocks[0], vec![5; 8]);
+        assert_eq!(out.blocks[0], [5; 8]);
     }
 
     #[test]
@@ -1331,7 +1326,7 @@ mod tests {
         assert_eq!(blocks[0][0], 1 ^ (1 << 3), "garbage decodes as-is");
         let (blocks, healths) = run(true);
         assert_eq!(healths[0], BlockHealth::ChecksumMismatch);
-        assert_eq!(blocks[0], vec![0; 8], "integrity sanitizes the rot");
+        assert_eq!(blocks[0], [0; 8], "integrity sanitizes the rot");
     }
 
     #[test]
@@ -1350,13 +1345,13 @@ mod tests {
         );
         let out = disks.read(&[a], ReadOptions::verified());
         assert_eq!(out.healths[0], BlockHealth::ChecksumMismatch);
-        assert_eq!(out.blocks[0], vec![0; 8]);
+        assert_eq!(out.blocks[0], [0; 8]);
         // Torn writes are one-shot: the retry lands fully and reseals.
         let wh = disks.write(&[(a, &[2; 8][..])], WriteOptions::checked()).healths;
         assert_eq!(wh, vec![BlockHealth::Ok]);
         let out = disks.read(&[a], ReadOptions::verified());
         assert_eq!(out.healths[0], BlockHealth::Ok);
-        assert_eq!(out.blocks[0], vec![2; 8]);
+        assert_eq!(out.blocks[0], [2; 8]);
     }
 
     #[test]
@@ -1430,7 +1425,7 @@ mod tests {
         let gone = BlockAddr::new(3, 2);
         let out = disks.read(&[gone, BlockAddr::new(2, 0), BlockAddr::new(1, 3)], ReadOptions::verified());
         assert!(out.all_ok(), "a recycled block must not read as a mismatch: {:?}", out.healths);
-        assert_eq!(out.blocks, vec![vec![0; 8], vec![3; 8], vec![3; 8]]);
+        assert_eq!(out.blocks.into_words(), [[0; 8], [3; 8], [3; 8]].concat());
         assert_eq!(disks.scrub_verify().checksum_failures, 0);
         // Recycled blocks take writes like any other.
         disks.write_block(gone, &[4; 8]);
@@ -1456,7 +1451,7 @@ mod tests {
         let mut disks = small();
         disks.write_block(BlockAddr::new(0, 0), &[1; 8]);
         let out = disks.read(&[BlockAddr::new(0, 0)], ReadOptions::verified());
-        assert_eq!(out.blocks[0], vec![1; 8]);
+        assert_eq!(out.blocks[0], [1; 8]);
         assert_eq!(out.healths, vec![BlockHealth::Ok]);
         assert_eq!(disks.fault_plan(), None);
         assert!(!disks.integrity_enabled());

@@ -38,6 +38,7 @@
 //! fault-injection layer above.
 
 use crate::backend::{BackendError, CompletionSet, FlushTicket, IoSubmission, StorageBackend};
+use crate::blocks::BlockBuf;
 use crate::disk::BlockAddr;
 use crate::Word;
 use std::fs::{File, OpenOptions};
@@ -77,6 +78,11 @@ impl FileBackendOptions {
     }
 }
 
+/// Words of reads in flight at once (1 MiB): what a large planned batch
+/// holds in worker replies beside the buffer they are copied into. One
+/// block per disk is the least a wave holds.
+const WAVE_WORDS: usize = 128 * 1024;
+
 /// One job for a disk worker: block reads (tagged with their result
 /// slot), encoded block writes, and an optional durability barrier.
 struct Job {
@@ -87,7 +93,9 @@ struct Job {
 }
 
 struct DiskReply {
-    reads: Vec<(usize, Vec<Word>)>,
+    /// The job's read slots, and their decoded blocks back to back.
+    slots: Vec<(usize, u64)>,
+    words: Vec<Word>,
 }
 
 enum Cmd {
@@ -159,11 +167,10 @@ fn encode_words(words: &[Word]) -> Vec<u8> {
     out
 }
 
-fn decode_words(bytes: &[u8]) -> Vec<Word> {
+fn decode_words(bytes: &[u8]) -> impl Iterator<Item = Word> + '_ {
     bytes
         .chunks_exact(WORD_BYTES)
         .map(|c| Word::from_le_bytes(c.try_into().expect("chunk is WORD_BYTES long")))
-        .collect()
 }
 
 #[cfg(all(target_os = "linux", target_arch = "aarch64"))]
@@ -193,11 +200,11 @@ fn worker_loop(file: File, block_bytes: usize, direct: bool, rx: mpsc::Receiver<
     while let Ok(cmd) = rx.recv() {
         match cmd {
             Cmd::Run(job) => {
-                let mut reads = Vec::with_capacity(job.reads.len());
-                for (slot, offset) in &job.reads {
+                let mut words = Vec::with_capacity(job.reads.len() * block_bytes / WORD_BYTES);
+                for (_, offset) in &job.reads {
                     let dst = &mut buf[off..off + block_bytes];
                     file.read_exact_at(dst, *offset).expect("disk file read");
-                    reads.push((*slot, decode_words(dst)));
+                    words.extend(decode_words(dst));
                 }
                 for (offset, bytes) in &job.writes {
                     if direct {
@@ -217,7 +224,10 @@ fn worker_loop(file: File, block_bytes: usize, direct: bool, rx: mpsc::Receiver<
                     file.sync_data().expect("disk file sync");
                 }
                 // A dropped array mid-reply is fine; ignore send errors.
-                let _ = job.reply.send(DiskReply { reads });
+                let _ = job.reply.send(DiskReply {
+                    slots: job.reads,
+                    words,
+                });
             }
             Cmd::Flush(reply) => {
                 file.sync_data().expect("disk file sync");
@@ -412,14 +422,38 @@ impl FileBackend {
         (block * self.block_words * WORD_BYTES) as u64
     }
 
-    /// Split a submission per disk, send every disk's job before joining
-    /// any, then reassemble read completions into request order.
+    /// Execute a submission: its reads in waves of about [`WAVE_WORDS`]
+    /// (one wave, for anything but a large planned batch), its writes and
+    /// barrier with the last wave. The per-disk queues are FIFO, so every
+    /// read still precedes every write of the submission on its disk.
     fn run(&self, batch: IoSubmission<'_>) -> CompletionSet {
+        let wave = (WAVE_WORDS / self.block_words).max(self.workers.len());
+        let mut out = BlockBuf::zeroed(self.block_words, batch.reads.len());
+        let mut first = 0;
+        loop {
+            let last = (first + wave).min(batch.reads.len());
+            let reads = &batch.reads[first..last];
+            if last < batch.reads.len() {
+                self.run_wave(IoSubmission::reads(reads), first, &mut out);
+                first = last;
+            } else {
+                self.run_wave(IoSubmission { reads, ..batch }, first, &mut out);
+                return CompletionSet { reads: out };
+            }
+        }
+    }
+
+    /// Split one wave per disk, send every disk's job before joining any,
+    /// then copy the read completions into their request-order places in
+    /// `out`, the wave's first read being request `first` (on this thread:
+    /// the workers cannot share one buffer without unsafe code, and the
+    /// copy is what canonical order costs).
+    fn run_wave(&self, batch: IoSubmission<'_>, first: usize, out: &mut BlockBuf) {
         let d = self.workers.len();
         let mut reads_by_disk: Vec<Vec<(usize, u64)>> = vec![Vec::new(); d];
         for (slot, a) in batch.reads.iter().enumerate() {
             debug_assert!(a.disk < d && a.block < self.blocks);
-            reads_by_disk[a.disk].push((slot, self.offset_of(a.block)));
+            reads_by_disk[a.disk].push((first + slot, self.offset_of(a.block)));
         }
         let mut writes_by_disk: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); d];
         for (a, data) in batch.writes {
@@ -449,14 +483,12 @@ impl FileBackend {
             outstanding += 1;
         }
         drop(reply_tx);
-        let mut out = vec![Vec::new(); batch.reads.len()];
         for _ in 0..outstanding {
             let reply = reply_rx.recv().expect("disk worker reply");
-            for (slot, words) in reply.reads {
-                out[slot] = words;
+            for ((slot, _), words) in reply.slots.iter().zip(reply.words.chunks_exact(self.block_words)) {
+                out.block_mut(*slot).copy_from_slice(words);
             }
         }
-        CompletionSet { reads: out }
     }
 }
 
@@ -535,7 +567,7 @@ impl StorageBackend for FileBackend {
         self.control[addr.disk]
             .read_exact_at(&mut buf, self.offset_of(addr.block))
             .expect("disk file read");
-        decode_words(&buf)
+        decode_words(&buf).collect()
     }
 
     fn poke(&mut self, addr: BlockAddr, data: &[Word]) {
@@ -603,6 +635,38 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn a_read_of_several_waves_is_one_submission() {
+        let dir = tmpdir("waves");
+        let (d, b, blocks) = (3, 4, 12_000);
+        let mut fb = FileBackend::create(&dir, d, b, blocks, FileBackendOptions::default()).unwrap();
+        let mut mb = MemBackend::new(d, b, blocks);
+        for block in (0..blocks).step_by(7) {
+            for disk in 0..d {
+                let tag = [(disk * blocks + block) as Word; 4];
+                fb.poke(BlockAddr::new(disk, block), &tag);
+                mb.poke(BlockAddr::new(disk, block), &tag);
+            }
+        }
+        // More blocks than one wave holds, in an order that mixes disks.
+        let reads: Vec<BlockAddr> = (0..d * blocks)
+            .map(|i| BlockAddr::new(i % d, (i * 5) % blocks))
+            .collect();
+        assert!(reads.len() * b > WAVE_WORDS);
+        // Reads come before the submission's own writes, in every wave.
+        let w = [9 as Word; 4];
+        let writes: Vec<(BlockAddr, &[Word])> = vec![(reads[0], &w[..]), (reads[35_999], &w[..])];
+        let batch = IoSubmission {
+            reads: &reads,
+            writes: &writes,
+            sync_after: true,
+        };
+        assert_eq!(fb.submit(batch).reads, mb.submit(batch).reads);
+        assert_eq!(fb.peek(reads[35_999]), w);
+        drop(fb);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -713,7 +777,7 @@ mod tests {
         ];
         fb.submit(IoSubmission::writes(&writes).with_sync(true));
         let got = fb.submit(IoSubmission::reads(&[BlockAddr::new(0, 1), BlockAddr::new(1, 2)]));
-        assert_eq!(got.reads[0], full);
+        assert_eq!(got.reads[0], full[..]);
         assert_eq!(got.reads[1][..3], [9, 9, 9]);
         assert_eq!(got.reads[1][3..], vec![0; b - 3][..]);
         drop(fb);
@@ -757,7 +821,7 @@ mod tests {
                 BlockAddr::new(2, 3),
                 BlockAddr::new(0, 3),
             ]));
-            assert_eq!(got.reads, vec![vec![9; 4], vec![0; 4], vec![0; 4], vec![9; 4]]);
+            assert_eq!(got.reads.into_words(), [[9; 4], [0; 4], [0; 4], [9; 4]].concat());
             // A discarded block takes writes again.
             let w = [5 as Word; 4];
             let writes: Vec<(BlockAddr, &[Word])> = vec![(BlockAddr::new(2, 3), &w[..])];

@@ -303,11 +303,7 @@ impl DiskArray {
     pub fn reopen_journal(&mut self, region: JournalRegion) {
         let d = self.disks();
         let addr = region.slot_addr(0, d);
-        let block = self
-            .read(&[addr], ReadOptions::default())
-            .into_blocks()
-            .pop()
-            .expect("one block");
+        let block = self.read_block(addr);
         assert!(
             block[0] == SUPER_MAGIC && block[1] == VERSION,
             "no journal superblock at {addr:?}"
@@ -671,7 +667,7 @@ impl DiskArray {
                     intact = false;
                     break;
                 }
-                writes.push((target, image.clone()));
+                writes.push((target, image.to_vec()));
             }
             if !intact {
                 report.discarded += 1;

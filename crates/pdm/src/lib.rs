@@ -37,7 +37,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use pdm::{DiskArray, PdmConfig, BlockAddr, ReadOptions, WriteOptions};
+//! use pdm::{BlockAddr, BlockView, DiskArray, PdmConfig, ReadOptions, WriteOptions};
 //!
 //! let cfg = PdmConfig::new(4, 16); // D = 4 disks, B = 16 words per block
 //! let mut disks = DiskArray::new(cfg, 8); // 8 blocks per disk
@@ -60,6 +60,7 @@
 pub mod backend;
 pub mod batch;
 pub mod bits;
+pub mod blocks;
 pub mod config;
 pub mod disk;
 pub mod fault;
@@ -76,6 +77,7 @@ pub mod stripe;
 
 pub use backend::{BackendError, CompletionSet, FlushTicket, IoSubmission, MemBackend, StorageBackend};
 pub use batch::{BatchExecutor, BatchPlan, BatchReads, CommitReport};
+pub use blocks::{BlockBuf, BlockView, SubView};
 pub use config::{Model, PdmConfig};
 pub use disk::{BlockAddr, DiskArray, IoOutcome, ReadOptions, WriteOptions};
 pub use file_backend::{FileBackend, FileBackendOptions};

@@ -46,12 +46,8 @@ impl<'a> StripedView<'a> {
     pub fn read_stripe(&mut self, s: usize) -> Vec<Word> {
         let d = self.disks.disks();
         let addrs: Vec<BlockAddr> = (0..d).map(|disk| BlockAddr::new(disk, s)).collect();
-        let blocks = self.disks.read(&addrs, ReadOptions::default()).into_blocks();
-        let mut out = Vec::with_capacity(self.stripe_words());
-        for b in blocks {
-            out.extend_from_slice(&b);
-        }
-        out
+        // Disk-major request order: the round's flat buffer is the stripe.
+        self.disks.read(&addrs, ReadOptions::default()).blocks.into_words()
     }
 
     /// Write stripe `s` (one parallel I/O). `data` must be exactly `B·D`
@@ -181,7 +177,7 @@ impl<'a> StripedView<'a> {
             let addr = BlockAddr::new(gb % d, gb / d);
             let block_start = gb * b;
             let mut img = if let Some(pos) = boundary.iter().position(|&x| x == gb) {
-                bblocks[pos].clone()
+                bblocks[pos].to_vec()
             } else {
                 vec![0; b]
             };

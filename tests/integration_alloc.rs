@@ -1,0 +1,190 @@
+//! Allocation budget of the probe path.
+//!
+//! The dictionaries are priced in parallel I/Os, and the repo sits on the
+//! paper's counts; what a caller pays on top is CPU, most of which used to
+//! be `malloc` and `memcpy` of block images. This test pins the diet: on
+//! the wall-clock benchmark's `engine_cold` shard shape (d = 20, B = 128,
+//! ~46 k capacity, `MemBackend`, unjournaled `DynamicDict` behind
+//! `DictHandle`) a steady-state operation makes a handful of allocations —
+//! the round's one flat buffer plus a few small vectors — and allocates
+//! barely more bytes than the blocks it transfers. The same counts hold at
+//! d = 28: nothing scales with the degree except the size of that buffer.
+//!
+//! The counting allocator lives in this test binary only, and counts per
+//! thread, so the harness's own threads do not disturb it.
+
+use pdm::{DiskArray, OpCost, PdmConfig, Word};
+use pdm_dict::layout::DiskAllocator;
+use pdm_dict::{Dict, DictHandle, DictParams, DynamicDict};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// (allocations, bytes) made by this thread.
+    static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+struct Counting;
+
+fn count(bytes: usize) {
+    // `try_with`: a thread tearing down may allocate after its locals died.
+    let _ = COUNTS.try_with(|c| {
+        let (n, b) = c.get();
+        c.set((n + 1, b + bytes as u64));
+    });
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counting touches only a thread-local `Cell`.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's obligations are passed on as received.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations and bytes `op` makes on this thread, and its result.
+fn measured<R>(op: impl FnOnce() -> R) -> (R, u64, u64) {
+    let (n0, b0) = COUNTS.with(Cell::get);
+    let out = op();
+    let (n1, b1) = COUNTS.with(Cell::get);
+    (out, n1 - n0, b1 - b0)
+}
+
+const BLOCK_WORDS: usize = 128;
+const BLOCK_BYTES: u64 = 8 * BLOCK_WORDS as u64;
+const PRESENT: u64 = 2048;
+
+fn key(family: u64, i: u64) -> u64 {
+    (expander::mix::mix64(family << 32 | i) >> 24) | 1
+}
+
+fn shard(degree: usize) -> Box<dyn Dict> {
+    let cfg = PdmConfig::new(2 * degree, BLOCK_WORDS);
+    let mut disks = DiskArray::new(cfg, 0);
+    let mut alloc = DiskAllocator::new(cfg.disks);
+    let params = DictParams::new(46_264, 1 << 40, 2)
+        .with_degree(degree)
+        .with_epsilon(0.5)
+        .with_seed(0xA110C);
+    let dict = DynamicDict::create(&mut disks, &mut alloc, 0, params).unwrap();
+    let mut shard = Box::new(DictHandle::new(dict, disks));
+    for i in 0..PRESENT {
+        shard.insert(key(0, i), &[i, !i]).unwrap();
+    }
+    shard
+}
+
+/// Checks one kind of operation over `calls` calls: every call that took
+/// the kind's usual number of rounds (all but the few keys on a deeper
+/// level) stays within `max_allocs` allocations and within 1.25 × the
+/// bytes of the blocks it moved.
+struct Budget {
+    what: &'static str,
+    usual_rounds: u64,
+    max_allocs: u64,
+}
+
+impl Budget {
+    /// Returns the most allocations any usual call made.
+    fn check(&self, degree: usize, calls: u64, mut call: impl FnMut(u64) -> OpCost) -> u64 {
+        let (mut usual, mut worst, mut worst_bytes) = (0, 0, 0);
+        for i in 0..calls {
+            let (cost, allocs, bytes) = measured(|| call(i));
+            if cost.parallel_ios != self.usual_rounds {
+                continue;
+            }
+            usual += 1;
+            worst = worst.max(allocs);
+            worst_bytes = worst_bytes.max(bytes);
+            assert!(
+                allocs <= self.max_allocs,
+                "d = {degree}: {} #{i} made {allocs} allocations, budget {}",
+                self.what,
+                self.max_allocs
+            );
+            let moved = (cost.block_reads + cost.block_writes) * BLOCK_BYTES;
+            assert!(
+                4 * bytes <= 5 * moved,
+                "d = {degree}: {} #{i} allocated {bytes} B to move {moved} B of blocks",
+                self.what
+            );
+        }
+        assert!(
+            10 * usual >= 9 * calls,
+            "d = {degree}: only {usual} of {calls} {} calls took {} rounds",
+            self.what,
+            self.usual_rounds
+        );
+        println!("d = {degree}: {} ≤ {worst} allocations, ≤ {worst_bytes} B", self.what);
+        worst
+    }
+}
+
+#[test]
+fn probe_path_stays_within_its_allocation_budget() {
+    let mut counts = Vec::new();
+    for degree in [20, 28] {
+        let mut shard = shard(degree);
+        // Steady state: lazily sized internals have settled.
+        for i in 0..64 {
+            assert!(shard.lookup(key(0, i)).found());
+            shard.insert(key(1, i), &[i, i]).unwrap();
+            assert!(shard.delete(key(1, i)).unwrap().0);
+        }
+        let lookup = Budget { what: "lookup", usual_rounds: 1, max_allocs: 8 }
+            .check(degree, 512, |i| {
+                let out = shard.lookup(key(0, i % PRESENT));
+                assert!(out.found());
+                out.cost
+            });
+        let miss = Budget { what: "lookup (miss)", usual_rounds: 1, max_allocs: 8 }
+            .check(degree, 512, |i| {
+                let out = shard.lookup(key(2, i));
+                assert!(!out.found());
+                out.cost
+            });
+        // `lookup_batch(64)`: its rounds vary with how the batch's blocks
+        // fall, so only the budgets are checked — 8 allocations per key.
+        let (mut batch, mut batch_bytes) = (0, 0);
+        for i in 0..32 {
+            let keys: Vec<u64> = (0..64).map(|j| key(0, (i * 64 + j) % PRESENT)).collect();
+            let ((found, cost), allocs, bytes) = measured(|| shard.lookup_batch(&keys));
+            assert!(found.iter().all(Option::is_some));
+            assert!(allocs <= 8 * 64, "d = {degree}: lookup_batch(64) made {allocs} allocations");
+            let moved = cost.block_reads * BLOCK_BYTES;
+            assert!(4 * bytes <= 5 * moved, "d = {degree}: lookup_batch(64) allocated {bytes} B to move {moved} B");
+            batch = batch.max(allocs.div_ceil(64));
+            batch_bytes = batch_bytes.max(bytes / 64);
+        }
+        println!("d = {degree}: lookup_batch(64) ≤ {batch} allocations, ≤ {batch_bytes} B per key");
+        let insert = Budget { what: "insert", usual_rounds: 2, max_allocs: 16 }
+            .check(degree, 512, |i| shard.insert(key(3, i), &[i as Word, 7]).unwrap());
+        let delete = Budget { what: "delete", usual_rounds: 2, max_allocs: 8 }
+            .check(degree, 512, |i| {
+                let (was, cost) = shard.delete(key(3, i)).unwrap();
+                assert!(was);
+                cost
+            });
+        counts.push([lookup, miss, batch, insert, delete]);
+    }
+    assert_eq!(counts[0], counts[1], "allocation counts must not scale with the degree");
+}

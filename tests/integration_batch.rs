@@ -18,7 +18,10 @@
 mod harness;
 
 use expander::FamilyKind;
-use harness::{dense_keys, disk_image, frontends, frontends_with, padded_entries, sat, Frontend, KEY_SPACE, UNIVERSE};
+use harness::{
+    dense_keys, disk_image, frontend, frontends, frontends_with, padded_entries, sat, Frontend, KEY_SPACE,
+    UNIVERSE,
+};
 use pdm::{BatchPlan, BlockAddr, DiskArray, PdmConfig, Word};
 use pdm_dict::basic::{BasicDict, BasicDictConfig};
 use pdm_dict::layout::DiskAllocator;
@@ -239,4 +242,147 @@ fn static_frontends_reject_mutation() {
         let err = dict.delete(entries[0].0).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::UnsupportedParams, "{}", f.name);
     }
+}
+
+/// What a fixed op stream leaves behind: the array's I/O counters, a hash
+/// of the physical image, and a hash of every result the stream returned.
+#[derive(Debug, PartialEq, Eq)]
+struct Golden {
+    parallel_ios: u64,
+    batches: u64,
+    block_reads: u64,
+    block_writes: u64,
+    rounds: u64,
+    image: u64,
+    results: u64,
+}
+
+fn fnv(h: &mut u64, x: u64) {
+    for byte in x.to_le_bytes() {
+        *h = (*h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+}
+
+/// Drive `dict` with a fixed seeded stream of 4096 operations — single
+/// inserts, lookups and deletes, `lookup_batch` and `insert_batch` — over
+/// a key space small enough that hits, misses, duplicates and deletes of
+/// stored keys all occur.
+fn golden_stream(dict: &mut dyn Dict, sigma: usize, seed: u64) -> Golden {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        expander::mix::mix64(state)
+    };
+    let mut results = 0xCBF2_9CE4_8422_2325u64;
+    let result_of = |r: Result<(), DictError>| r.map_or_else(|e| 1 + e.kind() as u64, |()| 0);
+    for _ in 0..4096 {
+        let r = next();
+        let key = next() % 1536;
+        match r % 16 {
+            0..=5 => fnv(&mut results, result_of(dict.insert(key, &sat(key, sigma)).map(|_| ()))),
+            6..=9 => {
+                let out = dict.lookup(key);
+                fnv(&mut results, out.cost.parallel_ios);
+                for w in out.satellite.iter().flatten() {
+                    fnv(&mut results, *w);
+                }
+            }
+            10..=12 => fnv(&mut results, dict.delete(key).map_or(2, |(was, _)| u64::from(was))),
+            13..=14 => {
+                let keys: Vec<u64> = (0..1 + r % 24).map(|_| next() % 1536).collect();
+                let (found, cost) = dict.lookup_batch(&keys);
+                fnv(&mut results, cost.parallel_ios);
+                for f in found {
+                    fnv(&mut results, f.map_or(u64::MAX, |s| s.iter().fold(7, |a, w| a ^ w)));
+                }
+            }
+            _ => {
+                let entries: Vec<(u64, Vec<Word>)> = (0..1 + r % 12)
+                    .map(|_| next() % 1536)
+                    .map(|k| (k, sat(k, sigma)))
+                    .collect();
+                let (res, cost) = dict.insert_batch(&entries);
+                fnv(&mut results, cost.parallel_ios);
+                for r in res {
+                    fnv(&mut results, result_of(r));
+                }
+            }
+        }
+    }
+    let disks = dict.disks().expect("the golden fronts own one array");
+    let mut image = 0xCBF2_9CE4_8422_2325u64;
+    for disk in disks.snapshot() {
+        fnv(&mut image, disk.len() as u64);
+        for block in disk {
+            block.iter().for_each(|&w| fnv(&mut image, w));
+        }
+    }
+    let s = disks.stats();
+    Golden {
+        parallel_ios: s.parallel_ios,
+        batches: s.batches,
+        block_reads: s.block_reads,
+        block_writes: s.block_writes,
+        rounds: s.rounds,
+        image,
+        results,
+    }
+}
+
+/// The "I/O-count gates byte-identical" acceptance made mechanical: the
+/// constants below were recorded at the commit before the probe path moved
+/// to flat round buffers (PR 14's parent). A change to how blocks are held
+/// in memory must issue the same blocks in the same batches and leave the
+/// same image; a change that is *meant* to move them re-records these.
+#[test]
+fn golden_io_counts_and_images_match_the_recorded_parent() {
+    let mut plain = (frontend("dynamic").build)(4096, &[], 0x601D);
+    assert_eq!(
+        golden_stream(plain.as_mut(), 2, 1),
+        Golden {
+            parallel_ios: 15708,
+            batches: 5916,
+            block_reads: 474577,
+            block_writes: 24459,
+            rounds: 11162,
+            image: 0xA1858E28E71B25DB,
+            results: 0x9CE6F47AD0BA6524,
+        },
+        "unjournaled DynamicDict"
+    );
+    let mut journaled = (frontend("dynamic_journaled").build)(4096, &[], 0x601D);
+    assert_eq!(
+        golden_stream(journaled.as_mut(), 2, 2),
+        Golden {
+            parallel_ios: 16700,
+            batches: 7525,
+            block_reads: 451128,
+            block_writes: 44441,
+            rounds: 10344,
+            image: 0x0B6215AEE1C4983E,
+            results: 0xA06188C3798FDAA7,
+        },
+        "journaled DynamicDict"
+    );
+    let params = DictParams::new(64, UNIVERSE, 1)
+        .with_degree(20)
+        .with_epsilon(0.5)
+        .with_seed(0x601D)
+        .with_journal(2);
+    let mut rebuilding = Dictionary::new(params, 64).unwrap();
+    let got = golden_stream(&mut rebuilding, 1, 3);
+    assert!(rebuilding.rebuilds() >= 2, "the stream must cross two rebuilds");
+    assert_eq!(
+        got,
+        Golden {
+            parallel_ios: 25114,
+            batches: 10420,
+            block_reads: 642084,
+            block_writes: 149698,
+            rounds: 16196,
+            image: 0x7200B20E96C63ED6,
+            results: 0x20A040B42FB5A8AF,
+        },
+        "journaled rebuilding Dictionary"
+    );
 }

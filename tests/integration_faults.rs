@@ -12,6 +12,17 @@
 //!    replaced) and a scrub pass runs, every key answered exactly under
 //!    the fault is still answered exactly — repair never loses ground.
 //!
+//! Deletes of stored keys run under the plan too. On the fronts that
+//! promise it ([`Frontend::typed_delete`]) a key that reads back exactly is
+//! never reported absent by the delete that follows: the answer is
+//! `Ok(true)` or a typed `Io` error. (A key that no longer reads back may
+//! be truly gone — a rebuilding front can lose a record to a migration
+//! write under the plan — so there "absent" can be the truth; the strict
+//! form, no "absent" off an unreadable probe, has its own tests beside
+//! `dead_membership_disk_fails_deletes_typed` in `pdm-dict`.) Everywhere, a
+//! key whose delete was acknowledged stays gone after repair, and one whose
+//! delete failed typed was not touched by it.
+//!
 //! Inserted-under-fault keys are deliberately *not* asserted readable:
 //! an insert interrupted by a fault may be rejected typed or land
 //! partially (fail-closed), both of which are contract-conforming. For
@@ -112,6 +123,33 @@ fn drive(f: &Frontend, keys: &[u64], fault_seed: u64) -> Result<(), TestCaseErro
             .collect();
         let _ = dict.insert_batch(&batch);
     }
+    // Deletes of stored keys; `deleted` collects the acknowledged ones.
+    let mut deleted: Vec<u64> = Vec::new();
+    if !f.is_static {
+        for (k, s) in entries.iter().step_by(4) {
+            let exact_before = dict.lookup(*k).satellite.as_ref() == Some(s);
+            match dict.delete(*k) {
+                Ok((true, _)) => deleted.push(*k),
+                Ok((false, _)) => prop_assert!(
+                    !(f.typed_delete && exact_before),
+                    "{}: readable key {k} reported absent under plan seed {:#x}",
+                    f.name,
+                    fault_seed
+                ),
+                Err(DictError::Io { .. }) => {
+                    // A failed delete wrote nothing: a key that read back
+                    // before it still does, or misses only off damage.
+                    let after = dict.lookup(*k);
+                    prop_assert!(
+                        !exact_before || after.satellite.as_ref() == Some(s) || !after.is_exact(),
+                        "{}: a failed delete made key {k} certifiably absent",
+                        f.name
+                    );
+                }
+                Err(e) => prop_assert!(false, "{}: delete under fault miswired: {e}", f.name),
+            }
+        }
+    }
     // Batched lookups under the plan obey the same no-wrong-data rule.
     let query: Vec<u64> = entries.iter().map(|(k, _)| *k).collect();
     let (batch_res, _) = dict.lookup_batch(&query);
@@ -152,6 +190,10 @@ fn drive(f: &Frontend, keys: &[u64], fault_seed: u64) -> Result<(), TestCaseErro
                 }
             }
         }
+    }
+    for k in &deleted {
+        let got = dict.lookup(*k).satellite;
+        prop_assert!(got.is_none(), "{}: deleted key {k} came back after scrub", f.name);
     }
     prop_assert!(
         lost.is_empty(),
