@@ -5,14 +5,13 @@
 //! workload (~92% lookups — the shape of `workload_replay`'s trace —
 //! plus inserts, deletes, and one batched insert), one with the
 //! write-ahead intent journal enabled and one without (the PR-2
-//! baseline). Parallel I/Os are counted per op class — deterministic in
-//! the PDM cost model, so the gate is immune to CI timer noise;
-//! wall-clock totals ride along for reference. Separately, recovery
-//! cost is measured as a function of the number of in-flight (appended,
-//! not yet truncated) intents at two dictionary sizes, on a ring large
-//! enough that ring-pressure truncation does not fire mid-measurement
-//! (a `DynamicDict` insert journals its whole membership replica set,
-//! ~17 ring slots per intent).
+//! baseline). Parallel I/Os and block writes are counted per op class —
+//! deterministic in the PDM cost model, so the gate is immune to CI timer
+//! noise; wall-clock totals ride along for reference. Separately,
+//! recovery cost is measured as a function of the number of in-flight
+//! (appended, not yet truncated) intents at two dictionary sizes (an
+//! insert's intent is the ~40 words it changed: 2 ring slots at `B = 64`,
+//! so seven of them sit in any ring without ring-pressure truncation).
 //!
 //! Writes `target/experiments/BENCH_crash.json` and exits nonzero if:
 //! * the journal adds any I/O to lookups (reads never touch the ring),
@@ -20,28 +19,34 @@
 //! * a journaled mutation costs more than 2 extra parallel I/Os
 //!   amortized (design: one ring append per op plus a group-committed
 //!   superblock rewrite every [`pdm::GROUP_COMMIT_EVERY`] ops),
+//! * write volume: a single-key insert's intent takes more than 2 ring
+//!   slots, the journaled twin writes more than 1.2× the blocks of the
+//!   unjournaled one on inserts, or any commit bypassed the ring,
 //! * recovery is not `O(in-flight)`: its I/O count must not grow with
 //!   dictionary size, and must grow at most linearly (≤ 3 I/Os per
-//!   intent) in the number of in-flight ops.
+//!   intent) in the number of in-flight ops — replay reads the intents'
+//!   targets once and writes them back once, however many there are.
 //!
 //! Run: `cargo run -p bench --release --bin crash`
 //! Smoke: `cargo run -p bench --release --bin crash -- --smoke`
 
 use bench::write_json;
+use pdm::metrics::{IoMetricsSink, MetricsRegistry, JOURNAL_TOTAL};
 use pdm::{DiskArray, PdmConfig, Word};
 use pdm_dict::layout::DiskAllocator;
 use pdm_dict::{DictParams, DynamicDict};
 use serde::Serialize;
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 const KEY_SPACE: u64 = 1 << 20;
 const UNIVERSE: u64 = 1 << 21;
 /// Ring rows for the overhead twin (the harness default).
 const JOURNAL_ROWS: usize = 4;
-/// Ring rows for the recovery measurement: big enough that 7 in-flight
-/// inserts (~17 slots each) never trigger ring-pressure truncation.
-const RECOVERY_ROWS: usize = 8;
+/// Ring rows for the recovery measurement: one row (39 data slots) holds
+/// 7 in-flight inserts of 2 slots each with room to spare.
+const RECOVERY_ROWS: usize = 1;
 
 /// `n` distinct deterministic keys below [`KEY_SPACE`].
 fn dense_keys(n: usize) -> Vec<u64> {
@@ -78,6 +83,18 @@ struct OpClassRow {
     /// Extra parallel I/Os per op with the journal on.
     extra_ios_per_op: f64,
     overhead: f64,
+    plain_block_writes: u64,
+    journaled_block_writes: u64,
+    /// Journaled ÷ unjournaled `block_writes` of the class.
+    block_write_ratio: f64,
+    /// Ring slots written by the class's intents, and the in-place blocks
+    /// those intents protect.
+    journal_slot_blocks: u64,
+    journal_target_blocks: u64,
+    /// `journal_slot_blocks / journal_target_blocks`.
+    slots_per_target: f64,
+    /// The most ring slots one intent of the class took.
+    max_intent_slots: u64,
 }
 
 #[derive(Serialize)]
@@ -100,29 +117,58 @@ struct Report {
     recovery: Vec<RecoveryRow>,
 }
 
-/// Replay the mixed workload on one twin, returning per-phase parallel
-/// I/O counts (in `phases` order) and total wall time.
-fn replay(disks: &mut DiskArray, dict: &mut DynamicDict, keys: &[u64]) -> (Vec<u64>, u128) {
+/// What one phase of the replay cost its twin.
+#[derive(Clone, Copy, Default)]
+struct Phase {
+    parallel_ios: u64,
+    block_writes: u64,
+    slot_blocks: u64,
+    target_blocks: u64,
+    max_intent_slots: u64,
+}
+
+/// Replay the mixed workload on one twin, returning per-phase costs (in
+/// `phases` order) and total wall time.
+fn replay(disks: &mut DiskArray, dict: &mut DynamicDict, keys: &[u64]) -> (Vec<Phase>, u128) {
+    let registry = Arc::new(MetricsRegistry::new());
+    disks.set_io_sink(Some(Arc::new(IoMetricsSink::new(&registry, disks.disks()))));
+    let slot_blocks = registry.counter(JOURNAL_TOTAL, &[("stat", "slot_blocks")]);
+    let target_blocks = registry.counter(JOURNAL_TOTAL, &[("stat", "target_blocks")]);
     let start = Instant::now();
     let mut ios = Vec::new();
-    let mut mark = disks.stats().parallel_ios;
-    let mut cut = |disks: &DiskArray, ios: &mut Vec<u64>| {
-        let now = disks.stats().parallel_ios;
-        ios.push(now - mark);
+    let mut mark = Phase::default();
+    let mut max_intent_slots = 0;
+    let mut cut = |disks: &DiskArray, ios: &mut Vec<Phase>, max_intent_slots: &mut u64| {
+        let now = Phase {
+            parallel_ios: disks.stats().parallel_ios,
+            block_writes: disks.stats().block_writes,
+            slot_blocks: slot_blocks.get(),
+            target_blocks: target_blocks.get(),
+            max_intent_slots: 0,
+        };
+        ios.push(Phase {
+            parallel_ios: now.parallel_ios - mark.parallel_ios,
+            block_writes: now.block_writes - mark.block_writes,
+            slot_blocks: now.slot_blocks - mark.slot_blocks,
+            target_blocks: now.target_blocks - mark.target_blocks,
+            max_intent_slots: std::mem::take(max_intent_slots),
+        });
         mark = now;
     };
 
     // Preload half the keys sequentially: the "insert" op class.
     let (preload, rest) = keys.split_at(keys.len() / 2);
     for &k in preload {
+        let before = slot_blocks.get();
         dict.insert(disks, k, &sat(k)).unwrap();
+        max_intent_slots = max_intent_slots.max(slot_blocks.get() - before);
     }
-    cut(disks, &mut ios);
+    cut(disks, &mut ios, &mut max_intent_slots);
     // One staged batch for the other half: the "batch_insert" class.
     let entries: Vec<(u64, Vec<Word>)> = rest.iter().map(|&k| (k, sat(k))).collect();
     let (results, _) = dict.insert_batch(disks, &entries);
     assert!(results.iter().all(Result::is_ok));
-    cut(disks, &mut ios);
+    cut(disks, &mut ios, &mut max_intent_slots);
     // Read-heavy phase, the bulk of a replayed trace: twelve hit
     // sweeps, two miss sweeps, one batched sweep.
     for _ in 0..12 {
@@ -137,13 +183,16 @@ fn replay(disks: &mut DiskArray, dict: &mut DynamicDict, keys: &[u64]) -> (Vec<u
     }
     let (got, _) = dict.lookup_batch(disks, keys);
     assert!(got.iter().all(Option::is_some));
-    cut(disks, &mut ios);
+    cut(disks, &mut ios, &mut max_intent_slots);
     // Deletes for a quarter of the keys: the "delete" class.
     for &k in keys.iter().take(keys.len() / 4) {
+        let before = slot_blocks.get();
         let (found, _) = dict.delete(disks, k).expect("no fault plan is active");
         assert!(found);
+        max_intent_slots = max_intent_slots.max(slot_blocks.get() - before);
     }
-    cut(disks, &mut ios);
+    cut(disks, &mut ios, &mut max_intent_slots);
+    disks.set_io_sink(None);
     (ios, start.elapsed().as_nanos())
 }
 
@@ -159,8 +208,7 @@ fn recovery_row(dict_keys: usize, in_flight: usize) -> RecoveryRow {
     for &k in &dense_keys(dict_keys) {
         dict.insert(&mut disks, k, &sat(k)).unwrap();
     }
-    let meta = disks.journal_meta();
-    disks.journal_checkpoint(&meta);
+    disks.journal_truncate();
     for i in 0..in_flight as u64 {
         let k = KEY_SPACE + 5_000 + i;
         dict.insert(&mut disks, k, &sat(k)).unwrap();
@@ -190,27 +238,50 @@ fn main() {
     let (journaled_ios, journaled_ns) = replay(&mut jd, &mut jdict, &keys);
 
     let classes = ["insert", "batch_insert", "lookup", "delete"];
-    let class_ops = [n / 2, 1, 15 * n, n / 4];
+    // Per key: the batch's one call inserts the other half of the keys.
+    let class_ops = [n / 2, n / 2, 15 * n, n / 4];
     println!(
-        "{:<13} {:>6} {:>10} {:>12} {:>10} {:>9}",
-        "class", "ops", "plain_ios", "journal_ios", "extra/op", "overhead"
+        "{:<13} {:>6} {:>10} {:>12} {:>10} {:>9} {:>9} {:>12} {:>6}",
+        "class", "ops", "plain_ios", "journal_ios", "extra/op", "overhead", "writes_x",
+        "slots/target", "max"
     );
     let mut op_classes = Vec::new();
     for (i, class) in classes.iter().enumerate() {
+        let (plain, journaled) = (plain_ios[i], journaled_ios[i]);
         let row = OpClassRow {
             class: (*class).into(),
             ops: class_ops[i],
-            plain_ios: plain_ios[i],
-            journaled_ios: journaled_ios[i],
-            extra_ios_per_op: (journaled_ios[i] as f64 - plain_ios[i] as f64)
+            plain_ios: plain.parallel_ios,
+            journaled_ios: journaled.parallel_ios,
+            extra_ios_per_op: (journaled.parallel_ios as f64 - plain.parallel_ios as f64)
                 / class_ops[i] as f64,
-            overhead: journaled_ios[i] as f64 / plain_ios[i].max(1) as f64 - 1.0,
+            overhead: journaled.parallel_ios as f64 / plain.parallel_ios.max(1) as f64 - 1.0,
+            plain_block_writes: plain.block_writes,
+            journaled_block_writes: journaled.block_writes,
+            block_write_ratio: journaled.block_writes as f64 / plain.block_writes.max(1) as f64,
+            journal_slot_blocks: journaled.slot_blocks,
+            journal_target_blocks: journaled.target_blocks,
+            slots_per_target: journaled.slot_blocks as f64 / journaled.target_blocks.max(1) as f64,
+            max_intent_slots: journaled.max_intent_slots,
         };
         println!(
-            "{:<13} {:>6} {:>10} {:>12} {:>10.3} {:>8.1}%",
+            "{:<13} {:>6} {:>10} {:>12} {:>10.3} {:>8.1}% {:>9.3} {:>12.4} {:>6}",
             row.class, row.ops, row.plain_ios, row.journaled_ios, row.extra_ios_per_op,
-            100.0 * row.overhead
+            100.0 * row.overhead, row.block_write_ratio, row.slots_per_target,
+            row.max_intent_slots
         );
+        if row.class == "insert" && row.max_intent_slots > 2 {
+            failures.push(format!(
+                "a single-key insert's intent took {} ring slots (budget: 2)",
+                row.max_intent_slots
+            ));
+        }
+        if row.class == "insert" && row.block_write_ratio > 1.2 {
+            failures.push(format!(
+                "journaled inserts wrote {:.3}x the unjournaled twin's blocks (budget: 1.2x)",
+                row.block_write_ratio
+            ));
+        }
         if row.class == "lookup" && row.journaled_ios != row.plain_ios {
             failures.push(format!(
                 "journal added I/O to lookups ({} vs {})",
@@ -225,8 +296,12 @@ fn main() {
         op_classes.push(row);
     }
 
-    let plain_total: u64 = plain_ios.iter().sum();
-    let journaled_total: u64 = journaled_ios.iter().sum();
+    if jd.journal_bypassed() > 0 {
+        failures.push(format!("{} commits bypassed the journal ring", jd.journal_bypassed()));
+    }
+
+    let plain_total: u64 = plain_ios.iter().map(|p| p.parallel_ios).sum();
+    let journaled_total: u64 = journaled_ios.iter().map(|p| p.parallel_ios).sum();
     let mixed_overhead = journaled_total as f64 / plain_total.max(1) as f64 - 1.0;
     println!(
         "\nmixed-workload journal overhead: {:+.2}% ({journaled_total} vs {plain_total} \
@@ -263,14 +338,19 @@ fn main() {
             recovery.push(row);
         }
     }
-    // O(in-flight): independent of dictionary size...
+    // O(in-flight), independent of dictionary size: the scan costs the
+    // same at both sizes, and an intent's targets lie on distinct disks, so
+    // reading the targets of m intents and writing them back is at most 2m
+    // I/Os whatever the dictionary holds (a small one shares more blocks
+    // between intents and comes in under it).
+    let idle = recovery[0].recovery_ios;
     for (i, &m) in in_flights.iter().enumerate() {
         let small = recovery[i].recovery_ios;
         let large = recovery[in_flights.len() + i].recovery_ios;
-        if large > small + 1 {
+        if small.max(large) > idle + 2 * m as u64 || (m == 0 && large != small) {
             failures.push(format!(
                 "recovery with {m} in-flight ops scales with dictionary size \
-                 ({small} I/Os at {} keys, {large} at {} keys)",
+                 ({small} I/Os at {} keys, {large} at {} keys, idle scan {idle})",
                 sizes[0], sizes[1]
             ));
         }
@@ -310,7 +390,8 @@ fn main() {
     if failures.is_empty() {
         println!(
             "ACCEPT: lookups journal-free, mixed overhead <= 10%, \
-             mutations <= 2 extra I/Os per op, recovery O(in-flight)"
+             mutations <= 2 extra I/Os per op, insert intents <= 2 slots and \
+             <= 1.2x block writes, recovery O(in-flight)"
         );
     } else {
         for f in &failures {

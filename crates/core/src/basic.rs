@@ -139,6 +139,8 @@ pub struct BucketPatch {
     first: BlockAddr,
     image: Vec<Word>,
     blocks: usize,
+    /// Which of the probe's candidate buckets this is a copy of.
+    candidate: usize,
 }
 
 impl BucketPatch {
@@ -149,6 +151,15 @@ impl BucketPatch {
             .chunks(self.image.len() / self.blocks)
             .enumerate()
             .map(move |(b, words)| (BlockAddr::new(first.disk, first.block + b), words))
+    }
+
+    /// The pre-images of [`writes`](Self::writes), in the same order: the
+    /// bucket's blocks as they lie in `probe_blocks`, the probe the patch
+    /// was planned from. A journaled writer hands them to
+    /// [`DiskArray::journaled_delta_batch_checked`] as [`pdm::journal::Delta::Base`].
+    pub fn bases<'a>(&self, probe_blocks: &'a impl BlockView) -> impl Iterator<Item = &'a [Word]> {
+        let first = self.candidate * self.blocks;
+        (first..first + self.blocks).map(move |b| probe_blocks.block(b))
     }
 }
 
@@ -418,6 +429,7 @@ impl BasicDict {
             first: self.region.addr(stripe, j * self.blocks_per_bucket),
             image: self.bucket(probe_blocks, candidate).into_owned(),
             blocks: self.blocks_per_bucket,
+            candidate,
         }
     }
 

@@ -35,7 +35,7 @@ use crate::layout::DiskAllocator;
 use crate::one_probe::encoding::Chain;
 use crate::traits::{DictError, LookupOutcome};
 use expander::{params, FamilyExpander, NeighborFamily, NeighborFn};
-use pdm::journal::{JournalRegion, RecoveryReport};
+use pdm::journal::{Delta, JournalRegion, RecoveryReport};
 use pdm::{
     BatchExecutor, BatchPlan, BlockAddr, BlockBuf, BlockHealth, BlockView, DiskArray, IoFaultKind,
     OpCost, ReadOptions, Word,
@@ -94,11 +94,11 @@ pub(crate) struct DeeperRecord {
     pub(crate) addrs: Vec<BlockAddr>,
 }
 
-/// A level with room for one more chain: where the chain starts, and the
-/// patched images of the blocks it is written into.
+/// A level with room for one more chain: the stripes it takes (the chain
+/// starts at the first), and the patched images of the blocks it is
+/// written into, one per stripe taken.
 struct Fit {
-    head: usize,
-    targets: Vec<BlockAddr>,
+    stripes: Vec<usize>,
     images: BlockBuf,
 }
 
@@ -246,7 +246,7 @@ impl DynamicDict {
         let mut dict = Self::create(disks, alloc, first_disk, params)?;
         let report = disks.recover();
         let meta = disks.journal_meta();
-        if !meta.is_empty() && !dict.adopt_section(&meta) {
+        if !meta.is_empty() && !dict.adopt_section(meta) {
             return Err(DictError::UnsupportedParams(
                 "journal checkpoint does not belong to this dictionary".into(),
             ));
@@ -279,16 +279,25 @@ impl DynamicDict {
     /// moment a group-commit truncation freezes the checkpoint at, counters
     /// and replay add up exactly.
     pub(crate) fn checkpoint_section(&self) -> Vec<Word> {
-        let mut section = vec![
+        let mut section = vec![0; 6 + self.levels.len()];
+        self.fill_section(&mut section);
+        section
+    }
+
+    /// Write [`checkpoint_section`](Self::checkpoint_section) into
+    /// `section`, which has its length.
+    fn fill_section(&self, section: &mut [Word]) {
+        section[..6].copy_from_slice(&[
             self.meta_tag(),
             (4 + self.levels.len()) as Word,
             self.journal_seq,
             self.len as Word,
             self.insertions as Word,
             self.copies as Word,
-        ];
-        section.extend(self.level_population.iter().map(|&p| p as Word));
-        section
+        ]);
+        for (w, &p) in section[6..].iter_mut().zip(&self.level_population) {
+            *w = p as Word;
+        }
     }
 
     /// Where this instance's section sits in a checkpoint `meta`.
@@ -392,22 +401,43 @@ impl DynamicDict {
     /// Post-mutation journal bookkeeping: advance the watermark to the
     /// intent just appended and stage the updated counters — this
     /// instance's [section](Self::checkpoint_section) of the checkpoint,
-    /// other instances' sections left as they are — for the next
-    /// group-commit truncation.
+    /// rewritten where it lies, other instances' sections left as they are
+    /// — for the next group-commit truncation.
     fn after_op(&mut self, disks: &mut DiskArray) {
         if !disks.journal_enabled() {
             return;
         }
         self.journal_seq = self.journal_seq.max(disks.last_journal_seq());
-        let mut meta = disks.journal_meta();
-        let section = self.checkpoint_section();
-        match self.find_section(&meta) {
-            Some(range) => {
-                meta.splice(range, section);
-            }
-            None => meta.extend(section),
-        }
-        disks.journal_set_meta(&meta);
+        let len = 6 + self.levels.len();
+        disks.journal_edit_meta(|meta| {
+            let range = match self.find_section(meta) {
+                Some(range) if range.len() == len => range,
+                Some(range) => {
+                    meta.splice(range.clone(), std::iter::repeat_n(0, len));
+                    range.start..range.start + len
+                }
+                None => {
+                    meta.resize(meta.len() + len, 0);
+                    meta.len() - len..meta.len()
+                }
+            };
+            self.fill_section(&mut meta[range]);
+        });
+    }
+
+    /// A typed error for the first in-place write of `writes` that did not
+    /// land (`healths` are the batch's). The op is then acked as failed,
+    /// so its intent must never replay — a later recovery would apply an
+    /// update the caller was told did not happen: the journal is truncated
+    /// before the error is returned.
+    pub(crate) fn write_error(
+        disks: &mut DiskArray,
+        writes: &[(BlockAddr, &[Word])],
+        healths: &[BlockHealth],
+    ) -> Option<DictError> {
+        let e = Self::io_error(writes.iter().map(|(a, _)| a), healths)?;
+        disks.journal_truncate();
+        Some(e)
     }
 
     /// Keys stored here that a migration source still holds.
@@ -696,15 +726,20 @@ impl DynamicDict {
         (results, disks.end_op(scope))
     }
 
-    /// Staged writes one more insertion may add to a commit that must
-    /// still fit the journal ring as one intent: the migration step commits
-    /// what it has staged once [`BatchExecutor::staged_writes`] exceeds
-    /// this (`usize::MAX` without a journal).
-    fn intent_room(&self, disks: &DiskArray) -> usize {
-        let per_key = self.enc.fields_per_key + self.membership.blocks_per_bucket();
-        disks
-            .journal_intent_capacity(2 + self.levels.len())
-            .saturating_sub(per_key)
+    /// Insertions one commit may stage and still fit the journal ring as
+    /// one intent (`usize::MAX` without a journal): a batched insert and
+    /// the migration step commit what they have staged at this many keys.
+    /// An insertion changes at most a field's words (one more when it
+    /// straddles a word) in each of `m` blocks and one slot of a bucket;
+    /// keys sharing a block only share its header.
+    fn intent_keys(&self, disks: &DiskArray) -> usize {
+        use pdm::journal::{RUN_WORDS, TARGET_WORDS};
+        let field = TARGET_WORDS + RUN_WORDS + self.enc.field_words() + 1;
+        // A slot is its flags, its key and the one payload word.
+        let slot = TARGET_WORDS + RUN_WORDS + 2 + self.membership.config().payload_words;
+        let per_key =
+            self.enc.fields_per_key * field + self.membership.blocks_per_bucket() * slot;
+        (disks.journal_intent_capacity(2 + self.levels.len()) / per_key).max(1)
     }
 
     /// Commit what `ex` has staged as one journal intent tagged `op`
@@ -736,6 +771,11 @@ impl DynamicDict {
     /// Membership and level-1 blocks for the whole batch are prefetched
     /// in one plan; only deeper-level probes read on demand.
     ///
+    /// Under a journal the flush is one intent, atomic under a crash — or,
+    /// for a batch of more keys than the ring holds as one intent, one per
+    /// ring-sized run of keys in order, each atomic: a crash keeps a prefix
+    /// of the batch, and no batch ever bypasses the ring.
+    ///
     /// Processing **stops at the first budget error**
     /// ([`DictError::CapacityExhausted`] / [`DictError::LevelsExhausted`]):
     /// the returned vector then ends with that error and is shorter than
@@ -755,12 +795,19 @@ impl DynamicDict {
         for (key, _) in entries {
             self.probe(*key, &mut all);
         }
+        let room = self.intent_keys(disks);
         let mut pops_before = self.level_population.clone();
         let mut ex = BatchExecutor::new(disks);
         ex.prefetch(&all);
         let mut results = Vec::with_capacity(entries.len());
+        let mut staged = 0;
         for (key, satellite) in entries {
+            if staged == room {
+                self.commit_staged(&mut ex, META_BATCH, &mut pops_before);
+                staged = 0;
+            }
             let res = self.insert_staged(&mut ex, *key, satellite);
+            staged += usize::from(res.is_ok());
             let stop = matches!(
                 res,
                 Err(DictError::CapacityExhausted { .. } | DictError::LevelsExhausted { .. })
@@ -869,7 +916,8 @@ impl DynamicDict {
         let encoded = self.enc.encode(&stripes, satellite);
         let fa = &self.levels[level].fields;
         for (&s, bits) in stripes.iter().zip(encoded.chunks(self.enc.field_words())) {
-            fa.patch((s, fields[s]), ex.stage_mut(addrs[s]), bits);
+            let pos = (s, fields[s]);
+            fa.patch_words(pos, ex.stage_words(addrs[s], fa.words_of(pos)), bits);
         }
         for (a, img) in bucket.writes() {
             ex.stage_write(a, img);
@@ -900,15 +948,13 @@ impl DynamicDict {
     }
 
     /// One level's first-fit step outside a batch: if `fields` (read as
-    /// `fblocks` from `addrs`) have room, the chain of `satellite` patched
-    /// into copies of the `m` blocks it lands in — the only field blocks
-    /// an insertion copies.
-    #[allow(clippy::too_many_arguments)]
+    /// `fblocks`, one per stripe) have room, the chain of `satellite`
+    /// patched into copies of the `m` blocks it lands in — the only field
+    /// blocks an insertion copies.
     fn fit_level(
         &self,
         level: usize,
         fields: &[usize],
-        addrs: &[BlockAddr],
         fblocks: &impl BlockView,
         fhealths: &[BlockHealth],
         satellite: &[Word],
@@ -922,11 +968,7 @@ impl DynamicDict {
             images.push(fblocks.block(s));
             fa.patch((s, fields[s]), images.block_mut(t), bits);
         }
-        Some(Fit {
-            head: stripes[0],
-            targets: stripes.iter().map(|&s| addrs[s]).collect(),
-            images,
-        })
+        Some(Fit { stripes, images })
     }
 
     /// The insertion proper, given the blocks and healths read from
@@ -958,10 +1000,14 @@ impl DynamicDict {
         // First-fit level search. A level's `d` blocks sit one per stripe,
         // so the chain's field at stripe `s` patches block `s`.
         let mut scratch = Vec::new();
+        let mblocks = blocks.sub(0..probe.msplit);
         let fblocks0 = blocks.sub(probe.msplit..blocks.len());
         let mut chosen = self
-            .fit_level(0, &probe.fields0, faddrs0, &fblocks0, fhealths0, satellite, &mut scratch)
+            .fit_level(0, &probe.fields0, &fblocks0, fhealths0, satellite, &mut scratch)
             .map(|fit| (0, fit));
+        // A deeper level's read, kept past the search: its blocks are the
+        // pre-images of what the fit patched.
+        let mut deeper: Option<(Vec<BlockAddr>, BlockBuf)> = None;
         for level in 1..self.levels.len() {
             if chosen.is_some() {
                 break;
@@ -972,42 +1018,45 @@ impl DynamicDict {
             // One more parallel I/O (plus a retry only under faults).
             let (fblocks, fhealths) = Self::read_retry(disks, &addrs);
             chosen = self
-                .fit_level(level, &fields, &addrs, &fblocks, &fhealths, satellite, &mut scratch)
+                .fit_level(level, &fields, &fblocks, &fhealths, satellite, &mut scratch)
                 .map(|fit| (level, fit));
+            deeper = Some((addrs, fblocks));
         }
         let Some((level, fit)) = chosen else {
             return Err(DictError::LevelsExhausted { key });
         };
+        let faddrs = deeper.as_ref().map_or(faddrs0, |(addrs, _)| addrs);
 
         // Membership record in the same write batch (disjoint disks).
-        let mpayload = [Self::pack_payload(fit.head, level)];
+        let mpayload = [Self::pack_payload(fit.stripes[0], level)];
         self.membership.check_insertable(&mpayload)?;
         let bucket = self.membership.fill(bucket, key, &mpayload)?;
         let refs: Vec<(BlockAddr, &[Word])> = fit
-            .targets
+            .stripes
             .iter()
-            .copied()
+            .map(|&s| faddrs[s])
             .zip(fit.images.iter())
             .chain(bucket.writes())
             .collect();
         // With a journal enabled the multi-block group (field patches +
-        // membership record) becomes one intent entry, crash-atomic under
+        // membership record) becomes one intent entry — the words that
+        // differ from the blocks this operation read — crash-atomic under
         // any crash point; without one this is the plain checked write.
+        let mut bases: Vec<Delta<'_>> = Vec::new();
+        if disks.journal_enabled() {
+            bases.extend(fit.stripes.iter().map(|&s| {
+                Delta::Base(deeper.as_ref().map_or_else(|| fblocks0.block(s), |(_, read)| read.block(s)))
+            }));
+            bases.extend(bucket.bases(&mblocks).map(Delta::Base));
+        }
         let meta = [self.meta_tag(), META_INSERT, level as Word];
-        let whealths = disks.journaled_write_batch_checked(&refs, &meta);
-        if let Some(e) = Self::io_error(refs.iter().map(|(a, _)| a), &whealths) {
-            // Some block of the insert did not land (disk died or the
-            // write tore). The key is not counted as stored; whatever
-            // fragment did land decodes fail-closed (a chain missing a
-            // block, or a membership record whose fields are absent,
-            // reads as a miss) and is reclaimed by scrub or rebuild.
-            if disks.journal_enabled() {
-                // The op is acked as failed, so its intent must never
-                // replay (a later recovery would resurrect the key the
-                // caller was told is absent): truncate it now.
-                let meta = disks.journal_meta();
-                disks.journal_checkpoint(&meta);
-            }
+        let whealths = disks.journaled_delta_batch_checked(&refs, &bases, &meta);
+        // Some block of the insert did not land (disk died or the write
+        // tore): the key is not counted as stored; whatever fragment did
+        // land decodes fail-closed (a chain missing a block, or a
+        // membership record whose fields are absent, reads as a miss) and
+        // is reclaimed by scrub or rebuild.
+        if let Some(e) = Self::write_error(disks, &refs, &whealths) {
             return Err(e);
         }
         self.membership.note_inserted();
@@ -1031,6 +1080,9 @@ impl DynamicDict {
     /// [`DictError::Io`] when the key was not found and some membership
     /// probe stayed unreadable after the one retry: a stored key's bucket
     /// may be the one that read as zeros, so "absent" would be a guess.
+    /// Also when the tombstone write did not land (dropped on a dead disk,
+    /// or torn): the record may still be on disk, so the key stays counted
+    /// and the intent is truncated — nothing replays a delete that failed.
     pub fn delete(&mut self, disks: &mut DiskArray, key: u64) -> Result<(bool, OpCost), DictError> {
         let scope = disks.begin_op();
         let addrs = self.membership.probe_addrs(key);
@@ -1042,8 +1094,15 @@ impl DynamicDict {
             };
         };
         let refs: Vec<(BlockAddr, &[Word])> = patch.writes().collect();
+        let mut bases: Vec<Delta<'_>> = Vec::new();
+        if disks.journal_enabled() {
+            bases.extend(patch.bases(&blocks).map(Delta::Base));
+        }
         let meta = [self.meta_tag(), META_DELETE];
-        let _ = disks.journaled_write_batch_checked(&refs, &meta);
+        let whealths = disks.journaled_delta_batch_checked(&refs, &bases, &meta);
+        if let Some(e) = Self::write_error(disks, &refs, &whealths) {
+            return Err(e);
+        }
         self.note_deleted(disks, false);
         Ok((true, disks.end_op(scope)))
     }
@@ -1131,11 +1190,12 @@ impl DynamicDict {
             sources.push((fields, at..all.len()));
             self.probe(key, &mut all);
         }
-        let room = self.intent_room(disks);
+        let room = self.intent_keys(disks);
         let mut pops_before = self.level_population.clone();
         let mut ex = BatchExecutor::new(disks);
         ex.prefetch(&all);
         let mut copied = 0;
+        let mut staged = 0;
         let mut outcome = Ok(());
         let mut scratch = Vec::new();
         for (&(key, head, level), (fields, range)) in records.iter().zip(sources) {
@@ -1149,12 +1209,14 @@ impl DynamicDict {
             let Some(satellite) = old.decode_satellite(head, &scratch) else {
                 continue; // damaged in `old`: reads as a miss there too
             };
-            if ex.staged_writes() > room {
+            if staged == room {
                 self.commit_staged(&mut ex, META_MIGRATE_BATCH, &mut pops_before);
+                staged = 0;
             }
             match self.insert_staged(&mut ex, key, &satellite) {
                 Ok(()) => {
                     copied += 1;
+                    staged += 1;
                     self.copies += 1;
                 }
                 Err(DictError::DuplicateKey(_)) => {}
@@ -1527,6 +1589,58 @@ mod tests {
         }
     }
 
+    /// The write-side twin: a tombstone write that tears did not provably
+    /// land — the record may still be on disk — so the delete fails typed,
+    /// `len()` keeps counting the key, and the journaled intent is
+    /// truncated: no recovery replays a delete the caller was told failed.
+    #[test]
+    fn torn_tombstone_write_fails_deletes_typed() {
+        for journaled in [false, true] {
+            let (mut disks0, mut dict0) = if journaled {
+                setup_journaled(100, 1)
+            } else {
+                setup(100, 1, 0.5)
+            };
+            let ks = keys(100);
+            for k in &ks {
+                dict0.insert(&mut disks0, *k, &[*k]).unwrap();
+            }
+            disks0.enable_integrity();
+            let victim = ks[7];
+            let addrs = dict0.membership.probe_addrs(victim);
+            let (blocks, _) = DynamicDict::read_retry(&mut disks0, &addrs);
+            let patch = dict0.membership.plan_delete(victim, &blocks).unwrap();
+            let disk = patch.writes().next().unwrap().0.disk;
+            // The tombstone is the disk's first write since the plan was
+            // installed, or its second when the intent's ring slot happens
+            // to lie on the same disk.
+            let mut failed_typed = false;
+            for nth in 0..2 {
+                let (mut disks, mut dict) = (disks0.clone(), dict0.clone());
+                disks.set_fault_plan(pdm::FaultPlan::new().torn_write(disk, nth));
+                let Err(e) = dict.delete(&mut disks, victim) else {
+                    // The tear fell elsewhere (no second write without a
+                    // journal; the ring slot with one): the delete is whole.
+                    assert!(!dict.lookup(&mut disks, victim).found() && dict.len() == 99);
+                    continue;
+                };
+                failed_typed = true;
+                assert!(
+                    matches!(e, DictError::Io { kind: IoFaultKind::TornWrite, disk: at, .. } if at == disk),
+                    "journaled = {journaled}: {e}"
+                );
+                assert_eq!(dict.len(), 100, "a failed delete is not counted");
+                disks.clear_fault_plan();
+                let report = disks.recover();
+                assert!(report.replayed.is_empty(), "the failed delete replayed: {report:?}");
+                if let Some(got) = dict.lookup(&mut disks, victim).satellite {
+                    assert_eq!(got, vec![victim]);
+                }
+            }
+            assert!(failed_typed, "journaled = {journaled}: the tear never hit the tombstone");
+        }
+    }
+
     #[test]
     fn transient_read_window_is_absorbed_by_the_retry() {
         let (mut disks, mut dict) = setup(100, 1, 0.5);
@@ -1548,6 +1662,11 @@ mod tests {
     }
 
     fn setup_journaled(capacity: usize, sigma: usize) -> (DiskArray, DynamicDict) {
+        setup_ring(capacity, sigma, 2)
+    }
+
+    /// [`setup_journaled`] with a ring of `rows` rows.
+    fn setup_ring(capacity: usize, sigma: usize, rows: usize) -> (DiskArray, DynamicDict) {
         let d = 20;
         let mut disks = DiskArray::new(PdmConfig::new(2 * d, 64), 0);
         let mut alloc = DiskAllocator::new(2 * d);
@@ -1555,7 +1674,7 @@ mod tests {
             .with_degree(d)
             .with_epsilon(0.5)
             .with_seed(0xD1C7)
-            .with_journal(2);
+            .with_journal(rows);
         let dict = DynamicDict::create(&mut disks, &mut alloc, 0, params).unwrap();
         assert!(disks.journal_enabled());
         (disks, dict)
@@ -1693,6 +1812,165 @@ mod tests {
             }
         }
         assert!(seen_all_or_nothing, "a crash point split the batch");
+    }
+
+    /// Every block outside the journal ring (which `setup_journaled` lays
+    /// out first: `rows` blocks at the head of every disk).
+    fn data_image(disks: &DiskArray) -> Vec<Vec<Box<[Word]>>> {
+        let rows = disks.journal_region().map_or(0, |r| r.rows);
+        let mut image = disks.snapshot();
+        for disk in &mut image {
+            disk.drain(..rows);
+        }
+        image
+    }
+
+    /// Crash coverage for delta replay: two un-truncated intents patch the
+    /// *same* blocks — two inserts sharing their field blocks (at this size
+    /// a level's stripe is one block), then an insert and the delete of the
+    /// same key in one bucket. For every crash point of the second
+    /// operation, the machine reboots from the image alone, recovers, and
+    /// recovers again: image and `len()` equal the uncrashed twin's when
+    /// the intent's head landed, and the untouched predecessor's when not.
+    #[test]
+    fn two_live_intents_over_one_block_recover_to_the_twin_or_roll_back() {
+        let (mut disks1, mut dict1) = setup_journaled(64, 1);
+        for k in 0..5u64 {
+            dict1.insert(&mut disks1, k * 7 + 3, &[k]).unwrap();
+        }
+        let params = dict1.params;
+        let region = disks1.journal_region().unwrap();
+        disks1.journal_truncate();
+        // The first of the pair stays un-truncated under the second.
+        dict1.insert(&mut disks1, 0xA11CE, &[1]).unwrap();
+        type Second = fn(&mut DynamicDict, &mut DiskArray);
+        let seconds: [(&str, Second); 2] = [
+            ("insert sharing field blocks", |dict, disks| {
+                let _ = dict.insert(disks, 0xB0B, &[2]);
+            }),
+            ("delete in the same bucket", |dict, disks| {
+                let _ = dict.delete(disks, 0xA11CE);
+            }),
+        ];
+        for (what, second) in seconds {
+            let (mut twin_disks, mut twin) = (disks1.clone(), dict1.clone());
+            let writes_before = twin_disks.stats().block_writes;
+            second(&mut twin, &mut twin_disks);
+            let writes = twin_disks.stats().block_writes - writes_before;
+            assert_eq!(twin_disks.last_journal_seq(), disks1.last_journal_seq() + 1);
+            let mut rolled_forward = 0;
+            for k in 0..=writes {
+                let (mut disks, mut dict) = (disks1.clone(), dict1.clone());
+                disks.set_fault_plan(pdm::FaultPlan::new().crash_after(k));
+                second(&mut dict, &mut disks);
+                assert_eq!(disks.crash_fired(), k < writes, "{what}: crash at {k}");
+                disks.clear_fault_plan();
+                drop(dict);
+                let mut alloc = DiskAllocator::new(disks.disks());
+                let (reopened, report) =
+                    DynamicDict::reopen(&mut disks, &mut alloc, 0, params, region).unwrap();
+                assert_eq!((report.stalled, report.mismatched), (0, 0), "{what}: crash at {k}");
+                // Both intents replay, or only the first.
+                let forward = report.replayed.len() == 2;
+                assert!(forward || report.replayed.len() == 1, "{what}: crash at {k}: {report:?}");
+                rolled_forward += usize::from(forward);
+                let (want_disks, want) = if forward { (&twin_disks, &twin) } else { (&disks1, &dict1) };
+                assert_eq!(reopened.len(), want.len(), "{what}: crash at {k}");
+                assert_eq!(data_image(&disks), data_image(want_disks), "{what}: crash at {k}");
+                assert!(disks.recover().is_clean(), "{what}: crash at {k}");
+                assert_eq!(data_image(&disks), data_image(want_disks), "{what}: recovered twice");
+            }
+            assert!(rolled_forward > 1 && rolled_forward <= writes as usize, "{what}");
+        }
+    }
+
+    /// At `B = 64` an insert's intent is a continuation and a head: two
+    /// ring slots where whole images took 16. A crash between the two
+    /// leaves a continuation without its head, and the insert rolls back.
+    #[test]
+    fn an_inserts_intent_is_two_slots_and_a_crash_between_them_rolls_back() {
+        let (mut disks0, mut dict0) = setup_journaled(64, 1);
+        for k in 0..8u64 {
+            dict0.insert(&mut disks0, k * 7 + 3, &[k]).unwrap();
+        }
+        disks0.journal_truncate();
+        let (mut disks, mut dict) = (disks0.clone(), dict0.clone());
+        let cost = dict.insert(&mut disks, 0xFACE, &[1]).unwrap();
+        let m = dict.enc.fields_per_key as u64;
+        assert_eq!(cost.block_writes, 2 + m + 1, "2 ring slots, m fields, the bucket");
+        let (mut disks, mut dict) = (disks0.clone(), dict0.clone());
+        disks.set_fault_plan(pdm::FaultPlan::new().crash_after(1));
+        let _ = dict.insert(&mut disks, 0xFACE, &[1]);
+        disks.clear_fault_plan();
+        let region = disks.journal_region().unwrap();
+        disks.reopen_journal(region);
+        let report = disks.recover();
+        assert!(report.replayed.is_empty() && report.discarded == 0, "{report:?}");
+        assert_eq!(data_image(&disks), data_image(&disks0));
+        assert!(!dict0.lookup(&mut disks, 0xFACE).found());
+    }
+
+    /// No user batch bypasses the ring: a batch of more keys than one
+    /// intent holds commits as several, in order.
+    #[test]
+    fn a_large_insert_batch_commits_in_ring_sized_intents() {
+        let (mut disks, mut dict) = setup_ring(300, 1, 4);
+        let room = dict.intent_keys(&disks);
+        assert!((64..256).contains(&room), "a 4-row ring holds {room} keys to an intent");
+        let entries: Vec<(u64, Vec<Word>)> = keys(256).into_iter().map(|k| (k, vec![k])).collect();
+        let (results, _) = dict.insert_batch(&mut disks, &entries);
+        assert!(results.iter().all(Result::is_ok));
+        assert_eq!(disks.journal_bypassed(), 0);
+        assert_eq!(disks.last_journal_seq(), 256u64.div_ceil(room as u64));
+        assert_eq!(dict.len(), 256);
+        for (k, s) in &entries {
+            assert_eq!(dict.lookup(&mut disks, *k).satellite.as_ref(), Some(s));
+        }
+    }
+
+    /// A batch split over several intents on a one-row ring truncates the
+    /// ring inside the call. Cut anywhere, it keeps a prefix of whole
+    /// intents: recovering the pre-call process state over the crashed
+    /// image takes the counters the truncation checkpointed plus the
+    /// replayed deltas, and `len()` is exactly the keys that read back.
+    #[test]
+    fn a_split_insert_batch_keeps_a_prefix_under_any_crash_point() {
+        let (mut disks0, mut dict0) = setup_ring(128, 1, 1);
+        dict0.insert(&mut disks0, 1 << 29, &[9]).unwrap();
+        let room = dict0.intent_keys(&disks0);
+        let entries: Vec<(u64, Vec<Word>)> =
+            keys(3 * room + 2).into_iter().map(|k| (k, vec![k])).collect();
+        let mut prefixes = std::collections::BTreeSet::new();
+        for k in (0..).step_by(5) {
+            let (mut disks, mut dict) = (disks0.clone(), dict0.clone());
+            disks.set_fault_plan(pdm::FaultPlan::new().crash_after(k));
+            let _ = dict.insert_batch(&mut disks, &entries);
+            let fired = disks.crash_fired();
+            assert_eq!(disks.journal_bypassed(), 0);
+            disks.clear_fault_plan();
+            let region = disks.journal_region().unwrap();
+            disks.reopen_journal(region);
+
+            let mut rec = dict0.clone();
+            let report = disks.recover();
+            rec.adopt_section(disks.journal_meta());
+            rec.apply_replay(&report);
+            disks.journal_checkpoint(&rec.checkpoint_section());
+
+            let found: Vec<bool> =
+                entries.iter().map(|(key, _)| rec.lookup(&mut disks, *key).found()).collect();
+            let kept = found.iter().take_while(|&&f| f).count();
+            assert!(found[kept..].iter().all(|&f| !f), "crash at {k}: not a prefix");
+            assert!(kept % room == 0 || kept == entries.len(), "crash at {k}: a torn intent");
+            assert_eq!(rec.len(), 1 + kept, "crash at {k}");
+            assert!(rec.lookup(&mut disks, 1 << 29).found());
+            prefixes.insert(kept);
+            if !fired {
+                assert_eq!(kept, entries.len());
+                break;
+            }
+        }
+        assert_eq!(prefixes.len(), 5, "every intent boundary was cut: {prefixes:?}");
     }
 
     #[test]

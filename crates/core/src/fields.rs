@@ -155,6 +155,20 @@ impl FieldArray {
         copy_bits(block, self.bit_offset(pos.1), field, 0, self.field_bits);
     }
 
+    /// The words of its block that field `pos` lies in: all a
+    /// [`patch`](Self::patch) changes.
+    #[must_use]
+    pub fn words_of(&self, pos: FieldPos) -> std::ops::Range<usize> {
+        let at = self.bit_offset(pos.1);
+        at / WORD_BITS..(at + self.field_bits).div_ceil(WORD_BITS)
+    }
+
+    /// [`patch`](Self::patch) given only `words`, the
+    /// [`words_of`](Self::words_of) `pos` of the block image.
+    pub fn patch_words(&self, pos: FieldPos, words: &mut [Word], field: &[Word]) {
+        copy_bits(words, self.bit_offset(pos.1) % WORD_BITS, field, 0, self.field_bits);
+    }
+
     /// Convenience for tests and construction: write one field with a
     /// read-modify-write of its block (2 parallel I/Os).
     pub fn write_field(&self, disks: &mut DiskArray, pos: FieldPos, field: &[Word]) {
@@ -282,6 +296,23 @@ mod tests {
         let mut fields = vec![7; 9];
         fa.extract(positions.iter().copied(), &blocks, &mut fields);
         assert_eq!(fields, [0; 4], "one zeroed word per 64-bit field");
+    }
+
+    #[test]
+    fn patching_the_fields_own_words_equals_patching_the_block() {
+        let (disks, fa) = setup(37, 40);
+        let b = disks.block_words();
+        for j in 0..fa.fields_per_block() {
+            let field = [0x15_5555_5555 ^ j as Word];
+            let mut whole = vec![Word::MAX; b];
+            fa.patch((1, j), &mut whole, &field);
+            let mut narrow = vec![Word::MAX; b];
+            let words = fa.words_of((1, j));
+            assert!(words.len() <= fa.field_words() + 1 && words.end <= b);
+            fa.patch_words((1, j), &mut narrow[words.clone()], &field);
+            assert_eq!(whole, narrow, "field {j}");
+            assert!((0..b).all(|w| words.contains(&w) || whole[w] == Word::MAX));
+        }
     }
 
     #[test]

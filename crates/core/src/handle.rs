@@ -108,11 +108,15 @@ pub trait RawDict {
     }
 
     /// Reconcile in-memory counters with a journal recovery replay
-    /// ([`DiskArray::recover`]). Default: nothing to reconcile —
+    /// ([`DiskArray::recover`]) and the metadata `checkpoint` the journal
+    /// holds ([`DiskArray::journal_meta`]). Default: nothing to reconcile —
     /// front-ends whose counters a replayed intent changes (the dynamic
-    /// dictionary) override this with their delta application.
-    fn raw_recover_reconcile(&mut self, report: &pdm::RecoveryReport) {
-        let _ = report;
+    /// dictionary) override this: the checkpoint's counters where they are
+    /// newer than the instance's own (a truncation inside the interrupted
+    /// operation — a batch committed as several intents — froze them past
+    /// what this process state knew), then the replayed deltas.
+    fn raw_recover_reconcile(&mut self, checkpoint: &[Word], report: &pdm::RecoveryReport) {
+        let _ = (checkpoint, report);
     }
 
     /// The metadata checkpoint to persist when truncating the journal
@@ -217,7 +221,8 @@ impl RawDict for DynamicDict {
         out.push(("levels", self.num_levels() as u64));
         out.push(("insertions", self.insertions() as u64));
     }
-    fn raw_recover_reconcile(&mut self, report: &pdm::RecoveryReport) {
+    fn raw_recover_reconcile(&mut self, checkpoint: &[Word], report: &pdm::RecoveryReport) {
+        self.adopt_section(checkpoint);
         self.apply_replay(report);
     }
     fn raw_checkpoint_meta(&self) -> Vec<Word> {
@@ -434,7 +439,7 @@ impl<T: RawDict> Dict for DictHandle<T> {
 
     fn recover(&mut self) -> pdm::RecoveryReport {
         let report = self.disks.recover();
-        self.dict.raw_recover_reconcile(&report);
+        self.dict.raw_recover_reconcile(self.disks.journal_meta(), &report);
         // Truncate: with counters reconciled, nothing in the ring needs
         // to survive another crash-before-next-op.
         self.checkpoint();

@@ -66,6 +66,7 @@ use crate::config::DictParams;
 use crate::dynamic::{DynamicDict, FirstRound, META_DELETE};
 use crate::layout::DiskAllocator;
 use crate::traits::{Dict, DictError, LookupOutcome, OpRecorder};
+use pdm::journal::Delta;
 use pdm::metrics::{Counter, Gauge, Histogram, IoMetricsSink, MetricsRegistry};
 use pdm::{
     BatchPlan, BlockAddr, BlockView, DiskArray, IoStats, OpCost, PdmConfig, ScrubReport, Word,
@@ -469,7 +470,9 @@ impl Dictionary {
 
     /// Delete. During a rebuild both membership probes are read in one
     /// parallel I/O and a key living in both structures is tombstoned in
-    /// both by one journal intent. Returns whether the key was present.
+    /// both by one journal intent. Returns whether the key was present;
+    /// fails typed, as [`DynamicDict::delete`] does, off an unreadable
+    /// probe or a tombstone write that did not land.
     pub fn delete(&mut self, key: u64) -> Result<(bool, OpCost), DictError> {
         let scope = self.disks.begin_op();
         let was = match &mut self.building {
@@ -479,11 +482,10 @@ impl Dictionary {
                 let split = addrs.len();
                 self.active.membership().extend_probe_addrs(key, &mut addrs);
                 let (blocks, healths) = DynamicDict::read_retry(&mut self.disks, &addrs);
-                let in_new = b.dict.membership().plan_delete(key, &blocks.sub(0..split));
-                let in_old = self
-                    .active
-                    .membership()
-                    .plan_delete(key, &blocks.sub(split..addrs.len()));
+                let (new_blocks, old_blocks) =
+                    (blocks.sub(0..split), blocks.sub(split..addrs.len()));
+                let in_new = b.dict.membership().plan_delete(key, &new_blocks);
+                let in_old = self.active.membership().plan_delete(key, &old_blocks);
                 // A structure whose probe stayed unreadable and did not
                 // show the key may still hold it: tombstoning only the
                 // other copy, or answering "absent", would be a guess.
@@ -500,9 +502,11 @@ impl Dictionary {
                 // the second, if any, rides along (see `META_DELETE`).
                 let mut meta = Vec::with_capacity(3);
                 let mut writes = Vec::new();
+                let mut bases = Vec::new();
                 if let Some(patch) = &in_new {
                     meta.extend([b.dict.meta_tag(), META_DELETE]);
                     writes.extend(patch.writes());
+                    bases.extend(patch.bases(&new_blocks).map(Delta::Base));
                 }
                 if let Some(patch) = &in_old {
                     if meta.is_empty() {
@@ -511,9 +515,16 @@ impl Dictionary {
                         meta.push(self.active.meta_tag());
                     }
                     writes.extend(patch.writes());
+                    bases.extend(patch.bases(&old_blocks).map(Delta::Base));
                 }
+                // A tombstone that did not land leaves its record on disk:
+                // fail typed, nothing counted as deleted, the intent
+                // truncated so that it cannot replay.
                 if !writes.is_empty() {
-                    let _ = self.disks.journaled_write_batch_checked(&writes, &meta);
+                    let healths = self.disks.journaled_delta_batch_checked(&writes, &bases, &meta);
+                    if let Some(e) = DynamicDict::write_error(&mut self.disks, &writes, &healths) {
+                        return Err(e);
+                    }
                 }
                 if in_new.is_some() {
                     // A key in both had been copied: gone from both, it no
@@ -723,7 +734,7 @@ impl Dict for Dictionary {
         for dict in std::iter::once(&mut self.active)
             .chain(self.building.as_mut().map(|b| &mut b.dict))
         {
-            dict.adopt_section(&meta);
+            dict.adopt_section(meta);
             dict.apply_replay(&report);
         }
         self.checkpoint();
@@ -1114,6 +1125,65 @@ mod tests {
         dict.disks.clear_fault_plan();
         for k in gone {
             assert!(!dict.lookup(k).found(), "deleted key {k} came back");
+        }
+    }
+
+    /// The write-side twin: inside a window one intent tombstones a key in
+    /// both structures. If either tombstone write tears, the record it was
+    /// meant to kill may still be on disk: the delete fails typed, `len()`
+    /// does not move, and the intent is truncated so it can never replay.
+    #[test]
+    fn window_delete_fails_typed_on_a_torn_tombstone() {
+        let mut dict0 = Dictionary::new(params(64, 1).with_journal(2), 64).unwrap();
+        let mut n = 0u64;
+        while !dict0.is_rebuilding() {
+            dict0.insert(n, &[n]).unwrap();
+            n += 1;
+        }
+        let holds = |dict: &Dictionary, k: u64| {
+            let b = dict.building.as_ref().unwrap();
+            let mut disks = dict.disks.clone();
+            (b.dict.lookup(&mut disks, k).found(), dict.active.lookup(&mut disks, k).found())
+        };
+        // Into the window until a step has copied something.
+        while !(0..n).any(|k| holds(&dict0, k) == (true, true)) {
+            dict0.insert(n, &[n]).unwrap();
+            n += 1;
+        }
+        dict0.disks.enable_integrity();
+        let len = dict0.len();
+        // A key still only in the old structure, and one already copied.
+        for in_both in [false, true] {
+            let victim = (0..n).find(|&k| holds(&dict0, k) == (in_both, true)).expect("no such key");
+            let addrs = dict0.active.membership().probe_addrs(victim);
+            let (blocks, _) = DynamicDict::read_retry(&mut dict0.disks.clone(), &addrs);
+            let patch = dict0.active.membership().plan_delete(victim, &blocks).unwrap();
+            let disk = patch.writes().next().unwrap().0.disk;
+            let mut failed_typed = false;
+            for nth in 0..2 {
+                let mut dict = dict0.clone();
+                dict.disks.set_fault_plan(pdm::FaultPlan::new().torn_write(disk, nth));
+                let Err(e) = dict.delete(victim) else {
+                    // The tear fell on the intent's ring slot: the delete
+                    // is whole.
+                    assert!(!dict.lookup(victim).found() && dict.len() == len - 1);
+                    continue;
+                };
+                failed_typed = true;
+                assert!(
+                    matches!(e, DictError::Io { kind: pdm::IoFaultKind::TornWrite, disk: at, .. } if at == disk),
+                    "{e}"
+                );
+                assert_eq!(dict.len(), len, "a failed delete is not counted");
+                dict.disks.clear_fault_plan();
+                let report = Dict::recover(&mut dict);
+                assert!(report.replayed.is_empty(), "the failed delete replayed: {report:?}");
+                assert_eq!(dict.len(), len);
+                if let Some(got) = dict.lookup(victim).satellite {
+                    assert_eq!(got, vec![victim]);
+                }
+            }
+            assert!(failed_typed, "in both = {in_both}: the tear never hit the tombstone");
         }
     }
 

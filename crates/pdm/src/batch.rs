@@ -30,13 +30,15 @@
 //! share buckets.
 
 use crate::blocks::{BlockBuf, BlockView};
-use crate::disk::{BlockAddr, DiskArray, ReadOptions, WriteOptions};
+use crate::disk::{BlockAddr, DiskArray, ReadOptions};
 use crate::integrity::BlockHealth;
+use crate::journal::{diff_runs, Delta};
 use crate::metrics::IoEvent;
 use crate::stats::OpCost;
 use crate::Word;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 /// Two-word multiplicative hasher for [`BlockAddr`] keys (rotate, xor,
 /// multiply per word). The addresses are produced by this process's own
@@ -292,6 +294,17 @@ struct Held {
     slot: usize,
     /// Staged for writing and not yet landed.
     dirty: bool,
+    /// The image is what the medium holds apart from the words staged
+    /// since: it read healthy (a failed read is sanitized to zeros) or was
+    /// written by a commit that landed. Only then do the patched words
+    /// alone (`BatchExecutor::touched`) describe the change to a journal.
+    sound: bool,
+}
+
+impl Held {
+    fn clean(buf: usize, slot: usize, sound: bool) -> Self {
+        Held { buf, slot, dirty: false, sound }
+    }
 }
 
 /// A read-cache + staged-write layer executing batched updates with
@@ -308,7 +321,11 @@ struct Held {
 ///
 /// Every read round's buffer is kept whole, with an address → position
 /// index, and a staged write modifies the block where it lies: staging
-/// copies nothing and holds no second image.
+/// copies nothing and holds no second image. When the array has a
+/// journal, whose intents are the words a commit changed, the executor
+/// also notes which words of a block each staging touched, and hands
+/// those ranges to [`DiskArray::journaled_delta_batch_checked`] with the
+/// commit.
 ///
 /// ```
 /// use pdm::{BatchExecutor, BlockAddr, DiskArray, PdmConfig};
@@ -333,6 +350,10 @@ pub struct BatchExecutor<'a> {
     held: AddrMap<Held>,
     /// Dirty addresses in first-staged order (each appears once).
     dirty: Vec<BlockAddr>,
+    /// The word ranges staged since the last commit in blocks that were
+    /// [sound](Held::sound) then, as `(block, start, end)`; empty, and
+    /// never allocated, without a journal.
+    touched: Vec<(BlockAddr, usize, usize)>,
 }
 
 impl<'a> BatchExecutor<'a> {
@@ -344,6 +365,7 @@ impl<'a> BatchExecutor<'a> {
             bufs: vec![singles],
             held: AddrMap::default(),
             dirty: Vec::new(),
+            touched: Vec::new(),
         }
     }
 
@@ -367,8 +389,8 @@ impl<'a> BatchExecutor<'a> {
         let out = self.disks.read(plan.unique_blocks(), ReadOptions::verified());
         plan.record_rounds(self.disks);
         let buf = self.bufs.len();
-        for (slot, &a) in plan.unique_blocks().iter().enumerate() {
-            self.held.insert(a, Held { buf, slot, dirty: false });
+        for (slot, (&a, h)) in plan.unique_blocks().iter().zip(&out.healths).enumerate() {
+            self.held.insert(a, Held::clean(buf, slot, h.is_ok()));
         }
         self.bufs.push(out.blocks);
         out.healths
@@ -410,9 +432,11 @@ impl<'a> BatchExecutor<'a> {
             self.disks.emit_io_event(IoEvent::CacheHit { blocks: 1 });
         } else {
             self.disks.emit_io_event(IoEvent::CacheMiss { blocks: 1 });
+            // Sampled before the read, which moves the fault clocks.
+            let sound = self.disks.block_health(addr).is_ok();
             let block = self.disks.read_block(addr);
             self.disks.record_rounds(1);
-            self.hold_single(addr, &block);
+            self.hold_single(addr, &block, sound);
         }
         self.image(addr)
     }
@@ -483,18 +507,30 @@ impl<'a> BatchExecutor<'a> {
     }
 
     /// Hold `block` as `addr`'s image, outside any round buffer.
-    fn hold_single(&mut self, addr: BlockAddr, block: &[Word]) {
+    fn hold_single(&mut self, addr: BlockAddr, block: &[Word], sound: bool) {
         let slot = self.bufs[0].len();
         self.bufs[0].push(block);
-        self.held.insert(addr, Held { buf: 0, slot, dirty: false });
+        self.held.insert(addr, Held::clean(0, slot, sound));
     }
 
     /// Stage `addr` for writing and return its image to modify in place
     /// (read first if not cached, as in [`get`](BatchExecutor::get)).
     /// Subsequent reads of `addr` within this batch observe the
     /// modifications; disk content changes only on
-    /// [`commit`](BatchExecutor::commit).
+    /// [`commit`](BatchExecutor::commit). A journaled commit logs the whole
+    /// block: a caller that changes a few words says which with
+    /// [`stage_words`](BatchExecutor::stage_words).
     pub fn stage_mut(&mut self, addr: BlockAddr) -> &mut [Word] {
+        self.stage_words(addr, 0..self.disks.block_words())
+    }
+
+    /// [`stage_mut`](BatchExecutor::stage_mut) for a caller that changes
+    /// only `words` of the block: those words of its image, to modify in
+    /// place. A journaled commit logs them and nothing else of the block.
+    ///
+    /// # Panics
+    /// Panics if `words` runs past the block.
+    pub fn stage_words(&mut self, addr: BlockAddr, words: Range<usize>) -> &mut [Word] {
         if !self.held.contains_key(&addr) {
             self.get(addr);
         }
@@ -503,7 +539,10 @@ impl<'a> BatchExecutor<'a> {
             at.dirty = true;
             self.dirty.push(addr);
         }
-        self.bufs[at.buf].block_mut(at.slot)
+        if at.sound && !words.is_empty() && self.disks.journal_enabled() {
+            self.touched.push((addr, words.start, words.end));
+        }
+        &mut self.bufs[at.buf].block_mut(at.slot)[words]
     }
 
     /// Stage a full-block write of `data`, whatever `addr` held before
@@ -519,11 +558,22 @@ impl<'a> BatchExecutor<'a> {
             self.disks.block_words(),
             "batch staging requires full-block images"
         );
-        if self.held.contains_key(&addr) {
-            self.stage_mut(addr).copy_from_slice(data);
-        } else {
-            self.hold_single(addr, data);
+        let Some(at) = self.held.get(&addr) else {
+            // Never read: a journal has nothing to take a delta from.
+            self.hold_single(addr, data, false);
             self.stage_mut(addr);
+            return;
+        };
+        if at.sound && self.disks.journal_enabled() {
+            // Over an image the batch holds, the words that differ.
+            let (held, touched) = (self.bufs[at.buf].block(at.slot), &mut self.touched);
+            diff_runs(data, held, |run| touched.push((addr, run.start, run.end)));
+            // Dirty even when nothing differs, as without a journal.
+            self.stage_words(addr, 0..0);
+            let at = self.held[&addr];
+            self.bufs[at.buf].block_mut(at.slot).copy_from_slice(data);
+        } else {
+            self.stage_mut(addr).copy_from_slice(data);
         }
     }
 
@@ -562,8 +612,8 @@ impl<'a> BatchExecutor<'a> {
     ///
     /// When the underlying array has a journal enabled
     /// ([`DiskArray::journal_enabled`]) the whole commit is recorded as
-    /// one intent entry before any in-place write, making it atomic
-    /// under crashes; use
+    /// one intent entry — the words each staged block changed since it was
+    /// read — before any in-place write, making it atomic under crashes; use
     /// [`commit_checked_with_meta`](BatchExecutor::commit_checked_with_meta)
     /// to attach the owner's replay metadata to that entry.
     pub fn commit_checked(&mut self) -> CommitReport {
@@ -584,19 +634,33 @@ impl<'a> BatchExecutor<'a> {
             let image = |a: &BlockAddr| bufs[held[a].buf].block(held[a].slot);
             let writes: Vec<(BlockAddr, &[Word])> =
                 plan.unique_blocks().iter().map(|a| (*a, image(a))).collect();
-            let healths = if self.disks.journal_enabled() {
-                self.disks.journaled_write_batch_checked(&writes, meta)
-            } else {
-                self.disks.write(&writes, WriteOptions::checked()).healths
-            };
+            // What a journal logs of each block: the ranges staged in it,
+            // or all of it where the held image was not the medium's. Empty
+            // without a journal, when the call below is a plain write.
+            self.touched.sort_unstable();
+            let ranges: Vec<Range<usize>> = self.touched.iter().map(|&(_, s, e)| s..e).collect();
+            let mut deltas = Vec::new();
+            if self.disks.journal_enabled() {
+                let mut at = 0;
+                deltas.extend(plan.unique_blocks().iter().map(|a| {
+                    let from = at;
+                    at += self.touched[at..].iter().take_while(|t| t.0 == *a).count();
+                    if held[a].sound { Delta::Words(&ranges[from..at]) } else { Delta::Whole }
+                }));
+            }
+            let healths = self.disks.journaled_delta_batch_checked(&writes, &deltas, meta);
             plan.record_rounds(self.disks);
             self.disks.emit_io_event(IoEvent::BatchCommitted {
                 dirty_blocks: plan.num_unique_blocks() as u64,
             });
+            // What landed is the medium's content now; what did not left it
+            // in doubt, and its retry journals the whole block.
+            self.touched.clear();
             for (&a, h) in plan.unique_blocks().iter().zip(&healths) {
+                let at = self.held.get_mut(&a).expect("staged blocks are held");
+                (at.sound, at.dirty) = (h.is_ok(), !h.is_ok());
                 if h.is_ok() {
                     landed.push(a);
-                    self.held.get_mut(&a).expect("staged blocks are held").dirty = false;
                 } else {
                     failed.push((a, *h));
                 }
@@ -1095,19 +1159,96 @@ mod tests {
         }
     }
 
+    /// A journaled commit logs the words staged in each block since the
+    /// executor read it — and a second commit of the same executor, the
+    /// words staged since the first landed. Both intents stay live over
+    /// the same blocks; a crash at any write of the second recovers to
+    /// exactly one of the two committed states.
+    #[test]
+    fn journaled_commits_log_what_changed_since_the_last_one() {
+        use crate::fault::FaultPlan;
+        use crate::journal::JournalRegion;
+
+        let targets = [BlockAddr::new(0, 1), BlockAddr::new(1, 2), BlockAddr::new(2, 0)];
+        let image = |round: usize, i: usize| -> Vec<Word> {
+            let mut v: Vec<Word> = (0..16).map(|w| 50 * i as Word + w).collect();
+            if round >= 1 {
+                v[3] = 7;
+            }
+            if round >= 2 {
+                v[3] = 8;
+                v[9] = 9;
+            }
+            v
+        };
+        for k in 0..=5u64 {
+            let mut disks = DiskArray::new(PdmConfig::new(4, 16), 8);
+            for (i, &a) in targets.iter().enumerate() {
+                disks.write_block(a, &image(0, i));
+            }
+            disks.enable_journal(JournalRegion {
+                first_block: 4,
+                rows: 3,
+            });
+            let mut ex = BatchExecutor::new(&mut disks);
+            ex.prefetch(&targets);
+            for &a in &targets {
+                ex.stage_words(a, 3..4)[0] = 7;
+            }
+            let first = ex.commit_checked();
+            assert_eq!(first.cost.block_writes, 1 + 3, "3 × (2 + 1 + 1) delta words: one slot");
+            ex.disks_mut().set_fault_plan(FaultPlan::new().crash_after(k));
+            // A full image staged over a held block logs the words that
+            // differ from it; so does naming them.
+            let mut whole = ex.get(targets[0]).to_vec();
+            (whole[3], whole[9]) = (8, 9);
+            ex.stage_write(targets[0], &whole);
+            for &a in &targets[1..] {
+                ex.stage_words(a, 9..10)[0] = 9;
+                ex.stage_words(a, 3..4)[0] = 8;
+            }
+            // 3 × (2 + 2 + 2) = 18 delta words: a continuation and the head.
+            let _ = ex.commit_checked_with_meta(&[2]);
+            let fired = disks.crash_fired();
+            disks.clear_fault_plan();
+            let region = disks.journal_region().unwrap();
+            disks.reopen_journal(region);
+            for pass in 0..2 {
+                let report = disks.recover();
+                let round = report.replayed.len();
+                assert_eq!(round == 2, k >= 2, "crash after {k}: the head is the 2nd write");
+                assert_eq!((report.stalled, report.mismatched), (0, 0));
+                for (i, &a) in targets.iter().enumerate() {
+                    assert_eq!(disks.read_block(a), image(round, i), "crash after {k}, pass {pass}");
+                }
+            }
+            assert_eq!(fired, k < 5, "2 slots + 3 in-place writes");
+        }
+        // `stage_mut` hands out the whole block, and that is what is logged.
+        let mut disks = DiskArray::new(PdmConfig::new(4, 16), 8);
+        disks.enable_journal(JournalRegion {
+            first_block: 4,
+            rows: 3,
+        });
+        let mut ex = BatchExecutor::new(&mut disks);
+        ex.stage_mut(targets[0])[3] = 7;
+        assert_eq!(ex.commit_checked().cost.block_writes, 2 + 1, "2 + 1 + 16 delta words");
+    }
+
     #[test]
     fn journaled_commit_is_atomic_under_any_crash_point() {
         use crate::fault::FaultPlan;
         use crate::journal::JournalRegion;
 
-        // 3 staged blocks => 3 payload slots + head + 3 in-place = 7
-        // physical writes. Every crash point must leave all-or-nothing.
+        // 3 blocks staged whole, never read (no pre-image): 57 delta
+        // words in 5 ring slots + 3 in-place = 8 physical writes. Every
+        // crash point must leave all-or-nothing.
         let targets = [
             BlockAddr::new(0, 1),
             BlockAddr::new(1, 2),
             BlockAddr::new(2, 0),
         ];
-        for k in 0..=7u64 {
+        for k in 0..=8u64 {
             let mut disks = DiskArray::new(PdmConfig::new(4, 16), 8);
             disks.enable_journal(JournalRegion {
                 first_block: 4,

@@ -84,7 +84,7 @@ pub use file_backend::{FileBackend, FileBackendOptions};
 pub use fault::{Fault, FaultPlan};
 pub use file::RecordFile;
 pub use integrity::{BlockCodec, BlockHealth, IoFaultKind, MixCodec, ScrubReport};
-pub use journal::{JournalRegion, RecoveryReport, ReplayedIntent, GROUP_COMMIT_EVERY};
+pub use journal::{Delta, JournalRegion, RecoveryReport, ReplayedIntent, GROUP_COMMIT_EVERY};
 pub use memory::MemTracker;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, IoEvent, IoEventSink, IoMetricsSink,

@@ -263,37 +263,45 @@ fn fnv(h: &mut u64, x: u64) {
     }
 }
 
+fn both(h: &mut u64, g: &mut u64, x: u64) {
+    fnv(h, x);
+    fnv(g, x);
+}
+
 /// Drive `dict` with a fixed seeded stream of 4096 operations — single
 /// inserts, lookups and deletes, `lookup_batch` and `insert_batch` — over
 /// a key space small enough that hits, misses, duplicates and deletes of
-/// stored keys all occur.
-fn golden_stream(dict: &mut dyn Dict, sigma: usize, seed: u64) -> Golden {
+/// stored keys all occur. Beside the [`Golden`], returns the hash of the
+/// stream's *answers*: everything `results` hashes except what a batched
+/// insert was charged, the one figure in it a journal is allowed to move.
+fn golden_stream(dict: &mut dyn Dict, sigma: usize, seed: u64) -> (Golden, u64) {
     let mut state = seed;
     let mut next = move || {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         expander::mix::mix64(state)
     };
     let mut results = 0xCBF2_9CE4_8422_2325u64;
+    let mut answers = results;
     let result_of = |r: Result<(), DictError>| r.map_or_else(|e| 1 + e.kind() as u64, |()| 0);
     for _ in 0..4096 {
         let r = next();
         let key = next() % 1536;
         match r % 16 {
-            0..=5 => fnv(&mut results, result_of(dict.insert(key, &sat(key, sigma)).map(|_| ()))),
+            0..=5 => both(&mut results, &mut answers, result_of(dict.insert(key, &sat(key, sigma)).map(|_| ()))),
             6..=9 => {
                 let out = dict.lookup(key);
-                fnv(&mut results, out.cost.parallel_ios);
+                both(&mut results, &mut answers, out.cost.parallel_ios);
                 for w in out.satellite.iter().flatten() {
-                    fnv(&mut results, *w);
+                    both(&mut results, &mut answers, *w);
                 }
             }
-            10..=12 => fnv(&mut results, dict.delete(key).map_or(2, |(was, _)| u64::from(was))),
+            10..=12 => both(&mut results, &mut answers, dict.delete(key).map_or(2, |(was, _)| u64::from(was))),
             13..=14 => {
                 let keys: Vec<u64> = (0..1 + r % 24).map(|_| next() % 1536).collect();
                 let (found, cost) = dict.lookup_batch(&keys);
-                fnv(&mut results, cost.parallel_ios);
+                both(&mut results, &mut answers, cost.parallel_ios);
                 for f in found {
-                    fnv(&mut results, f.map_or(u64::MAX, |s| s.iter().fold(7, |a, w| a ^ w)));
+                    both(&mut results, &mut answers, f.map_or(u64::MAX, |s| s.iter().fold(7, |a, w| a ^ w)));
                 }
             }
             _ => {
@@ -304,7 +312,7 @@ fn golden_stream(dict: &mut dyn Dict, sigma: usize, seed: u64) -> Golden {
                 let (res, cost) = dict.insert_batch(&entries);
                 fnv(&mut results, cost.parallel_ios);
                 for r in res {
-                    fnv(&mut results, result_of(r));
+                    both(&mut results, &mut answers, result_of(r));
                 }
             }
         }
@@ -318,7 +326,7 @@ fn golden_stream(dict: &mut dyn Dict, sigma: usize, seed: u64) -> Golden {
         }
     }
     let s = disks.stats();
-    Golden {
+    let golden = Golden {
         parallel_ios: s.parallel_ios,
         batches: s.batches,
         block_reads: s.block_reads,
@@ -326,19 +334,26 @@ fn golden_stream(dict: &mut dyn Dict, sigma: usize, seed: u64) -> Golden {
         rounds: s.rounds,
         image,
         results,
-    }
+    };
+    (golden, answers)
 }
 
 /// The "I/O-count gates byte-identical" acceptance made mechanical: the
-/// constants below were recorded at the commit before the probe path moved
-/// to flat round buffers (PR 14's parent). A change to how blocks are held
-/// in memory must issue the same blocks in the same batches and leave the
-/// same image; a change that is *meant* to move them re-records these.
+/// unjournaled constant below was recorded at the commit before the probe
+/// path moved to flat round buffers (PR 14's parent). A change to how
+/// blocks are held in memory must issue the same blocks in the same batches
+/// and leave the same image; a change that is *meant* to move them
+/// re-records these — as PR 15 did for the two journaled fronts, whose
+/// intents became word runs (fewer ring blocks written, so other counters
+/// and another ring image; a batched insert is charged differently, so
+/// another `results`). What a journal may never move is an answer: each
+/// journaled stream is also run on an unjournaled twin, and every result,
+/// every lookup's charged rounds included, must hash the same.
 #[test]
 fn golden_io_counts_and_images_match_the_recorded_parent() {
     let mut plain = (frontend("dynamic").build)(4096, &[], 0x601D);
     assert_eq!(
-        golden_stream(plain.as_mut(), 2, 1),
+        golden_stream(plain.as_mut(), 2, 1).0,
         Golden {
             parallel_ios: 15708,
             batches: 5916,
@@ -351,16 +366,20 @@ fn golden_io_counts_and_images_match_the_recorded_parent() {
         "unjournaled DynamicDict"
     );
     let mut journaled = (frontend("dynamic_journaled").build)(4096, &[], 0x601D);
+    let mut twin = (frontend("dynamic").build)(4096, &[], 0x601D);
+    let (got, answers) = golden_stream(journaled.as_mut(), 2, 2);
+    assert_eq!(answers, golden_stream(twin.as_mut(), 2, 2).1, "a journal changed an answer");
+    assert_eq!(journaled.disks().unwrap().journal_bypassed(), 0);
     assert_eq!(
-        golden_stream(journaled.as_mut(), 2, 2),
+        got,
         Golden {
-            parallel_ios: 16700,
-            batches: 7525,
+            parallel_ios: 16499,
+            batches: 7414,
             block_reads: 451128,
-            block_writes: 44441,
+            block_writes: 27017,
             rounds: 10344,
-            image: 0x0B6215AEE1C4983E,
-            results: 0xA06188C3798FDAA7,
+            image: 0x47CB1B6E96E5EA30,
+            results: 0x8CE60F647AC73C79,
         },
         "journaled DynamicDict"
     );
@@ -370,19 +389,81 @@ fn golden_io_counts_and_images_match_the_recorded_parent() {
         .with_seed(0x601D)
         .with_journal(2);
     let mut rebuilding = Dictionary::new(params, 64).unwrap();
-    let got = golden_stream(&mut rebuilding, 1, 3);
+    let mut twin = Dictionary::new(DictParams { journal_rows: 0, ..params }, 64).unwrap();
+    let (got, answers) = golden_stream(&mut rebuilding, 1, 3);
     assert!(rebuilding.rebuilds() >= 2, "the stream must cross two rebuilds");
+    assert_eq!(answers, golden_stream(&mut twin, 1, 3).1, "a journal changed an answer");
+    assert_eq!(rebuilding.disks().journal_bypassed(), 0);
     assert_eq!(
         got,
         Golden {
-            parallel_ios: 25114,
-            batches: 10420,
+            parallel_ios: 24210,
+            batches: 10014,
             block_reads: 642084,
-            block_writes: 149698,
+            block_writes: 79495,
             rounds: 16196,
-            image: 0x7200B20E96C63ED6,
-            results: 0x20A040B42FB5A8AF,
+            image: 0x5AADF307216DC20D,
+            results: 0xB4E6C4A7AC4E206C,
         },
         "journaled rebuilding Dictionary"
     );
+}
+
+/// No user batch bypasses the ring: the wall-clock benchmark's
+/// `engine_churn` shape — a journaled rebuilding `Dictionary` (B = 128, 4
+/// ring rows) under windows of 64 operations, 80 % updates, the window's
+/// inserts as one `insert_batch` — across several rebuilds. Every commit
+/// went through the journal, and the dictionary agrees with a model.
+#[test]
+fn an_engine_churn_shaped_stream_never_bypasses_the_ring() {
+    let params = DictParams::new(256, UNIVERSE, 2)
+        .with_degree(20)
+        .with_epsilon(0.5)
+        .with_seed(0xC4A2)
+        .with_journal(4);
+    let mut dict = Dictionary::new(params, 128).unwrap();
+    let mut model = std::collections::BTreeMap::new();
+    let mut state = 7u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        expander::mix::mix64(state)
+    };
+    let mut windows = 0;
+    while dict.rebuilds() < 4 {
+        let (mut inserts, mut deletes, mut lookups) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..64 {
+            let (r, key) = (next() % 10, next() % 4096);
+            match r {
+                0..=4 if !model.contains_key(&key) && !inserts.iter().any(|(k, _)| *k == key) => {
+                    inserts.push((key, sat(key, 2)));
+                }
+                0..=7 => deletes.push(key),
+                _ => lookups.push(key),
+            }
+        }
+        let (results, _) = Dictionary::insert_batch(&mut dict, &inserts);
+        for ((key, s), r) in inserts.into_iter().zip(results) {
+            r.unwrap();
+            model.insert(key, s);
+        }
+        for key in deletes {
+            let (was, _) = Dictionary::delete(&mut dict, key).unwrap();
+            assert_eq!(was, model.remove(&key).is_some(), "delete of {key}");
+        }
+        let (found, _) = Dictionary::lookup_batch(&mut dict, &lookups);
+        for (key, got) in lookups.iter().zip(found) {
+            assert_eq!(got.as_ref(), model.get(key), "lookup of {key}");
+        }
+        windows += 1;
+        assert!(windows < 2_000, "the stream never crossed four rebuilds");
+    }
+    assert_eq!(dict.disks().journal_bypassed(), 0, "a window's batch bypassed the journal");
+    assert_eq!(dict.len(), model.len());
+    for (key, s) in &model {
+        assert_eq!(Dictionary::lookup(&mut dict, *key).satellite.as_ref(), Some(s), "key {key}");
+    }
+    // And what the ring holds replays onto the image it was taken from.
+    let report = Dict::recover(&mut dict);
+    assert_eq!((report.stalled, report.mismatched), (0, 0), "{report:?}");
+    assert_eq!(dict.len(), model.len());
 }

@@ -288,9 +288,14 @@ enum Cut {
 /// is exact, the journal is truncated — and stays exact through the rest of
 /// the rebuild, with nothing having bypassed the journal.
 fn rebuild_crash_matrix(dict: &Dictionary, live: &BTreeSet<u64>, cut: Cut) {
+    rebuild_crash_matrix_of(dict, live, cut, 1);
+}
+
+/// [`rebuild_crash_matrix`] over satellites of `sigma` words.
+fn rebuild_crash_matrix_of(dict: &Dictionary, live: &BTreeSet<u64>, cut: Cut, sigma: usize) {
     assert!(dict.is_rebuilding(), "the matrix is for operations inside a window");
     let run = |d: &mut Dictionary| match cut {
-        Cut::Insert(k) => Dictionary::insert(d, k, &sat(k, 1)).map(|_| ()),
+        Cut::Insert(k) => Dictionary::insert(d, k, &sat(k, sigma)).map(|_| ()),
         Cut::Delete(k) => Dictionary::delete(d, k).map(|_| ()),
     };
     let cut_key = match cut {
@@ -326,7 +331,10 @@ fn rebuild_crash_matrix(dict: &Dictionary, live: &BTreeSet<u64>, cut: Cut) {
 
         let mut survivor = dict.clone();
         *survivor.disks_mut().unwrap() = image;
-        let _ = Dict::recover(&mut survivor);
+        let first = Dict::recover(&mut survivor);
+        // Every delta replayed onto a block in one of the states it was
+        // taken across.
+        assert_eq!((first.stalled, first.mismatched), (0, 0), "crash point {crash_at} of {cut:?}");
 
         let mut present = 0;
         for &k in live {
@@ -335,14 +343,14 @@ fn rebuild_crash_matrix(dict: &Dictionary, live: &BTreeSet<u64>, cut: Cut) {
             }
             assert_eq!(
                 survivor.lookup(k).satellite,
-                Some(sat(k, 1)),
+                Some(sat(k, sigma)),
                 "acked key {k} lost at crash point {crash_at} of {cut:?}"
             );
             present += 1;
         }
         // The cut operation is in doubt, never torn.
         if let Some(got) = survivor.lookup(cut_key).satellite {
-            assert_eq!(got, sat(cut_key, 1), "{cut:?} torn at crash point {crash_at}");
+            assert_eq!(got, sat(cut_key, sigma), "{cut:?} torn at crash point {crash_at}");
             present += 1;
         }
         assert_eq!(
@@ -358,13 +366,13 @@ fn rebuild_crash_matrix(dict: &Dictionary, live: &BTreeSet<u64>, cut: Cut) {
         while survivor.is_rebuilding() {
             let nk = KEY_SPACE + 8_000 + extra;
             extra += 1;
-            survivor.insert(nk, &sat(nk, 1)).unwrap();
+            survivor.insert(nk, &sat(nk, sigma)).unwrap();
         }
         for &k in live {
             if k != cut_key {
                 assert_eq!(
                     survivor.lookup(k).satellite,
-                    Some(sat(k, 1)),
+                    Some(sat(k, sigma)),
                     "key {k} lost finishing the rebuild after crash point {crash_at} of {cut:?}"
                 );
             }
@@ -382,17 +390,17 @@ fn rebuild_crash_matrix(dict: &Dictionary, live: &BTreeSet<u64>, cut: Cut) {
 }
 
 /// Journal intents one more insert into `dict` would append.
-fn intents_of_next_insert(dict: &Dictionary, key: u64) -> u64 {
+fn intents_of_next_insert(dict: &Dictionary, key: u64, sigma: usize) -> u64 {
     let mut trial = dict.clone();
     let before = trial.disks().last_journal_seq();
-    trial.insert(key, &sat(key, 1)).unwrap();
+    trial.insert(key, &sat(key, sigma)).unwrap();
     trial.disks().last_journal_seq() - before
 }
 
 /// Block writes the tombstone of `key` itself costs inside `dict`'s window —
 /// the migration step every delete also runs is measured on an absent key
-/// and subtracted. Images, descriptor, in-place blocks: 5 when one intent
-/// covers a key living in both structures, 3 for a key in just one.
+/// and subtracted. One ring slot and the in-place blocks: 3 when one intent
+/// covers a key living in both structures, 2 for a key in just one.
 fn tombstone_writes(dict: &Dictionary, key: u64) -> i64 {
     let writes_of = |k: u64| {
         let mut trial = dict.clone();
@@ -408,7 +416,16 @@ fn open_window(
     capacity: usize,
     journal_rows: usize,
 ) -> (Dictionary, BTreeSet<u64>, impl Iterator<Item = u64>) {
-    let params = DictParams::new(capacity, UNIVERSE, 1)
+    open_window_of(capacity, journal_rows, 1)
+}
+
+/// [`open_window`] over satellites of `sigma` words.
+fn open_window_of(
+    capacity: usize,
+    journal_rows: usize,
+    sigma: usize,
+) -> (Dictionary, BTreeSet<u64>, impl Iterator<Item = u64>) {
+    let params = DictParams::new(capacity, UNIVERSE, sigma)
         .with_degree(20)
         .with_epsilon(0.5)
         .with_seed(0xC4A5)
@@ -418,7 +435,7 @@ fn open_window(
     let mut keys = dense_keys(2_000).into_iter();
     while !dict.is_rebuilding() {
         let k = keys.next().expect("rebuild never started");
-        dict.insert(k, &sat(k, 1)).unwrap();
+        dict.insert(k, &sat(k, sigma)).unwrap();
         live.insert(k);
     }
     assert!(dict.disks().journal_enabled());
@@ -436,7 +453,7 @@ fn rebuilding_dictionary_is_crash_consistent_during_migration() {
     rebuild_crash_matrix(&dict, &live, Cut::Insert(victim));
     let mut cut_a_copied_delete = false;
     loop {
-        let copied = live.iter().copied().find(|&k| tombstone_writes(&dict, k) == 5);
+        let copied = live.iter().copied().find(|&k| tombstone_writes(&dict, k) == 3);
         if let (false, Some(k)) = (cut_a_copied_delete, copied) {
             cut_a_copied_delete = true;
             rebuild_crash_matrix(&dict, &live, Cut::Delete(k));
@@ -457,22 +474,27 @@ fn rebuilding_dictionary_is_crash_consistent_during_migration() {
     assert!(cut_a_copied_delete, "no delete of a copied key was cut");
 }
 
-/// A step that stages more blocks than a one-row ring holds commits as
-/// several intents, so the ring truncates *inside* the operation and the
+/// A step that stages more changed words than a one-row ring holds commits
+/// as several intents, so the ring truncates *inside* the operation and the
 /// pre-op process state no longer sees the first of them replayed: the
 /// counters must then come from the checkpoint the truncation persisted.
+/// (An intent is the words a key changes, ~76 of them at one satellite word,
+/// and the smallest ring holds 62 such keys — more than two buckets hand a
+/// step. Satellites of `WIDE` words make a key's chain 14 fields of 63
+/// words, one to a block, and a step of more than 4 keys splits.)
 #[test]
 fn a_migration_step_split_across_intents_is_crash_consistent() {
+    const WIDE: usize = 880;
     let victim = KEY_SPACE + 7_000;
-    let (mut dict, mut live, mut keys) = open_window(256, 1);
+    let (mut dict, mut live, mut keys) = open_window_of(64, 1, WIDE);
     // One intent for the insert, one per commit of the step.
-    while intents_of_next_insert(&dict, victim) <= 2 {
+    while intents_of_next_insert(&dict, victim, WIDE) <= 2 {
         assert!(dict.is_rebuilding(), "no step of the window was split");
         let k = keys.next().expect("keys ran out");
-        dict.insert(k, &sat(k, 1)).unwrap();
+        dict.insert(k, &sat(k, WIDE)).unwrap();
         live.insert(k);
     }
-    rebuild_crash_matrix(&dict, &live, Cut::Insert(victim));
+    rebuild_crash_matrix_of(&dict, &live, Cut::Insert(victim), WIDE);
 }
 
 /// Integrity checksums across a discard: the `rebuild` front runs through

@@ -265,3 +265,44 @@ fn one_probe_b_single_disk_failure_drill() {
     let second = dict.scrub();
     assert_eq!(second.repaired_blocks, 0, "idle scrub repaired: {second:?}");
 }
+
+/// A tombstone write that tears did not provably land — the record may
+/// still be on disk — so the delete fails typed instead of acknowledging.
+/// Every disk's first two writes tear (wherever the key's bucket lies, and
+/// whether or not a journal slot is written to that disk first): the
+/// failed delete leaves `len()` counting the key, truncates its intent so
+/// that no recovery replays an op the caller was told failed, and never
+/// turns the key into wrong data.
+#[test]
+fn a_torn_tombstone_write_fails_the_delete_typed() {
+    for name in ["dynamic", "dynamic_journaled", "rebuild"] {
+        let f = harness::frontend(name);
+        let entries = padded_entries(&f, &harness::dense_keys(40));
+        let mut dict = (f.build)(entries.len() + 8, &entries, 0x70A2);
+        let disks = dict.disks_mut().unwrap();
+        disks.enable_integrity();
+        let plan = (0..disks.disks()).fold(FaultPlan::new(), |plan, d| {
+            plan.torn_write(d, 0).torn_write(d, 1)
+        });
+        disks.set_fault_plan(plan);
+        let (victim, stored) = &entries[17];
+        let before = dict.len();
+        match dict.delete(*victim) {
+            Err(DictError::Io { kind, .. }) => assert_eq!(kind, pdm::IoFaultKind::TornWrite, "{name}"),
+            other => panic!("{name}: a torn tombstone was answered {other:?}"),
+        }
+        assert_eq!(dict.len(), before, "{name}: a failed delete moved len()");
+        dict.disks_mut().unwrap().clear_fault_plan();
+        let report = dict.recover();
+        assert!(report.replayed.is_empty(), "{name}: the failed delete replayed: {report:?}");
+        assert_eq!(dict.len(), before, "{name}");
+        if let Some(got) = dict.lookup(*victim).satellite {
+            assert_eq!(&got, stored, "{name}: wrong satellite after a torn tombstone");
+        }
+        // The other keys never noticed.
+        for (k, s) in entries.iter().filter(|(k, _)| k != victim).step_by(5) {
+            let got = dict.lookup(*k).satellite;
+            assert!(got.is_none() || got.as_ref() == Some(s), "{name}: key {k} damaged");
+        }
+    }
+}
