@@ -6,6 +6,12 @@
 //! unsuccessful searches, and the per-level population (which should decay
 //! geometrically — the mechanism behind the averages).
 //!
+//! Each row also carries the space ledger (blocks per region) and the
+//! bytes stored per key of capacity. At the served shape (ɛ = 0.5, d = 20,
+//! σ = 2 words, B = 128) the run fails if a block is unowned, the chain
+//! field is wider than its worst chain needs, or a key of capacity costs
+//! over 600 B (≈ 533: 20 × 110 bucket rows + 20 × 316 field rows for 2^14).
+//!
 //! Run: `cargo run -p bench --release --bin thm7_dynamic`
 
 use bench::measure::DynamicSubject;
@@ -13,6 +19,7 @@ use bench::workloads::{entries_for, miss_probes, uniform_keys};
 use bench::write_json;
 use bench::Subject;
 use pdm::CostProfile;
+use pdm_dict::one_probe::encoding::Chain;
 
 #[derive(serde::Serialize)]
 struct Row {
@@ -28,6 +35,9 @@ struct Row {
     lookup_worst: u64,
     miss_avg: f64,
     level_population: Vec<usize>,
+    field_bits: usize,
+    space_blocks: Vec<(String, usize)>,
+    bytes_per_capacity_key: f64,
 }
 
 fn main() {
@@ -59,6 +69,8 @@ fn main() {
             assert!(!found);
             misses.record(cost);
         }
+        let (space_blocks, capacity) = subject.space_ledger();
+        let blocks: usize = space_blocks.iter().map(|(_, blocks)| blocks).sum();
         let row = Row {
             epsilon: eps,
             degree: d,
@@ -72,6 +84,9 @@ fn main() {
             lookup_worst: lookups.worst_parallel_ios,
             miss_avg: misses.average(),
             level_population: subject.level_population(),
+            field_bits: Chain::new(sigma * 64, d).field_bits,
+            bytes_per_capacity_key: (blocks * 128 * 8) as f64 / capacity as f64,
+            space_blocks,
         };
         println!(
             "{:>6} {:>4} {:>8} | {:>8.4} {:>8.3} {:>7} | {:>8.4} {:>8.3} {:>7} | {:>8.3}  {:?}",
@@ -87,6 +102,16 @@ fn main() {
             row.miss_avg,
             row.level_population
         );
+        println!("{:>20} {} field bits, {:.1} B/capacity key, blocks {:?}", "space:", row.field_bits, row.bytes_per_capacity_key, row.space_blocks);
+        if d == 20 {
+            let m = (2 * d).div_ceil(3);
+            let tight = (sigma * 64 + d - 1 + 2 * m).div_ceil(m).max(d - m + 3);
+            let unowned = row.space_blocks.last().map_or(0, |(_, blocks)| *blocks);
+            assert!(
+                unowned == 0 && row.field_bits <= tight && row.bytes_per_capacity_key <= 600.0,
+                "FAIL: the served shape's space ({unowned} unowned blocks; field bound {tight} bits)"
+            );
+        }
         rows.push(row);
     }
     println!("\nTheorem 7 holds if: ins avg ≤ 2+ɛ, lkp avg ≤ 1+ɛ, miss avg = 1, worst ≤ levels+1.");

@@ -310,6 +310,13 @@ impl DynamicSubject {
     pub fn level_population(&self) -> Vec<usize> {
         self.dict.level_population().to_vec()
     }
+
+    /// The array's space ledger and the capacity it was laid out for.
+    #[must_use]
+    pub fn space_ledger(&self) -> (Vec<(String, usize)>, usize) {
+        let ledger = pdm_dict::layout::space_ledger(&self.disks, self.dict.space_rows());
+        (ledger, self.dict.capacity())
+    }
 }
 
 impl Subject for DynamicSubject {

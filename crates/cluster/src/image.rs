@@ -33,38 +33,30 @@ pub fn chunk_slice(bytes: &[u8], chunk: u32) -> &[u8] {
     &bytes[start..end]
 }
 
-/// Serialize a frozen disk array: `disks u32, block_words u32,
-/// blocks_per_disk u32`, then every block's words in
-/// `(disk, block)`-major order, little-endian.
-///
-/// # Panics
-/// Panics if the disks are ragged (unequal block counts) — cluster
-/// shards allocate full stripes only, so a ragged image indicates the
-/// array is not a shard front.
+/// First word of an image header. A version 1 image (which began with its
+/// disk count and could only describe disks of one length) is refused by it.
+const IMAGE_MAGIC: u32 = u32::from_le_bytes(*b"PDM2");
+
+/// Serialize a frozen disk array: header `IMAGE_MAGIC u32, disks u32,
+/// block_words u32`, then one `u32` block count per disk — disks differ in
+/// length, and the image ships what is stored — then every block's words
+/// in `(disk, block)`-major order, little-endian.
 #[must_use]
 pub fn serialize_image(disks: &DiskArray) -> Vec<u8> {
     let snapshot = disks.snapshot();
-    let d = snapshot.len();
-    let blocks = snapshot.first().map_or(0, Vec::len);
-    for (i, disk) in snapshot.iter().enumerate() {
-        assert_eq!(
-            disk.len(),
-            blocks,
-            "disk {i} has {} blocks, disk 0 has {blocks}: not a shard image",
-            disk.len()
-        );
-    }
     let bw = disks.block_words();
-    let mut out = Vec::with_capacity(12 + d * blocks * bw * 8);
-    out.extend_from_slice(&(d as u32).to_le_bytes());
-    out.extend_from_slice(&(bw as u32).to_le_bytes());
-    out.extend_from_slice(&(blocks as u32).to_le_bytes());
+    let blocks: usize = snapshot.iter().map(Vec::len).sum();
+    let mut out = Vec::with_capacity(12 + 4 * snapshot.len() + blocks * bw * 8);
+    for header in [IMAGE_MAGIC, snapshot.len() as u32, bw as u32] {
+        out.extend_from_slice(&header.to_le_bytes());
+    }
     for disk in &snapshot {
-        for block in disk {
-            assert_eq!(block.len(), bw);
-            for w in block.iter() {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
+        out.extend_from_slice(&(disk.len() as u32).to_le_bytes());
+    }
+    for block in snapshot.iter().flatten() {
+        assert_eq!(block.len(), bw);
+        for w in block.iter() {
+            out.extend_from_slice(&w.to_le_bytes());
         }
     }
     out
@@ -73,37 +65,40 @@ pub fn serialize_image(disks: &DiskArray) -> Vec<u8> {
 /// Rebuild a disk array from [`serialize_image`] bytes.
 ///
 /// # Errors
-/// A human-readable description of any truncation or geometry
-/// inconsistency (surfaced on the wire as a protocol error).
+/// A human-readable description of any truncation, foreign header or
+/// geometry inconsistency (surfaced on the wire as a protocol error).
 pub fn deserialize_image(bytes: &[u8]) -> Result<DiskArray, String> {
-    let header = |at: usize| -> Result<u32, String> {
+    let header = |at: usize| -> Result<usize, String> {
         bytes
             .get(at..at + 4)
-            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+            .map(|b| u32::from_le_bytes(b.try_into().unwrap()) as usize)
             .ok_or_else(|| "image truncated in header".to_string())
     };
-    let d = header(0)? as usize;
-    let bw = header(4)? as usize;
-    let blocks = header(8)? as usize;
+    if header(0)? != IMAGE_MAGIC as usize {
+        return Err("not a shard image of this version (no per-disk length header)".into());
+    }
+    let (d, bw) = (header(4)?, header(8)?);
     if d == 0 || bw == 0 {
         return Err(format!("degenerate image geometry: {d} disks × {bw} words"));
     }
-    let body = &bytes[12..];
-    let expect = d * blocks * bw * 8;
-    if body.len() != expect {
+    let lens = (0..d)
+        .map(|disk| header(12 + 4 * disk))
+        .collect::<Result<Vec<_>, _>>()?;
+    let body = &bytes[12 + 4 * d..];
+    if lens.iter().sum::<usize>().checked_mul(bw * 8) != Some(body.len()) {
         return Err(format!(
-            "image body is {} bytes, geometry {d}×{blocks}×{bw} words needs {expect}",
+            "image body is {} bytes, not what {d} disks of {lens:?} blocks × {bw} words need",
             body.len()
         ));
     }
-    let mut disks = DiskArray::new(PdmConfig::new(d, bw), blocks);
-    let mut at = 0;
+    let mut disks = DiskArray::new(PdmConfig::new(d, bw), 0);
+    let mut body = body.chunks_exact(8);
     let mut words = vec![0 as Word; bw];
-    for disk in 0..d {
+    for (disk, &blocks) in lens.iter().enumerate() {
+        disks.grow_disks(disk, 1, blocks);
         for block in 0..blocks {
-            for w in words.iter_mut() {
-                *w = Word::from_le_bytes(body[at..at + 8].try_into().unwrap());
-                at += 8;
+            for (w, b) in words.iter_mut().zip(&mut body) {
+                *w = Word::from_le_bytes(b.try_into().unwrap());
             }
             disks.poke(BlockAddr::new(disk, block), &words);
         }
@@ -128,6 +123,42 @@ mod tests {
         let back = deserialize_image(&image).unwrap();
         assert_eq!(disks.snapshot(), back.snapshot());
         assert_eq!(image, serialize_image(&back), "re-serialization identical");
+    }
+
+    #[test]
+    fn ragged_image_roundtrips_byte_identically() {
+        let mut disks = DiskArray::new(PdmConfig::new(4, 8), 0);
+        disks.grow_disks(0, 2, 3);
+        disks.grow_disks(1, 2, 5); // lengths 3, 5, 5, 0
+        for (d, blocks) in [3, 5, 5, 0].into_iter().enumerate() {
+            for b in 0..blocks {
+                disks.poke(BlockAddr::new(d, b), &[(d * 10 + b) as Word; 8]);
+            }
+        }
+        let image = serialize_image(&disks);
+        assert_eq!(image.len(), 12 + 4 * 4 + 13 * 8 * 8, "ships what is stored");
+        let back = deserialize_image(&image).unwrap();
+        assert_eq!((0..4).map(|d| back.blocks_on(d)).collect::<Vec<_>>(), [3, 5, 5, 0]);
+        assert_eq!(disks.snapshot(), back.snapshot());
+        assert_eq!(image, serialize_image(&back), "re-serialization identical");
+    }
+
+    #[test]
+    fn a_version_1_header_is_a_typed_protocol_error() {
+        // What the rectangular format shipped: disks, block words, blocks
+        // per disk, then the body.
+        let mut v1 = Vec::new();
+        for header in [2u32, 8, 1] {
+            v1.extend_from_slice(&header.to_le_bytes());
+        }
+        v1.extend_from_slice(&[0u8; 2 * 8 * 8]);
+        let err = deserialize_image(&v1).map(|_| ()).unwrap_err();
+        assert!(err.contains("not a shard image of this version"), "{err}");
+        let cluster = crate::ClusterConfig::default();
+        match crate::node::install_shard(&cluster, 0, &v1).map(|_| ()) {
+            Err(pdm_server::ServeError::Protocol(msg)) => assert!(msg.contains("shard 0 image"), "{msg}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -160,6 +191,7 @@ mod tests {
         let mut image = serialize_image(&disks);
         image.truncate(image.len() - 1);
         assert!(deserialize_image(&image).is_err());
-        assert!(deserialize_image(&[0u8; 12]).is_err(), "zero disks");
+        let zero_disks = [IMAGE_MAGIC.to_le_bytes(), [0; 4], [8, 0, 0, 0]].concat();
+        assert!(deserialize_image(&zero_disks).unwrap_err().contains("degenerate"));
     }
 }

@@ -259,7 +259,13 @@ impl BasicDict {
     /// Space usage in words.
     #[must_use]
     pub fn space_words(&self, disks: &DiskArray) -> usize {
-        self.region.total_blocks() * disks.block_words()
+        self.region.space_words(disks)
+    }
+
+    /// Region (for composition-level diagnostics).
+    #[must_use]
+    pub fn region(&self) -> &Region {
+        &self.region
     }
 
     /// The block addresses of bucket `(stripe, j)`.

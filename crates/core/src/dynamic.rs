@@ -31,7 +31,7 @@
 use crate::basic::{BasicDict, BasicDictConfig};
 use crate::config::DictParams;
 use crate::fields::{FieldArray, FieldPos};
-use crate::layout::DiskAllocator;
+use crate::layout::{DiskAllocator, SpaceRow};
 use crate::one_probe::encoding::Chain;
 use crate::traits::{DictError, LookupOutcome};
 use expander::{params, FamilyExpander, NeighborFamily, NeighborFn};
@@ -490,15 +490,19 @@ impl DynamicDict {
         &self.level_population
     }
 
+    /// This structure's rows of [`crate::layout::space_ledger`]: the
+    /// blocks of each region the allocator handed it.
+    #[must_use]
+    pub fn space_rows(&self) -> Vec<SpaceRow> {
+        let levels = self.levels.iter().enumerate();
+        let levels = levels.map(|(i, lv)| (format!("level_{}", i + 1), lv.fields.region().total_blocks()));
+        std::iter::once(("membership".to_string(), self.membership.region().total_blocks())).chain(levels).collect()
+    }
+
     /// Space usage in words.
     #[must_use]
     pub fn space_words(&self, disks: &DiskArray) -> usize {
-        self.membership.space_words(disks)
-            + self
-                .levels
-                .iter()
-                .map(|lv| lv.fields.space_words(disks))
-                .sum::<usize>()
+        self.space_rows().iter().map(|(_, blocks)| blocks).sum::<usize>() * disks.block_words()
     }
 
     fn pack_payload(head_stripe: usize, level: usize) -> Word {
@@ -2005,6 +2009,24 @@ mod tests {
         // And the reopened instance keeps working.
         reopened.insert(&mut disks, 0x7777, &[1]).unwrap();
         assert!(reopened.lookup(&mut disks, 0x7777).found());
+    }
+
+    /// The ring's superblock carries the one format stamp a shard has. A
+    /// shard written before the chain fields took their exact width
+    /// (journal version 2) laid its field arrays out twice as wide: it is
+    /// refused by name, never decoded under the wrong width.
+    #[test]
+    #[should_panic(expected = "format version 2, this build reads version 3")]
+    fn reopen_refuses_a_shard_stamped_with_the_wider_field_format() {
+        let (mut disks, dict) = setup_journaled(64, 2);
+        let region = disks.journal_region().unwrap();
+        let superblock = region.slot_addr(0, disks.disks());
+        let mut block = disks.peek(superblock);
+        assert_eq!(block[1], 3, "the stamp this build writes");
+        block[1] = 2;
+        disks.poke(superblock, &block);
+        let mut alloc = DiskAllocator::new(disks.disks());
+        let _ = DynamicDict::reopen(&mut disks, &mut alloc, 0, dict.params, region);
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl FieldArray {
     /// Space usage in words.
     #[must_use]
     pub fn space_words(&self, disks: &DiskArray) -> usize {
-        self.region.total_blocks() * disks.block_words()
+        self.region.space_words(disks)
     }
 
     /// Block address holding field `(stripe, j)`.

@@ -11,6 +11,7 @@
 
 use crate::basic::BasicDict;
 use crate::dynamic::DynamicDict;
+use crate::layout::{export_space, SpaceRow};
 use crate::one_probe::OneProbeStatic;
 use crate::traits::{Dict, DictError, LookupOutcome, OpRecorder};
 use crate::wide::WideDict;
@@ -97,6 +98,11 @@ pub trait RawDict {
     /// Reads must be free (peeks), not charged I/O.
     fn raw_gauges(&self, disks: &DiskArray, out: &mut Vec<(&'static str, u64)>) {
         let _ = (disks, out);
+    }
+
+    /// The front-end's rows of [`crate::layout::space_ledger`], if any.
+    fn raw_space_rows(&self) -> Vec<SpaceRow> {
+        Vec::new()
     }
 
     /// Verify-and-repair pass; defaults to the disk-level checksum scan.
@@ -220,6 +226,9 @@ impl RawDict for DynamicDict {
     fn raw_gauges(&self, _disks: &DiskArray, out: &mut Vec<(&'static str, u64)>) {
         out.push(("levels", self.num_levels() as u64));
         out.push(("insertions", self.insertions() as u64));
+    }
+    fn raw_space_rows(&self) -> Vec<SpaceRow> {
+        self.space_rows()
     }
     fn raw_recover_reconcile(&mut self, checkpoint: &[Word], report: &pdm::RecoveryReport) {
         self.adopt_section(checkpoint);
@@ -481,6 +490,10 @@ impl<T: RawDict> Dict for DictHandle<T> {
             m.registry
                 .gauge(&format!("dict_{name}"), &[("dict", kind)])
                 .set(value as i64);
+        }
+        let rows = self.dict.raw_space_rows();
+        if !rows.is_empty() {
+            export_space(&m.registry, kind, &self.disks, rows);
         }
     }
 

@@ -15,7 +15,10 @@
 //! on those disks reuses the same block range. Storage is therefore
 //! bounded by what is allocated at any one time (for [`crate::Dictionary`]:
 //! the journal ring plus two slots), not by the history of allocations.
+//! A region lengthens only its own disks, so an array holds exactly the
+//! blocks its regions were given: [`space_ledger`] names every one.
 
+use pdm::metrics::MetricsRegistry;
 use pdm::{BlockAddr, DiskArray};
 
 /// A rectangular region: a contiguous range of disks, and on each of those
@@ -57,6 +60,45 @@ impl Region {
     pub fn total_blocks(&self) -> usize {
         self.disks * self.blocks_per_disk
     }
+
+    /// Space of the region in words.
+    #[must_use]
+    pub fn space_words(&self, disks: &DiskArray) -> usize {
+        self.total_blocks() * disks.block_words()
+    }
+}
+
+/// A space-ledger row: a region (`journal`, `membership`, `level_<i>`, `unowned`) and its blocks.
+pub type SpaceRow = (String, usize);
+
+/// The space ledger of `disks`: the journal ring, then `structures` (the
+/// regions handed to whatever lives on the array, rows of one label
+/// summed), and as `unowned` every block of the array in none of them.
+pub fn space_ledger(disks: &DiskArray, structures: impl IntoIterator<Item = SpaceRow>) -> Vec<SpaceRow> {
+    let ring = disks.journal_region().map_or(0, |r| r.rows * disks.disks());
+    let mut ledger = vec![("journal".to_string(), ring)];
+    for (label, blocks) in structures {
+        match ledger.iter_mut().find(|(l, _)| *l == label) {
+            Some(row) => row.1 += blocks,
+            None => ledger.push((label, blocks)),
+        }
+    }
+    let owned: usize = ledger.iter().map(|(_, blocks)| blocks).sum();
+    let stored = disks.total_words() / disks.block_words();
+    ledger.push(("unowned".to_string(), stored.saturating_sub(owned)));
+    ledger
+}
+
+/// Export the [`space_ledger`] of `disks` as `dict_space_blocks{region}`
+/// and its sum as `dict_storage_blocks`.
+pub(crate) fn export_space(registry: &MetricsRegistry, kind: &str, disks: &DiskArray, structures: impl IntoIterator<Item = SpaceRow>) {
+    let mut stored = 0;
+    for (region, blocks) in space_ledger(disks, structures) {
+        let labels = [("dict", kind), ("region", region.as_str())];
+        registry.gauge("dict_space_blocks", &labels).set(blocks as i64);
+        stored += blocks;
+    }
+    registry.gauge("dict_storage_blocks", &[("dict", kind)]).set(stored as i64);
 }
 
 /// Per-disk bump allocator over a [`DiskArray`].
@@ -81,7 +123,7 @@ impl DiskAllocator {
     }
 
     /// Allocate `blocks_per_disk` blocks on each of the disks
-    /// `first_disk .. first_disk + disks`, growing the array as needed.
+    /// `first_disk .. first_disk + disks`, growing those disks as needed.
     ///
     /// The region starts at the max of the involved disks' bump pointers
     /// so its blocks are aligned across disks (required for one-I/O probes
@@ -112,7 +154,7 @@ impl DiskAllocator {
         for d in first_disk..first_disk + disks {
             self.next_free[d] = start + blocks_per_disk;
         }
-        array.grow(start + blocks_per_disk);
+        array.grow_disks(first_disk, disks, start + blocks_per_disk);
         Region {
             first_disk,
             disks,
@@ -192,6 +234,52 @@ mod tests {
         assert_eq!(again, a, "the same block range is reused");
         assert_eq!(arr.blocks_on(0), grown, "reuse lengthens nothing");
         assert_eq!(b.first_block, 2);
+    }
+
+    #[test]
+    fn a_dynamic_dicts_disks_end_where_their_regions_do() {
+        use crate::{DictParams, DynamicDict};
+        let (d, ring) = (20, 4);
+        let params = DictParams::new(1024, 1 << 40, 2)
+            .with_degree(d)
+            .with_epsilon(0.5)
+            .with_seed(3)
+            .with_journal(ring);
+        let mut arr = DiskArray::new(PdmConfig::new(2 * d, 128), 0);
+        let mut alloc = DiskAllocator::new(2 * d);
+        let dict = DynamicDict::create(&mut arr, &mut alloc, 0, params).unwrap();
+        let rows = dict.space_rows();
+        assert_eq!(rows[0], ("membership".to_string(), dict.membership_buckets()));
+        let level_rows: usize = rows[1..].iter().map(|(_, blocks)| blocks / d).sum();
+        for disk in 0..2 * d {
+            // One bucket per block on the membership disks; the levels'
+            // field arrays stacked on the others.
+            let want = if disk < d { dict.membership_buckets() / d } else { level_rows };
+            assert_eq!(arr.blocks_on(disk), ring + want, "disk {disk}");
+            assert_eq!(alloc.used_blocks(disk), arr.blocks_on(disk), "disk {disk}");
+        }
+        assert!(level_rows > dict.membership_buckets() / d, "the shape is ragged");
+        let ledger = space_ledger(&arr, rows);
+        assert_eq!(ledger[0], ("journal".to_string(), ring * 2 * d));
+        assert_eq!(ledger.last(), Some(&("unowned".to_string(), 0)));
+        assert_eq!(ledger.len(), 3 + dict.num_levels());
+        let stored: usize = (0..2 * d).map(|disk| arr.blocks_on(disk)).sum();
+        assert_eq!(ledger.iter().map(|(_, blocks)| blocks).sum::<usize>(), stored);
+        assert_eq!(dict.space_words(&arr), (stored - ring * 2 * d) * 128);
+    }
+
+    #[test]
+    fn blocks_no_region_holds_are_unowned_and_labels_are_summed() {
+        let mut arr = DiskArray::new(PdmConfig::new(4, 4), 0);
+        let mut alloc = DiskAllocator::new(4);
+        let a = alloc.alloc(&mut arr, 0, 2, 3);
+        let b = alloc.alloc(&mut arr, 2, 2, 5);
+        arr.grow(6); // what a backend that can only lengthen every disk does
+        let rows = [a, b].map(|r| ("level_1".to_string(), r.total_blocks()));
+        assert_eq!(
+            space_ledger(&arr, rows),
+            [("journal", 0), ("level_1", 16), ("unowned", 8)].map(|(l, n)| (l.to_string(), n))
+        );
     }
 
     #[test]

@@ -271,15 +271,18 @@ pub struct Chain {
 impl Chain {
     /// Format for `σ = sigma_bits` on a degree-`d` graph.
     ///
-    /// Field size is `max(⌈σ/m⌉, d+2) + 4` bits: large enough that any
-    /// single field can hold its worst-case unary delta (`≤ d-1` bits plus
-    /// terminator and occupied bit) and that the `m` fields jointly hold
-    /// `σ` data bits beside all pointer bits (the paper's "less than 2d
-    /// bits per element" of pointer data).
+    /// Field size is exactly what the worst chain needs. A chain's deltas
+    /// sum to at most `d−1`, every field spends an occupied bit and a
+    /// terminator, so the `m` fields carry at most `d−1 + 2m` pointer bits
+    /// beside the `σ` data bits (the paper's "less than 2d bits per
+    /// element"): `⌈(σ + d−1 + 2m)/m⌉` bits a field always has room. And a
+    /// single field must hold its own pointer: the largest delta is
+    /// `d−m+1` (the other hops are at least 1), `d−m+3` bits in all.
     #[must_use]
     pub fn new(sigma_bits: usize, degree: usize) -> Self {
         let fields_per_key = expander::params::fields_per_key(degree);
-        let field_bits = sigma_bits.div_ceil(fields_per_key).max(degree + 2) + 4;
+        let (m, d) = (fields_per_key, degree);
+        let field_bits = (sigma_bits + d - 1 + 2 * m).div_ceil(m).max(d - m + 3);
         Chain {
             field_bits,
             sigma_bits,
@@ -587,21 +590,73 @@ mod tests {
     }
 
     #[test]
-    fn chain_field_big_enough_for_worst_delta() {
-        for d in [13usize, 16, 24, 48] {
-            for sigma in [0usize, 1, 64, 1000] {
+    fn chain_field_is_exactly_as_wide_as_the_worst_chain_needs() {
+        for d in [13usize, 16, 20, 24, 48] {
+            for sigma in [0usize, 1, 64, 128, 1000, 4096] {
                 let enc = Chain::new(sigma, d);
-                // Worst chain: first and last stripes, delta d-1 in one hop
-                // is impossible with m ≥ 2 hops, but delta up to
-                // d - m + 1 happens; the field must hold occupied bit +
-                // d bits of unary in the worst case.
+                let m = enc.fields_per_key;
+                // Any one field holds the largest pointer: a delta of
+                // d - m + 1 in unary, the occupied bit, the terminator.
+                let per_field = d - m + 3;
+                // All of them hold the record beside the most pointer bits.
+                let total = sigma + (d - 1) + 2 * m;
+                let bits = enc.field_bits;
+                assert!(bits >= per_field && m * bits >= total, "d = {d}, σ = {sigma}: {bits} bits too few");
                 assert!(
-                    enc.field_bits >= d + 2,
-                    "d = {d}, σ = {sigma}: field {} bits too small",
-                    enc.field_bits
+                    bits - 1 < per_field || m * (bits - 1) < total,
+                    "d = {d}, σ = {sigma}: {bits} bits, one fewer would do"
                 );
             }
         }
+        assert_eq!(Chain::new(128, 20).field_bits, 13, "the served shape");
+    }
+
+    /// The σ bits of `satellite`, as [`Chain::decode`] returns them.
+    fn first_bits(satellite: &[Word], sigma: usize) -> Vec<Word> {
+        let mut out = satellite[..sigma.div_ceil(WORD_BITS)].to_vec();
+        if let (Some(last), rem @ 1..) = (out.last_mut(), sigma % WORD_BITS) {
+            *last &= (1 << rem) - 1;
+        }
+        out
+    }
+
+    #[test]
+    fn chain_roundtrips_over_every_stripe_set_of_the_served_shape() {
+        let (d, m) = (20, 14);
+        for sigma in [0usize, 1, 128] {
+            let enc = Chain::new(sigma, d);
+            assert_eq!(enc.fields_per_key, m);
+            let satellite = sat(2, sigma as u64);
+            let want = first_bits(&satellite, sigma);
+            let mut stripes: Vec<usize> = (0..m).collect();
+            let mut sets = 0;
+            loop {
+                let fields = lay_out(&enc, &stripes, &enc.encode(&stripes, &satellite));
+                assert_eq!(enc.decode(stripes[0], &fields).as_ref(), Some(&want), "σ = {sigma}, {stripes:?}");
+                sets += 1;
+                // The next m-subset of 0..d in lexicographic order.
+                let Some(i) = (0..m).rev().find(|&i| stripes[i] < d - m + i) else {
+                    break;
+                };
+                stripes[i] += 1;
+                for j in i + 1..m {
+                    stripes[j] = stripes[j - 1] + 1;
+                }
+            }
+            assert_eq!(sets, 38_760, "C(20, 14) stripe sets");
+        }
+    }
+
+    #[test]
+    fn chain_pointer_running_past_its_field_decodes_none() {
+        let enc = Chain::new(128, 20);
+        let stripes: Vec<usize> = (0..14).collect();
+        let mut fields = lay_out(&enc, &stripes, &enc.encode(&stripes, &sat(2, 3)));
+        assert!(enc.decode(0, &fields).is_some());
+        // Forge the head: occupied, then ones to the field's last bit, so
+        // the unary pointer has no terminator inside the 13 bits.
+        fields[0] = (1 << enc.field_bits) - 1;
+        assert_eq!(enc.decode(0, &fields), None);
     }
 
     #[test]

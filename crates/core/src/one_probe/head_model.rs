@@ -72,7 +72,7 @@ impl FlatFields {
     }
 
     fn space_words(&self, disks: &DiskArray) -> usize {
-        self.region.total_blocks() * disks.block_words()
+        self.region.space_words(disks)
     }
 }
 

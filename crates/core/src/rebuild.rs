@@ -64,7 +64,7 @@
 
 use crate::config::DictParams;
 use crate::dynamic::{DynamicDict, FirstRound, META_DELETE};
-use crate::layout::DiskAllocator;
+use crate::layout::{export_space, DiskAllocator, SpaceRow};
 use crate::traits::{Dict, DictError, LookupOutcome, OpRecorder};
 use pdm::journal::Delta;
 use pdm::metrics::{Counter, Gauge, Histogram, IoMetricsSink, MetricsRegistry};
@@ -108,6 +108,9 @@ pub struct Dictionary {
     template: DictParams,
     active: DynamicDict,
     building: Option<Building>,
+    /// Ledger rows of each slot's latest tenant: a discarded slot keeps
+    /// its length, and so its rows, until the next one is laid over it.
+    slot_rows: [Vec<SpaceRow>; 2],
     min_capacity: usize,
     rebuilds: usize,
     metrics: Option<RebuildMetrics>,
@@ -169,6 +172,7 @@ impl Dictionary {
             disks,
             alloc,
             template: params,
+            slot_rows: [active.space_rows(), Vec::new()],
             active,
             building: None,
             min_capacity: params.capacity,
@@ -580,6 +584,11 @@ impl Dictionary {
         // does not occupy.
         let first_disk = self.replacement_slot();
         let dict = DynamicDict::create(&mut self.disks, &mut self.alloc, first_disk, params)?;
+        // Levels only the slot's last tenant had keep their labels, at 0: a
+        // gauge exported once must not keep its old value.
+        let slot = &mut self.slot_rows[usize::from(first_disk != 0)];
+        let old = std::mem::replace(slot, dict.space_rows());
+        slot.extend(old.into_iter().skip(slot.len()).map(|(label, _)| (label, 0)));
         self.building = Some(Building { dict, cursor: 0 });
         Ok(())
     }
@@ -789,13 +798,8 @@ impl Dict for Dictionary {
             .registry
             .gauge("dict_levels", &[("dict", "rebuild")])
             .set(self.active.num_levels() as i64);
-        let blocks: usize = (0..self.disks.disks())
-            .map(|d| self.disks.blocks_on(d))
-            .sum();
-        m.recorder
-            .registry
-            .gauge("dict_storage_blocks", &[("dict", "rebuild")])
-            .set(blocks as i64);
+        let rows = self.slot_rows.iter().flatten().cloned();
+        export_space(&m.recorder.registry, "rebuild", &self.disks, rows);
     }
 
     fn disks(&self) -> Option<&DiskArray> {
@@ -1053,7 +1057,11 @@ mod tests {
             k += 1;
         }
         assert_eq!(dict.active.meta_tag(), first_tag, "the slot's tag recycles");
-        assert!(total_blocks(&dict) <= grown + grown / 4);
+        // Storage is exactly the ring plus what each slot's latest tenant
+        // was allocated, whatever the number of rebuilds.
+        let slots: usize = dict.slot_rows.iter().flatten().map(|(_, blocks)| blocks).sum();
+        assert_eq!(total_blocks(&dict), 4 * d * ring_end + slots);
+        assert!(total_blocks(&dict) >= grown, "a discarded slot keeps its length");
     }
 
     #[test]

@@ -185,7 +185,7 @@ impl WideDict {
     /// Space in words.
     #[must_use]
     pub fn space_words(&self, disks: &DiskArray) -> usize {
-        self.region.total_blocks() * disks.block_words()
+        self.region.space_words(disks)
     }
 
     fn bucket_addrs(&self, stripe: usize, j: usize) -> Vec<BlockAddr> {

@@ -59,6 +59,40 @@ proptest! {
         }
     }
 
+    /// The chains with the most pointer bits — deltas summing to `d−1`, one
+    /// of them the largest a chain can hold (`d−m+1`), at every position —
+    /// still carry all of σ: the field width is exact, not merely enough
+    /// for a typical chain.
+    #[test]
+    fn chain_roundtrip_at_the_widest_pointers(
+        d in 13usize..40,
+        sigma_bits in 0usize..600,
+        seed in any::<u64>(),
+    ) {
+        let enc = Chain::new(sigma_bits, d);
+        let m = enc.fields_per_key;
+        let satellite: Vec<Word> = (0..sigma_words(sigma_bits) as u64)
+            .map(|i| expander::mix::mix64(seed ^ i))
+            .collect();
+        let w = enc.field_words();
+        for long_hop in 0..m - 1 {
+            // Stripes 0..=long_hop, then the last m-1-long_hop stripes.
+            let stripes: Vec<usize> = (0..=long_hop).chain(d - (m - 1 - long_hop)..d).collect();
+            let mut fields = vec![0; d * w];
+            for (&stripe, bits) in stripes.iter().zip(enc.encode(&stripes, &satellite).chunks(w)) {
+                fields[stripe * w..(stripe + 1) * w].copy_from_slice(bits);
+            }
+            let got = enc.decode(0, &fields).expect("valid chain decodes");
+            for bit in 0..sigma_bits {
+                prop_assert_eq!(
+                    (got[bit / WORD_BITS] >> (bit % WORD_BITS)) & 1,
+                    (satellite[bit / WORD_BITS] >> (bit % WORD_BITS)) & 1,
+                    "hop {}: bit {} differs", long_hop, bit
+                );
+            }
+        }
+    }
+
     /// Every encoded chain field is marked occupied; zeroed fields are not.
     #[test]
     fn chain_occupancy_consistent(d in 13usize..30, sigma_bits in 0usize..200) {

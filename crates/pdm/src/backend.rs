@@ -194,6 +194,17 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// blocks zeroed. Never shrinks.
     fn grow(&mut self, blocks_per_disk: usize);
 
+    /// Grow only the disks `first_disk .. first_disk + disks` to at least
+    /// `blocks` blocks each, the new blocks zeroed. Never shrinks.
+    ///
+    /// The default lengthens every disk ([`grow`](StorageBackend::grow)):
+    /// correct, not tight — a decorator forwarding only the required
+    /// methods stays rectangular. The two backends lengthen the range.
+    fn grow_disks(&mut self, first_disk: usize, disks: usize, blocks: usize) {
+        let _ = (first_disk, disks);
+        self.grow(blocks);
+    }
+
     /// Discard every block at index `first_block` or above on the disks
     /// `first_disk .. first_disk + disks`: their content is given up and
     /// they read as zeros afterwards, like blocks fresh from
@@ -315,8 +326,12 @@ impl StorageBackend for MemBackend {
     }
 
     fn grow(&mut self, blocks_per_disk: usize) {
-        for disk in &mut self.disks {
-            while disk.len() < blocks_per_disk {
+        self.grow_disks(0, self.disks.len(), blocks_per_disk);
+    }
+
+    fn grow_disks(&mut self, first_disk: usize, disks: usize, blocks: usize) {
+        for disk in &mut self.disks[first_disk..first_disk + disks] {
+            while disk.len() < blocks {
                 disk.push(vec![0 as Word; self.block_words].into_boxed_slice());
             }
         }
@@ -428,51 +443,68 @@ mod tests {
         assert_eq!(b2.peek(BlockAddr::new(1, 0)), vec![4; 2]);
     }
 
+    /// A decorator that forwards only the required methods, so it
+    /// exercises the trait's default `discard_tail` and `grow_disks`.
+    #[derive(Debug)]
+    struct Forwarding(MemBackend);
+    impl StorageBackend for Forwarding {
+        fn kind(&self) -> &'static str {
+            "forwarding"
+        }
+        fn disks(&self) -> usize {
+            self.0.disks()
+        }
+        fn block_words(&self) -> usize {
+            self.0.block_words()
+        }
+        fn blocks_on(&self, disk: usize) -> usize {
+            self.0.blocks_on(disk)
+        }
+        fn grow(&mut self, blocks_per_disk: usize) {
+            self.0.grow(blocks_per_disk);
+        }
+        fn submit(&mut self, batch: IoSubmission<'_>) -> CompletionSet {
+            self.0.submit(batch)
+        }
+        fn submit_reads(&self, reads: &[BlockAddr]) -> CompletionSet {
+            self.0.submit_reads(reads)
+        }
+        fn peek(&self, addr: BlockAddr) -> Vec<Word> {
+            self.0.peek(addr)
+        }
+        fn poke(&mut self, addr: BlockAddr, data: &[Word]) {
+            self.0.poke(addr, data);
+        }
+        fn snapshot(&self) -> Vec<Vec<Box<[Word]>>> {
+            self.0.snapshot()
+        }
+        fn flush_begin(&mut self) -> FlushTicket {
+            self.0.flush_begin()
+        }
+        fn flush_join(&mut self, ticket: FlushTicket) {
+            self.0.flush_join(ticket);
+        }
+    }
+
+    #[test]
+    fn grow_disks_lengthens_the_range_and_the_default_every_disk() {
+        let mut mem = MemBackend::new(4, 2, 3);
+        mem.poke(BlockAddr::new(2, 1), &[7; 2]);
+        let mut fwd = Forwarding(mem.clone());
+        mem.grow_disks(1, 2, 5);
+        mem.grow_disks(2, 2, 4); // never shrinks disk 2
+        fwd.grow_disks(1, 2, 5);
+        let lens = |b: &dyn StorageBackend| (0..4).map(|d| b.blocks_on(d)).collect::<Vec<_>>();
+        assert_eq!(lens(&mem), [3, 5, 5, 4]);
+        assert_eq!(lens(&fwd), [5; 4], "a forwarding decorator stays rectangular");
+        for b in [&mem as &dyn StorageBackend, &fwd] {
+            assert_eq!(b.peek(BlockAddr::new(2, 1)), vec![7; 2], "content kept");
+            assert_eq!(b.peek(BlockAddr::new(2, 4)), vec![0; 2], "new blocks zeroed");
+        }
+    }
+
     #[test]
     fn discard_tail_zeroes_the_range_and_nothing_else() {
-        /// A decorator that forwards only the required methods, so it
-        /// exercises the trait's default `discard_tail`.
-        #[derive(Debug)]
-        struct Forwarding(MemBackend);
-        impl StorageBackend for Forwarding {
-            fn kind(&self) -> &'static str {
-                "forwarding"
-            }
-            fn disks(&self) -> usize {
-                self.0.disks()
-            }
-            fn block_words(&self) -> usize {
-                self.0.block_words()
-            }
-            fn blocks_on(&self, disk: usize) -> usize {
-                self.0.blocks_on(disk)
-            }
-            fn grow(&mut self, blocks_per_disk: usize) {
-                self.0.grow(blocks_per_disk);
-            }
-            fn submit(&mut self, batch: IoSubmission<'_>) -> CompletionSet {
-                self.0.submit(batch)
-            }
-            fn submit_reads(&self, reads: &[BlockAddr]) -> CompletionSet {
-                self.0.submit_reads(reads)
-            }
-            fn peek(&self, addr: BlockAddr) -> Vec<Word> {
-                self.0.peek(addr)
-            }
-            fn poke(&mut self, addr: BlockAddr, data: &[Word]) {
-                self.0.poke(addr, data);
-            }
-            fn snapshot(&self) -> Vec<Vec<Box<[Word]>>> {
-                self.0.snapshot()
-            }
-            fn flush_begin(&mut self) -> FlushTicket {
-                self.0.flush_begin()
-            }
-            fn flush_join(&mut self, ticket: FlushTicket) {
-                self.0.flush_join(ticket);
-            }
-        }
-
         let mut mem = MemBackend::new(4, 2, 3);
         for d in 0..4 {
             for b in 0..3 {

@@ -196,7 +196,7 @@ impl std::fmt::Debug for DiskArray {
             .field("cfg", &self.cfg)
             .field("backend", &self.backend.kind())
             .field("stats", &self.stats)
-            .field("blocks_per_disk", &self.backend.blocks_on(0))
+            .field("blocks", &(self.total_words() / self.cfg.block_words))
             .field("sink", &self.sink.as_ref().map(|_| "Arc<dyn IoEventSink>"))
             .field("fault", &self.fault)
             .field("integrity", &self.checksums.is_some())
@@ -382,11 +382,16 @@ impl DiskArray {
     }
 
     /// Grow every disk to at least `blocks_per_disk` blocks (no I/O charged).
-    ///
-    /// With integrity enabled the new (zeroed) blocks arrive sealed, like
-    /// a freshly formatted extension.
     pub fn grow(&mut self, blocks_per_disk: usize) {
-        self.backend.grow(blocks_per_disk);
+        self.grow_disks(0, self.cfg.disks, blocks_per_disk);
+    }
+
+    /// Grow the disks `first_disk .. first_disk + disks` to at least
+    /// `blocks` blocks each (no I/O charged); the others keep their length
+    /// unless the backend can only grow all ([`StorageBackend::grow_disks`]).
+    /// With integrity enabled the new (zeroed) blocks arrive sealed.
+    pub fn grow_disks(&mut self, first_disk: usize, disks: usize, blocks: usize) {
+        self.backend.grow_disks(first_disk, disks, blocks);
         if let Some(sums) = &mut self.checksums {
             let zeros = vec![0 as Word; self.cfg.block_words];
             for (d, disk_sums) in sums.iter_mut().enumerate() {
@@ -591,8 +596,11 @@ impl DiskArray {
     /// corruption only integrity verification can see. Access clocks
     /// (transient-read windows, torn-write counters) start at zero.
     ///
+    /// A fault on a block past its disk's end (one may hold nothing)
+    /// damages nothing.
+    ///
     /// # Panics
-    /// Panics if a fault names a disk or block out of range.
+    /// Panics if a fault names a disk out of range.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         for fault in plan.faults() {
             match *fault {
@@ -611,7 +619,9 @@ impl DiskArray {
                 }
                 Fault::BitRot { disk, block, bit } => {
                     let addr = BlockAddr::new(disk, block);
-                    self.check(addr);
+                    if block >= self.blocks_on(disk) {
+                        continue; // past the disk's end: nothing there to damage
+                    }
                     let bit = (bit as usize) % (self.cfg.block_words * WORD_BITS);
                     let mut content = self.backend.peek(addr);
                     content[bit / WORD_BITS] ^= 1 << (bit % WORD_BITS);
@@ -1407,6 +1417,45 @@ mod tests {
         disks.grow(6);
         assert_eq!(disks.block_health(BlockAddr::new(0, 5)), BlockHealth::Ok);
         assert_eq!(disks.scrub_verify().checksum_failures, 0);
+    }
+
+    #[test]
+    fn grow_disks_lengthens_and_seals_its_range_only() {
+        let mut disks = small();
+        disks.write_block(BlockAddr::new(3, 3), &[5; 8]);
+        disks.enable_integrity();
+        let before = disks.stats();
+        disks.grow_disks(1, 2, 7);
+        disks.grow_disks(2, 2, 5); // overlaps: disk 2 is already longer
+        assert_eq!(disks.stats(), before, "growing is uncharged");
+        let lens: Vec<usize> = (0..4).map(|d| disks.blocks_on(d)).collect();
+        assert_eq!(lens, [4, 7, 7, 5]);
+        assert_eq!(disks.verified_clean_blocks(), 4 + 7 + 7 + 5, "new blocks arrive sealed");
+        let out = disks.read(&[BlockAddr::new(1, 6), BlockAddr::new(3, 4)], ReadOptions::verified());
+        assert!(out.all_ok());
+        assert_eq!(disks.read_block(BlockAddr::new(3, 3)), vec![5; 8]);
+        let report = disks.scrub_verify();
+        assert_eq!((report.blocks_scanned, report.checksum_failures), (23, 0));
+        assert_eq!(report.cost.parallel_ios, 7, "one round per row of the tallest disk");
+    }
+
+    #[test]
+    fn a_fault_on_a_disk_that_holds_nothing_damages_nothing() {
+        let mut disks = DiskArray::new(PdmConfig::new(4, 8), 0);
+        disks.grow_disks(0, 2, 3);
+        disks.write_block(BlockAddr::new(1, 2), &[9; 8]);
+        disks.enable_integrity();
+        // Disks 2 and 3 hold no block; disk 1 ends before block 3.
+        disks.set_fault_plan(FaultPlan::new().bit_rot(3, 0, 5).bit_rot(1, 3, 5).dead_disk(2));
+        assert_eq!(disks.read_block(BlockAddr::new(1, 2)), vec![9; 8]);
+        let report = disks.scrub_verify();
+        assert_eq!((report.blocks_scanned, report.checksum_failures), (6, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_fault_on_a_disk_out_of_range_panics() {
+        small().set_fault_plan(FaultPlan::new().bit_rot(4, 0, 0));
     }
 
     #[test]

@@ -169,14 +169,16 @@ impl FaultPlan {
         self
     }
 
-    /// `count` pseudo-random faults over a `disks × blocks_per_disk`
-    /// geometry, deterministic in `seed`. Dead disks are drawn from the
+    /// `count` pseudo-random faults over disks of `blocks_on[disk]` blocks
+    /// each, deterministic in `seed`; a block fault drawn for a disk that
+    /// holds nothing names its block 0, which damages nothing
+    /// ([`crate::DiskArray::set_fault_plan`]). Dead disks are drawn from the
     /// mix like every other kind but capped at one so the plan never
     /// destroys more redundancy than the single-failure guarantees cover;
     /// ask for more explicitly via [`dead_disk`](FaultPlan::dead_disk).
     #[must_use]
-    pub fn random(seed: u64, disks: usize, blocks_per_disk: usize, count: usize) -> Self {
-        assert!(disks > 0, "need at least one disk");
+    pub fn random(seed: u64, blocks_on: &[usize], count: usize) -> Self {
+        assert!(!blocks_on.is_empty(), "need at least one disk");
         let mut state = seed ^ 0x5DEE_CE66_D051_F00D;
         let mut next = || {
             // SplitMix64: full-period, seed-deterministic.
@@ -189,12 +191,8 @@ impl FaultPlan {
         let mut plan = FaultPlan::new();
         let mut dead_used = false;
         for _ in 0..count {
-            let disk = (next() % disks as u64) as usize;
-            let block = if blocks_per_disk == 0 {
-                0
-            } else {
-                (next() % blocks_per_disk as u64) as usize
-            };
+            let disk = (next() % blocks_on.len() as u64) as usize;
+            let block = (next() % blocks_on[disk].max(1) as u64) as usize;
             match next() % 4 {
                 0 if !dead_used => {
                     dead_used = true;
@@ -364,9 +362,9 @@ mod tests {
 
     #[test]
     fn random_plans_are_seed_deterministic() {
-        let a = FaultPlan::random(42, 8, 16, 6);
-        let b = FaultPlan::random(42, 8, 16, 6);
-        let c = FaultPlan::random(43, 8, 16, 6);
+        let a = FaultPlan::random(42, &[16; 8], 6);
+        let b = FaultPlan::random(42, &[16; 8], 6);
+        let c = FaultPlan::random(43, &[16; 8], 6);
         assert_eq!(a, b);
         assert_ne!(a, c, "different seeds should draw different plans");
         assert_eq!(a.faults().len(), 6);

@@ -10,11 +10,20 @@
 //!
 //! ## Layout
 //!
-//! A backend directory holds `meta` (text: magic, D, B, blocks per disk)
-//! and `disk-<d>.bin` (blocks at stride `B · 8` bytes, words
-//! little-endian). Files are fully materialized at create/grow time:
-//! extent allocation is paid up front, so wall-clock measurements time
-//! I/O, not filesystem metadata churn.
+//! A backend directory holds `disk-<d>.bin` (blocks at stride `B · 8`
+//! bytes, words little-endian) and `meta` — text: the magic
+//! `pdm-file-backend v2`, `disks D`, `block_words B`, and `blocks n0 n1 …`,
+//! one count per disk, since each disk is as long as the tallest region
+//! on it. A version 1 `meta` (`blocks N` for all disks) still opens. Files
+//! are fully materialized at create/grow time: extent allocation is paid
+//! up front, so wall-clock measurements time I/O, not filesystem metadata
+//! churn.
+//!
+//! Growing lengthens the files, then renames `meta.tmp` over `meta`, so a
+//! kill at any point leaves a directory that opens: [`FileBackend::open`]
+//! trims a file longer than its recorded length (blocks never handed out)
+//! and rejects a shorter or missing one with a typed error. Neither step
+//! is synced; the next barrier a writer waits on covers them.
 //!
 //! ## Durability and `O_DIRECT`
 //!
@@ -42,12 +51,12 @@ use crate::blocks::BlockBuf;
 use crate::disk::BlockAddr;
 use crate::Word;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Mutex};
 use std::thread::JoinHandle;
 
-const META_MAGIC: &str = "pdm-file-backend v1";
+const META_MAGIC: &str = "pdm-file-backend v2";
+const META_MAGIC_V1: &str = "pdm-file-backend v1"; // `blocks` is one count
 const WORD_BYTES: usize = std::mem::size_of::<Word>();
 const DIRECT_ALIGN: usize = 4096;
 
@@ -118,7 +127,7 @@ struct DiskWorker {
 pub struct FileBackend {
     dir: PathBuf,
     block_words: usize,
-    blocks: usize,
+    blocks: Vec<usize>, // on each disk
     opts: FileBackendOptions,
     // Buffered main-thread handle per disk, for the uncharged hooks
     // (peek/poke/snapshot) and for grow; workers hold their own handles.
@@ -147,6 +156,19 @@ fn io_err(disk: usize, what: &str, err: &std::io::Error) -> BackendError {
 
 fn disk_path(dir: &Path, disk: usize) -> PathBuf {
     dir.join(format!("disk-{disk}.bin"))
+}
+
+/// Write (not `set_len`: extents are paid now) `len` zero bytes at `offset`.
+fn materialize(file: &File, offset: u64, len: usize) -> std::io::Result<()> {
+    use std::os::unix::fs::FileExt;
+    let zeros = vec![0u8; len.min(1 << 20)];
+    let mut written = 0;
+    while written < len {
+        let n = (len - written).min(zeros.len());
+        file.write_all_at(&zeros[..n], offset + written as u64)?;
+        written += n;
+    }
+    Ok(())
 }
 
 /// A zeroed buffer of `len` bytes whose payload starts at an
@@ -263,58 +285,58 @@ impl FileBackend {
             ));
         }
         std::fs::create_dir_all(dir).map_err(|e| io_err(0, "creating backend directory", &e))?;
-        let block_bytes = block_words * WORD_BYTES;
-        let zeros = vec![0u8; block_bytes.max(1) * blocks_per_disk.clamp(1, 1 << 20)];
         for d in 0..disks {
             let path = disk_path(dir, d);
-            let mut f = File::create(&path).map_err(|e| io_err(d, "creating disk file", &e))?;
-            // Materialize (not just set_len): pay extent allocation now.
-            let mut remaining = block_bytes * blocks_per_disk;
-            while remaining > 0 {
-                let n = remaining.min(zeros.len());
-                f.write_all(&zeros[..n])
-                    .map_err(|e| io_err(d, "materializing disk file", &e))?;
-                remaining -= n;
-            }
+            let f = File::create(&path).map_err(|e| io_err(d, "creating disk file", &e))?;
+            materialize(&f, 0, block_words * WORD_BYTES * blocks_per_disk)
+                .map_err(|e| io_err(d, "materializing disk file", &e))?;
             f.sync_all().map_err(|e| io_err(d, "syncing disk file", &e))?;
         }
-        Self::write_meta(dir, disks, block_words, blocks_per_disk)?;
-        Self::attach(dir.to_path_buf(), disks, block_words, blocks_per_disk, opts)
+        let blocks = vec![blocks_per_disk; disks];
+        Self::write_meta(dir, block_words, &blocks)?;
+        Self::attach(dir.to_path_buf(), block_words, blocks, opts)
     }
 
     /// Open an existing backend directory, verifying the recorded
     /// geometry against the disk files actually present.
     ///
+    /// A disk file longer than its recorded length (a kill inside a grow)
+    /// is trimmed back to it.
     /// # Errors
     /// Typed [`BackendError`] on a missing/corrupt `meta`, a **missing
-    /// disk file**, or a disk file whose size disagrees with the meta
-    /// geometry (e.g. the directory was written under a different block
-    /// size). A block-size change on reopen surfaces either here (file
-    /// size mismatch) or in [`crate::DiskArray::with_backend`] (config
+    /// disk file**, or a disk file shorter than the meta geometry needs
+    /// (e.g. the directory was written under a different block size). A
+    /// block-size change on reopen surfaces either here (file size
+    /// mismatch) or in [`crate::DiskArray::with_backend`] (config
     /// mismatch) — both as typed errors, never a panic.
     pub fn open(dir: impl AsRef<Path>, opts: FileBackendOptions) -> Result<Self, BackendError> {
         let dir = dir.as_ref();
-        let (disks, block_words, blocks) = Self::read_meta(dir)?;
+        let (block_words, blocks) = Self::read_meta(dir)?;
         Self::check_direct(block_words, opts)?;
-        let expected_len = (block_words * WORD_BYTES * blocks) as u64;
-        for d in 0..disks {
+        for (d, &n) in blocks.iter().enumerate() {
             let path = disk_path(dir, d);
             let md = std::fs::metadata(&path).map_err(|_| {
                 BackendError::misconfigured(d, format!("missing disk file {}", path.display()))
             })?;
-            if md.len() != expected_len {
+            let expected_len = (block_words * WORD_BYTES * n) as u64;
+            if md.len() < expected_len {
                 return Err(BackendError::misconfigured(
                     d,
                     format!(
                         "disk file {} is {} bytes but the meta geometry \
-                         (B = {block_words} words, {blocks} blocks) needs {expected_len}",
+                         (B = {block_words} words, {n} blocks) needs {expected_len}",
                         path.display(),
                         md.len()
                     ),
                 ));
             }
+            if md.len() > expected_len {
+                let trim = OpenOptions::new().write(true).open(&path);
+                trim.and_then(|f| f.set_len(expected_len))
+                    .map_err(|e| io_err(d, "trimming disk file to its recorded length", &e))?;
+            }
         }
-        Self::attach(dir.to_path_buf(), disks, block_words, blocks, opts)
+        Self::attach(dir.to_path_buf(), block_words, blocks, opts)
     }
 
     fn check_direct(block_words: usize, opts: FileBackendOptions) -> Result<(), BackendError> {
@@ -330,57 +352,67 @@ impl FileBackend {
         Ok(())
     }
 
-    fn write_meta(
-        dir: &Path,
-        disks: usize,
-        block_words: usize,
-        blocks: usize,
-    ) -> Result<(), BackendError> {
-        let body = format!("{META_MAGIC}\ndisks {disks}\nblock_words {block_words}\nblocks {blocks}\n");
-        std::fs::write(dir.join("meta"), body).map_err(|e| io_err(0, "writing meta", &e))
+    /// Replace `meta` in one step: a kill leaves the old one or the new.
+    fn write_meta(dir: &Path, block_words: usize, blocks: &[usize]) -> Result<(), BackendError> {
+        let lens: String = blocks.iter().map(|n| format!(" {n}")).collect();
+        let body = format!("{META_MAGIC}\ndisks {}\nblock_words {block_words}\nblocks{lens}\n", blocks.len());
+        let tmp = dir.join("meta.tmp");
+        std::fs::write(&tmp, body)
+            .and_then(|()| std::fs::rename(&tmp, dir.join("meta")))
+            .map_err(|e| io_err(0, "writing meta", &e))
     }
 
-    fn read_meta(dir: &Path) -> Result<(usize, usize, usize), BackendError> {
+    /// `(block_words, blocks on each disk)` as `meta` records them.
+    fn read_meta(dir: &Path) -> Result<(usize, Vec<usize>), BackendError> {
         let path = dir.join("meta");
-        let mut body = String::new();
-        File::open(&path)
-            .and_then(|mut f| f.read_to_string(&mut body))
-            .map_err(|_| {
-                BackendError::misconfigured(
-                    0,
-                    format!("missing or unreadable meta file {}", path.display()),
-                )
-            })?;
+        let body = std::fs::read_to_string(&path).map_err(|_| {
+            BackendError::misconfigured(
+                0,
+                format!("missing or unreadable meta file {}", path.display()),
+            )
+        })?;
         let mut lines = body.lines();
-        if lines.next() != Some(META_MAGIC) {
+        let magic = lines.next();
+        if magic != Some(META_MAGIC) && magic != Some(META_MAGIC_V1) {
             return Err(BackendError::misconfigured(
                 0,
                 format!("{} is not a pdm file-backend meta file", path.display()),
             ));
         }
-        let mut field = |name: &str| -> Result<usize, BackendError> {
+        let mut field = |name: &str| -> Result<Vec<usize>, BackendError> {
             lines
                 .next()
                 .and_then(|l| l.strip_prefix(name))
-                .and_then(|v| v.trim().parse().ok())
+                .and_then(|v| v.split_whitespace().map(|n| n.parse().ok()).collect())
+                .filter(|v: &Vec<usize>| !v.is_empty())
                 .ok_or_else(|| {
                     BackendError::misconfigured(0, format!("meta file is missing field {name:?}"))
                 })
         };
-        Ok((field("disks")?, field("block_words")?, field("blocks")?))
+        let (disks, block_words) = (field("disks")?[0], field("block_words")?[0]);
+        let mut blocks = field("blocks")?;
+        if magic == Some(META_MAGIC_V1) {
+            blocks.resize(disks, blocks[0]);
+        }
+        if blocks.len() != disks {
+            return Err(BackendError::misconfigured(
+                0,
+                format!("meta lists {} disk lengths for {disks} disks", blocks.len()),
+            ));
+        }
+        Ok((block_words, blocks))
     }
 
     fn attach(
         dir: PathBuf,
-        disks: usize,
         block_words: usize,
-        blocks: usize,
+        blocks: Vec<usize>,
         opts: FileBackendOptions,
     ) -> Result<Self, BackendError> {
         let block_bytes = block_words * WORD_BYTES;
-        let mut control = Vec::with_capacity(disks);
-        let mut workers = Vec::with_capacity(disks);
-        for d in 0..disks {
+        let mut control = Vec::with_capacity(blocks.len());
+        let mut workers = Vec::with_capacity(blocks.len());
+        for d in 0..blocks.len() {
             let path = disk_path(&dir, d);
             control.push(
                 OpenOptions::new()
@@ -452,12 +484,12 @@ impl FileBackend {
         let d = self.workers.len();
         let mut reads_by_disk: Vec<Vec<(usize, u64)>> = vec![Vec::new(); d];
         for (slot, a) in batch.reads.iter().enumerate() {
-            debug_assert!(a.disk < d && a.block < self.blocks);
+            debug_assert!(a.disk < d && a.block < self.blocks[a.disk]);
             reads_by_disk[a.disk].push((first + slot, self.offset_of(a.block)));
         }
         let mut writes_by_disk: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); d];
         for (a, data) in batch.writes {
-            debug_assert!(a.disk < d && a.block < self.blocks);
+            debug_assert!(a.disk < d && a.block < self.blocks[a.disk]);
             writes_by_disk[a.disk].push((self.offset_of(a.block), encode_words(data)));
         }
         let sync = batch.sync_after || (self.opts.sync_on_write && !batch.writes.is_empty());
@@ -505,35 +537,29 @@ impl StorageBackend for FileBackend {
         self.block_words
     }
 
-    fn blocks_on(&self, _disk: usize) -> usize {
-        self.blocks
+    fn blocks_on(&self, disk: usize) -> usize {
+        self.blocks[disk]
     }
 
     fn grow(&mut self, blocks_per_disk: usize) {
-        if blocks_per_disk <= self.blocks {
-            return;
-        }
-        let add_bytes = (blocks_per_disk - self.blocks) * self.block_words * WORD_BYTES;
-        let old_len = self.offset_of(self.blocks);
-        let zeros = vec![0u8; add_bytes.min(1 << 20)];
-        for f in &self.control {
-            use std::os::unix::fs::FileExt;
-            let mut written = 0usize;
-            while written < add_bytes {
-                let n = (add_bytes - written).min(zeros.len());
-                f.write_all_at(&zeros[..n], old_len + written as u64)
+        self.grow_disks(0, self.workers.len(), blocks_per_disk);
+    }
+
+    fn grow_disks(&mut self, first_disk: usize, disks: usize, blocks: usize) {
+        let mut grew = false;
+        for d in first_disk..first_disk + disks {
+            if blocks > self.blocks[d] {
+                let add = (blocks - self.blocks[d]) * self.block_words * WORD_BYTES;
+                materialize(&self.control[d], self.offset_of(self.blocks[d]), add)
                     .expect("growing disk file");
-                written += n;
+                self.blocks[d] = blocks;
+                grew = true;
             }
         }
-        self.blocks = blocks_per_disk;
-        Self::write_meta(
-            &self.dir,
-            self.workers.len(),
-            self.block_words,
-            self.blocks,
-        )
-        .expect("rewriting meta after grow");
+        if grew {
+            Self::write_meta(&self.dir, self.block_words, &self.blocks)
+                .expect("rewriting meta after grow");
+        }
     }
 
     /// Truncates each file to `first_block` blocks and extends it back to
@@ -542,14 +568,12 @@ impl StorageBackend for FileBackend {
     /// being written. The range is no longer materialized; later writes
     /// into it pay extent allocation again.
     fn discard_tail(&mut self, first_disk: usize, disks: usize, first_block: usize) {
-        if first_block >= self.blocks {
-            return;
-        }
-        let keep = self.offset_of(first_block);
-        let full = self.offset_of(self.blocks);
-        for f in &self.control[first_disk..first_disk + disks] {
-            f.set_len(keep).expect("truncating disk file");
-            f.set_len(full).expect("re-extending disk file");
+        for d in first_disk..first_disk + disks {
+            if first_block < self.blocks[d] {
+                let f = &self.control[d];
+                f.set_len(self.offset_of(first_block)).expect("truncating disk file");
+                f.set_len(self.offset_of(self.blocks[d])).expect("re-extending disk file");
+            }
         }
     }
 
@@ -580,7 +604,7 @@ impl StorageBackend for FileBackend {
     fn snapshot(&self) -> Vec<Vec<Box<[Word]>>> {
         (0..self.workers.len())
             .map(|d| {
-                (0..self.blocks)
+                (0..self.blocks[d])
                     .map(|b| self.peek(BlockAddr::new(d, b)).into_boxed_slice())
                     .collect()
             })
@@ -799,6 +823,77 @@ mod tests {
         let fb = FileBackend::open(&dir, FileBackendOptions::default()).unwrap();
         assert_eq!(fb.blocks_on(1), 5);
         drop(fb);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn grow_disks_extends_its_range_and_survives_reopen() {
+        let dir = tmpdir("growdisks");
+        {
+            let mut fb =
+                FileBackend::create(&dir, 4, 4, 0, FileBackendOptions::default()).unwrap();
+            fb.grow_disks(0, 2, 3);
+            fb.grow_disks(1, 3, 2); // disk 1 stays at 3
+            fb.poke(BlockAddr::new(1, 2), &[6; 4]);
+            fb.discard_tail(0, 4, 1); // disk 0 and the short ones alike
+            fb.poke(BlockAddr::new(3, 1), &[8; 4]);
+        }
+        let body = std::fs::read_to_string(dir.join("meta")).unwrap();
+        assert!(body.starts_with(META_MAGIC) && body.contains("blocks 3 3 2 2"), "{body}");
+        assert!(!dir.join("meta.tmp").exists(), "the rename consumed it");
+        let fb = FileBackend::open(&dir, FileBackendOptions::default()).unwrap();
+        let lens: Vec<usize> = (0..4).map(|d| fb.blocks_on(d)).collect();
+        assert_eq!(lens, [3, 3, 2, 2]);
+        assert_eq!(fb.snapshot().iter().map(Vec::len).collect::<Vec<_>>(), lens);
+        assert_eq!(fb.peek(BlockAddr::new(1, 2)), vec![0; 4], "discarded");
+        assert_eq!(fb.peek(BlockAddr::new(3, 1)), vec![8; 4]);
+        drop(fb);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A kill between a grow's two steps — files lengthened, `meta` not
+    /// yet replaced — leaves a directory that opens at the old geometry.
+    #[test]
+    fn open_trims_a_file_longer_than_meta_and_rejects_a_shorter_one() {
+        let dir = tmpdir("killedgrow");
+        {
+            let mut fb =
+                FileBackend::create(&dir, 2, 4, 2, FileBackendOptions::default()).unwrap();
+            fb.poke(BlockAddr::new(1, 1), &[5; 4]);
+        }
+        let grown = OpenOptions::new().write(true).open(disk_path(&dir, 1)).unwrap();
+        grown.set_len(5 * 4 * WORD_BYTES as u64).unwrap();
+        std::fs::write(dir.join("meta.tmp"), "half a meta").unwrap();
+        let fb = FileBackend::open(&dir, FileBackendOptions::default()).unwrap();
+        assert_eq!((fb.blocks_on(0), fb.blocks_on(1)), (2, 2));
+        assert_eq!(fb.peek(BlockAddr::new(1, 1)), vec![5; 4]);
+        drop(fb);
+        let len = std::fs::metadata(disk_path(&dir, 1)).unwrap().len();
+        assert_eq!(len, 2 * 4 * WORD_BYTES as u64, "trimmed back to its recorded length");
+        grown.set_len(4 * WORD_BYTES as u64).unwrap();
+        let err = FileBackend::open(&dir, FileBackendOptions::default()).unwrap_err();
+        assert_eq!((err.kind, err.disk), (crate::IoFaultKind::Misconfigured, 1));
+        assert!(err.message.contains("needs"), "{}", err.message);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_version_1_meta_opens_as_uniform_disks() {
+        let dir = tmpdir("metav1");
+        drop(FileBackend::create(&dir, 3, 4, 2, FileBackendOptions::default()).unwrap());
+        let v1 = format!("{META_MAGIC_V1}\ndisks 3\nblock_words 4\nblocks 2\n");
+        std::fs::write(dir.join("meta"), v1).unwrap();
+        let mut fb = FileBackend::open(&dir, FileBackendOptions::default()).unwrap();
+        assert_eq!((0..3).map(|d| fb.blocks_on(d)).collect::<Vec<_>>(), [2; 3]);
+        // The next grow rewrites it as version 2.
+        fb.grow_disks(2, 1, 3);
+        drop(fb);
+        let body = std::fs::read_to_string(dir.join("meta")).unwrap();
+        assert!(body.starts_with(META_MAGIC) && body.contains("blocks 2 2 3"), "{body}");
+        // A length list that does not match the disk count is refused.
+        std::fs::write(dir.join("meta"), body.replace("blocks 2 2 3", "blocks 2 2")).unwrap();
+        let err = FileBackend::open(&dir, FileBackendOptions::default()).unwrap_err();
+        assert!(err.message.contains("2 disk lengths for 3 disks"), "{}", err.message);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

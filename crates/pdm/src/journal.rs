@@ -102,9 +102,11 @@ const SUPER_MAGIC: Word = 0x5044_4D4A_5355_5031;
 const HEAD_MAGIC: Word = 0x5044_4D4A_4845_4432;
 /// `"PDMJCON2"` — intent-continuation magic.
 const CONT_MAGIC: Word = 0x5044_4D4A_434F_4E32;
-/// On-disk format version recorded in the superblock. Version 1 logged
-/// whole block images; version 2 logs word runs.
-const VERSION: Word = 2;
+/// On-disk format version recorded in the superblock — the one format
+/// stamp a served shard has, so it also covers what the ring protects.
+/// Version 1 logged whole block images; version 2 logs word runs; version
+/// 3 is version 2 over `pdm-dict`'s exact-width chain fields.
+const VERSION: Word = 3;
 
 /// Stream words one target costs before its runs: the packed
 /// `(disk, runs, block)` header and the checksum of the new image.
@@ -503,7 +505,8 @@ impl DiskArray {
     /// # Panics
     /// Panics if the region holds no valid superblock (the array was
     /// never journal-enabled there), or one of another format version —
-    /// a ring of whole-image intents cannot be replayed as deltas.
+    /// a ring of whole-image intents cannot be replayed as deltas, and a
+    /// shard laid out under wider chain fields cannot be read.
     pub fn reopen_journal(&mut self, region: JournalRegion) {
         let d = self.disks();
         let addr = region.slot_addr(0, d);

@@ -275,6 +275,48 @@ fn grow_is_bit_compatible_and_durable() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Per-disk extents: interleaved `grow_disks` over overlapping disk
+/// ranges, a discard and writes into the grown blocks, integrity on.
+/// Lengths, contents and seals must agree between the media at every
+/// step, and the file array must come back from its directory alone with
+/// the same ragged geometry.
+#[test]
+fn ragged_growth_is_bit_compatible_and_durable() {
+    let (mut mem, mut file, dir) = pair("ragged");
+    let lens = |disks: &DiskArray| (0..D).map(|d| disks.blocks_on(d)).collect::<Vec<_>>();
+    for disks in [&mut mem, &mut file] {
+        disks.enable_integrity();
+        let mut s = 0xE87E_0075_u64;
+        for step in 0..10usize {
+            let first = (mix(&mut s) as usize) % D;
+            let count = 1 + (mix(&mut s) as usize) % (D - first);
+            let blocks = BLOCKS + (mix(&mut s) as usize) % 24;
+            disks.grow_disks(first, count, blocks);
+            if step == 5 {
+                assert!(disks.discard_tail(1, 2, BLOCKS + 2) > 0);
+            }
+            // The last block of every disk of the range takes a write,
+            // whether this call lengthened the disk or not.
+            let img = payload(step as u64);
+            let writes: Vec<(BlockAddr, &[Word])> = (first..first + count)
+                .map(|d| (BlockAddr::new(d, disks.blocks_on(d) - 1), img.as_slice()))
+                .collect();
+            assert!(disks.write(&writes, WriteOptions::checked()).all_ok());
+        }
+        assert!(lens(disks).windows(2).any(|w| w[0] != w[1]), "{:?}", lens(disks));
+        assert_eq!(disks.scrub_verify().checksum_failures, 0, "new blocks arrive sealed");
+    }
+    assert_eq!(lens(&mem), lens(&file));
+    assert_eq!(mem.stats(), file.stats());
+    assert_eq!(mem.snapshot(), file.snapshot());
+    drop(file);
+    let reopened = reopen(&dir);
+    assert_eq!(lens(&reopened), lens(&mem), "lengths come back from meta");
+    assert_eq!(reopened.snapshot(), mem.snapshot());
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `sync_on_write` and explicit flush barriers change durability timing,
 /// never contents: a fsync-on-commit file array must still match mem.
 #[test]

@@ -245,7 +245,9 @@ fn static_frontends_reject_mutation() {
 }
 
 /// What a fixed op stream leaves behind: the array's I/O counters, a hash
-/// of the physical image, and a hash of every result the stream returned.
+/// of the physical image, and a hash of every result the stream returned
+/// except what a batched call was charged (the counters hold that, and it
+/// is the one kind of result a denser layout may move).
 #[derive(Debug, PartialEq, Eq)]
 struct Golden {
     parallel_ios: u64,
@@ -272,8 +274,8 @@ fn both(h: &mut u64, g: &mut u64, x: u64) {
 /// inserts, lookups and deletes, `lookup_batch` and `insert_batch` — over
 /// a key space small enough that hits, misses, duplicates and deletes of
 /// stored keys all occur. Beside the [`Golden`], returns the hash of the
-/// stream's *answers*: everything `results` hashes except what a batched
-/// insert was charged, the one figure in it a journal is allowed to move.
+/// stream's *answers*: what `results` hashes and what each batched lookup
+/// was charged, which a journal may not move either.
 fn golden_stream(dict: &mut dyn Dict, sigma: usize, seed: u64) -> (Golden, u64) {
     let mut state = seed;
     let mut next = move || {
@@ -299,7 +301,7 @@ fn golden_stream(dict: &mut dyn Dict, sigma: usize, seed: u64) -> (Golden, u64) 
             13..=14 => {
                 let keys: Vec<u64> = (0..1 + r % 24).map(|_| next() % 1536).collect();
                 let (found, cost) = dict.lookup_batch(&keys);
-                both(&mut results, &mut answers, cost.parallel_ios);
+                fnv(&mut answers, cost.parallel_ios);
                 for f in found {
                     both(&mut results, &mut answers, f.map_or(u64::MAX, |s| s.iter().fold(7, |a, w| a ^ w)));
                 }
@@ -309,8 +311,7 @@ fn golden_stream(dict: &mut dyn Dict, sigma: usize, seed: u64) -> (Golden, u64) 
                     .map(|_| next() % 1536)
                     .map(|k| (k, sat(k, sigma)))
                     .collect();
-                let (res, cost) = dict.insert_batch(&entries);
-                fnv(&mut results, cost.parallel_ios);
+                let (res, _) = dict.insert_batch(&entries);
                 for r in res {
                     both(&mut results, &mut answers, result_of(r));
                 }
@@ -338,30 +339,35 @@ fn golden_stream(dict: &mut dyn Dict, sigma: usize, seed: u64) -> (Golden, u64) 
     (golden, answers)
 }
 
-/// The "I/O-count gates byte-identical" acceptance made mechanical: the
-/// unjournaled constant below was recorded at the commit before the probe
-/// path moved to flat round buffers (PR 14's parent). A change to how
-/// blocks are held in memory must issue the same blocks in the same batches
-/// and leave the same image; a change that is *meant* to move them
-/// re-records these — as PR 15 did for the two journaled fronts, whose
-/// intents became word runs (fewer ring blocks written, so other counters
-/// and another ring image; a batched insert is charged differently, so
-/// another `results`). What a journal may never move is an answer: each
-/// journaled stream is also run on an unjournaled twin, and every result,
-/// every lookup's charged rounds included, must hash the same.
+/// The "I/O-count gates byte-identical" acceptance made mechanical. A
+/// change to how blocks are held in memory must issue the same blocks in
+/// the same batches and leave the same image; a change that is *meant* to
+/// move them re-records what it moves and says why (EXPERIMENTS.md § PERF
+/// lists each re-recording). Two things are pinned harder than the
+/// counters:
+///
+/// * `results` — every answer and every single-key operation's charged
+///   cost — does not depend on how densely fields pack into blocks: the
+///   constants below were recorded under 26-bit chain fields and hold under
+///   the exact 13-bit ones, where the batched calls (`lookup_batch`,
+///   `insert_batch`, the migration step) plan fewer distinct blocks and the
+///   counters fell.
+/// * A journal may never move an answer: each journaled stream is also run
+///   on an unjournaled twin, and every result, every lookup's charged
+///   rounds included, must hash the same.
 #[test]
 fn golden_io_counts_and_images_match_the_recorded_parent() {
     let mut plain = (frontend("dynamic").build)(4096, &[], 0x601D);
     assert_eq!(
         golden_stream(plain.as_mut(), 2, 1).0,
         Golden {
-            parallel_ios: 15708,
+            parallel_ios: 15677,
             batches: 5916,
-            block_reads: 474577,
-            block_writes: 24459,
-            rounds: 11162,
-            image: 0xA1858E28E71B25DB,
-            results: 0x9CE6F47AD0BA6524,
+            block_reads: 468001,
+            block_writes: 24324,
+            rounds: 11131,
+            image: 0x6AD4BB1682089858,
+            results: 0xB95B2CD1CCB773CC,
         },
         "unjournaled DynamicDict"
     );
@@ -373,13 +379,13 @@ fn golden_io_counts_and_images_match_the_recorded_parent() {
     assert_eq!(
         got,
         Golden {
-            parallel_ios: 16499,
+            parallel_ios: 16473,
             batches: 7414,
-            block_reads: 451128,
-            block_writes: 27017,
-            rounds: 10344,
-            image: 0x47CB1B6E96E5EA30,
-            results: 0x8CE60F647AC73C79,
+            block_reads: 445392,
+            block_writes: 26887,
+            rounds: 10318,
+            image: 0x8BA495463B114141,
+            results: 0x8BD6C178816A1AE4,
         },
         "journaled DynamicDict"
     );
@@ -397,13 +403,13 @@ fn golden_io_counts_and_images_match_the_recorded_parent() {
     assert_eq!(
         got,
         Golden {
-            parallel_ios: 24210,
+            parallel_ios: 22928,
             batches: 10014,
-            block_reads: 642084,
-            block_writes: 79495,
-            rounds: 16196,
-            image: 0x5AADF307216DC20D,
-            results: 0xB4E6C4A7AC4E206C,
+            block_reads: 594286,
+            block_writes: 74238,
+            rounds: 14914,
+            image: 0x2F826B858C7F5DC7,
+            results: 0x1C9AC23C3B1580E7,
         },
         "journaled rebuilding Dictionary"
     );

@@ -69,8 +69,9 @@ fn drive(f: &Frontend, keys: &[u64], fault_seed: u64) -> Result<(), TestCaseErro
     // Seal checksums over the built (trusted) state, then injure it.
     disks.enable_integrity();
     let d = disks.disks();
-    let bpd = (0..d).map(|i| disks.blocks_on(i)).min().unwrap_or(1).max(1);
-    let mut plan = FaultPlan::random(fault_seed, d, bpd, 6);
+    // Each disk's own length: disks differ, and one may hold nothing.
+    let blocks_on: Vec<usize> = (0..d).map(|i| disks.blocks_on(i)).collect();
+    let mut plan = FaultPlan::random(fault_seed, &blocks_on, 6);
     if fault_seed.is_multiple_of(2) {
         plan = plan.dead_disk((fault_seed % d as u64) as usize);
     }

@@ -8,6 +8,7 @@ mod harness;
 use harness::{dense_keys, frontend, padded_entries};
 use pdm::metrics::{MetricsRegistry, PARALLEL_IOS_TOTAL};
 use pdm_dict::traits::{DICT_OPS_TOTAL, DICT_OP_PARALLEL_IOS};
+use pdm_dict::{Dict, DictParams, Dictionary};
 use std::sync::Arc;
 
 /// Theorem 6: every OneProbeStatic lookup — hit or miss — costs exactly
@@ -158,6 +159,62 @@ fn rebuild_reclaim_and_step_cost_show_in_exported_metrics() {
         keys_per_step.max,
         step_rounds.max
     );
+}
+
+/// The space ledger read off the exported metrics: storage is the sum of
+/// what the structures were allocated — the ring, the membership buckets,
+/// each level's field array — and no block is unowned, after a build, after
+/// a reopen from the image alone, and after a finished rebuild (whose
+/// discarded slot keeps its length, and its rows, for the next tenant).
+#[test]
+fn space_ledger_accounts_for_every_block_in_exported_metrics() {
+    fn check(dict: &mut dyn Dict, kind: &str, when: &str) {
+        let registry = Arc::new(MetricsRegistry::new());
+        dict.set_metrics(Some(Arc::clone(&registry)));
+        dict.refresh_gauges();
+        let snap = registry.snapshot();
+        let region = |r: &str| snap.gauge("dict_space_blocks", &[("dict", kind), ("region", r)]);
+        assert_eq!(region("unowned"), Some(0), "{when}: blocks no structure owns");
+        let ring = region("journal").expect("journal row exported");
+        assert!(ring > 0, "{when}: the fronts under test are journaled");
+        let mut owned = ring + region("membership").expect("membership row exported");
+        let levels = (1..).map_while(|i| region(&format!("level_{i}"))).collect::<Vec<_>>();
+        let live = snap.gauge("dict_levels", &[("dict", kind)]).expect("levels gauge exported");
+        assert!(levels.len() as i64 >= live, "{when}: {} level rows, {live} levels", levels.len());
+        assert!(levels.windows(2).all(|w| w[0] >= w[1]), "{when}: levels shrink: {levels:?}");
+        owned += levels.iter().sum::<i64>();
+        let disks = dict.disks().unwrap();
+        let on_disk: usize = (0..disks.disks()).map(|d| disks.blocks_on(d)).sum();
+        assert_eq!(owned, on_disk as i64, "{when}: Σ regions != Σ blocks_on");
+        assert_eq!(snap.gauge("dict_storage_blocks", &[("dict", kind)]), Some(owned), "{when}");
+        dict.set_metrics(None);
+    }
+
+    let f = frontend("dynamic_journaled");
+    let entries = padded_entries(&f, &dense_keys(300));
+    let mut dict = (f.build)(entries.len(), &entries, 0x5ACE);
+    check(dict.as_mut(), "dynamic", "after a build");
+    let image = dict.disks().unwrap().clone();
+    let mut reopened = (f.reopen.as_ref().unwrap())(entries.len(), 0x5ACE, image);
+    check(reopened.as_mut(), "dynamic", "after a reopen");
+    assert_eq!(reopened.len(), 300);
+
+    let params = DictParams::new(64, harness::UNIVERSE, 1)
+        .with_degree(20)
+        .with_epsilon(0.5)
+        .with_seed(0x5ACE)
+        .with_journal(2);
+    let mut rebuilding = Dictionary::new(params, 64).unwrap();
+    check(&mut rebuilding, "rebuild", "after a build");
+    let mut key = 0;
+    while rebuilding.rebuilds() < 2 || rebuilding.is_rebuilding() {
+        rebuilding.insert(key, &[key]).unwrap();
+        key += 1;
+        if rebuilding.rebuilds() == 1 && !rebuilding.is_rebuilding() {
+            check(&mut rebuilding, "rebuild", "after the first finished rebuild");
+        }
+    }
+    check(&mut rebuilding, "rebuild", "after the second finished rebuild");
 }
 
 /// Installing hooks must not change behavior: twin fronts with identical
