@@ -7,7 +7,8 @@
 //! candidate buckets. This binary measures exactly that: parallel I/Os
 //! per lookup as a function of batch size, for the batched engine vs the
 //! sequential loop, on three front-ends (basic, one-probe static,
-//! dynamic).
+//! dynamic) — and, as CI gates, what a window's updates cost through
+//! `delete_batch` and through a rebuilding `Dictionary`.
 //!
 //! Run: `cargo run -p bench --release --bin batch_throughput`
 //! Smoke: `cargo run -p bench --bin batch_throughput -- --smoke`
@@ -18,7 +19,7 @@ use pdm::{DiskArray, PdmConfig};
 use pdm_dict::basic::{BasicDict, BasicDictConfig};
 use pdm_dict::layout::DiskAllocator;
 use pdm_dict::one_probe::{OneProbeStatic, OneProbeVariant};
-use pdm_dict::{DictParams, DynamicDict};
+use pdm_dict::{Dict, DictHandle, DictParams, Dictionary, DynamicDict};
 
 #[derive(serde::Serialize)]
 struct Row {
@@ -46,35 +47,89 @@ fn print_row(r: &Row) {
     );
 }
 
+fn row(structure: &str, batch_size: usize, ops: usize, seq_ios: u64, batch_ios: u64) -> Row {
+    let row = Row {
+        structure: structure.into(),
+        batch_size,
+        lookups: ops,
+        seq_ios,
+        batch_ios,
+        seq_ios_per_lookup: seq_ios as f64 / ops as f64,
+        batch_ios_per_lookup: batch_ios as f64 / ops as f64,
+        speedup: seq_ios as f64 / batch_ios.max(1) as f64,
+    };
+    print_row(&row);
+    row
+}
+
 /// Measure one front-end: sequential vs batched lookups over the same
-/// query stream, chunked at `batch_size`. The closure runs one chunk:
-/// `run(true, &[k])` sequentially, `run(false, chunk)` batched.
-fn measure<F>(structure: &str, queries: &[u64], batch_sizes: &[usize], mut run: F, rows: &mut Vec<Row>)
-where
-    F: FnMut(bool, &[u64]) -> u64,
-{
+/// query stream, chunked at each of `batch_sizes`.
+fn measure(dict: &mut dyn Dict, structure: &str, queries: &[u64], batch_sizes: &[usize], rows: &mut Vec<Row>) {
     for &bs in batch_sizes {
-        let mut seq_ios = 0u64;
-        for k in queries {
-            seq_ios += run(true, std::slice::from_ref(k));
-        }
-        let mut batch_ios = 0u64;
-        for chunk in queries.chunks(bs) {
-            batch_ios += run(false, chunk);
-        }
-        let row = Row {
-            structure: structure.into(),
-            batch_size: bs,
-            lookups: queries.len(),
-            seq_ios,
-            batch_ios,
-            seq_ios_per_lookup: seq_ios as f64 / queries.len() as f64,
-            batch_ios_per_lookup: batch_ios as f64 / queries.len() as f64,
-            speedup: seq_ios as f64 / batch_ios.max(1) as f64,
-        };
-        print_row(&row);
-        rows.push(row);
+        let seq_ios = queries.iter().map(|&k| dict.lookup(k).cost.parallel_ios).sum();
+        let batch_ios = queries.chunks(bs).map(|chunk| dict.lookup_batch(chunk).1.parallel_ios).sum();
+        rows.push(row(structure, bs, queries.len(), seq_ios, batch_ios));
     }
+}
+
+/// The served shard shape (d = 20, B = 128, 4 journal rows).
+fn served(capacity: usize) -> DictParams {
+    DictParams::new(capacity, 1 << 40, 2).with_degree(20).with_epsilon(0.5).with_seed(0xD17).with_journal(4)
+}
+
+/// A 32-key `delete_batch` on a journaled `DynamicDict` against `delete`
+/// per key on a twin: (sequential, batched) parallel I/Os over `n` keys.
+fn delete_window(n: usize) -> Row {
+    let mut twins: Vec<DictHandle<DynamicDict>> = Vec::new();
+    let keys = uniform_keys(n, 1 << 40, 0x44);
+    for _ in 0..2 {
+        let mut disks = DiskArray::new(PdmConfig::new(40, 128), 0);
+        let mut alloc = DiskAllocator::new(40);
+        let dict = DynamicDict::create(&mut disks, &mut alloc, 0, served(8192)).unwrap();
+        let mut twin = DictHandle::new(dict, disks);
+        for &k in &keys {
+            twin.insert(k, &[k, !k]).unwrap();
+        }
+        twins.push(twin);
+    }
+    let seq = keys.iter().map(|&k| twins[0].delete(k).unwrap().1.parallel_ios).sum();
+    let batched = keys.chunks(32).map(|chunk| {
+        let (res, cost) = twins[1].delete_batch(chunk);
+        assert!(res.iter().all(|r| matches!(r, Ok(true))), "a stored key was not deleted");
+        cost.parallel_ios
+    });
+    row("dynamic delete", 32, n, seq, batched.sum())
+}
+
+/// `engine_churn`'s stream in windows of 32 (13 inserts of new keys, 13
+/// deletes of the oldest, 6 lookups) on a journaled rebuilding
+/// `Dictionary`, through the batch calls against one call per operation on
+/// a twin, until the batched one has crossed `rebuilds` rebuilds.
+fn churn_windows(rebuilds: usize) -> Row {
+    const LIVE: u64 = 1024;
+    let mut twins = [0, 1].map(|_| Dictionary::new(served(LIVE as usize), 128).unwrap());
+    let key = |i: u64| expander::mix::mix64(i) >> 24;
+    for (i, dict) in (0..LIVE).flat_map(|i| [(i, 0), (i, 1)]) {
+        twins[dict].insert(key(i), &[i, i]).unwrap();
+    }
+    let before = twins.each_ref().map(|d| d.io_stats().parallel_ios);
+    let (mut next, mut ops) = (LIVE, 0);
+    while twins[1].rebuilds() < rebuilds {
+        let inserts: Vec<(u64, Vec<u64>)> = (next..next + 13).map(|i| (key(i), vec![i, i])).collect();
+        let deletes: Vec<u64> = (next - LIVE..next - LIVE + 13).map(key).collect();
+        let lookups: Vec<u64> = (next - 200..next - 194).map(key).collect();
+        for (k, sat) in &inserts {
+            twins[0].insert(*k, sat).unwrap();
+        }
+        deletes.iter().for_each(|&k| assert!(twins[0].delete(k).unwrap().0));
+        lookups.iter().for_each(|&k| assert!(twins[0].lookup(k).found()));
+        assert!(twins[1].insert_batch(&inserts).0.iter().all(Result::is_ok));
+        assert!(twins[1].delete_batch(&deletes).0.iter().all(|r| matches!(r, Ok(true))));
+        assert!(twins[1].lookup_batch(&lookups).0.iter().all(Option::is_some));
+        (next, ops) = (next + 13, ops + 32);
+    }
+    let [seq, batched] = [0, 1].map(|t| twins[t].io_stats().parallel_ios - before[t]);
+    row("rebuild churn", 32, ops, seq, batched)
 }
 
 fn main() {
@@ -103,19 +158,7 @@ fn main() {
             dict.insert(&mut disks, k, &[k]).unwrap();
         }
         let queries: Vec<u64> = (0..lookups).map(|i| keys[i * 31 % keys.len()]).collect();
-        measure(
-            "basic",
-            &queries,
-            batch_sizes,
-            |seq, ks| {
-                if seq {
-                    dict.lookup(&mut disks, ks[0]).cost.parallel_ios
-                } else {
-                    dict.lookup_batch(&mut disks, ks).1.parallel_ios
-                }
-            },
-            &mut rows,
-        );
+        measure(&mut DictHandle::new(dict, disks), "basic", &queries, batch_sizes, &mut rows);
     }
 
     // One-probe static (Theorem 6, case b).
@@ -140,19 +183,7 @@ fn main() {
         let queries: Vec<u64> = (0..lookups)
             .map(|i| entries[i * 31 % entries.len()].0)
             .collect();
-        measure(
-            "one-probe(b)",
-            &queries,
-            batch_sizes,
-            |seq, ks| {
-                if seq {
-                    dict.lookup(&mut disks, ks[0]).cost.parallel_ios
-                } else {
-                    dict.lookup_batch(&mut disks, ks).1.parallel_ios
-                }
-            },
-            &mut rows,
-        );
+        measure(&mut DictHandle::new(dict, disks), "one-probe(b)", &queries, batch_sizes, &mut rows);
     }
 
     // Dynamic dictionary (Theorem 7): two-phase batched lookups.
@@ -170,19 +201,7 @@ fn main() {
             dict.insert(&mut disks, k, &[k]).unwrap();
         }
         let queries: Vec<u64> = (0..lookups).map(|i| keys[i * 31 % keys.len()]).collect();
-        measure(
-            "dynamic",
-            &queries,
-            batch_sizes,
-            |seq, ks| {
-                if seq {
-                    dict.lookup(&mut disks, ks[0]).cost.parallel_ios
-                } else {
-                    dict.lookup_batch(&mut disks, ks).1.parallel_ios
-                }
-            },
-            &mut rows,
-        );
+        measure(&mut DictHandle::new(dict, disks), "dynamic", &queries, batch_sizes, &mut rows);
     }
 
     // The acceptance check the harness looks for: at batch size 64 on
@@ -192,13 +211,32 @@ fn main() {
         .iter()
         .find(|r| r.structure == "basic" && r.batch_size == 64)
         .map(|r| r.speedup);
-    match accept {
-        Some(s) if s >= 4.0 => println!("\nACCEPT: basic @ m=64 speedup {s:.2}x >= 4x"),
-        Some(s) => println!("\nFAIL: basic @ m=64 speedup {s:.2}x < 4x"),
-        None => println!("\n(no m=64 row in this run)"),
+    let mut failed = match accept {
+        Some(s) if s >= 4.0 => {
+            println!("\nACCEPT: basic @ m=64 speedup {s:.2}x >= 4x");
+            false
+        }
+        Some(s) => {
+            println!("\nFAIL: basic @ m=64 speedup {s:.2}x < 4x");
+            true
+        }
+        None => false,
+    };
+
+    // A window's updates (gates of the served shape): a 32-key
+    // `delete_batch` costs at most 1.5 parallel I/Os per key, and a churn
+    // stream in 32-op windows at most 3.3 per op across >= 5 rebuilds.
+    for (r, bound) in [(delete_window(if smoke { 256 } else { 1024 }), 1.5), (churn_windows(if smoke { 8 } else { 12 }), 3.3)] {
+        let ok = r.batch_ios_per_lookup <= bound;
+        println!("{}: {} @ m=32 costs {:.3} parallel I/Os per op (bound {bound}, one call per op {:.3})", if ok { "ACCEPT" } else { "FAIL" }, r.structure, r.batch_ios_per_lookup, r.seq_ios_per_lookup);
+        failed |= !ok;
+        rows.push(r);
     }
 
     if let Ok(p) = write_json("batch_throughput", &rows) {
         println!("wrote {}", p.display());
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

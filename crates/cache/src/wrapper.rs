@@ -245,6 +245,16 @@ impl Dict for CachedDict {
         out
     }
 
+    fn delete_batch(&mut self, keys: &[u64]) -> (Vec<Result<bool, DictError>>, OpCost) {
+        let out = self.inner.delete_batch(keys);
+        // Attempted keys too, as after any mutation.
+        for &key in keys {
+            self.cache.invalidate(key);
+        }
+        self.sync_metrics();
+        out
+    }
+
     fn set_metrics(&mut self, registry: Option<Arc<MetricsRegistry>>) {
         self.metrics = registry
             .as_ref()
@@ -397,6 +407,30 @@ mod tests {
         assert_eq!(d.lookup(77).cost.parallel_ios, 0, "negative resident");
         d.insert(77, &[7]).unwrap();
         assert_eq!(d.lookup(77).satellite, Some(vec![7]));
+    }
+
+    #[test]
+    fn a_delete_batch_invalidates_every_key_it_names() {
+        let mut d = cached();
+        for key in 0..8u64 {
+            d.insert(key, &[key]).unwrap();
+            for _ in 0..3 {
+                let _ = d.lookup(key);
+            }
+            assert_eq!(d.lookup(key).cost.parallel_ios, 0, "resident");
+        }
+        // A cached absence among them: it was attempted, so it goes too.
+        for _ in 0..3 {
+            let _ = d.lookup(99);
+        }
+        let (res, cost) = d.delete_batch(&[1, 3, 5, 99]);
+        assert_eq!(res, vec![Ok(true), Ok(true), Ok(true), Ok(false)]);
+        assert_eq!(cost.parallel_ios, 4, "the inner dictionary's loop, summed");
+        for key in [1u64, 3, 5, 99] {
+            let out = d.lookup(key);
+            assert_eq!((out.satellite, out.cost.parallel_ios), (None, 1), "key {key} after its delete");
+        }
+        assert_eq!(d.lookup(2).cost.parallel_ios, 0, "an unnamed key stays resident");
     }
 
     #[test]

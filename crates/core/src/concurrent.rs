@@ -125,68 +125,56 @@ impl ShardedDictionary {
         lock(self.shard_of(key)).delete(key)
     }
 
-    /// Batched lookup: keys are grouped by shard, each group served by
-    /// one [`Dictionary::lookup_batch`] under a single lock acquisition.
-    /// Shard arrays are **independent disk groups**, so the per-shard
-    /// batches overlap in time and the charged parallel cost is the
-    /// per-shard **max** ([`OpCost::alongside`]); the per-shard sum — what
-    /// serving the groups one after another would cost — is retained in
-    /// [`OpCost::sequential_ios`]. Results are byte-identical to calling
-    /// [`Self::lookup`] per key, in order.
-    pub fn lookup_batch(&self, keys: &[u64]) -> (Vec<Option<Vec<Word>>>, OpCost) {
+    /// Serve `items` shard by shard: they are grouped by the shard of their
+    /// key, each group handed to `call` under a single lock acquisition,
+    /// and the answers put back in input order. Shard arrays are
+    /// **independent disk groups**, so the per-shard batches overlap in
+    /// time and the charged parallel cost is the per-shard **max**
+    /// ([`OpCost::alongside`]); the per-shard sum — what serving the groups
+    /// one after another would cost — is retained in
+    /// [`OpCost::sequential_ios`].
+    fn by_shard<T: Clone, R>(
+        &self,
+        items: &[T],
+        key: impl Fn(&T) -> u64,
+        mut call: impl FnMut(&mut Dictionary, &[T]) -> (Vec<R>, OpCost),
+    ) -> (Vec<R>, OpCost) {
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, &key) in keys.iter().enumerate() {
-            groups[self.shard_index(key)].push(i);
+        for (i, item) in items.iter().enumerate() {
+            groups[self.shard_index(key(item))].push(i);
         }
-        let mut results: Vec<Option<Vec<Word>>> = vec![None; keys.len()];
+        let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
         let mut cost = OpCost::default();
-        for (shard, group) in self.shards.iter().zip(&groups) {
-            if group.is_empty() {
-                continue;
-            }
-            let sub: Vec<u64> = group.iter().map(|&i| keys[i]).collect();
-            let (found, c) = lock(shard).lookup_batch(&sub);
-            cost = cost.alongside(c);
-            for (&i, f) in group.iter().zip(found) {
-                results[i] = f;
-            }
-        }
-        (results, cost)
-    }
-
-    /// Batched insert: entries are grouped by shard, each group applied
-    /// by one [`Dictionary::insert_batch`] under a single lock
-    /// acquisition. Per-key errors (duplicates, width mismatches) are
-    /// reported in input order; other keys are unaffected. As with
-    /// [`Self::lookup_batch`], the parallel cost is the per-shard max
-    /// and the per-shard sum is kept in [`OpCost::sequential_ios`].
-    pub fn insert_batch(&self, entries: &[(u64, Vec<Word>)]) -> (Vec<Result<(), DictError>>, OpCost) {
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, (key, _)) in entries.iter().enumerate() {
-            groups[self.shard_index(*key)].push(i);
-        }
-        let mut results: Vec<Option<Result<(), DictError>>> = (0..entries.len())
-            .map(|_| None)
-            .collect();
-        let mut cost = OpCost::default();
-        for (shard, group) in self.shards.iter().zip(&groups) {
-            if group.is_empty() {
-                continue;
-            }
-            let sub: Vec<(u64, Vec<Word>)> = group.iter().map(|&i| entries[i].clone()).collect();
-            let (res, c) = lock(shard).insert_batch(&sub);
+        for (shard, group) in self.shards.iter().zip(&groups).filter(|(_, g)| !g.is_empty()) {
+            let sub: Vec<T> = group.iter().map(|&i| items[i].clone()).collect();
+            let (res, c) = call(&mut lock(shard), &sub);
             cost = cost.alongside(c);
             for (&i, r) in group.iter().zip(res) {
                 results[i] = Some(r);
             }
         }
-        (
-            results
-                .into_iter()
-                .map(|r| r.expect("every key routed to exactly one shard"))
-                .collect(),
-            cost,
-        )
+        let results = results.into_iter().map(|r| r.expect("every key routed to exactly one shard"));
+        (results.collect(), cost)
+    }
+
+    /// Batched lookup: one [`Dictionary::lookup_batch`] per shard, the
+    /// shards' disk groups working alongside. Results are byte-identical
+    /// to calling [`Self::lookup`] per key, in order.
+    pub fn lookup_batch(&self, keys: &[u64]) -> (Vec<Option<Vec<Word>>>, OpCost) {
+        self.by_shard(keys, |&k| k, |shard, keys| shard.lookup_batch(keys))
+    }
+
+    /// Batched insert: one [`Dictionary::insert_batch`] per shard. Per-key
+    /// errors (duplicates, width mismatches) are reported in input order;
+    /// other keys are unaffected.
+    pub fn insert_batch(&self, entries: &[(u64, Vec<Word>)]) -> (Vec<Result<(), DictError>>, OpCost) {
+        self.by_shard(entries, |e| e.0, |shard, entries| shard.insert_batch(entries))
+    }
+
+    /// Batched delete: one [`Dictionary::delete_batch`] per shard, per-key
+    /// answers in input order.
+    pub fn delete_batch(&self, keys: &[u64]) -> (Vec<Result<bool, DictError>>, OpCost) {
+        self.by_shard(keys, |&k| k, |shard, keys| shard.delete_batch(keys))
     }
 
     /// Scrub every shard in turn (each under its own lock) and merge the
@@ -253,19 +241,18 @@ impl Dict for ShardedDictionary {
     }
 
     fn lookup_batch(&mut self, keys: &[u64]) -> (Vec<Option<Vec<Word>>>, OpCost) {
-        let (results, cost) = ShardedDictionary::lookup_batch(self, keys);
-        if let Some(m) = &self.metrics {
-            m.record_lookup_batch(keys.len(), cost);
-        }
-        (results, cost)
+        let out = ShardedDictionary::lookup_batch(self, keys);
+        OpRecorder::record_lookup_batch(self.metrics.as_ref(), keys.len(), out)
     }
 
     fn insert_batch(&mut self, entries: &[(u64, Vec<Word>)]) -> (Vec<Result<(), DictError>>, OpCost) {
-        let (results, cost) = ShardedDictionary::insert_batch(self, entries);
-        if let Some(m) = &self.metrics {
-            m.record_insert_batch(entries.len(), cost);
-        }
-        (results, cost)
+        let out = ShardedDictionary::insert_batch(self, entries);
+        OpRecorder::record_insert_batch(self.metrics.as_ref(), entries.len(), out)
+    }
+
+    fn delete_batch(&mut self, keys: &[u64]) -> (Vec<Result<bool, DictError>>, OpCost) {
+        let out = ShardedDictionary::delete_batch(self, keys);
+        OpRecorder::record_delete_batch(self.metrics.as_ref(), keys.len(), out)
     }
 
     fn scrub(&mut self) -> ScrubReport {

@@ -28,13 +28,14 @@
 //! there, others pay one more I/O for their level. Unsuccessful searches
 //! are always exactly 1 I/O.
 
-use crate::basic::{BasicDict, BasicDictConfig};
+use crate::basic::{BasicDict, BasicDictConfig, BucketPatch};
 use crate::config::DictParams;
 use crate::fields::{FieldArray, FieldPos};
 use crate::layout::{DiskAllocator, SpaceRow};
 use crate::one_probe::encoding::Chain;
 use crate::traits::{DictError, LookupOutcome};
 use expander::{params, FamilyExpander, NeighborFamily, NeighborFn};
+use pdm::batch::StagedBlocks;
 use pdm::journal::{Delta, JournalRegion, RecoveryReport};
 use pdm::{
     BatchExecutor, BatchPlan, BlockAddr, BlockBuf, BlockHealth, BlockView, DiskArray, IoFaultKind,
@@ -45,10 +46,9 @@ use std::ops::Range;
 /// Journal-entry metadata opcodes (`meta[1]`); `meta[0]` is the
 /// instance tag ([`DynamicDict::meta_tag`]).
 pub(crate) const META_INSERT: Word = 1;
-/// A tombstone. A third word, when present, is the tag of a *second*
-/// instance the same intent deleted the key from: the global-rebuilding
-/// wrapper tombstones a key living in both of its structures with one
-/// intent.
+/// One tombstone, as rings written before [`META_TOMBSTONES`] hold it
+/// (replayed, never written). A third word, when present, is the tag of a
+/// *second* instance the same intent deleted the key from.
 pub(crate) const META_DELETE: Word = 2;
 pub(crate) const META_BATCH: Word = 3;
 /// One commit of the global-rebuilding wrapper's migration step
@@ -56,6 +56,11 @@ pub(crate) const META_BATCH: Word = 3;
 /// old structure. Layout and counter deltas equal [`META_BATCH`]'s, and
 /// the summed counts also enter [`DynamicDict::copies`].
 pub(crate) const META_MIGRATE_BATCH: Word = 4;
+/// The tombstones of one intent ([`DynamicDict::tombstone_batch`]): a section
+/// `[tag, META_TOMBSTONES, n, c]` per instance it deleted from — two when
+/// the global-rebuilding wrapper tombstoned keys in both of its structures.
+/// `n` keys left the instance's `len`, `c` of them its `copies` too.
+pub(crate) const META_TOMBSTONES: Word = 5;
 
 /// One key's first-round probe: its membership buckets followed by its
 /// level-1 candidate fields — `2d` blocks on the structure's `2d` disks,
@@ -100,6 +105,58 @@ pub(crate) struct DeeperRecord {
 struct Fit {
     stripes: Vec<usize>,
     images: BlockBuf,
+}
+
+/// The keys one executor has staged since its last commit, as `(index in
+/// the caller's results, what, end of its blocks)` — `what` the level of an
+/// insertion or the bit set of structures a tombstone is staged in — and
+/// the blocks they changed: a commit that loses a block names its keys.
+#[derive(Debug, Default)]
+struct Staged {
+    keys: Vec<(usize, usize, usize)>,
+    blocks: Vec<BlockAddr>,
+}
+
+impl Staged {
+    /// Commit what `ex` has staged as one intent under `meta`, and what did
+    /// not land once more (failed blocks stay dirty; a torn write is
+    /// one-shot) under none, so that a replay counts its keys once. Empties
+    /// the list, as `(what, landed)`, into `count`, which settles the
+    /// owner's counters and checkpoint section; a key with a block still not
+    /// on the medium gets the typed error in `results`, and the intent is
+    /// truncated so that it never replays a key the caller was told failed.
+    fn commit<R>(
+        &mut self,
+        ex: &mut BatchExecutor<'_>,
+        meta: &[Word],
+        results: &mut [Result<R, DictError>],
+        count: impl FnOnce(&[(usize, bool)], &mut DiskArray),
+    ) -> Option<DictError> {
+        if self.keys.is_empty() {
+            return None;
+        }
+        let mut report = ex.commit_checked_with_meta(meta);
+        if !report.is_clean() {
+            report = ex.commit_checked_with_meta(&[]);
+        }
+        let (lost, healths): (Vec<BlockAddr>, Vec<BlockHealth>) = report.failed.into_iter().unzip();
+        let error = DynamicDict::io_error(&lost, &healths);
+        let mut from = 0;
+        let settled = self.keys.drain(..).map(|(index, what, end)| {
+            let landed = !self.blocks[from..end].iter().any(|a| lost.contains(a));
+            if let (false, Some(e)) = (landed, &error) {
+                results[index] = Err(e.clone());
+            }
+            from = end;
+            (what, landed)
+        });
+        count(&settled.collect::<Vec<_>>(), ex.disks_mut());
+        self.blocks.clear();
+        if error.is_some() {
+            ex.disks_mut().journal_truncate();
+        }
+        error
+    }
 }
 
 /// Field positions from per-stripe field indices (`fields[s]` on stripe `s`).
@@ -351,12 +408,21 @@ impl DynamicDict {
         let mut applied = 0;
         for intent in &report.replayed {
             let op = intent.meta.get(1);
+            let tombstones = intent.meta.chunks_exact(4).find(|section| section[0] == tag);
+            let tombstones = tombstones.filter(|_| op == Some(&META_TOMBSTONES));
             let mine = intent.meta.first() == Some(&tag)
+                || tombstones.is_some()
                 || (op == Some(&META_DELETE) && intent.meta.get(2) == Some(&tag));
             if intent.seq <= self.journal_seq || !mine {
                 continue;
             }
             match op {
+                Some(&META_TOMBSTONES) => {
+                    let section = tombstones.unwrap_or(&[0; 4]);
+                    self.len = self.len.saturating_sub(section[2] as usize);
+                    self.membership.set_len(self.len);
+                    self.copies = self.copies.saturating_sub(section[3] as usize);
+                }
                 Some(&META_INSERT) => {
                     let level = intent.meta.get(2).map_or(0, |&l| l as usize);
                     self.membership.note_inserted();
@@ -430,7 +496,7 @@ impl DynamicDict {
     /// so its intent must never replay — a later recovery would apply an
     /// update the caller was told did not happen: the journal is truncated
     /// before the error is returned.
-    pub(crate) fn write_error(
+    fn write_error(
         disks: &mut DiskArray,
         writes: &[(BlockAddr, &[Word])],
         healths: &[BlockHealth],
@@ -438,6 +504,38 @@ impl DynamicDict {
         let e = Self::io_error(writes.iter().map(|(a, _)| a), healths)?;
         disks.journal_truncate();
         Some(e)
+    }
+
+    /// The executor's images and healths of `addrs`, re-read once (a later
+    /// clock: a transient window can pass) if any is not what its block holds.
+    fn staged_probe<'s>(
+        ex: &'s mut BatchExecutor<'_>,
+        addrs: &'s [BlockAddr],
+    ) -> (StagedBlocks<'s>, Vec<BlockHealth>) {
+        let (_, mut healths) = ex.get_many_verified(addrs);
+        if !healths.iter().all(|h| h.is_ok()) {
+            healths = ex.refresh(addrs);
+        }
+        (ex.get_many(addrs), healths)
+    }
+
+    /// Per structure `(tombstones, of them copies)` of keys tombstoned where
+    /// the bit sets `held` say: one gone from both no longer double-counts.
+    fn tombstone_counts(held: impl Iterator<Item = usize>) -> [(usize, usize); 2] {
+        let mut gone = [(0, 0); 2];
+        for h in held {
+            gone[0] = (gone[0].0 + (h & 1), gone[0].1 + usize::from(h == 3));
+            gone[1].0 += h >> 1;
+        }
+        gone
+    }
+
+    /// The [`META_TOMBSTONES`] metadata of an intent with `counts` in `dicts`.
+    fn tombstone_meta(dicts: &[&mut DynamicDict], counts: [(usize, usize); 2]) -> Vec<Word> {
+        let sections = dicts.iter().zip(counts).filter(|(_, gone)| gone.0 > 0);
+        sections
+            .flat_map(|(dict, (n, c))| [dict.meta_tag(), META_TOMBSTONES, n as Word, c as Word])
+            .collect()
     }
 
     /// Keys stored here that a migration source still holds.
@@ -746,26 +844,35 @@ impl DynamicDict {
         (disks.journal_intent_capacity(2 + self.levels.len()) / per_key).max(1)
     }
 
-    /// Commit what `ex` has staged as one journal intent tagged `op`
-    /// ([`META_BATCH`] or [`META_MIGRATE_BATCH`]). The metadata carries
-    /// the per-level insertion counts since `pops_before` (compressed — a
-    /// commit may stage more keys than metadata words), enough to
-    /// reconcile `len`/`insertions`/populations on replay; `pops_before`
-    /// then moves up to now, so the next commit of the same executor
-    /// carries only its own keys.
-    fn commit_staged(&mut self, ex: &mut BatchExecutor<'_>, op: Word, pops_before: &mut Vec<usize>) {
-        let mut meta = vec![self.meta_tag(), op];
-        meta.extend(
-            self.level_population
-                .iter()
-                .zip(pops_before.iter())
-                .map(|(&now, &before)| (now - before) as Word),
-        );
-        let _ = ex.commit_checked_with_meta(&meta);
-        pops_before.clone_from(&self.level_population);
-        // Per commit, not per batch: a group-commit truncation between two
-        // commits must pair the first one's seq with counters that hold it.
-        self.after_op(ex.disks_mut());
+    /// Commit the insertions `staged` holds as one journal intent tagged
+    /// `op` ([`META_BATCH`] or [`META_MIGRATE_BATCH`]) whose metadata carries
+    /// their per-level counts, enough to reconcile `len`/`insertions`/
+    /// populations on replay. A key that did not land ([`Staged::commit`])
+    /// is counted out again; returns its error.
+    fn commit_staged(
+        &mut self,
+        ex: &mut BatchExecutor<'_>,
+        op: Word,
+        staged: &mut Staged,
+        results: &mut [Result<(), DictError>],
+    ) -> Option<DictError> {
+        let mut meta = vec![0; 2 + self.levels.len()];
+        (meta[0], meta[1]) = (self.meta_tag(), op);
+        for &(_, level, _) in &staged.keys {
+            meta[2 + level] += 1;
+        }
+        staged.commit(ex, &meta, results, |settled, disks| {
+            for &(level, _) in settled.iter().filter(|key| !key.1) {
+                self.len -= 1;
+                self.insertions -= 1;
+                self.level_population[level] -= 1;
+                self.copies -= usize::from(op == META_MIGRATE_BATCH);
+            }
+            self.membership.set_len(self.len);
+            // Per commit, not per batch: a group-commit truncation between
+            // two commits must pair the first's seq with counters holding it.
+            self.after_op(disks);
+        })
     }
 
     /// Batched insert with sequential semantics: keys are placed
@@ -788,46 +895,74 @@ impl DynamicDict {
     /// re-route the failed key *and everything after it* through another
     /// structure without double-inserting keys this batch already stored.
     /// Non-budget errors (duplicates, satellite width) are per-key and do
-    /// not stop the batch, exactly as in a sequential loop.
+    /// not stop the batch, exactly as in a sequential loop; neither does a
+    /// write that did not land ([`DictError::Io`], as from [`Self::insert`]),
+    /// though the keys not yet staged then fail with its error too.
     pub fn insert_batch(
         &mut self,
         disks: &mut DiskArray,
         entries: &[(u64, Vec<Word>)],
     ) -> (Vec<Result<(), DictError>>, OpCost) {
+        self.insert_batch_beside(disks, entries, None)
+    }
+
+    /// [`Self::insert_batch`], into a rebuild's replacement when `old` is the
+    /// structure it is built from (other disks of `disks`): the same plan
+    /// probes `old`'s membership — the authority on what it holds — and a
+    /// key found there is a duplicate. A budget error then stops nothing.
+    pub(crate) fn insert_batch_beside(
+        &mut self,
+        disks: &mut DiskArray,
+        entries: &[(u64, Vec<Word>)],
+        old: Option<&DynamicDict>,
+    ) -> (Vec<Result<(), DictError>>, OpCost) {
         let scope = disks.begin_op();
         let mut all: Vec<BlockAddr> = Vec::new();
         for (key, _) in entries {
             self.probe(*key, &mut all);
+            if let Some(old) = old {
+                old.membership.extend_probe_addrs(*key, &mut all);
+            }
         }
+        let per = all.len() / entries.len().max(1);
         let room = self.intent_keys(disks);
-        let mut pops_before = self.level_population.clone();
         let mut ex = BatchExecutor::new(disks);
         ex.prefetch(&all);
         let mut results = Vec::with_capacity(entries.len());
-        let mut staged = 0;
-        for (key, satellite) in entries {
-            if staged == room {
-                self.commit_staged(&mut ex, META_BATCH, &mut pops_before);
-                staged = 0;
+        let mut staged = Staged::default();
+        for (i, (key, satellite)) in entries.iter().enumerate() {
+            if staged.keys.len() == room {
+                if let Some(e) = self.commit_staged(&mut ex, META_BATCH, &mut staged, &mut results) {
+                    results.resize(entries.len(), Err(e));
+                    break;
+                }
             }
-            let res = self.insert_staged(&mut ex, *key, satellite);
-            staged += usize::from(res.is_ok());
-            let stop = matches!(
-                res,
-                Err(DictError::CapacityExhausted { .. } | DictError::LevelsExhausted { .. })
-            );
+            let twin = old.map_or(Ok(()), |old| {
+                let addrs = &all[i * per + 2 * self.params.degree..(i + 1) * per];
+                let (blocks, healths) = Self::staged_probe(&mut ex, addrs);
+                match old.membership.find_with(*key, &blocks, |_| ()) {
+                    Some(()) => Err(DictError::DuplicateKey(*key)),
+                    None => Self::io_error(addrs, &healths).map_or(Ok(()), Err),
+                }
+            });
+            let res = twin.and_then(|()| self.insert_staged(&mut ex, &mut staged, i, *key, satellite));
+            let stop = old.is_none()
+                && matches!(
+                    res,
+                    Err(DictError::CapacityExhausted { .. } | DictError::LevelsExhausted { .. })
+                );
             results.push(res);
             if stop {
                 break;
             }
         }
-        self.commit_staged(&mut ex, META_BATCH, &mut pops_before);
+        self.commit_staged(&mut ex, META_BATCH, &mut staged, &mut results);
         drop(ex);
         (results, disks.end_op(scope))
     }
 
     /// The checks an insertion makes before any I/O.
-    pub(crate) fn check_insertable(&self, satellite: &[Word]) -> Result<(), DictError> {
+    fn check_insertable(&self, satellite: &[Word]) -> Result<(), DictError> {
         if satellite.len() != self.params.satellite_words {
             return Err(DictError::SatelliteWidth {
                 expected: self.params.satellite_words,
@@ -869,25 +1004,23 @@ impl DynamicDict {
 
     /// One first-fit insertion through a batch executor: reads come from
     /// the executor's cache (which reflects earlier keys' staged writes),
-    /// writes are staged rather than flushed.
+    /// writes are staged rather than flushed and noted in `staged` under
+    /// `index`.
     fn insert_staged(
         &mut self,
         ex: &mut BatchExecutor<'_>,
+        staged: &mut Staged,
+        index: usize,
         key: u64,
         satellite: &[Word],
     ) -> Result<(), DictError> {
         self.check_insertable(satellite)?;
         let maddrs = self.membership.probe_addrs(key);
-        let (mut mblocks, mut mhealths) = ex.get_many_verified(&maddrs);
-        if !mhealths.iter().all(|h| h.is_ok()) {
-            // Retry once at a later clock (transient windows pass); a
-            // membership bucket that stays unreadable makes the duplicate
-            // check unsound, so the insertion must fail typed, not guess.
-            ex.refresh(&maddrs);
-            (mblocks, mhealths) = ex.get_many_verified(&maddrs);
-            if let Some(e) = Self::io_error(&maddrs, &mhealths) {
-                return Err(e);
-            }
+        // A membership bucket that stays unreadable makes the duplicate
+        // check unsound, so the insertion must fail typed, not guess.
+        let (mblocks, mhealths) = Self::staged_probe(ex, &maddrs);
+        if let Some(e) = Self::io_error(&maddrs, &mhealths) {
+            return Err(e);
         }
         let bucket = self.membership.choose_bucket(key, &mblocks)?;
 
@@ -922,33 +1055,18 @@ impl DynamicDict {
         for (&s, bits) in stripes.iter().zip(encoded.chunks(self.enc.field_words())) {
             let pos = (s, fields[s]);
             fa.patch_words(pos, ex.stage_words(addrs[s], fa.words_of(pos)), bits);
+            staged.blocks.push(addrs[s]);
         }
         for (a, img) in bucket.writes() {
             ex.stage_write(a, img);
+            staged.blocks.push(a);
         }
+        staged.keys.push((index, level, staged.blocks.len()));
         self.membership.note_inserted();
         self.len += 1;
         self.insertions += 1;
         self.level_population[level] += 1;
         Ok(())
-    }
-
-    /// Insert. First-fit over the levels: `j + 1` parallel I/Os when the
-    /// key lands on level `j` (1-based), averaging `2 + ɛ`.
-    pub fn insert(
-        &mut self,
-        disks: &mut DiskArray,
-        key: u64,
-        satellite: &[Word],
-    ) -> Result<OpCost, DictError> {
-        self.check_insertable(satellite)?;
-        let scope = disks.begin_op();
-        // First parallel I/O: membership probe + level-1 fields.
-        let mut addrs = Vec::new();
-        let probe = self.probe(key, &mut addrs);
-        let (blocks, healths) = Self::read_retry(disks, &addrs);
-        self.insert_probed(disks, key, satellite, &probe, &addrs, &blocks, &healths)?;
-        Ok(disks.end_op(scope))
     }
 
     /// One level's first-fit step outside a batch: if `fields` (read as
@@ -975,21 +1093,22 @@ impl DynamicDict {
         Some(Fit { stripes, images })
     }
 
-    /// The insertion proper, given the blocks and healths read from
-    /// `addrs` for the key's [`Probe`]: duplicate check, first-fit level
-    /// search (deeper levels read on demand), and the one (journaled)
-    /// write. The caller has run [`Self::check_insertable`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn insert_probed(
+    /// Insert. First-fit over the levels: `j + 1` parallel I/Os when the
+    /// key lands on level `j` (1-based), averaging `2 + ɛ`: the duplicate
+    /// check and level 1 share the first read, deeper levels are read on
+    /// demand, and one (journaled) write stores chain and record.
+    pub fn insert(
         &mut self,
         disks: &mut DiskArray,
         key: u64,
         satellite: &[Word],
-        probe: &Probe,
-        addrs: &[BlockAddr],
-        blocks: &impl BlockView,
-        healths: &[BlockHealth],
-    ) -> Result<(), DictError> {
+    ) -> Result<OpCost, DictError> {
+        self.check_insertable(satellite)?;
+        let scope = disks.begin_op();
+        // First parallel I/O: membership probe + level-1 fields.
+        let mut addrs = Vec::new();
+        let probe = self.probe(key, &mut addrs);
+        let (blocks, healths) = Self::read_retry(disks, &addrs);
         let (maddrs, faddrs0) = addrs.split_at(probe.msplit);
         let (mhealths, fhealths0) = healths.split_at(probe.msplit);
         // An unreadable membership bucket makes the duplicate check
@@ -1068,7 +1187,7 @@ impl DynamicDict {
         self.insertions += 1;
         self.level_population[level] += 1;
         self.after_op(disks);
-        Ok(())
+        Ok(disks.end_op(scope))
     }
 
     /// Delete: tombstone the membership record (fields are not reclaimed —
@@ -1102,32 +1221,124 @@ impl DynamicDict {
         if disks.journal_enabled() {
             bases.extend(patch.bases(&blocks).map(Delta::Base));
         }
-        let meta = [self.meta_tag(), META_DELETE];
+        let meta = Self::tombstone_meta(&[self], [(1, 0), (0, 0)]);
         let whealths = disks.journaled_delta_batch_checked(&refs, &bases, &meta);
         if let Some(e) = Self::write_error(disks, &refs, &whealths) {
             return Err(e);
         }
-        self.note_deleted(disks, false);
+        self.note_deleted(disks, 1, 0);
         Ok((true, disks.end_op(scope)))
     }
 
-    /// The membership dictionary (disks `0..d` of the structure): its
-    /// probe addresses, presence decode and tombstone planning are what a
-    /// caller needs to fold this structure's delete or duplicate check
-    /// into a read of its own. After issuing a planned tombstone (journaled
-    /// under this instance's tag) the caller calls [`Self::note_deleted`].
-    pub(crate) fn membership(&self) -> &BasicDict {
-        &self.membership
+    /// Batched delete with sequential semantics. One plan reads every key's
+    /// membership probe; tombstones are planned in order on the executor's
+    /// staged view — a key listed twice answers `true`, then `false` — and
+    /// committed as **one** planned write under **one** journal intent
+    /// (one per ring-sized run of keys on a smaller ring), atomic under a
+    /// crash. A batch of one is charged exactly what [`Self::delete`] is.
+    ///
+    /// Per key `Ok(held)`, or [`DictError::Io`] as from [`Self::delete`]:
+    /// when the key did not show and a probe stayed unreadable after the
+    /// one retry ("absent" would be a guess), or when its tombstone did not
+    /// land — the key stays counted, and the intent is truncated so that
+    /// nothing replays a delete that failed.
+    pub fn delete_batch(
+        &mut self,
+        disks: &mut DiskArray,
+        keys: &[u64],
+    ) -> (Vec<Result<bool, DictError>>, OpCost) {
+        let scope = disks.begin_op();
+        let results = Self::tombstone_batch(disks, &mut [self], keys);
+        (results, disks.end_op(scope))
     }
 
-    /// Record a committed (journaled) tombstone; `was_copy` when the same
-    /// intent also tombstoned the key in this structure's migration source.
-    pub(crate) fn note_deleted(&mut self, disks: &mut DiskArray, was_copy: bool) {
-        self.membership.note_deleted();
-        self.len -= 1;
-        if was_copy {
-            self.copies -= 1;
+    /// [`Self::delete_batch`] in every structure of `dicts` that holds the
+    /// key: one structure, or a rebuild's replacement followed by the
+    /// structure it is built from — disjoint disks, so their probes share
+    /// rounds, and one intent tombstones a key in both. A structure that
+    /// did not show the key behind an unreadable probe fails the key:
+    /// tombstoning only the copy in sight would be a guess too.
+    pub(crate) fn tombstone_batch(
+        disks: &mut DiskArray,
+        dicts: &mut [&mut DynamicDict],
+        keys: &[u64],
+    ) -> Vec<Result<bool, DictError>> {
+        use pdm::journal::{RUN_WORDS, TARGET_WORDS};
+        let mut all: Vec<BlockAddr> = Vec::new();
+        for &key in keys {
+            for dict in dicts.iter() {
+                dict.membership.extend_probe_addrs(key, &mut all);
+            }
         }
+        let per = all.len() / keys.len().max(1);
+        let each = per / dicts.len();
+        // A tombstone changes one word of one block of each structure.
+        let room = disks.journal_intent_capacity(8) / (dicts.len() * (TARGET_WORDS + RUN_WORDS + 1));
+        let room = room.max(1);
+        let mut ex = BatchExecutor::new(disks);
+        ex.prefetch(&all);
+        let mut results = Vec::with_capacity(keys.len());
+        let mut staged = Staged::default();
+        for (i, &key) in keys.iter().enumerate() {
+            if staged.keys.len() == room {
+                if let Some(e) = Self::commit_tombstones(&mut ex, dicts, &mut staged, &mut results) {
+                    results.resize(keys.len(), Err(e));
+                    break;
+                }
+            }
+            let addrs = &all[i * per..(i + 1) * per];
+            let (blocks, healths) = Self::staged_probe(&mut ex, addrs);
+            let (mut held, mut patches, mut unknown) = (0, Vec::new(), None);
+            for (j, dict) in dicts.iter().enumerate() {
+                let at = j * each..(j + 1) * each;
+                match dict.membership.plan_delete(key, &blocks.sub(at.clone())) {
+                    Some(patch) => {
+                        held |= 1 << j;
+                        patches.push(patch);
+                    }
+                    None => unknown = unknown.or(Self::io_error(&addrs[at.clone()], &healths[at])),
+                }
+            }
+            if let Some(e) = unknown {
+                results.push(Err(e));
+                continue;
+            }
+            for (a, image) in patches.iter().flat_map(BucketPatch::writes) {
+                ex.stage_write(a, image);
+                staged.blocks.push(a);
+            }
+            if held != 0 {
+                staged.keys.push((i, held, staged.blocks.len()));
+            }
+            results.push(Ok(held != 0));
+        }
+        Self::commit_tombstones(&mut ex, dicts, &mut staged, &mut results);
+        results
+    }
+
+    /// Commit the tombstones `staged` holds in `dicts` and count the ones
+    /// that landed; the rest answer the typed error this returns.
+    fn commit_tombstones(
+        ex: &mut BatchExecutor<'_>,
+        dicts: &mut [&mut DynamicDict],
+        staged: &mut Staged,
+        results: &mut [Result<bool, DictError>],
+    ) -> Option<DictError> {
+        let counts = Self::tombstone_counts(staged.keys.iter().map(|key| key.1));
+        staged.commit(ex, &Self::tombstone_meta(dicts, counts), results, |settled, disks| {
+            let landed = Self::tombstone_counts(settled.iter().filter(|key| key.1).map(|key| key.0));
+            for (dict, (n, c)) in dicts.iter_mut().zip(landed).filter(|(_, gone)| gone.0 > 0) {
+                dict.note_deleted(disks, n, c);
+            }
+        })
+    }
+
+    /// Record `n` journaled tombstones, `copies` of them of keys the same
+    /// intent tombstoned in this structure's migration source too.
+    fn note_deleted(&mut self, disks: &mut DiskArray, n: usize, copies: usize) {
+        self.len -= n;
+        self.membership.set_len(self.len);
+        self.copies -= copies;
         self.after_op(disks);
     }
 
@@ -1195,32 +1406,28 @@ impl DynamicDict {
             self.probe(key, &mut all);
         }
         let room = self.intent_keys(disks);
-        let mut pops_before = self.level_population.clone();
         let mut ex = BatchExecutor::new(disks);
         ex.prefetch(&all);
-        let mut copied = 0;
-        let mut staged = 0;
+        // One `Ok` per key copied; a commit that loses one says so there.
+        let mut copied = Vec::with_capacity(records.len());
+        let mut staged = Staged::default();
         let mut outcome = Ok(());
         let mut scratch = Vec::new();
         for (&(key, head, level), (fields, range)) in records.iter().zip(sources) {
-            let addrs = &all[range];
-            let (mut blocks, healths) = ex.get_many_verified(addrs);
-            if !healths.iter().all(|h| h.is_ok()) {
-                ex.refresh(addrs);
-                blocks = ex.get_many(addrs);
-            }
+            let (blocks, _) = Self::staged_probe(&mut ex, &all[range]);
             old.levels[level].fields.extract(positions(&fields), &blocks, &mut scratch);
             let Some(satellite) = old.decode_satellite(head, &scratch) else {
                 continue; // damaged in `old`: reads as a miss there too
             };
-            if staged == room {
-                self.commit_staged(&mut ex, META_MIGRATE_BATCH, &mut pops_before);
-                staged = 0;
+            if staged.keys.len() == room {
+                if let Some(e) = self.commit_staged(&mut ex, META_MIGRATE_BATCH, &mut staged, &mut copied) {
+                    outcome = Err(e);
+                    break;
+                }
             }
-            match self.insert_staged(&mut ex, key, &satellite) {
+            match self.insert_staged(&mut ex, &mut staged, copied.len(), key, &satellite) {
                 Ok(()) => {
-                    copied += 1;
-                    staged += 1;
+                    copied.push(Ok(()));
                     self.copies += 1;
                 }
                 Err(DictError::DuplicateKey(_)) => {}
@@ -1230,8 +1437,16 @@ impl DynamicDict {
                 }
             }
         }
-        self.commit_staged(&mut ex, META_MIGRATE_BATCH, &mut pops_before);
-        (copied, outcome)
+        if let Some(e) = self.commit_staged(&mut ex, META_MIGRATE_BATCH, &mut staged, &mut copied) {
+            outcome = Err(e);
+        }
+        (copied.iter().filter(|r| r.is_ok()).count(), outcome)
+    }
+
+    /// Test hook: the membership dictionary (disks `0..d` of the structure).
+    #[cfg(test)]
+    pub(crate) fn membership(&self) -> &BasicDict {
+        &self.membership
     }
 
     /// Test hook: slots per membership bucket — the most records one
@@ -1463,9 +1678,11 @@ mod tests {
         dict.membership
             .saturate_probe_buckets(&mut disks, victim, 1 << 40);
         let mut ex = BatchExecutor::new(&mut disks);
-        let res = dict.insert_staged(&mut ex, victim, &[7]);
+        let mut staged = Staged::default();
+        let res = dict.insert_staged(&mut ex, &mut staged, 0, victim, &[7]);
         assert!(matches!(res, Err(DictError::BucketOverflow { .. })));
         assert_eq!(ex.staged_writes(), 0, "aborted insert staged writes");
+        assert!(staged.keys.is_empty() && staged.blocks.is_empty());
         drop(ex);
         assert_eq!(dict.len(), 0);
         assert!(!dict.lookup(&mut disks, victim).found());
@@ -1773,6 +1990,88 @@ mod tests {
             }
         }
         assert!(completed);
+    }
+
+    /// A journaled `delete_batch` is one intent: cut at any crash point it
+    /// tombstones every key of the batch or none (a key listed twice, an
+    /// absent one and a stored one that stays), and the replay lands on the
+    /// exact `len()`. Recovering twice changes nothing.
+    #[test]
+    fn journaled_delete_batch_is_all_or_nothing_under_any_crash_point() {
+        let (mut disks0, mut dict0) = setup_journaled(64, 1);
+        let stored = keys(24);
+        for &k in &stored {
+            dict0.insert(&mut disks0, k, &[k]).unwrap();
+        }
+        let doomed: Vec<u64> = stored.iter().step_by(2).copied().chain([stored[0], 1 << 29]).collect();
+        let distinct = stored.len().div_ceil(2);
+        let mut outcomes = [0; 2];
+        for k in 0u64.. {
+            let (mut disks, mut dict) = (disks0.clone(), dict0.clone());
+            disks.set_fault_plan(pdm::FaultPlan::new().crash_after(k));
+            let (res, _) = dict.delete_batch(&mut disks, &doomed);
+            let fired = disks.crash_fired();
+            disks.clear_fault_plan();
+
+            let mut rec = dict0.clone();
+            let report = disks.recover();
+            rec.apply_replay(&report);
+            disks.journal_checkpoint(&rec.checkpoint_section());
+            assert_eq!(rec.apply_replay(&disks.recover()), 0, "crash at {k}: recovering twice");
+
+            let gone = doomed[..distinct].iter().filter(|&&key| !rec.lookup(&mut disks, key).found()).count();
+            assert!(gone == 0 || gone == distinct, "crash at {k} split the batch: {gone} of {distinct} gone");
+            assert_eq!(rec.len(), stored.len() - gone, "crash at {k}");
+            for &key in stored.iter().skip(1).step_by(2) {
+                assert_eq!(rec.lookup(&mut disks, key).satellite, Some(vec![key]), "key {key} at crash {k}");
+            }
+            outcomes[usize::from(gone > 0)] += 1;
+            if !fired {
+                let want: Vec<bool> = (0..doomed.len()).map(|i| i < distinct).collect();
+                assert_eq!(res.into_iter().collect::<Result<Vec<_>, _>>().unwrap(), want);
+                assert_eq!((gone, dict.len()), (distinct, rec.len()));
+                break;
+            }
+        }
+        assert!(outcomes.iter().all(|&n| n > 1), "rolled back / rolled forward: {outcomes:?}");
+    }
+
+    /// No batch bypasses the ring: tombstones of more keys than one intent
+    /// holds commit as several, in order — and a ring written before
+    /// [`META_TOMBSTONES`], one [`META_DELETE`] intent per key, still replays.
+    #[test]
+    fn a_large_delete_batch_commits_in_ring_sized_intents_and_old_rings_replay() {
+        let (mut disks, mut dict) = setup_ring(2048, 1, 1);
+        let stored = keys(1400);
+        let entries: Vec<(u64, Vec<Word>)> = stored.iter().map(|&k| (k, vec![k])).collect();
+        assert!(dict.insert_batch(&mut disks, &entries).0.iter().all(Result::is_ok));
+        let room = disks.journal_intent_capacity(8) / 4;
+        assert!((256..1400).contains(&room), "a 1-row ring holds {room} tombstones to an intent");
+        let before = disks.last_journal_seq();
+        let (res, _) = dict.delete_batch(&mut disks, &stored);
+        assert!(res.iter().all(|r| matches!(r, Ok(true))));
+        assert_eq!(disks.journal_bypassed(), 0);
+        assert_eq!(disks.last_journal_seq() - before, 1400u64.div_ceil(room as u64));
+        assert_eq!(dict.len(), 0);
+
+        // The old format: `[tag, META_DELETE]`, the tombstone written whole.
+        let (mut disks, mut dict) = setup_journaled(32, 1);
+        for k in [5u64, 9, 13] {
+            dict.insert(&mut disks, k, &[k]).unwrap();
+        }
+        disks.journal_checkpoint(&dict.checkpoint_section());
+        let snapshot = dict.clone();
+        let addrs = dict.membership.probe_addrs(9);
+        let (blocks, _) = DynamicDict::read_retry(&mut disks, &addrs);
+        let patch = dict.membership.plan_delete(9, &blocks).unwrap();
+        let writes: Vec<(BlockAddr, &[Word])> = patch.writes().collect();
+        disks.journaled_write_batch_checked(&writes, &[dict.meta_tag(), META_DELETE]);
+        let mut rec = snapshot;
+        let report = disks.recover();
+        assert_eq!(rec.apply_replay(&report), 1, "{report:?}");
+        assert_eq!(rec.len(), 2);
+        assert!(!rec.lookup(&mut disks, 9).found());
+        assert!(rec.lookup(&mut disks, 5).found() && rec.lookup(&mut disks, 13).found());
     }
 
     #[test]

@@ -93,6 +93,15 @@ pub trait RawDict {
         (results, cost)
     }
 
+    /// Batched delete; defaults to a sequential loop.
+    fn raw_delete_batch(
+        &mut self,
+        disks: &mut DiskArray,
+        keys: &[u64],
+    ) -> (Vec<Result<bool, DictError>>, OpCost) {
+        crate::traits::delete_each(keys, |key| self.raw_delete(disks, key))
+    }
+
     /// Report front-end-specific shape gauges as `(name, value)` pairs
     /// (e.g. `BasicDict`'s `max_bucket_load`, the quantity Lemma 3 bounds).
     /// Reads must be free (peeks), not charged I/O.
@@ -222,6 +231,13 @@ impl RawDict for DynamicDict {
         entries: &[(u64, Vec<Word>)],
     ) -> (Vec<Result<(), DictError>>, OpCost) {
         self.insert_batch(disks, entries)
+    }
+    fn raw_delete_batch(
+        &mut self,
+        disks: &mut DiskArray,
+        keys: &[u64],
+    ) -> (Vec<Result<bool, DictError>>, OpCost) {
+        self.delete_batch(disks, keys)
     }
     fn raw_gauges(&self, _disks: &DiskArray, out: &mut Vec<(&'static str, u64)>) {
         out.push(("levels", self.num_levels() as u64));
@@ -423,19 +439,18 @@ impl<T: RawDict> Dict for DictHandle<T> {
     }
 
     fn lookup_batch(&mut self, keys: &[u64]) -> (Vec<Option<Vec<Word>>>, OpCost) {
-        let (results, cost) = self.dict.raw_lookup_batch(&mut self.disks, keys);
-        if let Some(m) = &self.metrics {
-            m.record_lookup_batch(keys.len(), cost);
-        }
-        (results, cost)
+        let out = self.dict.raw_lookup_batch(&mut self.disks, keys);
+        OpRecorder::record_lookup_batch(self.metrics.as_ref(), keys.len(), out)
     }
 
     fn insert_batch(&mut self, entries: &[(u64, Vec<Word>)]) -> (Vec<Result<(), DictError>>, OpCost) {
-        let (results, cost) = self.dict.raw_insert_batch(&mut self.disks, entries);
-        if let Some(m) = &self.metrics {
-            m.record_insert_batch(entries.len(), cost);
-        }
-        (results, cost)
+        let out = self.dict.raw_insert_batch(&mut self.disks, entries);
+        OpRecorder::record_insert_batch(self.metrics.as_ref(), entries.len(), out)
+    }
+
+    fn delete_batch(&mut self, keys: &[u64]) -> (Vec<Result<bool, DictError>>, OpCost) {
+        let out = self.dict.raw_delete_batch(&mut self.disks, keys);
+        OpRecorder::record_delete_batch(self.metrics.as_ref(), keys.len(), out)
     }
 
     fn scrub(&mut self) -> ScrubReport {

@@ -33,11 +33,21 @@
 //! * a delete reads both membership probes in one round and tombstones a
 //!   key living in both structures with one journal intent.
 //!
-//! A migration step (`DynamicDict::migrate_from`) is one planned batch:
-//! one read for the step's buckets, one plan over every scanned key's
-//! record in the old structure and first-round probe in the replacement
-//! (per-disk-maximum rounds, not a sum over keys), first-fit placement in
-//! scan order, one journal intent.
+//! ## A window's updates are one plan
+//!
+//! Updates arrive in batches (`insert_batch`, `delete_batch`; inside a
+//! window a single `insert` or `delete` is the batch of one). A batch is
+//! one plan over both structures and one intent, then **one** migration
+//! step (`DynamicDict::migrate_from`). Pacing stays per operation —
+//! `MIGRATE_BUCKETS_PER_OP` buckets for each update applied, so a window
+//! closes after the same operations however they are grouped — but a step
+//! is taken `MIGRATE_BUCKETS_PER_PLAN` buckets (what a plan may hold in
+//! memory) at a time: one read for the buckets, one plan over every scanned
+//! key's record in the old structure and first-round probe in the
+//! replacement (per-disk-maximum rounds, not a sum over keys), first-fit
+//! placement in scan order, one journal intent. An update's reply is its
+//! own: a failed step leaves its error on the dictionary and the cursor
+//! where it was, and the next update takes it again.
 //!
 //! ## Swap → checkpoint → discard
 //!
@@ -63,10 +73,9 @@
 //! because the discard performs no write.
 
 use crate::config::DictParams;
-use crate::dynamic::{DynamicDict, FirstRound, META_DELETE};
+use crate::dynamic::{DynamicDict, FirstRound};
 use crate::layout::{export_space, DiskAllocator, SpaceRow};
 use crate::traits::{Dict, DictError, LookupOutcome, OpRecorder};
-use pdm::journal::Delta;
 use pdm::metrics::{Counter, Gauge, Histogram, IoMetricsSink, MetricsRegistry};
 use pdm::{
     BatchPlan, BlockAddr, BlockView, DiskArray, IoStats, OpCost, PdmConfig, ScrubReport, Word,
@@ -78,6 +87,13 @@ use std::sync::Arc;
 /// `O(n / log n)` operations — far fewer than the `n/2` inserts needed to
 /// fill the replacement.
 const MIGRATE_BUCKETS_PER_OP: usize = 2;
+
+/// Buckets one planned batch of a migration step covers: ≈ 15 keys × 60
+/// blocks ≈ 0.9 MiB at `B = 128`, what a window's own insert batch holds,
+/// with half the plan's fixed cost (scan, intent, superblock) already
+/// spread over two operations' worth. A bound on memory, not a setting:
+/// at 8 a shard worker's arena keeps 1 MiB more for good.
+const MIGRATE_BUCKETS_PER_PLAN: usize = 4;
 
 /// A fully dynamic dictionary with no capacity bound and deletions,
 /// built from [`DynamicDict`] via incremental global rebuilding.
@@ -113,6 +129,8 @@ pub struct Dictionary {
     slot_rows: [Vec<SpaceRow>; 2],
     min_capacity: usize,
     rebuilds: usize,
+    /// See [`Dictionary::last_step_error`].
+    step_error: Option<DictError>,
     metrics: Option<RebuildMetrics>,
 }
 
@@ -131,6 +149,9 @@ struct RebuildMetrics {
     /// (`dict_migration_step_rounds`), the final step's checkpoint
     /// included: what an operation inside a window pays on top of itself.
     step_rounds: Arc<Histogram>,
+    /// Counter of migration steps (or rebuild starts) that failed
+    /// (`dict_migration_step_errors_total`).
+    step_errors: Arc<Counter>,
     /// Counter of blocks handed back when a rebuild abandons its old slot
     /// (`dict_rebuild_reclaimed_blocks_total`).
     reclaimed: Arc<Counter>,
@@ -177,6 +198,7 @@ impl Dictionary {
             building: None,
             min_capacity: params.capacity,
             rebuilds: 0,
+            step_error: None,
             metrics: None,
         })
     }
@@ -365,60 +387,45 @@ impl Dictionary {
 
     /// Batched insert. Outside a rebuild window the whole remaining batch
     /// goes to the active structure as one [`DynamicDict::insert_batch`];
-    /// once the active structure runs out of budget (or a rebuild is
-    /// already in flight) keys fall back to the sequential path one at a
-    /// time, which starts the replacement and preserves the
-    /// per-operation migration pacing (`MIGRATE_BUCKETS_PER_OP`).
+    /// once that runs out of budget the replacement is started, and inside
+    /// a window the remaining batch goes to the replacement as one plan
+    /// beside the old structure's duplicate check, followed by **one**
+    /// migration step for the keys it stored.
     ///
-    /// Correctness of the fallback relies on [`DynamicDict::insert_batch`]
+    /// Correctness of the re-route relies on [`DynamicDict::insert_batch`]
     /// **stopping at the first budget error**: the failed key and its
-    /// successors are guaranteed uncommitted, so re-routing them through
-    /// the sequential path can never re-insert a key the batch already
-    /// stored (which would surface as a spurious
-    /// [`DictError::DuplicateKey`]).
+    /// successors are guaranteed uncommitted, so offering them to the
+    /// replacement can never re-insert a key the batch already stored
+    /// (which would surface as a spurious [`DictError::DuplicateKey`]).
     pub fn insert_batch(&mut self, entries: &[(u64, Vec<Word>)]) -> (Vec<Result<(), DictError>>, OpCost) {
         let scope = self.disks.begin_op();
         let mut results: Vec<Result<(), DictError>> = Vec::with_capacity(entries.len());
-        let mut idx = 0;
-        while idx < entries.len() {
-            if self.building.is_some() {
-                // Migration pacing dominates during a rebuild; route keys
-                // through the sequential path one at a time.
-                let (key, sat) = &entries[idx];
-                results.push(self.insert(*key, sat).map(|_| ()));
-                idx += 1;
+        while results.len() < entries.len() {
+            let rest = &entries[results.len()..];
+            if let Some(b) = &mut self.building {
+                // No more keys than operations the window has left: their
+                // step closes it, before the replacement can fill.
+                let left = self.active.membership_buckets() - b.cursor;
+                let rest = &rest[..rest.len().min(left.div_ceil(MIGRATE_BUCKETS_PER_OP))];
+                let (res, _) = b.dict.insert_batch_beside(&mut self.disks, rest, Some(&self.active));
+                let stored = res.iter().filter(|r| r.is_ok()).count();
+                results.extend(res);
+                self.after_update(stored);
                 continue;
             }
-            let (res, _) = self.active.insert_batch(&mut self.disks, &entries[idx..]);
-            let mut consumed = 0;
-            for r in res {
-                match r {
-                    // Out of budget: the batch stopped here without
-                    // committing this key or any successor, so they all
-                    // safely re-route through the sequential path, which
-                    // starts the replacement.
-                    Err(
-                        DictError::CapacityExhausted { .. } | DictError::LevelsExhausted { .. },
-                    ) => break,
-                    r => {
-                        results.push(r);
-                        consumed += 1;
-                    }
-                }
-            }
-            idx += consumed;
-            if consumed == 0 {
-                if let Err(e) = self.start_rebuild() {
-                    results.push(Err(e));
-                    idx += 1;
-                }
-                continue;
-            }
-            if let Err(e) = self.maybe_start_rebuild() {
-                if idx < entries.len() {
-                    results.push(Err(e));
-                    idx += 1;
-                }
+            let (mut res, _) = self.active.insert_batch(&mut self.disks, rest);
+            // Out of budget: the batch stopped there without committing
+            // that key or any successor, so they all go to a replacement.
+            let spent = matches!(
+                res.last(),
+                Some(Err(DictError::CapacityExhausted { .. } | DictError::LevelsExhausted { .. }))
+            );
+            res.truncate(res.len() - usize::from(spent));
+            let started =
+                if spent && res.is_empty() { self.start_rebuild() } else { self.maybe_start_rebuild() };
+            results.extend(res);
+            if let (Err(e), true) = (started, results.len() < entries.len()) {
+                results.push(Err(e));
             }
         }
         (results, self.disks.end_op(scope))
@@ -431,7 +438,7 @@ impl Dictionary {
         if self.building.is_none() {
             match self.active.insert(&mut self.disks, key, satellite) {
                 Ok(_) => {
-                    self.maybe_start_rebuild()?;
+                    self.after_update(0);
                     return Ok(self.disks.end_op(scope));
                 }
                 // The active structure ran out of budget (capacity or
@@ -444,106 +451,61 @@ impl Dictionary {
                 Err(e) => return Err(e),
             }
         }
-        // A rebuild is in flight: new keys go to the replacement. Its
-        // first-fit read and the duplicate check against the old structure
-        // (whose membership record is the authority on what it holds)
-        // share one parallel I/O.
-        let b = self.building.as_mut().expect("rebuild in flight");
-        let mut all = Vec::new();
-        let probe = b.dict.probe(key, &mut all);
-        let split = all.len();
-        let old = self.active.membership();
-        old.extend_probe_addrs(key, &mut all);
-        let (blocks, healths) = DynamicDict::read_retry(&mut self.disks, &all);
-        if old.find_with(key, &blocks.sub(split..all.len()), |_| ()).is_some() {
-            return Err(DictError::DuplicateKey(key));
-        }
-        b.dict.check_insertable(satellite)?;
-        b.dict.insert_probed(
-            &mut self.disks,
-            key,
-            satellite,
-            &probe,
-            &all[..split],
-            &blocks.sub(0..split),
-            &healths[..split],
-        )?;
-        self.advance_rebuild()?;
+        // A rebuild is in flight: the one-key case of the batch path.
+        let (mut res, _) = self.insert_batch(&[(key, satellite.to_vec())]);
+        res.pop().expect("one result per entry")?;
         Ok(self.disks.end_op(scope))
     }
 
-    /// Delete. During a rebuild both membership probes are read in one
-    /// parallel I/O and a key living in both structures is tombstoned in
-    /// both by one journal intent. Returns whether the key was present;
-    /// fails typed, as [`DynamicDict::delete`] does, off an unreadable
-    /// probe or a tombstone write that did not land.
+    /// Delete. Outside a rebuild window [`DynamicDict::delete`]; inside, the
+    /// one-key case of [`Self::delete_batch`]. Returns whether the key was
+    /// present; fails typed off an unreadable probe or a tombstone write
+    /// that did not land.
     pub fn delete(&mut self, key: u64) -> Result<(bool, OpCost), DictError> {
         let scope = self.disks.begin_op();
-        let was = match &mut self.building {
-            None => self.active.delete(&mut self.disks, key)?.0,
-            Some(b) => {
-                let mut addrs = b.dict.membership().probe_addrs(key);
-                let split = addrs.len();
-                self.active.membership().extend_probe_addrs(key, &mut addrs);
-                let (blocks, healths) = DynamicDict::read_retry(&mut self.disks, &addrs);
-                let (new_blocks, old_blocks) =
-                    (blocks.sub(0..split), blocks.sub(split..addrs.len()));
-                let in_new = b.dict.membership().plan_delete(key, &new_blocks);
-                let in_old = self.active.membership().plan_delete(key, &old_blocks);
-                // A structure whose probe stayed unreadable and did not
-                // show the key may still hold it: tombstoning only the
-                // other copy, or answering "absent", would be a guess.
-                let unknown = |found: bool, range: std::ops::Range<usize>| match found {
-                    true => None,
-                    false => DynamicDict::io_error(&addrs[range.clone()], &healths[range]),
-                };
-                if let Some(e) = unknown(in_new.is_some(), 0..split)
-                    .or_else(|| unknown(in_old.is_some(), split..addrs.len()))
-                {
-                    return Err(e);
-                }
-                // The intent is tagged with the first structure it touches;
-                // the second, if any, rides along (see `META_DELETE`).
-                let mut meta = Vec::with_capacity(3);
-                let mut writes = Vec::new();
-                let mut bases = Vec::new();
-                if let Some(patch) = &in_new {
-                    meta.extend([b.dict.meta_tag(), META_DELETE]);
-                    writes.extend(patch.writes());
-                    bases.extend(patch.bases(&new_blocks).map(Delta::Base));
-                }
-                if let Some(patch) = &in_old {
-                    if meta.is_empty() {
-                        meta.extend([self.active.meta_tag(), META_DELETE]);
-                    } else {
-                        meta.push(self.active.meta_tag());
-                    }
-                    writes.extend(patch.writes());
-                    bases.extend(patch.bases(&old_blocks).map(Delta::Base));
-                }
-                // A tombstone that did not land leaves its record on disk:
-                // fail typed, nothing counted as deleted, the intent
-                // truncated so that it cannot replay.
-                if !writes.is_empty() {
-                    let healths = self.disks.journaled_delta_batch_checked(&writes, &bases, &meta);
-                    if let Some(e) = DynamicDict::write_error(&mut self.disks, &writes, &healths) {
-                        return Err(e);
-                    }
-                }
-                if in_new.is_some() {
-                    // A key in both had been copied: gone from both, it no
-                    // longer double-counts.
-                    b.dict.note_deleted(&mut self.disks, in_old.is_some());
-                }
-                if in_old.is_some() {
-                    self.active.note_deleted(&mut self.disks, false);
-                }
-                in_new.is_some() || in_old.is_some()
-            }
+        let was = if self.building.is_none() {
+            let (was, _) = self.active.delete(&mut self.disks, key)?;
+            self.after_update(0);
+            was
+        } else {
+            self.delete_batch(&[key]).0.pop().expect("one result per key")?
         };
-        self.advance_rebuild()?;
-        self.maybe_start_rebuild()?;
         Ok((was, self.disks.end_op(scope)))
+    }
+
+    /// Batched delete ([`DynamicDict::delete_batch`]): one plan reads
+    /// every key's membership probe — inside a window in **both**
+    /// structures — one intent tombstones the batch wherever its keys
+    /// live, and **one** migration step follows for the keys answered.
+    pub fn delete_batch(&mut self, keys: &[u64]) -> (Vec<Result<bool, DictError>>, OpCost) {
+        let scope = self.disks.begin_op();
+        let results = match &mut self.building {
+            Some(b) => DynamicDict::tombstone_batch(&mut self.disks, &mut [&mut b.dict, &mut self.active], keys),
+            None => DynamicDict::tombstone_batch(&mut self.disks, &mut [&mut self.active], keys),
+        };
+        self.after_update(results.iter().filter(|r| r.is_ok()).count());
+        (results, self.disks.end_op(scope))
+    }
+
+    /// What `ops` applied operations owe the rebuild: inside a window one
+    /// migration step for all of them, then the check whether one must
+    /// open. The updates are journaled and counted and their replies are
+    /// their own, so an error here (a level exhausted for some other key, a
+    /// damaged source bucket) stays on the dictionary, with the cursor.
+    fn after_update(&mut self, ops: usize) {
+        if let Err(e) = self.advance_rebuild(ops).and_then(|()| self.maybe_start_rebuild()) {
+            if let Some(m) = &self.metrics {
+                m.step_errors.inc();
+            }
+            self.step_error = Some(e);
+        }
+    }
+
+    /// The error of the latest migration step (or start of a rebuild) that
+    /// failed, until one succeeds.
+    #[must_use]
+    pub fn last_step_error(&self) -> Option<&DictError> {
+        self.step_error.as_ref()
     }
 
     fn maybe_start_rebuild(&mut self) -> Result<(), DictError> {
@@ -593,23 +555,27 @@ impl Dictionary {
         Ok(())
     }
 
-    /// One migration step: copy the next `MIGRATE_BUCKETS_PER_OP` buckets
-    /// of the old structure into the replacement as one planned batch, and
+    /// The migration step `ops` operations owe: copy the next
+    /// `MIGRATE_BUCKETS_PER_OP × ops` buckets of the old structure into the
+    /// replacement, [`MIGRATE_BUCKETS_PER_PLAN`] to a planned batch, and
     /// finish the rebuild when that was the last of them.
-    fn advance_rebuild(&mut self) -> Result<(), DictError> {
-        let Some(mut b) = self.building.take() else {
+    fn advance_rebuild(&mut self, ops: usize) -> Result<(), DictError> {
+        let Some(mut b) = self.building.take_if(|_| ops > 0) else {
             return Ok(());
         };
         let scope = self.disks.begin_op();
         let total = self.active.membership_buckets();
-        let end = (b.cursor + MIGRATE_BUCKETS_PER_OP).min(total);
-        let (copied, outcome) = b
-            .dict
-            .migrate_from(&mut self.disks, &self.active, b.cursor..end);
-        if outcome.is_ok() {
-            // A step cut short by an error is taken again from the same
-            // buckets: what it did copy is skipped as already present.
-            b.cursor = end;
+        let end = (b.cursor + MIGRATE_BUCKETS_PER_OP * ops).min(total);
+        let (mut copied, mut outcome) = (0, Ok(()));
+        while b.cursor < end && outcome.is_ok() {
+            let upto = (b.cursor + MIGRATE_BUCKETS_PER_PLAN).min(end);
+            let (n, res) = b.dict.migrate_from(&mut self.disks, &self.active, b.cursor..upto);
+            (copied, outcome) = (copied + n, res);
+            if outcome.is_ok() {
+                // A plan cut short by an error is taken again from the same
+                // buckets: what it did copy is skipped as already present.
+                b.cursor = upto;
+            }
         }
         let finished = b.cursor >= total;
         if finished {
@@ -617,8 +583,13 @@ impl Dictionary {
         } else {
             self.building = Some(b);
         }
+        if outcome.is_ok() {
+            self.step_error = None;
+        }
         if let Some(m) = &self.metrics {
-            m.migrated_per_op.observe(copied as u64);
+            for _ in 0..ops {
+                m.migrated_per_op.observe((copied / ops) as u64);
+            }
             m.step_rounds
                 .observe(self.disks.end_op(scope).parallel_ios);
             if finished {
@@ -708,19 +679,18 @@ impl Dict for Dictionary {
     }
 
     fn lookup_batch(&mut self, keys: &[u64]) -> (Vec<Option<Vec<Word>>>, OpCost) {
-        let (results, cost) = Dictionary::lookup_batch(self, keys);
-        if let Some(m) = &self.metrics {
-            m.recorder.record_lookup_batch(keys.len(), cost);
-        }
-        (results, cost)
+        let out = Dictionary::lookup_batch(self, keys);
+        OpRecorder::record_lookup_batch(self.metrics.as_ref().map(|m| &m.recorder), keys.len(), out)
     }
 
     fn insert_batch(&mut self, entries: &[(u64, Vec<Word>)]) -> (Vec<Result<(), DictError>>, OpCost) {
-        let (results, cost) = Dictionary::insert_batch(self, entries);
-        if let Some(m) = &self.metrics {
-            m.recorder.record_insert_batch(entries.len(), cost);
-        }
-        (results, cost)
+        let out = Dictionary::insert_batch(self, entries);
+        OpRecorder::record_insert_batch(self.metrics.as_ref().map(|m| &m.recorder), entries.len(), out)
+    }
+
+    fn delete_batch(&mut self, keys: &[u64]) -> (Vec<Result<bool, DictError>>, OpCost) {
+        let out = Dictionary::delete_batch(self, keys);
+        OpRecorder::record_delete_batch(self.metrics.as_ref().map(|m| &m.recorder), keys.len(), out)
     }
 
     fn scrub(&mut self) -> ScrubReport {
@@ -777,6 +747,8 @@ impl Dict for Dictionary {
                         .histogram("dict_migrated_keys_per_op", &[("dict", "rebuild")]),
                     step_rounds: registry
                         .histogram("dict_migration_step_rounds", &[("dict", "rebuild")]),
+                    step_errors: registry
+                        .counter("dict_migration_step_errors_total", &[("dict", "rebuild")]),
                     reclaimed: registry
                         .counter("dict_rebuild_reclaimed_blocks_total", &[("dict", "rebuild")]),
                     active: registry.gauge("dict_rebuild_active", &[("dict", "rebuild")]),
@@ -1097,6 +1069,54 @@ mod tests {
         }
     }
 
+    /// An applied update is answered with its own result. A migration step
+    /// that fails (here: a replacement level exhausted for some *other*
+    /// key) used to turn the insert that carried it — stored, journaled,
+    /// counted — into an `Err` the client retries into `DuplicateKey`. The
+    /// step's error stays on the dictionary, the cursor where it was, and
+    /// the rebuild finishes once the obstacle is gone.
+    #[test]
+    fn a_failed_migration_step_is_not_the_carrying_updates_error() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let mut dict = Dictionary::new(params(64, 1), 64).unwrap();
+        Dict::set_metrics(&mut dict, Some(registry.clone()));
+        let mut n = 0u64;
+        while !dict.is_rebuilding() {
+            dict.insert(n, &[n]).unwrap();
+            n += 1;
+        }
+        // A key the steps have not reached: it cannot be placed anywhere
+        // in the replacement, so the step that scans its bucket fails.
+        let b = dict.building.as_ref().unwrap();
+        let victim = (0..n).rev().find(|&k| !b.dict.lookup(&mut dict.disks.clone(), k).found()).unwrap();
+        b.dict.exhaust_key_fields(&mut dict.disks, victim);
+        let errors = registry.counter("dict_migration_step_errors_total", &[("dict", "rebuild")]);
+        let stuck = |dict: &Dictionary| matches!(dict.last_step_error(), Some(DictError::LevelsExhausted { key }) if *key == victim);
+        let mut carried = Vec::new();
+        while carried.len() < 40 {
+            Dict::insert(&mut dict, n, &[n]).unwrap_or_else(|e| panic!("insert of {n} answered the step's error: {e}"));
+            assert_eq!(dict.lookup(n).satellite, Some(vec![n]));
+            if stuck(&dict) {
+                carried.push(n);
+            }
+            n += 1;
+        }
+        assert_eq!(errors.get(), carried.len() as u64, "one count per failed step");
+        assert!(dict.is_rebuilding(), "the window closed over a key it could not copy");
+        assert_eq!(dict.len(), n as usize);
+        // A delete carries the step just as well, and removes the obstacle.
+        assert_eq!(dict.delete(victim).map(|(was, _)| was), Ok(true));
+        while dict.rebuilds() == 0 {
+            dict.insert(n, &[n]).unwrap();
+            n += 1;
+        }
+        assert_eq!(dict.last_step_error(), None);
+        assert_eq!(dict.len(), n as usize - 1);
+        for k in (0..n).filter(|&k| k != victim) {
+            assert_eq!(dict.lookup(k).satellite, Some(vec![k]), "key {k}");
+        }
+    }
+
     /// The window delete reads both structures' membership probes; while
     /// either stays unreadable, a key it does not show may still be there,
     /// so the delete fails typed instead of answering "absent" — and does
@@ -1137,9 +1157,10 @@ mod tests {
     }
 
     /// The write-side twin: inside a window one intent tombstones a key in
-    /// both structures. If either tombstone write tears, the record it was
-    /// meant to kill may still be on disk: the delete fails typed, `len()`
-    /// does not move, and the intent is truncated so it can never replay.
+    /// both structures. One torn write is healed by the commit's retry. If
+    /// a tombstone write keeps tearing, the record it was meant to kill may
+    /// still be on disk: the delete fails typed, `len()` does not move, and
+    /// the intent is truncated so it can never replay.
     #[test]
     fn window_delete_fails_typed_on_a_torn_tombstone() {
         let mut dict0 = Dictionary::new(params(64, 1).with_journal(2), 64).unwrap();
@@ -1167,17 +1188,18 @@ mod tests {
             let (blocks, _) = DynamicDict::read_retry(&mut dict0.disks.clone(), &addrs);
             let patch = dict0.active.membership().plan_delete(victim, &blocks).unwrap();
             let disk = patch.writes().next().unwrap().0.disk;
-            let mut failed_typed = false;
-            for nth in 0..2 {
+            // `healed`: one tear, on the intent's ring slot or on the
+            // tombstone. Otherwise the retry's write tears too.
+            for (first, tears, healed) in [(0, 1, true), (1, 1, true), (0, 4, false)] {
                 let mut dict = dict0.clone();
-                dict.disks.set_fault_plan(pdm::FaultPlan::new().torn_write(disk, nth));
+                let plan = (first..first + tears).fold(pdm::FaultPlan::new(), |p, nth| p.torn_write(disk, nth));
+                dict.disks.set_fault_plan(plan);
                 let Err(e) = dict.delete(victim) else {
-                    // The tear fell on the intent's ring slot: the delete
-                    // is whole.
+                    assert!(healed, "in both = {in_both}: a tombstone that kept tearing was acked");
                     assert!(!dict.lookup(victim).found() && dict.len() == len - 1);
                     continue;
                 };
-                failed_typed = true;
+                assert!(!healed, "in both = {in_both}: one tear failed the delete: {e}");
                 assert!(
                     matches!(e, DictError::Io { kind: pdm::IoFaultKind::TornWrite, disk: at, .. } if at == disk),
                     "{e}"
@@ -1191,7 +1213,6 @@ mod tests {
                     assert_eq!(got, vec![victim]);
                 }
             }
-            assert!(failed_typed, "in both = {in_both}: the tear never hit the tombstone");
         }
     }
 

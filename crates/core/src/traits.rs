@@ -327,6 +327,13 @@ pub trait Dict {
         (results, cost)
     }
 
+    /// Batched delete with per-key results, in key order. The default loops
+    /// over [`delete`](Dict::delete); front-ends and wrappers with a batch
+    /// engine override it.
+    fn delete_batch(&mut self, keys: &[u64]) -> (Vec<Result<bool, DictError>>, OpCost) {
+        delete_each(keys, |key| self.delete(key))
+    }
+
     /// Install (or with `None` remove) a metrics registry. Implementations
     /// tag per-op cost histograms with their [`kind`](Dict::kind) and hook
     /// the underlying disk arrays (see [`pdm::metrics`]).
@@ -389,6 +396,22 @@ pub trait Dict {
     }
 }
 
+/// `keys` through `delete` one at a time: the per-key answers and the summed
+/// cost of those that succeeded.
+pub(crate) fn delete_each(
+    keys: &[u64],
+    mut delete: impl FnMut(u64) -> Result<(bool, OpCost), DictError>,
+) -> (Vec<Result<bool, DictError>>, OpCost) {
+    let mut cost = OpCost::default();
+    let results = keys.iter().map(|&key| {
+        delete(key).map(|(was, c)| {
+            cost = cost.plus(c);
+            was
+        })
+    });
+    (results.collect(), cost)
+}
+
 /// Per-front-end metric recording, shared by every [`Dict`] implementation.
 ///
 /// All registry handles are resolved at installation time, so recording an
@@ -399,10 +422,9 @@ pub(crate) struct OpRecorder {
     lookup_ios: Arc<Histogram>,
     insert_ios: Arc<Histogram>,
     delete_ios: Arc<Histogram>,
-    batch_lookup_ios: Arc<Histogram>,
-    batch_insert_ios: Arc<Histogram>,
-    batch_lookup_keys: Arc<Histogram>,
-    batch_insert_keys: Arc<Histogram>,
+    /// Per batched call, by op (lookup, insert, delete): rounds, keys.
+    batch_ios: [Arc<Histogram>; 3],
+    batch_keys: [Arc<Histogram>; 3],
     lookup_hit: Arc<Counter>,
     lookup_miss: Arc<Counter>,
     insert_ok: Arc<Counter>,
@@ -458,10 +480,8 @@ impl OpRecorder {
             lookup_ios: hist("lookup"),
             insert_ios: hist("insert"),
             delete_ios: hist("delete"),
-            batch_lookup_ios: bhist("lookup"),
-            batch_insert_ios: bhist("insert"),
-            batch_lookup_keys: keys("lookup"),
-            batch_insert_keys: keys("insert"),
+            batch_ios: ["lookup", "insert", "delete"].map(bhist),
+            batch_keys: ["lookup", "insert", "delete"].map(keys),
             lookup_hit: ops("lookup", "hit"),
             lookup_miss: ops("lookup", "miss"),
             insert_ok: ops("insert", "ok"),
@@ -521,14 +541,26 @@ impl OpRecorder {
         }
     }
 
-    pub(crate) fn record_lookup_batch(&self, keys: usize, cost: OpCost) {
-        self.batch_lookup_ios.observe(cost.parallel_ios);
-        self.batch_lookup_keys.observe(keys as u64);
+    /// Record a batched call of `keys` keys on `this`, if any, and hand its
+    /// output on; `op` indexes lookup, insert, delete.
+    fn record_batch<R>(this: Option<&Self>, op: usize, keys: usize, out: (R, OpCost)) -> (R, OpCost) {
+        if let Some(m) = this {
+            m.batch_ios[op].observe(out.1.parallel_ios);
+            m.batch_keys[op].observe(keys as u64);
+        }
+        out
     }
 
-    pub(crate) fn record_insert_batch(&self, keys: usize, cost: OpCost) {
-        self.batch_insert_ios.observe(cost.parallel_ios);
-        self.batch_insert_keys.observe(keys as u64);
+    pub(crate) fn record_lookup_batch<R>(this: Option<&Self>, keys: usize, out: (R, OpCost)) -> (R, OpCost) {
+        Self::record_batch(this, 0, keys, out)
+    }
+
+    pub(crate) fn record_insert_batch<R>(this: Option<&Self>, keys: usize, out: (R, OpCost)) -> (R, OpCost) {
+        Self::record_batch(this, 1, keys, out)
+    }
+
+    pub(crate) fn record_delete_batch<R>(this: Option<&Self>, keys: usize, out: (R, OpCost)) -> (R, OpCost) {
+        Self::record_batch(this, 2, keys, out)
     }
 
     /// Set the shared shape gauges every front-end exports.

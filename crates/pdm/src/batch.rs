@@ -460,10 +460,11 @@ impl<'a> BatchExecutor<'a> {
     /// [`get_many`](BatchExecutor::get_many) with each address's current
     /// [`BlockHealth`] reported alongside. Blocks staged for writing in
     /// this batch report `Ok` (their image is ours, not the disk's);
-    /// other blocks report [`DiskArray::block_health`] — note a cached
-    /// image may have been sanitized by an *earlier* window even if the
-    /// health has since recovered; call
-    /// [`refresh`](BatchExecutor::refresh) to re-read such blocks.
+    /// other blocks report [`DiskArray::block_health`] — except that a
+    /// cached image sanitized when it was read never reports `Ok`, even
+    /// if the health has since recovered: the image is zeros, not the
+    /// block. Call [`refresh`](BatchExecutor::refresh) to re-read such
+    /// blocks.
     pub fn get_many_verified<'s>(
         &'s mut self,
         addrs: &'s [BlockAddr],
@@ -472,12 +473,12 @@ impl<'a> BatchExecutor<'a> {
         // the read executes at (the read itself advances the clock).
         let healths = addrs
             .iter()
-            .map(|a| {
-                if self.held.get(a).is_some_and(|at| at.dirty) {
-                    BlockHealth::Ok
-                } else {
-                    self.disks.block_health(*a)
+            .map(|a| match self.held.get(a) {
+                Some(at) if at.dirty => BlockHealth::Ok,
+                Some(at) if !at.sound && self.disks.block_health(*a).is_ok() => {
+                    BlockHealth::TransientError
                 }
+                _ => self.disks.block_health(*a),
             })
             .collect();
         (self.get_many(addrs), healths)

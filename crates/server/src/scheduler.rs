@@ -9,7 +9,7 @@
 //! almost the entire round under concurrency. Here, requests that arrive
 //! while a worker is busy accumulate in its shard queue; the worker
 //! drains them all in one wakeup and serves them as **one**
-//! `lookup_batch` / `insert_batch`, whose planner packs block requests
+//! `lookup_batch` / `insert_batch` / `delete_batch`, whose planner packs block requests
 //! into shared rounds ([`pdm::BatchPlan`]). The busier the server, the
 //! larger the window — batching improves *under* load instead of
 //! degrading, which is exactly the behaviour the paper's worst-case
@@ -17,8 +17,11 @@
 //!
 //! ## Ordering contract
 //!
-//! Requests of one drained window execute inserts → deletes → lookups;
-//! windows execute in FIFO order per shard. A client that waits for each
+//! Requests of one drained window execute inserts → deletes → lookups,
+//! each kind as **one** batched dictionary call in submission order
+//! (`insert_batch`, `delete_batch`, `lookup_batch`: a key deleted twice in
+//! a window answers `true`, then `false`); windows execute in FIFO order
+//! per shard. A client that waits for each
 //! reply before submitting the next operation (the sync [`DictClient`]
 //! calls) therefore observes program order. Operations pipelined through
 //! [`DictClient::submit`] without waiting may be reordered *within* a
@@ -218,8 +221,8 @@ pub(crate) struct AtomicStats {
     pub(crate) rejected_timedout: AtomicU64,
     pub(crate) rejected_shutdown: AtomicU64,
     pub(crate) disconnected: AtomicU64,
-    /// Batched dictionary calls executed (a `lookup_batch`, an
-    /// `insert_batch`, or a single delete each count 1).
+    /// Batched dictionary calls executed (a window's `lookup_batch`,
+    /// `insert_batch` and `delete_batch` each count 1).
     pub(crate) exec_calls: AtomicU64,
     /// Operations served through those calls.
     pub(crate) exec_ops: AtomicU64,
@@ -271,7 +274,8 @@ pub struct EngineStats {
 
 impl EngineStats {
     /// Mean operations per executed dictionary call — the coalescing
-    /// factor the engine achieved.
+    /// factor the engine achieved. A window makes at most three calls, one
+    /// per kind of operation it holds.
     #[must_use]
     pub fn mean_batch(&self) -> f64 {
         if self.exec_calls == 0 {
@@ -775,8 +779,8 @@ fn run_shard(id: usize, mut dict: Box<dyn Dict + Send>, shared: &Shared) -> Box<
             }
         };
 
-        // Inserts first (one coalesced batch), then deletes, then the
-        // lookup batch — see the module-level ordering contract.
+        // Inserts first, then deletes, then lookups, each kind one
+        // coalesced batch — see the module-level ordering contract.
         if !inserts.is_empty() {
             let entries: Vec<(u64, Vec<Word>)> = inserts
                 .iter()
@@ -791,19 +795,12 @@ fn run_shard(id: usize, mut dict: Box<dyn Dict + Send>, shared: &Shared) -> Box<
                 replies[i] = Some(r.map(|()| Reply::Inserted).map_err(ServeError::Dict));
             }
         }
-        for &i in &deletes {
-            let Op::Delete(key) = batch[i].op else {
-                unreachable!("partitioned as delete")
-            };
-            match dict.delete(key) {
-                Ok((was, cost)) => {
-                    record(cost, 1, 2);
-                    replies[i] = Some(Ok(Reply::Deleted(was)));
-                }
-                Err(e) => {
-                    record(pdm::OpCost::default(), 1, 2);
-                    replies[i] = Some(Err(ServeError::Dict(e)));
-                }
+        if !deletes.is_empty() {
+            let keys: Vec<u64> = deletes.iter().map(|&i| batch[i].op.key()).collect();
+            let (results, cost) = dict.delete_batch(&keys);
+            record(cost, deletes.len(), 2);
+            for (&i, r) in deletes.iter().zip(results) {
+                replies[i] = Some(r.map(Reply::Deleted).map_err(ServeError::Dict));
             }
         }
         // Invalidate mutated keys before anything is acknowledged.

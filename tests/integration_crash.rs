@@ -273,10 +273,14 @@ fn recovery_distrusts_pre_crash_verification() {
 }
 
 /// One operation on the rebuilding wrapper, cut at every crash point.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 enum Cut {
     Insert(u64),
     Delete(u64),
+    /// `insert_batch` of fresh keys.
+    InsertBatch(Vec<u64>),
+    /// `delete_batch` of stored keys.
+    DeleteBatch(Vec<u64>),
 }
 
 /// The rebuilding wrapper inside a window, under **every** crash point of
@@ -284,9 +288,10 @@ enum Cut {
 /// step from the end, the swap → checkpoint → discard that follows it):
 /// resume from a pre-op snapshot of the process state plus the crashed disk
 /// image (superblock re-read from disk) and recover. At each point the cut
-/// operation is all-or-nothing, every other key of `live` is intact, `len()`
-/// is exact, the journal is truncated — and stays exact through the rest of
-/// the rebuild, with nothing having bypassed the journal.
+/// operation is all-or-nothing — a batch as a whole: its keys are one
+/// intent — every other key of `live` is intact, `len()` is exact, the
+/// journal is truncated — and stays exact through the rest of the rebuild,
+/// with nothing having bypassed the journal.
 fn rebuild_crash_matrix(dict: &Dictionary, live: &BTreeSet<u64>, cut: Cut) {
     rebuild_crash_matrix_of(dict, live, cut, 1);
 }
@@ -294,12 +299,21 @@ fn rebuild_crash_matrix(dict: &Dictionary, live: &BTreeSet<u64>, cut: Cut) {
 /// [`rebuild_crash_matrix`] over satellites of `sigma` words.
 fn rebuild_crash_matrix_of(dict: &Dictionary, live: &BTreeSet<u64>, cut: Cut, sigma: usize) {
     assert!(dict.is_rebuilding(), "the matrix is for operations inside a window");
-    let run = |d: &mut Dictionary| match cut {
-        Cut::Insert(k) => Dictionary::insert(d, k, &sat(k, sigma)).map(|_| ()),
-        Cut::Delete(k) => Dictionary::delete(d, k).map(|_| ()),
+    let run = |d: &mut Dictionary| match &cut {
+        Cut::Insert(k) => Dictionary::insert(d, *k, &sat(*k, sigma)).map(|_| ()),
+        Cut::Delete(k) => Dictionary::delete(d, *k).map(|_| ()),
+        Cut::InsertBatch(keys) => {
+            let entries: Vec<(u64, Vec<Word>)> = keys.iter().map(|&k| (k, sat(k, sigma))).collect();
+            Dictionary::insert_batch(d, &entries).0.into_iter().collect()
+        }
+        Cut::DeleteBatch(keys) => {
+            let answers: Result<Vec<bool>, _> = Dictionary::delete_batch(d, keys).0.into_iter().collect();
+            answers.map(|was| assert!(was.iter().all(|&w| w), "{cut:?} missed a stored key"))
+        }
     };
-    let cut_key = match cut {
-        Cut::Insert(k) | Cut::Delete(k) => k,
+    let cut_keys: Vec<u64> = match &cut {
+        Cut::Insert(k) | Cut::Delete(k) => vec![*k],
+        Cut::InsertBatch(keys) | Cut::DeleteBatch(keys) => keys.clone(),
     };
     let mut crash_at = 0u64;
     loop {
@@ -314,8 +328,8 @@ fn rebuild_crash_matrix_of(dict: &Dictionary, live: &BTreeSet<u64>, cut: Cut, si
             // matrix is exhausted.
             res.unwrap();
             let want = match cut {
-                Cut::Insert(_) => live.len() + 1,
-                Cut::Delete(_) => live.len() - 1,
+                Cut::Insert(_) | Cut::InsertBatch(_) => live.len() + cut_keys.len(),
+                Cut::Delete(_) | Cut::DeleteBatch(_) => live.len() - cut_keys.len(),
             };
             assert_eq!(trial.len(), want, "{cut:?} without a crash");
             assert_eq!(trial.disks().journal_bypassed(), 0);
@@ -337,10 +351,7 @@ fn rebuild_crash_matrix_of(dict: &Dictionary, live: &BTreeSet<u64>, cut: Cut, si
         assert_eq!((first.stalled, first.mismatched), (0, 0), "crash point {crash_at} of {cut:?}");
 
         let mut present = 0;
-        for &k in live {
-            if k == cut_key {
-                continue;
-            }
+        for &k in live.iter().filter(|k| !cut_keys.contains(k)) {
             assert_eq!(
                 survivor.lookup(k).satellite,
                 Some(sat(k, sigma)),
@@ -348,11 +359,16 @@ fn rebuild_crash_matrix_of(dict: &Dictionary, live: &BTreeSet<u64>, cut: Cut, si
             );
             present += 1;
         }
-        // The cut operation is in doubt, never torn.
-        if let Some(got) = survivor.lookup(cut_key).satellite {
-            assert_eq!(got, sat(cut_key, sigma), "{cut:?} torn at crash point {crash_at}");
-            present += 1;
+        // The cut operation is in doubt, never torn, and whole.
+        let mut in_doubt = 0;
+        for &k in &cut_keys {
+            if let Some(got) = survivor.lookup(k).satellite {
+                assert_eq!(got, sat(k, sigma), "{cut:?} torn at crash point {crash_at}");
+                in_doubt += 1;
+            }
         }
+        assert!(in_doubt == 0 || in_doubt == cut_keys.len(), "crash point {crash_at} split {cut:?}: {in_doubt} keys");
+        present += in_doubt;
         assert_eq!(
             survivor.len(),
             present,
@@ -368,14 +384,12 @@ fn rebuild_crash_matrix_of(dict: &Dictionary, live: &BTreeSet<u64>, cut: Cut, si
             extra += 1;
             survivor.insert(nk, &sat(nk, sigma)).unwrap();
         }
-        for &k in live {
-            if k != cut_key {
-                assert_eq!(
-                    survivor.lookup(k).satellite,
-                    Some(sat(k, sigma)),
-                    "key {k} lost finishing the rebuild after crash point {crash_at} of {cut:?}"
-                );
-            }
+        for &k in live.iter().filter(|k| !cut_keys.contains(k)) {
+            assert_eq!(
+                survivor.lookup(k).satellite,
+                Some(sat(k, sigma)),
+                "key {k} lost finishing the rebuild after crash point {crash_at} of {cut:?}"
+            );
         }
         assert_eq!(
             survivor.len(),
@@ -449,19 +463,41 @@ fn open_window_of(
 #[test]
 fn rebuilding_dictionary_is_crash_consistent_during_migration() {
     let victim = KEY_SPACE + 7_000;
+    let fresh: Vec<u64> = (0..5).map(|i| KEY_SPACE + 7_100 + i).collect();
+    // Inserts until the window closes (a batch of as many closes it with
+    // its own step: the swap's checkpoint is then the call's last write.
+    // Past it the pre-op process state the matrix resumes from is no
+    // longer the one a restart would rebuild, so a batch the window ends
+    // *inside* of is left to the differential suite).
+    let ops_left = |dict: &Dictionary| {
+        let mut probe = dict.clone();
+        (0..).take_while(|&i| probe.is_rebuilding() && probe.insert(victim + i, &sat(victim + i, 1)).is_ok()).count()
+    };
     let (mut dict, mut live, mut keys) = open_window(64, JOURNAL_ROWS);
+    assert!(ops_left(&dict) > fresh.len(), "the window is too short for a batch inside it");
     rebuild_crash_matrix(&dict, &live, Cut::Insert(victim));
-    let mut cut_a_copied_delete = false;
+    rebuild_crash_matrix(&dict, &live, Cut::InsertBatch(fresh.clone()));
+    let (mut cut_a_copied_delete, mut cut_a_closing_batch) = (false, false);
     loop {
         let copied = live.iter().copied().find(|&k| tombstone_writes(&dict, k) == 3);
         if let (false, Some(k)) = (cut_a_copied_delete, copied) {
             cut_a_copied_delete = true;
             rebuild_crash_matrix(&dict, &live, Cut::Delete(k));
+            // A batch over a copied key and keys only one structure holds:
+            // one intent, a section for each structure.
+            let mut doomed: Vec<u64> = live.iter().copied().filter(|&d| d != k).step_by(9).collect();
+            doomed.push(k);
+            rebuild_crash_matrix(&dict, &live, Cut::DeleteBatch(doomed));
+        }
+        let left = ops_left(&dict);
+        if (2..=fresh.len()).contains(&left) && !cut_a_closing_batch {
+            cut_a_closing_batch = true;
+            // Batches whose step is the final one.
+            rebuild_crash_matrix(&dict, &live, Cut::InsertBatch(fresh[..left].to_vec()));
+            rebuild_crash_matrix(&dict, &live, Cut::DeleteBatch(live.iter().copied().step_by(7).collect()));
         }
         // The final step: one more operation ends the window.
-        let mut probe = dict.clone();
-        probe.insert(victim, &sat(victim, 1)).unwrap();
-        if !probe.is_rebuilding() {
+        if left == 1 {
             rebuild_crash_matrix(&dict, &live, Cut::Insert(victim));
             let k = copied.expect("nothing copied by the last step");
             rebuild_crash_matrix(&dict, &live, Cut::Delete(k));
@@ -472,6 +508,7 @@ fn rebuilding_dictionary_is_crash_consistent_during_migration() {
         live.insert(k);
     }
     assert!(cut_a_copied_delete, "no delete of a copied key was cut");
+    assert!(cut_a_closing_batch, "no batch closed the window");
 }
 
 /// A step that stages more changed words than a one-row ring holds commits

@@ -40,7 +40,7 @@ mod harness;
 use expander::FamilyKind;
 use harness::{frontends, frontends_with, padded_entries, sat, Frontend, KEY_SPACE};
 use pdm::{FaultPlan, Word};
-use pdm_dict::DictError;
+use pdm_dict::{Dict, DictError};
 use proptest::prelude::*;
 
 /// A sorted, deduplicated key set.
@@ -306,4 +306,303 @@ fn a_torn_tombstone_write_fails_the_delete_typed() {
             assert!(got.is_none() || got.as_ref() == Some(s), "{name}: key {k} damaged");
         }
     }
+}
+
+/// A journaled rebuilding `Dictionary` stopped inside a rebuild window with
+/// some keys already copied, and the satellites it holds.
+fn window_dictionary() -> (pdm_dict::Dictionary, std::collections::BTreeMap<u64, Vec<Word>>) {
+    let params = pdm_dict::DictParams::new(256, harness::UNIVERSE, 1)
+        .with_degree(20)
+        .with_epsilon(0.5)
+        .with_seed(0xFA57)
+        .with_journal(2);
+    let mut dict = pdm_dict::Dictionary::new(params, 64).unwrap();
+    let mut model = std::collections::BTreeMap::new();
+    let mut k = 0u64;
+    let mut in_window = 0;
+    while in_window < 3 {
+        dict.insert(k, &[k]).unwrap();
+        model.insert(k, vec![k]);
+        in_window += usize::from(dict.is_rebuilding());
+        k += 1;
+    }
+    dict.disks_mut().unwrap().enable_integrity();
+    (dict, model)
+}
+
+/// What a batch left behind, against `model` (updated by the caller for
+/// every key answered `Ok`): the keys it holds read back, the keys of
+/// `gone` do not, `len()` is exact, and a recovery changes none of that.
+fn check_against(dict: &mut dyn Dict, model: &std::collections::BTreeMap<u64, Vec<Word>>, gone: &[u64], what: &str) {
+    assert_eq!(dict.len(), model.len(), "{what}: len()");
+    dict.disks_mut().unwrap().clear_fault_plan();
+    for round in ["before", "after"] {
+        for (k, s) in model {
+            assert_eq!(dict.lookup(*k).satellite.as_ref(), Some(s), "{what}: key {k} {round} recovery");
+        }
+        for k in gone {
+            assert!(!dict.lookup(*k).found(), "{what}: key {k} is back {round} recovery");
+        }
+        dict.recover();
+        assert_eq!(dict.len(), model.len(), "{what}: len() after recovery");
+    }
+}
+
+/// One torn write — on whichever disk, whichever of an update's writes: the
+/// ring slot, a bucket, a field block, a block of the migration step — is
+/// retried by the batch's commit and lands: every key is acknowledged and
+/// stored, nothing is counted that is not on the medium. (The commit used
+/// to drop the failure: the key was acked, counted, and unreadable.)
+#[test]
+fn a_torn_write_inside_a_batch_is_retried_and_lands() {
+    let fresh: Vec<(u64, Vec<Word>)> = (0..24u64).map(|i| (KEY_SPACE + 9_000 + i, vec![i])).collect();
+    for nth in 0..3 {
+        let tear_all = |dict: &mut dyn Dict| {
+            let disks = dict.disks_mut().unwrap();
+            let plan = (0..disks.disks()).fold(FaultPlan::new(), |plan, d| plan.torn_write(d, nth));
+            disks.set_fault_plan(plan);
+        };
+        for name in ["dynamic", "dynamic_journaled"] {
+            let f = harness::frontend(name);
+            let entries = padded_entries(&f, &harness::dense_keys(40));
+            let batch: Vec<(u64, Vec<Word>)> = fresh.iter().map(|(k, _)| (*k, sat(*k, f.sigma))).collect();
+            let mut model: std::collections::BTreeMap<u64, Vec<Word>> = entries.iter().cloned().collect();
+            let mut dict = (f.build)(128, &entries, 0x7EA2);
+            dict.disks_mut().unwrap().enable_integrity();
+            tear_all(dict.as_mut());
+            let (res, _) = dict.insert_batch(&batch);
+            assert!(res.iter().all(Result::is_ok), "{name}, tear {nth}: {res:?}");
+            model.extend(batch.iter().cloned());
+            tear_all(dict.as_mut());
+            let doomed: Vec<u64> = entries.iter().step_by(3).map(|(k, _)| *k).collect();
+            let (res, _) = dict.delete_batch(&doomed);
+            assert!(res.iter().all(|r| matches!(r, Ok(true))), "{name}, tear {nth}: {res:?}");
+            doomed.iter().for_each(|k| drop(model.remove(k)));
+            check_against(dict.as_mut(), &model, &doomed, &format!("{name}, tear {nth}"));
+        }
+        // Inside a rebuild window, each batch with its migration step.
+        let (mut dict, mut model) = window_dictionary();
+        let what = format!("window, tear {nth}");
+        tear_all(&mut dict);
+        let batch: Vec<(u64, Vec<Word>)> = fresh.iter().take(6).cloned().collect();
+        let (res, _) = dict.insert_batch(&batch);
+        assert!(res.iter().all(Result::is_ok), "{what}: {res:?}");
+        model.extend(batch);
+        assert!(dict.is_rebuilding(), "{what}: the window closed before the delete batch");
+        tear_all(&mut dict);
+        let doomed: Vec<u64> = model.keys().step_by(7).copied().collect();
+        let (res, _) = dict.delete_batch(&doomed);
+        assert!(res.iter().all(|r| matches!(r, Ok(true))), "{what}: {res:?}");
+        doomed.iter().for_each(|k| drop(model.remove(k)));
+        assert_eq!(dict.last_step_error(), None, "{what}");
+        check_against(&mut dict, &model, &doomed, &what);
+        // The rebuild finishes over what the steps copied.
+        for k in 0..200u64 {
+            dict.insert(KEY_SPACE + 20_000 + k, &[k]).unwrap();
+            model.insert(KEY_SPACE + 20_000 + k, vec![k]);
+        }
+        assert!(dict.rebuilds() > 0, "{what}: the rebuild never finished");
+        check_against(&mut dict, &model, &doomed, &format!("{what}, after the swap"));
+    }
+}
+
+/// A write that keeps failing (every write to one disk tears, the commit's
+/// retry included) fails exactly the keys staged into the lost blocks,
+/// typed; every other key of the batch is acknowledged and stored. The
+/// failed keys are not counted, and their intent never replays.
+#[test]
+fn a_write_that_keeps_failing_fails_its_keys_typed() {
+    let tear = |dict: &mut dyn Dict, disk: usize| {
+        let plan = (0..64).fold(FaultPlan::new(), |plan, nth| plan.torn_write(disk, nth));
+        dict.disks_mut().unwrap().set_fault_plan(plan);
+    };
+    let torn_on = |e: &DictError, disk: usize| {
+        matches!(e, DictError::Io { kind: pdm::IoFaultKind::TornWrite, disk: at, .. } if *at == disk)
+    };
+    for name in ["dynamic", "dynamic_journaled"] {
+        // Disk 3 holds membership buckets, disk 27 fields.
+        for disk in [3, 27] {
+            let f = harness::frontend(name);
+            let what = format!("{name}, disk {disk}");
+            let entries = padded_entries(&f, &harness::dense_keys(40));
+            let mut model: std::collections::BTreeMap<u64, Vec<Word>> = entries.iter().cloned().collect();
+            let mut dict = (f.build)(128, &entries, 0x7EA3);
+            dict.disks_mut().unwrap().enable_integrity();
+            tear(dict.as_mut(), disk);
+            let batch: Vec<(u64, Vec<Word>)> =
+                (0..24u64).map(|i| KEY_SPACE + 9_000 + i).map(|k| (k, sat(k, f.sigma))).collect();
+            let (res, _) = dict.insert_batch(&batch);
+            let mut lost = Vec::new();
+            for ((k, s), r) in batch.iter().zip(&res) {
+                match r {
+                    Ok(()) => drop(model.insert(*k, s.clone())),
+                    Err(e) => {
+                        assert!(torn_on(e, disk), "{what}: insert of {k} failed with {e}");
+                        lost.push(*k);
+                    }
+                }
+            }
+            assert!(!lost.is_empty() && lost.len() < batch.len(), "{what}: {} of {} inserts lost", lost.len(), batch.len());
+            // What the tear damaged beside the batch is the fault's, not
+            // the commit's: stored keys it reached are still counted, and
+            // no longer vouched for.
+            let mut shaky: Vec<u64> = Vec::new();
+            let mut collateral = |dict: &mut Box<dyn Dict + Send>, model: &mut std::collections::BTreeMap<u64, Vec<Word>>| {
+                let hit: Vec<u64> = model.keys().copied().filter(|k| !dict.lookup(*k).is_exact()).collect();
+                hit.iter().for_each(|k| drop(model.remove(k)));
+                shaky.extend(hit);
+                shaky.len()
+            };
+            let counted = collateral(&mut dict, &mut model);
+            assert_eq!(dict.len(), model.len() + counted, "{what}: len() after the insert batch");
+            // Deletes under the same plan (membership disk only: a
+            // tombstone writes nothing to a field disk).
+            let doomed: Vec<u64> = model.keys().step_by(2).copied().collect();
+            let (res, _) = dict.delete_batch(&doomed);
+            let mut gone = Vec::new();
+            // Failed typed: not counted (an insert) or still counted (a
+            // delete), and on the medium whatever half of the torn block
+            // landed — the key is absent or holds its own satellite.
+            let mut kept = Vec::new();
+            let mut torn: Vec<(u64, Vec<Word>)> = lost.iter().map(|&k| (k, sat(k, f.sigma))).collect();
+            for (k, r) in doomed.iter().zip(&res) {
+                match r {
+                    Ok(true) => gone.push(*k),
+                    Ok(false) => panic!("{what}: stored key {k} reported absent"),
+                    // Still counted; the torn tombstone may or may not show.
+                    Err(e) => {
+                        assert!(torn_on(e, disk), "{what}: delete of {k} failed with {e}");
+                        kept.push((*k, model[k].clone()));
+                    }
+                }
+                model.remove(k);
+            }
+            assert_eq!(!kept.is_empty(), disk == 3, "{what}: {} deletes lost", kept.len());
+            let counted = collateral(&mut dict, &mut model) + kept.len();
+            assert_eq!(dict.len(), model.len() + counted, "{what}: len() after the delete batch");
+            dict.disks_mut().unwrap().clear_fault_plan();
+            let report = dict.recover();
+            // A batch that lost a key truncated its intent; one that did
+            // not may replay, onto counters that already hold it.
+            assert!(kept.is_empty() || report.replayed.is_empty(), "{what}: a failed batch replayed: {report:?}");
+            assert_eq!(dict.len(), model.len() + counted, "{what}: len() after recovery");
+            for (k, s) in &model {
+                assert_eq!(dict.lookup(*k).satellite.as_ref(), Some(s), "{what}: key {k}");
+            }
+            for k in &gone {
+                assert!(!dict.lookup(*k).found(), "{what}: key {k} is stored");
+            }
+            torn.extend(kept);
+            for (k, s) in &torn {
+                let got = dict.lookup(*k).satellite;
+                assert!(got.is_none() || got.as_ref() == Some(s), "{what}: key {k} reads {got:?}");
+            }
+        }
+    }
+}
+
+/// A disk that dies before a batch. A field disk is routed around (its
+/// fields count as occupied, nothing is written to it): every key is
+/// acknowledged and stored. A membership disk leaves every duplicate check
+/// open, and every delete of a key it held: those fail typed, the rest of
+/// the batch is applied, and `len()` moves by exactly the acknowledged keys.
+#[test]
+fn a_dead_disk_inside_a_batch_fails_typed_or_is_routed_around() {
+    for name in ["dynamic", "dynamic_journaled"] {
+        for disk in [3, 27] {
+            let f = harness::frontend(name);
+            let what = format!("{name}, disk {disk}");
+            let entries = padded_entries(&f, &harness::dense_keys(40));
+            let mut dict = (f.build)(128, &entries, 0x7EA4);
+            dict.disks_mut().unwrap().enable_integrity();
+            harness::kill_disk(dict.disks_mut().unwrap(), disk);
+            let before = dict.len();
+            let batch: Vec<(u64, Vec<Word>)> =
+                (0..24u64).map(|i| KEY_SPACE + 9_000 + i).map(|k| (k, sat(k, f.sigma))).collect();
+            let (res, _) = dict.insert_batch(&batch);
+            let stored = res.iter().filter(|r| r.is_ok()).count();
+            assert_eq!(stored, if disk == 3 { 0 } else { batch.len() }, "{what}: {res:?}");
+            for r in res.iter().filter_map(|r| r.as_ref().err()) {
+                assert!(matches!(r, DictError::Io { kind: pdm::IoFaultKind::DiskDead, disk: 3, .. }), "{what}: {r}");
+            }
+            assert_eq!(dict.len(), before + stored, "{what}: len() after the insert batch");
+            let doomed: Vec<u64> = entries.iter().step_by(2).map(|(k, _)| *k).collect();
+            let (res, _) = dict.delete_batch(&doomed);
+            let mut gone = 0;
+            for (k, r) in doomed.iter().zip(&res) {
+                match r {
+                    Ok(true) => {
+                        gone += 1;
+                        assert!(!dict.lookup(*k).found(), "{what}: deleted key {k} reads back");
+                    }
+                    Err(DictError::Io { kind: pdm::IoFaultKind::DiskDead, disk: 3, .. }) if disk == 3 => {}
+                    other => panic!("{what}: delete of stored key {k} answered {other:?}"),
+                }
+            }
+            assert!(gone > 0, "{what}: no delete went through");
+            assert_eq!(dict.len(), before + stored - gone, "{what}: len() after the delete batch");
+            for (k, s) in batch.iter().take(stored) {
+                assert_eq!(dict.lookup(*k).satellite.as_ref(), Some(s), "{what}: key {k}");
+            }
+        }
+    }
+}
+
+/// Inside a rebuild window the batch's writes and its migration step's go
+/// to the same executor discipline. With every write to one field disk of
+/// the replacement tearing: the keys of the batch staged there fail typed,
+/// the others are stored; copies the step lost are counted out (so `len()`
+/// stays exact) and leave the step's error on the dictionary, not in any
+/// reply; and once the disk writes again the next update retakes the step.
+#[test]
+fn a_failing_disk_inside_a_window_costs_only_the_keys_it_lost() {
+    let (mut dict, mut model) = window_dictionary();
+    // Rebuild 1 builds in the upper slot: its fields are on disks 60..80.
+    let disk = 67;
+    let plan = (0..64).fold(FaultPlan::new(), |plan, nth| plan.torn_write(disk, nth));
+    dict.disks_mut().unwrap().set_fault_plan(plan);
+    let mut step_errors = 0;
+    let mut lost = 0;
+    for round in 0..3u64 {
+        let batch: Vec<(u64, Vec<Word>)> = (0..5).map(|i| KEY_SPACE + 9_000 + 5 * round + i).map(|k| (k, vec![k])).collect();
+        let (res, _) = dict.insert_batch(&batch);
+        for ((k, s), r) in batch.into_iter().zip(res) {
+            match r {
+                Ok(()) => drop(model.insert(k, s)),
+                Err(DictError::Io { kind: pdm::IoFaultKind::TornWrite, disk: at, .. }) if at == disk => lost += 1,
+                Err(e) => panic!("insert of {k} failed with {e}"),
+            }
+        }
+        let doomed: Vec<u64> = model.keys().skip(round as usize).step_by(9).copied().collect();
+        let (res, _) = dict.delete_batch(&doomed);
+        for (k, r) in doomed.iter().zip(res) {
+            // A tombstone writes nothing to a field disk.
+            assert_eq!(r, Ok(true), "delete of {k}");
+            model.remove(k);
+        }
+        if let Some(e) = dict.last_step_error() {
+            assert!(matches!(e, DictError::Io { kind: pdm::IoFaultKind::TornWrite, disk: at, .. } if *at == disk), "{e}");
+            step_errors += 1;
+        }
+        if !dict.is_rebuilding() {
+            // Swapped: what the torn blocks held is now the disk's loss.
+            break;
+        }
+        assert_eq!(dict.len(), model.len(), "round {round}: len()");
+        // What the torn blocks held beside (a key inserted in this window
+        // has no copy in the old structure) reads as damage, not as absent.
+        for (k, s) in &model {
+            let out = dict.lookup(*k);
+            assert!(out.satellite.as_ref() == Some(s) || !out.is_exact(), "round {round}: key {k} reads {out:?}");
+        }
+    }
+    assert!(lost + step_errors > 0, "no write to disk {disk} in three rounds");
+    assert!(dict.is_rebuilding(), "the window closed before the disk was replaced");
+    dict.disks_mut().unwrap().clear_fault_plan();
+    dict.insert(KEY_SPACE + 9_900, &[1]).unwrap();
+    model.insert(KEY_SPACE + 9_900, vec![1]);
+    assert_eq!(dict.last_step_error(), None, "the step was not retaken");
+    assert_eq!(dict.len(), model.len());
+    dict.recover();
+    assert_eq!(dict.len(), model.len(), "len() after recovery");
 }
