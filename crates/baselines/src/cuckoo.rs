@@ -149,7 +149,7 @@ impl CuckooDict {
 
     fn read_cell(&mut self, table: usize, cell: usize) -> Vec<Word> {
         let addrs = self.cell_addrs(table, cell);
-        self.disks.read(&addrs, ReadOptions::default()).blocks.into_words()
+        self.disks.read(&addrs, ReadOptions::default()).blocks.into_buf().into_words()
     }
 
     fn write_cell(&mut self, table: usize, cell: usize, buf: &[Word]) {
@@ -174,7 +174,7 @@ impl CuckooDict {
         let mut addrs = self.cell_addrs(0, self.cell_of(0, key));
         addrs.extend(self.cell_addrs(1, self.cell_of(1, key)));
         // Each cell is `half` consecutive blocks of the round's buffer.
-        let cells = self.disks.read(&addrs, ReadOptions::default()).blocks.into_words();
+        let cells = self.disks.read(&addrs, ReadOptions::default()).blocks.into_buf().into_words();
         let (c0, c1) = cells.split_at(cells.len() / 2);
         let found = self
             .slots

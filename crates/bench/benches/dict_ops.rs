@@ -117,5 +117,32 @@ fn bench_static_build(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_lookups, bench_inserts, bench_static_build);
+/// `lookup_batch` of 64 keys on the served structure (Theorem 7's dictionary
+/// behind `DictHandle`, d = 20, B = 128), per batch: ÷ 64 it reads beside the
+/// `lookup` group's per-key figure (four times it while a batch's 2.5 MiB of
+/// images was copied out, handed back to the OS and faulted in again).
+fn bench_lookup_batch(c: &mut Criterion) {
+    use pdm_dict::{Dict, DictHandle, DictParams, DynamicDict};
+    let keys = uniform_keys(N, 1 << 40, 0xC1);
+    let mut disks = pdm::DiskArray::new(pdm::PdmConfig::new(40, BLOCK), 0);
+    let mut alloc = pdm_dict::layout::DiskAllocator::new(40);
+    let params = DictParams::new(N, 1 << 40, SIGMA).with_degree(20).with_epsilon(0.5).with_seed(4);
+    let dict = DynamicDict::create(&mut disks, &mut alloc, 0, params).expect("create");
+    let mut shard = DictHandle::new(dict, disks);
+    for (k, s) in entries_for(&keys, SIGMA) {
+        shard.insert(k, &s).expect("insert");
+    }
+    let mut group = c.benchmark_group("lookup_batch64");
+    let mut i = 0usize;
+    group.bench_function("dynamic", |b| {
+        b.iter(|| {
+            let batch: Vec<u64> = (0..64).map(|j| keys[(i + j) % keys.len()]).collect();
+            i += 64;
+            black_box(shard.lookup_batch(black_box(&batch)))
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_lookups, bench_inserts, bench_static_build, bench_lookup_batch);
 criterion_main!(benches);

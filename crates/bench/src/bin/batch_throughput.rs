@@ -225,8 +225,9 @@ fn main() {
 
     // A window's updates (gates of the served shape): a 32-key
     // `delete_batch` costs at most 1.5 parallel I/Os per key, and a churn
-    // stream in 32-op windows at most 3.3 per op across >= 5 rebuilds.
-    for (r, bound) in [(delete_window(if smoke { 256 } else { 1024 }), 1.5), (churn_windows(if smoke { 8 } else { 12 }), 3.3)] {
+    // stream in 32-op windows at most 2.42 per op across >= 5 rebuilds
+    // (2.309 as read with migration plans bounded in blocks held, + 5 %).
+    for (r, bound) in [(delete_window(if smoke { 256 } else { 1024 }), 1.5), (churn_windows(if smoke { 8 } else { 12 }), 2.42)] {
         let ok = r.batch_ios_per_lookup <= bound;
         println!("{}: {} @ m=32 costs {:.3} parallel I/Os per op (bound {bound}, one call per op {:.3})", if ok { "ACCEPT" } else { "FAIL" }, r.structure, r.batch_ios_per_lookup, r.seq_ios_per_lookup);
         failed |= !ok;

@@ -271,8 +271,8 @@ fn negative(n_absent: usize, failures: &mut Vec<String>) -> NegativeReport {
     // Absent by construction: the resident keys are multiples of 3.
     let absent: Vec<u64> = (0..n_absent as u64).map(|i| i * 3 + 1).collect();
 
-    // Warm: two probes per key feed the admission sketch, the second
-    // fill sticks (promote on observed count, not first touch).
+    // Warm: the first fill sticks while the budget has room; a second
+    // probe feeds the admission sketch for the ones that must displace.
     let mut warm_ios = 0;
     for _ in 0..2 {
         for &key in &absent {

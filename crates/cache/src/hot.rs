@@ -12,13 +12,16 @@
 //!
 //! ## Admission (TinyLFU)
 //!
-//! A fill is **not** an admission. A key gets in only if its sketch
-//! estimate has reached [`CacheConfig::admit_threshold`] (promote on
-//! observed access count, not first touch), and — when the budget
-//! requires evicting — only if it is estimated hotter than the LRU
-//! victim it would displace. One-hit wonders therefore never wash the
-//! working set out of the cache, which is what makes a byte budget
-//! behave like a byte budget under scans.
+//! A fill is **not** an admission once the budget is spent. While there
+//! is room a first touch gets in — an empty cache has no working set to
+//! protect, and refusing would only make the second touch pay the
+//! dictionary again. When a fill needs a victim, the key gets in only if
+//! its sketch estimate has reached [`CacheConfig::admit_threshold`]
+//! (displace on observed access count, not first touch) and it is
+//! estimated hotter than the LRU victim it would displace. One-hit
+//! wonders therefore never wash the working set out of the cache, which
+//! is what makes a byte budget behave like a byte budget under scans:
+//! scan resistance is about displacement.
 //!
 //! ## Negative entries
 //!
@@ -45,9 +48,10 @@ pub struct CacheConfig {
     /// Capacity in bytes (entry payloads + [`ENTRY_OVERHEAD_BYTES`]
     /// each). The cache never holds more than this.
     pub budget_bytes: usize,
-    /// Minimum sketch estimate before a key may be admitted. 1 admits on
-    /// first fill (classic LRU); the default 2 requires a key to be seen
-    /// twice before it can displace anything.
+    /// Minimum sketch estimate before a key may displace another (a fill
+    /// that fits the free budget is always admitted). 1 is classic LRU;
+    /// the default 2 requires a key to be seen twice before it can
+    /// displace anything.
     pub admit_threshold: u32,
     /// Whether certified absences are cached (see the module docs).
     pub negative: bool,
@@ -95,7 +99,7 @@ impl CacheConfig {
     }
 
     /// Set the admission threshold (sketch estimate a key needs before
-    /// it can be admitted).
+    /// it can displace a resident entry).
     ///
     /// # Panics
     /// Panics if `threshold == 0` (0 would admit keys never seen at all).
@@ -154,8 +158,8 @@ pub struct CacheCounters {
     pub misses: u64,
     /// Fills admitted into residency.
     pub admitted: u64,
-    /// Fills refused by the admission policy (cold key, or colder than
-    /// every victim it would displace).
+    /// Fills refused by the admission policy (a full cache and a cold key,
+    /// or one colder than the victim it would displace).
     pub rejected: u64,
     /// Entries displaced by the byte budget.
     pub evicted: u64,
@@ -311,17 +315,14 @@ impl HotCache {
             self.shed_to_budget(key);
             return true;
         }
+        // With room the candidate is admitted as it is. Else evict until
+        // it fits, but only if it has been seen often enough, and only
+        // past victims it beats on estimated frequency — otherwise refuse
+        // the candidate and keep the warmer working set.
         let estimate = self.sketch.estimate(key);
-        if estimate < self.cfg.admit_threshold {
-            self.counters.rejected += 1;
-            return false;
-        }
-        // Evict until the candidate fits, but only past victims it beats
-        // on estimated frequency — otherwise refuse the candidate and
-        // keep the warmer working set.
         while self.used + charge > self.cfg.budget_bytes {
             let &(victim_tick, victim_key) = self.recency.first().expect("over budget ⇒ nonempty");
-            if self.sketch.estimate(victim_key) >= estimate {
+            if estimate < self.cfg.admit_threshold || self.sketch.estimate(victim_key) >= estimate {
                 self.counters.rejected += 1;
                 return false;
             }
@@ -412,17 +413,32 @@ mod tests {
     }
 
     #[test]
-    fn first_touch_is_not_admitted() {
+    fn a_first_touch_is_admitted_while_there_is_room() {
         let mut c = HotCache::new(cfg());
         assert_eq!(c.probe(7), CacheAnswer::Miss);
-        // One observation < threshold 2: the fill is refused.
-        assert!(!c.fill(7, Some(&[1]), false));
-        assert_eq!(c.probe(7), CacheAnswer::Miss);
-        // Second observation reaches the threshold.
+        // One observation < threshold 2, but nothing has to make way.
         assert!(c.fill(7, Some(&[1]), false));
         assert_eq!(c.probe(7), CacheAnswer::Hit(vec![1]));
-        assert_eq!(c.counters().rejected, 1);
-        assert_eq!(c.counters().admitted, 1);
+        assert_eq!((c.counters().rejected, c.counters().admitted, c.counters().evicted), (0, 1, 0));
+    }
+
+    #[test]
+    fn a_first_touch_cannot_displace_once_the_cache_is_full() {
+        let mut c = HotCache::new(cfg());
+        for key in 0..4 {
+            assert_eq!(c.probe(key), CacheAnswer::Miss);
+            assert!(c.fill(key, Some(&[key]), false), "room for four");
+        }
+        // Full. One observation < threshold 2: the fill is refused even
+        // though the victim was seen no more often.
+        assert_eq!(c.probe(7), CacheAnswer::Miss);
+        assert!(!c.fill(7, Some(&[1]), false));
+        assert_eq!(c.probe(7), CacheAnswer::Miss);
+        // A third observation reaches the threshold and beats the victim.
+        assert!(c.fill(7, Some(&[1]), false));
+        assert_eq!(c.probe(7), CacheAnswer::Hit(vec![1]));
+        assert_eq!(c.probe(0), CacheAnswer::Miss, "the LRU entry made way");
+        assert_eq!((c.counters().rejected, c.counters().admitted, c.counters().evicted), (1, 5, 1));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   miss) is recorded; the sketch is the *only* evidence admission
 //!   listens to.
 //! * **[`HotCache`]** — a byte-budgeted key → satellite cache with
-//!   frequency-gated admission (promote on observed access count, never
-//!   on first touch), deterministic LRU eviction (logical ticks, ordered
+//!   frequency-gated admission (room admits a first touch; displacing an
+//!   entry takes an observed access count), deterministic LRU eviction (logical ticks, ordered
 //!   `(tick, key)` — drills replay bit-identically), and **negative
 //!   entries**: keys proven absent answer repeat misses for 0 I/Os.
 //! * **[`CachedDict`]** — the tier as a [`pdm_dict::Dict`] front-end

@@ -371,8 +371,7 @@ mod tests {
     fn repeated_lookup_costs_zero_ios_once_admitted() {
         let mut d = cached();
         d.insert(5, &[50]).unwrap();
-        assert_eq!(d.lookup(5).cost.parallel_ios, 1, "first lookup pays");
-        assert_eq!(d.lookup(5).cost.parallel_ios, 1, "second fills");
+        assert_eq!(d.lookup(5).cost.parallel_ios, 1, "first lookup pays, and fills: there is room");
         let out = d.lookup(5);
         assert_eq!(out.satellite, Some(vec![50]));
         assert_eq!(out.cost.parallel_ios, 0, "hot lookup is free");

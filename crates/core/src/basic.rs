@@ -153,10 +153,16 @@ impl BucketPatch {
             .map(move |(b, words)| (BlockAddr::new(first.disk, first.block + b), words))
     }
 
+    /// The bucket's words, block after block.
+    #[must_use]
+    pub fn image(&self) -> &[Word] {
+        &self.image
+    }
+
     /// The pre-images of [`writes`](Self::writes), in the same order: the
     /// bucket's blocks as they lie in `probe_blocks`, the probe the patch
-    /// was planned from. A journaled writer hands them to
-    /// [`DiskArray::journaled_delta_batch_checked`] as [`pdm::journal::Delta::Base`].
+    /// was planned from. A journaled writer takes the words it changed from
+    /// them ([`pdm::journal::diff_runs`]) while the probe is in hand.
     pub fn bases<'a>(&self, probe_blocks: &'a impl BlockView) -> impl Iterator<Item = &'a [Word]> {
         let first = self.candidate * self.blocks;
         (first..first + self.blocks).map(move |b| probe_blocks.block(b))
@@ -468,7 +474,7 @@ impl BasicDict {
         &self,
         disks: &mut DiskArray,
         key: u64,
-        plan: impl FnOnce(&pdm::BlockBuf) -> Result<BucketPatch, E>,
+        plan: impl FnOnce(&pdm::Round<'_>) -> Result<BucketPatch, E>,
     ) -> Result<(), E> {
         let blocks = disks.read(&self.probe_addrs(key), ReadOptions::default()).blocks;
         let patch = plan(&blocks)?;
@@ -581,7 +587,7 @@ impl BasicDict {
     /// sampled expander missing its load-balancing parameters.
     #[cfg(test)]
     pub(crate) fn saturate_probe_buckets(&self, disks: &mut DiskArray, key: u64, fake_base: u64) {
-        let blocks = disks.read(&self.probe_addrs(key), ReadOptions::default()).blocks;
+        let blocks = disks.read(&self.probe_addrs(key), ReadOptions::default()).blocks.into_buf();
         let payload = vec![0 as Word; self.cfg.payload_words];
         let mut fake = fake_base;
         for i in 0..self.cfg.degree {

@@ -36,10 +36,10 @@ use crate::one_probe::encoding::Chain;
 use crate::traits::{DictError, LookupOutcome};
 use expander::{params, FamilyExpander, NeighborFamily, NeighborFn};
 use pdm::batch::StagedBlocks;
-use pdm::journal::{Delta, JournalRegion, RecoveryReport};
+use pdm::journal::{diff_runs, Delta, JournalRegion, RecoveryReport};
 use pdm::{
     BatchExecutor, BatchPlan, BlockAddr, BlockBuf, BlockHealth, BlockView, DiskArray, IoFaultKind,
-    OpCost, ReadOptions, Word,
+    OpCost, ReadOptions, Round, Word,
 };
 use std::ops::Range;
 
@@ -105,6 +105,29 @@ pub(crate) struct DeeperRecord {
 struct Fit {
     stripes: Vec<usize>,
     images: BlockBuf,
+}
+
+/// What a journaled insertion changed in each block it writes, in write
+/// order: the runs of words in which the new image differs from the block as
+/// read, taken while the read's round is in hand so that no pre-image
+/// outlives it. `ends[i]` is where block `i`'s runs end in `runs`.
+struct Runs {
+    runs: Vec<Range<usize>>,
+    ends: Vec<usize>,
+}
+
+impl Runs {
+    fn push_block(&mut self, new: &[Word], old: &[Word]) {
+        diff_runs(new, old, |run| self.runs.push(run));
+        self.ends.push(self.runs.len());
+    }
+
+    /// One [`Delta::Words`] per block pushed.
+    fn deltas(&self) -> Vec<Delta<'_>> {
+        let mut from = 0;
+        let of = |&end| Delta::Words(&self.runs[std::mem::replace(&mut from, end)..end]);
+        self.ends.iter().map(of).collect()
+    }
 }
 
 /// The keys one executor has staged since its last commit, as `(index in
@@ -642,16 +665,20 @@ impl DynamicDict {
 
     /// Verified read with one retry: transient windows pass with the
     /// clock, so the retry is only charged when a probe actually failed.
-    pub(crate) fn read_retry(
+    /// `decode` sees the read that is kept; the round may be views of the
+    /// array, so whatever it returns is its own.
+    pub(crate) fn read_retry<R>(
         disks: &mut DiskArray,
         addrs: &[BlockAddr],
-    ) -> (BlockBuf, Vec<BlockHealth>) {
+        decode: impl FnOnce(&Round<'_>, &[BlockHealth]) -> R,
+    ) -> R {
         let out = disks.read(addrs, ReadOptions::verified());
         if out.all_ok() {
-            return (out.blocks, out.healths);
+            return decode(&out.blocks, &out.healths);
         }
+        drop(out);
         let retry = disks.read(addrs, ReadOptions::verified());
-        (retry.blocks, retry.healths)
+        decode(&retry.blocks, &retry.healths)
     }
 
     /// The first-round probe of `key` (no I/O); its addresses are appended
@@ -707,27 +734,24 @@ impl DynamicDict {
         self.decode_satellite(record.head, scratch)
     }
 
-    /// Finish a lookup whose first-round blocks are already read: decode
-    /// them, paying one more (retried) read only for a deeper record.
-    /// Returns the satellite and whether any block involved was damaged.
+    /// Finish a lookup whose first round is decoded (`found`; `degraded`
+    /// if a block of it was damaged), paying one more (retried) read only
+    /// for a deeper record. Returns the satellite and whether any block
+    /// involved was damaged.
     pub(crate) fn finish_lookup(
         &self,
         disks: &mut DiskArray,
-        key: u64,
-        probe: &Probe,
-        blocks: &impl BlockView,
-        healths: &[BlockHealth],
+        found: FirstRound,
+        mut degraded: bool,
+        scratch: &mut Vec<Word>,
     ) -> (Option<Vec<Word>>, bool) {
-        let mut degraded = !healths.iter().all(|h| h.is_ok());
-        let mut scratch = Vec::new();
-        let satellite = match self.first_round(key, probe, blocks, &mut scratch) {
+        let satellite = match found {
             FirstRound::Absent => None,
             FirstRound::Here(satellite) => satellite,
-            FirstRound::Deeper(record) => {
-                let (fblocks, fh) = Self::read_retry(disks, &record.addrs);
+            FirstRound::Deeper(record) => Self::read_retry(disks, &record.addrs, |fblocks, fh| {
                 degraded |= !fh.iter().all(|h| h.is_ok());
-                self.decode_deeper(&record, &fblocks, &mut scratch)
-            }
+                self.decode_deeper(&record, fblocks, scratch)
+            }),
         };
         (satellite, degraded)
     }
@@ -744,8 +768,12 @@ impl DynamicDict {
         // Parallel probe: membership buckets + level-1 fields.
         let mut addrs = Vec::new();
         let probe = self.probe(key, &mut addrs);
-        let (blocks, healths) = Self::read_retry(disks, &addrs);
-        let (satellite, degraded) = self.finish_lookup(disks, key, &probe, &blocks, &healths);
+        let mut scratch = Vec::new();
+        let (found, damaged) = Self::read_retry(disks, &addrs, |blocks, healths| {
+            let damaged = !healths.iter().all(|h| h.is_ok());
+            (self.first_round(key, &probe, blocks, &mut scratch), damaged)
+        });
+        let (satellite, degraded) = self.finish_lookup(disks, found, damaged, &mut scratch);
         let cost = disks.end_op(scope);
         if degraded {
             LookupOutcome::degraded(satellite, cost)
@@ -793,13 +821,16 @@ impl DynamicDict {
 
         let mut results: Vec<Option<Vec<Word>>> = vec![None; keys.len()];
         let mut scratch = Vec::new();
+        // Keys whose probe read unhealthy, finished by the sequential path
+        // once the plan's reads (which may be views of `disks`) are dropped.
+        let mut damaged: Vec<usize> = Vec::new();
         // Stragglers living on level > 1 need a second probe.
         let mut stragglers: Vec<(usize, DeeperRecord)> = Vec::new();
         let mut addrs2: Vec<BlockAddr> = Vec::new();
         let mut ranges2 = Vec::new();
         for (i, (&key, (probe, range))) in keys.iter().zip(probes).enumerate() {
             if !reads.range_ok(range.clone()) {
-                results[i] = self.lookup(disks, key).satellite;
+                damaged.push(i);
                 continue;
             }
             match self.first_round(key, &probe, &reads.sub(range), &mut scratch) {
@@ -813,16 +844,24 @@ impl DynamicDict {
                 }
             }
         }
+        drop(reads);
+        for i in damaged.drain(..) {
+            results[i] = self.lookup(disks, keys[i]).satellite;
+        }
         // Phase 2: one plan over every straggler's own level.
         if !stragglers.is_empty() {
             let plan = BatchPlan::new(disks.disks(), &addrs2);
             let reads = plan.execute_read(disks);
             for ((i, record), range) in stragglers.into_iter().zip(ranges2) {
                 if !reads.range_ok(range.clone()) {
-                    results[i] = self.lookup(disks, keys[i]).satellite;
+                    damaged.push(i);
                     continue;
                 }
                 results[i] = self.decode_deeper(&record, &reads.sub(range), &mut scratch);
+            }
+            drop(reads);
+            for i in damaged {
+                results[i] = self.lookup(disks, keys[i]).satellite;
             }
         }
         (results, disks.end_op(scope))
@@ -1072,7 +1111,9 @@ impl DynamicDict {
     /// One level's first-fit step outside a batch: if `fields` (read as
     /// `fblocks`, one per stripe) have room, the chain of `satellite`
     /// patched into copies of the `m` blocks it lands in — the only field
-    /// blocks an insertion copies.
+    /// blocks an insertion copies — and, for a journal, what the patches
+    /// changed noted in `runs`.
+    #[allow(clippy::too_many_arguments)]
     fn fit_level(
         &self,
         level: usize,
@@ -1080,6 +1121,7 @@ impl DynamicDict {
         fblocks: &impl BlockView,
         fhealths: &[BlockHealth],
         satellite: &[Word],
+        mut runs: Option<&mut Runs>,
         scratch: &mut Vec<Word>,
     ) -> Option<Fit> {
         let stripes = self.free_stripes(level, fields, fblocks, fhealths, scratch)?;
@@ -1089,6 +1131,9 @@ impl DynamicDict {
         for (t, (&s, bits)) in stripes.iter().zip(encoded.chunks(self.enc.field_words())).enumerate() {
             images.push(fblocks.block(s));
             fa.patch((s, fields[s]), images.block_mut(t), bits);
+            if let Some(runs) = &mut runs {
+                runs.push_block(images.block(t), fblocks.block(s));
+            }
         }
         Some(Fit { stripes, images })
     }
@@ -1105,55 +1150,66 @@ impl DynamicDict {
     ) -> Result<OpCost, DictError> {
         self.check_insertable(satellite)?;
         let scope = disks.begin_op();
-        // First parallel I/O: membership probe + level-1 fields.
+        // With a journal enabled the multi-block group (field patches +
+        // membership record) becomes one intent entry — the words that
+        // differ from the blocks this operation read — crash-atomic under
+        // any crash point; without one it is a plain checked write.
+        let blocks = self.enc.fields_per_key + 1; // a patch is one run, seldom more
+        let mut runs = disks
+            .journal_enabled()
+            .then(|| Runs { runs: Vec::with_capacity(blocks), ends: Vec::with_capacity(blocks) });
+        // First parallel I/O: membership probe + level-1 fields. What the
+        // insertion keeps of it — the bucket it chose and, if level 1 has
+        // room, the `m` blocks the chain lands in — it copies out.
         let mut addrs = Vec::new();
         let probe = self.probe(key, &mut addrs);
-        let (blocks, healths) = Self::read_retry(disks, &addrs);
-        let (maddrs, faddrs0) = addrs.split_at(probe.msplit);
-        let (mhealths, fhealths0) = healths.split_at(probe.msplit);
-        // An unreadable membership bucket makes the duplicate check
-        // unsound: fail typed rather than risk a double insert.
-        if let Some(e) = Self::io_error(maddrs, mhealths) {
-            return Err(e);
-        }
-        let bucket = self
-            .membership
-            .choose_bucket(key, &blocks.sub(0..probe.msplit))?;
+        let mut scratch = Vec::new();
+        let (bucket, fit) = Self::read_retry(disks, &addrs, |blocks, healths| {
+            let (mhealths, fhealths0) = healths.split_at(probe.msplit);
+            // An unreadable membership bucket makes the duplicate check
+            // unsound: fail typed rather than risk a double insert.
+            if let Some(e) = Self::io_error(&addrs[..probe.msplit], mhealths) {
+                return Err(e);
+            }
+            let bucket = self.membership.choose_bucket(key, &blocks.sub(0..probe.msplit))?;
+            let fblocks0 = blocks.sub(probe.msplit..blocks.len());
+            let fit =
+                self.fit_level(0, &probe.fields0, &fblocks0, fhealths0, satellite, runs.as_mut(), &mut scratch);
+            Ok((bucket, fit))
+        })?;
 
         // First-fit level search. A level's `d` blocks sit one per stripe,
         // so the chain's field at stripe `s` patches block `s`.
-        let mut scratch = Vec::new();
-        let mblocks = blocks.sub(0..probe.msplit);
-        let fblocks0 = blocks.sub(probe.msplit..blocks.len());
-        let mut chosen = self
-            .fit_level(0, &probe.fields0, &fblocks0, fhealths0, satellite, &mut scratch)
-            .map(|fit| (0, fit));
-        // A deeper level's read, kept past the search: its blocks are the
-        // pre-images of what the fit patched.
-        let mut deeper: Option<(Vec<BlockAddr>, BlockBuf)> = None;
+        let mut chosen = fit.map(|fit| (0, fit));
+        // The field addresses of a deeper level, kept past the search.
+        let mut deeper: Option<Vec<BlockAddr>> = None;
         for level in 1..self.levels.len() {
             if chosen.is_some() {
                 break;
             }
             let fields = self.level_fields(level, key);
-            let addrs: Vec<BlockAddr> =
+            let laddrs: Vec<BlockAddr> =
                 self.levels[level].fields.probe_addrs(positions(&fields)).collect();
             // One more parallel I/O (plus a retry only under faults).
-            let (fblocks, fhealths) = Self::read_retry(disks, &addrs);
-            chosen = self
-                .fit_level(level, &fields, &fblocks, &fhealths, satellite, &mut scratch)
-                .map(|fit| (level, fit));
-            deeper = Some((addrs, fblocks));
+            let fit = Self::read_retry(disks, &laddrs, |fblocks, fhealths| {
+                self.fit_level(level, &fields, fblocks, fhealths, satellite, runs.as_mut(), &mut scratch)
+            });
+            chosen = fit.map(|fit| (level, fit));
+            deeper = Some(laddrs);
         }
         let Some((level, fit)) = chosen else {
             return Err(DictError::LevelsExhausted { key });
         };
-        let faddrs = deeper.as_ref().map_or(faddrs0, |(addrs, _)| addrs);
+        let faddrs = deeper.as_deref().unwrap_or(&addrs[probe.msplit..]);
 
         // Membership record in the same write batch (disjoint disks).
         let mpayload = [Self::pack_payload(fit.stripes[0], level)];
         self.membership.check_insertable(&mpayload)?;
+        let unfilled = runs.as_ref().map(|_| bucket.image().to_vec());
         let bucket = self.membership.fill(bucket, key, &mpayload)?;
+        if let (Some(runs), Some(unfilled)) = (&mut runs, &unfilled) {
+            runs.push_block(bucket.image(), unfilled);
+        }
         let refs: Vec<(BlockAddr, &[Word])> = fit
             .stripes
             .iter()
@@ -1161,19 +1217,9 @@ impl DynamicDict {
             .zip(fit.images.iter())
             .chain(bucket.writes())
             .collect();
-        // With a journal enabled the multi-block group (field patches +
-        // membership record) becomes one intent entry — the words that
-        // differ from the blocks this operation read — crash-atomic under
-        // any crash point; without one this is the plain checked write.
-        let mut bases: Vec<Delta<'_>> = Vec::new();
-        if disks.journal_enabled() {
-            bases.extend(fit.stripes.iter().map(|&s| {
-                Delta::Base(deeper.as_ref().map_or_else(|| fblocks0.block(s), |(_, read)| read.block(s)))
-            }));
-            bases.extend(bucket.bases(&mblocks).map(Delta::Base));
-        }
+        let deltas = runs.as_ref().map_or_else(Vec::new, Runs::deltas);
         let meta = [self.meta_tag(), META_INSERT, level as Word];
-        let whealths = disks.journaled_delta_batch_checked(&refs, &bases, &meta);
+        let whealths = disks.journaled_delta_batch_checked(&refs, &deltas, &meta);
         // Some block of the insert did not land (disk died or the write
         // tore): the key is not counted as stored; whatever fragment did
         // land decodes fail-closed (a chain missing a block, or a
@@ -1209,20 +1255,27 @@ impl DynamicDict {
     pub fn delete(&mut self, disks: &mut DiskArray, key: u64) -> Result<(bool, OpCost), DictError> {
         let scope = disks.begin_op();
         let addrs = self.membership.probe_addrs(key);
-        let (blocks, healths) = Self::read_retry(disks, &addrs);
-        let Some(patch) = self.membership.plan_delete(key, &blocks) else {
-            return match Self::io_error(&addrs, &healths) {
-                Some(e) => Err(e),
-                None => Ok((false, disks.end_op(scope))),
+        let journaled = disks.journal_enabled();
+        // For a journal, the words the tombstone changes in its bucket's
+        // one block, taken while the probe is in hand.
+        let mut runs = Vec::new();
+        let planned = Self::read_retry(disks, &addrs, |blocks, healths| {
+            let Some(patch) = self.membership.plan_delete(key, blocks) else {
+                return Self::io_error(&addrs, healths).map_or(Ok(None), Err);
             };
+            if journaled {
+                diff_runs(patch.image(), patch.bases(blocks).next().expect("one block"), |run| runs.push(run));
+            }
+            Ok(Some(patch))
+        })?;
+        let Some(patch) = planned else {
+            return Ok((false, disks.end_op(scope)));
         };
         let refs: Vec<(BlockAddr, &[Word])> = patch.writes().collect();
-        let mut bases: Vec<Delta<'_>> = Vec::new();
-        if disks.journal_enabled() {
-            bases.extend(patch.bases(&blocks).map(Delta::Base));
-        }
+        let words = [Delta::Words(&runs)];
+        let deltas = if journaled { &words[..] } else { &[] };
         let meta = Self::tombstone_meta(&[self], [(1, 0), (0, 0)]);
-        let whealths = disks.journaled_delta_batch_checked(&refs, &bases, &meta);
+        let whealths = disks.journaled_delta_batch_checked(&refs, deltas, &meta);
         if let Some(e) = Self::write_error(disks, &refs, &whealths) {
             return Err(e);
         }
@@ -1361,6 +1414,24 @@ impl DynamicDict {
     #[must_use]
     pub fn membership_buckets(&self) -> usize {
         self.membership.buckets()
+    }
+
+    /// How many of `old`'s membership buckets one planned batch of
+    /// [`Self::migrate_from`] may cover and hold at most `blocks` blocks in
+    /// memory. A bucket brings `old`'s mean load of keys; for each the
+    /// executor holds the `m + 1` blocks it stages where the backend is
+    /// memory, the `3d` blocks of its rounds (the record's fields in `old`,
+    /// the first-round probe here) where rounds are copied out. The answer
+    /// follows the medium, not the hazards of the moment (under a fault plan
+    /// a resident array's plan holds `3d / (m + 1)` times the bound), or a
+    /// crash point would move the very writes it is counted in.
+    pub(crate) fn migration_buckets(&self, disks: &DiskArray, old: &DynamicDict, blocks: usize) -> usize {
+        let per_key = if disks.backend_resident() {
+            self.enc.fields_per_key + 1
+        } else {
+            3 * self.params.degree
+        };
+        (blocks * old.membership_buckets() / (per_key * old.len().max(1))).max(1)
     }
 
     /// One migration step of global rebuilding, as **one planned batch**:
@@ -1829,8 +1900,9 @@ mod tests {
             disks0.enable_integrity();
             let victim = ks[7];
             let addrs = dict0.membership.probe_addrs(victim);
-            let (blocks, _) = DynamicDict::read_retry(&mut disks0, &addrs);
-            let patch = dict0.membership.plan_delete(victim, &blocks).unwrap();
+            let patch = DynamicDict::read_retry(&mut disks0, &addrs, |blocks, _| {
+                dict0.membership.plan_delete(victim, blocks).unwrap()
+            });
             let disk = patch.writes().next().unwrap().0.disk;
             // The tombstone is the disk's first write since the plan was
             // installed, or its second when the intent's ring slot happens
@@ -2062,8 +2134,9 @@ mod tests {
         disks.journal_checkpoint(&dict.checkpoint_section());
         let snapshot = dict.clone();
         let addrs = dict.membership.probe_addrs(9);
-        let (blocks, _) = DynamicDict::read_retry(&mut disks, &addrs);
-        let patch = dict.membership.plan_delete(9, &blocks).unwrap();
+        let patch = DynamicDict::read_retry(&mut disks, &addrs, |blocks, _| {
+            dict.membership.plan_delete(9, blocks).unwrap()
+        });
         let writes: Vec<(BlockAddr, &[Word])> = patch.writes().collect();
         disks.journaled_write_batch_checked(&writes, &[dict.meta_tag(), META_DELETE]);
         let mut rec = snapshot;

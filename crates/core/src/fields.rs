@@ -292,9 +292,9 @@ mod tests {
         let addrs: Vec<BlockAddr> = fa.probe_addrs(positions.iter().copied()).collect();
         let scope = disks.begin_op();
         let blocks = disks.read(&addrs, pdm::ReadOptions::default()).blocks;
-        assert_eq!(disks.end_op(scope).parallel_ios, 1);
         let mut fields = vec![7; 9];
         fa.extract(positions.iter().copied(), &blocks, &mut fields);
+        assert_eq!(disks.end_op(scope).parallel_ios, 1);
         assert_eq!(fields, [0; 4], "one zeroed word per 64-bit field");
     }
 

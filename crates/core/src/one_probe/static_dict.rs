@@ -517,7 +517,8 @@ impl<G: NeighborFn> OneProbeStatic<G> {
         for replica in 0..2 {
             let addrs: Vec<BlockAddr> = (0..mblocks).map(|j| manifest.addr(replica, j)).collect();
             let out = disks.read(&addrs, ReadOptions::verified());
-            let (imgs, healths) = (out.blocks, out.healths);
+            // Scrub patches what it read, and holds it across reads.
+            let (imgs, healths) = (out.blocks.into_buf(), out.healths);
             report.blocks_scanned += mblocks as u64;
             count_bad(&mut report, &healths);
             rep_imgs.push(imgs);
@@ -564,7 +565,7 @@ impl<G: NeighborFn> OneProbeStatic<G> {
         for row in 0..rows {
             let addrs: Vec<BlockAddr> = (0..d).map(|s| fields.addr_of_row(s, row)).collect();
             let out = disks.read(&addrs, ReadOptions::verified());
-            let (blocks, healths) = (out.blocks, out.healths);
+            let (blocks, healths) = (out.blocks.into_buf(), out.healths);
             report.blocks_scanned += d as u64;
             count_bad(&mut report, &healths);
             imgs.push(blocks);

@@ -41,8 +41,9 @@
 //! step (`DynamicDict::migrate_from`). Pacing stays per operation —
 //! `MIGRATE_BUCKETS_PER_OP` buckets for each update applied, so a window
 //! closes after the same operations however they are grouped — but a step
-//! is taken `MIGRATE_BUCKETS_PER_PLAN` buckets (what a plan may hold in
-//! memory) at a time: one read for the buckets, one plan over every scanned
+//! is taken as many buckets at a time as keep a plan within
+//! `MIGRATE_BLOCKS_PER_PLAN` blocks of memory
+//! (`DynamicDict::migration_buckets`): one read for the buckets, one plan over every scanned
 //! key's record in the old structure and first-round probe in the
 //! replacement (per-disk-maximum rounds, not a sum over keys), first-fit
 //! placement in scan order, one journal intent. An update's reply is its
@@ -88,12 +89,14 @@ use std::sync::Arc;
 /// fill the replacement.
 const MIGRATE_BUCKETS_PER_OP: usize = 2;
 
-/// Buckets one planned batch of a migration step covers: ≈ 15 keys × 60
-/// blocks ≈ 0.9 MiB at `B = 128`, what a window's own insert batch holds,
-/// with half the plan's fixed cost (scan, intent, superblock) already
-/// spread over two operations' worth. A bound on memory, not a setting:
-/// at 8 a shard worker's arena keeps 1 MiB more for good.
-const MIGRATE_BUCKETS_PER_PLAN: usize = 4;
+/// Blocks one planned batch of a migration step may hold in memory:
+/// ≈ 0.9 MiB at `B = 128`, what a window's own insert batch holds. A bound
+/// on memory, not a setting — what a shard worker's arena has once held it
+/// keeps for good. A plan holds what its executor holds per key: ≈ 15 keys'
+/// rounds of 60 blocks where reads are copied out (4 buckets at a load of
+/// 3.75), ≈ 60 keys' 15 staged blocks where the backend is memory (16
+/// buckets, for a quarter of the plans' scans, intents and superblocks).
+const MIGRATE_BLOCKS_PER_PLAN: usize = 900;
 
 /// A fully dynamic dictionary with no capacity bound and deletions,
 /// built from [`DynamicDict`] via incremental global rebuilding.
@@ -269,30 +272,32 @@ impl Dictionary {
         let new_probe = b.dict.probe(key, &mut all);
         let split = all.len();
         let old_probe = self.active.probe(key, &mut all);
-        let (blocks, healths) = DynamicDict::read_retry(&mut self.disks, &all);
+        let mut scratch = Vec::new();
+        // Both first rounds are decoded while the round is in hand (the old
+        // structure's unless the replacement answers outright).
+        let bad = |healths: &[pdm::BlockHealth]| !healths.iter().all(|h| h.is_ok());
+        let (new, old) = DynamicDict::read_retry(&mut self.disks, &all, |blocks, healths| {
+            let new = b.dict.first_round(key, &new_probe, &blocks.sub(0..split), &mut scratch);
+            let old = (!matches!(new, FirstRound::Here(Some(_)))).then(|| {
+                let found =
+                    self.active.first_round(key, &old_probe, &blocks.sub(split..all.len()), &mut scratch);
+                (found, bad(&healths[split..]))
+            });
+            ((new, bad(&healths[..split])), old)
+        });
         // Replacement first: it holds the newest version of every key it
         // holds at all.
-        let (satellite, tainted) = b.dict.finish_lookup(
-            &mut self.disks,
-            key,
-            &new_probe,
-            &blocks.sub(0..split),
-            &healths[..split],
-        );
-        let (satellite, degraded) = if satellite.is_some() {
-            (satellite, tainted)
-        } else {
-            // A degraded miss in the replacement cannot prove absence (a
-            // key inserted mid-rebuild lives only there), so the damage
-            // taints whatever the old structure reports.
-            let (satellite, degraded) = self.active.finish_lookup(
-                &mut self.disks,
-                key,
-                &old_probe,
-                &blocks.sub(split..all.len()),
-                &healths[split..],
-            );
-            (satellite, tainted || degraded)
+        let (satellite, tainted) = b.dict.finish_lookup(&mut self.disks, new.0, new.1, &mut scratch);
+        let (satellite, degraded) = match (satellite, old) {
+            (None, Some((found, damaged))) => {
+                // A degraded miss in the replacement cannot prove absence (a
+                // key inserted mid-rebuild lives only there), so the damage
+                // taints whatever the old structure reports.
+                let (satellite, degraded) =
+                    self.active.finish_lookup(&mut self.disks, found, damaged, &mut scratch);
+                (satellite, tainted || degraded)
+            }
+            (satellite, _) => (satellite, tainted),
         };
         let cost = self.disks.end_op(scope);
         if degraded {
@@ -331,17 +336,19 @@ impl Dictionary {
 
         let mut results: Vec<Option<Vec<Word>>> = vec![None; keys.len()];
         let mut scratch = Vec::new();
+        // Keys the sequential path finishes (it retries and taints) once
+        // the plan's reads, which may be views of the array, are dropped.
+        let mut sequential: Vec<usize> = Vec::new();
         // (key index, in the replacement?, record) of keys stored deeper.
         let mut stragglers = Vec::new();
         let mut addrs2: Vec<BlockAddr> = Vec::new();
         let mut ranges2 = Vec::new();
+        let b = self.building.as_ref().expect("rebuild in flight");
         for (i, (new_probe, old_probe, start, split, end)) in probes.into_iter().enumerate() {
             if !reads.range_ok(start..end) {
-                // Damaged probe: the sequential path retries and taints.
-                results[i] = self.lookup(keys[i]).satellite;
+                sequential.push(i); // damaged probe
                 continue;
             }
-            let b = self.building.as_ref().expect("rebuild in flight");
             let mut found =
                 b.dict
                     .first_round(keys[i], &new_probe, &reads.sub(start..split), &mut scratch);
@@ -363,23 +370,31 @@ impl Dictionary {
                 }
             }
         }
+        drop(reads);
+        for i in sequential.drain(..) {
+            results[i] = self.lookup(keys[i]).satellite;
+        }
         if !stragglers.is_empty() {
             let plan = BatchPlan::new(self.disks.disks(), &addrs2);
             let reads = plan.execute_read(&mut self.disks);
+            let b = self.building.as_ref().expect("rebuild in flight");
             for ((i, in_new, record), range) in stragglers.into_iter().zip(ranges2) {
-                let b = self.building.as_ref().expect("rebuild in flight");
                 let dict = if in_new { &b.dict } else { &self.active };
                 let decoded = reads
                     .range_ok(range.clone())
                     .then(|| dict.decode_deeper(&record, &reads.sub(range), &mut scratch));
-                results[i] = match decoded {
+                match decoded {
                     // A replacement record that fails to decode falls
                     // through to the old structure, and a damaged read
                     // retries: both are the sequential path's job.
-                    Some(None) if in_new => self.lookup(keys[i]).satellite,
-                    Some(satellite) => satellite,
-                    None => self.lookup(keys[i]).satellite,
-                };
+                    Some(None) if in_new => sequential.push(i),
+                    Some(satellite) => results[i] = satellite,
+                    None => sequential.push(i),
+                }
+            }
+            drop(reads);
+            for i in sequential {
+                results[i] = self.lookup(keys[i]).satellite;
             }
         }
         (results, self.disks.end_op(scope))
@@ -557,8 +572,8 @@ impl Dictionary {
 
     /// The migration step `ops` operations owe: copy the next
     /// `MIGRATE_BUCKETS_PER_OP × ops` buckets of the old structure into the
-    /// replacement, [`MIGRATE_BUCKETS_PER_PLAN`] to a planned batch, and
-    /// finish the rebuild when that was the last of them.
+    /// replacement, [`MIGRATE_BLOCKS_PER_PLAN`] blocks to a planned batch,
+    /// and finish the rebuild when that was the last of them.
     fn advance_rebuild(&mut self, ops: usize) -> Result<(), DictError> {
         let Some(mut b) = self.building.take_if(|_| ops > 0) else {
             return Ok(());
@@ -568,7 +583,8 @@ impl Dictionary {
         let end = (b.cursor + MIGRATE_BUCKETS_PER_OP * ops).min(total);
         let (mut copied, mut outcome) = (0, Ok(()));
         while b.cursor < end && outcome.is_ok() {
-            let upto = (b.cursor + MIGRATE_BUCKETS_PER_PLAN).min(end);
+            let plan = b.dict.migration_buckets(&self.disks, &self.active, MIGRATE_BLOCKS_PER_PLAN);
+            let upto = (b.cursor + plan).min(end);
             let (n, res) = b.dict.migrate_from(&mut self.disks, &self.active, b.cursor..upto);
             (copied, outcome) = (copied + n, res);
             if outcome.is_ok() {
@@ -1117,6 +1133,61 @@ mod tests {
         }
     }
 
+    /// A sub-plan is sized by the blocks its executor holds. On a resident
+    /// array those are the blocks the step stages (`pdm`'s executor tests),
+    /// all dirty going into its commit and at most `m + 1` a key — so the
+    /// bound buys `3d / (m + 1)` = four times the buckets it buys where every
+    /// round is copied out and held (here: under an empty fault plan, which
+    /// ends the views), for the same I/O, because the plan's size follows
+    /// the medium, not the hazard.
+    #[test]
+    fn a_migration_plan_is_sized_by_the_blocks_its_executor_holds() {
+        use pdm::metrics::{IoEvent, IoEventSink};
+        #[derive(Default)]
+        struct MostDirty(std::sync::atomic::AtomicU64);
+        impl IoEventSink for MostDirty {
+            fn on_io(&self, event: IoEvent<'_>) {
+                if let IoEvent::BatchCommitted { dirty_blocks } = event {
+                    self.0.fetch_max(dirty_blocks, std::sync::atomic::Ordering::Relaxed);
+                }
+            }
+        }
+        let mut dict = Dictionary::new(params(1024, 1), 64).unwrap();
+        let mut n = 0u64;
+        while !dict.is_rebuilding() {
+            dict.insert(n, &[n]).unwrap();
+            n += 1;
+        }
+        let b = dict.building.take().unwrap();
+        let (d, m) = (20, 14); // m = ⌈2d/3⌉
+        let plan = b.dict.migration_buckets(&dict.disks, &dict.active, MIGRATE_BLOCKS_PER_PLAN);
+        let load = dict.active.len() as f64 / dict.active.membership_buckets() as f64;
+        assert!(plan >= 8 && plan as f64 * load * (m + 1) as f64 <= MIGRATE_BLOCKS_PER_PLAN as f64, "{plan} at {load}");
+        // One plan: keys copied, cost, most blocks dirty at a commit.
+        let step = |copied: bool, buckets: usize| {
+            let (mut disks, mut new, dirty) = (dict.disks.clone(), b.dict.clone(), Arc::new(MostDirty::default()));
+            disks.set_io_sink(Some(dirty.clone()));
+            if copied {
+                disks.set_fault_plan(pdm::FaultPlan::new());
+            }
+            let scope = disks.begin_op();
+            let (keys, outcome) = new.migrate_from(&mut disks, &dict.active, b.cursor..b.cursor + buckets);
+            outcome.unwrap();
+            (keys, disks.end_op(scope), dirty.0.load(std::sync::atomic::Ordering::Relaxed) as usize)
+        };
+        let (keys, cost, held) = step(false, plan);
+        assert!(held <= keys * (m + 1), "{held} blocks held for {keys} keys");
+        assert!(held <= MIGRATE_BLOCKS_PER_PLAN * 5 / 4, "{held} blocks held: bucket loads vary, not by this much");
+        assert_eq!(step(true, plan), (keys, cost, held), "a hazard changed the plan");
+        // The plan a copying executor gets for the same bound — a quarter of
+        // the buckets and of the keys — holds every block it read after the
+        // scan's: no fewer.
+        let quarter = plan * (m + 1) / (3 * d);
+        let (quarter_keys, quarter_cost, _) = step(true, quarter);
+        let held_copied = quarter_cost.block_reads as usize - quarter;
+        assert!(held <= held_copied, "{held} blocks for {keys} keys against {held_copied} for {quarter_keys}");
+    }
+
     /// The window delete reads both structures' membership probes; while
     /// either stays unreadable, a key it does not show may still be there,
     /// so the delete fails typed instead of answering "absent" — and does
@@ -1185,8 +1256,9 @@ mod tests {
         for in_both in [false, true] {
             let victim = (0..n).find(|&k| holds(&dict0, k) == (in_both, true)).expect("no such key");
             let addrs = dict0.active.membership().probe_addrs(victim);
-            let (blocks, _) = DynamicDict::read_retry(&mut dict0.disks.clone(), &addrs);
-            let patch = dict0.active.membership().plan_delete(victim, &blocks).unwrap();
+            let patch = DynamicDict::read_retry(&mut dict0.disks.clone(), &addrs, |blocks, _| {
+                dict0.active.membership().plan_delete(victim, blocks).unwrap()
+            });
             let disk = patch.writes().next().unwrap().0.disk;
             // `healed`: one tear, on the intent's ring slot or on the
             // tombstone. Otherwise the retry's write tears too.

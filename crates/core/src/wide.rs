@@ -16,7 +16,7 @@ use crate::bucket::BucketCodec;
 use crate::layout::{DiskAllocator, Region};
 use crate::traits::{DictError, LookupOutcome};
 use expander::{FamilyExpander, FamilyKind, NeighborFamily, NeighborFn};
-use pdm::{BlockAddr, BlockBuf, DiskArray, OpCost, ReadOptions, Word, WriteOptions};
+use pdm::{BlockAddr, DiskArray, OpCost, ReadOptions, Round, Word, WriteOptions};
 
 /// Sizing parameters for a [`WideDict`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,7 +206,7 @@ impl WideDict {
     }
 
     /// One buffer per bucket: consecutive blocks of the round's buffer.
-    fn bucket_bufs(&self, blocks: &BlockBuf) -> Vec<Vec<Word>> {
+    fn bucket_bufs(&self, blocks: &Round<'_>) -> Vec<Vec<Word>> {
         let bucket: Vec<&[Word]> = blocks.iter().collect();
         bucket
             .chunks(self.blocks_per_bucket)

@@ -36,6 +36,20 @@
 //! completion order would make observable behavior depend on device
 //! timing — the one thing a deterministic reproduction cannot allow.
 //!
+//! ## Residency
+//!
+//! A block is copied only where the medium is not memory. A backend that
+//! keeps its blocks in memory says so through
+//! [`StorageBackend::resident`], and [`DiskArray`](crate::DiskArray) then
+//! completes a read as views of them (a [`Round`](crate::Round) that
+//! borrows the array until its next `&mut` use), with the same charge,
+//! counters and events — unless a fault plan is active or a requested
+//! block still awaits its checksum verification, when what is read may
+//! differ from what the medium holds and the read is copied and sanitized
+//! as above. `resident` has a default (`None`), so a decorator forwarding
+//! only the required methods hides its inner backend's residency and sees
+//! every read as a `submit`.
+//!
 //! ## Ordering and durability contract
 //!
 //! * Submissions on one backend are processed in submission order; within
@@ -237,6 +251,17 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// [`submit`](StorageBackend::submit) with no writes.
     fn submit_reads(&self, reads: &[BlockAddr]) -> CompletionSet;
 
+    /// The block at `addr` where it lies, if this backend keeps its blocks
+    /// in memory: [`crate::DiskArray`] then completes a read as views of
+    /// them and copies nothing. A property of the medium: `Some` for every
+    /// in-range address or for none. The default `None` makes a decorator
+    /// forwarding only the required methods hide its inner backend's
+    /// residency; its reads are copied through `submit` as before.
+    fn resident(&self, addr: BlockAddr) -> Option<&[Word]> {
+        let _ = addr;
+        None
+    }
+
     /// Read one block without charging I/O (test/debug hook).
     fn peek(&self, addr: BlockAddr) -> Vec<Word>;
 
@@ -360,6 +385,10 @@ impl StorageBackend for MemBackend {
             out.push(&self.disks[a.disk][a.block]);
         }
         CompletionSet { reads: out }
+    }
+
+    fn resident(&self, addr: BlockAddr) -> Option<&[Word]> {
+        Some(&self.disks[addr.disk][addr.block])
     }
 
     fn peek(&self, addr: BlockAddr) -> Vec<Word> {

@@ -14,14 +14,15 @@
 //!   maximum number of unique blocks on any one disk — exactly the
 //!   `ParallelDisk` model cost [`DiskArray`] charges for the batch, so
 //!   the greedy schedule is optimal for that model.
-//! * [`BatchReads`] — the result of executing a read plan: the round's one
-//!   flat buffer, viewed by original request (duplicates included).
+//! * [`BatchReads`] — the result of executing a read plan: the plan's
+//!   [`Round`], viewed by original request (duplicates included).
 //! * [`BatchExecutor`] — a read-cache + staged-write layer for batched
 //!   *updates*: reads are served from the cache at access time (so a key
 //!   later in the batch observes the staged writes of earlier keys, and
 //!   batched execution is byte-identical to sequential), and all dirty
 //!   blocks are flushed in one planned write batch on
-//!   [`commit`](BatchExecutor::commit).
+//!   [`commit`](BatchExecutor::commit). Where the array's reads complete
+//!   as views it holds only what it changes.
 //!
 //! The win is deduplication: `m` lookups that would sequentially touch
 //! `m · d'` blocks collapse to at most `min(m·d', blocks in the
@@ -29,8 +30,8 @@
 //! cost per lookup drops toward the paper's `⌈m·d'/D⌉ / m` as batches
 //! share buckets.
 
-use crate::blocks::{BlockBuf, BlockView};
-use crate::disk::{BlockAddr, DiskArray, ReadOptions};
+use crate::blocks::{BlockBuf, BlockView, Round};
+use crate::disk::{BlockAddr, DiskArray, IoOutcome, ReadOptions};
 use crate::integrity::BlockHealth;
 use crate::journal::{diff_runs, Delta};
 use crate::metrics::IoEvent;
@@ -114,10 +115,11 @@ impl BatchPlan {
         assert!(disks > 0, "need at least one disk");
         let mut index: AddrMap<usize> =
             AddrMap::with_capacity_and_hasher(requests.len(), BuildHasherDefault::default());
-        let mut unique = Vec::new();
+        // Sized for no duplicates: doubling allocates twice what is held.
+        let mut unique = Vec::with_capacity(requests.len());
         let mut slot = Vec::with_capacity(requests.len());
         let mut per_disk = vec![0usize; disks];
-        let mut round_of = Vec::new();
+        let mut round_of = Vec::with_capacity(requests.len());
         let mut round_sizes: Vec<usize> = Vec::new();
         for &a in requests {
             assert!(
@@ -201,18 +203,26 @@ impl BatchPlan {
         }
     }
 
+    /// One charged, verified read of the unique blocks, the rounds recorded
+    /// between its accounting and its completion (which may borrow `disks`).
+    fn read_unique<'d>(&self, disks: &'d mut DiskArray) -> IoOutcome<'d> {
+        let cost = disks.charge_read(&self.unique);
+        self.record_rounds(disks);
+        disks.complete_read(&self.unique, ReadOptions::verified(), cost)
+    }
+
     /// Execute the plan as one charged, verified read batch over the
     /// unique blocks, recording the scheduled rounds. Failed blocks are
     /// sanitized to zeros, as in a verified [`DiskArray::read`], and their
     /// [`BlockHealth`] is kept in the returned [`BatchReads`] (see
-    /// [`BatchReads::health`]).
+    /// [`BatchReads::health`]), which like the read's [`Round`] may borrow
+    /// the array: retry a request that read unhealthy once it is dropped.
     ///
     /// In the `ParallelDisk` model the charge equals
     /// [`num_rounds`](BatchPlan::num_rounds); in the `ParallelDiskHead`
     /// model the charge may be lower (heads pack same-disk blocks).
-    pub fn execute_read(&self, disks: &mut DiskArray) -> BatchReads<'_> {
-        let out = disks.read(&self.unique, ReadOptions::verified());
-        self.record_rounds(disks);
+    pub fn execute_read<'p>(&'p self, disks: &'p mut DiskArray) -> BatchReads<'p> {
+        let out = self.read_unique(disks);
         BatchReads {
             blocks: out.blocks,
             healths: out.healths,
@@ -228,7 +238,7 @@ impl BatchPlan {
     /// to [`DiskArray::charge_cost`] and the round count to
     /// [`DiskArray::record_rounds`].
     #[must_use]
-    pub fn execute_read_shared(&self, disks: &DiskArray) -> (BatchReads<'_>, OpCost) {
+    pub fn execute_read_shared<'p>(&'p self, disks: &'p DiskArray) -> (BatchReads<'p>, OpCost) {
         let out = disks.read_shared(&self.unique, ReadOptions::verified());
         (
             BatchReads {
@@ -244,11 +254,11 @@ impl BatchPlan {
 /// Blocks produced by executing a read [`BatchPlan`]: a [`BlockView`] by
 /// original request index (duplicates resolve to the same block image;
 /// [`BlockView::sub`] gives one operation's contiguous probes). Borrows
-/// the plan's request-to-block mapping.
+/// the plan's request-to-block mapping, and the array where the round does.
 #[derive(Debug, Clone)]
 pub struct BatchReads<'p> {
     /// Unique blocks, aligned with `BatchPlan::unique_blocks`.
-    blocks: BlockBuf,
+    blocks: Round<'p>,
     /// Health per unique block, aligned with `blocks`.
     healths: Vec<BlockHealth>,
     slot: &'p [usize],
@@ -285,13 +295,13 @@ impl BatchReads<'_> {
     }
 }
 
-/// Where the executor holds an address's current image.
+/// What the executor knows of an address it has read or staged.
 #[derive(Debug, Clone, Copy)]
 struct Held {
-    /// Index into `BatchExecutor::bufs`.
-    buf: usize,
-    /// Block position inside that buffer.
-    slot: usize,
+    /// The executor's own copy of the image, as `(index into
+    /// BatchExecutor::bufs, block position in it)`; `None` while the image
+    /// is the block in the backend, read there as a view.
+    copy: Option<(usize, usize)>,
     /// Staged for writing and not yet landed.
     dirty: bool,
     /// The image is what the medium holds apart from the words staged
@@ -302,8 +312,8 @@ struct Held {
 }
 
 impl Held {
-    fn clean(buf: usize, slot: usize, sound: bool) -> Self {
-        Held { buf, slot, dirty: false, sound }
+    fn clean(copy: Option<(usize, usize)>, sound: bool) -> Self {
+        Held { copy, dirty: false, sound }
     }
 }
 
@@ -319,13 +329,15 @@ impl Held {
 /// planned write batch. Dropping the executor without committing
 /// discards staged writes.
 ///
-/// Every read round's buffer is kept whole, with an address → position
-/// index, and a staged write modifies the block where it lies: staging
-/// copies nothing and holds no second image. When the array has a
-/// journal, whose intents are the words a commit changed, the executor
-/// also notes which words of a block each staging touched, and hands
-/// those ranges to [`DiskArray::journaled_delta_batch_checked`] with the
-/// commit.
+/// Where the array's reads complete as views ([`Round::Resident`]) the
+/// executor holds what it changes: a read charges its round and records the
+/// addresses, a clean block is resolved in the backend, the first staging
+/// of a block copies it out, a commit that landed gives the copy back.
+/// Anywhere else a read round's buffer is kept whole and a staged write
+/// modifies the block where it lies in it. When the array has a journal,
+/// whose intents are the words a commit changed, the executor also notes
+/// which words of a block each staging touched, and hands those ranges to
+/// [`DiskArray::journaled_delta_batch_checked`] with the commit.
 ///
 /// ```
 /// use pdm::{BatchExecutor, BlockAddr, DiskArray, PdmConfig};
@@ -342,11 +354,13 @@ impl Held {
 #[derive(Debug)]
 pub struct BatchExecutor<'a> {
     disks: &'a mut DiskArray,
-    /// `bufs[0]` collects the blocks that arrive one at a time (a
-    /// [`get`](BatchExecutor::get) miss, a write staged over a block never
-    /// read); each later entry is the buffer of one read round.
+    /// `bufs[0]` collects the blocks that arrive one at a time (a view
+    /// copied out for staging, a write staged over a block never read);
+    /// each later entry is the buffer of one copied read round.
     bufs: Vec<BlockBuf>,
-    /// The current image of every address read or staged so far.
+    /// Positions of `bufs[0]` whose copy a landed commit gave back.
+    free: Vec<usize>,
+    /// Every address read or staged so far.
     held: AddrMap<Held>,
     /// Dirty addresses in first-staged order (each appears once).
     dirty: Vec<BlockAddr>,
@@ -356,6 +370,14 @@ pub struct BatchExecutor<'a> {
     touched: Vec<(BlockAddr, usize, usize)>,
 }
 
+/// The image `at` describes: the executor's copy, or the block in the backend.
+fn image_of<'x>(bufs: &'x [BlockBuf], disks: &'x DiskArray, addr: BlockAddr, at: Held) -> &'x [Word] {
+    match at.copy {
+        Some((buf, slot)) => bufs[buf].block(slot),
+        None => disks.resident(addr).expect("`settle` copies a view out once its array gives none"),
+    }
+}
+
 impl<'a> BatchExecutor<'a> {
     /// Start a batch over `disks`.
     pub fn new(disks: &'a mut DiskArray) -> Self {
@@ -363,6 +385,7 @@ impl<'a> BatchExecutor<'a> {
         BatchExecutor {
             disks,
             bufs: vec![singles],
+            free: Vec::new(),
             held: AddrMap::default(),
             dirty: Vec::new(),
             touched: Vec::new(),
@@ -377,28 +400,76 @@ impl<'a> BatchExecutor<'a> {
 
     /// The underlying array, for journal bookkeeping between two commits
     /// of one executor. Blocks written through it behind the executor's
-    /// back are not reflected in its cache.
+    /// back are not reflected in its cache; hazards installed through it end
+    /// the array's views, and a block recorded as one is copied out, as the
+    /// medium holds it then, when next asked for.
     pub fn disks_mut(&mut self) -> &mut DiskArray {
         self.disks
     }
 
-    /// Read `addrs` (distinct unique blocks of `plan`) as one verified
-    /// batch and hold the round's buffer; clean addresses now resolve to
-    /// it. Returns the healths, aligned with `plan.unique_blocks()`.
+    /// Blocks the executor holds copies of now: what a plan costs in memory.
+    #[must_use]
+    pub fn held_blocks(&self) -> usize {
+        self.bufs.iter().map(BlockView::len).sum::<usize>() - self.free.len()
+    }
+
+    /// Read the unique blocks of `plan` as one verified batch; clean
+    /// addresses now resolve to the round — its buffer, held whole, or the
+    /// backend where it came as views. Returns the healths, aligned with
+    /// `plan.unique_blocks()`.
     fn read_round(&mut self, plan: &BatchPlan) -> Vec<BlockHealth> {
-        let out = self.disks.read(plan.unique_blocks(), ReadOptions::verified());
-        plan.record_rounds(self.disks);
-        let buf = self.bufs.len();
+        let out = plan.read_unique(self.disks);
+        let copied = out.blocks.copied();
+        let buf = copied.as_ref().map(|_| self.bufs.len());
         for (slot, (&a, h)) in plan.unique_blocks().iter().zip(&out.healths).enumerate() {
-            self.held.insert(a, Held::clean(buf, slot, h.is_ok()));
+            self.held.insert(a, Held::clean(buf.map(|buf| (buf, slot)), h.is_ok()));
         }
-        self.bufs.push(out.blocks);
+        self.bufs.extend(copied);
         out.healths
     }
 
     fn image(&self, addr: BlockAddr) -> &[Word] {
-        let at = self.held[&addr];
-        self.bufs[at.buf].block(at.slot)
+        image_of(&self.bufs, self.disks, addr, self.held[&addr])
+    }
+
+    /// Make `addr`'s image the executor's own: the block copied out of the
+    /// backend (once the array gives no views, as the medium holds it).
+    fn copy_out(&mut self, addr: BlockAddr) {
+        let Some(block) = self.disks.resident(addr) else {
+            let block = self.disks.peek(addr);
+            return self.hold_single(addr, &block, true);
+        };
+        let slot = Self::put(&mut self.bufs[0], &mut self.free, block);
+        self.held.insert(addr, Held::clean(Some((0, slot)), true));
+    }
+
+    /// Copy out whichever of `addrs` are recorded as views of blocks the
+    /// array no longer gives views of ([`disks_mut`](BatchExecutor::disks_mut)).
+    fn settle(&mut self, addrs: &[BlockAddr]) {
+        // With no hazard at all a resident array gives views of every block.
+        let d = &*self.disks;
+        if d.backend_resident() && d.fault_plan().is_none() && !d.integrity_enabled() {
+            return;
+        }
+        for &a in addrs {
+            if self.held.get(&a).is_some_and(|at| at.copy.is_none()) && self.disks.resident(a).is_none() {
+                self.copy_out(a);
+            }
+        }
+    }
+
+    /// Store `block` in `singles`, in a position given back if there is one.
+    fn put(singles: &mut BlockBuf, free: &mut Vec<usize>, block: &[Word]) -> usize {
+        match free.pop() {
+            Some(slot) => {
+                singles.block_mut(slot).copy_from_slice(block);
+                slot
+            }
+            None => {
+                singles.push(block);
+                singles.len() - 1
+            }
+        }
     }
 
     /// Read every not-yet-cached address in `addrs` as one planned batch,
@@ -430,13 +501,17 @@ impl<'a> BatchExecutor<'a> {
     pub fn get(&mut self, addr: BlockAddr) -> &[Word] {
         if self.held.contains_key(&addr) {
             self.disks.emit_io_event(IoEvent::CacheHit { blocks: 1 });
+            self.settle(&[addr]);
         } else {
             self.disks.emit_io_event(IoEvent::CacheMiss { blocks: 1 });
             // Sampled before the read, which moves the fault clocks.
             let sound = self.disks.block_health(addr).is_ok();
-            let block = self.disks.read_block(addr);
+            let copied = self.disks.read(&[addr], ReadOptions::default()).blocks.copied();
             self.disks.record_rounds(1);
-            self.hold_single(addr, &block, sound);
+            match copied {
+                Some(buf) => self.hold_single(addr, buf.block(0), sound),
+                None => drop(self.held.insert(addr, Held::clean(None, sound))),
+            }
         }
         self.image(addr)
     }
@@ -454,6 +529,7 @@ impl<'a> BatchExecutor<'a> {
         } else {
             self.prefetch(addrs);
         }
+        self.settle(addrs);
         StagedBlocks { ex: self, addrs }
     }
 
@@ -507,11 +583,10 @@ impl<'a> BatchExecutor<'a> {
             .collect()
     }
 
-    /// Hold `block` as `addr`'s image, outside any round buffer.
+    /// Hold a copy of `block` as `addr`'s image, outside any round buffer.
     fn hold_single(&mut self, addr: BlockAddr, block: &[Word], sound: bool) {
-        let slot = self.bufs[0].len();
-        self.bufs[0].push(block);
-        self.held.insert(addr, Held::clean(0, slot, sound));
+        let slot = Self::put(&mut self.bufs[0], &mut self.free, block);
+        self.held.insert(addr, Held::clean(Some((0, slot)), sound));
     }
 
     /// Stage `addr` for writing and return its image to modify in place
@@ -535,6 +610,10 @@ impl<'a> BatchExecutor<'a> {
         if !self.held.contains_key(&addr) {
             self.get(addr);
         }
+        if self.held[&addr].copy.is_none() {
+            // The first staging of a block read as a view copies it.
+            self.copy_out(addr);
+        }
         let at = self.held.get_mut(&addr).expect("just read");
         if !at.dirty {
             at.dirty = true;
@@ -543,7 +622,8 @@ impl<'a> BatchExecutor<'a> {
         if at.sound && !words.is_empty() && self.disks.journal_enabled() {
             self.touched.push((addr, words.start, words.end));
         }
-        &mut self.bufs[at.buf].block_mut(at.slot)[words]
+        let (buf, slot) = at.copy.expect("a staged block is a copy");
+        &mut self.bufs[buf].block_mut(slot)[words]
     }
 
     /// Stage a full-block write of `data`, whatever `addr` held before
@@ -559,20 +639,21 @@ impl<'a> BatchExecutor<'a> {
             self.disks.block_words(),
             "batch staging requires full-block images"
         );
-        let Some(at) = self.held.get(&addr) else {
+        let Some(&at) = self.held.get(&addr) else {
             // Never read: a journal has nothing to take a delta from.
             self.hold_single(addr, data, false);
             self.stage_mut(addr);
             return;
         };
         if at.sound && self.disks.journal_enabled() {
-            // Over an image the batch holds, the words that differ.
-            let (held, touched) = (self.bufs[at.buf].block(at.slot), &mut self.touched);
+            // Over an image the batch knows, the words that differ.
+            self.settle(&[addr]);
+            let (held, touched) = (image_of(&self.bufs, self.disks, addr, self.held[&addr]), &mut self.touched);
             diff_runs(data, held, |run| touched.push((addr, run.start, run.end)));
             // Dirty even when nothing differs, as without a journal.
             self.stage_words(addr, 0..0);
-            let at = self.held[&addr];
-            self.bufs[at.buf].block_mut(at.slot).copy_from_slice(data);
+            let (buf, slot) = self.held[&addr].copy.expect("a staged block is a copy");
+            self.bufs[buf].block_mut(slot).copy_from_slice(data);
         } else {
             self.stage_mut(addr).copy_from_slice(data);
         }
@@ -632,7 +713,10 @@ impl<'a> BatchExecutor<'a> {
             self.dirty.sort_unstable();
             let plan = BatchPlan::new(self.disks.disks(), &self.dirty);
             let (bufs, held) = (&self.bufs, &self.held);
-            let image = |a: &BlockAddr| bufs[held[a].buf].block(held[a].slot);
+            let image = |a: &BlockAddr| {
+                let (buf, slot) = held[a].copy.expect("a staged block is a copy");
+                bufs[buf].block(slot)
+            };
             let writes: Vec<(BlockAddr, &[Word])> =
                 plan.unique_blocks().iter().map(|a| (*a, image(a))).collect();
             // What a journal logs of each block: the ranges staged in it,
@@ -662,6 +746,11 @@ impl<'a> BatchExecutor<'a> {
                 (at.sound, at.dirty) = (h.is_ok(), !h.is_ok());
                 if h.is_ok() {
                     landed.push(a);
+                    // The backend holds the image now: give the copy back.
+                    if let (Some((0, slot)), Some(_)) = (at.copy, self.disks.resident(a)) {
+                        self.free.push(slot);
+                        at.copy = None;
+                    }
                 } else {
                     failed.push((a, *h));
                 }
@@ -777,12 +866,12 @@ mod tests {
         assert_eq!(plan.num_rounds(), 1);
         let before = disks.stats();
         let reads = plan.execute_read(&mut disks);
-        let cost = disks.stats().since(&before);
-        assert_eq!(cost.parallel_ios, 1, "four requests, one block, one round");
-        assert_eq!(cost.block_reads, 1);
         for i in 0..4 {
             assert_eq!(reads.block(i), &[9; 4]);
         }
+        let cost = disks.stats().since(&before);
+        assert_eq!(cost.parallel_ios, 1, "four requests, one block, one round");
+        assert_eq!(cost.block_reads, 1);
     }
 
     #[test]
@@ -856,12 +945,13 @@ mod tests {
         let addrs = [BlockAddr::new(3, 2), BlockAddr::new(0, 0), BlockAddr::new(3, 2)];
         let plan = BatchPlan::new(4, &addrs);
         let (shared, cost) = plan.execute_read_shared(&disks);
+        let shared: Vec<Vec<Word>> = (0..addrs.len()).map(|i| shared.block(i).to_vec()).collect();
         let before = disks.stats();
         let charged = plan.execute_read(&mut disks);
-        assert_eq!(disks.stats().since(&before), cost);
-        for i in 0..addrs.len() {
-            assert_eq!(shared.block(i), charged.block(i));
+        for (i, block) in shared.iter().enumerate() {
+            assert_eq!(block, charged.block(i));
         }
+        assert_eq!(disks.stats().since(&before), cost);
         disks.charge_cost(cost);
         disks.record_rounds(plan.num_rounds() as u64);
         assert_eq!(disks.stats().rounds, 2 * plan.num_rounds() as u64);
@@ -1234,6 +1324,77 @@ mod tests {
         let mut ex = BatchExecutor::new(&mut disks);
         ex.stage_mut(targets[0])[3] = 7;
         assert_eq!(ex.commit_checked().cost.block_writes, 2 + 1, "2 + 1 + 16 delta words");
+    }
+
+    /// On a resident array the executor holds what it stages and nothing
+    /// else — and reads, staged images, a commit's journal deltas, counters
+    /// and the final image are what an executor holding whole copied rounds
+    /// (the same array under an empty fault plan) produces.
+    #[test]
+    fn a_resident_executor_holds_what_it_stages_and_commits_the_same() {
+        use crate::fault::FaultPlan;
+        use crate::journal::JournalRegion;
+
+        let addrs: Vec<BlockAddr> = (0..4).flat_map(|d| (0..3).map(move |b| BlockAddr::new(d, b))).collect();
+        let run = |copied: bool| {
+            let mut disks = DiskArray::new(PdmConfig::new(4, 16), 8);
+            for (i, &a) in addrs.iter().enumerate() {
+                disks.write_block(a, &[i as Word + 1; 16]);
+            }
+            disks.enable_journal(JournalRegion { first_block: 4, rows: 3 });
+            if copied {
+                disks.set_fault_plan(FaultPlan::new());
+            }
+            let mut ex = BatchExecutor::new(&mut disks);
+            ex.prefetch(&addrs);
+            assert_eq!(ex.held_blocks(), if copied { 12 } else { 0 }, "a clean block stays in the backend");
+            ex.stage_words(addrs[1], 3..5).copy_from_slice(&[70, 71]);
+            let mut whole = ex.get(addrs[7]).to_vec();
+            whole[9] = 72;
+            ex.stage_write(addrs[7], &whole);
+            assert_eq!(ex.held_blocks(), if copied { 12 } else { 2 }, "the first staging copies the block");
+            assert_eq!(ex.get(addrs[1])[3..5], [70, 71], "reads observe staged writes");
+            assert_eq!(ex.get_many(&addrs).block(7)[9], 72);
+            assert_eq!(ex.disks().peek(addrs[1])[3], 2, "the medium changes at commit");
+            let first = ex.commit_checked_with_meta(&[5]);
+            assert!(first.is_clean());
+            assert_eq!(ex.held_blocks(), if copied { 12 } else { 0 }, "a landed commit gives the copy back");
+            assert_eq!(ex.get(addrs[1])[3..5], [70, 71], "and the block reads from the backend again");
+            // A second commit over a block the first wrote, and a fresh one.
+            ex.stage_words(addrs[1], 4..5)[0] = 73;
+            ex.stage_words(addrs[2], 0..1)[0] = 74;
+            let second = ex.commit_checked();
+            let costs = (first.cost, second.cost);
+            (costs, disks.stats(), disks.snapshot())
+        };
+        assert_eq!(run(false), run(true));
+    }
+
+    /// A fault plan installed through `disks_mut` ends the array's views: a
+    /// block recorded as one is copied out when next asked for, and later
+    /// reads are held copies.
+    #[test]
+    fn hazards_installed_mid_executor_turn_views_into_held_copies() {
+        use crate::fault::FaultPlan;
+
+        let mut disks = array(4, 4);
+        let (a, b, c) = (BlockAddr::new(0, 0), BlockAddr::new(1, 1), BlockAddr::new(2, 2));
+        disks.write_block(a, &[1; 4]);
+        disks.write_block(c, &[3; 4]);
+        let mut ex = BatchExecutor::new(&mut disks);
+        ex.prefetch(&[a, b]);
+        assert_eq!(ex.held_blocks(), 0);
+        ex.disks_mut().set_fault_plan(FaultPlan::new().transient_read(2, 0, 1));
+        let before = ex.disks().stats();
+        assert_eq!(ex.get(a), [1; 4], "a recorded view is copied out, uncharged");
+        assert_eq!((ex.held_blocks(), ex.disks().stats()), (1, before));
+        let got = [a, b, c];
+        let (blocks, healths) = ex.get_many_verified(&got);
+        assert_eq!((blocks.block(1), blocks.block(2)), (&[0; 4][..], &[0; 4][..]), "c is inside the window");
+        assert_eq!(healths, [BlockHealth::Ok, BlockHealth::Ok, BlockHealth::TransientError]);
+        assert_eq!(ex.held_blocks(), 3, "the later read is a held copy");
+        assert_eq!(ex.refresh(&[c]), [BlockHealth::Ok]);
+        assert_eq!(ex.get(c), [3; 4]);
     }
 
     #[test]

@@ -1,16 +1,22 @@
-//! The blocks of one round: a flat buffer and borrowed views of it.
+//! The blocks of one round, and borrowed views of them.
 //!
-//! A read returns `len × B` words back to back ([`BlockBuf`]), request
-//! order; every decoder above works on `&[Word]` views of single blocks
-//! handed out through [`BlockView`], so a block is copied once — from the
-//! medium into the round's buffer, the model's "block moved to internal
-//! memory" — and never again on its way to a decoder.
+//! A read completes as a [`Round`]: the requested blocks in request order.
+//! Every decoder above works on `&[Word]` views of single blocks handed out
+//! through [`BlockView`], so a block is copied only where the medium is not
+//! memory. On a backend that keeps its blocks in memory
+//! ([`crate::StorageBackend::resident`]) the round *is* the blocks where
+//! they lie, borrowed until the next `&mut` use of the array; anywhere
+//! else — a file, a decorator that hides residency, an array whose fault
+//! plan or checksums may change what a read returns — it is one flat
+//! [`BlockBuf`], `len × B` words back to back, copied from the medium once
+//! and sanitized in place. A writer copies out the blocks it patches and
+//! nothing more.
 
 use crate::Word;
 use std::ops::Range;
 
-/// Read access to a sequence of block images by position: the round buffer
-/// itself, the batch engine's results ([`crate::BatchReads`],
+/// Read access to a sequence of block images by position: a [`Round`] or
+/// its buffer, the batch engine's results ([`crate::BatchReads`],
 /// [`crate::batch::StagedBlocks`]), or a [`SubView`] of any of them.
 pub trait BlockView {
     /// Number of blocks.
@@ -59,19 +65,87 @@ impl<V: BlockView + ?Sized> BlockView for SubView<'_, V> {
     }
 }
 
+/// The completion of one read ([`crate::IoOutcome::blocks`]): the requested
+/// blocks in request order (see the [module docs](self)). Which variant is
+/// the array's business; a decoder reads either through [`BlockView`].
+#[derive(Debug, Clone)]
+pub enum Round<'a> {
+    /// The blocks where they lie in a resident backend: nothing was copied,
+    /// and the array stays borrowed while the round lives.
+    Resident(Vec<&'a [Word]>),
+    /// The blocks copied out of the medium (failed ones zeroed).
+    Copied(BlockBuf),
+}
+
+impl Round<'_> {
+    /// The blocks in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[Word]> {
+        (0..self.len()).map(|i| self.block(i))
+    }
+
+    /// The round's own buffer, if it was copied.
+    #[must_use]
+    pub fn copied(self) -> Option<BlockBuf> {
+        match self {
+            Round::Copied(buf) => Some(buf),
+            Round::Resident(_) => None,
+        }
+    }
+
+    /// The round as a buffer of its own, for a caller that patches the
+    /// blocks or keeps them past the next use of the array: a copy of the
+    /// resident blocks, or the buffer they were already copied into.
+    #[must_use]
+    pub fn into_buf(self) -> BlockBuf {
+        let Round::Resident(blocks) = self else {
+            return self.copied().expect("not resident");
+        };
+        let mut buf = BlockBuf::with_capacity(blocks.first().map_or(0, |b| b.len()), blocks.len());
+        blocks.iter().for_each(|b| buf.push(b));
+        buf
+    }
+}
+
+impl BlockView for Round<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Round::Resident(blocks) => blocks.len(),
+            Round::Copied(buf) => buf.len(),
+        }
+    }
+
+    fn block(&self, i: usize) -> &[Word] {
+        match self {
+            Round::Resident(blocks) => blocks[i],
+            Round::Copied(buf) => buf.block(i),
+        }
+    }
+}
+
+impl std::ops::Index<usize> for Round<'_> {
+    type Output = [Word];
+
+    fn index(&self, i: usize) -> &[Word] {
+        self.block(i)
+    }
+}
+
 /// Words per piece of a large [`BlockBuf`] (64 KiB).
 const PIECE_WORDS: usize = 8192;
 
-/// The block images of one round, back to back, in request order: the
-/// completion type of the storage seam ([`crate::CompletionSet::reads`],
-/// [`crate::IoOutcome::blocks`]). Views are valid until it is dropped;
-/// `Default` is the empty buffer and allocates nothing.
+/// Block images back to back, in request order: the completion type of
+/// the storage seam ([`crate::CompletionSet::reads`]) and what a copied
+/// [`Round`] holds. Views are valid until it is dropped; `Default` is the
+/// empty buffer and allocates nothing.
 ///
 /// A round of up to 64 KiB — every single-key operation — is one
-/// allocation. A larger one (a planned batch reads thousands of blocks) is
-/// held in 64 KiB pieces: one region of megabytes is served by `mmap`, and
-/// freeing it makes the allocator keep that much memory for the rest of
-/// the process's life, a noticeable share of a small array's footprint.
+/// allocation. A larger one (a planned batch on a file, a preload's 256
+/// keys) is held in 64 KiB pieces: one region of megabytes is served by
+/// `mmap`, and freeing it makes the allocator keep that much memory for
+/// the rest of the process's life, a fifth of a file-backed shard's
+/// footprint (`tcp_file_mixed`: 23.1 – 24.6 MiB with one `Vec` a round
+/// against 19.4, EXPERIMENTS.md § PERF, PR 19). Resident rounds are not
+/// copied and never come here.
 #[derive(Debug, Clone, Default)]
 pub struct BlockBuf {
     /// The first piece.

@@ -5,10 +5,13 @@
 //! checksums, sanitization, and the journal hook. Physical bytes live in
 //! a [`StorageBackend`] — [`MemBackend`] by default (bit-compatible with
 //! the original in-memory simulator), or a file-per-disk backend with
-//! real overlapped I/O (`pdm::file_backend`).
+//! real overlapped I/O (`pdm::file_backend`). A read is charged the same
+//! either way; what it hands back ([`Round`]) is the blocks where they lie
+//! in a resident backend, or a sanitized copy anywhere else and whenever a
+//! hazard could make the two differ.
 
 use crate::backend::{BackendError, FlushTicket, IoSubmission, MemBackend, StorageBackend};
-use crate::blocks::BlockBuf;
+use crate::blocks::{BlockBuf, Round};
 use crate::config::PdmConfig;
 use crate::fault::{Fault, FaultPlan, FaultState};
 use crate::integrity::{BlockCodec, BlockHealth, MixCodec, ScrubReport};
@@ -93,12 +96,14 @@ impl WriteOptions {
 }
 
 /// The result of one [`DiskArray::read`] / [`DiskArray::write`] /
-/// [`DiskArray::read_shared`] batch.
-#[derive(Debug, Clone, Default)]
-pub struct IoOutcome {
+/// [`DiskArray::read_shared`] batch. A read's outcome may borrow the array
+/// (see [`Round`]): decode from it, then let it go before the array's next
+/// `&mut` use.
+#[derive(Debug, Clone)]
+pub struct IoOutcome<'a> {
     /// For reads: one block image per requested address, request order,
     /// failed blocks sanitized to zeros. Empty for writes.
-    pub blocks: BlockBuf,
+    pub blocks: Round<'a>,
     /// Per-block health, request order. Populated only when the options
     /// asked for verification (`verify: true`); empty means "not
     /// requested", which callers may treat as all-`Ok` only if they
@@ -111,18 +116,21 @@ pub struct IoOutcome {
     pub cost: OpCost,
 }
 
-impl IoOutcome {
+impl IoOutcome<'_> {
     /// Whether every reported health is `Ok` (vacuously true when
     /// verification was not requested).
     #[must_use]
     pub fn all_ok(&self) -> bool {
         self.healths.iter().all(|h| h.is_ok())
     }
+}
 
-    /// Consume the outcome, keeping only the block images.
-    #[must_use]
-    pub fn into_blocks(self) -> BlockBuf {
-        self.blocks
+/// The healths of a read no hazard could fail, if `opts` asks for them.
+fn all_ok(addrs: &[BlockAddr], opts: ReadOptions) -> Vec<BlockHealth> {
+    if opts.verify {
+        vec![BlockHealth::Ok; addrs.len()]
+    } else {
+        Vec::new()
     }
 }
 
@@ -297,6 +305,15 @@ impl DiskArray {
     #[must_use]
     pub fn backend_kind(&self) -> &'static str {
         self.backend.kind()
+    }
+
+    /// Whether the backend keeps its blocks in memory
+    /// ([`StorageBackend::resident`]), so that reads complete as views
+    /// while no hazard is active. A property of the medium, not of them.
+    #[must_use]
+    pub fn backend_resident(&self) -> bool {
+        let first = (0..self.cfg.disks).find(|&d| self.backend.blocks_on(d) > 0);
+        first.is_some_and(|d| self.backend.resident(BlockAddr::new(d, 0)).is_some())
     }
 
     /// Durability barrier: block until every write issued so far is
@@ -515,6 +532,14 @@ impl DiskArray {
         self.fault.is_some() || self.checksums.is_some()
     }
 
+    /// Whether a read of `addrs` returns exactly what the medium holds: no
+    /// fault plan is active, and under checksums every block is already
+    /// verified clean. It then skips the health pass, and may be views.
+    fn reads_clean(&self, addrs: &[BlockAddr]) -> bool {
+        self.fault.is_none()
+            && (self.checksums.is_none() || addrs.iter().all(|a| self.verified_clean[a.disk][a.block]))
+    }
+
     /// Health of `addr` (whose current content is `content`) against the
     /// fault state and checksums. `read_index`, when given, is the
     /// per-disk read-batch index to test transient windows against;
@@ -729,7 +754,16 @@ impl DiskArray {
     ///
     /// # Panics
     /// Panics on any out-of-range address.
-    pub fn read(&mut self, addrs: &[BlockAddr], opts: ReadOptions) -> IoOutcome {
+    pub fn read(&mut self, addrs: &[BlockAddr], opts: ReadOptions) -> IoOutcome<'_> {
+        let cost = self.charge_read(addrs);
+        self.complete_read(addrs, opts, cost)
+    }
+
+    /// The accounting half of [`read`](DiskArray::read): bounds, model cost,
+    /// counters, [`IoEvent::BatchRead`]. Apart so that the batch engine can
+    /// record its rounds before [`complete_read`](DiskArray::complete_read)
+    /// borrows the array; that must follow, same `addrs`, nothing charged between.
+    pub(crate) fn charge_read(&mut self, addrs: &[BlockAddr]) -> OpCost {
         for &a in addrs {
             self.check(a);
         }
@@ -743,20 +777,25 @@ impl DiskArray {
                 parallel_ios: cost,
             });
         }
-        let mut blocks = self.backend.submit(IoSubmission::reads(addrs)).reads;
-        if !self.hazards_active() {
-            return IoOutcome {
-                blocks,
-                healths: if opts.verify {
-                    vec![BlockHealth::Ok; addrs.len()]
-                } else {
-                    Vec::new()
-                },
-                cost: self.stats.since(&before),
+        self.stats.since(&before)
+    }
+
+    /// The data half of [`read`](DiskArray::read): the round, and with
+    /// hazards active its sanitizing pass and the fault clocks.
+    pub(crate) fn complete_read(&mut self, addrs: &[BlockAddr], opts: ReadOptions, cost: OpCost) -> IoOutcome<'_> {
+        if self.reads_clean(addrs) {
+            // Views where the backend is memory; else the copy it hands out.
+            let blocks = if addrs.first().is_some_and(|&a| self.backend.resident(a).is_some()) {
+                self.views(addrs)
+            } else {
+                Round::Copied(self.backend.submit(IoSubmission::reads(addrs)).reads)
             };
+            return IoOutcome { blocks, healths: all_ok(addrs, opts), cost };
         }
-        // Every address in the batch shares its disk's current (not yet
-        // advanced) read index, then the clocks of all touched disks tick.
+        // What is read may differ from what the medium holds: a copy. Every
+        // address in the batch shares its disk's current (not yet advanced)
+        // read index, then the clocks of all touched disks tick.
+        let mut blocks = self.backend.submit(IoSubmission::reads(addrs)).reads;
         let healths = self.sanitize(addrs, &mut blocks);
         if self.checksums.is_some() {
             // A block that read clean stays clean until the medium can be
@@ -769,14 +808,28 @@ impl DiskArray {
         }
         if !addrs.is_empty() {
             if let Some(fs) = self.fault.as_mut() {
+                // Still the per-disk counts `charge_read` left.
                 fs.tick_reads(&self.per_disk_scratch);
             }
         }
         IoOutcome {
-            blocks,
+            blocks: Round::Copied(blocks),
             healths: if opts.verify { healths } else { Vec::new() },
-            cost: self.stats.since(&before),
+            cost,
         }
+    }
+
+    /// The block at `addr` where it lies in the backend, when a read of it
+    /// completes as a view: the backend is resident and neither a fault plan
+    /// nor a pending checksum verification could change what is read.
+    pub(crate) fn resident(&self, addr: BlockAddr) -> Option<&[Word]> {
+        self.check(addr);
+        self.backend.resident(addr).filter(|_| self.reads_clean(&[addr]))
+    }
+
+    fn views(&self, addrs: &[BlockAddr]) -> Round<'_> {
+        let block = |&a| self.backend.resident(a).expect("a resident backend holds every block in memory");
+        Round::Resident(addrs.iter().map(block).collect())
     }
 
     /// The hazard pass of a read: classify every block against the fault
@@ -819,7 +872,7 @@ impl DiskArray {
     ///
     /// # Panics
     /// Panics on any out-of-range address or an over-long payload.
-    pub fn write(&mut self, writes: &[(BlockAddr, &[Word])], opts: WriteOptions) -> IoOutcome {
+    pub fn write(&mut self, writes: &[(BlockAddr, &[Word])], opts: WriteOptions) -> IoOutcome<'static> {
         for &(a, data) in writes {
             self.check(a);
             assert!(
@@ -843,7 +896,7 @@ impl DiskArray {
             self.backend
                 .submit(IoSubmission::writes(writes).with_sync(opts.sync));
             return IoOutcome {
-                blocks: BlockBuf::default(),
+                blocks: Round::Copied(BlockBuf::default()),
                 healths: if opts.verify {
                     vec![BlockHealth::Ok; writes.len()]
                 } else {
@@ -946,7 +999,7 @@ impl DiskArray {
             }
         }
         IoOutcome {
-            blocks: BlockBuf::default(),
+            blocks: Round::Copied(BlockBuf::default()),
             healths: if opts.verify { healths } else { Vec::new() },
             cost: self.stats.since(&before),
         }
@@ -973,7 +1026,7 @@ impl DiskArray {
     /// # Panics
     /// Panics on any out-of-range address.
     #[must_use]
-    pub fn read_shared(&self, addrs: &[BlockAddr], opts: ReadOptions) -> IoOutcome {
+    pub fn read_shared(&self, addrs: &[BlockAddr], opts: ReadOptions) -> IoOutcome<'_> {
         let mut per_disk = vec![0usize; self.cfg.disks];
         for &a in addrs {
             self.check(a);
@@ -986,21 +1039,17 @@ impl DiskArray {
             block_writes: 0,
             sequential_ios: parallel_ios,
         };
-        let mut blocks = self.backend.submit_reads(addrs).reads;
-        if !self.hazards_active() {
-            return IoOutcome {
-                blocks,
-                healths: if opts.verify {
-                    vec![BlockHealth::Ok; addrs.len()]
-                } else {
-                    Vec::new()
-                },
-                cost,
+        if self.reads_clean(addrs) {
+            let blocks = match addrs.first().and_then(|&a| self.backend.resident(a)) {
+                Some(_) => self.views(addrs),
+                None => Round::Copied(self.backend.submit_reads(addrs).reads),
             };
+            return IoOutcome { blocks, healths: all_ok(addrs, opts), cost };
         }
+        let mut blocks = self.backend.submit_reads(addrs).reads;
         let healths = self.sanitize(addrs, &mut blocks);
         IoOutcome {
-            blocks,
+            blocks: Round::Copied(blocks),
             healths: if opts.verify { healths } else { Vec::new() },
             cost,
         }
@@ -1084,6 +1133,7 @@ impl DiskArray {
     pub fn read_block(&mut self, addr: BlockAddr) -> Vec<Word> {
         self.read(&[addr], ReadOptions::default())
             .blocks
+            .into_buf()
             .into_words()
     }
 
@@ -1254,11 +1304,12 @@ mod tests {
         disks.write_block(BlockAddr::new(0, 1), &[7; 8]);
         let addrs = [BlockAddr::new(0, 1), BlockAddr::new(3, 0)];
         let shared = disks.read_shared(&addrs, ReadOptions::default());
+        let (shared_blocks, shared_cost) = (shared.blocks.into_buf(), shared.cost);
         let scope = disks.begin_op();
         let counted = disks.read(&addrs, ReadOptions::default());
-        assert_eq!(shared.blocks, counted.blocks);
-        assert_eq!(shared.cost, disks.end_op(scope));
-        assert_eq!(shared.cost, counted.cost);
+        assert_eq!(shared_blocks, counted.blocks.into_buf());
+        assert_eq!(shared_cost, counted.cost);
+        assert_eq!(shared_cost, disks.end_op(scope));
     }
 
     #[test]
@@ -1329,7 +1380,7 @@ mod tests {
             }
             disks.set_fault_plan(FaultPlan::new().bit_rot(0, 2, 3));
             let out = disks.read(&[a], ReadOptions::verified());
-            (out.blocks, out.healths)
+            (out.blocks.into_buf(), out.healths)
         };
         let (blocks, healths) = run(false);
         assert_eq!(healths[0], BlockHealth::Ok, "no integrity: rot is silent");
@@ -1389,10 +1440,11 @@ mod tests {
         disks.enable_integrity();
         disks.poke(bad, &[1; 8]);
         let shared = disks.read_shared(&[good, bad], ReadOptions::verified());
-        let excl = disks.read(&[good, bad], ReadOptions::verified());
-        assert_eq!(shared.blocks, excl.blocks);
-        assert_eq!(shared.healths, excl.healths);
+        let (shared_blocks, shared_healths) = (shared.blocks.into_buf(), shared.healths);
         assert_eq!(shared.cost.parallel_ios, 1);
+        let excl = disks.read(&[good, bad], ReadOptions::verified());
+        assert_eq!(shared_healths, excl.healths);
+        assert_eq!(shared_blocks, excl.blocks.into_buf());
     }
 
     #[test]
@@ -1474,7 +1526,7 @@ mod tests {
         let gone = BlockAddr::new(3, 2);
         let out = disks.read(&[gone, BlockAddr::new(2, 0), BlockAddr::new(1, 3)], ReadOptions::verified());
         assert!(out.all_ok(), "a recycled block must not read as a mismatch: {:?}", out.healths);
-        assert_eq!(out.blocks.into_words(), [[0; 8], [3; 8], [3; 8]].concat());
+        assert_eq!(out.blocks.into_buf().into_words(), [[0; 8], [3; 8], [3; 8]].concat());
         assert_eq!(disks.scrub_verify().checksum_failures, 0);
         // Recycled blocks take writes like any other.
         disks.write_block(gone, &[4; 8]);

@@ -326,7 +326,7 @@ fn unpack_run(run: Word) -> (usize, usize) {
 /// The runs of words in which `new` differs from `old`, as `start..end`.
 /// Two runs closer than two equal words are one: an unchanged word costs
 /// a run what a header costs the stream.
-pub(crate) fn diff_runs(new: &[Word], old: &[Word], mut run: impl FnMut(Range<usize>)) {
+pub fn diff_runs(new: &[Word], old: &[Word], mut run: impl FnMut(Range<usize>)) {
     assert_eq!(new.len(), old.len(), "a pre-image is a full block");
     let b = new.len();
     let mut i = 0;
@@ -866,7 +866,8 @@ impl DiskArray {
         let addrs: Vec<BlockAddr> = (0..data_slots)
             .map(|s| region.slot_addr(s + 1, d))
             .collect();
-        let slots = self.read(&addrs, ReadOptions::default()).into_blocks();
+        // A copy: the scan below needs the array as well.
+        let slots = self.read(&addrs, ReadOptions::default()).blocks.into_buf();
         let mut report = RecoveryReport {
             scanned_slots: data_slots as u64 + 1,
             ..RecoveryReport::default()
@@ -884,7 +885,8 @@ impl DiskArray {
             });
         }
         let out = self.read(&targets, ReadOptions::verified());
-        let mut images = out.blocks;
+        // Replay patches the images: they are this pass's own.
+        let mut images = out.blocks.into_buf();
         // A target is patchable while its image is what the medium holds:
         // it read healthy, or an earlier intent replaced all of it.
         let mut sound: Vec<bool> = out.healths.iter().map(|h| h.is_ok()).collect();

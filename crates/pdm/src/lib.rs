@@ -77,7 +77,7 @@ pub mod stripe;
 
 pub use backend::{BackendError, CompletionSet, FlushTicket, IoSubmission, MemBackend, StorageBackend};
 pub use batch::{BatchExecutor, BatchPlan, BatchReads, CommitReport};
-pub use blocks::{BlockBuf, BlockView, SubView};
+pub use blocks::{BlockBuf, BlockView, Round, SubView};
 pub use config::{Model, PdmConfig};
 pub use disk::{BlockAddr, DiskArray, IoOutcome, ReadOptions, WriteOptions};
 pub use file_backend::{FileBackend, FileBackendOptions};

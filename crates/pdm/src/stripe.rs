@@ -47,7 +47,7 @@ impl<'a> StripedView<'a> {
         let d = self.disks.disks();
         let addrs: Vec<BlockAddr> = (0..d).map(|disk| BlockAddr::new(disk, s)).collect();
         // Disk-major request order: the round's flat buffer is the stripe.
-        self.disks.read(&addrs, ReadOptions::default()).blocks.into_words()
+        self.disks.read(&addrs, ReadOptions::default()).blocks.into_buf().into_words()
     }
 
     /// Write stripe `s` (one parallel I/O). `data` must be exactly `B·D`
@@ -91,7 +91,7 @@ impl<'a> StripedView<'a> {
             let disk = gb % self.disks.disks();
             addrs.push(BlockAddr::new(disk, stripe));
         }
-        let blocks = self.disks.read(&addrs, ReadOptions::default()).into_blocks();
+        let blocks = self.disks.read(&addrs, ReadOptions::default()).blocks;
         let mut out = Vec::with_capacity(len);
         for (i, block) in blocks.iter().enumerate() {
             let gb = first_block + i;
@@ -130,7 +130,7 @@ impl<'a> StripedView<'a> {
         }
         let out = disks.read_shared(&addrs, ReadOptions::default());
         let cost = out.cost;
-        let blocks = out.into_blocks();
+        let blocks = out.blocks;
         let mut words = Vec::with_capacity(len);
         for (i, block) in blocks.iter().enumerate() {
             let block_start = (first_block + i) * b;
@@ -169,7 +169,7 @@ impl<'a> StripedView<'a> {
             .iter()
             .map(|&gb| BlockAddr::new(gb % d, gb / d))
             .collect();
-        let bblocks = self.disks.read(&baddrs, ReadOptions::default()).into_blocks();
+        let bblocks = self.disks.read(&baddrs, ReadOptions::default()).blocks;
 
         // Assemble full images for every block in range.
         let mut images: Vec<(BlockAddr, Vec<Word>)> = Vec::new();

@@ -1157,10 +1157,9 @@ mod tests {
             .wait()
             .unwrap();
 
-        // Admission wants an observed access count of 2, so the first two
-        // lookups execute; the third is answered from the cache without
-        // the dictionary ever seeing it.
-        assert_eq!(lookup(7).as_deref(), Some(&[7u64; 4][..]));
+        // The cache has room, so the first lookup executes and fills it;
+        // the second is answered from the cache without the dictionary
+        // ever seeing it.
         assert_eq!(lookup(7).as_deref(), Some(&[7u64; 4][..]));
         let before = executed.load(Ordering::SeqCst);
         assert_eq!(lookup(7).as_deref(), Some(&[7u64; 4][..]));
@@ -1181,7 +1180,7 @@ mod tests {
 
         let stats = engine.stats();
         assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.acked, 6);
+        assert_eq!(stats.acked, 5);
         drop(engine.shutdown());
     }
 

@@ -4,11 +4,20 @@
 //! paper's counts; what a caller pays on top is CPU, most of which used to
 //! be `malloc` and `memcpy` of block images. This test pins the diet: on
 //! the wall-clock benchmark's `engine_cold` shard shape (d = 20, B = 128,
-//! ~46 k capacity, `MemBackend`, unjournaled `DynamicDict` behind
-//! `DictHandle`) a steady-state operation makes a handful of allocations —
-//! the round's one flat buffer plus a few small vectors — and allocates
-//! barely more bytes than the blocks it transfers. The same counts hold at
-//! d = 28: nothing scales with the degree except the size of that buffer.
+//! ~46 k capacity, unjournaled `DynamicDict` behind `DictHandle`) a
+//! steady-state operation makes a handful of allocations, and
+//!
+//! * on `MemBackend`, whose blocks a read hands out where they lie, it
+//!   allocates for a block it *reads* no more than the round's entry and
+//!   the probe's address — an eighth of the block's bytes covers them with
+//!   room — and for a block it *writes* the one copy it patched;
+//! * on a backend that does not say its blocks are in memory (the same
+//!   `MemBackend` behind a decorator forwarding the required methods only,
+//!   as the benchmark's tracing backend does) a round is one flat buffer,
+//!   and an operation allocates barely more bytes than the blocks it moves.
+//!
+//! The same counts hold at d = 28: nothing scales with the degree except
+//! the size of a round.
 //!
 //! A journaled twin of the shard (the benchmark's `tcp_file_mixed` shape: 4
 //! ring rows) has its own budget for the two updates: the intent is the
@@ -21,11 +30,13 @@
 //! The counting allocator lives in this test binary only, and counts per
 //! thread, so the harness's own threads do not disturb it.
 
-use pdm::{DiskArray, OpCost, PdmConfig, Word};
+use pdm::{DiskArray, MemBackend, OpCost, PdmConfig, Word};
 use pdm_dict::layout::DiskAllocator;
 use pdm_dict::{Dict, DictHandle, DictParams, DynamicDict};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+
+mod harness;
 
 thread_local! {
     /// (allocations, bytes) made by this thread.
@@ -85,14 +96,14 @@ fn key(family: u64, i: u64) -> u64 {
     (expander::mix::mix64(family << 32 | i) >> 24) | 1
 }
 
-fn shard(degree: usize) -> Box<dyn Dict> {
-    shard_with(degree, 0)
-}
-
-/// The shard with a journal ring of `journal_rows` rows (0: none).
-fn shard_with(degree: usize, journal_rows: usize) -> Box<dyn Dict> {
+/// The shard with a journal ring of `journal_rows` rows (0: none), on a
+/// `MemBackend` — behind the decorator that hides its residency if `copied`.
+fn shard_with(degree: usize, journal_rows: usize, copied: bool) -> Box<dyn Dict> {
     let cfg = PdmConfig::new(2 * degree, BLOCK_WORDS);
-    let mut disks = DiskArray::new(cfg, 0);
+    let mem = MemBackend::new(cfg.disks, BLOCK_WORDS, 0);
+    let backend: Box<dyn pdm::StorageBackend> =
+        if copied { Box::new(harness::HiddenResidency(mem)) } else { Box::new(mem) };
+    let mut disks = DiskArray::with_backend(cfg, backend).unwrap();
     let mut alloc = DiskAllocator::new(cfg.disks);
     let mut params = DictParams::new(46_264, 1 << 40, 2)
         .with_degree(degree)
@@ -109,12 +120,26 @@ fn shard_with(degree: usize, journal_rows: usize) -> Box<dyn Dict> {
     shard
 }
 
+/// Bytes a call of cost `cost` may allocate (see the module docs): where
+/// rounds are copied out, 1.25 × the blocks moved; where they are views,
+/// 1/8 × the blocks read and 1.25 × the blocks written.
+fn byte_budget(copied: bool, cost: &OpCost) -> u64 {
+    let (read, written) = (cost.block_reads * BLOCK_BYTES, cost.block_writes * BLOCK_BYTES);
+    if copied {
+        5 * (read + written) / 4
+    } else {
+        read / 8 + 5 * written / 4
+    }
+}
+
 /// Checks one kind of operation over `calls` calls: every call that took
 /// the kind's usual number of rounds (all but the few keys on a deeper
-/// level) stays within `max_allocs` allocations and within 1.25 × the
-/// bytes of the blocks it moved.
+/// level) stays within `max_allocs` allocations and within
+/// [`byte_budget`].
 struct Budget {
     what: &'static str,
+    /// Whether the shard's backend hides its residency.
+    copied: bool,
     usual_rounds: u64,
     max_allocs: u64,
     /// 1 for a journaled update, which takes one round more every
@@ -143,11 +168,11 @@ impl Budget {
                 self.what,
                 self.max_allocs
             );
-            let moved = (cost.block_reads + cost.block_writes) * BLOCK_BYTES;
             assert!(
-                4 * bytes <= 5 * moved,
-                "d = {degree}: {} #{i} allocated {bytes} B to move {moved} B of blocks",
-                self.what
+                bytes <= byte_budget(self.copied, &cost),
+                "d = {degree}: {} #{i} allocated {bytes} B for {cost:?} (copied rounds: {})",
+                self.what,
+                self.copied
             );
         }
         assert!(
@@ -164,21 +189,21 @@ impl Budget {
 #[test]
 fn probe_path_stays_within_its_allocation_budget() {
     let mut counts = Vec::new();
-    for degree in [20, 28] {
-        let mut shard = shard(degree);
+    for (degree, copied) in [(20, false), (28, false), (20, true), (28, true)] {
+        let mut shard = shard_with(degree, 0, copied);
         // Steady state: lazily sized internals have settled.
         for i in 0..64 {
             assert!(shard.lookup(key(0, i)).found());
             shard.insert(key(1, i), &[i, i]).unwrap();
             assert!(shard.delete(key(1, i)).unwrap().0);
         }
-        let lookup = Budget { what: "lookup", usual_rounds: 1, max_allocs: 8, group_commit: 0 }
+        let lookup = Budget { what: "lookup", copied, usual_rounds: 1, max_allocs: 8, group_commit: 0 }
             .check(degree, 512, |i| {
                 let out = shard.lookup(key(0, i % PRESENT));
                 assert!(out.found());
                 out.cost
             });
-        let miss = Budget { what: "lookup (miss)", usual_rounds: 1, max_allocs: 8, group_commit: 0 }
+        let miss = Budget { what: "lookup (miss)", copied, usual_rounds: 1, max_allocs: 8, group_commit: 0 }
             .check(degree, 512, |i| {
                 let out = shard.lookup(key(2, i));
                 assert!(!out.found());
@@ -192,15 +217,17 @@ fn probe_path_stays_within_its_allocation_budget() {
             let ((found, cost), allocs, bytes) = measured(|| shard.lookup_batch(&keys));
             assert!(found.iter().all(Option::is_some));
             assert!(allocs <= 8 * 64, "d = {degree}: lookup_batch(64) made {allocs} allocations");
-            let moved = cost.block_reads * BLOCK_BYTES;
-            assert!(4 * bytes <= 5 * moved, "d = {degree}: lookup_batch(64) allocated {bytes} B to move {moved} B");
+            assert!(
+                bytes <= byte_budget(copied, &cost),
+                "d = {degree}: lookup_batch(64) allocated {bytes} B for {cost:?} (copied rounds: {copied})"
+            );
             batch = batch.max(allocs.div_ceil(64));
             batch_bytes = batch_bytes.max(bytes / 64);
         }
         println!("d = {degree}: lookup_batch(64) ≤ {batch} allocations, ≤ {batch_bytes} B per key");
-        let insert = Budget { what: "insert", usual_rounds: 2, max_allocs: 16, group_commit: 0 }
+        let insert = Budget { what: "insert", copied, usual_rounds: 2, max_allocs: 16, group_commit: 0 }
             .check(degree, 512, |i| shard.insert(key(3, i), &[i as Word, 7]).unwrap());
-        let delete = Budget { what: "delete", usual_rounds: 2, max_allocs: 8, group_commit: 0 }
+        let delete = Budget { what: "delete", copied, usual_rounds: 2, max_allocs: 8, group_commit: 0 }
             .check(degree, 512, |i| {
                 let (was, cost) = shard.delete(key(3, i)).unwrap();
                 assert!(was);
@@ -209,21 +236,24 @@ fn probe_path_stays_within_its_allocation_budget() {
         counts.push([lookup, miss, batch, insert, delete]);
     }
     assert_eq!(counts[0], counts[1], "allocation counts must not scale with the degree");
+    // A copied batch's round is held in 64 KiB pieces, more of them at d = 28.
+    let but_batch = |c: &[u64; 5]| [c[0], c[1], c[3], c[4]];
+    assert_eq!(but_batch(&counts[2]), but_batch(&counts[3]), "allocation counts must not scale with the degree");
 }
 
 #[test]
 fn journaled_updates_stay_within_their_allocation_budget() {
     let mut counts = Vec::new();
-    for degree in [20, 28] {
-        let mut shard = shard_with(degree, 4);
+    for (degree, copied) in [(20, false), (28, false), (20, true), (28, true)] {
+        let mut shard = shard_with(degree, 4, copied);
         for i in 0..64 {
             shard.insert(key(1, i), &[i, i]).unwrap();
             assert!(shard.delete(key(1, i)).unwrap().0);
         }
         // Read, append the intent, write in place.
-        let insert = Budget { what: "journaled insert", usual_rounds: 3, max_allocs: 24, group_commit: 1 }
+        let insert = Budget { what: "journaled insert", copied, usual_rounds: 3, max_allocs: 24, group_commit: 1 }
             .check(degree, 512, |i| shard.insert(key(3, i), &[i as Word, 7]).unwrap());
-        let delete = Budget { what: "journaled delete", usual_rounds: 3, max_allocs: 16, group_commit: 1 }
+        let delete = Budget { what: "journaled delete", copied, usual_rounds: 3, max_allocs: 16, group_commit: 1 }
             .check(degree, 512, |i| {
                 let (was, cost) = shard.delete(key(3, i)).unwrap();
                 assert!(was);
@@ -233,4 +263,5 @@ fn journaled_updates_stay_within_their_allocation_budget() {
         counts.push([insert, delete]);
     }
     assert_eq!(counts[0], counts[1], "allocation counts must not scale with the degree");
+    assert_eq!(counts[2], counts[3], "allocation counts must not scale with the degree");
 }

@@ -14,6 +14,8 @@ use pdm::{
 };
 use std::path::{Path, PathBuf};
 
+mod harness;
+
 const D: usize = 4;
 const B: usize = 8;
 const BLOCKS: usize = 16;
@@ -102,7 +104,7 @@ fn drive(disks: &mut DiskArray) -> IoStats {
             let above = BlockAddr::new(1, BLOCKS + 1);
             let img = payload(77);
             disks.write(&[(above, img.as_slice())], WriteOptions::default());
-            assert_eq!(disks.read(&[above], ReadOptions::default()).into_blocks()[0], payload(77));
+            assert_eq!(disks.read(&[above], ReadOptions::default()).blocks[0], payload(77));
         }
     }
     disks.stats()
@@ -340,4 +342,156 @@ fn sync_on_write_does_not_change_contents() {
     assert_eq!(mem.snapshot(), file.snapshot());
     drop(file);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Resident ≡ copied: a backend that keeps its blocks in memory hands a
+// read out as views of them; any other completes it as a copy. Nothing
+// observable may depend on which.
+// ---------------------------------------------------------------------
+
+/// Every [`pdm::metrics::IoEvent`] an array fires, in order.
+#[derive(Default)]
+struct Tape(std::sync::Mutex<Vec<String>>);
+
+impl pdm::metrics::IoEventSink for Tape {
+    fn on_io(&self, event: pdm::metrics::IoEvent<'_>) {
+        self.0.lock().unwrap().push(format!("{event:?}"));
+    }
+}
+
+/// What one run of [`churn`] leaves to compare: every answer and charged
+/// cost, the counters, the events, the image.
+type Witness = (Vec<u64>, IoStats, Vec<String>, Vec<Vec<Box<[Word]>>>);
+
+/// One seeded stream over `dict` — single-key and batched lookups, inserts
+/// and deletes — until `done`, then the witness of the array `tape` hears.
+fn churn(
+    dict: &mut dyn pdm_dict::Dict,
+    tape: &Tape,
+    seed: u64,
+    done: impl Fn(&dyn pdm_dict::Dict, usize) -> bool,
+) -> Witness {
+    let sat = |key: u64| vec![key ^ 0xA5A5, key.rotate_left(17)];
+    let mut s = seed;
+    let mut answers = Vec::new();
+    let note = |answers: &mut Vec<u64>, cost: pdm::OpCost| {
+        answers.extend([cost.parallel_ios, cost.block_reads, cost.block_writes]);
+    };
+    let mut ops = 0;
+    while !done(dict, ops) {
+        ops += 1;
+        let (r, key) = (mix(&mut s), mix(&mut s) % 768);
+        let some_keys = |s: &mut u64, n: u64| (0..1 + n).map(|_| mix(s) % 768).collect::<Vec<u64>>();
+        match r % 16 {
+            0..=4 => match dict.insert(key, &sat(key)) {
+                Ok(cost) => note(&mut answers, cost),
+                Err(e) => answers.push(1_000 + e.kind() as u64),
+            },
+            5..=7 => {
+                let out = dict.lookup(key);
+                note(&mut answers, out.cost);
+                answers.extend(out.satellite.into_iter().flatten());
+            }
+            8..=10 => {
+                let (was, cost) = dict.delete(key).expect("no fault is installed");
+                note(&mut answers, cost);
+                answers.push(u64::from(was));
+            }
+            11..=12 => {
+                let (found, cost) = dict.lookup_batch(&some_keys(&mut s, r % 24));
+                note(&mut answers, cost);
+                answers.extend(found.into_iter().map(|f| f.map_or(u64::MAX, |s| s[0])));
+            }
+            13..=14 => {
+                let entries: Vec<(u64, Vec<Word>)> =
+                    some_keys(&mut s, r % 12).into_iter().map(|k| (k, sat(k))).collect();
+                let (results, cost) = dict.insert_batch(&entries);
+                note(&mut answers, cost);
+                answers.extend(results.into_iter().map(|r| r.map_or_else(|e| 1_000 + e.kind() as u64, |()| 0)));
+            }
+            _ => {
+                let (results, cost) = dict.delete_batch(&some_keys(&mut s, r % 12));
+                note(&mut answers, cost);
+                answers.extend(results.into_iter().map(|r| u64::from(r.expect("no fault is installed"))));
+            }
+        }
+    }
+    let disks = dict.disks().expect("the fronts under test own one array");
+    let events = std::mem::take(&mut *tape.0.lock().unwrap());
+    (answers, disks.stats(), events, disks.snapshot())
+}
+
+/// Compare two witnesses piece by piece (a whole-tuple `assert_eq` would
+/// print two disk images).
+fn assert_same(what: &str, resident: &Witness, copied: &Witness) {
+    assert_eq!(resident.0, copied.0, "{what}: an answer or a charged cost");
+    let (a, b) = (resident.1, copied.1);
+    assert_eq!(a.parallel_ios, b.parallel_ios, "{what}: parallel_ios");
+    assert_eq!(a.batches, b.batches, "{what}: batches");
+    assert_eq!(a.block_reads, b.block_reads, "{what}: block_reads");
+    assert_eq!(a.block_writes, b.block_writes, "{what}: block_writes");
+    assert_eq!(a.rounds, b.rounds, "{what}: rounds");
+    assert_eq!(resident.2.len(), copied.2.len(), "{what}: number of I/O events");
+    if let Some(at) = (0..resident.2.len()).find(|&i| resident.2[i] != copied.2[i]) {
+        panic!("{what}: I/O event {at}: {} on views, {} on copies", resident.2[at], copied.2[at]);
+    }
+    // The decorator also inherits `grow_disks`' default and stays
+    // rectangular: its disks may end in blocks nobody was given, all zeros.
+    for (d, (mine, theirs)) in resident.3.iter().zip(&copied.3).enumerate() {
+        assert!(mine.len() <= theirs.len(), "{what}: disk {d} is shorter on copies");
+        assert!(mine[..] == theirs[..mine.len()], "{what}: the final images differ on disk {d}");
+        assert!(theirs[mine.len()..].iter().all(|b| b.iter().all(|&w| w == 0)), "{what}: disk {d}'s tail");
+    }
+}
+
+#[test]
+fn reads_as_views_change_nothing_a_copying_backend_does() {
+    use pdm_dict::layout::DiskAllocator;
+    use pdm_dict::{Dict, DictHandle, DictParams, Dictionary, DynamicDict};
+    use std::sync::Arc;
+
+    let degree = 20;
+    let shard_cfg = PdmConfig::new(2 * degree, 64);
+    for journal_rows in [0, 2] {
+        let mut params =
+            DictParams::new(2048, 1 << 40, 2).with_degree(degree).with_epsilon(0.5).with_seed(0x0D1F);
+        if journal_rows > 0 {
+            params = params.with_journal(journal_rows);
+        }
+        // Theorem 7's dictionary over the backend itself and over the
+        // decorator that hides its residency.
+        let dynamic = |backend: Box<dyn pdm::StorageBackend>| {
+            let tape = Arc::new(Tape::default());
+            let mut disks = DiskArray::with_backend(shard_cfg, backend).unwrap();
+            disks.set_io_sink(Some(tape.clone()));
+            let mut alloc = DiskAllocator::new(shard_cfg.disks);
+            let dict = DynamicDict::create(&mut disks, &mut alloc, 0, params).unwrap();
+            let mut handle = DictHandle::new(dict, disks);
+            churn(&mut handle, &tape, 0xD1FF, |_, ops| ops == 1500)
+        };
+        let resident = dynamic(Box::new(MemBackend::new(shard_cfg.disks, 64, 0)));
+        let copied = dynamic(Box::new(harness::HiddenResidency(MemBackend::new(shard_cfg.disks, 64, 0))));
+        assert!(resident.1.rounds > 0 && resident.2.len() > 4_000, "the stream did something");
+        assert_same(&format!("DynamicDict, {journal_rows} journal rows"), &resident, &copied);
+
+        // The rebuilding wrapper builds its own array; its copying twin is
+        // the same array under an empty fault plan, which ends the views as
+        // any hazard does (a migration plan's size follows the medium, so
+        // the two take the same plans).
+        let rebuilding = |copied: bool| {
+            let tape = Arc::new(Tape::default());
+            let mut dict = Dictionary::new(DictParams { capacity: 64, ..params }, 64).unwrap();
+            let disks = dict.disks_mut().unwrap();
+            disks.set_io_sink(Some(tape.clone()));
+            if copied {
+                disks.set_fault_plan(FaultPlan::new());
+            }
+            let witness = churn(&mut dict, &tape, 0xD200, |dict, _| dict.len() > 300);
+            assert!(dict.rebuilds() >= 2, "the stream must cross two rebuilds");
+            witness
+        };
+        let (resident, copied) = (rebuilding(false), rebuilding(true));
+        assert_same(&format!("Dictionary, {journal_rows} journal rows"), &resident, &copied);
+    }
 }

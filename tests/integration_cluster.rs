@@ -518,16 +518,14 @@ fn read_cache_never_serves_pre_failover_value_after_epoch_bump() {
     let shard = cfg.shard_of(key);
     router.insert(key, &[0xAA]).expect("insert");
 
-    // Two lookups feed the admission sketch (promote on observed count,
-    // not first touch); the third is served from the cache.
-    for _ in 0..2 {
-        assert_eq!(router.lookup(key).expect("warm lookup"), Some(vec![0xAA]));
-    }
+    // The first lookup fills the router's cache (it has room); the
+    // second is served from it.
+    assert_eq!(router.lookup(key).expect("warm lookup"), Some(vec![0xAA]));
     assert_eq!(router.lookup(key).expect("cached lookup"), Some(vec![0xAA]));
     assert_eq!(
         router.stats().reads_cached,
         1,
-        "third lookup must be a cache hit"
+        "second lookup must be a cache hit"
     );
 
     // Kill the shard's primary mid-life and drive the failover.

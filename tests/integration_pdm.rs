@@ -49,7 +49,7 @@ fn head_model_never_costs_more_than_parallel_disk_model() {
             BlockAddr::new(0, 4),
             BlockAddr::new(1, 0),
         ];
-        let _ = disks.read(&addrs, ReadOptions::default()).into_blocks();
+        let _ = disks.read(&addrs, ReadOptions::default()).blocks;
         disks.stats().parallel_ios
     };
     let pd = mk(Model::ParallelDisk);
