@@ -12,11 +12,11 @@
 //!    Gate: **p99 < 0.3 parallel I/Os per lookup** with the cache on
 //!    (Theorem 6 alone cannot go below 1 per *executed* lookup; only
 //!    answering hot repeats from RAM can).
-//! 2. **Negative caching.** A `CachedDict` over a one-probe dictionary
-//!    is probed with absent keys. The clean one-probe miss is a
-//!    certified absence (case (b): no identifier-tagged field carries
-//!    the key), so repeats are answered from the negative cache. Gate:
-//!    once warmed, repeat misses cost **0 parallel I/Os**.
+//! 2. **Negative caching.** A one-shard engine with the cache tier on
+//!    is probed with absent keys by a synchronous client. A miss whose
+//!    window read cleanly is a certified absence, so repeats are answered
+//!    from the negative cache at submission. Gate: once warmed, a repeat
+//!    pass moves `EngineStats::parallel_ios` by **exactly 0**.
 //! 3. **Sketch overhead.** Admission listens to a TinyLFU frequency
 //!    sketch that records every probe. Gate: one `record` costs ≤ 5%
 //!    of a cache-off uniform lookup — the sketch must be effectively
@@ -33,7 +33,7 @@ use bench::write_json;
 use expander::mix::mix64;
 use pdm::metrics::{HistogramSnapshot, MetricsRegistry};
 use pdm::{DiskArray, PdmConfig, Word};
-use pdm_cache::{CacheConfig, CachedDict, FrequencySketch};
+use pdm_cache::{CacheConfig, FrequencySketch};
 use pdm_dict::layout::DiskAllocator;
 use pdm_dict::{Dict, DictHandle, DictParams, DynamicDict};
 use pdm_server::{EngineConfig, Op, ServeEngine, SERVE_LOOKUP_CENTI_IOS};
@@ -264,37 +264,39 @@ struct NegativeReport {
 
 /// Experiment 2: repeat misses for keys proven absent cost 0 I/Os.
 fn negative(n_absent: usize, failures: &mut Vec<String>) -> NegativeReport {
-    let mut dict = CachedDict::new(build_shard(512, 0xAB5E), CacheConfig::default());
+    let mut shard = build_shard(512, 0xAB5E);
     for key in 0..64u64 {
-        dict.insert(key * 3, &sat(key * 3)).unwrap();
+        shard.insert(key * 3, &sat(key * 3)).unwrap();
     }
+    let engine = ServeEngine::new(
+        vec![shard],
+        EngineConfig::default().with_cache(CacheConfig::default()),
+    );
+    let client = engine.client();
     // Absent by construction: the resident keys are multiples of 3.
     let absent: Vec<u64> = (0..n_absent as u64).map(|i| i * 3 + 1).collect();
+    // One synchronous pass over the absent keys: the rounds it cost.
+    let pass = || {
+        let before = engine.stats().parallel_ios;
+        for &key in &absent {
+            assert_eq!(client.lookup(key), Ok(None), "key {key} must be absent");
+        }
+        engine.stats().parallel_ios - before
+    };
 
     // Warm: the first fill sticks while the budget has room; a second
     // probe feeds the admission sketch for the ones that must displace.
-    let mut warm_ios = 0;
-    for _ in 0..2 {
-        for &key in &absent {
-            let out = dict.lookup(key);
-            assert!(out.satellite.is_none(), "key {key} must be absent");
-            warm_ios += out.cost.parallel_ios;
-        }
-    }
+    let warm_ios = pass() + pass();
     // Repeats: every one must be a negative hit at zero I/O cost.
-    let mut repeat_ios = 0;
-    for &key in &absent {
-        let out = dict.lookup(key);
-        assert!(out.satellite.is_none());
-        repeat_ios += out.cost.parallel_ios;
-    }
-    let counters = dict.cache_counters();
+    let repeat_ios = pass();
+    let negative_hits = engine.stats().cache_negative_hits;
+    drop(engine.shutdown());
 
     let row = NegativeReport {
         absent_keys: absent.len(),
         warm_ios,
         repeat_ios,
-        negative_hits: counters.negative_hits,
+        negative_hits,
     };
     println!(
         "negative: {} absent keys — {} I/Os to warm, {} I/Os for the repeat pass \

@@ -1,6 +1,6 @@
 //! OBS — workload replay through the observability layer.
 //!
-//! Drives all six dictionary front-ends through `&mut dyn Dict` with a
+//! Drives all five dictionary front-ends through `&mut dyn Dict` with a
 //! metrics registry installed, replays a mixed workload (inserts,
 //! hit/miss lookups, deletes, batched lookups), and reports what the
 //! *exported metrics* say: p50/p99/max parallel I/Os per op class, disk
@@ -23,9 +23,7 @@ use pdm_dict::layout::DiskAllocator;
 use pdm_dict::one_probe::{OneProbeStatic, OneProbeVariant};
 use pdm_dict::traits::{DICT_BATCH_PARALLEL_IOS, DICT_OP_PARALLEL_IOS};
 use pdm_dict::wide::{WideDict, WideDictConfig};
-use pdm_dict::{
-    Dict, DictHandle, DictParams, Dictionary, DynamicDict, ShardedDictionary,
-};
+use pdm_dict::{Dict, DictHandle, DictParams, Dictionary, DynamicDict};
 use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
@@ -115,16 +113,6 @@ fn build_rebuild(_cap: usize, entries: &[(u64, Vec<Word>)], seed: u64) -> Box<dy
     h
 }
 
-fn build_sharded(_cap: usize, entries: &[(u64, Vec<Word>)], seed: u64) -> Box<dyn Dict> {
-    let params = DictParams::new(64, UNIVERSE, 1)
-        .with_degree(16)
-        .with_epsilon(1.0)
-        .with_seed(seed);
-    let mut h = Box::new(ShardedDictionary::new(4, params, 128).unwrap());
-    preload(h.as_mut(), entries);
-    h
-}
-
 fn build_wide(capacity: usize, entries: &[(u64, Vec<Word>)], seed: u64) -> Box<dyn Dict> {
     let d = 16;
     let mut disks = DiskArray::new(PdmConfig::new(d, 128), 0);
@@ -142,7 +130,6 @@ fn fronts() -> Vec<Front> {
         Front { name: "dynamic", sigma: 2, is_static: false, build: build_dynamic },
         Front { name: "one_probe", sigma: 2, is_static: true, build: build_one_probe },
         Front { name: "rebuild", sigma: 1, is_static: false, build: build_rebuild },
-        Front { name: "sharded", sigma: 1, is_static: false, build: build_sharded },
         Front { name: "wide", sigma: 16, is_static: false, build: build_wide },
     ]
 }

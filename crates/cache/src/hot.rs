@@ -41,6 +41,12 @@ use std::collections::{BTreeSet, HashMap};
 /// this.
 pub const ENTRY_OVERHEAD_BYTES: usize = 48;
 
+/// Counter family a cache's owner exports its [`CacheCounters`] under:
+/// labels `dict` (the owner; the serving engine uses `"serve"`) and `event`
+/// (`hit` / `negative_hit` / `miss` / `admit` / `reject` / `evict` /
+/// `invalidate`).
+pub const CACHE_EVENTS_TOTAL: &str = "cache_events_total";
+
 /// Cache tuning knobs. `Copy` so it can ride inside larger `Copy`
 /// configs (e.g. the serving engine's).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -16,11 +16,13 @@
 //!   entry takes an observed access count), deterministic LRU eviction (logical ticks, ordered
 //!   `(tick, key)` — drills replay bit-identically), and **negative
 //!   entries**: keys proven absent answer repeat misses for 0 I/Os.
-//! * **[`CachedDict`]** — the tier as a [`pdm_dict::Dict`] front-end
-//!   wrapping any other front-end. Mutations invalidate before they are
-//!   acknowledged; [`pdm_dict::Dict::recover`] drops the whole cache
-//!   whenever journal replay touched the image, so recovery can never
-//!   serve a stale hit.
+//!
+//! The cache holds no dictionary: it is wired in front of one by the
+//! serving engine (`pdm_server::ServeEngine`, one [`HotCache`] per shard
+//! probed at submission). The shard's worker invalidates every mutated key
+//! before the mutation is acknowledged and fills from executed lookup
+//! windows; a crashed shard's cache is cleared with it and its successor
+//! starts cold, so recovery can never serve a stale hit.
 //!
 //! ## Negative-cache soundness
 //!
@@ -30,24 +32,20 @@
 //! dictionary's case-(b) layout makes this a positive certificate — the
 //! single fetched block carries identifier-tagged fields, and "no field
 //! carries this key's identifier" is proof of absence, not mere failure
-//! to find. Batch paths certify at the disk layer instead
+//! to find. The engine's batch windows certify at the disk layer
 //! ([`pdm::DiskArray::degraded_reads`] unchanged across the batch ⇒
 //! every read was clean). Degraded misses certify nothing and are never
 //! cached.
 //!
-//! The serving engine (`pdm-server`) wires [`HotCache`] per shard in
-//! front of its batch windows, and the cluster router (`pdm-cluster`)
-//! reuses it as an epoch-validated client-side read cache; see
-//! DESIGN.md §9.
+//! The cluster router (`pdm-cluster`) reuses [`HotCache`] as an
+//! epoch-validated client-side read cache; see DESIGN.md §9.
 
 #![forbid(unsafe_code)]
 
 pub mod hot;
 pub mod sketch;
-pub mod wrapper;
 
 pub use hot::{
-    CacheAnswer, CacheConfig, CacheCounters, HotCache, ENTRY_OVERHEAD_BYTES,
+    CacheAnswer, CacheConfig, CacheCounters, HotCache, CACHE_EVENTS_TOTAL, ENTRY_OVERHEAD_BYTES,
 };
 pub use sketch::FrequencySketch;
-pub use wrapper::{CachedDict, CACHE_ENTRIES, CACHE_EVENTS_TOTAL, CACHE_USED_BYTES};

@@ -84,18 +84,20 @@ pub struct HeartbeatStats {
     pub last_detection_latency_ms: u64,
 }
 
+/// The cells behind [`HeartbeatStats`]: the only place an event is counted
+/// (`probes_missed` is the one a registry adopts).
 #[derive(Default)]
 struct HbCells {
-    probes_ok: AtomicU64,
-    probes_missed: AtomicU64,
-    detections: AtomicU64,
+    probes_ok: Counter,
+    probes_missed: Arc<Counter>,
+    detections: Counter,
+    /// A last value, not a count.
     last_detection_latency_ms: AtomicU64,
 }
 
-/// Pre-resolved registry handles for probe/detection observability.
+/// Registry-only instruments: recorded when a registry is installed.
 struct HbMetrics {
     probe_rtt_us: Arc<Histogram>,
-    probes_missed: Arc<Counter>,
     detection_latency_ms: Arc<Histogram>,
 }
 
@@ -134,22 +136,24 @@ impl Heartbeater {
         cfg: HeartbeatConfig,
         registry: &MetricsRegistry,
     ) -> Self {
-        let metrics = HbMetrics {
-            probe_rtt_us: registry.histogram("cluster_heartbeat_probe_rtt_us", &[]),
-            probes_missed: registry.counter("cluster_heartbeat_probes_missed", &[]),
-            detection_latency_ms: registry.histogram("cluster_heartbeat_detection_latency_ms", &[]),
-        };
-        Self::start_inner(router, cfg, Some(metrics))
+        Self::start_inner(router, cfg, Some(registry))
     }
 
     fn start_inner(
         router: Arc<ClusterRouter>,
         cfg: HeartbeatConfig,
-        metrics: Option<HbMetrics>,
+        registry: Option<&MetricsRegistry>,
     ) -> Self {
         assert!(cfg.suspect_after >= 1, "suspect_after must be at least 1");
         let stop = Arc::new(AtomicBool::new(false));
         let cells = Arc::new(HbCells::default());
+        let metrics = registry.map(|r| {
+            r.adopt_counter("cluster_heartbeat_probes_missed", &[], &cells.probes_missed);
+            HbMetrics {
+                probe_rtt_us: r.histogram("cluster_heartbeat_probe_rtt_us", &[]),
+                detection_latency_ms: r.histogram("cluster_heartbeat_detection_latency_ms", &[]),
+            }
+        });
         let handle = {
             let stop = Arc::clone(&stop);
             let cells = Arc::clone(&cells);
@@ -169,9 +173,9 @@ impl Heartbeater {
     #[must_use]
     pub fn stats(&self) -> HeartbeatStats {
         HeartbeatStats {
-            probes_ok: self.cells.probes_ok.load(Ordering::Relaxed),
-            probes_missed: self.cells.probes_missed.load(Ordering::Relaxed),
-            detections: self.cells.detections.load(Ordering::Relaxed),
+            probes_ok: self.cells.probes_ok.get(),
+            probes_missed: self.cells.probes_missed.get(),
+            detections: self.cells.detections.get(),
             last_detection_latency_ms: self.cells.last_detection_latency_ms.load(Ordering::Relaxed),
         }
     }
@@ -240,7 +244,7 @@ fn heartbeat_loop(
             }
             let t0 = Instant::now();
             if probe(&mut conns[node], router, node, cfg.probe_timeout) {
-                cells.probes_ok.fetch_add(1, Ordering::Relaxed);
+                cells.probes_ok.inc();
                 if let Some(m) = metrics {
                     let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
                     m.probe_rtt_us.observe(us);
@@ -248,10 +252,7 @@ fn heartbeat_loop(
                 detector.record_success(node);
                 first_miss[node] = None;
             } else {
-                cells.probes_missed.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = metrics {
-                    m.probes_missed.inc();
-                }
+                cells.probes_missed.inc();
                 conns[node] = None;
                 let since = *first_miss[node].get_or_insert(t0);
                 if detector.record_miss(node) {
@@ -259,7 +260,7 @@ fn heartbeat_loop(
                     let latency =
                         u64::try_from(since.elapsed().as_millis()).unwrap_or(u64::MAX);
                     router.note_detection(latency);
-                    cells.detections.fetch_add(1, Ordering::Relaxed);
+                    cells.detections.inc();
                     cells
                         .last_detection_latency_ms
                         .store(latency, Ordering::Relaxed);

@@ -38,7 +38,7 @@ use pdm_server::protocol::{WireRequest, WireResponse};
 use pdm_server::{Op, Reply, ServeError, TcpClient};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Duration;
 
 /// Upper bound on threads driving independent shard re-replications in
@@ -194,31 +194,21 @@ pub struct RouterStats {
     pub detection_latency_ms_max: u64,
 }
 
+/// The cells behind [`RouterStats`]: the only place an event is counted.
+/// The counters are the router's own; [`ClusterRouter::set_metrics`] has a
+/// registry adopt them, so the export reads the same atomics.
 #[derive(Default)]
 struct StatCells {
-    writes_acked: AtomicU64,
-    writes_refused: AtomicU64,
-    reads_primary: AtomicU64,
-    reads_failover: AtomicU64,
-    reads_cached: AtomicU64,
-    transport_failures: AtomicU64,
-    suspects_latched: AtomicU64,
-    heartbeat_detections: AtomicU64,
-    detection_latency_ms_max: AtomicU64,
-}
-
-/// Pre-resolved registry handles mirroring [`RouterStats`], so the
-/// Prometheus snapshot and the stats struct always agree (resolved once
-/// in [`ClusterRouter::set_metrics`], updated lock-free on the paths).
-struct RouterMetrics {
     writes_acked: Arc<Counter>,
     writes_refused: Arc<Counter>,
     reads_primary: Arc<Counter>,
     reads_failover: Arc<Counter>,
     reads_cached: Arc<Counter>,
     transport_failures: Arc<Counter>,
-    suspect_transitions: Arc<Counter>,
+    suspects_latched: Arc<Counter>,
     heartbeat_detections: Arc<Counter>,
+    /// A maximum, not a count: in no registry.
+    detection_latency_ms_max: AtomicU64,
 }
 
 struct NodeSlot {
@@ -289,7 +279,6 @@ pub struct ClusterRouter {
     /// Serializes map transitions (fail/restore/repair).
     admin: Mutex<()>,
     stats: StatCells,
-    metrics: OnceLock<RouterMetrics>,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -342,34 +331,23 @@ impl ClusterRouter {
             fences,
             admin: Mutex::new(()),
             stats: StatCells::default(),
-            metrics: OnceLock::new(),
         }
     }
 
-    /// Mirror this router's counters into `registry` (names prefixed
-    /// `cluster_router_`), so a Prometheus / JSON snapshot agrees with
-    /// [`stats`](Self::stats). Resolves the handles once; a second call
-    /// is a no-op.
+    /// Export this router's counters through `registry` (names prefixed
+    /// `cluster_router_`): the registry adopts the cells
+    /// [`stats`](Self::stats) reads, so a Prometheus / JSON snapshot agrees
+    /// with it whenever this is called — counts made before included.
     pub fn set_metrics(&self, registry: &MetricsRegistry) {
-        let _ = self.metrics.set(RouterMetrics {
-            writes_acked: registry.counter("cluster_router_writes_acked", &[]),
-            writes_refused: registry.counter("cluster_router_writes_refused", &[]),
-            reads_primary: registry.counter("cluster_router_reads", &[("path", "primary")]),
-            reads_failover: registry.counter("cluster_router_reads", &[("path", "failover")]),
-            reads_cached: registry.counter("cluster_router_reads", &[("path", "cached")]),
-            transport_failures: registry.counter("cluster_router_transport_failures", &[]),
-            suspect_transitions: registry.counter("cluster_router_suspect_transitions", &[]),
-            heartbeat_detections: registry.counter("cluster_router_heartbeat_detections", &[]),
-        });
-    }
-
-    /// Bump one stats cell and its mirrored registry counter (if
-    /// [`set_metrics`](Self::set_metrics) installed one).
-    fn bump(&self, cell: &AtomicU64, pick: fn(&RouterMetrics) -> &Counter) {
-        cell.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            pick(m).inc();
-        }
+        let s = &self.stats;
+        registry.adopt_counter("cluster_router_writes_acked", &[], &s.writes_acked);
+        registry.adopt_counter("cluster_router_writes_refused", &[], &s.writes_refused);
+        registry.adopt_counter("cluster_router_reads", &[("path", "primary")], &s.reads_primary);
+        registry.adopt_counter("cluster_router_reads", &[("path", "failover")], &s.reads_failover);
+        registry.adopt_counter("cluster_router_reads", &[("path", "cached")], &s.reads_cached);
+        registry.adopt_counter("cluster_router_transport_failures", &[], &s.transport_failures);
+        registry.adopt_counter("cluster_router_suspect_transitions", &[], &s.suspects_latched);
+        registry.adopt_counter("cluster_router_heartbeat_detections", &[], &s.heartbeat_detections);
     }
 
     /// The shared cluster config.
@@ -432,14 +410,14 @@ impl ClusterRouter {
     #[must_use]
     pub fn stats(&self) -> RouterStats {
         RouterStats {
-            writes_acked: self.stats.writes_acked.load(Ordering::Relaxed),
-            writes_refused: self.stats.writes_refused.load(Ordering::Relaxed),
-            reads_primary: self.stats.reads_primary.load(Ordering::Relaxed),
-            reads_failover: self.stats.reads_failover.load(Ordering::Relaxed),
-            reads_cached: self.stats.reads_cached.load(Ordering::Relaxed),
-            transport_failures: self.stats.transport_failures.load(Ordering::Relaxed),
-            suspects_latched: self.stats.suspects_latched.load(Ordering::Relaxed),
-            heartbeat_detections: self.stats.heartbeat_detections.load(Ordering::Relaxed),
+            writes_acked: self.stats.writes_acked.get(),
+            writes_refused: self.stats.writes_refused.get(),
+            reads_primary: self.stats.reads_primary.get(),
+            reads_failover: self.stats.reads_failover.get(),
+            reads_cached: self.stats.reads_cached.get(),
+            transport_failures: self.stats.transport_failures.get(),
+            suspects_latched: self.stats.suspects_latched.get(),
+            heartbeat_detections: self.stats.heartbeat_detections.get(),
             detection_latency_ms_max: self.stats.detection_latency_ms_max.load(Ordering::Relaxed),
         }
     }
@@ -492,7 +470,7 @@ impl ClusterRouter {
     pub fn lookup(&self, key: u64) -> Result<Option<Vec<Word>>, ClusterError> {
         let fill_gen = match self.probe_cached(key) {
             CacheProbe::Hit(hit) => {
-                self.bump(&self.stats.reads_cached, |m| &m.reads_cached);
+                self.stats.reads_cached.inc();
                 return Ok(hit);
             }
             CacheProbe::Miss { gen } => gen,
@@ -514,9 +492,9 @@ impl ClusterRouter {
                     NodeOutcome::Answered { resp } => match resp {
                         WireResponse::Reply(Reply::Lookup(sat)) => {
                             if i == 0 {
-                                self.bump(&self.stats.reads_primary, |m| &m.reads_primary);
+                                self.stats.reads_primary.inc();
                             } else {
-                                self.bump(&self.stats.reads_failover, |m| &m.reads_failover);
+                                self.stats.reads_failover.inc();
                             }
                             self.fill_cached(key, sat.as_deref(), epoch, fill_gen);
                             return Ok(sat);
@@ -667,11 +645,11 @@ impl ClusterRouter {
                         // to it, so the quorum check decides.
                         WireResponse::Err(ServeError::WrongShard { .. }) => {}
                         WireResponse::Err(e) => {
-                            self.bump(&self.stats.writes_refused, |m| &m.writes_refused);
+                            self.stats.writes_refused.inc();
                             return Err(ClusterError::Serve(e));
                         }
                         other => {
-                            self.bump(&self.stats.writes_refused, |m| &m.writes_refused);
+                            self.stats.writes_refused.inc();
                             return Err(ClusterError::Serve(ServeError::Protocol(format!(
                                 "write answered {other:?}"
                             ))));
@@ -685,7 +663,7 @@ impl ClusterRouter {
                 }
             }
             if acked < self.cfg.write_quorum {
-                self.bump(&self.stats.writes_refused, |m| &m.writes_refused);
+                self.stats.writes_refused.inc();
                 drop(fence);
                 return Err(ClusterError::NoQuorum {
                     shard,
@@ -695,7 +673,7 @@ impl ClusterRouter {
             }
             break reply.expect("acked >= 1 implies a reply");
         };
-        self.bump(&self.stats.writes_acked, |m| &m.writes_acked);
+        self.stats.writes_acked.inc();
         Ok(reply)
     }
 
@@ -716,7 +694,7 @@ impl ClusterRouter {
     /// write quorums until a re-imaging restore clears it.
     fn mark_suspect(&self, node: usize) {
         if !self.suspects[node].swap(true, Ordering::AcqRel) {
-            self.bump(&self.stats.suspects_latched, |m| &m.suspect_transitions);
+            self.stats.suspects_latched.inc();
         }
     }
 
@@ -735,7 +713,7 @@ impl ClusterRouter {
     /// Record a completed proactive detection (heartbeat internal):
     /// `latency_ms` is first missed probe → suspect latch.
     pub(crate) fn note_detection(&self, latency_ms: u64) {
-        self.bump(&self.stats.heartbeat_detections, |m| &m.heartbeat_detections);
+        self.stats.heartbeat_detections.inc();
         self.stats
             .detection_latency_ms_max
             .fetch_max(latency_ms, Ordering::Relaxed);
@@ -810,7 +788,7 @@ impl ClusterRouter {
             self.mark_suspect(node);
         }
         drop(slot);
-        self.bump(&self.stats.transport_failures, |m| &m.transport_failures);
+        self.stats.transport_failures.inc();
     }
 
     // ------------------------------------------------- map transitions

@@ -39,9 +39,9 @@
 //! * [`one_probe::HeadModelOneProbe`] — §5's closing remark: the
 //!   dictionary over an *unstriped* expander in the parallel disk head
 //!   model, saving the trivial striping's factor-`d` space.
-//! * [`concurrent::ShardedDictionary`] — a lock-sharded concurrent front;
-//!   and static structures support lock-free shared reads
-//!   ([`one_probe::OneProbeStatic::lookup_shared`]).
+//! * Static structures support lock-free shared reads
+//!   ([`one_probe::OneProbeStatic::lookup_shared`]); the concurrent front
+//!   over owned shards is `pdm_server::ServeEngine`.
 //! * [`micro::MicroDict`] — the small-`B` regime's atomic-heap stand-in.
 //!
 //! All structures share the properties the paper advertises for
@@ -60,7 +60,6 @@
 
 pub mod basic;
 pub mod bucket;
-pub mod concurrent;
 pub mod config;
 pub mod dynamic;
 pub mod fields;
@@ -75,7 +74,6 @@ pub mod traits;
 pub mod wide;
 
 pub use basic::BasicDict;
-pub use concurrent::ShardedDictionary;
 pub use config::DictParams;
 pub use dynamic::DynamicDict;
 pub use fs::PdmFileSystem;

@@ -206,13 +206,6 @@ impl Dictionary {
         })
     }
 
-    /// Install (or remove) an I/O event sink on the owned disk array —
-    /// used by [`crate::ShardedDictionary`] to hook its shards' disks into
-    /// one registry without duplicating per-op recording.
-    pub fn set_io_sink(&mut self, sink: Option<Arc<dyn pdm::metrics::IoEventSink>>) {
-        self.disks.set_io_sink(sink);
-    }
-
     /// Live keys.
     #[must_use]
     pub fn len(&self) -> usize {

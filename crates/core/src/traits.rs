@@ -252,20 +252,20 @@ impl From<pdm::BackendError> for DictError {
 
 /// The unified, object-safe dictionary interface.
 ///
-/// All six front-ends — `BasicDict`, `DynamicDict`, `OneProbeStatic`,
-/// `Dictionary`, `ShardedDictionary`, `WideDict` — are usable through
+/// All five front-ends — `BasicDict`, `DynamicDict`, `OneProbeStatic`,
+/// `Dictionary`, `WideDict` — are usable through
 /// `&mut dyn Dict` (the externally-disked structures via the
 /// [`DictHandle`](crate::DictHandle) adapter that pairs them with their
 /// [`DiskArray`]). Generic infrastructure — the differential test harness,
 /// the workload-replay bench, metrics recording — drives every front-end
-/// through this trait instead of six copies of the loop.
+/// through this trait instead of five copies of the loop.
 ///
 /// Static structures (`OneProbeStatic`) return
 /// [`ErrorKind::UnsupportedParams`] from [`insert`](Dict::insert) and
 /// [`delete`](Dict::delete).
 pub trait Dict {
     /// Stable tag naming the front-end (`"basic"`, `"dynamic"`,
-    /// `"one_probe"`, `"rebuild"`, `"sharded"`, `"wide"`); used as the
+    /// `"one_probe"`, `"rebuild"`, `"wide"`); used as the
     /// `dict` label on every exported metric.
     fn kind(&self) -> &'static str;
 
@@ -344,15 +344,17 @@ pub trait Dict {
     /// registry. No-op without a registry.
     fn refresh_gauges(&mut self) {}
 
-    /// The underlying disk array, when the front-end has exactly one — the
-    /// differential harness uses it as a byte-identity witness. `None` for
-    /// sharded structures.
+    /// The underlying disk array — the differential harness uses it as a
+    /// byte-identity witness, the serving engine to certify a window's reads
+    /// and to see a crash point fire. Every front-end in this workspace has
+    /// one; `None` (the default) is for an implementation without storage,
+    /// such as a test double.
     fn disks(&self) -> Option<&DiskArray> {
         None
     }
 
     /// Mutable access to the underlying disk array, for failure injection
-    /// in tests. `None` for sharded structures.
+    /// and durability barriers. `None` as for [`disks`](Dict::disks).
     fn disks_mut(&mut self) -> Option<&mut DiskArray> {
         None
     }

@@ -386,6 +386,15 @@ impl MetricsRegistry {
             .clone()
     }
 
+    /// File the existing counter `handle` under `name{labels}`, in place of
+    /// whatever was there. An owner that counts whether or not a registry is
+    /// watching keeps its own cells and has them adopted: the export then
+    /// reads the very atomics the owner's snapshot reads, including
+    /// everything counted before the registry arrived.
+    pub fn adopt_counter(&self, name: &str, labels: &[(&str, &str)], handle: &Arc<Counter>) {
+        lock_map(&self.counters).insert(key_of(name, labels), Arc::clone(handle));
+    }
+
     /// Get or create the gauge `name{labels}`.
     #[must_use]
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
@@ -996,6 +1005,14 @@ mod tests {
         let h2 = reg.histogram("h", &[("b", "2"), ("a", "1")]);
         h1.observe(5);
         assert_eq!(h2.snapshot().count, 1);
+        // An adopted counter brings what it counted before it was filed,
+        // and later resolutions of the name hand out that same cell.
+        let own = Arc::new(Counter::new());
+        own.add(7);
+        reg.adopt_counter("x_total", &[("op", "read")], &own);
+        reg.counter("x_total", &[("op", "read")]).inc();
+        assert_eq!(own.get(), 8);
+        assert_eq!(reg.snapshot().counter("x_total", &[("op", "read")]), Some(8));
     }
 
     #[test]

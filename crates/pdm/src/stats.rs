@@ -55,10 +55,9 @@ pub struct OpCost {
     pub block_writes: u64,
     /// Parallel I/O steps if the independently-disked parts of the
     /// operation had run one after another. Equal to `parallel_ios` for
-    /// operations on a single disk array; structures that fan one
-    /// operation out over several *independent* arrays (e.g. a sharded
-    /// dictionary's cross-shard batches) report the per-part **max** as
-    /// `parallel_ios` and keep the per-part **sum** here.
+    /// an operation on a single disk array, which is every operation a
+    /// structure in this workspace charges: fanning out over independent
+    /// arrays is the serving engine's job, and it sums per shard.
     pub sequential_ios: u64,
 }
 
@@ -75,18 +74,6 @@ impl OpCost {
         }
     }
 
-    /// Combine with a cost incurred on an **independent** disk group
-    /// running concurrently: parallel steps take the max, block counts
-    /// and the sequential measure add.
-    #[must_use]
-    pub fn alongside(self, other: OpCost) -> OpCost {
-        OpCost {
-            parallel_ios: self.parallel_ios.max(other.parallel_ios),
-            block_reads: self.block_reads + other.block_reads,
-            block_writes: self.block_writes + other.block_writes,
-            sequential_ios: self.sequential_ios + other.sequential_ios,
-        }
-    }
 }
 
 /// Snapshot of counters at the start of a logical operation.
@@ -255,27 +242,6 @@ mod tests {
         assert_eq!(c.block_reads, 22);
         assert_eq!(c.block_writes, 33);
         assert_eq!(c.sequential_ios, 11);
-    }
-
-    #[test]
-    fn opcost_alongside_takes_parallel_max_and_sequential_sum() {
-        let a = OpCost {
-            parallel_ios: 3,
-            block_reads: 5,
-            block_writes: 1,
-            sequential_ios: 3,
-        };
-        let b = OpCost {
-            parallel_ios: 2,
-            block_reads: 4,
-            block_writes: 0,
-            sequential_ios: 2,
-        };
-        let c = a.alongside(b);
-        assert_eq!(c.parallel_ios, 3, "independent groups overlap in time");
-        assert_eq!(c.sequential_ios, 5, "the sum is retained");
-        assert_eq!(c.block_reads, 9);
-        assert_eq!(c.block_writes, 1);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! One parallel I/O round touches up to `D` disks; a single lookup needs
 //! one or two blocks of it. Serving one operation per lock acquisition
-//! (the [`pdm_dict::ShardedDictionary`] discipline) therefore wastes
-//! almost the entire round under concurrency. Here, requests that arrive
+//! therefore wastes almost the entire round under concurrency. Here,
+//! requests that arrive
 //! while a worker is busy accumulate in its shard queue; the worker
 //! drains them all in one wakeup and serves them as **one**
 //! `lookup_batch` / `insert_batch` / `delete_batch`, whose planner packs block requests
@@ -42,7 +42,7 @@ use pdm::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use pdm::Word;
 use pdm_cache::{CacheAnswer, CacheConfig, CacheCounters, HotCache};
 use pdm_dict::Dict;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -210,38 +210,56 @@ impl EngineConfig {
     }
 }
 
-/// Monotone engine counters (always on — plain atomics, no registry
-/// needed). Snapshot via [`ServeEngine::stats`].
+/// Monotone engine counters: always on, and the only place an event is
+/// counted. Each is a [`Counter`] the engine owns; the ones with a `serve_*`
+/// family are adopted by the registry [`ServeEngine::with_metrics`] is given
+/// ([`MetricsRegistry::adopt_counter`]), so [`ServeEngine::stats`] and the
+/// export read the same atomics. Indexed cells follow [`OPS`] / [`REASONS`].
 #[derive(Debug, Default)]
-pub(crate) struct AtomicStats {
-    pub(crate) submitted: AtomicU64,
-    pub(crate) acked: AtomicU64,
-    pub(crate) dict_errors: AtomicU64,
-    pub(crate) rejected_overloaded: AtomicU64,
-    pub(crate) rejected_timedout: AtomicU64,
-    pub(crate) rejected_shutdown: AtomicU64,
-    pub(crate) disconnected: AtomicU64,
-    /// Batched dictionary calls executed (a window's `lookup_batch`,
-    /// `insert_batch` and `delete_batch` each count 1).
-    pub(crate) exec_calls: AtomicU64,
+pub(crate) struct Cells {
+    /// Requests admitted — into a queue, or answered at submission.
+    submitted: Counter,
+    /// [`SERVE_OPS_TOTAL`], `outcome = "ok"`, per op.
+    ops_ok: [Arc<Counter>; 3],
+    /// [`SERVE_OPS_TOTAL`], `outcome = "err"`, per op.
+    ops_err: [Arc<Counter>; 3],
+    /// [`SERVE_REJECTED_TOTAL`], per reason.
+    rejected: [Arc<Counter>; 3],
+    /// [`SERVE_DISCONNECTED_TOTAL`].
+    disconnected: Arc<Counter>,
+    /// [`SERVE_ROUNDS_TOTAL`]: batched dictionary calls executed (a
+    /// window's `lookup_batch`, `insert_batch` and `delete_batch` each
+    /// count 1).
+    exec_calls: Arc<Counter>,
     /// Operations served through those calls.
-    pub(crate) exec_ops: AtomicU64,
+    exec_ops: Counter,
     /// Parallel I/O rounds charged by those calls (per-shard sums; the
     /// shards' disk groups are independent, so across shards these
     /// overlap in time).
-    pub(crate) parallel_ios: AtomicU64,
+    parallel_ios: Counter,
     /// The one-group-at-a-time measure ([`pdm::OpCost::sequential_ios`]).
-    pub(crate) sequential_ios: AtomicU64,
-    /// Lookups answered at submission time from a resident cache entry.
-    pub(crate) cache_hits: AtomicU64,
-    /// Lookups answered at submission time from a negative entry.
-    pub(crate) cache_negative_hits: AtomicU64,
+    sequential_ios: Counter,
+}
+
+impl Cells {
+    fn adopt_into(&self, registry: &MetricsRegistry) {
+        for (i, op) in OPS.into_iter().enumerate() {
+            registry.adopt_counter(SERVE_OPS_TOTAL, &[("op", op), ("outcome", "ok")], &self.ops_ok[i]);
+            registry.adopt_counter(SERVE_OPS_TOTAL, &[("op", op), ("outcome", "err")], &self.ops_err[i]);
+        }
+        for (i, reason) in REASONS.into_iter().enumerate() {
+            registry.adopt_counter(SERVE_REJECTED_TOTAL, &[("reason", reason)], &self.rejected[i]);
+        }
+        registry.adopt_counter(SERVE_DISCONNECTED_TOTAL, &[], &self.disconnected);
+        registry.adopt_counter(SERVE_ROUNDS_TOTAL, &[], &self.exec_calls);
+    }
 }
 
 /// A point-in-time copy of the engine counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Requests admitted into a shard queue.
+    /// Requests admitted: into a shard queue, or — a lookup the hot-key
+    /// cache answered at submission — acknowledged without entering one.
     pub submitted: u64,
     /// Requests acknowledged with a successful reply.
     pub acked: u64,
@@ -309,21 +327,17 @@ impl EngineStats {
     }
 }
 
-/// Pre-resolved registry handles for the serving layer (`serve_*`
-/// metric families).
+/// Pre-resolved registry handles for what the serving layer records only
+/// when a registry is installed: gauges, histograms and the shard caches'
+/// event counts (the `serve_*` counters are the engine's own cells, adopted).
 #[derive(Debug)]
 pub struct ServeMetrics {
     queue_depth: Vec<Arc<Gauge>>,
     batch_keys: [Arc<Histogram>; 3],
     batch_ios: [Arc<Histogram>; 3],
     latency_us: [Arc<Histogram>; 3],
-    ops_ok: [Arc<Counter>; 3],
-    ops_err: [Arc<Counter>; 3],
-    rejected: [Arc<Counter>; 3],
-    disconnected: Arc<Counter>,
-    rounds: Arc<Counter>,
-    /// Cache events, `pdm_cache`'s family with `dict = "serve"` (order:
-    /// hit, negative_hit, miss, admit, reject, evict, invalidate).
+    /// Cache events, `pdm_cache`'s family with `dict = "serve"`, in
+    /// [`CACHE_EVENTS`]' order.
     cache_events: [Arc<Counter>; 7],
     /// Per-lookup parallel I/Os in **centi-I/Os** (×100, so the
     /// integer histogram resolves fractional amortized costs: a cache
@@ -347,7 +361,8 @@ pub const SERVE_OPS_TOTAL: &str = "serve_ops_total";
 pub const SERVE_REJECTED_TOTAL: &str = "serve_rejected_total";
 /// Counter of requests dropped by a crash, no label.
 pub const SERVE_DISCONNECTED_TOTAL: &str = "serve_disconnected_total";
-/// Counter of coalesced execution windows, no label.
+/// Counter of batched dictionary calls executed (at most three per coalesced
+/// window, one per kind of operation it holds), no label.
 pub const SERVE_ROUNDS_TOTAL: &str = "serve_rounds_total";
 /// Histogram of per-lookup parallel I/Os in centi-I/Os (×100; cache
 /// hits observe 0, executed lookups observe their window-amortized
@@ -355,19 +370,25 @@ pub const SERVE_ROUNDS_TOTAL: &str = "serve_rounds_total";
 pub const SERVE_LOOKUP_CENTI_IOS: &str = "serve_lookup_centi_ios";
 
 const OPS: [&str; 3] = ["lookup", "insert", "delete"];
+const REASONS: [&str; 3] = ["overloaded", "timedout", "shutdown"];
+const OVERLOADED: usize = 0;
+const TIMEDOUT: usize = 1;
+const SHUTDOWN: usize = 2;
+/// The `event` label of a [`CacheCounters`] field, and the field.
+type CacheEvent = (&'static str, fn(&CacheCounters) -> u64);
+const CACHE_EVENTS: [CacheEvent; 7] = [
+    ("hit", |c| c.hits),
+    ("negative_hit", |c| c.negative_hits),
+    ("miss", |c| c.misses),
+    ("admit", |c| c.admitted),
+    ("reject", |c| c.rejected),
+    ("evict", |c| c.evicted),
+    ("invalidate", |c| c.invalidated),
+];
 
 impl ServeMetrics {
     fn new(registry: &MetricsRegistry, shards: usize) -> Self {
-        let hist = |name: &'static str| {
-            [OPS[0], OPS[1], OPS[2]].map(|op| registry.histogram(name, &[("op", op)]))
-        };
-        let ops = |outcome: &'static str| {
-            [
-                registry.counter(SERVE_OPS_TOTAL, &[("op", OPS[0]), ("outcome", outcome)]),
-                registry.counter(SERVE_OPS_TOTAL, &[("op", OPS[1]), ("outcome", outcome)]),
-                registry.counter(SERVE_OPS_TOTAL, &[("op", OPS[2]), ("outcome", outcome)]),
-            ]
-        };
+        let hist = |name: &'static str| OPS.map(|op| registry.histogram(name, &[("op", op)]));
         ServeMetrics {
             queue_depth: (0..shards)
                 .map(|s| registry.gauge(SERVE_QUEUE_DEPTH, &[("shard", &s.to_string())]))
@@ -375,25 +396,7 @@ impl ServeMetrics {
             batch_keys: hist(SERVE_BATCH_KEYS),
             batch_ios: hist(SERVE_BATCH_PARALLEL_IOS),
             latency_us: hist(SERVE_LATENCY_US),
-            ops_ok: ops("ok"),
-            ops_err: ops("err"),
-            rejected: [
-                registry.counter(SERVE_REJECTED_TOTAL, &[("reason", "overloaded")]),
-                registry.counter(SERVE_REJECTED_TOTAL, &[("reason", "timedout")]),
-                registry.counter(SERVE_REJECTED_TOTAL, &[("reason", "shutdown")]),
-            ],
-            disconnected: registry.counter(SERVE_DISCONNECTED_TOTAL, &[]),
-            rounds: registry.counter(SERVE_ROUNDS_TOTAL, &[]),
-            cache_events: [
-                "hit",
-                "negative_hit",
-                "miss",
-                "admit",
-                "reject",
-                "evict",
-                "invalidate",
-            ]
-            .map(|event| {
+            cache_events: CACHE_EVENTS.map(|(event, _)| {
                 registry.counter(
                     pdm_cache::CACHE_EVENTS_TOTAL,
                     &[("dict", "serve"), ("event", event)],
@@ -406,19 +409,8 @@ impl ServeMetrics {
     /// Push the delta between `now` and the already-exported `synced`
     /// snapshot into the cache-event counters.
     fn sync_cache(&self, synced: &mut CacheCounters, now: CacheCounters) {
-        let deltas = [
-            now.hits - synced.hits,
-            now.negative_hits - synced.negative_hits,
-            now.misses - synced.misses,
-            now.admitted - synced.admitted,
-            now.rejected - synced.rejected,
-            now.evicted - synced.evicted,
-            now.invalidated - synced.invalidated,
-        ];
-        for (handle, delta) in self.cache_events.iter().zip(deltas) {
-            if delta > 0 {
-                handle.add(delta);
-            }
+        for (handle, (_, count)) in self.cache_events.iter().zip(CACHE_EVENTS) {
+            handle.add(count(&now) - count(synced));
         }
         *synced = now;
     }
@@ -440,7 +432,7 @@ pub(crate) struct Shared {
     /// not [`ServeError::ShuttingDown`]).
     pub(crate) crashed: Vec<AtomicBool>,
     pub(crate) cfg: EngineConfig,
-    pub(crate) stats: Arc<AtomicStats>,
+    pub(crate) stats: Cells,
     pub(crate) metrics: Option<Arc<ServeMetrics>>,
     /// One hot-key cache per shard when [`EngineConfig::cache`] is set.
     /// Client threads probe under the mutex at submission; the shard
@@ -471,21 +463,14 @@ impl Shared {
             if !self.crashed[shard].load(Ordering::Acquire) && !self.queues[shard].is_closed() {
                 let answer = caches[shard].lock().expect("cache lock").probe(*key);
                 let reply = match answer {
-                    CacheAnswer::Hit(v) => {
-                        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        Some(Some(v))
-                    }
-                    CacheAnswer::NegativeHit => {
-                        self.stats.cache_negative_hits.fetch_add(1, Ordering::Relaxed);
-                        Some(None)
-                    }
+                    CacheAnswer::Hit(v) => Some(Some(v)),
+                    CacheAnswer::NegativeHit => Some(None),
                     CacheAnswer::Miss => None,
                 };
                 if let Some(satellite) = reply {
-                    self.stats.submitted.fetch_add(1, Ordering::Relaxed);
-                    self.stats.acked.fetch_add(1, Ordering::Relaxed);
+                    self.stats.submitted.inc();
+                    self.stats.ops_ok[0].inc();
                     if let Some(m) = &self.metrics {
-                        m.ops_ok[0].inc();
                         m.latency_us[0].observe(0);
                         m.lookup_centi_ios.observe(0);
                     }
@@ -505,17 +490,14 @@ impl Shared {
         };
         match self.queues[shard].push(request) {
             Ok(depth) => {
-                self.stats.submitted.fetch_add(1, Ordering::Relaxed);
+                self.stats.submitted.inc();
                 if let Some(m) = &self.metrics {
                     m.queue_depth[shard].set(depth as i64);
                 }
                 Ok(slot)
             }
             Err((PushRefused::Full, _)) => {
-                self.stats.rejected_overloaded.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = &self.metrics {
-                    m.rejected[0].inc();
-                }
+                self.stats.rejected[OVERLOADED].inc();
                 Err(ServeError::Overloaded {
                     shard,
                     depth: self.queues[shard].bound(),
@@ -523,13 +505,10 @@ impl Shared {
             }
             Err((PushRefused::Closed, _)) => {
                 if self.crashed[shard].load(Ordering::Acquire) {
-                    self.stats.disconnected.fetch_add(1, Ordering::Relaxed);
+                    self.stats.disconnected.inc();
                     Err(ServeError::Disconnected)
                 } else {
-                    self.stats.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
-                    if let Some(m) = &self.metrics {
-                        m.rejected[2].inc();
-                    }
+                    self.stats.rejected[SHUTDOWN].inc();
                     Err(ServeError::ShuttingDown)
                 }
             }
@@ -587,8 +566,7 @@ impl ServeEngine {
     /// Spawn one worker thread per shard dictionary.
     ///
     /// Shard dictionaries are independent — in a deployment each owns
-    /// its own disk group, so per-shard batches overlap in time (the
-    /// same argument as [`pdm_dict::ShardedDictionary`]'s cost model).
+    /// its own disk group, so per-shard batches overlap in time.
     ///
     /// # Panics
     /// Panics if `shards` is empty.
@@ -598,9 +576,10 @@ impl ServeEngine {
     }
 
     /// Like [`new`](Self::new), additionally exporting `serve_*` metrics
-    /// to `registry`. (Shard dictionaries keep their own `dict_*`
-    /// recording; install it via [`pdm_dict::Dict::set_metrics`] before
-    /// handing them over.)
+    /// to `registry`: it adopts the engine's own counters, and the engine
+    /// records the histograms and gauges that exist only there. (Shard
+    /// dictionaries keep their own `dict_*` recording; install it via
+    /// [`pdm_dict::Dict::set_metrics`] before handing them over.)
     ///
     /// # Panics
     /// Panics if `shards` is empty.
@@ -611,13 +590,17 @@ impl ServeEngine {
         registry: Option<Arc<MetricsRegistry>>,
     ) -> Self {
         assert!(!shards.is_empty(), "need at least one shard");
-        let metrics = registry.map(|r| Arc::new(ServeMetrics::new(&r, shards.len())));
+        let stats = Cells::default();
+        let metrics = registry.map(|r| {
+            stats.adopt_into(&r);
+            Arc::new(ServeMetrics::new(&r, shards.len()))
+        });
         let shared = Arc::new(Shared {
             queues: (0..shards.len())
                 .map(|_| Arc::new(BoundedQueue::new(cfg.queue_bound)))
                 .collect(),
             crashed: (0..shards.len()).map(|_| AtomicBool::new(false)).collect(),
-            stats: Arc::new(AtomicStats::default()),
+            stats,
             metrics,
             caches: cfg
                 .cache
@@ -650,24 +633,28 @@ impl ServeEngine {
         self.shared.queues.len()
     }
 
-    /// Snapshot the engine counters.
+    /// Snapshot the engine counters (the cache fields are the shard
+    /// caches' own [`CacheCounters`]: a probe is only ever made at
+    /// submission, so every hit they count was answered there).
     #[must_use]
     pub fn stats(&self) -> EngineStats {
         let s = &self.shared.stats;
+        let sum = |cells: &[Arc<Counter>; 3]| cells.iter().map(|c| c.get()).sum();
+        let cache = self.cache_counters().unwrap_or_default();
         EngineStats {
-            submitted: s.submitted.load(Ordering::Relaxed),
-            acked: s.acked.load(Ordering::Relaxed),
-            dict_errors: s.dict_errors.load(Ordering::Relaxed),
-            rejected_overloaded: s.rejected_overloaded.load(Ordering::Relaxed),
-            rejected_timedout: s.rejected_timedout.load(Ordering::Relaxed),
-            rejected_shutdown: s.rejected_shutdown.load(Ordering::Relaxed),
-            disconnected: s.disconnected.load(Ordering::Relaxed),
-            exec_calls: s.exec_calls.load(Ordering::Relaxed),
-            exec_ops: s.exec_ops.load(Ordering::Relaxed),
-            parallel_ios: s.parallel_ios.load(Ordering::Relaxed),
-            sequential_ios: s.sequential_ios.load(Ordering::Relaxed),
-            cache_hits: s.cache_hits.load(Ordering::Relaxed),
-            cache_negative_hits: s.cache_negative_hits.load(Ordering::Relaxed),
+            submitted: s.submitted.get(),
+            acked: sum(&s.ops_ok),
+            dict_errors: sum(&s.ops_err),
+            rejected_overloaded: s.rejected[OVERLOADED].get(),
+            rejected_timedout: s.rejected[TIMEDOUT].get(),
+            rejected_shutdown: s.rejected[SHUTDOWN].get(),
+            disconnected: s.disconnected.get(),
+            exec_calls: s.exec_calls.get(),
+            exec_ops: s.exec_ops.get(),
+            parallel_ios: s.parallel_ios.get(),
+            sequential_ios: s.sequential_ios.get(),
+            cache_hits: cache.hits,
+            cache_negative_hits: cache.negative_hits,
         }
     }
 
@@ -763,17 +750,12 @@ fn run_shard(id: usize, mut dict: Box<dyn Dict + Send>, shared: &Shared) -> Box<
             }
         }
 
-        let mut calls = 0u64;
-        let mut ops = 0u64;
-        let mut record = |cost: pdm::OpCost, n: usize, op_idx: usize| {
-            calls += 1;
-            ops += n as u64;
-            stats.parallel_ios.fetch_add(cost.parallel_ios, Ordering::Relaxed);
-            stats
-                .sequential_ios
-                .fetch_add(cost.sequential_ios, Ordering::Relaxed);
+        let record = |cost: pdm::OpCost, n: usize, op_idx: usize| {
+            stats.exec_calls.inc();
+            stats.exec_ops.add(n as u64);
+            stats.parallel_ios.add(cost.parallel_ios);
+            stats.sequential_ios.add(cost.sequential_ios);
             if let Some(m) = metrics {
-                m.rounds.inc();
                 m.batch_keys[op_idx].observe(n as u64);
                 m.batch_ios[op_idx].observe(cost.parallel_ios);
             }
@@ -849,43 +831,38 @@ fn run_shard(id: usize, mut dict: Box<dyn Dict + Send>, shared: &Shared) -> Box<
                 replies[i] = Some(Ok(Reply::Lookup(satellite)));
             }
         }
-        stats.exec_calls.fetch_add(calls, Ordering::Relaxed);
-        stats.exec_ops.fetch_add(ops, Ordering::Relaxed);
-
-        // This window's dictionary calls are issued: the previous
-        // window's barrier has had a full window of reads to overlap
-        // with. Join and release it before judging the current window.
-        let crashed_now = dict.disks().is_some_and(pdm::DiskArray::crash_fired);
-        if crashed_now {
-            // A killed process acknowledges nothing — not even the
-            // previous window, whose replies it never got to send.
-            if let Some((_, pbatch, _)) = pending.take() {
-                settle_disconnect(&pbatch, stats, metrics);
-            }
-        } else {
-            settle_pending(&mut pending, &mut dict, stats, metrics);
-        }
 
         // Crash fidelity: if the shard's crash point fired inside this
         // window, the "process" died mid-write — acknowledge nothing,
         // disconnect everyone still queued, and stop serving. (Writes
         // after the crash point were physically dropped by the fault
         // layer; recovery decides their fate from the journal alone.)
-        if crashed_now {
-            // The "process" died: its in-memory cache dies with it. The
-            // replacement shard must start cold so nothing written after
-            // the crash point can be shadowed by a pre-crash entry.
+        if dict.disks().is_some_and(pdm::DiskArray::crash_fired) {
+            // A killed process acknowledges nothing — not even the
+            // previous window, whose replies it never got to send.
+            if let Some((_, pbatch, _)) = pending.take() {
+                settle_disconnect(&pbatch, stats);
+            }
+            // Its in-memory cache dies with it: the replacement shard must
+            // start cold so nothing written after the crash point can be
+            // shadowed by a pre-crash entry.
             if let Some(cache) = cache {
-                cache.lock().expect("cache lock").clear();
+                let mut c = cache.lock().expect("cache lock");
+                c.clear();
+                if let Some(m) = metrics {
+                    m.sync_cache(&mut cache_synced, c.counters());
+                }
             }
             shared.crashed[id].store(true, Ordering::Release);
             queue.close();
-            let disconnected = batch.len() as u64
-                + drain_disconnect(queue, stats, metrics)
-                + settle_disconnect(&batch, stats, metrics);
-            let _ = disconnected;
+            drain_disconnect(queue, stats);
+            settle_disconnect(&batch, stats);
             return dict;
         }
+        // This window's dictionary calls are issued: the previous
+        // window's barrier has had a full window of reads to overlap
+        // with. Join and release it before settling the current window.
+        settle_pending(&mut pending, &mut dict, stats, metrics);
 
         // Fill the shard cache from this window's executed lookups: the
         // reads ran after this window's mutations, so they are the
@@ -941,7 +918,7 @@ fn run_shard(id: usize, mut dict: Box<dyn Dict + Send>, shared: &Shared) -> Box<
 fn settle_pending(
     pending: &mut Option<ParkedWindow>,
     dict: &mut Box<dyn Dict + Send>,
-    stats: &AtomicStats,
+    stats: &Cells,
     metrics: Option<&ServeMetrics>,
 ) {
     if let Some((ticket, batch, replies)) = pending.take() {
@@ -956,7 +933,7 @@ fn settle_pending(
 fn settle_window(
     batch: &[Request],
     replies: Vec<Option<OpResult>>,
-    stats: &AtomicStats,
+    stats: &Cells,
     metrics: Option<&ServeMetrics>,
 ) {
     let done = Instant::now();
@@ -964,24 +941,9 @@ fn settle_window(
         let reply = reply.expect("every request partitioned and answered");
         let op_idx = ServeMetrics::op_index(&request.op);
         match &reply {
-            Ok(_) => {
-                stats.acked.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = metrics {
-                    m.ops_ok[op_idx].inc();
-                }
-            }
-            Err(ServeError::TimedOut) => {
-                stats.rejected_timedout.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = metrics {
-                    m.rejected[1].inc();
-                }
-            }
-            Err(_) => {
-                stats.dict_errors.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = metrics {
-                    m.ops_err[op_idx].inc();
-                }
-            }
+            Ok(_) => stats.ops_ok[op_idx].inc(),
+            Err(ServeError::TimedOut) => stats.rejected[TIMEDOUT].inc(),
+            Err(_) => stats.ops_err[op_idx].inc(),
         }
         if let Some(m) = metrics {
             let us = done.duration_since(request.submitted).as_micros() as u64;
@@ -992,35 +954,21 @@ fn settle_window(
 }
 
 /// Disconnect everything still queued after a crash (never silently
-/// dropped; clients get a typed error). Returns the count.
-fn drain_disconnect(
-    queue: &BoundedQueue<Request>,
-    stats: &AtomicStats,
-    metrics: Option<&ServeMetrics>,
-) -> u64 {
-    let mut n = 0;
+/// dropped; clients get a typed error).
+fn drain_disconnect(queue: &BoundedQueue<Request>, stats: &Cells) {
     while let Some(rest) = queue.drain(usize::MAX) {
-        n += settle_disconnect(&rest, stats, metrics);
+        settle_disconnect(&rest, stats);
         if rest.is_empty() {
             break;
         }
     }
-    n
 }
 
-fn settle_disconnect(
-    batch: &[Request],
-    stats: &AtomicStats,
-    metrics: Option<&ServeMetrics>,
-) -> u64 {
+fn settle_disconnect(batch: &[Request], stats: &Cells) {
     for request in batch {
-        stats.disconnected.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = metrics {
-            m.disconnected.inc();
-        }
+        stats.disconnected.inc();
         request.slot.put(Err(ServeError::Disconnected));
     }
-    batch.len() as u64
 }
 
 #[cfg(test)]
@@ -1028,6 +976,7 @@ mod tests {
     use super::*;
     use pdm_dict::{DictError, DictParams, Dictionary, LookupOutcome};
     use std::collections::HashMap;
+    use std::sync::atomic::AtomicU64;
     use std::sync::{Condvar, Mutex};
 
     /// A HashMap-backed dictionary whose every operation blocks while the
@@ -1326,23 +1275,52 @@ mod tests {
         }
     }
 
+    /// A mixed run with rejections and the cache on: every family renders,
+    /// and every exported `serve_*` counter is the number
+    /// [`ServeEngine::stats`] reports — they are the same cells.
     #[test]
     fn metrics_registry_sees_serving_families() {
         let g = gate();
-        open(&g);
         let registry = Arc::new(MetricsRegistry::new());
         let engine = ServeEngine::with_metrics(
             vec![GateDict::boxed(&g)],
-            EngineConfig::default(),
+            EngineConfig::default()
+                .with_queue_bound(2)
+                .with_cache(pdm_cache::CacheConfig::default()),
             Some(Arc::clone(&registry)),
         );
         let client = engine.client();
-        client.insert(1, &[10]).unwrap();
+        // Behind a parked worker: one request left to expire, one to fill
+        // the queue, two refused.
+        let parker = park_worker(&client);
+        let doomed = client
+            .submit_with_deadline(Op::Insert(9, vec![9]), Duration::from_millis(1))
+            .unwrap();
+        let queued = client.submit(Op::Insert(1, vec![10])).unwrap();
+        for key in 2..4 {
+            assert!(matches!(
+                client.submit(Op::Lookup(key)),
+                Err(ServeError::Overloaded { .. })
+            ));
+        }
+        std::thread::sleep(Duration::from_millis(30));
+        open(&g);
+        assert!(parker.wait().is_ok());
+        assert_eq!(doomed.wait(), Err(ServeError::TimedOut));
+        assert_eq!(queued.wait(), Ok(Reply::Inserted));
+        assert_eq!(
+            client.insert(1, &[11]),
+            Err(ServeError::Dict(DictError::DuplicateKey(1)))
+        );
         assert_eq!(client.lookup(1).unwrap(), Some(vec![10]));
+        assert_eq!(client.lookup(1).unwrap(), Some(vec![10]), "from the cache");
         assert!(client.delete(1).unwrap());
-        drop(engine.shutdown());
+        assert_eq!(client.lookup(1).unwrap(), None);
 
-        let text = registry.snapshot().to_prometheus();
+        let stats = engine.stats();
+        drop(engine.shutdown());
+        let snap = registry.snapshot();
+        let text = snap.to_prometheus();
         for family in [
             SERVE_OPS_TOTAL,
             SERVE_BATCH_KEYS,
@@ -1352,6 +1330,32 @@ mod tests {
         ] {
             assert!(text.contains(family), "{family} missing from export");
         }
+        let exported = |name: &str, labels: &[(&str, &str)]| snap.counter_sum(name, labels).unwrap_or(0);
+        let cache_event =
+            |event| exported(pdm_cache::CACHE_EVENTS_TOTAL, &[("dict", "serve"), ("event", event)]);
+        let seen = EngineStats {
+            acked: exported(SERVE_OPS_TOTAL, &[("outcome", "ok")]),
+            dict_errors: exported(SERVE_OPS_TOTAL, &[("outcome", "err")]),
+            rejected_overloaded: exported(SERVE_REJECTED_TOTAL, &[("reason", "overloaded")]),
+            rejected_timedout: exported(SERVE_REJECTED_TOTAL, &[("reason", "timedout")]),
+            rejected_shutdown: exported(SERVE_REJECTED_TOTAL, &[("reason", "shutdown")]),
+            disconnected: exported(SERVE_DISCONNECTED_TOTAL, &[]),
+            exec_calls: exported(SERVE_ROUNDS_TOTAL, &[]),
+            cache_hits: cache_event("hit"),
+            cache_negative_hits: cache_event("negative_hit"),
+            // No family of their own.
+            submitted: stats.submitted,
+            exec_ops: stats.exec_ops,
+            parallel_ios: stats.parallel_ios,
+            sequential_ios: stats.sequential_ios,
+        };
+        assert_eq!(seen, stats);
+        assert_eq!(
+            (stats.acked, stats.dict_errors, stats.rejected_overloaded, stats.rejected_timedout),
+            (6, 1, 2, 1)
+        );
+        assert_eq!(stats.cache_hits, 1);
+        assert_eq!(stats.submitted, stats.acked + stats.dict_errors + stats.rejected_timedout);
     }
 
     #[test]

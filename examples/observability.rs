@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut dict = Dictionary::new(params, 128)?;
 
     // Hook up a registry. Every front-end implements `Dict`, so this
-    // works identically for BasicDict, OneProbeStatic, ShardedDictionary …
+    // works identically for BasicDict, OneProbeStatic, DynamicDict …
     let registry = Arc::new(MetricsRegistry::new());
     dict.set_metrics(Some(Arc::clone(&registry)));
 

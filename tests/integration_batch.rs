@@ -164,10 +164,10 @@ fn diff_delete_batch(f: &Frontend, keys: &[u64], doomed: &[u64]) -> Result<(), T
         cost.parallel_ios <= seq_sum,
         "{}: batch cost {} exceeds sequential sum {}", f.name, cost.parallel_ios, seq_sum
     );
-    // The rebuilding fronts pace their migration per batch: a step one
+    // The rebuilding front paces its migration per batch: a step one
     // sequential delete paid alone may fall outside the batch's window.
     // And one journaled delete in eight pays the group commit's superblock.
-    if !matches!(f.name, "rebuild" | "sharded") {
+    if f.name != "rebuild" {
         let floor = seq_max - u64::from(f.name == "dynamic_journaled" && seq_max > 3);
         prop_assert!(
             cost.parallel_ios >= floor,

@@ -1,22 +1,24 @@
-//! The hot-key cache tier must be **invisible**: layering [`CachedDict`]
-//! over any front-end may change costs, never answers. Three angles:
+//! The hot-key cache tier must be **invisible**: switching it on in a
+//! [`ServeEngine`] may change costs, never answers. Three angles:
 //!
-//! 1. **Differential, every front-end** (proptest): the cached wrapper
-//!    and a plain twin built from the same entries and seed run the same
-//!    generated mixed stream (repeated lookups so hits and negative hits
-//!    actually occur, inserts, deletes, batch sweeps). Every answer and
-//!    every error must match, under an aggressive config (admit on first
-//!    touch, tiny budget, so admission *and* eviction churn) and under
-//!    the default config.
-//! 2. **Crash points**: a warmed cache over the journaled dynamic front
-//!    is cut at *every* physical write of a mutation workload. After the
-//!    reboot (journal superblock re-read from the image alone) and
-//!    [`Dict::recover`] — which drops the cache whenever replay touched
-//!    the image — every lookup must agree with a cache-less reopen of
-//!    the same image, twice (the second pass reads through the refilled
-//!    cache). No crash point may yield a stale hit: not the pre-crash
-//!    value of a cut mutation, not a negatively-cached absence for a key
-//!    whose insert landed.
+//! 1. **Differential, every front-end** (proptest): a cache-on engine, a
+//!    cache-off engine and a plain twin dictionary, each over a shard built
+//!    from the same entries and seed, run the same generated mixed stream —
+//!    single synchronous operations (repeated lookups so hits and negative
+//!    hits actually occur, inserts, deletes) and pipelined pools held into
+//!    one window, so `lookup_batch` / `insert_batch` / `delete_batch` calls
+//!    of many keys occur. Every reply and every error must match, under an
+//!    aggressive config (admit on first touch, tiny budget, so admission
+//!    *and* eviction churn — asserted, not hoped) and under the default.
+//! 2. **Crash points**: a warmed engine over the journaled dynamic front
+//!    is cut at *every* physical write of a mutation workload. The crashed
+//!    shard's cache must be empty, and after the reboot (journal
+//!    superblock re-read from the image alone) and [`Dict::recover`], a
+//!    successor engine with the cache on must agree with a cache-less
+//!    reopen of the same image on every lookup, twice (the second pass
+//!    reads through the refilled cache). No crash point may yield a stale
+//!    hit: not the pre-crash value of a cut mutation, not a negatively
+//!    cached absence for a key whose insert landed.
 //! 3. **Engine level**: a [`ServeEngine`] with the cache tier enabled
 //!    answers a deterministic client stream reply-for-reply identically
 //!    to a cache-off engine, while actually serving from the cache
@@ -24,26 +26,22 @@
 
 mod harness;
 
-use harness::{dense_keys, frontend, frontends, sat, KEY_SPACE};
+use harness::{dense_keys, frontend, frontends, sat, ShardProbe, KEY_SPACE};
 use pdm::{FaultPlan, Word};
-use pdm_cache::{CacheConfig, CachedDict};
-use pdm_dict::{Dict, DictError};
-use pdm_server::{EngineConfig, ServeEngine, ServeError};
+use pdm_cache::{CacheConfig, CacheCounters};
+use pdm_dict::Dict;
+use pdm_server::scheduler::OpResult;
+use pdm_server::{DictClient, EngineConfig, Op, Reply, ServeEngine, ServeError};
 use proptest::prelude::*;
 
-/// Aggressive cache shape: first-touch admission, a budget small enough
-/// that the generated key sets overflow it (evictions), tiny sketch
-/// (aging kicks in). Maximizes cache state churn per test case.
+/// Aggressive cache shape: first-touch admission, a budget smaller than
+/// the smallest generated key pool (evictions), tiny sketch (aging kicks
+/// in). Maximizes cache state churn per test case.
 fn churn_config() -> CacheConfig {
     CacheConfig::default()
         .with_admit_threshold(1)
-        .with_budget_bytes(2_048)
+        .with_budget_bytes(512)
         .with_sketch_keys(64)
-}
-
-/// Strip costs: answers and errors are the contract, I/O counts are not.
-fn flat<T>(r: Result<T, DictError>) -> Result<(), DictError> {
-    r.map(|_| ())
 }
 
 /// One generated step over the key pool (index is resolved mod pool).
@@ -74,100 +72,159 @@ fn key_set() -> impl Strategy<Value = Vec<u64>> {
     })
 }
 
-/// Run `steps` against the cached wrapper and its plain twin; every
-/// answer must match. `keys` are preloaded; half the pool is fresh keys
-/// (insert targets / certified misses).
+/// `op` on a bare dictionary, as the reply an engine would give for it.
+fn apply(dict: &mut dyn Dict, op: &Op) -> OpResult {
+    match op {
+        Op::Lookup(k) => Ok(Reply::Lookup(dict.lookup(*k).satellite)),
+        Op::Insert(k, s) => dict.insert(*k, s).map(|_| Reply::Inserted).map_err(ServeError::Dict),
+        Op::Delete(k) => dict.delete(*k).map(|(was, _)| Reply::Deleted(was)).map_err(ServeError::Dict),
+    }
+}
+
+/// A one-shard engine over a probed shard.
+struct Served {
+    engine: ServeEngine,
+    client: DictClient,
+    probe: ShardProbe,
+}
+
+impl Served {
+    fn new(shard: Box<dyn Dict + Send>, cache: Option<CacheConfig>) -> Self {
+        let probe = ShardProbe::new();
+        let cfg = EngineConfig::default().with_deadline(std::time::Duration::from_secs(60));
+        let engine = ServeEngine::new(
+            vec![probe.wrap(shard)],
+            cache.map_or(cfg, |c| cfg.with_cache(c)),
+        );
+        Served { client: engine.client(), engine, probe }
+    }
+
+    /// One synchronous operation.
+    fn one(&self, op: &Op) -> OpResult {
+        self.client.submit(op.clone()).and_then(|p| p.wait())
+    }
+}
+
+/// Entries a cache holds, from its counters: an entry arrives by admission
+/// and leaves by eviction or invalidation.
+fn resident(c: CacheCounters) -> u64 {
+    c.admitted - c.evicted - c.invalidated
+}
+
+/// The three parties of the differential: a cache-on engine, a cache-off
+/// engine and a plain twin, each over a shard built alike.
+struct Trio<'f> {
+    f: &'f harness::Frontend,
+    plain: Box<dyn Dict + Send>,
+    on: Served,
+    off: Served,
+    /// The key a held worker looks up: a new one every time, so never
+    /// cached.
+    decoy: u64,
+}
+
+impl Trio<'_> {
+    /// `op`, synchronously, on all three: the twin's reply is the
+    /// engines'.
+    fn one(&mut self, op: Op) -> Result<(), TestCaseError> {
+        let want = apply(self.plain.as_mut(), &op);
+        prop_assert_eq!(self.on.one(&op), want.clone(), "cache-on {:?} on {}", op, self.f.name);
+        prop_assert_eq!(self.off.one(&op), want, "cache-off {:?} on {}", op, self.f.name);
+        Ok(())
+    }
+
+    /// A pool of one kind of operation over distinct keys, pipelined into
+    /// one window of each engine: order-independent, so the twin's one
+    /// call per key predicts every reply.
+    fn window(&mut self, ops: Vec<Op>, call: &'static str) -> Result<(), TestCaseError> {
+        let want: Vec<OpResult> = ops.iter().map(|op| apply(self.plain.as_mut(), op)).collect();
+        for (served, name) in [(&self.on, "on"), (&self.off, "off")] {
+            self.decoy += 1;
+            let got = served.probe.one_window(&served.client, self.decoy, ops.clone());
+            prop_assert_eq!(&got, &want, "cache-{} {} window diverged on {}", name, call, self.f.name);
+        }
+        // Without a cache to answer any of it, the pool was one call.
+        let last = self.off.probe.calls.lock().unwrap().last().copied();
+        prop_assert_eq!(last, Some((call, ops.len())));
+        Ok(())
+    }
+}
+
+/// Run `steps` against the [`Trio`]; every reply must match. `keys` are
+/// preloaded; the pool adds as many fresh keys (insert targets / certified
+/// misses), and the sweeps a few ghosts nothing ever inserts. Returns the
+/// cache's counters.
 fn differential(
     f: &harness::Frontend,
     cfg: CacheConfig,
     keys: &[u64],
     steps: &[Step],
-) -> Result<(), TestCaseError> {
+) -> Result<CacheCounters, TestCaseError> {
     let entries = harness::padded_entries(f, keys);
     let cap = entries.len() + 48;
     let seed = 0xD1FF ^ keys.len() as u64;
-    let mut plain = (f.build)(cap, &entries, seed);
-    let mut cached = CachedDict::new((f.build)(cap, &entries, seed), cfg);
+    let mut trio = Trio {
+        f,
+        plain: (f.build)(cap, &entries, seed),
+        on: Served::new((f.build)(cap, &entries, seed), Some(cfg)),
+        off: Served::new((f.build)(cap, &entries, seed), None),
+        decoy: KEY_SPACE + 40_000,
+    };
 
     let mut pool: Vec<u64> = keys.to_vec();
     pool.extend((0..keys.len().max(8) as u64).map(|i| KEY_SPACE + 10_000 + i));
-
-    let sweep = |plain: &mut Box<dyn Dict + Send>,
-                 cached: &mut CachedDict,
-                 pool: &[u64]|
-     -> Result<(), TestCaseError> {
-        for &k in pool {
-            prop_assert_eq!(
-                cached.lookup(k).satellite,
-                plain.lookup(k).satellite,
-                "sweep diverged at key {} on {}",
-                k,
-                f.name
-            );
-        }
-        let (a, _) = cached.lookup_batch(pool);
-        let (b, _) = plain.lookup_batch(pool);
-        prop_assert_eq!(a, b, "batch sweep diverged on {}", f.name);
-        Ok(())
-    };
+    let ghosts: Vec<u64> = (0..4).map(|i| KEY_SPACE + 30_000 + i).collect();
 
     for (i, step) in steps.iter().enumerate() {
         match *step {
             Step::Lookup(i) => {
                 let k = pool[i % pool.len()];
-                for pass in 0..2 {
-                    prop_assert_eq!(
-                        cached.lookup(k).satellite,
-                        plain.lookup(k).satellite,
-                        "lookup({}) pass {} diverged on {}",
-                        k,
-                        pass,
-                        f.name
-                    );
-                }
+                trio.one(Op::Lookup(k))?;
+                trio.one(Op::Lookup(k))?;
             }
             Step::Insert(i) => {
                 let k = pool[i % pool.len()];
-                let s = sat(k, f.sigma);
-                prop_assert_eq!(
-                    flat(cached.insert(k, &s)),
-                    flat(plain.insert(k, &s)),
-                    "insert({}) diverged on {}",
-                    k,
-                    f.name
-                );
+                trio.one(Op::Insert(k, sat(k, f.sigma)))?;
             }
-            Step::Delete(i) => {
-                let k = pool[i % pool.len()];
-                prop_assert_eq!(
-                    cached.delete(k).map(|(was, _)| was),
-                    plain.delete(k).map(|(was, _)| was),
-                    "delete({}) diverged on {}",
-                    k,
-                    f.name
-                );
-            }
+            Step::Delete(i) => trio.one(Op::Delete(pool[i % pool.len()]))?,
         }
-        if i % 24 == 23 {
-            sweep(&mut plain, &mut cached, &pool)?;
+        if i % 24 == 23 || i + 1 == steps.len() {
+            // A third of the pool inserted and another third deleted, each
+            // as one window; then every key looked up one at a time and as
+            // one window. The ghosts, asked last and twice more, are what
+            // finds the budget spent and has to displace.
+            let third = |r: usize| pool.iter().copied().skip((i + r) % 3).step_by(3);
+            trio.window(third(0).map(|k| Op::Insert(k, sat(k, f.sigma))).collect(), "insert_batch")?;
+            trio.window(third(1).map(Op::Delete).collect(), "delete_batch")?;
+            let all = || pool.iter().chain(&ghosts).copied();
+            for k in all().chain(ghosts.iter().copied().cycle().take(8)) {
+                trio.one(Op::Lookup(k))?;
+            }
+            trio.window(all().map(Op::Lookup).collect(), "lookup_batch")?;
         }
     }
-    sweep(&mut plain, &mut cached, &pool)?;
-    Ok(())
+    let counters = trio.on.engine.cache_counters().expect("cache on");
+    drop(trio.on.engine.shutdown());
+    drop(trio.off.engine.shutdown());
+    Ok(counters)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Cache on ≡ cache off, for every front-end, under the churn config
-    /// and the default config.
+    /// Cache on ≡ cache off ≡ no engine, for every front-end, under the
+    /// churn config and the default config.
     #[test]
-    fn cached_wrapper_is_invisible_on_every_frontend(
+    fn cache_is_invisible_on_every_frontend(
         keys in key_set(),
         steps in steps(),
     ) {
         for f in frontends() {
-            differential(&f, churn_config(), &keys, &steps)?;
+            let c = differential(&f, churn_config(), &keys, &steps)?;
+            prop_assert!(
+                c.hits > 0 && c.negative_hits > 0 && c.evicted > 0,
+                "{}: the churn config never exercised the cache: {:?}", f.name, c
+            );
             differential(&f, CacheConfig::default(), &keys, &steps)?;
         }
     }
@@ -183,63 +240,72 @@ fn crash_cycle(crash_at: u64) -> bool {
     let entries: Vec<(u64, Vec<Word>)> = keys.iter().map(|&k| (k, sat(k, f.sigma))).collect();
     let cap = entries.len() + 32;
     let seed = 0xCAC4E;
-    let mut cached = CachedDict::new(
-        (f.build)(cap, &entries, seed),
-        CacheConfig::default().with_admit_threshold(1),
-    );
+    let cfg = EngineConfig::default().with_cache(CacheConfig::default().with_admit_threshold(1));
+    // The plan counts physical writes from here on; warming only reads.
+    let mut shard = (f.build)(cap, &entries, seed);
+    shard
+        .disks_mut()
+        .unwrap()
+        .set_fault_plan(FaultPlan::new().crash_after(crash_at));
+    let engine = ServeEngine::new(vec![shard], cfg);
+    let client = engine.client();
 
     // Warm the cache: every present key resident, and the keys about to
     // be inserted negatively cached — the exact entries a buggy
     // invalidation path would serve stale.
     let fresh: Vec<u64> = (0..6).map(|i| KEY_SPACE + 5_000 + i).collect();
     for &k in keys.iter().chain(&fresh) {
-        let _ = cached.lookup(k);
-        let _ = cached.lookup(k);
-    }
-    let warm = cached.cache_counters();
-    assert!(warm.admitted > 0, "present keys must be resident pre-crash");
-
-    // The mutation workload the crash cuts: inserts of the negatively
-    // cached keys, deletes of resident ones.
-    cached
-        .disks_mut()
-        .unwrap()
-        .set_fault_plan(FaultPlan::new().crash_after(crash_at));
-    for (i, &k) in fresh.iter().enumerate() {
-        let _ = cached.insert(k, &sat(k, f.sigma));
-        if i < 3 {
-            let _ = cached.delete(keys[(i * 7) % keys.len()]);
+        for _ in 0..2 {
+            client.lookup(k).expect("warming lookup");
         }
     }
-    let fired = cached.disks().unwrap().crash_fired();
+    let warm = engine.cache_counters().expect("cache on");
+    assert!(resident(warm) > 0, "present keys must be resident pre-crash");
+
+    // The mutation workload the crash cuts: inserts of the negatively
+    // cached keys, deletes of resident ones. Past the crash point every
+    // reply is `Disconnected`.
+    for (i, &k) in fresh.iter().enumerate() {
+        let _ = client.insert(k, &sat(k, f.sigma));
+        if i < 3 {
+            let _ = client.delete(keys[(i * 7) % keys.len()]);
+        }
+    }
+    if engine.crash_observed() {
+        // The crashed shard's cache died with it.
+        assert_eq!(
+            resident(engine.cache_counters().expect("cache on")),
+            0,
+            "the cache survived the crash at write {crash_at}"
+        );
+    }
+    // (A crash point past the workload cuts the shutdown's checkpoint.)
+    let mut shard = engine.shutdown().pop().expect("one shard");
+    let fired = shard.disks().unwrap().crash_fired();
 
     // Reboot: dropped writes stay dropped; only the image survives.
     let image = {
-        let disks = cached.disks_mut().unwrap();
+        let disks = shard.disks_mut().unwrap();
         disks.clear_fault_plan();
         disks.clone()
     };
     // Ground truth: a cache-less reopen of the same image.
-    let mut truth = reopen(cap, seed, image.clone());
+    let mut truth = reopen(cap, seed, image);
 
-    // The warm wrapper recovers in place: adopt the on-disk superblock
-    // (not the dead process's cursors), replay, and — whenever replay
-    // touched the image — drop the cache wholesale.
+    // The shard recovers in place — adopt the on-disk superblock (not the
+    // dead process's cursors), replay — and a successor engine serves it,
+    // its cache cold.
     {
-        let disks = cached.disks_mut().unwrap();
+        let disks = shard.disks_mut().unwrap();
         let region = disks.journal_region().expect("journaled image");
         disks.reopen_journal(region);
     }
-    let report = cached.recover();
-    if !report.is_clean() {
-        assert!(
-            cached.cache().is_empty(),
-            "replay touched the image but the cache survived (crash at {crash_at})"
-        );
-    }
+    shard.recover();
+    let successor = ServeEngine::new(vec![shard], cfg);
+    let client = successor.client();
 
     // No stale hit at any key, twice: the first pass compares against
-    // truth (and refills), the second reads through the refilled cache.
+    // truth (and fills), the second reads through the filled cache.
     for pass in 0..2 {
         for &k in keys.iter().chain(&fresh) {
             let want = truth.lookup(k).satellite;
@@ -247,12 +313,14 @@ fn crash_cycle(crash_at: u64) -> bool {
                 assert_eq!(s, &sat(k, f.sigma), "torn satellite for {k} at {crash_at}");
             }
             assert_eq!(
-                cached.lookup(k).satellite,
-                want,
+                client.lookup(k),
+                Ok(want),
                 "stale answer for key {k} on pass {pass} after crash at write {crash_at}"
             );
         }
     }
+    assert!(successor.stats().cache_hits > 0, "the second pass must read through the cache");
+    drop(successor.shutdown());
     fired
 }
 

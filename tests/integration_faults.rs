@@ -61,11 +61,9 @@ fn miss_probes() -> impl Iterator<Item = u64> {
 fn drive(f: &Frontend, keys: &[u64], fault_seed: u64) -> Result<(), TestCaseError> {
     let entries = padded_entries(f, keys);
     let mut dict = (f.build)(entries.len(), &entries, 0xFA17);
-    let Some(disks) = dict.disks_mut() else {
-        // Front without an exposed array (sharded): fault injection goes
-        // through its shards' own coverage.
-        return Ok(());
-    };
+    let disks = dict
+        .disks_mut()
+        .unwrap_or_else(|| panic!("{}: a front without an array cannot be fault-injected", f.name));
     // Seal checksums over the built (trusted) state, then injure it.
     disks.enable_integrity();
     let d = disks.disks();

@@ -155,6 +155,36 @@ fn concurrent_mixed_workload_matches_sequential_oracle() {
     }
 }
 
+/// Five threads race the insert of one key through one engine: whichever
+/// windows they fall into, exactly one is acknowledged, the other four are
+/// refused as duplicates, and the stored satellite is the winner's.
+#[test]
+fn racing_inserts_of_one_key_ack_exactly_one() {
+    const KEY: u64 = 42;
+    let f = frontend("dynamic_journaled");
+    let engine = engine_of(&f, 2, 64, suite_seed() ^ 0xACE);
+    let client = engine.client();
+    let start = std::sync::Barrier::new(5);
+    let outcomes: Vec<_> = std::thread::scope(|s| {
+        let racers: Vec<_> = (0..5u64)
+            .map(|t| {
+                let (client, start, sigma) = (client.clone(), &start, f.sigma);
+                s.spawn(move || {
+                    start.wait();
+                    client.insert(KEY, &sat(t, sigma))
+                })
+            })
+            .collect();
+        racers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    let winners: Vec<u64> = (0..5).filter(|&t| outcomes[t as usize].is_ok()).collect();
+    assert_eq!(winners.len(), 1, "{outcomes:?}");
+    let duplicate = Err(ServeError::Dict(pdm_dict::DictError::DuplicateKey(KEY)));
+    assert_eq!(outcomes.iter().filter(|o| **o == duplicate).count(), 4, "{outcomes:?}");
+    assert_eq!(client.lookup(KEY), Ok(Some(sat(winners[0], f.sigma))));
+    drop(engine.shutdown());
+}
+
 /// Family rotation: the serving engine composes with every hash family —
 /// a concurrent insert workload over each non-default family must ack
 /// every op and leave exactly the inserted records, sharded correctly.
@@ -349,74 +379,6 @@ fn crash_drill_every_acked_write_survives_recovery() {
     );
 }
 
-/// A shard dictionary that counts the calls the engine makes, and holds
-/// its first lookup until the test opens the gate — so that everything
-/// submitted meanwhile queues up into one window.
-struct CountedShard {
-    inner: Box<dyn pdm_dict::Dict + Send>,
-    calls: std::sync::Arc<Mutex<Vec<(&'static str, usize)>>>,
-    gate: std::sync::Arc<(Mutex<bool>, std::sync::Condvar)>,
-}
-
-impl CountedShard {
-    fn note(&self, call: &'static str, keys: usize) {
-        self.calls.lock().unwrap().push((call, keys));
-    }
-}
-
-impl pdm_dict::Dict for CountedShard {
-    fn kind(&self) -> &'static str {
-        self.inner.kind()
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn capacity(&self) -> usize {
-        self.inner.capacity()
-    }
-    fn lookup(&mut self, key: u64) -> pdm_dict::LookupOutcome {
-        self.note("lookup", 1);
-        self.inner.lookup(key)
-    }
-    fn insert(&mut self, key: u64, satellite: &[pdm::Word]) -> Result<pdm::OpCost, pdm_dict::DictError> {
-        self.note("insert", 1);
-        self.inner.insert(key, satellite)
-    }
-    fn delete(&mut self, key: u64) -> Result<(bool, pdm::OpCost), pdm_dict::DictError> {
-        self.note("delete", 1);
-        self.inner.delete(key)
-    }
-    fn lookup_batch(&mut self, keys: &[u64]) -> (Vec<Option<Vec<pdm::Word>>>, pdm::OpCost) {
-        self.note("lookup_batch", keys.len());
-        let (open, opened) = &*self.gate;
-        drop(opened.wait_while(open.lock().unwrap(), |open| !*open).unwrap());
-        self.inner.lookup_batch(keys)
-    }
-    fn insert_batch(
-        &mut self,
-        entries: &[(u64, Vec<pdm::Word>)],
-    ) -> (Vec<Result<(), pdm_dict::DictError>>, pdm::OpCost) {
-        self.note("insert_batch", entries.len());
-        self.inner.insert_batch(entries)
-    }
-    fn delete_batch(&mut self, keys: &[u64]) -> (Vec<Result<bool, pdm_dict::DictError>>, pdm::OpCost) {
-        self.note("delete_batch", keys.len());
-        self.inner.delete_batch(keys)
-    }
-    fn set_metrics(&mut self, registry: Option<std::sync::Arc<pdm::metrics::MetricsRegistry>>) {
-        self.inner.set_metrics(registry);
-    }
-    fn disks(&self) -> Option<&pdm::DiskArray> {
-        self.inner.disks()
-    }
-    fn disks_mut(&mut self) -> Option<&mut pdm::DiskArray> {
-        self.inner.disks_mut()
-    }
-    fn checkpoint(&mut self) -> bool {
-        self.inner.checkpoint()
-    }
-}
-
 /// A pipelined window of deletes is **one** `Dict` call — `delete_batch`,
 /// in submission order, so a key deleted twice answers `true` then `false`
 /// — and never a `delete` per key. With the hot-key cache on, every key of
@@ -427,14 +389,12 @@ fn a_pipelined_window_of_deletes_is_one_dict_call() {
     let f = frontend("dynamic_journaled");
     let mut answers = Vec::new();
     for cache in [false, true] {
-        let calls = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let gate = std::sync::Arc::new((Mutex::new(true), std::sync::Condvar::new()));
-        let shard = CountedShard { inner: (f.build)(128, &[], 0x5E21), calls: calls.clone(), gate: gate.clone() };
+        let probe = harness::ShardProbe::new();
         let mut cfg = EngineConfig::default().with_deadline(Duration::from_secs(60));
         if cache {
             cfg = cfg.with_cache(pdm_cache::CacheConfig::default());
         }
-        let engine = ServeEngine::new(vec![Box::new(shard)], cfg);
+        let engine = ServeEngine::new(vec![probe.wrap((f.build)(128, &[], 0x5E21))], cfg);
         let client = engine.client();
         for k in 0..40u64 {
             client.insert(k, &sat(k, f.sigma)).unwrap();
@@ -445,24 +405,14 @@ fn a_pipelined_window_of_deletes_is_one_dict_call() {
                 assert_eq!(client.lookup(k).unwrap(), Some(sat(k, f.sigma)));
             }
         }
-        // Hold the worker inside a lookup of an absent (never cached) key
-        // while the window queues up behind it.
-        *gate.0.lock().unwrap() = false;
-        calls.lock().unwrap().clear();
-        let held = client.submit(Op::Lookup(1 << 19)).unwrap();
-        while calls.lock().unwrap().is_empty() {
-            std::thread::yield_now();
-        }
+        // The window queues up behind a held lookup of an absent (never
+        // cached) key.
         let doomed: Vec<u64> = (0..40).step_by(2).chain([0, 90]).collect();
-        let pending: Vec<_> = doomed.iter().map(|&k| client.submit(Op::Delete(k)).unwrap()).collect();
-        *gate.0.lock().unwrap() = true;
-        gate.1.notify_all();
-        assert_eq!(held.wait().unwrap(), Reply::Lookup(None));
-        let replies: Vec<Reply> = pending.into_iter().map(|p| p.wait().unwrap()).collect();
-        let want: Vec<Reply> = (0..doomed.len()).map(|i| Reply::Deleted(i < 20)).collect();
+        let replies = probe.one_window(&client, 1 << 19, doomed.iter().map(|&k| Op::Delete(k)).collect());
+        let want: Vec<_> = (0..doomed.len()).map(|i| Ok(Reply::Deleted(i < 20))).collect();
         assert_eq!(replies, want, "cache = {cache}");
         let window: Vec<(&str, usize)> =
-            calls.lock().unwrap().iter().copied().filter(|(call, _)| call.starts_with("delete")).collect();
+            probe.calls.lock().unwrap().iter().copied().filter(|(call, _)| call.starts_with("delete")).collect();
         assert_eq!(window, vec![("delete_batch", doomed.len())], "cache = {cache}: the window's delete calls");
         answers.push((0..44u64).map(|k| client.lookup(k).unwrap()).collect::<Vec<_>>());
         for k in 0..40u64 {
