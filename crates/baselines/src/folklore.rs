@@ -125,6 +125,13 @@ impl FolkloreDict {
         self.secondary.len()
     }
 
+    /// The structure collided keys are demoted to (the component whose
+    /// array grows; the primary table is laid out once).
+    #[must_use]
+    pub fn secondary(&self) -> &DghpDict {
+        &self.secondary
+    }
+
     /// Bandwidth in words (`Θ(BD)`).
     #[must_use]
     pub fn bandwidth_words(&self) -> usize {

@@ -5,59 +5,37 @@
 //! operation for each structure, which tracks the number of blocks
 //! touched and the CPU-side decoding work.
 
-use bench::measure::{
-    BTreeSubject, BasicSubject, CuckooSubject, DghpSubject, DynamicSubject, FolkloreSubject,
-    OneProbeSubject, StripedSubject, Subject,
-};
+use bench::fronts::{preload, Figure1, Front, Measured};
 use bench::workloads::{entries_for, uniform_keys};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pdm_dict::Dict;
 use std::hint::black_box;
 
 const N: usize = 4096;
 const SIGMA: usize = 2;
 const BLOCK: usize = 128;
 
-fn subjects() -> Vec<Box<dyn Subject>> {
-    vec![
-        Box::new(BasicSubject::new(N, SIGMA, 20, BLOCK, 1)),
-        Box::new(OneProbeSubject::new(
-            N,
-            SIGMA,
-            13,
-            BLOCK,
-            pdm_dict::one_probe::OneProbeVariant::CaseA,
-            2,
-        )),
-        Box::new(OneProbeSubject::new(
-            N,
-            SIGMA,
-            13,
-            BLOCK,
-            pdm_dict::one_probe::OneProbeVariant::CaseB,
-            3,
-        )),
-        Box::new(DynamicSubject::new(N, SIGMA, 20, BLOCK, 0.5, 4)),
-        Box::new(StripedSubject::new(N, SIGMA, 16, BLOCK, 5)),
-        Box::new(CuckooSubject::new(N, SIGMA, 16, BLOCK, 6)),
-        Box::new(DghpSubject::new(N, SIGMA, 16, BLOCK, 7)),
-        Box::new(FolkloreSubject::new(N, SIGMA, 16, BLOCK, 4, 8)),
-        Box::new(BTreeSubject::new(SIGMA, 16, BLOCK)),
-    ]
+/// Row `method` of Figure 1 at this file's shape, holding `entries`.
+fn loaded(method: &str, entries: &[(u64, Vec<u64>)]) -> Measured {
+    let mut m = Figure1::table(N, SIGMA, BLOCK).build(method, entries).expect("build");
+    if m.desc.construction_ios.is_none() {
+        preload(m.dict.as_mut(), entries).expect("inserts");
+    }
+    m
 }
 
 fn bench_lookups(c: &mut Criterion) {
     let keys = uniform_keys(N, 1 << 40, 0xBE);
     let entries = entries_for(&keys, SIGMA);
     let mut group = c.benchmark_group("lookup");
-    for mut subject in subjects() {
-        subject.build(&entries).expect("build");
-        let name = subject.name();
+    for method in Figure1::METHODS {
+        let Measured { mut dict, desc } = loaded(method, &entries);
         let mut i = 0usize;
-        group.bench_function(BenchmarkId::from_parameter(name), |b| {
+        group.bench_function(BenchmarkId::from_parameter(desc.name), |b| {
             b.iter(|| {
                 let k = keys[i % keys.len()];
                 i += 1;
-                black_box(subject.lookup(black_box(k)))
+                black_box(dict.lookup(black_box(k)))
             });
         });
     }
@@ -69,32 +47,11 @@ fn bench_inserts(c: &mut Criterion) {
     group.sample_size(10);
     let keys = uniform_keys(N, 1 << 40, 0xBF);
     let entries = entries_for(&keys, SIGMA);
-    // Incremental subjects only; construction cost of static ones is
+    // Incremental structures only; construction cost of static ones is
     // covered by `bench_static_build`.
-    group.bench_function("basic", |b| {
-        b.iter(|| {
-            let mut s = BasicSubject::new(N, SIGMA, 20, BLOCK, 1);
-            black_box(s.build(&entries).unwrap())
-        });
-    });
-    group.bench_function("dynamic", |b| {
-        b.iter(|| {
-            let mut s = DynamicSubject::new(N, SIGMA, 20, BLOCK, 0.5, 4);
-            black_box(s.build(&entries).unwrap())
-        });
-    });
-    group.bench_function("striped_hash", |b| {
-        b.iter(|| {
-            let mut s = StripedSubject::new(N, SIGMA, 16, BLOCK, 5);
-            black_box(s.build(&entries).unwrap())
-        });
-    });
-    group.bench_function("btree", |b| {
-        b.iter(|| {
-            let mut s = BTreeSubject::new(SIGMA, 16, BLOCK);
-            black_box(s.build(&entries).unwrap())
-        });
-    });
+    for (label, method) in [("basic", "basic"), ("dynamic", "dynamic"), ("striped_hash", "striped"), ("btree", "btree")] {
+        group.bench_function(label, |b| b.iter(|| black_box(loaded(method, &entries).dict.len())));
+    }
     group.finish();
 }
 
@@ -103,18 +60,17 @@ fn bench_static_build(c: &mut Criterion) {
     group.sample_size(10);
     let keys = uniform_keys(N, 1 << 40, 0xC0);
     let entries = entries_for(&keys, SIGMA);
-    for (label, variant) in [
-        ("case_a", pdm_dict::one_probe::OneProbeVariant::CaseA),
-        ("case_b", pdm_dict::one_probe::OneProbeVariant::CaseB),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut s = OneProbeSubject::new(N, SIGMA, 13, BLOCK, variant, 2);
-                black_box(s.build(&entries).unwrap())
-            });
-        });
+    for (label, method) in [("case_a", "one_probe_a"), ("case_b", "one_probe_b")] {
+        group.bench_function(label, |b| b.iter(|| black_box(loaded(method, &entries).dict.len())));
     }
     group.finish();
+}
+
+/// The served structure: the catalogue's Theorem 7 front at the benchmark's
+/// shard shape (d = 20, B = 128), holding `entries`.
+fn served(capacity: usize, journal_rows: usize, entries: &[(u64, Vec<u64>)]) -> Box<dyn Dict + Send> {
+    let shape = Figure1::table(capacity, SIGMA, BLOCK).paper("dynamic", 20);
+    Front { journal_rows, ..shape }.build(capacity, entries, 4)
 }
 
 /// `lookup_batch` of 64 keys on the served structure (Theorem 7's dictionary
@@ -122,16 +78,8 @@ fn bench_static_build(c: &mut Criterion) {
 /// `lookup` group's per-key figure (four times it while a batch's 2.5 MiB of
 /// images was copied out, handed back to the OS and faulted in again).
 fn bench_lookup_batch(c: &mut Criterion) {
-    use pdm_dict::{Dict, DictHandle, DictParams, DynamicDict};
     let keys = uniform_keys(N, 1 << 40, 0xC1);
-    let mut disks = pdm::DiskArray::new(pdm::PdmConfig::new(40, BLOCK), 0);
-    let mut alloc = pdm_dict::layout::DiskAllocator::new(40);
-    let params = DictParams::new(N, 1 << 40, SIGMA).with_degree(20).with_epsilon(0.5).with_seed(4);
-    let dict = DynamicDict::create(&mut disks, &mut alloc, 0, params).expect("create");
-    let mut shard = DictHandle::new(dict, disks);
-    for (k, s) in entries_for(&keys, SIGMA) {
-        shard.insert(k, &s).expect("insert");
-    }
+    let mut shard = served(N, 0, &entries_for(&keys, SIGMA));
     let mut group = c.benchmark_group("lookup_batch64");
     let mut i = 0usize;
     group.bench_function("dynamic", |b| {
@@ -144,5 +92,45 @@ fn bench_lookup_batch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_lookups, bench_inserts, bench_static_build, bench_lookup_batch);
+/// What a batch of one costs beside the single-key call it would replace
+/// (ROADMAP "a single-key operation is the batch of one"): 64 operations an
+/// iteration, each through `*_batch` of one key or through the single-key
+/// method, on a 32 Ki-key shard without a journal and with 4 ring rows.
+/// `lookup_batch64` above is the same 64 keys in one batch.
+fn bench_batch_of_one(c: &mut Criterion) {
+    const LOADED: usize = 32 << 10;
+    const RUN: usize = 64;
+    let keys = uniform_keys(LOADED + 2 * 30 * RUN, 1 << 40, 0xC2);
+    let entries = entries_for(&keys, SIGMA);
+    for (label, journal_rows) in [("dynamic", 0), ("dynamic_journaled", 4)] {
+        let mut shard = served(keys.len(), journal_rows, &entries[..LOADED]);
+        // Every case works through a range of keys no other case touches
+        // (none finds its blocks warmed by its twin): 30 runs of loaded keys
+        // for the lookups and deletes, of the fresh ones behind them for the
+        // inserts.
+        let mut case = |group: &str, mut next: usize, op: &mut dyn FnMut(&mut dyn Dict, usize)| {
+            c.benchmark_group(group).bench_function(label, |b| {
+                b.iter(|| {
+                    for i in next..next + RUN {
+                        op(shard.as_mut(), i);
+                    }
+                    next += RUN;
+                });
+            });
+        };
+        const CASE: usize = 30 * RUN;
+        case("lookup_single", 0, &mut |d, i| drop(black_box(d.lookup(keys[i]))));
+        case("lookup_batch1", CASE, &mut |d, i| drop(black_box(d.lookup_batch(&keys[i..=i]))));
+        case("insert_single", LOADED, &mut |d, i| {
+            d.insert(entries[i].0, &entries[i].1).expect("insert");
+        });
+        case("insert_batch1", LOADED + CASE, &mut |d, i| drop(black_box(d.insert_batch(&entries[i..=i]))));
+        case("delete_single", 2 * CASE, &mut |d, i| {
+            d.delete(keys[i]).expect("delete");
+        });
+        case("delete_batch1", 3 * CASE, &mut |d, i| drop(black_box(d.delete_batch(&keys[i..=i]))));
+    }
+}
+
+criterion_group!(benches, bench_lookups, bench_inserts, bench_static_build, bench_lookup_batch, bench_batch_of_one);
 criterion_main!(benches);

@@ -10,10 +10,8 @@
 //! Run: `cargo run -p bench --release --bin ablation_expansion`
 
 use bench::workloads::{entries_for, uniform_keys};
-use bench::write_json;
-use pdm::{CostProfile, DiskArray, PdmConfig};
-use pdm_dict::layout::DiskAllocator;
-use pdm_dict::{DictParams, DynamicDict};
+use pdm::CostProfile;
+use pdm_dict::{DictHandle, DictParams};
 
 #[derive(serde::Serialize)]
 struct Row {
@@ -26,7 +24,7 @@ struct Row {
     space_words: usize,
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let n = 1 << 12;
     let d = 20;
     let eps = 0.5;
@@ -38,14 +36,12 @@ fn main() {
     );
     let mut rows = Vec::new();
     for &slack in &[0.75f64, 1.0, 1.5, 2.0, 4.0, 8.0] {
-        let mut disks = DiskArray::new(PdmConfig::new(2 * d, 64), 0);
-        let mut alloc = DiskAllocator::new(2 * d);
         let mut params = DictParams::new(n, 1 << 40, 1)
             .with_degree(d)
             .with_epsilon(eps)
             .with_seed(0xAB2F);
         params.right_slack = slack;
-        let mut dict = DynamicDict::create(&mut disks, &mut alloc, 0, params).unwrap();
+        let (mut dict, mut disks) = DictHandle::in_memory(params, 64).unwrap().into_parts();
         let mut inserts = CostProfile::default();
         let mut failed = 0usize;
         for (k, s) in &entries {
@@ -86,7 +82,5 @@ fn main() {
         "\nShape: generous slack keeps nearly all keys on level 1 (averages ≈ 1 and 2); \
          starving the expander pushes keys deeper and eventually fails first-fit entirely."
     );
-    if let Ok(p) = write_json("ablation_expansion", &rows) {
-        println!("wrote {}", p.display());
-    }
+    bench::finish("ablation_expansion", &rows, &[], "")
 }

@@ -10,7 +10,6 @@
 //! Run: `cargo run -p bench --release --bin ablation_k_choice`
 
 use bench::workloads::uniform_keys;
-use bench::write_json;
 use expander::params::{lemma3_bound, ExpanderParams};
 use expander::SeededExpander;
 use loadbalance::{GreedyBalancer, LoadStats};
@@ -28,7 +27,7 @@ struct Row {
     bandwidth_fraction: f64,
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let n = 1 << 14;
     let universe = 1u64 << 40;
     println!(
@@ -88,7 +87,5 @@ fn main() {
         "\nShape: deviation stays small while k ≪ d and degrades toward k = d-1, where Lemma 3's \
          log base (1-ε)d/k approaches 1 — the reason §6 calls the k = Ω(d) recursion non-constant-time."
     );
-    if let Ok(p) = write_json("ablation_k_choice", &rows) {
-        println!("wrote {}", p.display());
-    }
+    bench::finish("ablation_k_choice", &rows, &[], "")
 }

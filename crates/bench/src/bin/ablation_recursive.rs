@@ -15,7 +15,6 @@
 //! Run: `cargo run -p bench --release --bin ablation_recursive`
 
 use bench::workloads::uniform_keys;
-use bench::write_json;
 use loadbalance::RecursiveBalancer;
 
 #[derive(serde::Serialize)]
@@ -30,7 +29,7 @@ struct Row {
     max_load_l0: u32,
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let n = 1 << 14;
     let d = 16;
     let k = d / 2; // full-bandwidth target of §6
@@ -74,7 +73,5 @@ fn main() {
          geometrically — quantifying how close the §6 idea already is, and that its cost is \
          space, not time, until capacity gets tight."
     );
-    if let Ok(p) = write_json("ablation_recursive", &rows) {
-        println!("wrote {}", p.display());
-    }
+    bench::finish("ablation_recursive", &rows, &[], "")
 }

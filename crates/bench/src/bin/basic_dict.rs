@@ -10,7 +10,6 @@
 //! Run: `cargo run -p bench --release --bin basic_dict`
 
 use bench::workloads::uniform_keys;
-use bench::write_json;
 use pdm::{DiskArray, PdmConfig};
 use pdm_dict::basic::{BasicDict, BasicDictConfig};
 use pdm_dict::layout::DiskAllocator;
@@ -29,7 +28,7 @@ struct Row {
     insert_worst: u64,
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let d = 16;
     let mut rows = Vec::new();
     println!(
@@ -119,7 +118,5 @@ fn main() {
     );
 
     println!("\nSection 4.1 holds if: 1-block configs have lkp wc = 1, ins wc = 2, and max load ≈ log2 n.");
-    if let Ok(p) = write_json("basic_dict", &rows) {
-        println!("wrote {}", p.display());
-    }
+    bench::finish("basic_dict", &rows, &[], "")
 }

@@ -14,7 +14,6 @@
 //! Smoke: `cargo run -p bench --bin batch_throughput -- --smoke`
 
 use bench::workloads::uniform_keys;
-use bench::write_json;
 use pdm::{DiskArray, PdmConfig};
 use pdm_dict::basic::{BasicDict, BasicDictConfig};
 use pdm_dict::layout::DiskAllocator;
@@ -83,10 +82,7 @@ fn delete_window(n: usize) -> Row {
     let mut twins: Vec<DictHandle<DynamicDict>> = Vec::new();
     let keys = uniform_keys(n, 1 << 40, 0x44);
     for _ in 0..2 {
-        let mut disks = DiskArray::new(PdmConfig::new(40, 128), 0);
-        let mut alloc = DiskAllocator::new(40);
-        let dict = DynamicDict::create(&mut disks, &mut alloc, 0, served(8192)).unwrap();
-        let mut twin = DictHandle::new(dict, disks);
+        let mut twin = DictHandle::in_memory(served(8192), 128).unwrap();
         for &k in &keys {
             twin.insert(k, &[k, !k]).unwrap();
         }
@@ -132,7 +128,7 @@ fn churn_windows(rebuilds: usize) -> Row {
     row("rebuild churn", 32, ops, seq, batched)
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let d_disks = 16; // D: disks in the array (the acceptance config)
     let degree = 16; // d': probes per key; = D so the structure spans all disks
@@ -188,20 +184,17 @@ fn main() {
 
     // Dynamic dictionary (Theorem 7): two-phase batched lookups.
     {
-        let d = 20;
-        let mut disks = DiskArray::new(PdmConfig::new(2 * d, 64), 0);
-        let mut alloc = DiskAllocator::new(2 * d);
         let params = DictParams::new(n, 1 << 30, 1)
-            .with_degree(d)
+            .with_degree(20)
             .with_epsilon(0.5)
             .with_seed(0xD1);
-        let mut dict = DynamicDict::create(&mut disks, &mut alloc, 0, params).unwrap();
+        let mut shard = DictHandle::in_memory(params, 64).unwrap();
         let keys = uniform_keys(n, 1 << 30, 0x43);
         for &k in &keys {
-            dict.insert(&mut disks, k, &[k]).unwrap();
+            shard.insert(k, &[k]).unwrap();
         }
         let queries: Vec<u64> = (0..lookups).map(|i| keys[i * 31 % keys.len()]).collect();
-        measure(&mut DictHandle::new(dict, disks), "dynamic", &queries, batch_sizes, &mut rows);
+        measure(&mut shard, "dynamic", &queries, batch_sizes, &mut rows);
     }
 
     // The acceptance check the harness looks for: at batch size 64 on
@@ -211,33 +204,26 @@ fn main() {
         .iter()
         .find(|r| r.structure == "basic" && r.batch_size == 64)
         .map(|r| r.speedup);
-    let mut failed = match accept {
-        Some(s) if s >= 4.0 => {
-            println!("\nACCEPT: basic @ m=64 speedup {s:.2}x >= 4x");
-            false
-        }
-        Some(s) => {
-            println!("\nFAIL: basic @ m=64 speedup {s:.2}x < 4x");
-            true
-        }
-        None => false,
-    };
+    let mut failures = Vec::new();
+    match accept {
+        Some(s) if s >= 4.0 => println!("\nACCEPT: basic @ m=64 speedup {s:.2}x >= 4x"),
+        Some(s) => failures.push(format!("basic @ m=64 speedup {s:.2}x < 4x")),
+        None => {}
+    }
 
     // A window's updates (gates of the served shape): a 32-key
     // `delete_batch` costs at most 1.5 parallel I/Os per key, and a churn
     // stream in 32-op windows at most 2.42 per op across >= 5 rebuilds
     // (2.309 as read with migration plans bounded in blocks held, + 5 %).
     for (r, bound) in [(delete_window(if smoke { 256 } else { 1024 }), 1.5), (churn_windows(if smoke { 8 } else { 12 }), 2.42)] {
-        let ok = r.batch_ios_per_lookup <= bound;
-        println!("{}: {} @ m=32 costs {:.3} parallel I/Os per op (bound {bound}, one call per op {:.3})", if ok { "ACCEPT" } else { "FAIL" }, r.structure, r.batch_ios_per_lookup, r.seq_ios_per_lookup);
-        failed |= !ok;
+        let verdict = format!("{} @ m=32 costs {:.3} parallel I/Os per op (bound {bound}, one call per op {:.3})", r.structure, r.batch_ios_per_lookup, r.seq_ios_per_lookup);
+        if r.batch_ios_per_lookup <= bound {
+            println!("ACCEPT: {verdict}");
+        } else {
+            failures.push(verdict);
+        }
         rows.push(r);
     }
 
-    if let Ok(p) = write_json("batch_throughput", &rows) {
-        println!("wrote {}", p.display());
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    bench::finish("batch_throughput", &rows, &failures, "")
 }

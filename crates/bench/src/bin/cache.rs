@@ -28,20 +28,18 @@
 //! Run: `cargo run -p bench --release --bin cache`
 //! Smoke: `cargo run -p bench --release --bin cache -- --smoke`
 
+use bench::fronts::{dense_keys, front, sat};
 use bench::workloads::ZipfStream;
-use bench::write_json;
 use expander::mix::mix64;
 use pdm::metrics::{HistogramSnapshot, MetricsRegistry};
-use pdm::{DiskArray, PdmConfig, Word};
 use pdm_cache::{CacheConfig, FrequencySketch};
-use pdm_dict::layout::DiskAllocator;
-use pdm_dict::{Dict, DictHandle, DictParams, DynamicDict};
+use pdm_dict::Dict;
 use pdm_server::{EngineConfig, Op, ServeEngine, SERVE_LOOKUP_CENTI_IOS};
 use serde::Serialize;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-const UNIVERSE: u64 = 1 << 21;
 const SHARDS: usize = 2;
 const ROUTE_SEED: u64 = 0x5EED_CAFE;
 const CLIENTS: usize = 32;
@@ -52,7 +50,7 @@ const CLIENTS: usize = 32;
 const ZIPF_THETA: f64 = 2.2;
 /// Cache byte budget of the headline experiment, in dictionary blocks.
 const BUDGET_BLOCKS: usize = 256;
-/// Words per block of the disk geometry below.
+/// Words per block of the catalogue's dynamic front, which the shards are.
 const BLOCK_WORDS: usize = 64;
 /// The p99 gate, in centi-I/Os per lookup (30 ⇔ 0.3 parallel I/Os).
 const P99_GATE_CENTI_IOS: u64 = 30;
@@ -61,29 +59,8 @@ const P99_GATE_CENTI_IOS: u64 = 30;
 /// sequences differ.
 const RANK_SEED: u64 = 0xD0_11AB;
 
-fn build_shard(capacity: usize, seed: u64) -> Box<dyn Dict + Send> {
-    let mut disks = DiskArray::new(PdmConfig::new(40, BLOCK_WORDS), 0);
-    let mut alloc = DiskAllocator::new(40);
-    let params = DictParams::new(capacity, UNIVERSE, 2)
-        .with_degree(20)
-        .with_epsilon(0.5)
-        .with_seed(seed);
-    let dict = DynamicDict::create(&mut disks, &mut alloc, 0, params).unwrap();
-    Box::new(DictHandle::new(dict, disks))
-}
-
 fn shard_of(key: u64) -> usize {
     (mix64(ROUTE_SEED ^ key) % SHARDS as u64) as usize
-}
-
-fn sat(key: u64) -> Vec<Word> {
-    vec![key, key ^ (1 << 32)]
-}
-
-fn dense_keys(n: usize) -> Vec<u64> {
-    (0..n as u64)
-        .map(|i| i.wrapping_mul(0x9E37_79B9) % (1 << 20))
-        .collect()
 }
 
 /// Drive `per_client` Zipf lookups from each of [`CLIENTS`] clients
@@ -158,10 +135,10 @@ struct HotZipfReport {
 fn hot_zipf(keys: &[u64], per_client: usize, failures: &mut Vec<String>) -> HotZipfReport {
     let preload = |salt: u64| {
         let mut shards: Vec<Box<dyn Dict + Send>> = (0..SHARDS)
-            .map(|s| build_shard(keys.len() + 64, salt + s as u64))
+            .map(|s| front("dynamic").build(keys.len() + 64, &[], salt + s as u64))
             .collect();
         for &k in keys {
-            shards[shard_of(k)].insert(k, &sat(k)).unwrap();
+            shards[shard_of(k)].insert(k, &sat(k, 2)).unwrap();
         }
         shards
     };
@@ -264,9 +241,9 @@ struct NegativeReport {
 
 /// Experiment 2: repeat misses for keys proven absent cost 0 I/Os.
 fn negative(n_absent: usize, failures: &mut Vec<String>) -> NegativeReport {
-    let mut shard = build_shard(512, 0xAB5E);
+    let mut shard = front("dynamic").build(512, &[], 0xAB5E);
     for key in 0..64u64 {
-        shard.insert(key * 3, &sat(key * 3)).unwrap();
+        shard.insert(key * 3, &sat(key * 3, 2)).unwrap();
     }
     let engine = ServeEngine::new(
         vec![shard],
@@ -329,9 +306,9 @@ struct SketchReport {
 /// Experiment 3: sketch recording next to real dictionary work.
 fn sketch_overhead(keys: &[u64], failures: &mut Vec<String>) -> SketchReport {
     // Cache-off uniform lookups: the denominator.
-    let mut dict = build_shard(keys.len() + 64, 0x5EE7);
+    let mut dict = front("dynamic").build(keys.len() + 64, &[], 0x5EE7);
     for &k in keys {
-        dict.insert(k, &sat(k)).unwrap();
+        dict.insert(k, &sat(k, 2)).unwrap();
     }
     let rounds = 8;
     let at = Instant::now();
@@ -381,7 +358,7 @@ struct Report {
     sketch: SketchReport,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (n_keys, per_client, n_absent) = if smoke {
         (2048, 512, 128)
@@ -401,24 +378,12 @@ fn main() {
         negative,
         sketch,
     };
-    match write_json("BENCH_cache", &report) {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => {
-            eprintln!("failed to write BENCH_cache.json: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if failures.is_empty() {
-        println!(
-            "ACCEPT: p99 < 0.3 parallel I/Os per lookup under 90%-hot Zipf at a \
+    bench::finish(
+        "BENCH_cache",
+        &report,
+        &failures,
+        "p99 < 0.3 parallel I/Os per lookup under 90%-hot Zipf at a \
              256-block budget, negatively cached misses cost 0 I/Os, sketch \
-             recording ≤ 5% of an uncached lookup"
-        );
-    } else {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+             recording ≤ 5% of an uncached lookup",
+    )
 }

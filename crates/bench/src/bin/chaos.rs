@@ -23,40 +23,21 @@
 //! Run: `cargo run -p bench --release --bin chaos`
 //! Smoke: `cargo run -p bench --release --bin chaos -- --smoke`
 
-use bench::write_json;
+use bench::fronts::{dense_keys, drill_front, padded_entries};
 use pdm::metrics::MetricsRegistry;
-use pdm::{DiskArray, FaultPlan, PdmConfig, Word};
-use pdm_dict::basic::{BasicDict, BasicDictConfig};
-use pdm_dict::layout::DiskAllocator;
-use pdm_dict::one_probe::{OneProbeStatic, OneProbeVariant};
+use pdm::FaultPlan;
 use pdm_dict::traits::{DICT_DEGRADED_LOOKUPS_TOTAL, DICT_SCRUB_TOTAL};
-use pdm_dict::wide::{WideDict, WideDictConfig};
-use pdm_dict::{Dict, DictHandle, DictParams, Dictionary, DynamicDict};
+use pdm_dict::Dict;
 use serde::Serialize;
 use std::hint::black_box;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-const KEY_SPACE: u64 = 1 << 20;
-const UNIVERSE: u64 = 1 << 21;
-
-/// `n` distinct deterministic keys below [`KEY_SPACE`].
-fn dense_keys(n: usize) -> Vec<u64> {
-    (0..n as u64)
-        .map(|i| i.wrapping_mul(0x9E37_79B9) % KEY_SPACE)
-        .collect()
-}
-
-fn sat(key: u64, sigma: usize) -> Vec<Word> {
-    (0..sigma as u64).map(|i| key ^ (i << 32)).collect()
-}
-
-type BuildFn = fn(capacity: usize, entries: &[(u64, Vec<Word>)], seed: u64) -> Box<dyn Dict>;
-
-struct Front {
+/// The canned plan of one catalogue front.
+struct Drill {
     name: &'static str,
-    sigma: usize,
-    /// The canned plan: which disk dies.
+    /// Which disk dies.
     dead_disk: usize,
     /// Minimum fraction of keys that must still decode exactly while the
     /// disk is dead. Derived from how the front spreads a key: `basic`
@@ -68,141 +49,16 @@ struct Front {
     /// Same floor after replacement + scrub (1.0 only where field-level
     /// redundancy makes the damage fully repairable).
     floor_after: f64,
-    build: BuildFn,
 }
 
-fn preload(h: &mut dyn Dict, entries: &[(u64, Vec<Word>)]) {
-    for (k, s) in entries {
-        h.insert(*k, s).unwrap();
-    }
-}
-
-fn build_basic(capacity: usize, entries: &[(u64, Vec<Word>)], seed: u64) -> Box<dyn Dict> {
-    let d = 8;
-    let mut disks = DiskArray::new(PdmConfig::new(d, 64), 0);
-    let mut alloc = DiskAllocator::new(d);
-    let cfg = BasicDictConfig::log_load(capacity.max(4), UNIVERSE, d, 1, seed);
-    let dict = BasicDict::create(&mut disks, &mut alloc, 0, cfg).unwrap();
-    let mut h = Box::new(DictHandle::new(dict, disks));
-    preload(h.as_mut(), entries);
-    h
-}
-
-fn build_dynamic(capacity: usize, entries: &[(u64, Vec<Word>)], seed: u64) -> Box<dyn Dict> {
-    let d = 20;
-    let mut disks = DiskArray::new(PdmConfig::new(2 * d, 64), 0);
-    let mut alloc = DiskAllocator::new(2 * d);
-    let params = DictParams::new(capacity.max(4), UNIVERSE, 2)
-        .with_degree(d)
-        .with_epsilon(0.5)
-        .with_seed(seed);
-    let dict = DynamicDict::create(&mut disks, &mut alloc, 0, params).unwrap();
-    let mut h = Box::new(DictHandle::new(dict, disks));
-    preload(h.as_mut(), entries);
-    h
-}
-
-fn build_one_probe(
-    variant: OneProbeVariant,
-    entries: &[(u64, Vec<Word>)],
-    seed: u64,
-) -> Box<dyn Dict> {
-    let d = 13;
-    let nd = match variant {
-        OneProbeVariant::CaseA => 2 * d,
-        OneProbeVariant::CaseB => d,
-    };
-    let mut disks = DiskArray::new(PdmConfig::new(nd, 64), 0);
-    let mut alloc = DiskAllocator::new(nd);
-    let params = DictParams::new(entries.len().max(4), UNIVERSE, 2)
-        .with_degree(d)
-        .with_seed(seed);
-    let (dict, _) =
-        OneProbeStatic::build(&mut disks, &mut alloc, 0, &params, variant, entries).unwrap();
-    Box::new(DictHandle::new(dict, disks))
-}
-
-fn build_one_probe_b(_cap: usize, entries: &[(u64, Vec<Word>)], seed: u64) -> Box<dyn Dict> {
-    build_one_probe(OneProbeVariant::CaseB, entries, seed)
-}
-
-fn build_one_probe_a(_cap: usize, entries: &[(u64, Vec<Word>)], seed: u64) -> Box<dyn Dict> {
-    build_one_probe(OneProbeVariant::CaseA, entries, seed)
-}
-
-fn build_rebuild(_cap: usize, entries: &[(u64, Vec<Word>)], seed: u64) -> Box<dyn Dict> {
-    let params = DictParams::new(64, UNIVERSE, 1)
-        .with_degree(20)
-        .with_epsilon(0.5)
-        .with_seed(seed);
-    let mut h = Box::new(Dictionary::new(params, 64).unwrap());
-    preload(h.as_mut(), entries);
-    h
-}
-
-fn build_wide(capacity: usize, entries: &[(u64, Vec<Word>)], seed: u64) -> Box<dyn Dict> {
-    let d = 16;
-    let mut disks = DiskArray::new(PdmConfig::new(d, 128), 0);
-    let mut alloc = DiskAllocator::new(d);
-    let cfg = WideDictConfig::paper(capacity.max(4), UNIVERSE, d, 2, seed);
-    let dict = WideDict::create(&mut disks, &mut alloc, 0, cfg).unwrap();
-    let mut h = Box::new(DictHandle::new(dict, disks));
-    preload(h.as_mut(), entries);
-    h
-}
-
-fn fronts() -> Vec<Front> {
-    vec![
-        Front {
-            name: "basic",
-            sigma: 1,
-            dead_disk: 2,
-            floor_during: 0.70,
-            floor_after: 0.70,
-            build: build_basic,
-        },
-        Front {
-            name: "dynamic",
-            sigma: 2,
-            dead_disk: 3,
-            floor_during: 0.85,
-            floor_after: 0.85,
-            build: build_dynamic,
-        },
-        Front {
-            name: "wide",
-            sigma: 16,
-            dead_disk: 5,
-            floor_during: 0.0,
-            floor_after: 0.0,
-            build: build_wide,
-        },
-        Front {
-            name: "one_probe_a",
-            sigma: 2,
-            dead_disk: 4,
-            floor_during: 0.0,
-            floor_after: 0.0,
-            build: build_one_probe_a,
-        },
-        Front {
-            name: "one_probe_b",
-            sigma: 2,
-            dead_disk: 4,
-            floor_during: 1.0,
-            floor_after: 1.0,
-            build: build_one_probe_b,
-        },
-        Front {
-            name: "rebuild",
-            sigma: 1,
-            dead_disk: 3,
-            floor_during: 0.80,
-            floor_after: 0.80,
-            build: build_rebuild,
-        },
-    ]
-}
+const DRILLS: [Drill; 6] = [
+    Drill { name: "basic", dead_disk: 2, floor_during: 0.70, floor_after: 0.70 },
+    Drill { name: "dynamic", dead_disk: 3, floor_during: 0.85, floor_after: 0.85 },
+    Drill { name: "wide", dead_disk: 5, floor_during: 0.0, floor_after: 0.0 },
+    Drill { name: "one_probe_a", dead_disk: 4, floor_during: 0.0, floor_after: 0.0 },
+    Drill { name: "one_probe_b", dead_disk: 4, floor_during: 1.0, floor_after: 1.0 },
+    Drill { name: "rebuild", dead_disk: 3, floor_during: 0.80, floor_after: 0.80 },
+];
 
 /// Min-of-`reps` wall-clock nanoseconds for a full lookup sweep.
 fn sweep_ns(dict: &mut dyn Dict, keys: &[u64], reps: usize) -> u128 {
@@ -246,7 +102,7 @@ struct Report {
     rows: Vec<Row>,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let n = if smoke { 220 } else { 1024 };
     let reps = if smoke { 3 } else { 5 };
@@ -260,12 +116,13 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
 
-    for f in fronts() {
-        let entries: Vec<(u64, Vec<Word>)> = keys.iter().map(|&k| (k, sat(k, f.sigma))).collect();
+    for f in DRILLS {
+        let front = drill_front(f.name);
+        let entries = padded_entries(&front, &keys);
 
         // Checksum overhead: identical twins, fault-free, one sealed.
-        let mut plain = (f.build)(n, &entries, 0xC0C5);
-        let mut sealed = (f.build)(n, &entries, 0xC0C5);
+        let mut plain = front.build(n, &entries, 0xC0C5);
+        let mut sealed = front.build(n, &entries, 0xC0C5);
         sealed.disks_mut().unwrap().enable_integrity();
         // Interleave so neither twin systematically enjoys a warmer cache.
         let mut plain_ns = u128::MAX;
@@ -387,20 +244,10 @@ fn main() {
         checksum_read_overhead: overhead,
         rows,
     };
-    match write_json("BENCH_fault", &report) {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => {
-            eprintln!("failed to write BENCH_fault.json: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if failures.is_empty() {
-        println!("ACCEPT: all fronts within floors, monotone recovery, overhead <= 10%");
-    } else {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+    bench::finish(
+        "BENCH_fault",
+        &report,
+        &failures,
+        "all fronts within floors, monotone recovery, overhead <= 10%",
+    )
 }

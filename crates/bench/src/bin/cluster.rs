@@ -15,7 +15,6 @@
 //!
 //! Smoke: `cargo run -p bench --release --bin cluster -- --smoke`
 
-use bench::write_json;
 use expander::mix::mix64;
 use pdm_cluster::{ClusterConfig, ClusterMap, ClusterNode, ClusterRouter, NodeConfig, RetryPolicy, RouterConfig};
 use serde::Serialize;
@@ -52,7 +51,7 @@ struct Report {
     transport_failures_absorbed: u64,
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (shards, keys_per_writer) = if smoke { (16u32, 200u64) } else { (32u32, 1500u64) };
     const WRITERS: u64 = 3;
@@ -190,28 +189,14 @@ fn main() {
         ));
     }
 
-    match write_json("BENCH_cluster", &report) {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => {
-            eprintln!("failed to write BENCH_cluster.json: {e}");
-            std::process::exit(1);
-        }
-    }
-
     for node in nodes.into_iter().flatten() {
         node.shutdown();
     }
 
-    if failures.is_empty() {
-        println!(
-            "ACCEPT: zero acked writes lost through a mid-traffic node kill, epoch bump moved \
-             {:.3} ≤ {:.3} of replica slots, {} shards re-replicated",
-            report.movement_fraction, report.movement_bound, report.shards_re_replicated
-        );
-    } else {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+    let accept = format!(
+        "zero acked writes lost through a mid-traffic node kill, epoch bump moved \
+         {:.3} ≤ {:.3} of replica slots, {} shards re-replicated",
+        report.movement_fraction, report.movement_bound, report.shards_re_replicated
+    );
+    bench::finish("BENCH_cluster", &report, &failures, &accept)
 }

@@ -30,48 +30,25 @@
 //! Run: `cargo run -p bench --release --bin crash`
 //! Smoke: `cargo run -p bench --release --bin crash -- --smoke`
 
-use bench::write_json;
+use bench::fronts::{dense_keys, front, sat, Front, KEY_SPACE};
 use pdm::metrics::{IoMetricsSink, MetricsRegistry, JOURNAL_TOTAL};
-use pdm::{DiskArray, PdmConfig, Word};
-use pdm_dict::layout::DiskAllocator;
-use pdm_dict::{DictParams, DynamicDict};
+use pdm::Word;
+use pdm_dict::Dict;
 use serde::Serialize;
 use std::hint::black_box;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-const KEY_SPACE: u64 = 1 << 20;
-const UNIVERSE: u64 = 1 << 21;
 /// Ring rows for the overhead twin (the harness default).
 const JOURNAL_ROWS: usize = 4;
 /// Ring rows for the recovery measurement: one row (39 data slots) holds
 /// 7 in-flight inserts of 2 slots each with room to spare.
 const RECOVERY_ROWS: usize = 1;
 
-/// `n` distinct deterministic keys below [`KEY_SPACE`].
-fn dense_keys(n: usize) -> Vec<u64> {
-    (0..n as u64)
-        .map(|i| i.wrapping_mul(0x9E37_79B9) % KEY_SPACE)
-        .collect()
-}
-
-fn sat(key: u64) -> Vec<Word> {
-    vec![key, key ^ (1 << 32)]
-}
-
-fn build(capacity: usize, journal_rows: usize, seed: u64) -> (DiskArray, DynamicDict) {
-    let d = 20;
-    let mut disks = DiskArray::new(PdmConfig::new(2 * d, 64), 0);
-    let mut alloc = DiskAllocator::new(2 * d);
-    let mut params = DictParams::new(capacity, UNIVERSE, 2)
-        .with_degree(d)
-        .with_epsilon(0.5)
-        .with_seed(seed);
-    if journal_rows > 0 {
-        params = params.with_journal(journal_rows);
-    }
-    let dict = DynamicDict::create(&mut disks, &mut alloc, 0, params).unwrap();
-    (disks, dict)
+/// The catalogue's dynamic front with a ring of `journal_rows` rows.
+fn build(capacity: usize, journal_rows: usize, seed: u64) -> Box<dyn Dict + Send> {
+    Front { journal_rows, ..front("dynamic") }.build(capacity, &[], seed)
 }
 
 #[derive(Serialize)]
@@ -129,8 +106,9 @@ struct Phase {
 
 /// Replay the mixed workload on one twin, returning per-phase costs (in
 /// `phases` order) and total wall time.
-fn replay(disks: &mut DiskArray, dict: &mut DynamicDict, keys: &[u64]) -> (Vec<Phase>, u128) {
+fn replay(dict: &mut dyn Dict, keys: &[u64]) -> (Vec<Phase>, u128) {
     let registry = Arc::new(MetricsRegistry::new());
+    let disks = dict.disks_mut().unwrap();
     disks.set_io_sink(Some(Arc::new(IoMetricsSink::new(&registry, disks.disks()))));
     let slot_blocks = registry.counter(JOURNAL_TOTAL, &[("stat", "slot_blocks")]);
     let target_blocks = registry.counter(JOURNAL_TOTAL, &[("stat", "target_blocks")]);
@@ -138,10 +116,11 @@ fn replay(disks: &mut DiskArray, dict: &mut DynamicDict, keys: &[u64]) -> (Vec<P
     let mut ios = Vec::new();
     let mut mark = Phase::default();
     let mut max_intent_slots = 0;
-    let mut cut = |disks: &DiskArray, ios: &mut Vec<Phase>, max_intent_slots: &mut u64| {
+    let mut cut = |dict: &dyn Dict, ios: &mut Vec<Phase>, max_intent_slots: &mut u64| {
+        let stats = dict.disks().unwrap().stats();
         let now = Phase {
-            parallel_ios: disks.stats().parallel_ios,
-            block_writes: disks.stats().block_writes,
+            parallel_ios: stats.parallel_ios,
+            block_writes: stats.block_writes,
             slot_blocks: slot_blocks.get(),
             target_blocks: target_blocks.get(),
             max_intent_slots: 0,
@@ -160,39 +139,39 @@ fn replay(disks: &mut DiskArray, dict: &mut DynamicDict, keys: &[u64]) -> (Vec<P
     let (preload, rest) = keys.split_at(keys.len() / 2);
     for &k in preload {
         let before = slot_blocks.get();
-        dict.insert(disks, k, &sat(k)).unwrap();
+        dict.insert(k, &sat(k, 2)).unwrap();
         max_intent_slots = max_intent_slots.max(slot_blocks.get() - before);
     }
-    cut(disks, &mut ios, &mut max_intent_slots);
+    cut(dict, &mut ios, &mut max_intent_slots);
     // One staged batch for the other half: the "batch_insert" class.
-    let entries: Vec<(u64, Vec<Word>)> = rest.iter().map(|&k| (k, sat(k))).collect();
-    let (results, _) = dict.insert_batch(disks, &entries);
+    let entries: Vec<(u64, Vec<Word>)> = rest.iter().map(|&k| (k, sat(k, 2))).collect();
+    let (results, _) = dict.insert_batch(&entries);
     assert!(results.iter().all(Result::is_ok));
-    cut(disks, &mut ios, &mut max_intent_slots);
+    cut(dict, &mut ios, &mut max_intent_slots);
     // Read-heavy phase, the bulk of a replayed trace: twelve hit
     // sweeps, two miss sweeps, one batched sweep.
     for _ in 0..12 {
         for &k in keys {
-            black_box(dict.lookup(disks, k).satellite);
+            black_box(dict.lookup(k).satellite);
         }
     }
     for pass in 0..2u64 {
         for &k in keys {
-            black_box(dict.lookup(disks, k + KEY_SPACE + pass).satellite);
+            black_box(dict.lookup(k + KEY_SPACE + pass).satellite);
         }
     }
-    let (got, _) = dict.lookup_batch(disks, keys);
+    let (got, _) = dict.lookup_batch(keys);
     assert!(got.iter().all(Option::is_some));
-    cut(disks, &mut ios, &mut max_intent_slots);
+    cut(dict, &mut ios, &mut max_intent_slots);
     // Deletes for a quarter of the keys: the "delete" class.
     for &k in keys.iter().take(keys.len() / 4) {
         let before = slot_blocks.get();
-        let (found, _) = dict.delete(disks, k).expect("no fault plan is active");
+        let (found, _) = dict.delete(k).expect("no fault plan is active");
         assert!(found);
         max_intent_slots = max_intent_slots.max(slot_blocks.get() - before);
     }
-    cut(disks, &mut ios, &mut max_intent_slots);
-    disks.set_io_sink(None);
+    cut(dict, &mut ios, &mut max_intent_slots);
+    dict.disks_mut().unwrap().set_io_sink(None);
     (ios, start.elapsed().as_nanos())
 }
 
@@ -204,16 +183,16 @@ fn recovery_row(dict_keys: usize, in_flight: usize) -> RecoveryRow {
         (in_flight as u64) < pdm::GROUP_COMMIT_EVERY,
         "a group commit would truncate mid-measurement"
     );
-    let (mut disks, mut dict) = build(dict_keys + 16, RECOVERY_ROWS, 0xC4A5);
+    let mut dict = build(dict_keys + 16, RECOVERY_ROWS, 0xC4A5);
     for &k in &dense_keys(dict_keys) {
-        dict.insert(&mut disks, k, &sat(k)).unwrap();
+        dict.insert(k, &sat(k, 2)).unwrap();
     }
-    disks.journal_truncate();
+    dict.disks_mut().unwrap().journal_truncate();
     for i in 0..in_flight as u64 {
         let k = KEY_SPACE + 5_000 + i;
-        dict.insert(&mut disks, k, &sat(k)).unwrap();
+        dict.insert(k, &sat(k, 2)).unwrap();
     }
-    let mut image = disks.clone();
+    let mut image = dict.disks().unwrap().clone();
     let region = image.journal_region().unwrap();
     image.reopen_journal(region);
     let report = image.recover();
@@ -225,17 +204,17 @@ fn recovery_row(dict_keys: usize, in_flight: usize) -> RecoveryRow {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let n = if smoke { 256 } else { 1024 };
     let keys = dense_keys(n);
     let mut failures: Vec<String> = Vec::new();
 
     // --- Journal overhead per op class, twin replay. ---
-    let (mut pd, mut pdict) = build(n + 64, 0, 0xC4A5);
-    let (plain_ios, plain_ns) = replay(&mut pd, &mut pdict, &keys);
-    let (mut jd, mut jdict) = build(n + 64, JOURNAL_ROWS, 0xC4A5);
-    let (journaled_ios, journaled_ns) = replay(&mut jd, &mut jdict, &keys);
+    let (plain_ios, plain_ns) = replay(build(n + 64, 0, 0xC4A5).as_mut(), &keys);
+    let mut journaled = build(n + 64, JOURNAL_ROWS, 0xC4A5);
+    let (journaled_ios, journaled_ns) = replay(journaled.as_mut(), &keys);
+    let bypassed = journaled.disks().unwrap().journal_bypassed();
 
     let classes = ["insert", "batch_insert", "lookup", "delete"];
     // Per key: the batch's one call inserts the other half of the keys.
@@ -296,8 +275,8 @@ fn main() {
         op_classes.push(row);
     }
 
-    if jd.journal_bypassed() > 0 {
-        failures.push(format!("{} commits bypassed the journal ring", jd.journal_bypassed()));
+    if bypassed > 0 {
+        failures.push(format!("{bypassed} commits bypassed the journal ring"));
     }
 
     let plain_total: u64 = plain_ios.iter().map(|p| p.parallel_ios).sum();
@@ -379,24 +358,12 @@ fn main() {
         op_classes,
         recovery,
     };
-    match write_json("BENCH_crash", &report) {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => {
-            eprintln!("failed to write BENCH_crash.json: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if failures.is_empty() {
-        println!(
-            "ACCEPT: lookups journal-free, mixed overhead <= 10%, \
+    bench::finish(
+        "BENCH_crash",
+        &report,
+        &failures,
+        "lookups journal-free, mixed overhead <= 10%, \
              mutations <= 2 extra I/Os per op, insert intents <= 2 slots and \
-             <= 1.2x block writes, recovery O(in-flight)"
-        );
-    } else {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+             <= 1.2x block writes, recovery O(in-flight)",
+    )
 }

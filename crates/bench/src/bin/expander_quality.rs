@@ -10,7 +10,6 @@
 //!
 //! Run: `cargo run -p bench --release --bin expander_quality`
 
-use bench::write_json;
 use expander::semi_explicit::{SemiExplicitConfig, SemiExplicitExpander};
 use expander::verify::worst_expansion_sampled;
 use expander::{NeighborFn, SeededExpander, TelescopeExpander};
@@ -31,7 +30,7 @@ struct Row {
     target_ratio: f64,
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     println!(
         "{:>5} {:>8} {:>5} {:>5} {:>3} {:>6} {:>10} {:>10} {:>9} {:>9} {:>9} {:>7}",
         "log u", "N", "β", "ε", "k", "degree", "v", "N·d", "mem(w)", "budget", "measured", "target"
@@ -113,7 +112,5 @@ fn main() {
     );
 
     println!("\nSection 5 holds if: k = O(1), measured ≥ target (sampled), memory ≲ budget.");
-    if let Ok(p) = write_json("expander_quality", &rows) {
-        println!("wrote {}", p.display());
-    }
+    bench::finish("expander_quality", &rows, &[], "")
 }

@@ -12,15 +12,13 @@
 //!
 //! Run: `cargo run -p bench --release --bin fig1_table`
 
-use bench::measure::{
-    BTreeSubject, BasicSubject, CuckooSubject, DghpSubject, DynamicSubject, FolkloreSubject,
-    OneProbeSubject, StripedSubject, Subject, WideSubject,
-};
+use bench::fronts::{Entries, Figure1, Front, Measured};
+use pdm_dict::DictError;
 use bench::workloads::{entries_for, miss_probes, uniform_keys};
-use bench::{evaluate, print_table, write_json};
-use pdm_dict::one_probe::OneProbeVariant;
+use bench::{evaluate, print_table};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let sigma = 2;
     let block_words = 128;
     let mut all = Vec::new();
@@ -29,55 +27,30 @@ fn main() {
         let entries = entries_for(&keys, sigma);
         let misses = miss_probes(&keys, 1 << 40, 2000, 0xF162);
         let deletions = &keys[..n / 8];
+        let shape = Figure1::table(n, sigma, block_words);
 
-        let mut subjects: Vec<Box<dyn Subject>> = vec![
-            Box::new(BasicSubject::new(n, sigma, 20, block_words, 1)),
-            Box::new(OneProbeSubject::new(
-                n,
-                sigma,
-                13,
-                block_words,
-                OneProbeVariant::CaseA,
-                2,
-            )),
-            Box::new(OneProbeSubject::new(
-                n,
-                sigma,
-                13,
-                block_words,
-                OneProbeVariant::CaseB,
-                3,
-            )),
-            Box::new(DynamicSubject::new(n, sigma, 20, block_words, 0.5, 4)),
-            Box::new(StripedSubject::new(n, sigma, 16, block_words, 5)),
-            Box::new(CuckooSubject::new(n, sigma, 16, block_words, 6)),
-            Box::new(DghpSubject::new(n, sigma, 16, block_words, 7)),
-            Box::new(FolkloreSubject::new(n, sigma, 16, block_words, 4, 8)),
-            Box::new(BTreeSubject::new(sigma, 16, block_words)),
-        ];
         let mut reports = Vec::new();
-        for s in &mut subjects {
-            match evaluate(s.as_mut(), &entries, &misses, deletions) {
+        let mut row = |name: &str, built: Result<Measured, DictError>, entries: &Entries| {
+            let run = |Measured { mut dict, desc }| evaluate(dict.as_mut(), &desc, entries, &misses, deletions);
+            match built.and_then(run) {
                 Ok(r) => reports.push(r),
-                Err(e) => eprintln!("{}: FAILED: {e}", s.name()),
+                Err(e) => eprintln!("{name}: FAILED: {e}"),
             }
+        };
+        for method in Figure1::METHODS {
+            row(method, shape.build(method, &entries), &entries);
         }
         // The wide-bandwidth §4.1 variant carries a k·chunk-word satellite
         // (O(BD/log n), like the striped-hashing row's bandwidth claim), so
-        // it gets its own (same-key, wider-record) build.
-        let mut wide = WideSubject::new(n, 2, 20, block_words, 9);
-        let wide_entries = entries_for(&keys, wide.satellite_words());
-        match evaluate(&mut wide, &wide_entries, &misses, deletions) {
-            Ok(r) => reports.push(r),
-            Err(e) => eprintln!("wide: FAILED: {e}"),
-        }
+        // it gets its own (same-key, wider-record) build: k = 10 chunks of 2.
+        let wide = Front { sigma: 20, ..shape.paper("wide", 20) };
+        row("wide", wide.measured(n, &[], 9), &entries_for(&keys, wide.sigma));
         print_table(
             &format!("Figure 1 (n = {n}, σ = {sigma} words, B = {block_words})"),
             &reports,
         );
         all.push((n, reports));
     }
-    if let Ok(p) = write_json("fig1_table", &all) {
-        println!("\nwrote {}", p.display());
-    }
+    println!();
+    bench::finish("fig1_table", &all, &[], "")
 }

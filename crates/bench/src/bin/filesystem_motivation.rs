@@ -11,7 +11,6 @@
 
 use baselines::PdmBTree;
 use bench::workloads::{fs_trace, satellite_for, FsOp};
-use bench::write_json;
 use pdm::CostProfile;
 use pdm_dict::PdmFileSystem;
 
@@ -26,7 +25,7 @@ struct Row {
     write_avg: f64,
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let files = 256u32;
     let blocks_per_file = 16u32;
     let reads = 20_000usize;
@@ -108,7 +107,5 @@ fn main() {
          'one disk read instead of 3'.",
         bt.height()
     );
-    if let Ok(p) = write_json("filesystem_motivation", &rows) {
-        println!("wrote {}", p.display());
-    }
+    bench::finish("filesystem_motivation", &rows, &[], "")
 }

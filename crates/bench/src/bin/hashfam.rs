@@ -13,12 +13,12 @@
 //!
 //! Run: `cargo run -p bench --release --bin hashfam` (`-- --smoke` for CI).
 
-use bench::write_json;
 use expander::mix::SplitMix64;
 use expander::verify::quality_report;
 use expander::{FamilyKind, NeighborFamily, NeighborFn};
 use std::collections::BTreeSet;
 use std::hint::black_box;
+use std::process::ExitCode;
 use std::time::Instant;
 
 const UNIVERSE: u64 = 1 << 32;
@@ -97,7 +97,7 @@ fn time_family(kind: FamilyKind, degree: usize, keys: &[u64], rounds: usize) -> 
     best
 }
 
-fn main() {
+fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let seeds: &[u64] = if smoke {
         &[0xA11CE, 0xB0B]
@@ -219,24 +219,18 @@ fn main() {
         promoted: promoted.clone(),
         default_family: default_family.clone(),
     };
-    if let Ok(p) = write_json("BENCH_hashfam", &report) {
-        println!("wrote {}", p.display());
-    }
-
-    let gate_failures: Vec<&str> = family_passes
+    let failures: Vec<String> = family_passes
         .iter()
         .filter(|(_, ok)| !ok)
-        .map(|(k, _)| k.name())
+        .map(|(k, _)| format!("quality gates failed for {}", k.name()))
         .collect();
-    if !gate_failures.is_empty() {
-        eprintln!("quality gates FAILED for: {}", gate_failures.join(", "));
-        std::process::exit(1);
-    }
-    if promoted != default_family {
+    let code = bench::finish("BENCH_hashfam", &report, &failures, "");
+    if code == ExitCode::SUCCESS && promoted != default_family {
         eprintln!(
             "default-family drift: fastest passing family is {promoted} but the default is \
              {default_family} — update FamilyKind::default()"
         );
-        std::process::exit(2);
+        return ExitCode::from(2);
     }
+    code
 }

@@ -59,9 +59,7 @@ struct Report {
 }
 
 fn bench_dir() -> PathBuf {
-    PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into()))
-        .join("experiments")
-        .join("io_wallclock_disks")
+    bench::report::experiments_dir().join("io_wallclock_disks")
 }
 
 /// A deterministic scatter of block indices (splitmix64) so neither
@@ -78,7 +76,7 @@ fn scatter(count: usize, blocks: usize, mut seed: u64) -> Vec<usize> {
         .collect()
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let blocks_per_disk: usize = if smoke { 512 } else { 2048 };
     let rounds: usize = if smoke { 96 } else { 384 };
@@ -227,26 +225,19 @@ fn main() {
         "batch reduction  : batched  {batched_ms:>9.2} ms   1-by-1 {sequential_ms:>9.2} ms   speedup {batch_wallclock_speedup:.2}x (gate ≥ {batch_gate:.1}x, rounds saved {batch_round_reduction:.1}x)"
     );
 
-    let path = bench::write_json("BENCH_io", &report).expect("write BENCH_io.json");
-    println!("wrote {}", path.display());
-
     drop(backend);
     let _ = std::fs::remove_dir_all(&dir);
 
-    let mut failed = false;
+    let mut failures = Vec::new();
     if parallel_vs_serial < parallel_gate {
-        eprintln!(
-            "GATE FAILED: parallel round issuance is only {parallel_vs_serial:.2}x serial (gate ≥ {parallel_gate:.1}x)"
-        );
-        failed = true;
+        failures.push(format!(
+            "parallel round issuance is only {parallel_vs_serial:.2}x serial (gate ≥ {parallel_gate:.1}x)"
+        ));
     }
     if batch_wallclock_speedup < batch_gate {
-        eprintln!(
-            "GATE FAILED: batched reads save only {batch_wallclock_speedup:.2}x wall clock (gate ≥ {batch_gate:.1}x)"
-        );
-        failed = true;
+        failures.push(format!(
+            "batched reads save only {batch_wallclock_speedup:.2}x wall clock (gate ≥ {batch_gate:.1}x)"
+        ));
     }
-    if failed {
-        std::process::exit(1);
-    }
+    bench::finish("BENCH_io", &report, &failures, "")
 }

@@ -9,7 +9,6 @@
 //! Run: `cargo run -p bench --release --bin lemma3_load`
 
 use bench::workloads::uniform_keys;
-use bench::write_json;
 use expander::params::{lemma3_bound, ExpanderParams};
 use expander::SeededExpander;
 use loadbalance::baselines::{random_d_choice, single_choice};
@@ -28,7 +27,7 @@ struct Row {
     two_choice_max: u32,
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let universe = 1u64 << 40;
     let mut rows = Vec::new();
     println!(
@@ -92,7 +91,6 @@ fn main() {
             }
         }
     }
-    if let Ok(p) = write_json("lemma3_load", &rows) {
-        println!("\nwrote {}", p.display());
-    }
+    println!();
+    bench::finish("lemma3_load", &rows, &[], "")
 }

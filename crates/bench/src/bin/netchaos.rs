@@ -19,7 +19,6 @@
 //!
 //! Smoke: `cargo run -p bench --release --bin netchaos -- --smoke`
 
-use bench::write_json;
 use expander::mix::mix64;
 use pdm_cluster::{
     ClusterConfig, ClusterMap, ClusterNode, ClusterRouter, HeartbeatConfig, Heartbeater,
@@ -395,7 +394,7 @@ fn replay_run(keys: u64) -> ReplayRun {
     }
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
 
     let (minority_attempted, below_quorum, majority_acked) = minority_phase(smoke);
@@ -462,25 +461,11 @@ fn main() {
         failures.push("flaky-link drill did not replay deterministically from its seed".into());
     }
 
-    match write_json("BENCH_netchaos", &report) {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => {
-            eprintln!("failed to write BENCH_netchaos.json: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if failures.is_empty() {
-        println!(
-            "ACCEPT: zero below-quorum acks in the minority partition, zero acked writes lost \
-             across heal, stale epochs fenced, heartbeat detection in {} ms ≤ {} ms, and the \
-             flaky-link drill replayed deterministically over {} runs",
-            report.detection_latency_ms, report.detection_bound_ms, report.replay_runs
-        );
-    } else {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+    let accept = format!(
+        "zero below-quorum acks in the minority partition, zero acked writes lost \
+         across heal, stale epochs fenced, heartbeat detection in {} ms ≤ {} ms, and the \
+         flaky-link drill replayed deterministically over {} runs",
+        report.detection_latency_ms, report.detection_bound_ms, report.replay_runs
+    );
+    bench::finish("BENCH_netchaos", &report, &failures, &accept)
 }

@@ -17,7 +17,6 @@
 //! Run: `cargo run -p bench --release --bin semi_explicit_dict`
 
 use bench::workloads::{entries_for, miss_probes, uniform_keys};
-use bench::write_json;
 use expander::semi_explicit::{SemiExplicitConfig, SemiExplicitExpander};
 use expander::{NeighborFn, TriviallyStriped};
 use pdm::{DiskArray, Model, PdmConfig};
@@ -57,7 +56,7 @@ fn print_row(row: &Row) {
     );
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     println!(
         "{:<18} {:>6} {:>6} {:>4} {:>7} {:>6} {:>9} {:>9} {:>7} {:>4} {:>12}",
         "model",
@@ -175,7 +174,5 @@ fn main() {
          explicit expander. The striped PDM build pays ~d× the space of the head-model flat \
          build — both sides of the paper's closing trade-off, measured."
     );
-    if let Ok(p) = write_json("semi_explicit_dict", &rows) {
-        println!("wrote {}", p.display());
-    }
+    bench::finish("semi_explicit_dict", &rows, &[], "")
 }

@@ -36,18 +36,17 @@
 //! Run: `cargo run -p bench --release --bin serve`
 //! Smoke: `cargo run -p bench --release --bin serve -- --smoke`
 
+use bench::fronts::{dense_keys, front, sat, Front};
 use bench::workloads::ZipfStream;
-use bench::write_json;
 use expander::mix::mix64;
-use pdm::{DiskArray, FaultPlan, PdmConfig, Word};
-use pdm_dict::layout::DiskAllocator;
-use pdm_dict::{Dict, DictHandle, DictParams, DynamicDict};
+use pdm::FaultPlan;
+use pdm_dict::Dict;
 use pdm_server::{DictClient, EngineConfig, Op, ServeEngine, ServeError};
 use serde::Serialize;
+use std::process::ExitCode;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-const UNIVERSE: u64 = 1 << 21;
 const SHARDS: usize = 2;
 const ROUTE_SEED: u64 = 0x5EED_CAFE;
 const CLIENTS: usize = 32;
@@ -61,40 +60,14 @@ const JOURNAL_ROWS: usize = 4;
 /// floor — and the raw microsecond values are still reported.
 const P99_FLOOR_US: u64 = 1_000;
 
-fn params(capacity: usize, seed: u64, journal: bool) -> DictParams {
-    let p = DictParams::new(capacity, UNIVERSE, 2)
-        .with_degree(20)
-        .with_epsilon(0.5)
-        .with_seed(seed);
-    if journal {
-        p.with_journal(JOURNAL_ROWS)
-    } else {
-        p
-    }
-}
-
-fn build_shard(capacity: usize, seed: u64, journal: bool) -> Box<dyn Dict + Send> {
-    let mut disks = DiskArray::new(PdmConfig::new(40, 64), 0);
-    let mut alloc = DiskAllocator::new(40);
-    let dict =
-        DynamicDict::create(&mut disks, &mut alloc, 0, params(capacity, seed, journal)).unwrap();
-    Box::new(DictHandle::new(dict, disks))
+/// The catalogue's dynamic front with this binary's ring.
+fn journaled() -> Front {
+    Front { journal_rows: JOURNAL_ROWS, ..front("dynamic") }
 }
 
 /// The engine's key route, replicated for the baseline and preloads.
 fn shard_of(key: u64) -> usize {
     (mix64(ROUTE_SEED ^ key) % SHARDS as u64) as usize
-}
-
-fn sat(key: u64) -> Vec<Word> {
-    vec![key, key ^ (1 << 32)]
-}
-
-/// `n` distinct deterministic keys.
-fn dense_keys(n: usize) -> Vec<u64> {
-    (0..n as u64)
-        .map(|i| i.wrapping_mul(0x9E37_79B9) % (1 << 20))
-        .collect()
 }
 
 /// Exponent of the Zipf(θ) serving stream (the shared
@@ -188,9 +161,9 @@ struct Report {
 fn coalescing(keys: &[u64], per_client: usize, failures: &mut Vec<String>) -> CoalescingReport {
     // Preload the shards directly (off the engine's books), then serve.
     let mut shards: Vec<Box<dyn Dict + Send>> =
-        (0..SHARDS).map(|s| build_shard(keys.len() + 64, 0xA11CE + s as u64, false)).collect();
+        (0..SHARDS).map(|s| front("dynamic").build(keys.len() + 64, &[], 0xA11CE + s as u64)).collect();
     for &k in keys {
-        shards[shard_of(k)].insert(k, &sat(k)).unwrap();
+        shards[shard_of(k)].insert(k, &sat(k, 2)).unwrap();
     }
     let engine = ServeEngine::new(
         shards,
@@ -242,9 +215,9 @@ fn coalescing(keys: &[u64], per_client: usize, failures: &mut Vec<String>) -> Co
     // Baseline: identical twin shards, the same skewed stream, one op at
     // a time — the per-op parallel cost one-op-per-lock serving pays.
     let mut twins: Vec<Box<dyn Dict + Send>> =
-        (0..SHARDS).map(|s| build_shard(keys.len() + 64, 0xA11CE + s as u64, false)).collect();
+        (0..SHARDS).map(|s| front("dynamic").build(keys.len() + 64, &[], 0xA11CE + s as u64)).collect();
     for &k in keys {
-        twins[shard_of(k)].insert(k, &sat(k)).unwrap();
+        twins[shard_of(k)].insert(k, &sat(k, 2)).unwrap();
     }
     let mut single_ios = 0u64;
     let mut single_ops = 0u64;
@@ -299,9 +272,9 @@ fn coalescing(keys: &[u64], per_client: usize, failures: &mut Vec<String>) -> Co
 /// denominator for the overload tail-latency gate.
 fn uncontended(keys: &[u64]) -> LatencyRow {
     let mut shards: Vec<Box<dyn Dict + Send>> =
-        (0..SHARDS).map(|s| build_shard(keys.len() + 64, 0xCA1+ s as u64, false)).collect();
+        (0..SHARDS).map(|s| front("dynamic").build(keys.len() + 64, &[], 0xCA1 + s as u64)).collect();
     for &k in keys {
-        shards[shard_of(k)].insert(k, &sat(k)).unwrap();
+        shards[shard_of(k)].insert(k, &sat(k, 2)).unwrap();
     }
     let engine = ServeEngine::new(
         shards,
@@ -356,9 +329,9 @@ fn overload(
     let attempts_per_driver = keys.len().max(512);
 
     let mut shards: Vec<Box<dyn Dict + Send>> =
-        (0..SHARDS).map(|s| build_shard(keys.len() + 64, 0xF00D + s as u64, false)).collect();
+        (0..SHARDS).map(|s| front("dynamic").build(keys.len() + 64, &[], 0xF00D + s as u64)).collect();
     for &k in keys {
-        shards[shard_of(k)].insert(k, &sat(k)).unwrap();
+        shards[shard_of(k)].insert(k, &sat(k, 2)).unwrap();
     }
     let engine = ServeEngine::new(
         shards,
@@ -460,7 +433,7 @@ fn crash_drill(inserts: usize, failures: &mut Vec<String>) -> CrashReport {
     // a few dozen inserts commit and ack, then kills the rest mid-load.
     let crash_at = 800 + (inserts as u64 % 211);
 
-    let mut dict = build_shard(capacity, seed, true);
+    let mut dict = journaled().build(capacity, &[], seed);
     dict.disks_mut()
         .unwrap()
         .set_fault_plan(FaultPlan::new().crash_after(crash_at));
@@ -486,7 +459,7 @@ fn crash_drill(inserts: usize, failures: &mut Vec<String>) -> CrashReport {
             s.spawn(move || {
                 for i in 0..per_thread {
                     let key = t * per_thread + i;
-                    match client.insert(key, &sat(key)) {
+                    match client.insert(key, &sat(key, 2)) {
                         Ok(()) => acked.lock().unwrap().push(key),
                         Err(ServeError::Disconnected) => in_doubt.lock().unwrap().push(key),
                         Err(other) => panic!("insert({key}): {other}"),
@@ -509,11 +482,11 @@ fn crash_drill(inserts: usize, failures: &mut Vec<String>) -> CrashReport {
         disks.clone()
     };
     drop(shards);
-    let mut recovered = reopen(capacity, seed, image);
+    let mut recovered = journaled().reopen(capacity, seed, image).unwrap();
 
     let mut acked_lost = 0;
     for &key in &acked {
-        if recovered.lookup(key).satellite.as_deref() != Some(&sat(key)[..]) {
+        if recovered.lookup(key).satellite.as_deref() != Some(&sat(key, 2)[..]) {
             acked_lost += 1;
         }
     }
@@ -536,7 +509,7 @@ fn crash_drill(inserts: usize, failures: &mut Vec<String>) -> CrashReport {
 
     // Graceful twin: serve, shut down (drain + checkpoint), reopen —
     // recovery must find a truncated ring and every ack present.
-    let dict = build_shard(capacity, seed ^ 1, true);
+    let dict = journaled().build(capacity, &[], seed ^ 1);
     let engine = ServeEngine::new(vec![dict], EngineConfig::default());
     let client = engine.client();
     std::thread::scope(|s| {
@@ -546,7 +519,7 @@ fn crash_drill(inserts: usize, failures: &mut Vec<String>) -> CrashReport {
             s.spawn(move || {
                 for i in 0..per_thread {
                     let key = t * per_thread + i;
-                    client.insert(key, &sat(key)).unwrap();
+                    client.insert(key, &sat(key, 2)).unwrap();
                 }
             });
         }
@@ -555,7 +528,7 @@ fn crash_drill(inserts: usize, failures: &mut Vec<String>) -> CrashReport {
     let expect = shards[0].len();
     let image = shards[0].disks().unwrap().clone();
     drop(shards);
-    let mut reopened = reopen(capacity, seed ^ 1, image);
+    let mut reopened = journaled().reopen(capacity, seed ^ 1, image).unwrap();
     let report = reopened.recover();
     let graceful_replayable = report.replayed.len() + report.stalled as usize;
     if graceful_replayable > 0 {
@@ -592,20 +565,7 @@ fn crash_drill(inserts: usize, failures: &mut Vec<String>) -> CrashReport {
     row
 }
 
-/// Reopen a journaled shard from its (possibly crashed) disk image.
-fn reopen(capacity: usize, seed: u64, mut disks: DiskArray) -> Box<dyn Dict + Send> {
-    let mut alloc = DiskAllocator::new(disks.disks());
-    let region = pdm::JournalRegion {
-        first_block: 0,
-        rows: JOURNAL_ROWS,
-    };
-    let (dict, _) =
-        DynamicDict::reopen(&mut disks, &mut alloc, 0, params(capacity, seed, true), region)
-            .unwrap();
-    Box::new(DictHandle::new(dict, disks))
-}
-
-fn main() {
+fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (n_keys, per_client) = if smoke { (1024, 256) } else { (4096, 1024) };
     let keys = dense_keys(n_keys);
@@ -624,23 +584,11 @@ fn main() {
         overload,
         crash,
     };
-    match write_json("BENCH_serve", &report) {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => {
-            eprintln!("failed to write BENCH_serve.json: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if failures.is_empty() {
-        println!(
-            "ACCEPT: coalescing ≥ 3× fewer rounds/op than one-op-per-lock, overload rejects \
-             typed with bounded tail latency, zero acked-but-lost writes in the crash drill"
-        );
-    } else {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+    bench::finish(
+        "BENCH_serve",
+        &report,
+        &failures,
+        "coalescing ≥ 3× fewer rounds/op than one-op-per-lock, overload rejects \
+             typed with bounded tail latency, zero acked-but-lost writes in the crash drill",
+    )
 }

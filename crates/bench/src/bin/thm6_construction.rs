@@ -9,7 +9,6 @@
 //! Run: `cargo run -p bench --release --bin thm6_construction`
 
 use bench::workloads::{entries_for, miss_probes, uniform_keys};
-use bench::write_json;
 use pdm::{DiskArray, PdmConfig};
 use pdm_dict::layout::DiskAllocator;
 use pdm_dict::one_probe::{OneProbeStatic, OneProbeVariant};
@@ -99,7 +98,7 @@ fn run_case(
     rows.push(row);
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     println!(
         "{:<7} {:>7} {:>3} {:>9} {:>9} {:>7} {:>7} {:>8} {:>6} {:>10} {:>10}",
         "case",
@@ -122,7 +121,5 @@ fn main() {
         }
     }
     println!("\nTheorem 6 holds if: lookup wc = 1, fp = 0, and the ratio column stays ~flat in n.");
-    if let Ok(p) = write_json("thm6_construction", &rows) {
-        println!("wrote {}", p.display());
-    }
+    bench::finish("thm6_construction", &rows, &[], "")
 }

@@ -14,12 +14,11 @@
 //!
 //! Run: `cargo run -p bench --release --bin thm7_dynamic`
 
-use bench::measure::DynamicSubject;
 use bench::workloads::{entries_for, miss_probes, uniform_keys};
-use bench::write_json;
-use bench::Subject;
 use pdm::CostProfile;
 use pdm_dict::one_probe::encoding::Chain;
+use pdm_dict::{Dict, DictHandle, DictParams};
+use std::process::ExitCode;
 
 #[derive(serde::Serialize)]
 struct Row {
@@ -40,7 +39,7 @@ struct Row {
     bytes_per_capacity_key: f64,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let n = 1 << 13;
     let sigma = 2;
     println!(
@@ -53,23 +52,29 @@ fn main() {
     for &(eps, d) in &[(1.0, 16), (0.5, 20), (0.25, 32), (0.125, 56)] {
         let keys = uniform_keys(n, 1 << 40, 0x707 + d as u64);
         let entries = entries_for(&keys, sigma);
-        let mut subject = DynamicSubject::new(n, sigma, d, 128, eps, 0x707);
-        let (_, insert_profile) = subject.build(&entries).expect("inserts succeed");
-        let insert_profile = insert_profile.expect("incremental");
+        // Capacity 2n for headroom.
+        let params = DictParams::new(2 * n, 1 << 40, sigma).with_degree(d).with_epsilon(eps).with_seed(0x707);
+        let mut shard = DictHandle::in_memory(params, 128).expect("valid params");
+        let mut insert_profile = CostProfile::default();
+        for (k, s) in &entries {
+            insert_profile.record(shard.insert(*k, s).expect("inserts succeed"));
+        }
 
         let mut lookups = CostProfile::default();
         for (k, _) in &entries {
-            let (found, cost) = subject.lookup(*k);
-            assert!(found);
-            lookups.record(cost);
+            let out = shard.lookup(*k);
+            assert!(out.found());
+            lookups.record(out.cost);
         }
         let mut misses = CostProfile::default();
         for k in miss_probes(&keys, 1 << 40, 2000, 0x708) {
-            let (found, cost) = subject.lookup(k);
-            assert!(!found);
-            misses.record(cost);
+            let out = shard.lookup(k);
+            assert!(!out.found());
+            misses.record(out.cost);
         }
-        let (space_blocks, capacity) = subject.space_ledger();
+        let level_population = shard.dict().level_population().to_vec();
+        let space_blocks = pdm_dict::layout::space_ledger(shard.disk_array(), shard.dict().space_rows());
+        let capacity = shard.dict().capacity();
         let blocks: usize = space_blocks.iter().map(|(_, blocks)| blocks).sum();
         let row = Row {
             epsilon: eps,
@@ -78,12 +83,12 @@ fn main() {
             insert_avg: insert_profile.average(),
             insert_bound: 2.0 + eps,
             insert_worst: insert_profile.worst_parallel_ios,
-            levels: subject.level_population().len(),
+            levels: level_population.len(),
             lookup_avg: lookups.average(),
             lookup_bound: 1.0 + eps,
             lookup_worst: lookups.worst_parallel_ios,
             miss_avg: misses.average(),
-            level_population: subject.level_population(),
+            level_population,
             field_bits: Chain::new(sigma * 64, d).field_bits,
             bytes_per_capacity_key: (blocks * 128 * 8) as f64 / capacity as f64,
             space_blocks,
@@ -115,7 +120,5 @@ fn main() {
         rows.push(row);
     }
     println!("\nTheorem 7 holds if: ins avg ≤ 2+ɛ, lkp avg ≤ 1+ɛ, miss avg = 1, worst ≤ levels+1.");
-    if let Ok(p) = write_json("thm7_dynamic", &rows) {
-        println!("wrote {}", p.display());
-    }
+    bench::finish("thm7_dynamic", &rows, &[], "")
 }

@@ -3,6 +3,7 @@
 use crate::measure::MethodReport;
 use std::io::Write;
 use std::path::PathBuf;
+use std::process::ExitCode;
 
 fn fmt_opt_f(v: Option<f64>) -> String {
     v.map_or("-".into(), |x| format!("{x:.2}"))
@@ -52,12 +53,19 @@ pub fn print_table(title: &str, reports: &[MethodReport]) {
     }
 }
 
+/// Where the experiment binaries leave their reports: `experiments/`
+/// under the cargo target directory.
+#[must_use]
+pub fn experiments_dir() -> PathBuf {
+    PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into()))
+        .join("experiments")
+}
+
 /// Persist results as JSON under `target/experiments/<name>.json`.
 ///
 /// Returns the path written.
-pub fn write_json<T: serde::Serialize>(name: &str, value: &T) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into()))
-        .join("experiments");
+fn write_json<T: serde::Serialize>(name: &str, value: &T) -> std::io::Result<PathBuf> {
+    let dir = experiments_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.json"));
     let mut f = std::fs::File::create(&path)?;
@@ -66,6 +74,31 @@ pub fn write_json<T: serde::Serialize>(name: &str, value: &T) -> std::io::Result
     f.write_all(body.as_bytes())?;
     writeln!(f)?;
     Ok(path)
+}
+
+/// The one way an experiment binary ends: write `report` as `<name>.json`
+/// and say where; then one `FAIL: …` line per entry of `failures` and exit
+/// code 1, or `ACCEPT: <accept>` (a binary that gates nothing passes `""`
+/// and prints no verdict) and success. A report that cannot be written is
+/// a failure too: CI uploads these files.
+pub fn finish<T: serde::Serialize>(name: &str, report: &T, failures: &[String], accept: &str) -> ExitCode {
+    match write_json(name, report) {
+        Ok(p) => println!("wrote {}", p.display()),
+        Err(e) => {
+            eprintln!("FAIL: could not write {name}.json: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    for f in failures {
+        eprintln!("FAIL: {f}");
+    }
+    if !failures.is_empty() {
+        return ExitCode::FAILURE;
+    }
+    if !accept.is_empty() {
+        println!("ACCEPT: {accept}");
+    }
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
@@ -101,6 +134,13 @@ mod tests {
         let path = write_json("unit_test_report", &vec![dummy()]).unwrap();
         let body = std::fs::read_to_string(path).unwrap();
         assert!(body.contains("\"name\": \"test\""));
+    }
+
+    #[test]
+    fn finish_writes_the_report_and_fails_on_a_failure() {
+        assert_eq!(finish("unit_test_finish", &1, &[], "nothing gated"), ExitCode::SUCCESS);
+        assert!(experiments_dir().join("unit_test_finish.json").exists());
+        assert_eq!(finish("unit_test_finish", &1, &["a gate".into()], ""), ExitCode::FAILURE);
     }
 
     #[test]

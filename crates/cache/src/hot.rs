@@ -26,10 +26,10 @@
 //! ## Negative entries
 //!
 //! A negative entry asserts "this key is absent" and answers misses for
-//! free. It may only be created from a *certified* absence (an
-//! `Exact`-provenance miss — see
-//! `pdm_dict::LookupOutcome::certifies_absence`), and any mutation of
-//! the key invalidates it.
+//! free. It may only be created from a *certified* absence (a miss of a
+//! lookup window across which `pdm::DiskArray::degraded_reads` did not
+//! move: every block the key could live in read cleanly), and any
+//! mutation of the key invalidates it.
 
 use crate::sketch::FrequencySketch;
 use pdm::Word;

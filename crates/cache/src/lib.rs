@@ -26,9 +26,8 @@
 //!
 //! ## Negative-cache soundness
 //!
-//! A miss may only be cached when it is a **certified absence**
-//! ([`pdm_dict::LookupOutcome::certifies_absence`]): an unsuccessful
-//! search whose every backing block read cleanly. The one-probe
+//! A miss may only be cached when it is a **certified absence**: an
+//! unsuccessful search whose every backing block read cleanly. The one-probe
 //! dictionary's case-(b) layout makes this a positive certificate — the
 //! single fetched block carries identifier-tagged fields, and "no field
 //! carries this key's identifier" is proof of absence, not mere failure

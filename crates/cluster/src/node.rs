@@ -18,7 +18,7 @@
 
 use crate::image::{chunk_slice, chunks_of, deserialize_image, serialize_image};
 use crate::map::ClusterConfig;
-use pdm::{DiskArray, JournalRegion, PdmConfig};
+use pdm::JournalRegion;
 use pdm_dict::layout::DiskAllocator;
 use pdm_dict::{Dict, DictHandle, DynamicDict};
 use pdm_server::protocol::{
@@ -88,13 +88,9 @@ struct NodeInner {
 /// runtime condition).
 #[must_use]
 pub fn build_shard(cluster: &ClusterConfig, shard: u32) -> Box<dyn Dict + Send> {
-    let params = cluster.shard_params(shard);
-    let nd = 2 * params.degree;
-    let mut disks = DiskArray::new(PdmConfig::new(nd, 64), 0);
-    let mut alloc = DiskAllocator::new(nd);
-    let dict = DynamicDict::create(&mut disks, &mut alloc, 0, params)
+    let shard = DictHandle::in_memory(cluster.shard_params(shard), 64)
         .unwrap_or_else(|e| panic!("shard {shard}: config yields invalid dictionary: {e}"));
-    Box::new(DictHandle::new(dict, disks))
+    Box::new(shard)
 }
 
 /// Adopt a migrated shard image: poke the blocks back and run the

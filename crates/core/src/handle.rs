@@ -11,13 +11,13 @@
 
 use crate::basic::BasicDict;
 use crate::dynamic::DynamicDict;
-use crate::layout::{export_space, SpaceRow};
+use crate::layout::{export_space, DiskAllocator, SpaceRow};
 use crate::one_probe::OneProbeStatic;
 use crate::traits::{Dict, DictError, LookupOutcome, OpRecorder};
 use crate::wide::WideDict;
 use expander::NeighborFn;
 use pdm::metrics::{IoMetricsSink, MetricsRegistry};
-use pdm::{DiskArray, OpCost, ScrubReport, Word};
+use pdm::{DiskArray, OpCost, PdmConfig, ScrubReport, Word};
 use std::sync::Arc;
 
 /// The per-front-end vocabulary [`DictHandle`] adapts to [`Dict`].
@@ -63,14 +63,7 @@ pub trait RawDict {
         disks: &mut DiskArray,
         keys: &[u64],
     ) -> (Vec<Option<Vec<Word>>>, OpCost) {
-        let mut results = Vec::with_capacity(keys.len());
-        let mut cost = OpCost::default();
-        for &key in keys {
-            let out = self.raw_lookup(disks, key);
-            cost = cost.plus(out.cost);
-            results.push(out.satellite);
-        }
-        (results, cost)
+        crate::traits::lookup_each(keys, |key| self.raw_lookup(disks, key))
     }
 
     /// Batched insert; defaults to a sequential loop.
@@ -79,18 +72,7 @@ pub trait RawDict {
         disks: &mut DiskArray,
         entries: &[(u64, Vec<Word>)],
     ) -> (Vec<Result<(), DictError>>, OpCost) {
-        let mut results = Vec::with_capacity(entries.len());
-        let mut cost = OpCost::default();
-        for (key, satellite) in entries {
-            match self.raw_insert(disks, *key, satellite) {
-                Ok(c) => {
-                    cost = cost.plus(c);
-                    results.push(Ok(()));
-                }
-                Err(e) => results.push(Err(e)),
-            }
-        }
-        (results, cost)
+        crate::traits::insert_each(entries, |key, satellite| self.raw_insert(disks, key, satellite))
     }
 
     /// Batched delete; defaults to a sequential loop.
@@ -364,6 +346,21 @@ pub type DynamicHandle = DictHandle<DynamicDict>;
 pub type OneProbeHandle = DictHandle<OneProbeStatic>;
 /// [`WideDict`] behind the unified trait.
 pub type WideHandle = DictHandle<WideDict>;
+
+impl DictHandle<DynamicDict> {
+    /// A Theorem 7 dictionary on a fresh in-memory array of its own: `2d`
+    /// disks of `block_words`-word blocks, laid out from disk 0 — the twin
+    /// of [`Dictionary::new`](crate::Dictionary::new) without the rebuilding.
+    ///
+    /// # Errors
+    /// Whatever [`DynamicDict::create`] reports for `params`.
+    pub fn in_memory(params: crate::DictParams, block_words: usize) -> Result<Self, DictError> {
+        let nd = 2 * params.degree;
+        let mut disks = DiskArray::new(PdmConfig::new(nd, block_words), 0);
+        let dict = DynamicDict::create(&mut disks, &mut DiskAllocator::new(nd), 0, params)?;
+        Ok(DictHandle::new(dict, disks))
+    }
+}
 
 impl<T: RawDict> DictHandle<T> {
     /// Pair `dict` with the `disks` it was created on.

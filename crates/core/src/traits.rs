@@ -64,22 +64,6 @@ impl LookupOutcome {
     pub fn is_exact(&self) -> bool {
         self.provenance == Provenance::Exact
     }
-
-    /// Whether this outcome is a **certified absence**: an unsuccessful
-    /// search backed by fully healthy reads. The paper's one-probe
-    /// dictionary (Theorem 6) pays its single parallel I/O on
-    /// unsuccessful searches too, and its case-(b) identifier-tagged
-    /// fields make the miss a positive statement — "no field of this
-    /// key's block carries its identifier" — rather than mere failure to
-    /// find. Every front-end in this workspace inherits the same shape:
-    /// a miss read all the blocks the key could live in and saw it in
-    /// none of them. A `Degraded` miss certifies nothing (a sanitized
-    /// block might have held the key), so only `Exact` misses are safe
-    /// to cache negatively.
-    #[must_use]
-    pub fn certifies_absence(&self) -> bool {
-        self.satellite.is_none() && self.provenance == Provenance::Exact
-    }
 }
 
 /// Errors the dictionaries can report.
@@ -300,31 +284,13 @@ pub trait Dict {
     /// Batched lookup. The default loops over [`lookup`](Dict::lookup);
     /// front-ends with a round-sharing batch engine override it.
     fn lookup_batch(&mut self, keys: &[u64]) -> (Vec<Option<Vec<Word>>>, OpCost) {
-        let mut results = Vec::with_capacity(keys.len());
-        let mut cost = OpCost::default();
-        for &key in keys {
-            let out = self.lookup(key);
-            cost = cost.plus(out.cost);
-            results.push(out.satellite);
-        }
-        (results, cost)
+        lookup_each(keys, |key| self.lookup(key))
     }
 
     /// Batched insert with per-entry results. The default loops over
     /// [`insert`](Dict::insert).
     fn insert_batch(&mut self, entries: &[(u64, Vec<Word>)]) -> (Vec<Result<(), DictError>>, OpCost) {
-        let mut results = Vec::with_capacity(entries.len());
-        let mut cost = OpCost::default();
-        for (key, satellite) in entries {
-            match self.insert(*key, satellite) {
-                Ok(c) => {
-                    cost = cost.plus(c);
-                    results.push(Ok(()));
-                }
-                Err(e) => results.push(Err(e)),
-            }
-        }
-        (results, cost)
+        insert_each(entries, |key, satellite| self.insert(key, satellite))
     }
 
     /// Batched delete with per-key results, in key order. The default loops
@@ -396,6 +362,33 @@ pub trait Dict {
             .map(DiskArray::scrub_verify)
             .unwrap_or_default()
     }
+}
+
+/// `keys` through `lookup` one at a time: the satellites and the summed cost.
+pub(crate) fn lookup_each(
+    keys: &[u64],
+    mut lookup: impl FnMut(u64) -> LookupOutcome,
+) -> (Vec<Option<Vec<Word>>>, OpCost) {
+    let mut cost = OpCost::default();
+    let results = keys.iter().map(|&key| {
+        let out = lookup(key);
+        cost = cost.plus(out.cost);
+        out.satellite
+    });
+    (results.collect(), cost)
+}
+
+/// `entries` through `insert` one at a time: the per-entry results and the
+/// summed cost of those that succeeded.
+pub(crate) fn insert_each(
+    entries: &[(u64, Vec<Word>)],
+    mut insert: impl FnMut(u64, &[Word]) -> Result<OpCost, DictError>,
+) -> (Vec<Result<(), DictError>>, OpCost) {
+    let mut cost = OpCost::default();
+    let results = entries
+        .iter()
+        .map(|(key, satellite)| insert(*key, satellite).map(|c| cost = cost.plus(c)));
+    (results.collect(), cost)
 }
 
 /// `keys` through `delete` one at a time: the per-key answers and the summed
@@ -597,14 +590,6 @@ mod tests {
         assert!(!out.is_exact());
         assert_eq!(out.provenance, Provenance::Degraded);
         assert_eq!(Provenance::default(), Provenance::Exact);
-    }
-
-    #[test]
-    fn absence_certification_requires_exact_miss() {
-        assert!(LookupOutcome::new(None, OpCost::default()).certifies_absence());
-        assert!(!LookupOutcome::new(Some(vec![1]), OpCost::default()).certifies_absence());
-        assert!(!LookupOutcome::degraded(None, OpCost::default()).certifies_absence());
-        assert!(!LookupOutcome::degraded(Some(vec![1]), OpCost::default()).certifies_absence());
     }
 
     #[test]

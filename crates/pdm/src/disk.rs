@@ -1032,12 +1032,10 @@ impl DiskArray {
             self.check(a);
             per_disk[a.disk] += 1;
         }
-        let parallel_ios = self.cfg.batch_cost(&per_disk);
         let cost = OpCost {
-            parallel_ios,
+            parallel_ios: self.cfg.batch_cost(&per_disk),
             block_reads: addrs.len() as u64,
             block_writes: 0,
-            sequential_ios: parallel_ios,
         };
         if self.reads_clean(addrs) {
             let blocks = match addrs.first().and_then(|&a| self.backend.resident(a)) {

@@ -222,7 +222,6 @@ mod tests {
                 parallel_ios: 4,
                 block_reads: 10,
                 block_writes: 1,
-                sequential_ios: 4,
             },
         };
         let b = ScrubReport {
@@ -235,7 +234,6 @@ mod tests {
                 parallel_ios: 2,
                 block_reads: 5,
                 block_writes: 0,
-                sequential_ios: 2,
             },
         };
         a.merge(&b);

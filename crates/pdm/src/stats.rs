@@ -34,12 +34,10 @@ impl IoStats {
     #[must_use]
     pub fn since(&self, earlier: &IoStats) -> OpCost {
         debug_assert!(self.parallel_ios >= earlier.parallel_ios);
-        let parallel_ios = self.parallel_ios - earlier.parallel_ios;
         OpCost {
-            parallel_ios,
+            parallel_ios: self.parallel_ios - earlier.parallel_ios,
             block_reads: self.block_reads - earlier.block_reads,
             block_writes: self.block_writes - earlier.block_writes,
-            sequential_ios: parallel_ios,
         }
     }
 }
@@ -53,27 +51,19 @@ pub struct OpCost {
     pub block_reads: u64,
     /// Blocks written.
     pub block_writes: u64,
-    /// Parallel I/O steps if the independently-disked parts of the
-    /// operation had run one after another. Equal to `parallel_ios` for
-    /// an operation on a single disk array, which is every operation a
-    /// structure in this workspace charges: fanning out over independent
-    /// arrays is the serving engine's job, and it sums per shard.
-    pub sequential_ios: u64,
 }
 
 impl OpCost {
     /// Sum of two costs (parts executed one after another on the same
-    /// set of disks: both the parallel and the sequential measure add).
+    /// set of disks).
     #[must_use]
     pub fn plus(self, other: OpCost) -> OpCost {
         OpCost {
             parallel_ios: self.parallel_ios + other.parallel_ios,
             block_reads: self.block_reads + other.block_reads,
             block_writes: self.block_writes + other.block_writes,
-            sequential_ios: self.sequential_ios + other.sequential_ios,
         }
     }
-
 }
 
 /// Snapshot of counters at the start of a logical operation.
@@ -229,19 +219,16 @@ mod tests {
             parallel_ios: 1,
             block_reads: 2,
             block_writes: 3,
-            sequential_ios: 1,
         };
         let b = OpCost {
             parallel_ios: 10,
             block_reads: 20,
             block_writes: 30,
-            sequential_ios: 10,
         };
         let c = a.plus(b);
         assert_eq!(c.parallel_ios, 11);
         assert_eq!(c.block_reads, 22);
         assert_eq!(c.block_writes, 33);
-        assert_eq!(c.sequential_ios, 11);
     }
 
     #[test]

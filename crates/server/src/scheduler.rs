@@ -237,8 +237,6 @@ pub(crate) struct Cells {
     /// shards' disk groups are independent, so across shards these
     /// overlap in time).
     parallel_ios: Counter,
-    /// The one-group-at-a-time measure ([`pdm::OpCost::sequential_ios`]).
-    sequential_ios: Counter,
 }
 
 impl Cells {
@@ -279,9 +277,6 @@ pub struct EngineStats {
     pub exec_ops: u64,
     /// Parallel I/O rounds charged by those calls.
     pub parallel_ios: u64,
-    /// The one-shard-at-a-time I/O measure (see
-    /// [`pdm::OpCost::sequential_ios`]).
-    pub sequential_ios: u64,
     /// Lookups answered from the hot-key cache without entering a queue
     /// (0 when no cache is configured).
     pub cache_hits: u64,
@@ -652,7 +647,6 @@ impl ServeEngine {
             exec_calls: s.exec_calls.get(),
             exec_ops: s.exec_ops.get(),
             parallel_ios: s.parallel_ios.get(),
-            sequential_ios: s.sequential_ios.get(),
             cache_hits: cache.hits,
             cache_negative_hits: cache.negative_hits,
         }
@@ -754,7 +748,6 @@ fn run_shard(id: usize, mut dict: Box<dyn Dict + Send>, shared: &Shared) -> Box<
             stats.exec_calls.inc();
             stats.exec_ops.add(n as u64);
             stats.parallel_ios.add(cost.parallel_ios);
-            stats.sequential_ios.add(cost.sequential_ios);
             if let Some(m) = metrics {
                 m.batch_keys[op_idx].observe(n as u64);
                 m.batch_ios[op_idx].observe(cost.parallel_ios);
@@ -1347,7 +1340,6 @@ mod tests {
             submitted: stats.submitted,
             exec_ops: stats.exec_ops,
             parallel_ios: stats.parallel_ios,
-            sequential_ios: stats.sequential_ios,
         };
         assert_eq!(seen, stats);
         assert_eq!(

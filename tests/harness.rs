@@ -1,354 +1,20 @@
-//! Shared differential-test harness: every dictionary front-end
-//! described once as a `dyn Dict` constructor plus explicit quirk flags.
-//! Included via `mod harness;` by the integration test binaries (this
-//! file is not a test target itself), so each binary uses a subset.
-#![allow(dead_code)]
+//! Shared differential-test harness: the catalogue of fronts
+//! (`bench::fronts` — every dictionary front-end described once as a
+//! `dyn Dict` constructor plus explicit quirk flags), re-exported, and the
+//! test-only helpers beside it. Included via `mod harness;` by the
+//! integration test binaries (this file is not a test target itself), so
+//! each binary uses a subset.
+#![allow(dead_code, unused_imports)]
 
-use expander::FamilyKind;
-use pdm::{BlockAddr, DiskArray, PdmConfig, Word};
-use pdm_dict::basic::{BasicDict, BasicDictConfig};
-use pdm_dict::layout::DiskAllocator;
-use pdm_dict::one_probe::{OneProbeStatic, OneProbeVariant};
-use pdm_dict::wide::{WideDict, WideDictConfig};
-use pdm_dict::{Dict, DictHandle, DictParams, Dictionary, DynamicDict};
+pub use bench::fronts::{
+    dense_keys, front, front_with, fronts, fronts_with, padded_entries, sat, Front, JOURNAL_ROWS,
+    KEY_SPACE, UNIVERSE,
+};
+use pdm::{BlockAddr, DiskArray, Word};
+use pdm_dict::Dict;
 use pdm_server::scheduler::OpResult;
 use pdm_server::{DictClient, Op};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// Keys generated by the test strategies stay below this; padding keys
-/// (see [`Frontend::min_keys`]) live above it, so neither collides.
-pub const KEY_SPACE: u64 = 1 << 20;
-pub const UNIVERSE: u64 = 1 << 21;
-
-/// Constructor: build a front containing exactly `entries`, sized for
-/// `capacity`, deterministic in `seed`. Boxed closure so a [`Frontend`]
-/// can capture its hash family (see [`frontends_with`]).
-pub type BuildFn =
-    Box<dyn Fn(usize, &[(u64, Vec<Word>)], u64) -> Box<dyn Dict + Send> + Send + Sync>;
-
-/// Crash-reopen: reconstruct the front-end from a (possibly crashed)
-/// disk image alone — adopt the persisted journal superblock, replay
-/// in-flight intents, restore counters. `capacity` and `seed` must equal
-/// the build's (the layout is a pure function of them); nothing else
-/// from the pre-crash process survives.
-pub type ReopenFn = Box<dyn Fn(usize, u64, DiskArray) -> Box<dyn Dict + Send> + Send + Sync>;
-
-/// One dictionary front-end under differential test. Behavioral
-/// differences between fronts are explicit options here, not separate
-/// test copies.
-pub struct Frontend {
-    pub name: &'static str,
-    /// Expander hash family the constructors build over.
-    pub family: FamilyKind,
-    /// Satellite words per key.
-    pub sigma: usize,
-    /// Build with at least this many keys (static peeling needs mass;
-    /// [`padded_entries`] pads small key sets from above [`KEY_SPACE`]).
-    pub min_keys: usize,
-    /// Theorem 6 statics: mutation after build is `UnsupportedParams`.
-    pub is_static: bool,
-    /// Whether twin insert orders (sequential vs. one batch) must leave
-    /// byte-identical disk images. Off for the rebuilding front: its
-    /// migration *pacing* differs between the two paths (contents still
-    /// must match, which the harness checks instead).
-    pub byte_identical: bool,
-    /// Whether a duplicate appended *within* the batch must fail exactly
-    /// like the sequential loop. Off for the rebuilding front, whose
-    /// re-routing dedupes against the committed state only.
-    pub intra_batch_dup: bool,
-    /// Whether a delete fails typed (`DictError::Io`) rather than report
-    /// "absent" when the key is not found and a membership probe stayed
-    /// unreadable. On for the Theorem 7 fronts; the plain Section 4.1
-    /// fronts read their probe unverified.
-    pub typed_delete: bool,
-    /// Build a front containing exactly `entries`, sized for `capacity`.
-    pub build: BuildFn,
-    /// Crash-reopen support ([`ReopenFn`]): `Some` for journaled fronts,
-    /// which can be reconstructed from the disk image alone (serialize →
-    /// crash → recover); `None` elsewhere.
-    pub reopen: Option<ReopenFn>,
-}
-
-/// Deterministic satellite for `key`, `sigma` words wide.
-pub fn sat(key: u64, sigma: usize) -> Vec<Word> {
-    (0..sigma as u64).map(|i| key ^ (i << 32)).collect()
-}
-
-fn preload(h: &mut dyn Dict, entries: &[(u64, Vec<Word>)]) {
-    for (k, s) in entries {
-        h.insert(*k, s).unwrap();
-    }
-}
-
-fn build_basic(
-    family: FamilyKind,
-    capacity: usize,
-    entries: &[(u64, Vec<Word>)],
-    seed: u64,
-) -> Box<dyn Dict + Send> {
-    let d = 8;
-    let mut disks = DiskArray::new(PdmConfig::new(d, 64), 0);
-    let mut alloc = DiskAllocator::new(d);
-    let cfg = BasicDictConfig::log_load(capacity.max(4), UNIVERSE, d, 1, seed).with_family(family);
-    let dict = BasicDict::create(&mut disks, &mut alloc, 0, cfg).unwrap();
-    let mut h = Box::new(DictHandle::new(dict, disks));
-    preload(h.as_mut(), entries);
-    h
-}
-
-fn build_dynamic(
-    family: FamilyKind,
-    capacity: usize,
-    entries: &[(u64, Vec<Word>)],
-    seed: u64,
-) -> Box<dyn Dict + Send> {
-    let d = 20;
-    let mut disks = DiskArray::new(PdmConfig::new(2 * d, 64), 0);
-    let mut alloc = DiskAllocator::new(2 * d);
-    let params = DictParams::new(capacity.max(4), UNIVERSE, 2)
-        .with_degree(d)
-        .with_epsilon(0.5)
-        .with_seed(seed)
-        .with_family(family);
-    let dict = DynamicDict::create(&mut disks, &mut alloc, 0, params).unwrap();
-    let mut h = Box::new(DictHandle::new(dict, disks));
-    preload(h.as_mut(), entries);
-    h
-}
-
-/// Ring rows of the journaled dynamic front (rows × 2d disks slots).
-pub const JOURNAL_ROWS: usize = 2;
-
-fn journaled_params(family: FamilyKind, capacity: usize, seed: u64) -> DictParams {
-    DictParams::new(capacity.max(4), UNIVERSE, 2)
-        .with_degree(20)
-        .with_epsilon(0.5)
-        .with_seed(seed)
-        .with_family(family)
-        .with_journal(JOURNAL_ROWS)
-}
-
-fn build_dynamic_journaled(
-    family: FamilyKind,
-    capacity: usize,
-    entries: &[(u64, Vec<Word>)],
-    seed: u64,
-) -> Box<dyn Dict + Send> {
-    let d = 20;
-    let mut disks = DiskArray::new(PdmConfig::new(2 * d, 64), 0);
-    let mut alloc = DiskAllocator::new(2 * d);
-    let dict =
-        DynamicDict::create(&mut disks, &mut alloc, 0, journaled_params(family, capacity, seed))
-            .unwrap();
-    let mut h = Box::new(DictHandle::new(dict, disks));
-    preload(h.as_mut(), entries);
-    h
-}
-
-fn reopen_dynamic_journaled(
-    family: FamilyKind,
-    capacity: usize,
-    seed: u64,
-    mut disks: DiskArray,
-) -> Box<dyn Dict + Send> {
-    let mut alloc = DiskAllocator::new(disks.disks());
-    // The journal ring is allocated first, so it deterministically sits
-    // at block 0 of every disk.
-    let region = pdm::JournalRegion {
-        first_block: 0,
-        rows: JOURNAL_ROWS,
-    };
-    let (dict, report) = DynamicDict::reopen(
-        &mut disks,
-        &mut alloc,
-        0,
-        journaled_params(family, capacity, seed),
-        region,
-    )
-    .unwrap();
-    // Every replayed delta landed on a block in one of the states it was
-    // taken across: the crash model's block atomicity, checked.
-    assert_eq!((report.stalled, report.mismatched), (0, 0), "{report:?}");
-    Box::new(DictHandle::new(dict, disks))
-}
-
-fn build_one_probe(
-    family: FamilyKind,
-    variant: OneProbeVariant,
-    entries: &[(u64, Vec<Word>)],
-    seed: u64,
-) -> Box<dyn Dict + Send> {
-    let d = 13;
-    let nd = match variant {
-        OneProbeVariant::CaseA => 2 * d,
-        OneProbeVariant::CaseB => d,
-    };
-    let mut disks = DiskArray::new(PdmConfig::new(nd, 64), 0);
-    let mut alloc = DiskAllocator::new(nd);
-    let params = DictParams::new(entries.len().max(4), UNIVERSE, 2)
-        .with_degree(d)
-        .with_seed(seed)
-        .with_family(family);
-    let (dict, _) =
-        OneProbeStatic::build(&mut disks, &mut alloc, 0, &params, variant, entries).unwrap();
-    Box::new(DictHandle::new(dict, disks))
-}
-
-fn build_rebuild(
-    family: FamilyKind,
-    _cap: usize,
-    entries: &[(u64, Vec<Word>)],
-    seed: u64,
-) -> Box<dyn Dict + Send> {
-    // Small initial capacity so batches regularly land mid-rebuild.
-    let params = DictParams::new(16, UNIVERSE, 1)
-        .with_degree(20)
-        .with_epsilon(0.5)
-        .with_seed(seed)
-        .with_family(family);
-    let mut h = Box::new(Dictionary::new(params, 64).unwrap());
-    preload(h.as_mut(), entries);
-    h
-}
-
-fn build_wide(
-    family: FamilyKind,
-    capacity: usize,
-    entries: &[(u64, Vec<Word>)],
-    seed: u64,
-) -> Box<dyn Dict + Send> {
-    let d = 16;
-    let mut disks = DiskArray::new(PdmConfig::new(d, 128), 0);
-    let mut alloc = DiskAllocator::new(d);
-    let cfg = WideDictConfig::paper(capacity.max(4), UNIVERSE, d, 2, seed).with_family(family);
-    let dict = WideDict::create(&mut disks, &mut alloc, 0, cfg).unwrap();
-    let mut h = Box::new(DictHandle::new(dict, disks));
-    preload(h.as_mut(), entries);
-    h
-}
-
-/// Every front-end over the default hash family.
-pub fn frontends() -> Vec<Frontend> {
-    frontends_with(FamilyKind::default())
-}
-
-/// Every front-end, with its quirks declared, built over `family` — the
-/// whole differential suite can thus be rotated across hash families.
-pub fn frontends_with(family: FamilyKind) -> Vec<Frontend> {
-    let std = |name: &'static str, sigma, build: BuildFn| Frontend {
-        name,
-        family,
-        sigma,
-        min_keys: 0,
-        is_static: false,
-        byte_identical: true,
-        intra_batch_dup: true,
-        typed_delete: name == "dynamic",
-        build,
-        reopen: None,
-    };
-    vec![
-        std(
-            "basic",
-            1,
-            Box::new(move |c, e, s| build_basic(family, c, e, s)),
-        ),
-        std(
-            "dynamic",
-            2,
-            Box::new(move |c, e, s| build_dynamic(family, c, e, s)),
-        ),
-        std(
-            "wide",
-            16,
-            Box::new(move |c, e, s| build_wide(family, c, e, s)),
-        ),
-        Frontend {
-            name: "dynamic_journaled",
-            family,
-            sigma: 2,
-            min_keys: 0,
-            is_static: false,
-            // Journal ring images differ between one batch commit and n
-            // sequential commits (n intent entries vs 1), so only the
-            // contents-equality half of the differential test applies.
-            byte_identical: false,
-            intra_batch_dup: true,
-            typed_delete: true,
-            build: Box::new(move |c, e, s| build_dynamic_journaled(family, c, e, s)),
-            reopen: Some(Box::new(move |c, s, disks| {
-                reopen_dynamic_journaled(family, c, s, disks)
-            })),
-        },
-        Frontend {
-            name: "one_probe_b",
-            family,
-            sigma: 2,
-            min_keys: 20,
-            is_static: true,
-            byte_identical: false,
-            intra_batch_dup: false,
-            typed_delete: false,
-            build: Box::new(move |_c, e, s| build_one_probe(family, OneProbeVariant::CaseB, e, s)),
-            reopen: None,
-        },
-        Frontend {
-            name: "one_probe_a",
-            family,
-            sigma: 2,
-            min_keys: 20,
-            is_static: true,
-            byte_identical: false,
-            intra_batch_dup: false,
-            typed_delete: false,
-            build: Box::new(move |_c, e, s| build_one_probe(family, OneProbeVariant::CaseA, e, s)),
-            reopen: None,
-        },
-        Frontend {
-            name: "rebuild",
-            family,
-            sigma: 1,
-            min_keys: 0,
-            is_static: false,
-            byte_identical: false,
-            intra_batch_dup: false,
-            typed_delete: true,
-            build: Box::new(move |c, e, s| build_rebuild(family, c, e, s)),
-            reopen: None,
-        },
-    ]
-}
-
-/// The front-end named `name` over the default family (panics if unknown).
-pub fn frontend(name: &str) -> Frontend {
-    frontend_with(name, FamilyKind::default())
-}
-
-/// The front-end named `name` built over `family` (panics if unknown).
-pub fn frontend_with(name: &str, family: FamilyKind) -> Frontend {
-    frontends_with(family)
-        .into_iter()
-        .find(|f| f.name == name)
-        .unwrap_or_else(|| panic!("no frontend named {name}"))
-}
-
-/// Key set → entries, padded up to `f.min_keys` from above [`KEY_SPACE`].
-pub fn padded_entries(f: &Frontend, keys: &[u64]) -> Vec<(u64, Vec<Word>)> {
-    let mut es: Vec<(u64, Vec<Word>)> = keys.iter().map(|&k| (k, sat(k, f.sigma))).collect();
-    for i in 0..f.min_keys.saturating_sub(keys.len()) as u64 {
-        let k = KEY_SPACE + 1 + i;
-        es.push((k, sat(k, f.sigma)));
-    }
-    es
-}
-
-/// `n` distinct deterministic keys below [`KEY_SPACE`].
-pub fn dense_keys(n: usize) -> Vec<u64> {
-    // Odd multiplier: `i ↦ i·C mod 2^20` is injective for `i < 2^20`.
-    (0..n as u64)
-        .map(|i| i.wrapping_mul(0x9E37_79B9) % KEY_SPACE)
-        .collect()
-}
 
 /// Snapshot every block of every disk (byte-identity witness).
 pub fn disk_image(disks: &DiskArray) -> Vec<Vec<Word>> {

@@ -105,13 +105,11 @@ fn shard_with(degree: usize, journal_rows: usize, copied: bool) -> Box<dyn Dict>
         if copied { Box::new(harness::HiddenResidency(mem)) } else { Box::new(mem) };
     let mut disks = DiskArray::with_backend(cfg, backend).unwrap();
     let mut alloc = DiskAllocator::new(cfg.disks);
-    let mut params = DictParams::new(46_264, 1 << 40, 2)
+    let params = DictParams::new(46_264, 1 << 40, 2)
         .with_degree(degree)
         .with_epsilon(0.5)
-        .with_seed(0xA110C);
-    if journal_rows > 0 {
-        params = params.with_journal(journal_rows);
-    }
+        .with_seed(0xA110C)
+        .with_journal(journal_rows);
     let dict = DynamicDict::create(&mut disks, &mut alloc, 0, params).unwrap();
     let mut shard = Box::new(DictHandle::new(dict, disks));
     for i in 0..PRESENT {

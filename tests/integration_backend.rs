@@ -454,11 +454,11 @@ fn reads_as_views_change_nothing_a_copying_backend_does() {
     let degree = 20;
     let shard_cfg = PdmConfig::new(2 * degree, 64);
     for journal_rows in [0, 2] {
-        let mut params =
-            DictParams::new(2048, 1 << 40, 2).with_degree(degree).with_epsilon(0.5).with_seed(0x0D1F);
-        if journal_rows > 0 {
-            params = params.with_journal(journal_rows);
-        }
+        let params = DictParams::new(2048, 1 << 40, 2)
+            .with_degree(degree)
+            .with_epsilon(0.5)
+            .with_seed(0x0D1F)
+            .with_journal(journal_rows);
         // Theorem 7's dictionary over the backend itself and over the
         // decorator that hides its residency.
         let dynamic = |backend: Box<dyn pdm::StorageBackend>| {

@@ -19,7 +19,7 @@ mod harness;
 
 use expander::FamilyKind;
 use harness::{
-    dense_keys, disk_image, frontend, frontends, frontends_with, padded_entries, sat, Frontend, KEY_SPACE,
+    dense_keys, disk_image, front, fronts, fronts_with, padded_entries, sat, Front, KEY_SPACE,
     UNIVERSE,
 };
 use pdm::{BatchPlan, BlockAddr, DiskArray, PdmConfig, Word};
@@ -44,9 +44,9 @@ fn probes() -> impl Strategy<Value = Vec<u64>> {
 
 /// The lookup differential: batch results equal sequential results, and
 /// the batch cost sits between the per-key max and the sequential sum.
-fn diff_lookup_batch(f: &Frontend, keys: &[u64], extra: &[u64]) -> Result<(), TestCaseError> {
+fn diff_lookup_batch(f: &Front, keys: &[u64], extra: &[u64]) -> Result<(), TestCaseError> {
     let entries = padded_entries(f, keys);
-    let mut dict = (f.build)(entries.len(), &entries, 0xBA7C);
+    let mut dict = f.build(entries.len(), &entries, 0xBA7C);
     let mut queries: Vec<u64> = entries.iter().map(|(k, _)| *k).collect();
     queries.extend(extra);
 
@@ -81,7 +81,7 @@ fn diff_lookup_batch(f: &Frontend, keys: &[u64], extra: &[u64]) -> Result<(), Te
 /// The insert differential: twin structures with identical seeds, one
 /// inserting sequentially and one as a single batch, must report the
 /// same per-key outcomes and hold the same contents.
-fn diff_insert_batch(f: &Frontend, keys: &[u64]) -> Result<(), TestCaseError> {
+fn diff_insert_batch(f: &Front, keys: &[u64]) -> Result<(), TestCaseError> {
     let mut entries: Vec<(u64, Vec<Word>)> = keys.iter().map(|&k| (k, sat(k, f.sigma))).collect();
     if f.intra_batch_dup {
         // Duplicate appended so the error path is exercised in both twins.
@@ -90,13 +90,13 @@ fn diff_insert_batch(f: &Frontend, keys: &[u64]) -> Result<(), TestCaseError> {
     let cap = entries.len();
     let seed = 0x5E0;
 
-    let mut seq_dict = (f.build)(cap, &[], seed);
+    let mut seq_dict = f.build(cap, &[], seed);
     let seq_res: Vec<Result<(), ErrorKind>> = entries
         .iter()
         .map(|(k, s)| seq_dict.insert(*k, s).map(|_| ()).map_err(|e| e.kind()))
         .collect();
 
-    let mut batch_dict = (f.build)(cap, &[], seed);
+    let mut batch_dict = f.build(cap, &[], seed);
     let (batch_res, batch_cost) = batch_dict.insert_batch(&entries);
     let batch_res: Vec<Result<(), ErrorKind>> = batch_res
         .into_iter()
@@ -140,10 +140,10 @@ fn diff_insert_batch(f: &Frontend, keys: &[u64]) -> Result<(), TestCaseError> {
 /// as a single `delete_batch`, must give the same per-key answers, the
 /// same `len()` and the same contents, at a cost between the per-key
 /// maximum and the sequential sum.
-fn diff_delete_batch(f: &Frontend, keys: &[u64], doomed: &[u64]) -> Result<(), TestCaseError> {
+fn diff_delete_batch(f: &Front, keys: &[u64], doomed: &[u64]) -> Result<(), TestCaseError> {
     let entries: Vec<(u64, Vec<Word>)> = keys.iter().map(|&k| (k, sat(k, f.sigma))).collect();
-    let mut seq_dict = (f.build)(entries.len(), &entries, 0xDE1);
-    let mut batch_dict = (f.build)(entries.len(), &entries, 0xDE1);
+    let mut seq_dict = f.build(entries.len(), &entries, 0xDE1);
+    let mut batch_dict = f.build(entries.len(), &entries, 0xDE1);
     let (mut seq_sum, mut seq_max) = (0, 0);
     let seq_res: Vec<Result<bool, ErrorKind>> = doomed
         .iter()
@@ -226,14 +226,14 @@ proptest! {
         keys in key_set(),
         extra in probes(),
     ) {
-        for f in frontends() {
+        for f in fronts() {
             diff_lookup_batch(&f, &keys, &extra)?;
         }
     }
 
     #[test]
     fn insert_batch_matches_sequential_for_every_frontend(keys in key_set()) {
-        for f in frontends().iter().filter(|f| !f.is_static) {
+        for f in fronts().iter().filter(|f| !f.is_static) {
             diff_insert_batch(f, &keys)?;
         }
     }
@@ -244,7 +244,7 @@ proptest! {
         let mut doomed: Vec<u64> = keys.iter().step_by(2).copied().collect();
         doomed.push(keys[0]);
         doomed.extend(&extra);
-        for f in frontends().iter().filter(|f| !f.is_static) {
+        for f in fronts().iter().filter(|f| !f.is_static) {
             diff_delete_batch(f, &keys, &doomed)?;
         }
     }
@@ -340,7 +340,7 @@ fn batch_differentials_hold_under_family_rotation() {
         if family == FamilyKind::default() {
             continue;
         }
-        for f in frontends_with(family) {
+        for f in fronts_with(family) {
             diff_lookup_batch(&f, &keys, &[KEY_SPACE - 3, KEY_SPACE - 11]).unwrap();
             if !f.is_static {
                 diff_insert_batch(&f, &keys).unwrap();
@@ -355,11 +355,11 @@ fn batch_differentials_hold_under_family_rotation() {
 #[test]
 fn a_delete_batch_of_one_is_charged_what_delete_is() {
     for name in ["dynamic", "dynamic_journaled", "rebuild"] {
-        let f = frontend(name);
+        let f = front(name);
         // 200 keys: the rebuilding front starts at 32 and crosses windows.
         let capacity = if name == "rebuild" { 32 } else { 256 };
-        let mut single = (f.build)(capacity, &[], 0x0E);
-        let mut batched = (f.build)(capacity, &[], 0x0E);
+        let mut single = f.build(capacity, &[], 0x0E);
+        let mut batched = f.build(capacity, &[], 0x0E);
         let mut in_window = 0;
         for k in 0..200u64 {
             for dict in [&mut single, &mut batched] {
@@ -379,9 +379,9 @@ fn a_delete_batch_of_one_is_charged_what_delete_is() {
 
 #[test]
 fn static_frontends_reject_mutation() {
-    for f in frontends().iter().filter(|f| f.is_static) {
+    for f in fronts().iter().filter(|f| f.is_static) {
         let entries = padded_entries(f, &[1, 2, 3]);
-        let mut dict = (f.build)(entries.len(), &entries, 0x57A7);
+        let mut dict = f.build(entries.len(), &entries, 0x57A7);
         let err = dict.insert(9999, &sat(9999, f.sigma)).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::UnsupportedParams, "{}", f.name);
         let err = dict.delete(entries[0].0).unwrap_err();
@@ -530,7 +530,7 @@ fn golden_stream(dict: &mut dyn Dict, sigma: usize, seed: u64) -> (Golden, u64) 
 /// order however a step is cut.
 #[test]
 fn golden_io_counts_and_images_match_the_recorded_parent() {
-    let mut plain = (frontend("dynamic").build)(4096, &[], 0x601D);
+    let mut plain = front("dynamic").build(4096, &[], 0x601D);
     assert_eq!(
         golden_stream(plain.as_mut(), 2, 1).0,
         Golden {
@@ -544,8 +544,8 @@ fn golden_io_counts_and_images_match_the_recorded_parent() {
         },
         "unjournaled DynamicDict"
     );
-    let mut journaled = (frontend("dynamic_journaled").build)(4096, &[], 0x601D);
-    let mut twin = (frontend("dynamic").build)(4096, &[], 0x601D);
+    let mut journaled = front("dynamic_journaled").build(4096, &[], 0x601D);
+    let mut twin = front("dynamic").build(4096, &[], 0x601D);
     let (got, answers) = golden_stream(journaled.as_mut(), 2, 2);
     assert_eq!(answers, golden_stream(twin.as_mut(), 2, 2).1, "a journal changed an answer");
     assert_eq!(journaled.disks().unwrap().journal_bypassed(), 0);

@@ -26,7 +26,7 @@
 
 mod harness;
 
-use harness::{dense_keys, frontend, frontends, sat, ShardProbe, KEY_SPACE};
+use harness::{dense_keys, front, fronts, sat, ShardProbe, KEY_SPACE};
 use pdm::{FaultPlan, Word};
 use pdm_cache::{CacheConfig, CacheCounters};
 use pdm_dict::Dict;
@@ -114,7 +114,7 @@ fn resident(c: CacheCounters) -> u64 {
 /// The three parties of the differential: a cache-on engine, a cache-off
 /// engine and a plain twin, each over a shard built alike.
 struct Trio<'f> {
-    f: &'f harness::Frontend,
+    f: &'f harness::Front,
     plain: Box<dyn Dict + Send>,
     on: Served,
     off: Served,
@@ -155,7 +155,7 @@ impl Trio<'_> {
 /// misses), and the sweeps a few ghosts nothing ever inserts. Returns the
 /// cache's counters.
 fn differential(
-    f: &harness::Frontend,
+    f: &harness::Front,
     cfg: CacheConfig,
     keys: &[u64],
     steps: &[Step],
@@ -165,9 +165,9 @@ fn differential(
     let seed = 0xD1FF ^ keys.len() as u64;
     let mut trio = Trio {
         f,
-        plain: (f.build)(cap, &entries, seed),
-        on: Served::new((f.build)(cap, &entries, seed), Some(cfg)),
-        off: Served::new((f.build)(cap, &entries, seed), None),
+        plain: f.build(cap, &entries, seed),
+        on: Served::new(f.build(cap, &entries, seed), Some(cfg)),
+        off: Served::new(f.build(cap, &entries, seed), None),
         decoy: KEY_SPACE + 40_000,
     };
 
@@ -219,7 +219,7 @@ proptest! {
         keys in key_set(),
         steps in steps(),
     ) {
-        for f in frontends() {
+        for f in fronts() {
             let c = differential(&f, churn_config(), &keys, &steps)?;
             prop_assert!(
                 c.hits > 0 && c.negative_hits > 0 && c.evicted > 0,
@@ -234,15 +234,14 @@ proptest! {
 /// workload. Returns whether the crash fired (the caller's loop drains
 /// the whole write range).
 fn crash_cycle(crash_at: u64) -> bool {
-    let mut f = frontend("dynamic_journaled");
-    let reopen = f.reopen.take().expect("journaled front declares reopen");
+    let f = front("dynamic_journaled");
     let keys = dense_keys(24);
     let entries: Vec<(u64, Vec<Word>)> = keys.iter().map(|&k| (k, sat(k, f.sigma))).collect();
     let cap = entries.len() + 32;
     let seed = 0xCAC4E;
     let cfg = EngineConfig::default().with_cache(CacheConfig::default().with_admit_threshold(1));
     // The plan counts physical writes from here on; warming only reads.
-    let mut shard = (f.build)(cap, &entries, seed);
+    let mut shard = f.build(cap, &entries, seed);
     shard
         .disks_mut()
         .unwrap()
@@ -290,7 +289,7 @@ fn crash_cycle(crash_at: u64) -> bool {
         disks.clone()
     };
     // Ground truth: a cache-less reopen of the same image.
-    let mut truth = reopen(cap, seed, image);
+    let mut truth = f.reopen(cap, seed, image).unwrap();
 
     // The shard recovers in place — adopt the on-disk superblock (not the
     // dead process's cursors), replay — and a successor engine serves it,
@@ -346,10 +345,10 @@ fn recovered_cache_serves_no_stale_hit_at_any_crash_point() {
 #[test]
 fn engine_replies_match_with_and_without_cache() {
     let build = || {
-        let f = frontend("dynamic");
+        let f = front("dynamic");
         let keys = dense_keys(32);
         let entries: Vec<(u64, Vec<Word>)> = keys.iter().map(|&k| (k, sat(k, f.sigma))).collect();
-        (f.sigma, (f.build)(128, &entries, 0xE46))
+        (f.sigma, f.build(128, &entries, 0xE46))
     };
     let (sigma, shard) = build();
     let on = ServeEngine::new(

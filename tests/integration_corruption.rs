@@ -4,12 +4,12 @@
 
 mod harness;
 
-use harness::{dense_keys, frontend, kill_disk, kill_disks, padded_entries};
+use harness::{dense_keys, front, kill_disk, kill_disks, padded_entries};
 use pdm::{BlockAddr, DiskArray, PdmConfig, Word};
 use pdm_dict::basic::{BasicDict, BasicDictConfig};
 use pdm_dict::layout::DiskAllocator;
 use pdm_dict::one_probe::{OneProbeStatic, OneProbeVariant};
-use pdm_dict::{DictParams, DynamicDict};
+use pdm_dict::{DictHandle, DictParams};
 
 fn entries(n: usize, sigma: usize) -> Vec<(u64, Vec<Word>)> {
     (0..n as u64)
@@ -104,13 +104,11 @@ fn random_bit_corruption_never_panics() {
 #[test]
 fn dynamic_dict_tolerates_corrupted_membership_bucket() {
     let d = 20;
-    let mut disks = DiskArray::new(PdmConfig::new(2 * d, 128), 0);
-    let mut alloc = DiskAllocator::new(2 * d);
     let params = DictParams::new(200, 1 << 30, 1)
         .with_degree(d)
         .with_epsilon(0.5)
         .with_seed(6);
-    let mut dict = DynamicDict::create(&mut disks, &mut alloc, 0, params).unwrap();
+    let (mut dict, mut disks) = DictHandle::in_memory(params, 128).unwrap().into_parts();
     for (k, s) in entries(200, 1) {
         dict.insert(&mut disks, k, &s).unwrap();
     }
@@ -181,9 +179,9 @@ fn batch_lookup_degrades_exactly_like_sequential_on_a_dead_disk() {
         },
     ];
     for case in cases {
-        let f = frontend(case.front);
+        let f = front(case.front);
         let es = padded_entries(&f, &dense_keys(200));
-        let mut dict = (f.build)(es.len(), &es, 3);
+        let mut dict = f.build(es.len(), &es, 3);
         kill_disk(dict.disks_mut().unwrap(), case.wipe);
 
         let keys: Vec<u64> = es.iter().map(|(k, _)| *k).chain(5000..5100).collect();

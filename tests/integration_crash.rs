@@ -28,7 +28,7 @@ mod harness;
 
 use expander::FamilyKind;
 use harness::{
-    dense_keys, frontend, frontend_with, padded_entries, sat, JOURNAL_ROWS, KEY_SPACE, UNIVERSE,
+    dense_keys, front, front_with, padded_entries, sat, JOURNAL_ROWS, KEY_SPACE, UNIVERSE,
 };
 use pdm::{FaultPlan, Word};
 use pdm_dict::{Dict, DictParams, Dictionary};
@@ -62,12 +62,11 @@ fn drive_crash_with(
     keys: &[u64],
     crash_at: u64,
 ) -> Result<(), TestCaseError> {
-    let mut f = frontend_with("dynamic_journaled", family);
-    let reopen = f.reopen.take().expect("journaled front declares reopen");
+    let f = front_with("dynamic_journaled", family);
     let entries: Vec<(u64, Vec<Word>)> = keys.iter().map(|&k| (k, sat(k, f.sigma))).collect();
     let cap = entries.len() + 32;
     let seed = 0xC4A5;
-    let mut dict = (f.build)(cap, &entries, seed);
+    let mut dict = f.build(cap, &entries, seed);
 
     // The ground truth the crash must respect. Keys move between the
     // three sets as ops complete; an op cut by the crash moves its key
@@ -149,7 +148,7 @@ fn drive_crash_with(
         disks.clone()
     };
     drop(dict);
-    let mut reopened = reopen(cap, seed, image);
+    let mut reopened = f.reopen(cap, seed, image).unwrap();
 
     // (2) acked ⇒ durable, and deletions stay deleted.
     for &k in &must_present {
@@ -244,10 +243,10 @@ fn crash_recovery_composes_with_every_family() {
 /// "clean" bit may describe a write the crash dropped).
 #[test]
 fn recovery_distrusts_pre_crash_verification() {
-    let f = frontend("dynamic_journaled");
+    let f = front("dynamic_journaled");
     let keys = dense_keys(24);
     let entries: Vec<(u64, Vec<Word>)> = keys.iter().map(|&k| (k, sat(k, f.sigma))).collect();
-    let mut dict = (f.build)(64, &entries, 0xC4A5);
+    let mut dict = f.build(64, &entries, 0xC4A5);
     dict.disks_mut().unwrap().enable_integrity();
     // A scrub verifies (and caches) every block.
     let report = dict.scrub();
@@ -540,10 +539,10 @@ fn a_migration_step_split_across_intents_is_crash_consistent() {
 /// zeros, never as a checksum mismatch.
 #[test]
 fn recycled_blocks_never_read_as_checksum_mismatches() {
-    let f = frontend("rebuild");
+    let f = front("rebuild");
     let keys = dense_keys(300);
     let entries: Vec<(u64, Vec<Word>)> = keys[..20].iter().map(|&k| (k, sat(k, f.sigma))).collect();
-    let mut dict = (f.build)(0, &entries, 0x5EA1);
+    let mut dict = f.build(0, &entries, 0x5EA1);
     dict.disks_mut().unwrap().enable_integrity();
     for (i, &k) in keys.iter().enumerate().skip(20) {
         dict.insert(k, &sat(k, f.sigma)).unwrap();
@@ -571,9 +570,9 @@ fn recycled_blocks_never_read_as_checksum_mismatches() {
 /// replays the torn flush and a final scrub restores every key exactly.
 #[test]
 fn one_probe_b_scrub_repair_survives_dead_disk_plus_crash() {
-    let f = frontend("one_probe_b");
+    let f = front("one_probe_b");
     let es = padded_entries(&f, &dense_keys(150));
-    let mut dict = (f.build)(es.len(), &es, 0xD1E5);
+    let mut dict = f.build(es.len(), &es, 0xD1E5);
     let disks = dict.disks_mut().unwrap();
     disks.enable_integrity();
     disks.enable_journal_appended(JOURNAL_ROWS);

@@ -5,7 +5,7 @@
 use pdm::{DiskArray, PdmConfig, Word};
 use pdm_dict::layout::DiskAllocator;
 use pdm_dict::one_probe::{OneProbeStatic, OneProbeVariant};
-use pdm_dict::{DictParams, Dictionary, DynamicDict};
+use pdm_dict::{DictHandle, DictParams, Dictionary};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -96,13 +96,11 @@ fn one_probe_and_dynamic_agree_on_the_same_key_set() {
     .expect("build");
 
     // Dynamic Theorem 7 structure.
-    let mut disks_b = DiskArray::new(PdmConfig::new(2 * d, 128), 0);
-    let mut alloc_b = DiskAllocator::new(2 * d);
     let params_b = DictParams::new(2 * n, 1 << 30, sigma)
         .with_degree(d)
         .with_epsilon(0.5)
         .with_seed(2);
-    let mut dyn_dict = DynamicDict::create(&mut disks_b, &mut alloc_b, 0, params_b).unwrap();
+    let (mut dyn_dict, mut disks_b) = DictHandle::in_memory(params_b, 128).unwrap().into_parts();
     for (k, s) in &entries {
         dyn_dict.insert(&mut disks_b, *k, s).unwrap();
     }

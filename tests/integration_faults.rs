@@ -13,7 +13,7 @@
 //!    the fault is still answered exactly — repair never loses ground.
 //!
 //! Deletes of stored keys run under the plan too. On the fronts that
-//! promise it ([`Frontend::typed_delete`]) a key that reads back exactly is
+//! promise it ([`Front::typed_delete`]) a key that reads back exactly is
 //! never reported absent by the delete that follows: the answer is
 //! `Ok(true)` or a typed `Io` error. (A key that no longer reads back may
 //! be truly gone — a rebuilding front can lose a record to a migration
@@ -38,7 +38,7 @@
 mod harness;
 
 use expander::FamilyKind;
-use harness::{frontends, frontends_with, padded_entries, sat, Frontend, KEY_SPACE};
+use harness::{fronts, fronts_with, padded_entries, sat, Front, KEY_SPACE};
 use pdm::{FaultPlan, Word};
 use pdm_dict::{Dict, DictError};
 use proptest::prelude::*;
@@ -58,9 +58,9 @@ fn miss_probes() -> impl Iterator<Item = u64> {
     (0..40u64).map(|i| KEY_SPACE + 1_000 + i * 7)
 }
 
-fn drive(f: &Frontend, keys: &[u64], fault_seed: u64) -> Result<(), TestCaseError> {
+fn drive(f: &Front, keys: &[u64], fault_seed: u64) -> Result<(), TestCaseError> {
     let entries = padded_entries(f, keys);
-    let mut dict = (f.build)(entries.len(), &entries, 0xFA17);
+    let mut dict = f.build(entries.len(), &entries, 0xFA17);
     let disks = dict
         .disks_mut()
         .unwrap_or_else(|| panic!("{}: a front without an array cannot be fault-injected", f.name));
@@ -211,7 +211,7 @@ proptest! {
         keys in key_set(),
         fault_seed in 0u64..1 << 48,
     ) {
-        for f in frontends() {
+        for f in fronts() {
             drive(&f, &keys, fault_seed)?;
         }
     }
@@ -227,7 +227,7 @@ fn fault_recovery_composes_with_every_family() {
         if family == FamilyKind::default() {
             continue;
         }
-        for f in frontends_with(family) {
+        for f in fronts_with(family) {
             drive(&f, &keys, 0xFA_0172 & !1).unwrap();
         }
     }
@@ -239,9 +239,9 @@ fn fault_recovery_composes_with_every_family() {
 /// nothing left to repair.
 #[test]
 fn one_probe_b_single_disk_failure_drill() {
-    let f = harness::frontend("one_probe_b");
+    let f = harness::front("one_probe_b");
     let es = padded_entries(&f, &harness::dense_keys(150));
-    let mut dict = (f.build)(es.len(), &es, 0xD1E5);
+    let mut dict = f.build(es.len(), &es, 0xD1E5);
     let disks = dict.disks_mut().unwrap();
     disks.enable_integrity();
     disks.set_fault_plan(FaultPlan::new().dead_disk(4));
@@ -275,9 +275,9 @@ fn one_probe_b_single_disk_failure_drill() {
 #[test]
 fn a_torn_tombstone_write_fails_the_delete_typed() {
     for name in ["dynamic", "dynamic_journaled", "rebuild"] {
-        let f = harness::frontend(name);
+        let f = harness::front(name);
         let entries = padded_entries(&f, &harness::dense_keys(40));
-        let mut dict = (f.build)(entries.len() + 8, &entries, 0x70A2);
+        let mut dict = f.build(entries.len() + 8, &entries, 0x70A2);
         let disks = dict.disks_mut().unwrap();
         disks.enable_integrity();
         let plan = (0..disks.disks()).fold(FaultPlan::new(), |plan, d| {
@@ -361,11 +361,11 @@ fn a_torn_write_inside_a_batch_is_retried_and_lands() {
             disks.set_fault_plan(plan);
         };
         for name in ["dynamic", "dynamic_journaled"] {
-            let f = harness::frontend(name);
+            let f = harness::front(name);
             let entries = padded_entries(&f, &harness::dense_keys(40));
             let batch: Vec<(u64, Vec<Word>)> = fresh.iter().map(|(k, _)| (*k, sat(*k, f.sigma))).collect();
             let mut model: std::collections::BTreeMap<u64, Vec<Word>> = entries.iter().cloned().collect();
-            let mut dict = (f.build)(128, &entries, 0x7EA2);
+            let mut dict = f.build(128, &entries, 0x7EA2);
             dict.disks_mut().unwrap().enable_integrity();
             tear_all(dict.as_mut());
             let (res, _) = dict.insert_batch(&batch);
@@ -420,11 +420,11 @@ fn a_write_that_keeps_failing_fails_its_keys_typed() {
     for name in ["dynamic", "dynamic_journaled"] {
         // Disk 3 holds membership buckets, disk 27 fields.
         for disk in [3, 27] {
-            let f = harness::frontend(name);
+            let f = harness::front(name);
             let what = format!("{name}, disk {disk}");
             let entries = padded_entries(&f, &harness::dense_keys(40));
             let mut model: std::collections::BTreeMap<u64, Vec<Word>> = entries.iter().cloned().collect();
-            let mut dict = (f.build)(128, &entries, 0x7EA3);
+            let mut dict = f.build(128, &entries, 0x7EA3);
             dict.disks_mut().unwrap().enable_integrity();
             tear(dict.as_mut(), disk);
             let batch: Vec<(u64, Vec<Word>)> =
@@ -508,10 +508,10 @@ fn a_write_that_keeps_failing_fails_its_keys_typed() {
 fn a_dead_disk_inside_a_batch_fails_typed_or_is_routed_around() {
     for name in ["dynamic", "dynamic_journaled"] {
         for disk in [3, 27] {
-            let f = harness::frontend(name);
+            let f = harness::front(name);
             let what = format!("{name}, disk {disk}");
             let entries = padded_entries(&f, &harness::dense_keys(40));
-            let mut dict = (f.build)(128, &entries, 0x7EA4);
+            let mut dict = f.build(128, &entries, 0x7EA4);
             dict.disks_mut().unwrap().enable_integrity();
             harness::kill_disk(dict.disks_mut().unwrap(), disk);
             let before = dict.len();

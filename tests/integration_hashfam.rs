@@ -13,7 +13,7 @@
 mod harness;
 
 use expander::FamilyKind;
-use harness::{disk_image, frontend_with, frontends_with, padded_entries, sat, KEY_SPACE};
+use harness::{disk_image, front_with, fronts_with, padded_entries, sat, KEY_SPACE};
 use pdm_dict::ErrorKind;
 use proptest::prelude::*;
 
@@ -41,16 +41,16 @@ proptest! {
     /// inside a shared envelope (within 4x of the cheapest family).
     #[test]
     fn lookups_byte_identical_across_families(keys in key_set()) {
-        let names: Vec<&str> = frontends_with(FamilyKind::default())
+        let names: Vec<&str> = fronts_with(FamilyKind::default())
             .iter()
             .map(|f| f.name)
             .collect();
         for name in names {
             let mut results = Vec::new();
             for family in FamilyKind::ALL {
-                let f = frontend_with(name, family);
+                let f = front_with(name, family);
                 let entries = padded_entries(&f, &keys);
-                let mut dict = (f.build)(entries.len(), &entries, suite_seed() ^ 0xFA7);
+                let mut dict = f.build(entries.len(), &entries, suite_seed() ^ 0xFA7);
                 let mut queries: Vec<u64> = entries.iter().map(|(k, _)| *k).collect();
                 // Misses probe the same envelope as hits.
                 queries.extend((0..10).map(|i| KEY_SPACE - 1 - i));
@@ -81,7 +81,7 @@ proptest! {
     /// under every family.
     #[test]
     fn mutation_outcomes_identical_across_families(keys in key_set()) {
-        let names: Vec<&str> = frontends_with(FamilyKind::default())
+        let names: Vec<&str> = fronts_with(FamilyKind::default())
             .iter()
             .filter(|f| !f.is_static)
             .map(|f| f.name)
@@ -89,8 +89,8 @@ proptest! {
         for name in names {
             let mut outcomes = Vec::new();
             for family in FamilyKind::ALL {
-                let f = frontend_with(name, family);
-                let mut dict = (f.build)(keys.len(), &[], suite_seed() ^ 0x3B);
+                let f = front_with(name, family);
+                let mut dict = f.build(keys.len(), &[], suite_seed() ^ 0x3B);
                 let mut script: Vec<Result<(), ErrorKind>> = Vec::new();
                 for &k in &keys {
                     script.push(dict.insert(k, &sat(k, f.sigma)).map(|_| ()).map_err(|e| e.kind()));
@@ -122,9 +122,9 @@ fn families_place_records_differently() {
     let keys: Vec<u64> = (0..32u64).map(|i| i * 1031).collect();
     let mut images = Vec::new();
     for family in FamilyKind::ALL {
-        let f = frontend_with("basic", family);
+        let f = front_with("basic", family);
         let entries = padded_entries(&f, &keys);
-        let dict = (f.build)(entries.len(), &entries, suite_seed());
+        let dict = f.build(entries.len(), &entries, suite_seed());
         images.push(disk_image(dict.disks().expect("basic exposes its array")));
     }
     for (i, a) in images.iter().enumerate() {

@@ -5,7 +5,7 @@
 
 mod harness;
 
-use harness::{dense_keys, frontend, padded_entries};
+use harness::{dense_keys, front, padded_entries};
 use pdm::metrics::{MetricsRegistry, PARALLEL_IOS_TOTAL};
 use pdm_dict::traits::{DICT_OPS_TOTAL, DICT_OP_PARALLEL_IOS};
 use pdm_dict::{Dict, DictParams, Dictionary};
@@ -17,9 +17,9 @@ use std::sync::Arc;
 /// bucket upper bound).
 #[test]
 fn one_probe_p99_lookup_is_one_in_exported_metrics() {
-    let f = frontend("one_probe_b");
+    let f = front("one_probe_b");
     let entries = padded_entries(&f, &dense_keys(200));
-    let mut dict = (f.build)(entries.len(), &entries, 0x0b5e);
+    let mut dict = f.build(entries.len(), &entries, 0x0b5e);
 
     let registry = Arc::new(MetricsRegistry::new());
     dict.set_metrics(Some(Arc::clone(&registry)));
@@ -64,10 +64,10 @@ fn one_probe_p99_lookup_is_one_in_exported_metrics() {
 /// additive term (the same shape `basic.rs` pins internally).
 #[test]
 fn basic_max_bucket_load_within_lemma3_bound_in_exported_metrics() {
-    let f = frontend("basic");
+    let f = front("basic");
     let n = 800;
     let entries = padded_entries(&f, &dense_keys(n));
-    let mut dict = (f.build)(n, &entries, 0x1e3);
+    let mut dict = f.build(n, &entries, 0x1e3);
 
     let registry = Arc::new(MetricsRegistry::new());
     dict.set_metrics(Some(Arc::clone(&registry)));
@@ -96,8 +96,8 @@ fn basic_max_bucket_load_within_lemma3_bound_in_exported_metrics() {
 /// does not grow with the number of rebuilds.
 #[test]
 fn rebuild_reclaim_and_step_cost_show_in_exported_metrics() {
-    let f = frontend("rebuild");
-    let mut dict = (f.build)(0, &[], 0x5EED);
+    let f = front("rebuild");
+    let mut dict = f.build(0, &[], 0x5EED);
     let registry = Arc::new(MetricsRegistry::new());
     dict.set_metrics(Some(Arc::clone(&registry)));
     let labels = [("dict", "rebuild")];
@@ -190,12 +190,12 @@ fn space_ledger_accounts_for_every_block_in_exported_metrics() {
         dict.set_metrics(None);
     }
 
-    let f = frontend("dynamic_journaled");
+    let f = front("dynamic_journaled");
     let entries = padded_entries(&f, &dense_keys(300));
-    let mut dict = (f.build)(entries.len(), &entries, 0x5ACE);
+    let mut dict = f.build(entries.len(), &entries, 0x5ACE);
     check(dict.as_mut(), "dynamic", "after a build");
     let image = dict.disks().unwrap().clone();
-    let mut reopened = (f.reopen.as_ref().unwrap())(entries.len(), 0x5ACE, image);
+    let mut reopened = f.reopen(entries.len(), 0x5ACE, image).unwrap();
     check(reopened.as_mut(), "dynamic", "after a reopen");
     assert_eq!(reopened.len(), 300);
 
@@ -224,12 +224,12 @@ fn space_ledger_accounts_for_every_block_in_exported_metrics() {
 /// counters reconcile with the disk array's own `IoStats`.
 #[test]
 fn installed_hooks_do_not_perturb_front_end_behavior() {
-    let f = frontend("dynamic");
+    let f = front("dynamic");
     let keys = dense_keys(120);
     let entries = padded_entries(&f, &keys);
 
-    let mut plain = (f.build)(entries.len(), &entries, 0xD0);
-    let mut hooked = (f.build)(entries.len(), &entries, 0xD0);
+    let mut plain = f.build(entries.len(), &entries, 0xD0);
+    let mut hooked = f.build(entries.len(), &entries, 0xD0);
     let registry = Arc::new(MetricsRegistry::new());
     hooked.set_metrics(Some(Arc::clone(&registry)));
 

@@ -9,7 +9,7 @@
 mod harness;
 
 use expander::FamilyKind;
-use harness::{frontend, frontend_with, sat, Frontend};
+use harness::{front, front_with, sat, Front};
 use pdm::FaultPlan;
 use pdm_server::{DictClient, EngineConfig, ServeEngine, ServeError};
 use std::collections::{BTreeSet, HashMap};
@@ -31,9 +31,9 @@ fn mix(x: u64) -> u64 {
 
 /// An engine over `shards` journaled-dynamic shard dictionaries built by
 /// the differential harness.
-fn engine_of(f: &Frontend, shards: usize, capacity: usize, seed: u64) -> ServeEngine {
+fn engine_of(f: &Front, shards: usize, capacity: usize, seed: u64) -> ServeEngine {
     let dicts = (0..shards as u64)
-        .map(|i| (f.build)(capacity, &[], seed + i))
+        .map(|i| f.build(capacity, &[], seed + i))
         .collect();
     ServeEngine::new(
         dicts,
@@ -55,7 +55,7 @@ fn concurrent_mixed_workload_matches_sequential_oracle() {
     const KEYS_PER_THREAD: u64 = 40;
     const OPS_PER_THREAD: u64 = 300;
 
-    let f = frontend("dynamic_journaled");
+    let f = front("dynamic_journaled");
     let seed = suite_seed();
     let capacity = (THREADS * KEYS_PER_THREAD) as usize + 32;
     let engine = engine_of(&f, 2, capacity, seed);
@@ -161,7 +161,7 @@ fn concurrent_mixed_workload_matches_sequential_oracle() {
 #[test]
 fn racing_inserts_of_one_key_ack_exactly_one() {
     const KEY: u64 = 42;
-    let f = frontend("dynamic_journaled");
+    let f = front("dynamic_journaled");
     let engine = engine_of(&f, 2, 64, suite_seed() ^ 0xACE);
     let client = engine.client();
     let start = std::sync::Barrier::new(5);
@@ -194,7 +194,7 @@ fn engine_serves_over_every_family() {
         if family == FamilyKind::default() {
             continue;
         }
-        let f = frontend_with("dynamic_journaled", family);
+        let f = front_with("dynamic_journaled", family);
         let engine = engine_of(&f, 2, 128, suite_seed() ^ 0xFA);
         let client = engine.client();
         std::thread::scope(|s| {
@@ -232,8 +232,7 @@ fn engine_serves_over_every_family() {
 /// replay) and every acked write present.
 #[test]
 fn graceful_shutdown_image_is_recover_consistent() {
-    let mut f = frontend("dynamic_journaled");
-    let reopen = f.reopen.take().expect("journaled front declares reopen");
+    let f = front("dynamic_journaled");
     let seed = suite_seed() ^ 0x5D;
     let capacity = 128;
     let engine = engine_of(&f, 1, capacity, seed);
@@ -257,7 +256,7 @@ fn graceful_shutdown_image_is_recover_consistent() {
     drop(shards);
 
     // Reopen from the image alone, as a fresh process would.
-    let mut reopened = reopen(capacity, seed, image);
+    let mut reopened = f.reopen(capacity, seed, image).unwrap();
     assert_eq!(reopened.len(), 90, "recovered length");
     for t in 0..3u64 {
         for i in 0..30 {
@@ -288,8 +287,7 @@ fn crash_drill_every_acked_write_survives_recovery() {
     const THREADS: u64 = 3;
     const KEYS_PER_THREAD: u64 = 60;
 
-    let f = frontend("dynamic_journaled");
-    let reopen = f.reopen.expect("journaled front declares reopen");
+    let f = front("dynamic_journaled");
     let seed = suite_seed() ^ 0xC4A5;
     let capacity = (THREADS * KEYS_PER_THREAD) as usize + 32;
 
@@ -297,7 +295,7 @@ fn crash_drill_every_acked_write_survives_recovery() {
     // is far below what the full load needs, so the crash always fires
     // mid-serving.
     let crash_at = 30 + suite_seed() % 120;
-    let mut dict = (f.build)(capacity, &[], seed);
+    let mut dict = f.build(capacity, &[], seed);
     dict.disks_mut()
         .unwrap()
         .set_fault_plan(FaultPlan::new().crash_after(crash_at));
@@ -354,7 +352,7 @@ fn crash_drill_every_acked_write_survives_recovery() {
         disks.clone()
     };
     drop(shards);
-    let mut recovered = reopen(capacity, seed, image);
+    let mut recovered = f.reopen(capacity, seed, image).unwrap();
 
     // Acked ⇒ durable, bit-exact.
     for &key in &acked {
@@ -386,7 +384,7 @@ fn crash_drill_every_acked_write_survives_recovery() {
 #[test]
 fn a_pipelined_window_of_deletes_is_one_dict_call() {
     use pdm_server::{Op, Reply};
-    let f = frontend("dynamic_journaled");
+    let f = front("dynamic_journaled");
     let mut answers = Vec::new();
     for cache in [false, true] {
         let probe = harness::ShardProbe::new();
@@ -394,7 +392,7 @@ fn a_pipelined_window_of_deletes_is_one_dict_call() {
         if cache {
             cfg = cfg.with_cache(pdm_cache::CacheConfig::default());
         }
-        let engine = ServeEngine::new(vec![probe.wrap((f.build)(128, &[], 0x5E21))], cfg);
+        let engine = ServeEngine::new(vec![probe.wrap(f.build(128, &[], 0x5E21))], cfg);
         let client = engine.client();
         for k in 0..40u64 {
             client.insert(k, &sat(k, f.sigma)).unwrap();

@@ -1,41 +1,18 @@
 //! End-to-end harness integration: every subject runs every workload
 //! correctly, and the Figure 1 shape assertions hold on small instances.
 
-use bench::evaluate;
-use bench::measure::{
-    BTreeSubject, BasicSubject, CuckooSubject, DghpSubject, DynamicSubject, FolkloreSubject,
-    OneProbeSubject, StripedSubject, Subject,
-};
+use bench::fronts::{Entries, Figure1, Measured};
 use bench::workloads::{clustered_keys, entries_for, miss_probes, uniform_keys};
-use pdm_dict::one_probe::OneProbeVariant;
+use bench::{evaluate, MethodReport};
 
-fn all_subjects(n: usize, sigma: usize) -> Vec<Box<dyn Subject>> {
-    let block = 128;
-    vec![
-        Box::new(BasicSubject::new(n, sigma, 20, block, 1)),
-        Box::new(OneProbeSubject::new(
-            n,
-            sigma,
-            13,
-            block,
-            OneProbeVariant::CaseA,
-            2,
-        )),
-        Box::new(OneProbeSubject::new(
-            n,
-            sigma,
-            13,
-            block,
-            OneProbeVariant::CaseB,
-            3,
-        )),
-        Box::new(DynamicSubject::new(n, sigma, 20, block, 0.5, 4)),
-        Box::new(StripedSubject::new(n, sigma, 16, block, 5)),
-        Box::new(CuckooSubject::new(n, sigma, 16, block, 6)),
-        Box::new(DghpSubject::new(n, sigma, 16, block, 7)),
-        Box::new(FolkloreSubject::new(n, sigma, 16, block, 4, 8)),
-        Box::new(BTreeSubject::new(sigma, 16, block)),
-    ]
+/// Every row of Figure 1 at `B = 128` over `entries`, evaluated.
+fn figure1(sigma: usize, entries: &Entries, misses: &[u64], deletions: &[u64]) -> Vec<MethodReport> {
+    let shape = Figure1::table(entries.len(), sigma, 128);
+    let run = |method| {
+        let Measured { mut dict, desc } = shape.build(method, entries).unwrap_or_else(|e| panic!("{method}: {e}"));
+        evaluate(dict.as_mut(), &desc, entries, misses, deletions).unwrap_or_else(|e| panic!("{method}: {e}"))
+    };
+    Figure1::METHODS.into_iter().map(run).collect()
 }
 
 #[test]
@@ -45,9 +22,7 @@ fn every_subject_is_correct_on_uniform_keys() {
     let keys = uniform_keys(n, 1 << 40, 0x11);
     let entries = entries_for(&keys, sigma);
     let misses = miss_probes(&keys, 1 << 40, 300, 0x12);
-    for mut subject in all_subjects(n, sigma) {
-        let report = evaluate(subject.as_mut(), &entries, &misses, &keys[..50])
-            .unwrap_or_else(|e| panic!("{}: {e}", subject.name()));
+    for report in figure1(sigma, &entries, &misses, &keys[..50]) {
         assert_eq!(report.failures, 0, "{} had lookup failures", report.name);
         assert!(report.lookup_avg >= 1.0);
     }
@@ -61,9 +36,7 @@ fn every_subject_is_correct_on_clustered_keys() {
     let keys = clustered_keys(n, 1 << 40, 8, 0x21);
     let entries = entries_for(&keys, sigma);
     let misses = miss_probes(&keys, 1 << 40, 200, 0x22);
-    for mut subject in all_subjects(n, sigma) {
-        let report = evaluate(subject.as_mut(), &entries, &misses, &[])
-            .unwrap_or_else(|e| panic!("{}: {e}", subject.name()));
+    for report in figure1(sigma, &entries, &misses, &[]) {
         assert_eq!(
             report.failures, 0,
             "{} failed on clustered keys",
@@ -80,11 +53,8 @@ fn figure1_shape_assertions() {
     let keys = uniform_keys(n, 1 << 40, 0x31);
     let entries = entries_for(&keys, sigma);
     let misses = miss_probes(&keys, 1 << 40, 400, 0x32);
-    let mut reports = std::collections::HashMap::new();
-    for mut subject in all_subjects(n, sigma) {
-        let r = evaluate(subject.as_mut(), &entries, &misses, &[]).unwrap();
-        reports.insert(r.name.clone(), r);
-    }
+    let reports: std::collections::HashMap<_, _> =
+        figure1(sigma, &entries, &misses, &[]).into_iter().map(|r| (r.name.clone(), r)).collect();
     // One-probe rows: worst-case lookup exactly 1 parallel I/O.
     for name in [
         "§4.2 one-probe a (det., static)",
@@ -104,8 +74,9 @@ fn figure1_shape_assertions() {
     assert_eq!(dynamic.miss_worst, 1);
     // B-tree pays its height: strictly more than 1 I/O per lookup once
     // the tree is taller than a root leaf (narrow stripes force height).
-    let mut tall_btree = BTreeSubject::new(sigma, 4, 16);
-    let tb = evaluate(&mut tall_btree, &entries, &misses, &[]).unwrap();
+    let tall = Figure1 { n, sigma, block_words: 16, disks: 4 };
+    let Measured { mut dict, desc } = tall.build("btree", &[]).unwrap();
+    let tb = evaluate(dict.as_mut(), &desc, &entries, &misses, &[]).unwrap();
     assert!(tb.lookup_avg >= 2.0, "B-tree avg {}", tb.lookup_avg);
     assert!(
         tb.lookup_avg > dynamic.lookup_avg,
@@ -124,8 +95,9 @@ fn deterministic_structures_are_reproducible_across_runs() {
     let entries = entries_for(&keys, 1);
     let misses = miss_probes(&keys, 1 << 40, 100, 0x42);
     let run = || {
-        let mut s = DynamicSubject::new(n, 1, 20, 128, 0.5, 99);
-        let r = evaluate(&mut s, &entries, &misses, &[]).unwrap();
+        let front = Figure1::table(n, 1, 128).paper("dynamic", 20);
+        let Measured { mut dict, desc } = front.measured(2 * n, &[], 99).unwrap();
+        let r = evaluate(dict.as_mut(), &desc, &entries, &misses, &[]).unwrap();
         (r.build_ios, r.lookup_avg.to_bits(), r.miss_avg.to_bits())
     };
     assert_eq!(run(), run());
