@@ -84,9 +84,6 @@ fn main() -> std::process::ExitCode {
                 max_delay: Duration::from_millis(20),
             },
             breaker_threshold: 2,
-            // Short on purpose: durability must come from the sticky
-            // suspect latch, not from keeping the breaker open.
-            breaker_cooldown: Duration::from_millis(20),
             connect_timeout: Duration::from_secs(1),
             request_deadline: Duration::from_secs(30),
             write_quorum: 1,

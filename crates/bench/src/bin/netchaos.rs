@@ -130,7 +130,6 @@ fn minority_phase(smoke: bool) -> (u64, u64, u64) {
         RouterConfig {
             retry: RetryPolicy::none(),
             breaker_threshold: 2,
-            breaker_cooldown: Duration::from_millis(20),
             connect_timeout: Duration::from_secs(1),
             request_deadline: Duration::from_millis(250),
             write_quorum: 2,
@@ -204,7 +203,6 @@ fn heal_phase(smoke: bool) -> (u64, u64, bool) {
         RouterConfig {
             retry: RetryPolicy::none(),
             breaker_threshold: 2,
-            breaker_cooldown: Duration::from_millis(20),
             connect_timeout: Duration::from_secs(1),
             request_deadline: Duration::from_millis(250),
             write_quorum: 1,
@@ -329,8 +327,8 @@ struct ReplayRun {
     images: Vec<(usize, u32, Vec<u8>)>,
 }
 
-/// One flaky-link run from the seeded plan: single-threaded traffic,
-/// wall-clock-free breaker (zero cooldown), disarmed audit.
+/// One flaky-link run from the seeded plan: single-threaded traffic
+/// (trust decisions read no clock), disarmed audit.
 fn replay_run(keys: u64) -> ReplayRun {
     const NODES: usize = 3;
 
@@ -355,7 +353,6 @@ fn replay_run(keys: u64) -> ReplayRun {
                 max_delay: Duration::from_millis(1),
             },
             breaker_threshold: 2,
-            breaker_cooldown: Duration::ZERO,
             connect_timeout: Duration::from_secs(1),
             request_deadline: Duration::from_millis(250),
             write_quorum: 2,

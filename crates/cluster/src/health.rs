@@ -1,34 +1,20 @@
-//! Per-node health machinery: typed retry policies, a circuit breaker,
-//! and the heartbeat failure detector.
-//!
-//! The router treats a remote node as a fallible component with two
-//! failure speeds: *transient* (a dropped connection, one missed
-//! deadline) and *systemic* (the node is gone). [`RetryPolicy`] absorbs
-//! the first with bounded, exponentially backed-off attempts;
-//! [`Breaker`] detects the second by counting consecutive failures and
-//! — once open — keeps traffic away from the node until a cooldown
-//! passes, after which a single half-open probe decides between closing
-//! the breaker and re-opening it. The breaker is purely a *transport*
-//! gate: a closed breaker says the node answers, not that it is
-//! current. Durability trust is the router's separate sticky suspect
-//! latch — a node whose breaker opened is latched and serves no reads
-//! until it has been re-replicated, even after a probe closes the
-//! breaker (see the router's durability invariant).
-//!
-//! Both of those are **reactive**: a node is only distrusted after a
-//! client request fails into it. [`FailureDetector`] is the proactive
-//! third leg, fed by the heartbeater's periodic probes (see
-//! `crate::heartbeat`): consecutive missed probes raise a node's
-//! suspicion level, and crossing the configured threshold flips it
-//! [`Liveness::Alive`] → [`Liveness::Suspected`] — at which point the
-//! heartbeater latches the router's sticky suspect *before* any client
-//! write has to fail. The transition is one-way from the detector's
-//! point of view (a node that answers probes again may still have
-//! missed acknowledged writes while it was dark); only an explicit
-//! [`clear`](FailureDetector::clear) — issued when the router re-images
-//! the node — re-arms it.
+//! Reaching a node: how a connection is dialed, and the typed retry policy
+//! whose bounded, backed-off attempts absorb a *transient* fault (a dropped
+//! connection, one missed deadline) inside a request series. What they do
+//! not absorb counts toward the node's trust ([`crate::trust`]), which
+//! decides the *systemic* case.
 
-use std::time::{Duration, Instant};
+use pdm_server::TcpClient;
+use std::net::SocketAddr;
+use std::time::Duration;
+
+/// A connection to `addr` made within `connect`, each of its requests
+/// bounded by `deadline`; `None` when either cannot be had.
+pub(crate) fn dial(addr: SocketAddr, connect: Duration, deadline: Duration) -> Option<TcpClient> {
+    let mut client = TcpClient::connect_timeout(addr, connect).ok()?;
+    client.set_deadline(Some(deadline)).ok()?;
+    Some(client)
+}
 
 /// Bounded retry schedule with exponential backoff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,238 +63,9 @@ impl RetryPolicy {
     }
 }
 
-/// Circuit-breaker state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Healthy: requests flow.
-    Closed,
-    /// Tripped: requests are refused until the cooldown passes.
-    Open,
-    /// Cooldown passed: exactly one probe request is allowed through;
-    /// its outcome closes or re-opens the breaker.
-    HalfOpen,
-}
-
-/// Consecutive-failure circuit breaker.
-///
-/// Not thread-safe by itself — the router keeps one per node behind its
-/// node lock.
-#[derive(Debug, Clone)]
-pub struct Breaker {
-    threshold: u32,
-    cooldown: Duration,
-    consecutive_failures: u32,
-    state: BreakerState,
-    opened_at: Option<Instant>,
-    probe_in_flight: bool,
-}
-
-impl Breaker {
-    /// A breaker that opens after `threshold` consecutive failures and
-    /// allows a half-open probe `cooldown` after opening.
-    ///
-    /// # Panics
-    /// Panics if `threshold == 0`.
-    #[must_use]
-    pub fn new(threshold: u32, cooldown: Duration) -> Self {
-        assert!(threshold >= 1, "breaker threshold must be at least 1");
-        Breaker {
-            threshold,
-            cooldown,
-            consecutive_failures: 0,
-            state: BreakerState::Closed,
-            opened_at: None,
-            probe_in_flight: false,
-        }
-    }
-
-    /// Current state, with the open → half-open transition applied if
-    /// the cooldown has passed.
-    pub fn state(&mut self) -> BreakerState {
-        if self.state == BreakerState::Open {
-            if let Some(at) = self.opened_at {
-                if at.elapsed() >= self.cooldown {
-                    self.state = BreakerState::HalfOpen;
-                    self.probe_in_flight = false;
-                }
-            }
-        }
-        self.state
-    }
-
-    /// Whether a request may go to the node now. Closed: always.
-    /// Open: no. Half-open: only the first caller (the probe).
-    pub fn allow(&mut self) -> bool {
-        match self.state() {
-            BreakerState::Closed => true,
-            BreakerState::Open => false,
-            BreakerState::HalfOpen => {
-                if self.probe_in_flight {
-                    false
-                } else {
-                    self.probe_in_flight = true;
-                    true
-                }
-            }
-        }
-    }
-
-    /// Record a successful request: closes the breaker and resets the
-    /// failure count.
-    pub fn record_success(&mut self) {
-        self.consecutive_failures = 0;
-        self.state = BreakerState::Closed;
-        self.opened_at = None;
-        self.probe_in_flight = false;
-    }
-
-    /// Record a failed request. From half-open this re-opens
-    /// immediately; from closed it opens once the consecutive-failure
-    /// threshold is reached.
-    pub fn record_failure(&mut self) {
-        self.consecutive_failures = self.consecutive_failures.saturating_add(1);
-        if self.state == BreakerState::HalfOpen || self.consecutive_failures >= self.threshold {
-            self.state = BreakerState::Open;
-            self.opened_at = Some(Instant::now());
-            self.probe_in_flight = false;
-        }
-    }
-
-    /// Force the breaker open (the router does this when it declares a
-    /// node dead, so no traffic races the re-replication).
-    pub fn trip(&mut self) {
-        self.state = BreakerState::Open;
-        self.opened_at = Some(Instant::now());
-        self.probe_in_flight = false;
-        self.consecutive_failures = self.consecutive_failures.max(self.threshold);
-    }
-
-    /// Reset to closed (after a node has been restored and
-    /// re-replicated).
-    pub fn reset(&mut self) {
-        self.record_success();
-    }
-}
-
-/// A node's liveness as judged by the [`FailureDetector`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Liveness {
-    /// Answering probes (or not yet probed).
-    Alive,
-    /// Crossed the consecutive-miss threshold; stays suspected until an
-    /// explicit [`FailureDetector::clear`].
-    Suspected,
-}
-
-/// Consecutive-miss heartbeat failure detector.
-///
-/// Deterministic in its inputs: feed it the same sequence of probe
-/// outcomes and it makes the same judgements — no wall clock inside.
-/// Time lives in the *prober* (which decides when a probe is a miss);
-/// the detector only counts. Not thread-safe by itself — the
-/// heartbeater owns one.
-#[derive(Debug, Clone)]
-pub struct FailureDetector {
-    suspect_after: u32,
-    misses: Vec<u32>,
-    states: Vec<Liveness>,
-}
-
-impl FailureDetector {
-    /// A detector over `nodes` nodes that suspects a node after
-    /// `suspect_after` consecutive missed probes.
-    ///
-    /// # Panics
-    /// Panics if `suspect_after == 0`.
-    #[must_use]
-    pub fn new(nodes: usize, suspect_after: u32) -> Self {
-        assert!(suspect_after >= 1, "suspect_after must be at least 1");
-        FailureDetector {
-            suspect_after,
-            misses: vec![0; nodes],
-            states: vec![Liveness::Alive; nodes],
-        }
-    }
-
-    /// Record an answered probe. Resets the miss streak of an alive
-    /// node; a suspected node **stays suspected** (it may have missed
-    /// writes while dark — see the module docs).
-    pub fn record_success(&mut self, node: usize) {
-        if self.states[node] == Liveness::Alive {
-            self.misses[node] = 0;
-        }
-    }
-
-    /// Record a missed probe. Returns `true` exactly on the
-    /// [`Liveness::Alive`] → [`Liveness::Suspected`] transition.
-    pub fn record_miss(&mut self, node: usize) -> bool {
-        if self.states[node] == Liveness::Suspected {
-            return false;
-        }
-        self.misses[node] = self.misses[node].saturating_add(1);
-        if self.misses[node] >= self.suspect_after {
-            self.states[node] = Liveness::Suspected;
-            return true;
-        }
-        false
-    }
-
-    /// The node's current judgement.
-    #[must_use]
-    pub fn liveness(&self, node: usize) -> Liveness {
-        self.states[node]
-    }
-
-    /// The node's suspicion level: consecutive missed probes so far.
-    #[must_use]
-    pub fn suspicion(&self, node: usize) -> u32 {
-        self.misses[node]
-    }
-
-    /// Re-arm `node` as alive with a clean slate (issued after the
-    /// router re-images it via `restore_node`).
-    pub fn clear(&mut self, node: usize) {
-        self.misses[node] = 0;
-        self.states[node] = Liveness::Alive;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn detector_suspects_after_consecutive_misses_only() {
-        let mut d = FailureDetector::new(2, 3);
-        assert_eq!(d.liveness(0), Liveness::Alive);
-        assert!(!d.record_miss(0));
-        assert!(!d.record_miss(0));
-        assert_eq!(d.suspicion(0), 2);
-        d.record_success(0);
-        assert_eq!(d.suspicion(0), 0, "a success resets an alive streak");
-        assert!(!d.record_miss(0));
-        assert!(!d.record_miss(0));
-        assert!(d.record_miss(0), "third consecutive miss transitions");
-        assert_eq!(d.liveness(0), Liveness::Suspected);
-        assert_eq!(d.liveness(1), Liveness::Alive, "per-node state");
-    }
-
-    #[test]
-    fn detector_suspicion_is_sticky_until_cleared() {
-        let mut d = FailureDetector::new(1, 1);
-        assert!(d.record_miss(0));
-        assert!(!d.record_miss(0), "transition reported once");
-        d.record_success(0);
-        assert_eq!(
-            d.liveness(0),
-            Liveness::Suspected,
-            "an answering probe does not clear suspicion"
-        );
-        d.clear(0);
-        assert_eq!(d.liveness(0), Liveness::Alive);
-        assert_eq!(d.suspicion(0), 0);
-        assert!(d.record_miss(0), "re-armed after clear");
-    }
 
     #[test]
     fn retry_delays_back_off_and_cap() {
@@ -319,47 +76,5 @@ mod tests {
         assert_eq!(p.delay(3), Duration::from_millis(40));
         assert_eq!(p.delay(10), Duration::from_millis(200), "capped");
         assert_eq!(RetryPolicy::none().attempts, 1);
-    }
-
-    #[test]
-    fn breaker_opens_after_threshold_and_probes_after_cooldown() {
-        let mut b = Breaker::new(3, Duration::from_millis(5));
-        assert!(b.allow());
-        b.record_failure();
-        b.record_failure();
-        assert_eq!(b.state(), BreakerState::Closed, "below threshold");
-        b.record_failure();
-        assert_eq!(b.state(), BreakerState::Open);
-        assert!(!b.allow());
-        std::thread::sleep(Duration::from_millis(6));
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert!(b.allow(), "one probe goes through");
-        assert!(!b.allow(), "but only one");
-        b.record_failure();
-        assert_eq!(b.state(), BreakerState::Open, "failed probe re-opens");
-        std::thread::sleep(Duration::from_millis(6));
-        assert!(b.allow());
-        b.record_success();
-        assert_eq!(b.state(), BreakerState::Closed, "good probe closes");
-        assert!(b.allow());
-    }
-
-    #[test]
-    fn success_resets_the_failure_streak() {
-        let mut b = Breaker::new(2, Duration::from_secs(1));
-        b.record_failure();
-        b.record_success();
-        b.record_failure();
-        assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    #[test]
-    fn trip_forces_open() {
-        let mut b = Breaker::new(5, Duration::from_secs(10));
-        b.trip();
-        assert_eq!(b.state(), BreakerState::Open);
-        assert!(!b.allow());
-        b.reset();
-        assert_eq!(b.state(), BreakerState::Closed);
     }
 }

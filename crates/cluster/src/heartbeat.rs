@@ -1,19 +1,15 @@
 //! Proactive failure detection: a heartbeater thread per router.
 //!
-//! PR 8's router distrusts a node only *reactively* — after a client
-//! write fails into its breaker. The [`Heartbeater`] closes that gap:
-//! a background thread pings every map-up, not-yet-suspect node's
-//! existing health opcode (`Ping`) on a configurable interval, feeding
-//! the outcomes to the deterministic
-//! [`crate::health::FailureDetector`]. When a node
-//! crosses the consecutive-miss threshold, the heartbeater latches the
-//! router's sticky suspect via
-//! [`ClusterRouter::suspect_node`] — **before** any client write had to
-//! fail — and, if configured, triggers
-//! [`ClusterRouter::repair`] immediately instead of waiting for
-//! breaker thresholds on the request path.
+//! The request path distrusts a node only *reactively* — after a client
+//! request fails into it. The [`Heartbeater`] closes that gap: a background
+//! thread pings every map-up, not-yet-suspect node's health opcode (`Ping`)
+//! on a configurable interval and reports each outcome to the router
+//! ([`ClusterRouter::report_probe`]), which owns the node's trust. On the
+//! [`suspect_after`](HeartbeatConfig::suspect_after)-th consecutive miss
+//! the node is suspect — **before** any client write had to fail — and, if
+//! configured, [`ClusterRouter::repair`] runs at once.
 //!
-//! Detection latency (first missed probe → suspect latch) is bounded by
+//! Detection latency (first missed probe → suspect) is bounded by
 //! `suspect_after × (interval + probe_timeout)`; with the default
 //! `probe_timeout ≤ interval / 3` and `suspect_after = 2` it stays
 //! under three probe intervals, the bound the `netchaos` bench gates.
@@ -22,18 +18,18 @@
 //! [`TcpClient`] per node, separate from the router's request-path
 //! slots) so probe traffic never competes for a node's connection
 //! lease, and a wedged probe can only stall the heartbeat thread, not
-//! client requests. Probes are wall-clock scheduled, so drills that
-//! must replay bit-identically (two runs, equal [`RouterStats`]) run
-//! without a heartbeater; the detector itself stays deterministic in
-//! its probe outcomes.
+//! client requests. Time lives here, in the prober — when a probe is a
+//! miss, how long a streak has run; the trust machine only counts — so
+//! drills that must replay bit-identically (two runs, equal
+//! [`RouterStats`]) run without a heartbeater.
 //!
 //! [`RouterStats`]: crate::router::RouterStats
 
-use crate::health::{FailureDetector, Liveness};
+use crate::health::dial;
 use crate::router::ClusterRouter;
 use pdm::metrics::{Counter, Histogram, MetricsRegistry};
 use pdm_server::TcpClient;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -70,18 +66,14 @@ impl Default for HeartbeatConfig {
     }
 }
 
-/// Counters the heartbeater maintains (drill- and bench-readable).
+/// Counters only the heartbeater knows; a detection is the router's to
+/// count (`RouterStats::heartbeat_detections`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HeartbeatStats {
     /// Probes answered in time.
     pub probes_ok: u64,
     /// Probes missed (connect failure, timeout, or typed error).
     pub probes_missed: u64,
-    /// Alive → suspected detections fired.
-    pub detections: u64,
-    /// Latency of the most recent detection, in milliseconds (first
-    /// missed probe → suspect latch). Zero until a detection fires.
-    pub last_detection_latency_ms: u64,
 }
 
 /// The cells behind [`HeartbeatStats`]: the only place an event is counted
@@ -90,9 +82,6 @@ pub struct HeartbeatStats {
 struct HbCells {
     probes_ok: Counter,
     probes_missed: Arc<Counter>,
-    detections: Counter,
-    /// A last value, not a count.
-    last_detection_latency_ms: AtomicU64,
 }
 
 /// Registry-only instruments: recorded when a registry is installed.
@@ -125,8 +114,8 @@ impl Heartbeater {
     /// counter (`cluster_heartbeat_probes_missed`) and a
     /// detection-latency histogram
     /// (`cluster_heartbeat_detection_latency_ms`) through `registry`.
-    /// Pair it with [`ClusterRouter::set_metrics`] on the same registry
-    /// so suspect transitions land there too.
+    /// Pair it with [`ClusterRouter::set_metrics`] on the same registry:
+    /// the detections themselves are counted there.
     ///
     /// # Panics
     /// As [`start`](Self::start).
@@ -175,8 +164,6 @@ impl Heartbeater {
         HeartbeatStats {
             probes_ok: self.cells.probes_ok.get(),
             probes_missed: self.cells.probes_missed.get(),
-            detections: self.cells.detections.get(),
-            last_detection_latency_ms: self.cells.last_detection_latency_ms.load(Ordering::Relaxed),
         }
     }
 
@@ -218,7 +205,6 @@ fn heartbeat_loop(
     metrics: Option<&HbMetrics>,
 ) {
     let n = router.node_count();
-    let mut detector = FailureDetector::new(n, cfg.suspect_after);
     let mut conns: Vec<Option<TcpClient>> = (0..n).map(|_| None).collect();
     let mut first_miss: Vec<Option<Instant>> = vec![None; n];
     while !stop.load(Ordering::Acquire) {
@@ -232,15 +218,10 @@ fn heartbeat_loop(
                 continue;
             }
             if router.node_suspect(node) {
-                // Latched by the request path or an admin transition;
-                // nothing for a probe to add.
-                continue;
-            }
-            if detector.liveness(node) == Liveness::Suspected {
-                // The router restored (re-imaged) the node since our
-                // detection — re-arm with a clean slate.
-                detector.clear(node);
+                // Whoever suspected it, a probe has nothing to add — and
+                // cannot re-trust it. Once re-imaged its streak is new.
                 first_miss[node] = None;
+                continue;
             }
             let t0 = Instant::now();
             if probe(&mut conns[node], router, node, cfg.probe_timeout) {
@@ -249,23 +230,16 @@ fn heartbeat_loop(
                     let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
                     m.probe_rtt_us.observe(us);
                 }
-                detector.record_success(node);
+                router.report_probe(node, cfg.suspect_after, None);
                 first_miss[node] = None;
             } else {
                 cells.probes_missed.inc();
                 conns[node] = None;
-                let since = *first_miss[node].get_or_insert(t0);
-                if detector.record_miss(node) {
-                    router.suspect_node(node);
-                    let latency =
-                        u64::try_from(since.elapsed().as_millis()).unwrap_or(u64::MAX);
-                    router.note_detection(latency);
-                    cells.detections.inc();
-                    cells
-                        .last_detection_latency_ms
-                        .store(latency, Ordering::Relaxed);
+                let streak = first_miss[node].get_or_insert(t0).elapsed();
+                if router.report_probe(node, cfg.suspect_after, Some(streak)) {
                     if let Some(m) = metrics {
-                        m.detection_latency_ms.observe(latency);
+                        let ms = u64::try_from(streak.as_millis()).unwrap_or(u64::MAX);
+                        m.detection_latency_ms.observe(ms);
                     }
                     if cfg.auto_repair {
                         let _ = router.repair();
@@ -285,28 +259,9 @@ fn heartbeat_loop(
 
 /// One ping against `node`'s health opcode within `timeout`, reusing a
 /// cached connection when one is alive.
-fn probe(
-    conn: &mut Option<TcpClient>,
-    router: &ClusterRouter,
-    node: usize,
-    timeout: Duration,
-) -> bool {
-    if conn.as_ref().is_some_and(TcpClient::is_poisoned) {
-        *conn = None;
+fn probe(conn: &mut Option<TcpClient>, router: &ClusterRouter, node: usize, timeout: Duration) -> bool {
+    if conn.as_ref().is_none_or(TcpClient::is_poisoned) {
+        *conn = dial(router.node_addr(node), timeout, timeout);
     }
-    let client = match conn {
-        Some(c) => c,
-        None => {
-            let fresh = TcpClient::connect_timeout(router.node_addr(node), timeout)
-                .and_then(|mut c| {
-                    c.set_deadline(Some(timeout))?;
-                    Ok(c)
-                });
-            match fresh {
-                Ok(c) => conn.insert(c),
-                Err(_) => return false,
-            }
-        }
-    };
-    client.ping().is_ok()
+    conn.as_mut().is_some_and(|client| client.ping().is_ok())
 }

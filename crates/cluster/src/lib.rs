@@ -15,15 +15,18 @@
 //!   trusted replica and ack on quorum, reads hit the primary and fail
 //!   over; permanent death drives journaled re-replication onto the
 //!   epoch+1 map.
+//! - [`trust`] — the per-node trust machine the router owns: one pure
+//!   [`trust::step`] over what the request path, the heartbeater and the
+//!   admin calls observe. A suspect is re-trusted by a re-image only.
 //! - [`node`] — the server-side [`ClusterNode`]: one single-shard
 //!   serving engine per hosted shard, shard-addressed and
 //!   epoch-checked operations, and the migration opcodes that export /
 //!   install frozen shard images.
-//! - [`health`] — typed [`RetryPolicy`], per-node circuit [`Breaker`],
-//!   and the consecutive-miss [`FailureDetector`].
+//! - [`health`] — the typed [`RetryPolicy`] that absorbs transient
+//!   transport faults before they count toward a node's trust.
 //! - [`heartbeat`] — the proactive [`Heartbeater`]: periodic health
-//!   probes feed the failure detector and latch the router's sticky
-//!   suspect *before* any client write fails.
+//!   probes reported to the router suspect a dark node *before* any
+//!   client write fails.
 //! - [`image`] — whole-medium shard-image serialization (journal ring
 //!   included), so a migrated shard is recovered on the target by the
 //!   ordinary crash-recovery path.
@@ -54,8 +57,9 @@ pub mod image;
 pub mod map;
 pub mod node;
 pub mod router;
+pub mod trust;
 
-pub use health::{Breaker, BreakerState, FailureDetector, Liveness, RetryPolicy};
+pub use health::RetryPolicy;
 pub use heartbeat::{HeartbeatConfig, Heartbeater, HeartbeatStats};
 pub use image::{deserialize_image, serialize_image, CHUNK_BYTES};
 pub use map::{ClusterConfig, ClusterMap, MapDelta, NodeState, ShardMove};

@@ -1,22 +1,20 @@
-//! The client-side cluster router: quorum writes, failover reads,
-//! health tracking, and the journaled re-replication driver.
+//! The client-side cluster router: quorum writes, failover reads, the
+//! owner of every node's trust, and the journaled re-replication driver.
 //!
 //! ## Durability invariant
 //!
 //! A write is acknowledged iff it was applied on **every replica the
-//! router currently trusts** (map-up, not latched suspect) — at least
-//! [`RouterConfig::write_quorum`] of them. Trust is **sticky**: the
-//! moment a write proceeds without one of its routed replicas, or a
-//! node's breaker crosses its failure threshold, that node is latched
-//! *suspect* — it may have missed an acknowledged write, so it drops
-//! out of both the read set and the write/ack set. The latch outlives
-//! the breaker: a half-open probe may close the breaker for transport
-//! purposes, but only [`fail_node`](ClusterRouter::fail_node) +
-//! [`restore_node`](ClusterRouter::restore_node) (or
-//! [`repair`](ClusterRouter::repair)) — which re-image the node from a
-//! trusted survivor — clear it. Together: every acknowledged write
-//! lives on every replica that can ever serve a read, so killing any
-//! single node (with `k ≥ 2`) loses nothing acknowledged.
+//! router currently trusts** (map-up and not suspect) — at least
+//! [`RouterConfig::write_quorum`] of them. Each node's trust is one
+//! state, advanced only by [`crate::trust::step`]: the moment a write
+//! proceeds without a routed replica, or the node's failure or missed-probe
+//! streak reaches its limit, or [`fail_node`](ClusterRouter::fail_node)
+//! names it, the node is *suspect* — it may have missed an acknowledged
+//! write, so it gets no traffic at all and is no re-replication source,
+//! whatever answers at its address. The only edge back is the re-image of
+//! [`restore_node`](ClusterRouter::restore_node). Together: every
+//! acknowledged write lives on every replica that can ever serve a read,
+//! so killing any single node (with `k ≥ 2`) loses nothing acknowledged.
 //!
 //! ## Epoch discipline
 //!
@@ -29,15 +27,16 @@
 //! replica set — never in between. This router assumes it is the only
 //! epoch driver of its cluster.
 
-use crate::health::{Breaker, BreakerState, RetryPolicy};
+use crate::health::{dial, RetryPolicy};
 use crate::map::{ClusterConfig, ClusterMap, MapDelta};
+use crate::trust::{Cause, Event, Transition, Trust, TrustCell};
 use pdm::metrics::{Counter, MetricsRegistry};
 use pdm::Word;
 use pdm_cache::{CacheAnswer, CacheConfig, CacheCounters, HotCache};
 use pdm_server::protocol::{WireRequest, WireResponse};
 use pdm_server::{Op, Reply, ServeError, TcpClient};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Duration;
 
@@ -53,10 +52,8 @@ const MIGRATION_THREADS: usize = 4;
 pub struct RouterConfig {
     /// Retry schedule per node per request.
     pub retry: RetryPolicy,
-    /// Consecutive transport failures that open a node's breaker.
+    /// Consecutive failed requests (connects included) that suspect a node.
     pub breaker_threshold: u32,
-    /// Cooldown before a half-open probe.
-    pub breaker_cooldown: Duration,
     /// Bound on each TCP connection attempt.
     pub connect_timeout: Duration,
     /// Per-request response deadline (a dead peer surfaces as
@@ -88,7 +85,6 @@ impl Default for RouterConfig {
         RouterConfig {
             retry: RetryPolicy::default(),
             breaker_threshold: 3,
-            breaker_cooldown: Duration::from_millis(500),
             connect_timeout: Duration::from_millis(500),
             request_deadline: Duration::from_secs(5),
             write_quorum: 1,
@@ -98,7 +94,7 @@ impl Default for RouterConfig {
 }
 
 /// Cluster-level operation errors. Transport-level details stay inside
-/// (the breaker consumed them); these are the outcomes a caller acts on.
+/// (the node's trust consumed them); these are the outcomes a caller acts on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClusterError {
     /// Fewer trusted replicas acked than the write quorum requires.
@@ -180,17 +176,16 @@ pub struct RouterStats {
     pub reads_failover: u64,
     /// Reads answered from the client-side read cache (no network).
     pub reads_cached: u64,
-    /// Transport-level failures absorbed (retries, breakers).
+    /// Transport-level failures absorbed (each failed connect or request).
     pub transport_failures: u64,
-    /// Suspect-latch transitions (false → true), however triggered:
-    /// write-path misses, opened breakers, admin `fail_node`, or
-    /// proactive heartbeat detection.
+    /// `Trusted → Suspect` transitions, whatever the [`Cause`]: the sum
+    /// of the `cluster_router_suspect_transitions{cause}` rows.
     pub suspects_latched: u64,
-    /// Latches raised **proactively** by the heartbeat failure detector
-    /// (before any client write failed into the node).
+    /// Of them, the [`Cause::Probe`] row: raised **proactively** by the
+    /// heartbeater, before any client write failed into the node.
     pub heartbeat_detections: u64,
     /// Worst heartbeat detection latency observed, in milliseconds:
-    /// first missed probe → suspect latch. Zero until a detection fires.
+    /// first missed probe → suspect. Zero until a detection fires.
     pub detection_latency_ms_max: u64,
 }
 
@@ -205,24 +200,22 @@ struct StatCells {
     reads_failover: Arc<Counter>,
     reads_cached: Arc<Counter>,
     transport_failures: Arc<Counter>,
-    suspects_latched: Arc<Counter>,
-    heartbeat_detections: Arc<Counter>,
+    /// `Trusted → Suspect` transitions, one cell per [`Cause`].
+    suspected: [Arc<Counter>; Cause::ALL.len()],
     /// A maximum, not a count: in no registry.
     detection_latency_ms_max: AtomicU64,
 }
 
+/// What the router holds per node: its trust, read lock-free, and the
+/// dialing state behind a lock of its own.
 struct NodeSlot {
-    addr: SocketAddr,
-    conn: Option<TcpClient>,
-    breaker: Breaker,
+    trust: TrustCell,
+    link: Mutex<Link>,
 }
 
-/// The outcome of one node-level request attempt series.
-enum NodeOutcome {
-    /// A response crossed the wire (possibly a typed server error).
-    Answered { resp: WireResponse },
-    /// No response: breaker open, connect/request failures exhausted.
-    Unreachable,
+struct Link {
+    addr: SocketAddr,
+    conn: Option<TcpClient>,
 }
 
 /// The report of one [`fail_node`](ClusterRouter::fail_node) /
@@ -268,12 +261,7 @@ pub struct ClusterRouter {
     cfg: RouterConfig,
     map: Mutex<ClusterMap>,
     read_cache: Option<Mutex<ReadCache>>,
-    nodes: Vec<Mutex<NodeSlot>>,
-    /// Sticky needs-re-replication latch, one per node (see the module
-    /// docs): set when a write proceeds without a routed replica or a
-    /// breaker opens, cleared only by a re-imaging
-    /// [`restore_node`](Self::restore_node).
-    suspects: Vec<AtomicBool>,
+    nodes: Vec<NodeSlot>,
     /// Per-shard fence: ops take it shared, migration exclusively.
     fences: Vec<RwLock<()>>,
     /// Serializes map transitions (fail/restore/repair).
@@ -304,16 +292,12 @@ impl ClusterRouter {
         let map = ClusterMap::build(cluster, weights);
         let nodes = addrs
             .iter()
-            .map(|&addr| {
-                Mutex::new(NodeSlot {
-                    addr,
-                    conn: None,
-                    breaker: Breaker::new(cfg.breaker_threshold, cfg.breaker_cooldown),
-                })
+            .map(|&addr| NodeSlot {
+                trust: TrustCell::new(),
+                link: Mutex::new(Link { addr, conn: None }),
             })
             .collect();
         let fences = (0..cluster.shards).map(|_| RwLock::new(())).collect();
-        let suspects = (0..addrs.len()).map(|_| AtomicBool::new(false)).collect();
         let read_cache = cfg.read_cache.map(|c| {
             Mutex::new(ReadCache {
                 epoch: map.epoch(),
@@ -327,7 +311,6 @@ impl ClusterRouter {
             map: Mutex::new(map),
             read_cache,
             nodes,
-            suspects,
             fences,
             admin: Mutex::new(()),
             stats: StatCells::default(),
@@ -346,8 +329,11 @@ impl ClusterRouter {
         registry.adopt_counter("cluster_router_reads", &[("path", "failover")], &s.reads_failover);
         registry.adopt_counter("cluster_router_reads", &[("path", "cached")], &s.reads_cached);
         registry.adopt_counter("cluster_router_transport_failures", &[], &s.transport_failures);
-        registry.adopt_counter("cluster_router_suspect_transitions", &[], &s.suspects_latched);
-        registry.adopt_counter("cluster_router_heartbeat_detections", &[], &s.heartbeat_detections);
+        for ((_, cause), cell) in Cause::ALL.iter().zip(&s.suspected) {
+            registry.adopt_counter("cluster_router_suspect_transitions", &[("cause", cause)], cell);
+        }
+        // The `probe` row under the name dashboards already read.
+        registry.adopt_counter("cluster_router_heartbeat_detections", &[], &s.suspected[Cause::Probe as usize]);
     }
 
     /// The shared cluster config.
@@ -368,19 +354,11 @@ impl ClusterRouter {
         lock(&self.map).clone()
     }
 
-    /// Current breaker state of `node`.
-    #[must_use]
-    pub fn node_health(&self, node: usize) -> BreakerState {
-        lock(&self.nodes[node]).breaker.state()
-    }
-
-    /// Whether `node` is latched suspect: it may have missed an
-    /// acknowledged write, so it serves no reads and counts toward no
-    /// write quorum — whatever its breaker says — until
-    /// [`restore_node`](Self::restore_node) re-images it.
+    /// Whether `node` is suspect: it serves no reads and counts toward no
+    /// write quorum until [`restore_node`](Self::restore_node) re-images it.
     #[must_use]
     pub fn node_suspect(&self, node: usize) -> bool {
-        self.suspects[node].load(Ordering::Acquire)
+        matches!(self.nodes[node].trust.load(), Trust::Suspect { .. })
     }
 
     /// Point `node` at a new address (a restarted process rarely comes
@@ -389,15 +367,15 @@ impl ClusterRouter {
     /// [`restore_node`](Self::restore_node), which folds the re-address
     /// in.
     pub fn set_node_addr(&self, node: usize, addr: SocketAddr) {
-        let mut slot = lock(&self.nodes[node]);
-        slot.addr = addr;
-        slot.conn = None;
+        let mut link = lock(&self.nodes[node].link);
+        link.addr = addr;
+        link.conn = None;
     }
 
     /// The address the router currently dials for `node`.
     #[must_use]
     pub fn node_addr(&self, node: usize) -> SocketAddr {
-        lock(&self.nodes[node]).addr
+        lock(&self.nodes[node].link).addr
     }
 
     /// Number of nodes this router was built over.
@@ -416,8 +394,8 @@ impl ClusterRouter {
             reads_failover: self.stats.reads_failover.get(),
             reads_cached: self.stats.reads_cached.get(),
             transport_failures: self.stats.transport_failures.get(),
-            suspects_latched: self.stats.suspects_latched.get(),
-            heartbeat_detections: self.stats.heartbeat_detections.get(),
+            suspects_latched: self.stats.suspected.iter().map(|cell| cell.get()).sum(),
+            heartbeat_detections: self.stats.suspected[Cause::Probe as usize].get(),
             detection_latency_ms_max: self.stats.detection_latency_ms_max.load(Ordering::Relaxed),
         }
     }
@@ -489,31 +467,28 @@ impl ClusterRouter {
                     op: Op::Lookup(key),
                 };
                 match self.request_on_node(node, &req) {
-                    NodeOutcome::Answered { resp } => match resp {
-                        WireResponse::Reply(Reply::Lookup(sat)) => {
-                            if i == 0 {
-                                self.stats.reads_primary.inc();
-                            } else {
-                                self.stats.reads_failover.inc();
-                            }
-                            self.fill_cached(key, sat.as_deref(), epoch, fill_gen);
-                            return Ok(sat);
+                    Some(WireResponse::Reply(Reply::Lookup(sat))) => {
+                        if i == 0 {
+                            self.stats.reads_primary.inc();
+                        } else {
+                            self.stats.reads_failover.inc();
                         }
-                        WireResponse::Err(ServeError::StaleEpoch { .. }) if refreshes < 3 => {
-                            refreshes += 1;
-                            continue 'epoch;
-                        }
-                        // A replica the node does not (yet) host: fail
-                        // over like an unreachable one.
-                        WireResponse::Err(ServeError::WrongShard { .. }) => {}
-                        WireResponse::Err(e) => return Err(ClusterError::Serve(e)),
-                        other => {
-                            return Err(ClusterError::Serve(ServeError::Protocol(format!(
-                                "lookup answered {other:?}"
-                            ))))
-                        }
-                    },
-                    NodeOutcome::Unreachable => {}
+                        self.fill_cached(key, sat.as_deref(), epoch, fill_gen);
+                        return Ok(sat);
+                    }
+                    Some(WireResponse::Err(ServeError::StaleEpoch { .. })) if refreshes < 3 => {
+                        refreshes += 1;
+                        continue 'epoch;
+                    }
+                    // No response, or a replica the node does not (yet)
+                    // host: fail over.
+                    None | Some(WireResponse::Err(ServeError::WrongShard { .. })) => {}
+                    Some(WireResponse::Err(e)) => return Err(ClusterError::Serve(e)),
+                    Some(other) => {
+                        return Err(ClusterError::Serve(ServeError::Protocol(format!(
+                            "lookup answered {other:?}"
+                        ))))
+                    }
                 }
             }
             drop(fence);
@@ -617,49 +592,49 @@ impl ClusterRouter {
                     op: op.clone(),
                 };
                 match self.request_on_node(node, &req) {
-                    NodeOutcome::Answered { resp } => match resp {
-                        WireResponse::Reply(r) => {
-                            acked += 1;
-                            reply.get_or_insert(r);
-                        }
-                        // A duplicate-key refusal certifies the key is
-                        // already durably present on this replica — the
-                        // ack of an idempotent insert (a caller retry
-                        // after NoQuorum, a transport or stale-epoch
-                        // retry, or a plain re-insert).
-                        WireResponse::Err(ServeError::Dict(
-                            pdm_dict::DictError::DuplicateKey(_),
-                        )) if matches!(op, Op::Insert(..)) => {
-                            acked += 1;
-                            reply.get_or_insert(Reply::Inserted);
-                        }
-                        WireResponse::Err(ServeError::StaleEpoch { .. }) if refreshes < 3 => {
-                            refreshes += 1;
-                            continue 'epoch;
-                        }
-                        // A replica the node does not (yet) host — the
-                        // re-replication window. Not an ack, but not
-                        // fatal either: the shard fence guarantees the
-                        // pending image (frozen only after this write
-                        // applied on the survivors) carries the write
-                        // to it, so the quorum check decides.
-                        WireResponse::Err(ServeError::WrongShard { .. }) => {}
-                        WireResponse::Err(e) => {
-                            self.stats.writes_refused.inc();
-                            return Err(ClusterError::Serve(e));
-                        }
-                        other => {
-                            self.stats.writes_refused.inc();
-                            return Err(ClusterError::Serve(ServeError::Protocol(format!(
-                                "write answered {other:?}"
-                            ))));
-                        }
-                    },
+                    Some(WireResponse::Reply(r)) => {
+                        acked += 1;
+                        reply.get_or_insert(r);
+                    }
+                    // A duplicate-key refusal certifies the key is
+                    // already durably present on this replica — the
+                    // ack of an idempotent insert (a caller retry
+                    // after NoQuorum, a transport or stale-epoch
+                    // retry, or a plain re-insert).
+                    Some(WireResponse::Err(ServeError::Dict(pdm_dict::DictError::DuplicateKey(_))))
+                        if matches!(op, Op::Insert(..)) =>
+                    {
+                        acked += 1;
+                        reply.get_or_insert(Reply::Inserted);
+                    }
+                    Some(WireResponse::Err(ServeError::StaleEpoch { .. })) if refreshes < 3 => {
+                        refreshes += 1;
+                        continue 'epoch;
+                    }
+                    // A replica the node does not (yet) host — the
+                    // re-replication window. Not an ack, but not
+                    // fatal either: the shard fence guarantees the
+                    // pending image (frozen only after this write
+                    // applied on the survivors) carries the write
+                    // to it, so the quorum check decides.
+                    Some(WireResponse::Err(ServeError::WrongShard { .. })) => {}
+                    Some(WireResponse::Err(e)) => {
+                        self.stats.writes_refused.inc();
+                        return Err(ClusterError::Serve(e));
+                    }
+                    Some(other) => {
+                        self.stats.writes_refused.inc();
+                        return Err(ClusterError::Serve(ServeError::Protocol(format!(
+                            "write answered {other:?}"
+                        ))));
+                    }
                     // The write proceeds without this routed replica: it
-                    // is missing acknowledged writes from here on, so
-                    // latch it out of the read/ack sets until
-                    // re-imaged (the durability invariant).
-                    NodeOutcome::Unreachable => self.mark_suspect(node),
+                    // is missing acknowledged writes from here on, so it
+                    // leaves the read/ack sets until re-imaged (the
+                    // durability invariant).
+                    None => {
+                        self.observe(node, Event::WriteSkipped);
+                    }
                 }
             }
             if acked < self.cfg.write_quorum {
@@ -678,122 +653,101 @@ impl ClusterRouter {
     }
 
     /// Map snapshot for one shard: (epoch, trusted replicas — map-up
-    /// and not latched suspect — in failover order).
+    /// and not suspect — in failover order). Trust is read lock-free, so
+    /// nothing but the map lock is held here.
     fn route(&self, shard: u32) -> (u64, Vec<usize>) {
         let map = lock(&self.map);
-        let replicas = map
-            .replicas(shard)
-            .iter()
-            .copied()
-            .filter(|&n| map.nodes()[n].up && !self.suspects[n].load(Ordering::Acquire))
-            .collect();
-        (map.epoch(), replicas)
+        let trusted = |&n: &usize| map.nodes()[n].up && !self.node_suspect(n);
+        (map.epoch(), map.replicas(shard).iter().copied().filter(trusted).collect())
     }
 
-    /// Latch `node` suspect: it stops serving reads and counting toward
-    /// write quorums until a re-imaging restore clears it.
-    fn mark_suspect(&self, node: usize) {
-        if !self.suspects[node].swap(true, Ordering::AcqRel) {
-            self.stats.suspects_latched.inc();
+    /// The map-up nodes that are suspect, or (`suspect = false`) trusted.
+    fn up_nodes(&self, suspect: bool) -> Vec<usize> {
+        let map = lock(&self.map);
+        (0..self.nodes.len()).filter(|&n| map.nodes()[n].up && self.node_suspect(n) == suspect).collect()
+    }
+
+    /// Feed `event` to `node`'s trust — the router's every trust change —
+    /// and count the `Trusted → Suspect` edge. Whether this call took it.
+    fn observe(&self, node: usize, event: Event) -> bool {
+        match self.nodes[node].trust.apply(event) {
+            Some(Transition::Suspected(cause)) => {
+                self.stats.suspected[cause as usize].inc();
+                true
+            }
+            Some(Transition::Reimaged) | None => false,
         }
     }
 
-    /// Proactively latch `node` suspect — the heartbeat failure
-    /// detector's entry point (see `crate::heartbeat`), fired *before*
-    /// any client write has to fail into the node. Latch-only by
-    /// design: the breaker stays untouched (transport state and
-    /// durability trust are separate), but routing
-    /// excludes the node immediately, so no further write is ever
-    /// acknowledged through it. Cleared like every latch, by a
-    /// re-imaging [`restore_node`](Self::restore_node).
-    pub fn suspect_node(&self, node: usize) {
-        self.mark_suspect(node);
+    /// Report one heartbeat probe of `node` (see `crate::heartbeat`):
+    /// answered, or (`missed_for`) the latest of a streak of misses that
+    /// began that long ago. `suspect_after` consecutive misses suspect the
+    /// node — *before* any client write has to fail into it. Returns whether
+    /// this report did: `missed_for` is then the detection's latency.
+    pub fn report_probe(&self, node: usize, suspect_after: u32, missed_for: Option<Duration>) -> bool {
+        let event = missed_for.map_or(Event::ProbeOk, |_| Event::ProbeMissed(suspect_after));
+        let detected = self.observe(node, event);
+        if let (true, Some(streak)) = (detected, missed_for) {
+            let ms = u64::try_from(streak.as_millis()).unwrap_or(u64::MAX);
+            self.stats.detection_latency_ms_max.fetch_max(ms, Ordering::Relaxed);
+        }
+        detected
     }
 
-    /// Record a completed proactive detection (heartbeat internal):
-    /// `latency_ms` is first missed probe → suspect latch.
-    pub(crate) fn note_detection(&self, latency_ms: u64) {
-        self.stats.heartbeat_detections.inc();
-        self.stats
-            .detection_latency_ms_max
-            .fetch_max(latency_ms, Ordering::Relaxed);
-    }
-
-    /// One request against one node with retries, breaker accounting,
-    /// and lazy (re)connection.
+    /// One request against one node with retries, trust accounting, and
+    /// lazy (re)connection: the response that crossed the wire (possibly a
+    /// typed server error), or `None` — the node is suspect, which gets no
+    /// attempt at all, or its retries are exhausted.
     ///
-    /// The node's slot lock is held only to consult the breaker and to
-    /// take or return the cached connection — never across connects,
-    /// request deadlines, or backoff sleeps — so a slow node delays
-    /// only its own request series, not every concurrent router op
-    /// that targets it.
-    fn request_on_node(&self, node: usize, req: &WireRequest) -> NodeOutcome {
+    /// The node's link lock is held only to take or return the cached
+    /// connection — never across connects, request deadlines, or backoff
+    /// sleeps — so a slow node delays only its own request series, not
+    /// every concurrent router op that targets it.
+    fn request_on_node(&self, node: usize, req: &WireRequest) -> Option<WireResponse> {
         for attempt in 0..self.cfg.retry.attempts {
             if attempt > 0 {
                 std::thread::sleep(self.cfg.retry.delay(attempt));
             }
-            // Lease: breaker check + connection grab under a brief lock.
-            let (addr, leased) = {
-                let mut slot = lock(&self.nodes[node]);
-                if !slot.breaker.allow() {
-                    return NodeOutcome::Unreachable;
-                }
-                (slot.addr, slot.conn.take())
-            };
-            let mut conn = match leased.filter(|c| !c.is_poisoned()) {
-                Some(c) => c,
-                None => {
-                    let fresh = TcpClient::connect_timeout(addr, self.cfg.connect_timeout)
-                        .and_then(|mut c| {
-                            c.set_deadline(Some(self.cfg.request_deadline))?;
-                            Ok(c)
-                        });
-                    match fresh {
-                        Ok(c) => c,
-                        Err(_) => {
-                            self.note_transport_failure(node);
-                            continue;
-                        }
-                    }
-                }
-            };
-            match conn.request(req) {
-                Ok(resp) => {
-                    let mut slot = lock(&self.nodes[node]);
-                    slot.breaker.record_success();
-                    // Return the lease — unless the node was re-addressed
-                    // meanwhile or a concurrent series already parked a
-                    // connection.
-                    if slot.addr == addr && slot.conn.is_none() {
-                        slot.conn = Some(conn);
-                    }
-                    return NodeOutcome::Answered { resp };
-                }
-                // Transport-level failure: the leased connection is
-                // useless (timed out → poisoned, or the stream broke);
-                // drop it and let the next attempt reconnect.
-                Err(_) => self.note_transport_failure(node),
+            if self.node_suspect(node) {
+                return None;
             }
+            // Lease the cached connection under a brief lock.
+            let (addr, leased) = {
+                let mut link = lock(&self.nodes[node].link);
+                (link.addr, link.conn.take())
+            };
+            let conn = leased
+                .filter(|c| !c.is_poisoned())
+                .or_else(|| dial(addr, self.cfg.connect_timeout, self.cfg.request_deadline));
+            // Transport-level failure — no connection, or a request that
+            // timed out (→ poisoned) or broke the stream: the connection is
+            // dropped and the next attempt reconnects.
+            let Some((conn, resp)) = conn.and_then(|mut c| c.request(req).ok().map(|resp| (c, resp))) else {
+                self.note_transport_failure(node);
+                continue;
+            };
+            self.observe(node, Event::RequestOk);
+            // Return the lease — unless the node was re-addressed meanwhile
+            // or a concurrent series already parked a connection.
+            let mut link = lock(&self.nodes[node].link);
+            if link.addr == addr && link.conn.is_none() {
+                link.conn = Some(conn);
+            }
+            return Some(resp);
         }
-        NodeOutcome::Unreachable
+        None
     }
 
+    /// A node that crosses the failure threshold here may already have
+    /// missed writes it was routed for: suspect until re-imaged.
     fn note_transport_failure(&self, node: usize) {
-        let mut slot = lock(&self.nodes[node]);
-        slot.breaker.record_failure();
-        // A node that just crossed its failure threshold may already
-        // have missed writes it was routed for; latch it out of the
-        // read/ack sets until it is re-imaged.
-        if slot.breaker.state() == BreakerState::Open {
-            self.mark_suspect(node);
-        }
-        drop(slot);
+        self.observe(node, Event::RequestFailed(self.cfg.breaker_threshold));
         self.stats.transport_failures.inc();
     }
 
     // ------------------------------------------------- map transitions
 
-    /// Declare `node` dead: trip its breaker, bump the map epoch
+    /// Declare `node` dead: suspect it, bump the map epoch
     /// (moving only the dead node's replicas — the Lemma 3 bounded
     /// movement), broadcast the new epoch, and re-replicate every moved
     /// shard from its surviving primary onto its new replica.
@@ -804,12 +758,10 @@ impl ClusterRouter {
     #[allow(clippy::missing_panics_doc)] // map invariants, not runtime conditions
     pub fn fail_node(&self, node: usize) -> Result<ReplicationReport, ClusterError> {
         let _admin = lock(&self.admin);
-        {
-            let mut slot = lock(&self.nodes[node]);
-            slot.breaker.trip();
-            slot.conn = None;
-        }
-        self.mark_suspect(node);
+        // Suspect before map-down: no request may route to the node
+        // between the two.
+        self.observe(node, Event::AdminFail);
+        lock(&self.nodes[node].link).conn = None;
         let delta = lock(&self.map).mark_down(node);
         self.broadcast_epoch(delta.epoch);
         self.drive_moves(delta)
@@ -820,10 +772,9 @@ impl ClusterRouter {
     /// [`set_node_addr`](Self::set_node_addr), which callers used to
     /// have to remember separately), bump the epoch, hand the node back
     /// only its fair share of replica slots, re-replicate them onto it
-    /// from their current primaries, and reset its breaker and suspect
-    /// latch.
+    /// from their current primaries, and re-trust it with clean streaks.
     ///
-    /// Clearing the latch before the images install is safe: until a
+    /// Re-trusting before the images install is safe: until a
     /// shard's image lands, the node answers its operations with
     /// `WrongShard`, which reads fail over past and writes skip — and
     /// the shard fence guarantees any write skipped this way is frozen
@@ -850,46 +801,27 @@ impl ClusterRouter {
     pub fn restore_node_in_place(&self, node: usize) -> Result<ReplicationReport, ClusterError> {
         let _admin = lock(&self.admin);
         let delta = lock(&self.map).mark_up(node);
-        {
-            let mut slot = lock(&self.nodes[node]);
-            slot.breaker.reset();
-            slot.conn = None;
-        }
-        self.suspects[node].store(false, Ordering::Release);
+        lock(&self.nodes[node].link).conn = None;
+        self.observe(node, Event::Reimaged);
         self.broadcast_epoch(delta.epoch);
         self.drive_moves(delta)
     }
 
-    /// Declare dead every map-up node the request path latched suspect
-    /// and drive the repairs. Returns one report per node declared
-    /// dead.
-    ///
-    /// Selection is on the **sticky** latch, not the breaker's
-    /// transient state: a breaker half-opens once its cooldown passes,
-    /// but a node that missed writes stays suspect until re-imaged, so
-    /// `repair` finds it no matter when it is called.
+    /// Declare dead every map-up suspect — whatever suspected it, however
+    /// long ago — and drive the repairs. One report per node declared dead.
     ///
     /// # Errors
     /// Per-shard failures are inside the reports; the call itself does
     /// not fail.
     pub fn repair(&self) -> Result<Vec<ReplicationReport>, ClusterError> {
-        let suspects: Vec<usize> = {
-            let map = lock(&self.map);
-            (0..self.nodes.len())
-                .filter(|&n| map.nodes()[n].up && self.suspects[n].load(Ordering::Acquire))
-                .collect()
-        };
-        suspects.into_iter().map(|n| self.fail_node(n)).collect()
+        self.up_nodes(true).into_iter().map(|n| self.fail_node(n)).collect()
     }
 
-    /// Best-effort epoch broadcast to every up node (a node that misses
-    /// it learns the epoch piggybacked on the next request).
+    /// Best-effort epoch broadcast to every up, trusted node (a node that
+    /// misses it — a suspect always does — learns the epoch piggybacked
+    /// on the next request).
     fn broadcast_epoch(&self, epoch: u64) {
-        let up: Vec<usize> = {
-            let map = lock(&self.map);
-            (0..self.nodes.len()).filter(|&n| map.nodes()[n].up).collect()
-        };
-        for node in up {
+        for node in self.up_nodes(false) {
             let _ = self.request_on_node(node, &WireRequest::EpochSet { epoch });
         }
     }
@@ -947,7 +879,7 @@ impl ClusterRouter {
             map.replicas(shard)
                 .iter()
                 .copied()
-                .find(|&n| n != target && !self.suspects[n].load(Ordering::Acquire))
+                .find(|&n| n != target && !self.node_suspect(n))
         };
         let Some(source) = source else {
             return Err(ClusterError::Replication {
@@ -964,7 +896,7 @@ impl ClusterRouter {
         let mut chunk = 0u32;
         loop {
             let req = WireRequest::MigrateExport { shard, chunk };
-            let NodeOutcome::Answered { resp } = self.request_on_node(source, &req) else {
+            let Some(resp) = self.request_on_node(source, &req) else {
                 return Err(fail(format!("source node {source} unreachable")));
             };
             match resp {
@@ -996,7 +928,7 @@ impl ClusterRouter {
                 chunk: c,
                 bytes: crate::image::chunk_slice(&image, c).to_vec(),
             };
-            let NodeOutcome::Answered { resp } = self.request_on_node(target, &req) else {
+            let Some(resp) = self.request_on_node(target, &req) else {
                 return Err(fail(format!("target node {target} unreachable")));
             };
             match resp {
@@ -1027,6 +959,59 @@ impl std::fmt::Debug for ClusterRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Series of `RequestFailed` race a `restore_node_in_place`. Trust is
+    /// one word advanced by compare-and-swap, so the re-image falls
+    /// somewhere in the failures' sequence and the node ends one of two
+    /// ways: suspect again (a second `Trusted → Suspect` edge, by the
+    /// request path), or trusted through that one re-image, carrying only
+    /// the failures that followed it. It is never trusted any other way —
+    /// no reset of a failure count can race a latch being cleared, because
+    /// there are not two things to race. The failing thread's length sweeps
+    /// from nothing to well past the restore, so both ends are reached.
+    #[test]
+    fn failures_racing_a_restore_end_reimaged_or_suspect() {
+        const LIMIT: u32 = 2;
+        let cfg = RouterConfig {
+            retry: RetryPolicy::none(),
+            breaker_threshold: LIMIT,
+            ..RouterConfig::default()
+        };
+        // Closed localhost ports: every connect is refused at once.
+        let addrs: Vec<SocketAddr> = (1..=3).map(|port| SocketAddr::from(([127, 0, 0, 1], port))).collect();
+        for round in 0..48u32 {
+            let router = ClusterRouter::new(ClusterConfig::default(), &addrs, &[1, 1, 1], cfg);
+            router.fail_node(1).expect("fail_node reports per shard");
+            assert_eq!(router.nodes[1].trust.load(), Trust::Suspect { cause: Cause::Admin });
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..round * round * 8 {
+                        router.note_transport_failure(1);
+                    }
+                });
+                scope.spawn(|| {
+                    start.wait();
+                    router.restore_node_in_place(1).expect("restore reports per shard");
+                });
+            });
+            // The counters are the router's; the neighbours, never
+            // re-imaged, account for at most one edge each (the dead
+            // addresses fail the restore's broadcast and exports too).
+            let neighbours = [0, 2].iter().filter(|&&n| router.node_suspect(n)).count() as u64;
+            let edges = router.stats().suspects_latched - neighbours;
+            match router.nodes[1].trust.load() {
+                Trust::Suspect { cause } => {
+                    assert_eq!((cause, edges), (Cause::Request, 2), "round {round}");
+                }
+                Trust::Trusted { request_failures, probe_misses } => {
+                    assert_eq!(edges, 1, "round {round}: trusted, yet suspected after its re-image");
+                    assert!(u32::from(request_failures) < LIMIT && probe_misses == 0, "round {round}");
+                }
+            }
+        }
+    }
 
     /// A router whose read cache admits on first fill; the addresses are
     /// never dialed (these tests drive the cache helpers directly).

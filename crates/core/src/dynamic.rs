@@ -524,9 +524,25 @@ impl DynamicDict {
         writes: &[(BlockAddr, &[Word])],
         healths: &[BlockHealth],
     ) -> Option<DictError> {
-        let e = Self::io_error(writes.iter().map(|(a, _)| a), healths)?;
+        let mut landed = |(&(a, image), &h): (&(BlockAddr, &[Word]), &BlockHealth)| {
+            h.is_ok() || (h == BlockHealth::TornWrite && Self::holds(disks, a, image))
+        };
+        let (&(addr, _), &health) = writes.iter().zip(healths).find(|&write| !landed(write))?;
+        let e = Self::io_error([&addr], &[health])?;
         disks.journal_truncate();
         Some(e)
+    }
+
+    /// Whether `addr` reads back healthy and equal to `image`: what settles
+    /// a write reported torn. A tear lands the first half of its image and
+    /// is reported even when every word that changed lay in that half — a
+    /// tombstone changes one — and answering such a key "failed" would keep
+    /// counting a key the next lookup certifies absent. Anything else keeps
+    /// its typed error.
+    fn holds(disks: &mut DiskArray, addr: BlockAddr, image: &[Word]) -> bool {
+        Self::read_retry(disks, &[addr], |blocks, healths| {
+            healths[0].is_ok() && blocks.block(0)[..image.len()] == *image
+        })
     }
 
     /// The executor's images and healths of `addrs`, re-read once (a later
@@ -1221,7 +1237,7 @@ impl DynamicDict {
         let meta = [self.meta_tag(), META_INSERT, level as Word];
         let whealths = disks.journaled_delta_batch_checked(&refs, &deltas, &meta);
         // Some block of the insert did not land (disk died or the write
-        // tore): the key is not counted as stored; whatever fragment did
+        // tore short of it): the key is not counted as stored; whatever fragment did
         // land decodes fail-closed (a chain missing a block, or a
         // membership record whose fields are absent, reads as a miss) and
         // is reclaimed by scrub or rebuild.
@@ -1250,7 +1266,8 @@ impl DynamicDict {
     /// probe stayed unreadable after the one retry: a stored key's bucket
     /// may be the one that read as zeros, so "absent" would be a guess.
     /// Also when the tombstone write did not land (dropped on a dead disk,
-    /// or torn): the record may still be on disk, so the key stays counted
+    /// or torn short of it — a tear that kept the tombstone is a delete that
+    /// happened): the record may still be on disk, so the key stays counted
     /// and the intent is truncated — nothing replays a delete that failed.
     pub fn delete(&mut self, disks: &mut DiskArray, key: u64) -> Result<(bool, OpCost), DictError> {
         let scope = disks.begin_op();
@@ -1885,6 +1902,10 @@ mod tests {
     /// land — the record may still be on disk — so the delete fails typed,
     /// `len()` keeps counting the key, and the journaled intent is
     /// truncated: no recovery replays a delete the caller was told failed.
+    /// Unless it did land: a tear keeps the first half of the block, and a
+    /// tombstone whose one word lies there is on the medium, whole and
+    /// sealed — that delete is acknowledged and counted, or `len()` would
+    /// disagree with every lookup from then on.
     #[test]
     fn torn_tombstone_write_fails_deletes_typed() {
         for journaled in [false, true] {
@@ -1897,40 +1918,63 @@ mod tests {
             for k in &ks {
                 dict0.insert(&mut disks0, *k, &[*k]).unwrap();
             }
-            disks0.enable_integrity();
             let victim = ks[7];
             let addrs = dict0.membership.probe_addrs(victim);
-            let patch = DynamicDict::read_retry(&mut disks0, &addrs, |blocks, _| {
-                dict0.membership.plan_delete(victim, blocks).unwrap()
+            let (addr, at) = DynamicDict::read_retry(&mut disks0, &addrs, |blocks, _| {
+                let patch = dict0.membership.plan_delete(victim, blocks).unwrap();
+                let base = patch.bases(blocks).next().unwrap();
+                let flag = patch.image().iter().zip(base).position(|(new, old)| new != old).unwrap();
+                let addr = patch.writes().next().unwrap().0;
+                (addr, flag)
             });
-            let disk = patch.writes().next().unwrap().0.disk;
-            // The tombstone is the disk's first write since the plan was
-            // installed, or its second when the intent's ring slot happens
-            // to lie on the same disk.
-            let mut failed_typed = false;
-            for nth in 0..2 {
-                let (mut disks, mut dict) = (disks0.clone(), dict0.clone());
-                disks.set_fault_plan(pdm::FaultPlan::new().torn_write(disk, nth));
-                let Err(e) = dict.delete(&mut disks, victim) else {
-                    // The tear fell elsewhere (no second write without a
-                    // journal; the ring slot with one): the delete is whole.
-                    assert!(!dict.lookup(&mut disks, victim).found() && dict.len() == 99);
-                    continue;
-                };
-                failed_typed = true;
-                assert!(
-                    matches!(e, DictError::Io { kind: IoFaultKind::TornWrite, disk: at, .. } if at == disk),
-                    "journaled = {journaled}: {e}"
-                );
-                assert_eq!(dict.len(), 100, "a failed delete is not counted");
-                disks.clear_fault_plan();
-                let report = disks.recover();
-                assert!(report.replayed.is_empty(), "the failed delete replayed: {report:?}");
-                if let Some(got) = dict.lookup(&mut disks, victim).satellite {
-                    assert_eq!(got, vec![victim]);
+            let disk = addr.disk;
+            // Buckets fill from the front and stay a quarter full, so every
+            // record lies in the half of its block a tear keeps. A second
+            // array holds the victim's in the block's last slot (the codec
+            // scans them all): the half a tear loses.
+            let mut far = disks0.clone();
+            let mut block = far.read(&[addr], ReadOptions::default()).blocks.block(0).to_vec();
+            let slot = crate::bucket::BucketCodec::new(1).slot_words();
+            let last = (block.len() / slot - 1) * slot;
+            assert!(at < block.len() / 2 && block[last..].iter().all(|&w| w == 0));
+            block.copy_within(at..at + slot, last);
+            block[at..at + slot].fill(0);
+            far.write(&[(addr, &block)], pdm::WriteOptions::default());
+            for (mut disks0, lost_half) in [(far, true), (disks0, false)] {
+                disks0.enable_integrity();
+                // The tombstone is the disk's first write since the plan was
+                // installed, or its second when the intent's ring slot happens
+                // to lie on the same disk.
+                let mut failed_typed = false;
+                for nth in 0..2 {
+                    let (mut disks, mut dict) = (disks0.clone(), dict0.clone());
+                    disks.set_fault_plan(pdm::FaultPlan::new().torn_write(disk, nth));
+                    let Err(e) = dict.delete(&mut disks, victim) else {
+                        // The tear fell elsewhere (no second write without a
+                        // journal; the ring slot with one), or kept the half
+                        // the tombstone is in: the delete is whole.
+                        assert!(!dict.lookup(&mut disks, victim).found() && dict.len() == 99);
+                        disks.clear_fault_plan();
+                        let report = disks.recover();
+                        dict.apply_replay(&report);
+                        assert!(!dict.lookup(&mut disks, victim).found() && dict.len() == 99);
+                        continue;
+                    };
+                    failed_typed = true;
+                    assert!(
+                        matches!(e, DictError::Io { kind: IoFaultKind::TornWrite, disk: at, .. } if at == disk),
+                        "journaled = {journaled}: {e}"
+                    );
+                    assert_eq!(dict.len(), 100, "a failed delete is not counted");
+                    disks.clear_fault_plan();
+                    let report = disks.recover();
+                    assert!(report.replayed.is_empty(), "the failed delete replayed: {report:?}");
+                    if let Some(got) = dict.lookup(&mut disks, victim).satellite {
+                        assert_eq!(got, vec![victim]);
+                    }
                 }
+                assert_eq!(failed_typed, lost_half, "journaled = {journaled}: a tear fails the delete iff it lost the tombstone");
             }
-            assert!(failed_typed, "journaled = {journaled}: the tear never hit the tombstone");
         }
     }
 

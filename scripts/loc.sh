@@ -4,33 +4,100 @@
 # compile: a crate's tests/ and benches/ directories and, in each source file,
 # everything from its first `#[cfg(test)]` on (the unit-test module every file
 # here keeps last). Prints only; run from anywhere.
+#
+#   scripts/loc.sh                  the working tree
+#   scripts/loc.sh --against <rev>  that, the same table for <rev> (its files
+#                                   read with `git show`: no checkout, no
+#                                   build), and the per-crate difference
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# lines <dir>: total lines of the .rs files under <dir> (build output skipped).
-lines() {
-    find "$1" -name '*.rs' -not -path '*/target/*' -print0 | xargs -0 cat | wc -l
+rev=""
+case "${1:-}" in
+    "") ;;
+    --against) rev=$(git rev-parse --verify --quiet "${2:-}^{commit}") ||
+        { echo "loc.sh: no such revision: ${2:-}" >&2; exit 2; } ;;
+    *) echo "usage: scripts/loc.sh [--against <rev>]" >&2; exit 2 ;;
+esac
+
+# stream <rev|-> <dir>: every .rs file under <dir> (build output skipped), in
+# the working tree or at <rev>, each preceded by a line `\001<path>`.
+stream() {
+    if [ "$1" = - ]; then
+        find "$2" -name '*.rs' -not -path '*/target/*' -print0 |
+            xargs -0 -r awk 'FNR == 1 { print "\001" FILENAME } { print }'
+    else
+        git ls-tree -r --name-only "$1" -- "$2" | grep '\.rs$' | while read -r f; do
+            printf '\001%s\n' "$f"
+            git show "$1:$f"
+        done
+    fi
 }
-# code <dir>: the same, each file cut at its first `#[cfg(test)]`.
-code() {
-    find "$1" -name '*.rs' -not -path '*/target/*' -print0 |
-        xargs -0 awk 'FNR == 1 { cut = 0 } /^#\[cfg\(test\)\]/ { cut = 1 } !cut' | wc -l
+# count: "<total> <code>" of a stream; code is the files under a src/, each
+# cut at its first `#[cfg(test)]`.
+count() {
+    awk '/^\001/ { src = ($0 ~ /\/src\//); cut = 0; next }
+         { total++ }
+         /^#\[cfg\(test\)\]/ { cut = 1 }
+         src && !cut { code++ }
+         END { print total + 0, code + 0 }'
 }
 
-printf '%-12s %8s %8s\n' "" total code
-all=0
-all_code=0
-for crate in crates/*/; do
-    t=$(lines "$crate")
-    c=$(code "${crate}src")
-    printf '%-12s %8d %8d\n' "$(basename "$crate")" "$t" "$c"
-    all=$((all + t))
-    all_code=$((all_code + c))
-done
-printf '%-12s %8d %8d\n' crates/ "$all" "$all_code"
-for dir in tests examples; do
-    t=$(lines "$dir")
-    printf '%-12s %8d\n' "$dir/" "$t"
-    all=$((all + t))
-done
-printf '%-12s %8d\n' total "$all"
+# ledger <rev|->: one "<name> <total> <code>" row per crate, then crates/,
+# tests/, examples/ and total (code 0 where the table shows none).
+ledger() {
+    local all=0 all_code=0 crates crate t c
+    if [ "$1" = - ]; then
+        crates=$(find crates -mindepth 1 -maxdepth 1 -type d | sort)
+    else
+        crates=$(git ls-tree -d --name-only "$1" crates/)
+    fi
+    for crate in $crates; do
+        read -r t c < <(stream "$1" "$crate" | count)
+        echo "$(basename "$crate") $t $c"
+        all=$((all + t))
+        all_code=$((all_code + c))
+    done
+    echo "crates/ $all $all_code"
+    for dir in tests examples; do
+        read -r t c < <(stream "$1" "$dir" | count)
+        echo "$dir/ $t 0"
+        all=$((all + t))
+    done
+    echo "total $all 0"
+}
+
+# table <fmt>: rows of a ledger as the table (a zero code column is blank
+# below crates/).
+table() {
+    printf '%-12s %8s %8s\n' "" total code
+    while read -r name t c; do
+        case "$name" in
+            tests/ | examples/ | total) printf "%-12s $1\n" "$name" "$t" ;;
+            *) printf "%-12s $1 $1\n" "$name" "$t" "$c" ;;
+        esac
+    done
+}
+
+here=$(ledger -)
+table '%8d' <<<"$here"
+[ -n "$rev" ] || exit 0
+
+there=$(ledger "$rev")
+printf '\nat %s\n' "$(git rev-parse --short "$rev")"
+table '%8d' <<<"$there"
+printf '\nworking tree - %s\n' "$(git rev-parse --short "$rev")"
+# The working tree's rows in order, then whatever only <rev> has.
+declare -A was
+while read -r name t c; do was[$name]="$t $c"; done <<<"$there"
+{
+    while read -r name t c; do
+        read -r pt pc <<<"${was[$name]:-0 0}"
+        unset "was[$name]"
+        echo "$name $((t - pt)) $((c - pc))"
+    done <<<"$here"
+    for name in "${!was[@]}"; do
+        read -r pt pc <<<"${was[$name]}"
+        echo "$name $((-pt)) $((-pc))"
+    done
+} | table '%+8d'

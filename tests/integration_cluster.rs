@@ -35,11 +35,6 @@ fn drill_router_config() -> RouterConfig {
             max_delay: Duration::from_millis(20),
         },
         breaker_threshold: 2,
-        // Deliberately short cooldown: the breaker half-opens almost
-        // immediately, so the drills prove the *sticky suspect latch*
-        // (not breaker timing) is what keeps a node that missed writes
-        // out of the read and ack sets until it is re-imaged.
-        breaker_cooldown: Duration::from_millis(20),
         connect_timeout: Duration::from_secs(1),
         request_deadline: Duration::from_secs(30),
         write_quorum: 1,
@@ -190,7 +185,7 @@ fn chaos_drill_node_kill_mid_traffic_loses_no_acked_writes() {
     assert_eq!(stats.writes_acked, acked.len() as u64);
     assert!(
         stats.transport_failures > 0,
-        "the kill must actually have been absorbed by the health machinery"
+        "the kill must actually have been absorbed by the router"
     );
 
     for node in nodes.into_iter().flatten() {
@@ -277,13 +272,13 @@ fn restarted_node_rereplicates_byte_identically() {
     }
 }
 
-/// The durability latch is sticky across breaker cooldowns: a node
-/// that missed writes stays out of the read set even after its breaker
-/// half-opens and a live process answers at its address. Without the
-/// latch, the half-open probe would re-trust the stale node and serve
-/// `None` for acknowledged keys.
+/// A suspect is never read from or acked through until it is re-imaged,
+/// however long the drill waits and whatever answers at its address: a
+/// node that missed writes stays out of the read and ack sets even with a
+/// live process at its slot. Were anything but a re-image able to re-trust
+/// it, the stale node would serve `None` for acknowledged keys.
 #[test]
-fn suspect_latch_outlives_breaker_cooldown() {
+fn a_suspect_is_never_read_or_acked_through_until_reimaged() {
     const NODES: usize = 3;
     const VICTIM: usize = 1;
 
@@ -322,30 +317,49 @@ fn suspect_latch_outlives_breaker_cooldown() {
 
     // A stale impostor comes alive at the victim's slot: it hosts the
     // victim's shards but holds none of the acknowledged data. Pointing
-    // the slot at it makes any breaker probe *succeed* — the exact
-    // hazard the latch exists for.
+    // the slot at it makes any request to the victim *succeed* — the
+    // exact hazard a suspect's stickiness exists for.
     let map = ClusterMap::build(cfg, &weights);
     let stale =
         ClusterNode::start("127.0.0.1:0", cfg, &map.shards_on(VICTIM), NodeConfig::default())
             .expect("stale twin start");
     router.set_node_addr(VICTIM, stale.local_addr());
 
-    // Let the (short) cooldown pass so the breaker would half-open.
+    // Waiting changes nothing: no clock re-admits a suspect.
     std::thread::sleep(Duration::from_millis(60));
 
-    // Every acknowledged write still reads back exactly: the latched
-    // node serves nothing, regardless of breaker state.
+    // Writes keep acking past the impostor, and none reaches it.
+    let mut past_impostor: Vec<u64> = Vec::new();
+    for i in 300..360u64 {
+        let key = mix64(seed ^ i) % (1 << 21);
+        if router.insert(key, &[mix64(key)]).is_ok() {
+            acked.push(key);
+            past_impostor.push(key);
+        }
+    }
+    let mut probe = TcpClient::connect(stale.local_addr()).expect("impostor connect");
+    for &key in past_impostor.iter().filter(|&&k| map.replicas(cfg.shard_of(k)).contains(&VICTIM)) {
+        let shard = cfg.shard_of(key);
+        match probe.request(&WireRequest::ShardOp { shard, epoch: 0, op: Op::Lookup(key) }) {
+            Ok(WireResponse::Reply(Reply::Lookup(None))) => {}
+            other => panic!("write {key} was sent to the suspect's address: {other:?}"),
+        }
+    }
+    assert!(router.node_suspect(VICTIM), "an answering address re-trusts nothing");
+
+    // Every acknowledged write still reads back exactly: the suspect
+    // serves nothing, whatever answers at its address.
     for &key in &acked {
         assert_eq!(
-            router.lookup(key).unwrap_or_else(|e| panic!("latched lookup of {key}: {e}")),
+            router.lookup(key).unwrap_or_else(|e| panic!("lookup of {key} past the suspect: {e}")),
             Some(vec![mix64(key)]),
-            "acked write {key} lost to a half-open probe of a stale node"
+            "acked write {key} lost to a stale node at a suspect's address"
         );
     }
 
-    // repair() selects on the sticky latch, not the transient breaker
-    // state — called long after the cooldown, it must still find the
-    // victim and drive the epoch bump + re-replication.
+    // repair() selects on the node's trust — called however long
+    // after, it must still find the victim and drive the epoch bump +
+    // re-replication.
     let reports = router.repair().expect("repair");
     assert_eq!(reports.len(), 1, "repair must declare exactly the victim dead");
     assert!(reports[0].failed.is_empty(), "failures: {:?}", reports[0].failed);
