@@ -207,12 +207,24 @@ impl RawDict for DynamicDict {
     ) -> (Vec<Option<Vec<Word>>>, OpCost) {
         self.lookup_batch(disks, keys)
     }
+    /// One answer per entry, as a sequential loop gives them:
+    /// [`DynamicDict::insert_batch`] stops at a budget error (so that the
+    /// rebuilding wrapper can re-route the rest), and the entries after it
+    /// go in one by one.
     fn raw_insert_batch(
         &mut self,
         disks: &mut DiskArray,
         entries: &[(u64, Vec<Word>)],
     ) -> (Vec<Result<(), DictError>>, OpCost) {
-        self.insert_batch(disks, entries)
+        let (mut results, cost) = self.insert_batch(disks, entries);
+        if results.len() == entries.len() {
+            return (results, cost);
+        }
+        let rest = &entries[results.len()..];
+        let (more, more_cost) =
+            crate::traits::insert_each(rest, |key, satellite| self.insert(disks, key, satellite));
+        results.extend(more);
+        (results, cost.plus(more_cost))
     }
     fn raw_delete_batch(
         &mut self,

@@ -90,7 +90,9 @@ pub fn space_ledger(disks: &DiskArray, structures: impl IntoIterator<Item = Spac
 }
 
 /// Export the [`space_ledger`] of `disks` as `dict_space_blocks{region}`
-/// and its sum as `dict_storage_blocks`.
+/// and its sum as `dict_storage_blocks` — the extent — and, where the
+/// backend counts them, the blocks of it that hold memory as
+/// `dict_materialised_blocks`.
 pub(crate) fn export_space(registry: &MetricsRegistry, kind: &str, disks: &DiskArray, structures: impl IntoIterator<Item = SpaceRow>) {
     let mut stored = 0;
     for (region, blocks) in space_ledger(disks, structures) {
@@ -99,6 +101,9 @@ pub(crate) fn export_space(registry: &MetricsRegistry, kind: &str, disks: &DiskA
         stored += blocks;
     }
     registry.gauge("dict_storage_blocks", &[("dict", kind)]).set(stored as i64);
+    if let Some(held) = disks.materialised_blocks() {
+        registry.gauge("dict_materialised_blocks", &[("dict", kind)]).set(held as i64);
+    }
 }
 
 /// Per-disk bump allocator over a [`DiskArray`].

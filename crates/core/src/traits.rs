@@ -287,8 +287,8 @@ pub trait Dict {
         lookup_each(keys, |key| self.lookup(key))
     }
 
-    /// Batched insert with per-entry results. The default loops over
-    /// [`insert`](Dict::insert).
+    /// Batched insert: exactly one result per entry, in entry order. The
+    /// default loops over [`insert`](Dict::insert).
     fn insert_batch(&mut self, entries: &[(u64, Vec<Word>)]) -> (Vec<Result<(), DictError>>, OpCost) {
         insert_each(entries, |key, satellite| self.insert(key, satellite))
     }

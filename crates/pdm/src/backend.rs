@@ -10,10 +10,12 @@
 //!
 //! Two implementations ship:
 //!
-//! * [`MemBackend`] — the original `Vec<Vec<Box<[Word]>>>` in-memory
-//!   storage, bit-compatible with every release before the seam existed.
-//!   It is the default: tests and simulated-count benchmarks run on it
-//!   with zero behavioral drift.
+//! * [`MemBackend`] — in-memory storage that allocates a block the first
+//!   time something other than zeros is written to it; every other block
+//!   reads as one shared zero block. Its reads, writes and charges are
+//!   bit-compatible with every release before the seam existed, and it is
+//!   the default: tests and simulated-count benchmarks run on it with zero
+//!   behavioral drift.
 //! * [`FileBackend`](crate::file_backend::FileBackend) — one file plus one
 //!   dedicated worker thread per "disk". A submission is split per disk
 //!   and issued to **all** per-disk queues before any completion is
@@ -262,6 +264,15 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
         None
     }
 
+    /// How many blocks hold memory of their own, if this backend allocates a
+    /// block only once it is written ([`MemBackend`]). The extent —
+    /// [`blocks_on`](StorageBackend::blocks_on) summed — is what the
+    /// structures reserved; this is what they cost. The default `None` is
+    /// for a backend that keeps its whole extent (a file) or does not say.
+    fn materialised_blocks(&self) -> Option<usize> {
+        None
+    }
+
     /// Read one block without charging I/O (test/debug hook).
     fn peek(&self, addr: BlockAddr) -> Vec<Word>;
 
@@ -293,14 +304,25 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     fn flush_join(&mut self, ticket: FlushTicket);
 }
 
-/// The original in-memory storage: `D` vectors of boxed blocks.
+/// The in-memory storage: `D` vectors of blocks, each block allocated only
+/// once something is written to it.
 ///
-/// Bit-compatible with the pre-seam `DiskArray` internals and still the
-/// default backend — simulated-count tests and benches see zero drift.
+/// A block no payload that is not all zeros has reached holds no memory of
+/// its own and reads as the backend's one shared zero block, so laying out a
+/// region costs its extent, not its bytes — Theorem 7's deeper levels, which
+/// few keys reach, stay mostly unallocated. The extent itself
+/// ([`blocks_on`](StorageBackend::blocks_on)) is exactly what a dense
+/// backend would report, and every read, write and charge is the same:
+/// simulated-count tests and benches see zero drift. The default backend.
 #[derive(Debug, Clone)]
 pub struct MemBackend {
     block_words: usize,
-    disks: Vec<Vec<Box<[Word]>>>,
+    /// Per disk, its blocks; `None` for one never written non-zero.
+    disks: Vec<Vec<Option<Box<[Word]>>>>,
+    /// What every absent block reads as.
+    zero: Box<[Word]>,
+    /// The `Some` entries of `disks`.
+    materialised: usize,
 }
 
 impl MemBackend {
@@ -309,27 +331,48 @@ impl MemBackend {
     pub fn new(disks: usize, block_words: usize, blocks_per_disk: usize) -> Self {
         MemBackend {
             block_words,
-            disks: (0..disks)
-                .map(|_| {
-                    (0..blocks_per_disk)
-                        .map(|_| vec![0 as Word; block_words].into_boxed_slice())
-                        .collect()
-                })
-                .collect(),
+            disks: vec![vec![None; blocks_per_disk]; disks],
+            zero: vec![0 as Word; block_words].into_boxed_slice(),
+            materialised: 0,
         }
     }
 
     /// Adopt an existing image (used when cloning an array whose backend
-    /// cannot itself be cloned — e.g. a file backend snapshot).
+    /// cannot itself be cloned — e.g. a file backend snapshot). Its all-zero
+    /// blocks are dropped: they read the same absent.
     #[must_use]
     pub fn from_image(block_words: usize, image: Vec<Vec<Box<[Word]>>>) -> Self {
         debug_assert!(image
             .iter()
             .all(|d| d.iter().all(|b| b.len() == block_words)));
+        let disks: Vec<Vec<_>> = image
+            .into_iter()
+            .map(|disk| disk.into_iter().map(|b| b.iter().any(|&w| w != 0).then_some(b)).collect())
+            .collect();
         MemBackend {
             block_words,
-            disks: image,
+            materialised: disks.iter().flatten().flatten().count(),
+            disks,
+            zero: vec![0 as Word; block_words].into_boxed_slice(),
         }
+    }
+
+    fn block(&self, addr: BlockAddr) -> &[Word] {
+        self.disks[addr.disk][addr.block].as_deref().unwrap_or(&self.zero)
+    }
+
+    /// Write `data` over the head of the block at `addr`, materialising it
+    /// unless it is absent and `data` is all zeros.
+    fn write(&mut self, addr: BlockAddr, data: &[Word]) {
+        let slot = &mut self.disks[addr.disk][addr.block];
+        if slot.is_none() {
+            if data.iter().all(|&w| w == 0) {
+                return;
+            }
+            self.materialised += 1;
+        }
+        let block = slot.get_or_insert_with(|| vec![0 as Word; self.block_words].into_boxed_slice());
+        block[..data.len()].copy_from_slice(data);
     }
 }
 
@@ -356,15 +399,18 @@ impl StorageBackend for MemBackend {
 
     fn grow_disks(&mut self, first_disk: usize, disks: usize, blocks: usize) {
         for disk in &mut self.disks[first_disk..first_disk + disks] {
-            while disk.len() < blocks {
-                disk.push(vec![0 as Word; self.block_words].into_boxed_slice());
+            if disk.len() < blocks {
+                disk.resize(blocks, None);
             }
         }
     }
 
+    /// Zeroes the materialised blocks of the range in place and keeps them:
+    /// freeing them fragments the heap across a rebuilding dictionary's
+    /// slot recycling, and the next tenant writes there again.
     fn discard_tail(&mut self, first_disk: usize, disks: usize, first_block: usize) {
         for disk in &mut self.disks[first_disk..first_disk + disks] {
-            for block in disk.iter_mut().skip(first_block) {
+            for block in disk.iter_mut().skip(first_block).flatten() {
                 block.fill(0);
             }
         }
@@ -373,7 +419,7 @@ impl StorageBackend for MemBackend {
     fn submit(&mut self, batch: IoSubmission<'_>) -> CompletionSet {
         let reads = self.submit_reads(batch.reads);
         for &(a, data) in batch.writes {
-            self.disks[a.disk][a.block][..data.len()].copy_from_slice(data);
+            self.write(a, data);
         }
         // sync_after: memory is trivially durable.
         reads
@@ -382,25 +428,30 @@ impl StorageBackend for MemBackend {
     fn submit_reads(&self, reads: &[BlockAddr]) -> CompletionSet {
         let mut out = BlockBuf::with_capacity(self.block_words, reads.len());
         for &a in reads {
-            out.push(&self.disks[a.disk][a.block]);
+            out.push(self.block(a));
         }
         CompletionSet { reads: out }
     }
 
     fn resident(&self, addr: BlockAddr) -> Option<&[Word]> {
-        Some(&self.disks[addr.disk][addr.block])
+        Some(self.block(addr))
     }
 
     fn peek(&self, addr: BlockAddr) -> Vec<Word> {
-        self.disks[addr.disk][addr.block].to_vec()
+        self.block(addr).to_vec()
     }
 
     fn poke(&mut self, addr: BlockAddr, data: &[Word]) {
-        self.disks[addr.disk][addr.block][..data.len()].copy_from_slice(data);
+        self.write(addr, data);
     }
 
     fn snapshot(&self) -> Vec<Vec<Box<[Word]>>> {
-        self.disks.clone()
+        let disk = |d: &Vec<Option<Box<[Word]>>>| d.iter().map(|b| b.as_deref().unwrap_or(&self.zero).into()).collect();
+        self.disks.iter().map(disk).collect()
+    }
+
+    fn materialised_blocks(&self) -> Option<usize> {
+        Some(self.materialised)
     }
 
     fn flush_begin(&mut self) -> FlushTicket {
@@ -413,6 +464,7 @@ impl StorageBackend for MemBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn mem_backend_roundtrips_in_request_order() {
@@ -470,6 +522,158 @@ mod tests {
         assert_eq!(snap[0][2].as_ref(), &[0, 0]);
         let b2 = MemBackend::from_image(2, snap);
         assert_eq!(b2.peek(BlockAddr::new(1, 0)), vec![4; 2]);
+    }
+
+    #[test]
+    fn a_block_is_materialised_by_its_first_non_zero_write_only() {
+        let mut b = MemBackend::new(2, 4, 3);
+        b.grow(1_000);
+        assert_eq!(b.materialised_blocks(), Some(0), "growing allocates nothing");
+        let a = BlockAddr::new(1, 999);
+        b.submit(IoSubmission::reads(&[a]));
+        b.poke(a, &[0; 3]);
+        assert_eq!(b.materialised_blocks(), Some(0), "a read or a zero write allocates nothing");
+        b.poke(a, &[0, 6]);
+        b.poke(BlockAddr::new(0, 0), &[1]);
+        assert_eq!(b.materialised_blocks(), Some(2));
+        assert_eq!(b.peek(a), [0, 6, 0, 0]);
+        b.poke(a, &[0; 4]);
+        b.discard_tail(0, 2, 0);
+        assert_eq!(b.materialised_blocks(), Some(2), "zeroed in place, kept");
+        assert_eq!(b.peek(BlockAddr::new(0, 0)), [0; 4]);
+        let copy = MemBackend::from_image(4, b.snapshot());
+        assert_eq!(copy.materialised_blocks(), Some(0), "a copy drops the zero blocks");
+        assert_eq!(copy.snapshot(), b.snapshot());
+    }
+
+    /// The dense model the sparse backend must be indistinguishable from:
+    /// per disk, every block's words.
+    type Dense = Vec<Vec<Vec<Word>>>;
+
+    const DISKS: usize = 3;
+    const WORDS: usize = 4;
+
+    /// An address of the current extent, drawn from `r`; `None` while empty.
+    fn pick(model: &Dense, r: u64) -> Option<BlockAddr> {
+        let disk = (0..DISKS).map(|i| (r as usize + i) % DISKS).find(|&d| !model[d].is_empty())?;
+        Some(BlockAddr::new(disk, (r >> 8) as usize % model[disk].len()))
+    }
+
+    /// A full, a partial or an all-zero payload, drawn from `x` and `salt`.
+    fn payload(x: u64, salt: u64) -> Vec<Word> {
+        let len = 1 + (x >> 3) as usize % WORDS;
+        let word = |i: usize| if (salt >> i) & 1 == 1 { salt.rotate_left(i as u32) | 1 } else { 0 };
+        match x % 3 {
+            0 => (0..WORDS).map(word).collect(),
+            1 => (0..len).map(word).collect(),
+            _ => vec![0; len],
+        }
+    }
+
+    fn nonzero(model: &Dense) -> usize {
+        model.iter().flatten().filter(|x| x.iter().any(|&w| w != 0)).count()
+    }
+
+    fn agrees(b: &MemBackend, model: &Dense) -> Result<(), TestCaseError> {
+        let lens: Vec<usize> = model.iter().map(Vec::len).collect();
+        prop_assert_eq!((0..DISKS).map(|d| b.blocks_on(d)).collect::<Vec<_>>(), lens);
+        let addrs: Vec<BlockAddr> = (0..DISKS)
+            .flat_map(|d| (0..model[d].len()).map(move |i| BlockAddr::new(d, i)))
+            .collect();
+        for &a in &addrs {
+            let want = &model[a.disk][a.block];
+            prop_assert_eq!(&b.peek(a), want);
+            prop_assert_eq!(b.resident(a), Some(&want[..]));
+        }
+        let flat: Vec<Word> = model.iter().flatten().flatten().copied().collect();
+        prop_assert_eq!(b.submit_reads(&addrs).reads.into_words(), flat);
+        let snapshot: Dense = b.snapshot().iter().map(|d| d.iter().map(|x| x.to_vec()).collect()).collect();
+        prop_assert_eq!(&snapshot, model);
+        let (written, held) = (nonzero(model), b.materialised_blocks().unwrap());
+        prop_assert!(written <= held && held <= addrs.len(), "{written} ≤ {held} ≤ {}", addrs.len());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The sparse backend against a dense model: after every step of a
+        /// random sequence of grows, submissions (reads, full, partial and
+        /// all-zero writes), pokes, discards and snapshot round trips, every
+        /// way of reading it agrees with the model; a read or an all-zero
+        /// write materialises nothing, a discard frees nothing, and a copy
+        /// holds exactly the blocks that are not zero.
+        #[test]
+        fn the_sparse_backend_reads_as_a_dense_one(
+            steps in proptest::collection::vec((0u8..8, any::<u64>(), any::<u64>()), 1..40),
+        ) {
+            let mut b = MemBackend::new(DISKS, WORDS, 1);
+            let mut model: Dense = vec![vec![vec![0; WORDS]; 1]; DISKS];
+            for (kind, x, salt) in steps {
+                let before = b.materialised_blocks().unwrap();
+                // Whether the step may materialise a block: only a write
+                // that is not all zeros.
+                let mut grows = false;
+                match kind {
+                    0 => {
+                        b.grow(x as usize % 6);
+                        for disk in &mut model {
+                            let len = disk.len().max(x as usize % 6);
+                            disk.resize(len, vec![0; WORDS]);
+                        }
+                    }
+                    1 => {
+                        let first = x as usize % DISKS;
+                        let (disks, blocks) = (1 + (x >> 8) as usize % (DISKS - first), (x >> 16) as usize % 8);
+                        b.grow_disks(first, disks, blocks);
+                        for disk in &mut model[first..first + disks] {
+                            let len = disk.len().max(blocks);
+                            disk.resize(len, vec![0; WORDS]);
+                        }
+                    }
+                    2 => {
+                        let (first, first_block) = (x as usize % DISKS, (x >> 16) as usize % 6);
+                        let disks = 1 + (x >> 8) as usize % (DISKS - first);
+                        b.discard_tail(first, disks, first_block);
+                        for block in model[first..first + disks].iter_mut().flat_map(|d| d.iter_mut().skip(first_block)) {
+                            block.fill(0);
+                        }
+                    }
+                    3 => {
+                        b = MemBackend::from_image(WORDS, b.snapshot());
+                        prop_assert_eq!(b.materialised_blocks(), Some(nonzero(&model)), "a copy holds the non-zero blocks");
+                        agrees(&b, &model)?;
+                        continue;
+                    }
+                    4 => {
+                        let Some(a) = pick(&model, salt) else { continue };
+                        let data = payload(x, salt);
+                        b.poke(a, &data);
+                        model[a.disk][a.block][..data.len()].copy_from_slice(&data);
+                        grows = data.iter().any(|&w| w != 0);
+                    }
+                    _ => {
+                        let mut r = salt;
+                        let mut next = || { r = r.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(x); r };
+                        let reads: Vec<BlockAddr> = (0..x % 4).filter_map(|_| pick(&model, next())).collect();
+                        let writes: Vec<(BlockAddr, Vec<Word>)> = (0..(x >> 2) % 4)
+                            .filter_map(|_| Some((pick(&model, next())?, payload(next(), next()))))
+                            .collect();
+                        let want: Vec<Word> = reads.iter().flat_map(|a| model[a.disk][a.block].clone()).collect();
+                        let refs: Vec<(BlockAddr, &[Word])> = writes.iter().map(|(a, w)| (*a, &w[..])).collect();
+                        let got = b.submit(IoSubmission { reads: &reads, writes: &refs, sync_after: x & 1 == 1 });
+                        prop_assert_eq!(got.reads.into_words(), want, "reads see the blocks before the writes");
+                        for (a, data) in &writes {
+                            model[a.disk][a.block][..data.len()].copy_from_slice(data);
+                        }
+                        grows = writes.iter().any(|(_, w)| w.iter().any(|&w| w != 0));
+                    }
+                }
+                let after = b.materialised_blocks().unwrap();
+                prop_assert!(after == before || (grows && after > before), "kind {}: {} → {}", kind, before, after);
+                agrees(&b, &model)?;
+            }
+        }
     }
 
     /// A decorator that forwards only the required methods, so it

@@ -163,7 +163,7 @@ fn all_ok(addrs: &[BlockAddr], opts: ReadOptions) -> Vec<BlockHealth> {
 /// `Clone` snapshots the current disk image into a fresh
 /// [`MemBackend`]-backed array (whatever backend the original uses), so
 /// tests can fork an image at a crash point regardless of where the
-/// bytes live.
+/// bytes live. The clone allocates only the image's non-zero blocks.
 pub struct DiskArray {
     cfg: PdmConfig,
     backend: Box<dyn StorageBackend>,
@@ -396,6 +396,14 @@ impl DiskArray {
             .map(|d| self.backend.blocks_on(d))
             .sum::<usize>()
             * self.cfg.block_words
+    }
+
+    /// Blocks holding memory of their own, where the backend counts them
+    /// ([`StorageBackend::materialised_blocks`]); at most the extent
+    /// [`total_words`](DiskArray::total_words) ÷ `B`.
+    #[must_use]
+    pub fn materialised_blocks(&self) -> Option<usize> {
+        self.backend.materialised_blocks()
     }
 
     /// Grow every disk to at least `blocks_per_disk` blocks (no I/O charged).

@@ -94,7 +94,7 @@ pub enum ServeError {
     /// (duplicate key, capacity, I/O fault, ...).
     Dict(DictError),
     /// A malformed frame, an unknown opcode, or an I/O failure on the
-    /// wire.
+    /// wire; or a shard whose batch call left the request unanswered.
     Protocol(String),
     /// A shard-addressed request reached a node that does not host that
     /// shard (the client's cluster map is wrong or mid-update). Refresh

@@ -922,7 +922,10 @@ fn settle_pending(
     }
 }
 
-/// Settle: every request of the window gets exactly one reply.
+/// Settle: every request of the window gets exactly one reply. A request
+/// the shard's batch call left unanswered (a `Dict` breaking "one result
+/// per entry") is answered with a typed error, counted as a dictionary
+/// error, rather than taking the shard's worker down.
 fn settle_window(
     batch: &[Request],
     replies: Vec<Option<OpResult>>,
@@ -931,7 +934,9 @@ fn settle_window(
 ) {
     let done = Instant::now();
     for (request, reply) in batch.iter().zip(replies) {
-        let reply = reply.expect("every request partitioned and answered");
+        let reply = reply.unwrap_or_else(|| {
+            Err(ServeError::Protocol("the shard's batch call gave this request no answer".into()))
+        });
         let op_idx = ServeMetrics::op_index(&request.op);
         match &reply {
             Ok(_) => stats.ops_ok[op_idx].inc(),
@@ -1362,6 +1367,45 @@ mod tests {
             Err(ServeError::Dict(DictError::DuplicateKey(5)))
         );
         assert_eq!(engine.stats().dict_errors, 1);
+        drop(engine.shutdown());
+    }
+
+    /// A shard whose `insert_batch` answers no entry: the insert is
+    /// answered typed and counted as a dictionary error, and the worker
+    /// lives on to serve the next request.
+    #[test]
+    fn a_batch_call_answering_short_is_a_typed_error_not_a_dead_worker() {
+        struct Mute;
+        impl Dict for Mute {
+            fn kind(&self) -> &'static str {
+                "mute"
+            }
+            fn len(&self) -> usize {
+                0
+            }
+            fn capacity(&self) -> usize {
+                usize::MAX
+            }
+            fn lookup(&mut self, _key: u64) -> LookupOutcome {
+                LookupOutcome::new(None, pdm::OpCost::default())
+            }
+            fn insert(&mut self, _key: u64, _satellite: &[Word]) -> Result<pdm::OpCost, DictError> {
+                Ok(pdm::OpCost::default())
+            }
+            fn delete(&mut self, _key: u64) -> Result<(bool, pdm::OpCost), DictError> {
+                Ok((false, pdm::OpCost::default()))
+            }
+            fn insert_batch(&mut self, _entries: &[(u64, Vec<Word>)]) -> (Vec<Result<(), DictError>>, pdm::OpCost) {
+                (Vec::new(), pdm::OpCost::default())
+            }
+            fn set_metrics(&mut self, _registry: Option<Arc<MetricsRegistry>>) {}
+        }
+        let engine = ServeEngine::new(vec![Box::new(Mute)], EngineConfig::default());
+        let client = engine.client();
+        assert!(matches!(client.insert(1, &[1]), Err(ServeError::Protocol(_))));
+        assert_eq!(client.lookup(1), Ok(None));
+        let stats = engine.stats();
+        assert_eq!((stats.dict_errors, stats.acked), (1, 1));
         drop(engine.shutdown());
     }
 

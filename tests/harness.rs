@@ -46,7 +46,8 @@ pub fn kill_disks(disks: &mut DiskArray, dead: &[usize]) {
 /// a [`pdm::MemBackend`], as one written outside this workspace would. It
 /// inherits `resident = None`, so every read of an array over it is copied
 /// out through `submit`, as on a file; and `grow_disks`' default, so it
-/// stays rectangular.
+/// stays rectangular. It hides the residency of reads, not storage: it
+/// forwards `materialised_blocks`.
 #[derive(Debug)]
 pub struct HiddenResidency(pub pdm::MemBackend);
 
@@ -80,6 +81,9 @@ impl pdm::StorageBackend for HiddenResidency {
     }
     fn snapshot(&self) -> Vec<Vec<Box<[Word]>>> {
         self.0.snapshot()
+    }
+    fn materialised_blocks(&self) -> Option<usize> {
+        self.0.materialised_blocks()
     }
     fn flush_begin(&mut self) -> pdm::FlushTicket {
         self.0.flush_begin()

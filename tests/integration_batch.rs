@@ -389,6 +389,26 @@ fn static_frontends_reject_mutation() {
     }
 }
 
+/// `insert_batch` answers every entry, and as a sequential loop does, also
+/// once the structure is full: twins of each front, built at capacity 8 and
+/// filled until an insert is refused (or with 64 keys, for the fronts that
+/// grow or have room), take three more keys as one batch and one by one.
+/// A short answer is what once hung the serving engine on a full shard.
+#[test]
+fn insert_batch_answers_every_entry_at_capacity() {
+    for f in fronts() {
+        let entries = padded_entries(&f, &[]);
+        let [mut batched, mut looped] = [0, 1].map(|_| f.build(8, &entries, 0xF011));
+        for dict in [&mut batched, &mut looped] {
+            let _ = (0..64).try_for_each(|k| dict.insert(k, &sat(k, f.sigma)).map(drop));
+        }
+        let more: Vec<(u64, Vec<Word>)> = (1_000..1_003).map(|k| (k, sat(k, f.sigma))).collect();
+        let (answers, _) = batched.insert_batch(&more);
+        let one_by_one: Vec<_> = more.iter().map(|(k, s)| looped.insert(*k, s).map(drop)).collect();
+        assert_eq!(answers, one_by_one, "{}", f.name);
+    }
+}
+
 /// What a fixed op stream leaves behind: the array's I/O counters, a hash
 /// of the physical image, and a hash of every result the stream returned
 /// except what a batched call was charged (the counters hold that, and it

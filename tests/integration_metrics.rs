@@ -187,6 +187,10 @@ fn space_ledger_accounts_for_every_block_in_exported_metrics() {
         let on_disk: usize = (0..disks.disks()).map(|d| disks.blocks_on(d)).sum();
         assert_eq!(owned, on_disk as i64, "{when}: Σ regions != Σ blocks_on");
         assert_eq!(snap.gauge("dict_storage_blocks", &[("dict", kind)]), Some(owned), "{when}");
+        // Memory is what was written of that extent, never more.
+        let held = snap.gauge("dict_materialised_blocks", &[("dict", kind)]).expect("materialised gauge exported");
+        assert_eq!(Some(held as usize), disks.materialised_blocks(), "{when}");
+        assert!(0 < held && held <= owned, "{when}: {held} of {owned} blocks materialised");
         dict.set_metrics(None);
     }
 

@@ -420,3 +420,43 @@ fn a_pipelined_window_of_deletes_is_one_dict_call() {
     }
     assert_eq!(answers[0], answers[1], "cache-on diverged from cache-off");
 }
+
+/// A window of inserts on a full shard is answered — one `CapacityExhausted`
+/// per insert, as a sequential loop gives — and the shard serves on. Its
+/// batch call once stopped at the first refusal and answered short, which
+/// panicked the shard's worker and left the window's clients waiting forever.
+#[test]
+fn a_window_of_inserts_on_a_full_shard_is_answered_and_the_shard_serves_on() {
+    use pdm_dict::{Dict, DictError, DictHandle, DictParams};
+    use pdm_server::Op;
+    let params = DictParams::new(8, harness::UNIVERSE, 1).with_degree(20).with_epsilon(0.5).with_seed(0xF011);
+    let mut shard = DictHandle::in_memory(params, 64).unwrap();
+    let mut key = 0;
+    while shard.insert(key, &[key]).is_ok() {
+        key += 1;
+    }
+    let full = DictError::CapacityExhausted { capacity: 8 };
+    assert_eq!(shard.insert(key, &[key]).unwrap_err(), full);
+    let probe = harness::ShardProbe::new();
+    let cfg = EngineConfig::default().with_deadline(Duration::from_secs(60));
+    let engine = ServeEngine::new(vec![probe.wrap(Box::new(shard))], cfg);
+    let client = engine.client();
+    let (tx, rx) = std::sync::mpsc::channel();
+    // A thread of its own, so that a window left unanswered fails the test
+    // in 5 s instead of hanging it.
+    let window = std::thread::spawn({
+        let (probe, client) = (probe.clone(), client.clone());
+        move || {
+            let inserts = (100..103).map(|k| Op::Insert(k, vec![k])).collect();
+            let _ = tx.send(probe.one_window(&client, 1 << 19, inserts));
+        }
+    });
+    let replies = rx.recv_timeout(Duration::from_secs(5)).expect("the window was not answered within 5 s");
+    window.join().unwrap();
+    let refused: Vec<_> = (0..3).map(|_| Err(ServeError::Dict(full.clone()))).collect();
+    assert_eq!(replies, refused);
+    assert!(probe.calls.lock().unwrap().contains(&("insert_batch", 3)), "the three inserts were one window");
+    assert_eq!(client.lookup(0), Ok(Some(vec![0])));
+    assert_eq!(engine.stats().dict_errors, 3);
+    drop(engine.shutdown());
+}
