@@ -31,7 +31,11 @@ fn main() -> ExitCode {
 
         let mut reports = Vec::new();
         let mut row = |name: &str, built: Result<Measured, DictError>, entries: &Entries| {
-            let run = |Measured { mut dict, desc }| evaluate(dict.as_mut(), &desc, entries, &misses, deletions);
+            let run = |Measured { mut dict, desc }| {
+                // The table is drawn at the seeds it names: none is redrawn.
+                assert_eq!(desc.build_attempt, 0, "{name}: its graph was redrawn");
+                evaluate(dict.as_mut(), &desc, entries, &misses, deletions)
+            };
             match built.and_then(run) {
                 Ok(r) => reports.push(r),
                 Err(e) => eprintln!("{name}: FAILED: {e}"),

@@ -73,17 +73,20 @@ fn main() -> std::process::ExitCode {
     );
     let mut rows = Vec::new();
     for &(log_u, n, beta, cap) in &[(20u32, 256usize, 0.5, 6usize), (24, 512, 0.5, 8)] {
-        let semi = SemiExplicitExpander::build(SemiExplicitConfig {
+        let cfg = SemiExplicitConfig {
             universe: 1 << log_u,
             capacity: n,
             beta,
             epsilon: 1.0 / 12.0,
             seed: 0x5D1C,
             stage_degree_cap: cap,
-        })
-        .expect("Theorem 12 construction");
+        };
+        let semi_at = |seed| {
+            SemiExplicitExpander::build(SemiExplicitConfig { seed, ..cfg }).expect("Theorem 12 construction")
+        };
+        let semi = semi_at(cfg.seed);
         let memory_words = semi.report().memory_words;
-        let graph = TriviallyStriped::new(semi.clone());
+        let graph = TriviallyStriped::new(semi);
         let d = graph.degree();
 
         // The dictionary needs one disk per stripe: D = d — the cost of
@@ -138,8 +141,10 @@ fn main() -> std::process::ExitCode {
         let mut hdisks = DiskArray::new(head_cfg, 0);
         let mut halloc = DiskAllocator::new(d);
         let before = hdisks.stats().parallel_ios;
-        let hdict = HeadModelOneProbe::build(&mut hdisks, &mut halloc, 0, &params, semi, &entries)
+        let hparams = params.with_seed(cfg.seed);
+        let hdict = HeadModelOneProbe::build(&mut hdisks, &mut halloc, 0, &hparams, semi_at, &entries)
             .expect("head-model build");
+        assert_eq!(hdict.attempt(), 0, "the graph at the table's seed was redrawn");
         let hbuild = hdisks.stats().parallel_ios - before;
         let mut hworst = 0;
         for (k, sat) in &entries {

@@ -20,7 +20,7 @@ use pdm::{DiskArray, JournalRegion, OpCost, PdmConfig, Word};
 use pdm_dict::basic::{BasicDict, BasicDictConfig};
 use pdm_dict::handle::RawDict;
 use pdm_dict::layout::DiskAllocator;
-use pdm_dict::one_probe::{OneProbeStatic, OneProbeVariant};
+use pdm_dict::one_probe::{OneProbeStatic, OneProbeVariant, BUILD_ATTEMPTS};
 use pdm_dict::wide::{WideDict, WideDictConfig};
 use pdm_dict::{Dict, DictError, DictHandle, DictParams, Dictionary, DynamicDict, LookupOutcome};
 use std::sync::Arc;
@@ -76,6 +76,9 @@ pub struct Descriptor {
     /// that construction (reported in place of per-insert costs); `None`
     /// for one populated an insert at a time.
     pub construction_ios: Option<u64>,
+    /// For a structure built once, the build attempt whose graph expanded
+    /// (`pdm_dict::one_probe::attempt_seed`); 0 for every other.
+    pub build_attempt: u32,
     /// Satellite words one lookup returns.
     pub bandwidth_words: usize,
     /// Words laid out once, at construction: all of one of the paper's
@@ -279,7 +282,7 @@ impl Front {
             let words = space(&dict, &disks);
             Ok((Box::new(DictHandle::new(dict, disks)), Some(words)))
         }
-        let mut construction_ios = None;
+        let (mut construction_ios, mut build_attempt) = (None, 0);
         let (mut dict, words) = match self.structure {
             Structure::Basic => {
                 let cfg = BasicDictConfig::log_load(capacity.max(4), self.universe, d, self.sigma, seed)
@@ -299,7 +302,7 @@ impl Front {
                     b,
                     |disks, alloc| {
                         let (dict, stats) = OneProbeStatic::build(disks, alloc, 0, &params, variant, entries)?;
-                        construction_ios = Some(stats.cost.parallel_ios);
+                        (construction_ios, build_attempt) = (Some(stats.cost.parallel_ios), dict.attempt());
                         Ok(dict)
                     },
                     OneProbeStatic::space_words,
@@ -319,6 +322,7 @@ impl Front {
         let desc = Descriptor {
             name: self.title,
             construction_ios,
+            build_attempt,
             bandwidth_words: self.sigma,
             fixed_words: words.unwrap_or(0),
             array_grows: words.is_none(),
@@ -339,14 +343,16 @@ impl Front {
     ///
     /// # Panics
     /// On a failed build, naming the front, family, seed and key count, and
-    /// saying so when the failure is the sampled graph's.
+    /// when the failure is the sampled graph's, the attempts it made.
     #[must_use]
     pub fn build(&self, capacity: usize, entries: &Entries, seed: u64) -> Box<dyn Dict + Send> {
         self.try_build(capacity, entries, seed).unwrap_or_else(|e| {
+            // A static build redraws its graph; nothing else does.
+            let attempts = if self.is_static { BUILD_ATTEMPTS } else { 1 };
             let why = if e.is_expansion_failure() {
-                " — sampled graph did not expand at this seed: ROADMAP 'Certify or re-seed' (a)"
+                format!(" — no sampled graph expanded in {attempts} attempt(s) from this seed")
             } else {
-                ""
+                String::new()
             };
             panic!(
                 "front {} over {} at seed {seed:#x} with {} keys: {e}{why}",
@@ -455,7 +461,7 @@ where
 {
     Measured {
         dict: Box::new(Comparator(inner)),
-        desc: Descriptor { name, construction_ios: None, bandwidth_words, fixed_words, array_grows: true },
+        desc: Descriptor { name, construction_ios: None, build_attempt: 0, bandwidth_words, fixed_words, array_grows: true },
     }
 }
 

@@ -291,6 +291,11 @@ impl<G: NeighborFn> RawDict for OneProbeStatic<G> {
     fn raw_scrub(&self, disks: &mut DiskArray) -> ScrubReport {
         self.scrub(disks)
     }
+    /// `build_attempts`: the graphs drawn before one expanded, that one
+    /// included — 1 unless the configured seed's failed.
+    fn raw_gauges(&self, _disks: &DiskArray, out: &mut Vec<(&'static str, u64)>) {
+        out.push(("build_attempts", u64::from(self.attempt()) + 1));
+    }
 }
 
 impl RawDict for WideDict {

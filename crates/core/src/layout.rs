@@ -10,11 +10,12 @@
 //!
 //! Individual regions are never freed — a structure never moves data once
 //! it is written — but a whole *slot* is: when the global-rebuilding
-//! wrapper abandons a structure it discards the slot's blocks on the array
-//! and calls [`DiskAllocator::release_tail`], so the next structure built
-//! on those disks reuses the same block range. Storage is therefore
-//! bounded by what is allocated at any one time (for [`crate::Dictionary`]:
-//! the journal ring plus two slots), not by the history of allocations.
+//! wrapper abandons a structure it gives the slot's blocks back on the
+//! array and calls [`DiskAllocator::release_tail`], so the next structure
+//! built on those disks regrows the same block range. Storage is therefore
+//! what is allocated at the time (for [`crate::Dictionary`]: the journal
+//! ring plus one slot, two while a rebuild is in flight), not the history
+//! of allocations.
 //! A region lengthens only its own disks, so an array holds exactly the
 //! blocks its regions were given: [`space_ledger`] names every one.
 
@@ -110,7 +111,7 @@ pub(crate) fn export_space(registry: &MetricsRegistry, kind: &str, disks: &DiskA
 ///
 /// Bump pointers only fall through [`release_tail`](Self::release_tail),
 /// which gives up everything above a block index on a range of disks at
-/// once; the caller discards those blocks on the array
+/// once; the caller gives those blocks back on the array
 /// ([`DiskArray::discard_tail`]) before allocating there again, because a
 /// fresh region is expected to read as zeros.
 #[derive(Debug, Clone)]

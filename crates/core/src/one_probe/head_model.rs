@@ -81,6 +81,8 @@ impl FlatFields {
 #[derive(Debug)]
 pub struct HeadModelOneProbe<G: NeighborFn> {
     graph: G,
+    /// The build attempt whose graph this is ([`super::attempt_seed`]).
+    attempt: u32,
     fields: FlatFields,
     enc: CaseB,
     n: usize,
@@ -88,14 +90,34 @@ pub struct HeadModelOneProbe<G: NeighborFn> {
 }
 
 impl<G: NeighborFn> HeadModelOneProbe<G> {
-    /// Build over `graph` (striped or not) on a disk array that **must**
-    /// use [`Model::ParallelDiskHead`] with `D ≥ d` heads.
+    /// Build over the graph `graph(seed)` draws (striped or not) on a disk
+    /// array that **must** use [`Model::ParallelDiskHead`] with `D ≥ d`
+    /// heads. The first attempt draws at `params.seed`; a graph that fails
+    /// to expand for `entries` is redrawn at the next attempt's seed
+    /// ([`super::BUILD_ATTEMPTS`]), and [`attempt`](Self::attempt) says
+    /// which one the structure holds.
     ///
     /// Construction uses the recursive unique-neighbor assignment
     /// (Lemmas 4–5) computed in memory; the I/O-accounted sort-based
     /// construction is exercised by the striped variant, and this model's
     /// point is lookup cost and space, which are reported exactly.
     pub fn build(
+        disks: &mut DiskArray,
+        alloc: &mut DiskAllocator,
+        first_disk: usize,
+        params: &DictParams,
+        graph: impl Fn(u64) -> G,
+        entries: &[(u64, Vec<Word>)],
+    ) -> Result<Self, DictError> {
+        let (dict, attempt) = super::with_retries(disks, alloc, |disks, alloc, attempt| {
+            let graph = graph(super::attempt_seed(params.seed, attempt));
+            Self::build_over(disks, alloc, first_disk, params, graph, entries)
+        })?;
+        Ok(HeadModelOneProbe { attempt, ..dict })
+    }
+
+    /// One attempt of [`build`](Self::build), over `graph`.
+    fn build_over(
         disks: &mut DiskArray,
         alloc: &mut DiskAllocator,
         first_disk: usize,
@@ -161,6 +183,7 @@ impl<G: NeighborFn> HeadModelOneProbe<G> {
         }
         Ok(HeadModelOneProbe {
             graph,
+            attempt: 0,
             fields,
             enc,
             n: entries.len(),
@@ -172,6 +195,13 @@ impl<G: NeighborFn> HeadModelOneProbe<G> {
     #[must_use]
     pub fn len(&self) -> usize {
         self.n
+    }
+
+    /// The build attempt whose graph this structure holds: 0 for the graph
+    /// drawn at the configured seed.
+    #[must_use]
+    pub fn attempt(&self) -> u32 {
+        self.attempt
     }
 
     /// Whether empty.
@@ -238,7 +268,7 @@ mod tests {
     fn rejects_parallel_disk_model() {
         let mut disks = DiskArray::new(PdmConfig::new(16, 64), 0);
         let mut alloc = DiskAllocator::new(16);
-        let g = SeededExpander::new(1 << 24, 1024, 13, 1);
+        let g = |seed| SeededExpander::new(1 << 24, 1024, 13, seed);
         let params = DictParams::new(10, 1 << 24, 1).with_degree(13);
         let err = HeadModelOneProbe::build(
             &mut disks,
@@ -252,25 +282,30 @@ mod tests {
         assert!(err.to_string().contains("head model"), "{err}");
     }
 
+    /// The semi-explicit graph of `cfg`, drawn at `seed`.
+    fn semi_at(cfg: SemiExplicitConfig) -> impl Fn(u64) -> SemiExplicitExpander {
+        move |seed| SemiExplicitExpander::build(SemiExplicitConfig { seed, ..cfg }).unwrap()
+    }
+
     #[test]
     fn one_probe_lookups_over_unstriped_semi_explicit_graph() {
         // The §5 end state: semi-explicit expander, NO striping, head model.
-        let semi = SemiExplicitExpander::build(SemiExplicitConfig {
+        let semi = semi_at(SemiExplicitConfig {
             universe: 1 << 20,
             capacity: 200,
             beta: 0.5,
             epsilon: 1.0 / 12.0,
             seed: 0x8EAD,
             stage_degree_cap: 6,
-        })
-        .unwrap();
-        let d = semi.degree();
+        });
+        let d = semi(0x8EAD).degree();
         let cfg = PdmConfig::new(d, 64).with_model(Model::ParallelDiskHead);
         let mut disks = DiskArray::new(cfg, 0);
         let mut alloc = DiskAllocator::new(d);
         let es = entries(200, 2, 1 << 20);
-        let params = DictParams::new(200, 1 << 20, 2).with_degree(d);
+        let params = DictParams::new(200, 1 << 20, 2).with_degree(d).with_seed(0x8EAD);
         let dict = HeadModelOneProbe::build(&mut disks, &mut alloc, 0, &params, semi, &es).unwrap();
+        assert_eq!(dict.attempt(), 0);
         assert_eq!(dict.lookup_bound(&disks), 1);
         for (k, s) in &es {
             let out = dict.lookup(&mut disks, *k);
@@ -293,26 +328,27 @@ mod tests {
     fn unstriped_build_saves_factor_d_space() {
         // Same graph, striped vs flat: the striped build's field array is
         // ~d× larger (the §5 trade).
-        let semi = SemiExplicitExpander::build(SemiExplicitConfig {
+        let semi_at = semi_at(SemiExplicitConfig {
             universe: 1 << 20,
             capacity: 128,
             beta: 0.5,
             epsilon: 1.0 / 12.0,
             seed: 0x8EAE,
             stage_degree_cap: 6,
-        })
-        .unwrap();
+        });
+        let semi = semi_at(0x8EAE);
         let d = semi.degree();
         let v_unstriped = semi.right_size();
-        let striped = expander::TriviallyStriped::new(semi.clone());
+        let striped = expander::TriviallyStriped::new(semi);
         assert_eq!(striped.right_size(), v_unstriped * d);
 
         let cfg = PdmConfig::new(d, 64).with_model(Model::ParallelDiskHead);
         let mut disks = DiskArray::new(cfg, 0);
         let mut alloc = DiskAllocator::new(d);
         let es = entries(128, 1, 1 << 20);
-        let params = DictParams::new(128, 1 << 20, 1).with_degree(d);
-        let flat = HeadModelOneProbe::build(&mut disks, &mut alloc, 0, &params, semi, &es).unwrap();
+        let params = DictParams::new(128, 1 << 20, 1).with_degree(d).with_seed(0x8EAE);
+        let flat = HeadModelOneProbe::build(&mut disks, &mut alloc, 0, &params, semi_at, &es).unwrap();
+        assert_eq!(flat.attempt(), 0);
 
         let mut disks2 = DiskArray::new(PdmConfig::new(d, 64), 0);
         let mut alloc2 = DiskAllocator::new(d);
@@ -336,15 +372,49 @@ mod tests {
 
     #[test]
     fn works_with_plain_seeded_graph_too() {
-        let g = SeededExpander::new(1 << 24, 8 * 150, 13, 0x8EAF);
+        let g = |seed| SeededExpander::new(1 << 24, 8 * 150, 13, seed);
         let cfg = PdmConfig::new(13, 64).with_model(Model::ParallelDiskHead);
         let mut disks = DiskArray::new(cfg, 0);
         let mut alloc = DiskAllocator::new(13);
         let es = entries(150, 1, 1 << 24);
-        let params = DictParams::new(150, 1 << 24, 1).with_degree(13);
+        let params = DictParams::new(150, 1 << 24, 1).with_degree(13).with_seed(0x8EAF);
         let dict = HeadModelOneProbe::build(&mut disks, &mut alloc, 0, &params, g, &es).unwrap();
         for (k, s) in &es {
             assert_eq!(dict.lookup(&mut disks, *k).satellite.as_ref(), Some(s));
         }
+    }
+
+    /// A graph that fails to expand is redrawn at the next attempt's seed,
+    /// and a failed attempt leaves nothing behind: the array and allocator
+    /// end as a first-try build over the graph that expanded leaves them.
+    /// A family that never expands is an error once every attempt failed,
+    /// with every block given back.
+    #[test]
+    fn a_graph_that_does_not_expand_is_redrawn_at_the_next_seed() {
+        let es = entries(150, 1, 1 << 24);
+        let params = DictParams::new(150, 1 << 24, 1).with_degree(13).with_seed(0x8EB0);
+        let run = |params: &DictParams, graph: &dyn Fn(u64) -> SeededExpander| {
+            let mut disks = DiskArray::new(PdmConfig::new(13, 64).with_model(Model::ParallelDiskHead), 0);
+            let mut alloc = DiskAllocator::new(13);
+            let built = HeadModelOneProbe::build(&mut disks, &mut alloc, 0, params, graph, &es);
+            (built, disks, alloc)
+        };
+        // 4 right vertices a stripe cannot give 150 keys 9 unique neighbours each.
+        let first_fails = |seed| SeededExpander::new(1 << 24, if seed == 0x8EB0 { 4 } else { 8 * 150 }, 13, seed);
+        let (built, mut disks, alloc) = run(&params, &first_fails);
+        let dict = built.unwrap();
+        assert_eq!(dict.attempt(), 1);
+        for (k, s) in &es {
+            assert_eq!(dict.lookup(&mut disks, *k).satellite.as_ref(), Some(s));
+        }
+        let (again, first_try, first_alloc) = run(&params.with_seed(super::super::attempt_seed(0x8EB0, 1)), &first_fails);
+        assert_eq!(again.unwrap().attempt(), 0);
+        assert_eq!(disks.snapshot(), first_try.snapshot(), "the failed attempt left nothing behind");
+        assert!((0..13).all(|d| alloc.used_blocks(d) == first_alloc.used_blocks(d)));
+
+        let never = |seed| SeededExpander::new(1 << 24, 4, 13, seed);
+        let (built, disks, alloc) = run(&params, &never);
+        assert!(built.unwrap_err().is_expansion_failure());
+        assert!((0..13).all(|d| disks.blocks_on(d) == 0 && alloc.used_blocks(d) == 0));
     }
 }

@@ -89,6 +89,8 @@ impl Manifest {
 pub struct OneProbeStatic<G: NeighborFn = FamilyExpander> {
     variant: VariantImpl,
     graph: G,
+    /// The build attempt whose graph this is ([`super::attempt_seed`]).
+    attempt: u32,
     n: usize,
     sigma_words: usize,
 }
@@ -97,9 +99,13 @@ impl OneProbeStatic<FamilyExpander> {
     /// Build the dictionary for `entries` (keys with equal-width
     /// satellite data) starting at `first_disk`, drawing an expander
     /// from `params.family` with seed `params.seed`. Case (a) uses `2d`
-    /// disks, case (b) uses `d`.
+    /// disks, case (b) uses `d`. A graph that fails to expand for
+    /// `entries` is redrawn at the next attempt's seed
+    /// ([`super::BUILD_ATTEMPTS`]); [`attempt`](Self::attempt) says which
+    /// one the structure holds.
     ///
-    /// Returns the structure and the measured construction cost.
+    /// Returns the structure and the measured construction cost (of the
+    /// attempt that succeeded).
     pub fn build(
         disks: &mut DiskArray,
         alloc: &mut DiskAllocator,
@@ -111,10 +117,12 @@ impl OneProbeStatic<FamilyExpander> {
         // (n, ε)-expander with v = slack·n·d, i.e. slack·n per stripe.
         let n = entries.len().max(1);
         let stripe = ((params.right_slack * n as f64).ceil() as usize).max(4);
-        let graph = params
-            .family
-            .build(params.universe, stripe, params.degree, params.seed);
-        Self::build_with_graph(disks, alloc, first_disk, params, variant, graph, entries)
+        let ((dict, stats), attempt) = super::with_retries(disks, alloc, |disks, alloc, attempt| {
+            let params = DictParams { seed: super::attempt_seed(params.seed, attempt), ..*params };
+            let graph = params.family.build(params.universe, stripe, params.degree, params.seed);
+            Self::build_with_graph(disks, alloc, first_disk, &params, variant, graph, entries)
+        })?;
+        Ok((OneProbeStatic { attempt, ..dict }, stats))
     }
 }
 
@@ -202,6 +210,7 @@ impl<G: NeighborFn> OneProbeStatic<G> {
                             manifest,
                         },
                         graph,
+                        attempt: 0,
                         n: entries.len(),
                         sigma_words,
                     },
@@ -254,6 +263,7 @@ impl<G: NeighborFn> OneProbeStatic<G> {
                             enc,
                         },
                         graph,
+                        attempt: 0,
                         n: entries.len(),
                         sigma_words,
                     },
@@ -323,6 +333,13 @@ impl<G: NeighborFn> OneProbeStatic<G> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+
+    /// The build attempt whose graph this structure holds: 0 for a graph
+    /// that expanded at the configured seed (always, over a caller's graph).
+    #[must_use]
+    pub fn attempt(&self) -> u32 {
+        self.attempt
     }
 
     /// Satellite width in words.
@@ -846,6 +863,39 @@ mod tests {
         }
         assert!(found < es.len(), "a dead disk must lose some chains");
         assert!(found > 0, "keys avoiding the dead disk must still decode");
+    }
+
+    /// The default family over 300 keys at seed 111 (the first seed the
+    /// catalogue's seed sweep saw fail at d = 13) does not expand; the build
+    /// redraws the graph, and a failed attempt leaves nothing behind: the
+    /// array and allocator end exactly as a first-try build over the graph
+    /// that expanded leaves them, in both cases.
+    #[test]
+    fn a_graph_that_does_not_expand_is_redrawn_and_the_failure_leaves_nothing() {
+        let es: Vec<(u64, Vec<Word>)> = (0..300u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9) % (1 << 20))
+            .map(|k| (k, vec![k, k ^ (1 << 32)]))
+            .collect();
+        for (variant, nd) in [(OneProbeVariant::CaseB, 13), (OneProbeVariant::CaseA, 26)] {
+            let build = |seed| {
+                let mut disks = DiskArray::new(PdmConfig::new(nd, 64), 0);
+                let mut alloc = DiskAllocator::new(nd);
+                let params = DictParams::new(300, 1 << 21, 2).with_degree(13).with_epsilon(0.5).with_seed(seed);
+                let (dict, _) = OneProbeStatic::build(&mut disks, &mut alloc, 0, &params, variant, &es).unwrap();
+                (disks, alloc, dict)
+            };
+            let (mut disks, alloc, dict) = build(111);
+            assert!(dict.attempt() > 0, "{variant:?}: seed 111 expanded at once");
+            let (first_try, first_alloc, again) = build(super::super::attempt_seed(111, dict.attempt()));
+            assert_eq!(again.attempt(), 0);
+            assert_eq!(disks.snapshot(), first_try.snapshot(), "{variant:?}");
+            assert!((0..nd).all(|d| alloc.used_blocks(d) == first_alloc.used_blocks(d)), "{variant:?}");
+            for (key, sat) in &es {
+                assert_eq!(dict.lookup_shared(&disks, *key).satellite.as_ref(), Some(sat), "{variant:?}");
+            }
+            let report = dict.scrub(&mut disks);
+            assert_eq!((report.checksum_failures, report.unrepairable_keys), (0, 0), "{variant:?}");
+        }
     }
 
     #[test]

@@ -430,13 +430,17 @@ impl DiskArray {
         }
     }
 
-    /// Give up every block at index `first_block` or above on the disks
+    /// Give back every block at index `first_block` or above on the disks
     /// `first_disk .. first_disk + disks` (no I/O charged — the same
     /// standing as [`grow`](DiskArray::grow): it models handing space
-    /// back, not moving data). Discarded blocks read as zeros; with
-    /// integrity enabled they are re-sealed over the zeros and lose their
+    /// back, not moving data). The disks end at `first_block` afterwards
+    /// ([`StorageBackend::discard_tail`]), their seals with them, and a
+    /// later [`grow_disks`](DiskArray::grow_disks) brings the range back
+    /// zeroed and sealed. A backend that keeps its lengths (the trait's
+    /// default) reads zeros over the range instead: with integrity enabled
+    /// those blocks are re-sealed over the zeros and lose their
     /// verified-clean bit, so a recycled block can never read as a
-    /// checksum mismatch. Returns the number of blocks discarded.
+    /// checksum mismatch. Returns the number of blocks given up.
     ///
     /// The caller must first make sure no journal intent still names a
     /// block of the range ([`journal_checkpoint`](DiskArray::journal_checkpoint)):
@@ -459,13 +463,15 @@ impl DiskArray {
         if self.crash_fired() {
             return 0;
         }
+        let range = first_disk..first_disk + disks;
+        let discarded = range.clone().map(|d| self.backend.blocks_on(d).saturating_sub(first_block) as u64).sum();
         self.backend.discard_tail(first_disk, disks, first_block);
-        let zeros = vec![0 as Word; self.cfg.block_words];
-        let mut discarded = 0;
-        for d in first_disk..first_disk + disks {
-            let end = self.backend.blocks_on(d);
-            discarded += end.saturating_sub(first_block) as u64;
-            if let Some(sums) = &mut self.checksums {
+        if let Some(sums) = &mut self.checksums {
+            let zeros = vec![0 as Word; self.cfg.block_words];
+            for d in range {
+                let end = self.backend.blocks_on(d);
+                sums[d].truncate(end);
+                self.verified_clean[d].truncate(end);
                 for (b, sum) in sums[d].iter_mut().enumerate().skip(first_block) {
                     *sum = self.codec.checksum(BlockAddr::new(d, b), &zeros);
                     self.verified_clean[d][b] = false;
@@ -1528,13 +1534,18 @@ mod tests {
         let before = disks.stats();
         assert_eq!(disks.discard_tail(2, 2, 1), 6);
         assert_eq!(disks.stats(), before, "discard is uncharged");
-        assert_eq!(disks.blocks_on(2), 4, "lengths unchanged");
+        let lens: Vec<usize> = (0..4).map(|d| disks.blocks_on(d)).collect();
+        assert_eq!(lens, [4, 4, 1, 1], "the range is given back");
+        assert_eq!(disks.verified_clean_blocks(), 4 + 4 + 1 + 1, "its seals with it");
+        assert_eq!(disks.materialised_blocks(), Some(10));
+        assert_eq!(disks.scrub_verify().checksum_failures, 0);
+        // Regrown, the range reads zeros, sealed; and takes writes.
+        disks.grow_disks(2, 2, 4);
         let gone = BlockAddr::new(3, 2);
         let out = disks.read(&[gone, BlockAddr::new(2, 0), BlockAddr::new(1, 3)], ReadOptions::verified());
         assert!(out.all_ok(), "a recycled block must not read as a mismatch: {:?}", out.healths);
         assert_eq!(out.blocks.into_buf().into_words(), [[0; 8], [3; 8], [3; 8]].concat());
         assert_eq!(disks.scrub_verify().checksum_failures, 0);
-        // Recycled blocks take writes like any other.
         disks.write_block(gone, &[4; 8]);
         assert_eq!(disks.read_block(gone), vec![4; 8]);
     }

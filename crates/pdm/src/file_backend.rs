@@ -19,11 +19,13 @@
 //! up front, so wall-clock measurements time I/O, not filesystem metadata
 //! churn.
 //!
-//! Growing lengthens the files, then renames `meta.tmp` over `meta`, so a
-//! kill at any point leaves a directory that opens: [`FileBackend::open`]
-//! trims a file longer than its recorded length (blocks never handed out)
-//! and rejects a shorter or missing one with a typed error. Neither step
-//! is synced; the next barrier a writer waits on covers them.
+//! Growing lengthens the files, then renames `meta.tmp` over `meta`; a
+//! discard renames the shorter `meta` in first, then truncates the files.
+//! Either way a kill at any point leaves a directory that opens:
+//! [`FileBackend::open`] trims a file longer than its recorded length
+//! (blocks never handed out, or already given back) and rejects a shorter
+//! or missing one with a typed error. Neither step is synced; the next
+//! barrier a writer waits on covers them.
 //!
 //! ## Durability and `O_DIRECT`
 //!
@@ -300,8 +302,8 @@ impl FileBackend {
     /// Open an existing backend directory, verifying the recorded
     /// geometry against the disk files actually present.
     ///
-    /// A disk file longer than its recorded length (a kill inside a grow)
-    /// is trimmed back to it.
+    /// A disk file longer than its recorded length (a kill inside a grow
+    /// or a discard) is trimmed back to it.
     /// # Errors
     /// Typed [`BackendError`] on a missing/corrupt `meta`, a **missing
     /// disk file**, or a disk file shorter than the meta geometry needs
@@ -562,18 +564,21 @@ impl StorageBackend for FileBackend {
         }
     }
 
-    /// Truncates each file to `first_block` blocks and extends it back to
-    /// full length: the filesystem drops the extents and serves the range
-    /// as zeros (a hole on filesystems with sparse files) without a zero
-    /// being written. The range is no longer materialized; later writes
-    /// into it pay extent allocation again.
+    /// Replaces `meta` with the shorter lengths, then truncates the files:
+    /// a kill between the two leaves files longer than their meta, which
+    /// [`open`](FileBackend::open) trims.
     fn discard_tail(&mut self, first_disk: usize, disks: usize, first_block: usize) {
-        for d in first_disk..first_disk + disks {
-            if first_block < self.blocks[d] {
-                let f = &self.control[d];
-                f.set_len(self.offset_of(first_block)).expect("truncating disk file");
-                f.set_len(self.offset_of(self.blocks[d])).expect("re-extending disk file");
-            }
+        let range = first_disk..first_disk + disks;
+        let shorter: Vec<usize> = range.filter(|&d| self.blocks[d] > first_block).collect();
+        if shorter.is_empty() {
+            return;
+        }
+        for &d in &shorter {
+            self.blocks[d] = first_block;
+        }
+        Self::write_meta(&self.dir, self.block_words, &self.blocks).expect("rewriting meta before a discard");
+        for d in shorter {
+            self.control[d].set_len(self.offset_of(first_block)).expect("truncating disk file");
         }
     }
 
@@ -836,6 +841,8 @@ mod tests {
             fb.grow_disks(1, 3, 2); // disk 1 stays at 3
             fb.poke(BlockAddr::new(1, 2), &[6; 4]);
             fb.discard_tail(0, 4, 1); // disk 0 and the short ones alike
+            fb.grow_disks(0, 2, 3);
+            fb.grow_disks(2, 2, 2);
             fb.poke(BlockAddr::new(3, 1), &[8; 4]);
         }
         let body = std::fs::read_to_string(dir.join("meta")).unwrap();
@@ -909,7 +916,14 @@ mod tests {
                 }
             }
             fb.discard_tail(1, 2, 2);
-            // Workers hold their own handles: they must see the zeros too.
+            assert_eq!((0..3).map(|d| fb.blocks_on(d)).collect::<Vec<_>>(), [4, 2, 2]);
+            let body = std::fs::read_to_string(dir.join("meta")).unwrap();
+            assert!(body.contains("blocks 4 2 2"), "{body}");
+            let len = std::fs::metadata(disk_path(&dir, 2)).unwrap().len();
+            assert_eq!(len, 2 * 4 * WORD_BYTES as u64, "the file is truncated");
+            // Regrown, the range reads zeros — through the workers' own
+            // handles too — and takes writes again.
+            fb.grow_disks(1, 2, 4);
             let got = fb.submit(IoSubmission::reads(&[
                 BlockAddr::new(1, 1),
                 BlockAddr::new(1, 2),
@@ -917,16 +931,37 @@ mod tests {
                 BlockAddr::new(0, 3),
             ]));
             assert_eq!(got.reads.into_words(), [[9; 4], [0; 4], [0; 4], [9; 4]].concat());
-            // A discarded block takes writes again.
             let w = [5 as Word; 4];
             let writes: Vec<(BlockAddr, &[Word])> = vec![(BlockAddr::new(2, 3), &w[..])];
             fb.submit(IoSubmission::writes(&writes).with_sync(true));
         }
         let fb = FileBackend::open(&dir, FileBackendOptions::default()).unwrap();
-        assert_eq!(fb.blocks_on(1), 4, "lengths unchanged");
+        assert_eq!(fb.blocks_on(1), 4);
         assert_eq!(fb.peek(BlockAddr::new(1, 3)), vec![0; 4]);
         assert_eq!(fb.peek(BlockAddr::new(2, 3)), vec![5; 4]);
         assert_eq!(fb.peek(BlockAddr::new(2, 1)), vec![9; 4]);
+        drop(fb);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A kill between a discard's two steps — `meta` replaced, files not yet
+    /// truncated — leaves a directory that opens at the new geometry.
+    #[test]
+    fn a_kill_between_a_discards_meta_and_its_truncation_reopens_trimmed() {
+        let dir = tmpdir("killeddiscard");
+        {
+            let mut fb = FileBackend::create(&dir, 2, 4, 4, FileBackendOptions::default()).unwrap();
+            fb.poke(BlockAddr::new(1, 1), &[5; 4]);
+            fb.poke(BlockAddr::new(1, 3), &[7; 4]);
+        }
+        FileBackend::write_meta(&dir, 4, &[4, 2]).unwrap();
+        let mut fb = FileBackend::open(&dir, FileBackendOptions::default()).unwrap();
+        assert_eq!((fb.blocks_on(0), fb.blocks_on(1)), (4, 2));
+        let len = std::fs::metadata(disk_path(&dir, 1)).unwrap().len();
+        assert_eq!(len, 2 * 4 * WORD_BYTES as u64, "trimmed to its recorded length");
+        assert_eq!(fb.peek(BlockAddr::new(1, 1)), vec![5; 4]);
+        fb.grow_disks(1, 1, 4);
+        assert_eq!(fb.peek(BlockAddr::new(1, 3)), vec![0; 4], "what was given back stays gone");
         drop(fb);
         let _ = std::fs::remove_dir_all(&dir);
     }

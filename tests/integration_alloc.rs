@@ -33,14 +33,16 @@
 //! `B` words per block its shard's array materialised during it, and the
 //! remainder is held to the budgets. The same binary gates the memory side
 //! of Theorem 7's reservation: on an `engine_cold`-shaped shard, the blocks
-//! 32 768 inserts materialise are what their keys reach, and no deep level.
+//! 32 768 inserts materialise are what their keys reach, and no deep level;
+//! and of global rebuilding: a rebuilding dictionary that gives a slot back
+//! lays the next one out over the same blocks, allocating none.
 //!
 //! The counting allocator lives in this test binary only, and counts per
 //! thread, so the harness's own threads do not disturb it.
 
 use pdm::{BlockAddr, DiskArray, MemBackend, OpCost, PdmConfig, Word};
 use pdm_dict::layout::DiskAllocator;
-use pdm_dict::{Dict, DictHandle, DictParams, DynamicDict};
+use pdm_dict::{Dict, DictHandle, DictParams, Dictionary, DynamicDict};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -49,6 +51,9 @@ mod harness;
 thread_local! {
     /// (allocations, bytes) made by this thread.
     static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// Allocations of exactly one block's bytes this thread holds: made
+    /// less freed.
+    static LIVE_BLOCKS: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -59,10 +64,17 @@ fn count(bytes: usize) {
         let (n, b) = c.get();
         c.set((n + 1, b + bytes as u64));
     });
+    live(bytes, 1);
+}
+
+fn live(bytes: usize, delta: i64) {
+    if bytes as u64 == BLOCK_BYTES {
+        let _ = LIVE_BLOCKS.try_with(|c| c.set(c.get() + delta));
+    }
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counting touches only a thread-local `Cell`.
+// `GlobalAlloc` contract; the counting touches only thread-local `Cell`s.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
@@ -76,10 +88,12 @@ unsafe impl GlobalAlloc for Counting {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        live(layout.size(), -1);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(layout.size(), -1);
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -335,4 +349,47 @@ fn an_engine_cold_shaped_shard_materialises_only_what_its_keys_reach() {
     for (region, blocks, n) in &regions {
         println!("  {region}: {n} of {blocks} written");
     }
+}
+
+/// A finished rebuild gives its old slot back, and the backend keeps the
+/// slot's blocks, zeroed, on its spare list for the next writes. Under a
+/// steady live set (one key in, one out) every rebuild is at one capacity;
+/// once the first rebuilds have brought both slots to what a tenant of
+/// that capacity writes (they hold 89, 15 and 2 more blocks when this was
+/// written), a rebuild's window — from its start to the swap, discard
+/// included — ends holding exactly the blocks it started with: the
+/// replacement is laid out over blocks the one before it gave back, and no
+/// block is allocated for it or freed after it. (Counted as allocations of
+/// one block's bytes this thread holds, made less freed: a discard that
+/// freed its blocks instead reads −22 to −30 a window here.)
+#[test]
+fn a_rebuild_at_the_capacity_of_the_last_allocates_no_block() {
+    let params = DictParams::new(98, 1 << 40, 2).with_degree(20).with_epsilon(0.5).with_seed(0x5BA7E).with_journal(2);
+    let mut dict = Dictionary::new(params, BLOCK_WORDS).unwrap();
+    let live = 48;
+    for i in 0..live {
+        dict.insert(key(0, i), &[i, !i]).unwrap();
+    }
+    let mut next = live;
+    let mut step = |dict: &mut Dictionary| {
+        dict.insert(key(0, next), &[next, !next]).unwrap();
+        assert!(dict.delete(key(0, next - live)).unwrap().0);
+        next += 1;
+    };
+    // Blocks held after each of ten rebuilds less before it.
+    let mut blocks = Vec::new();
+    for _ in 0..10 {
+        while !dict.is_rebuilding() {
+            step(&mut dict);
+        }
+        let (before, rebuilds) = (LIVE_BLOCKS.with(Cell::get), dict.rebuilds());
+        while dict.rebuilds() == rebuilds {
+            step(&mut dict);
+        }
+        blocks.push(LIVE_BLOCKS.with(Cell::get) - before);
+        assert_eq!(dict.capacity(), params.capacity, "every rebuild at one capacity");
+    }
+    println!("blocks each rebuild left held: {blocks:?}");
+    assert!(blocks[0] > 0, "the first replacement's slot was never written: the count misses blocks");
+    assert!(blocks[3..].iter().all(|&n| n == 0), "{blocks:?}");
 }

@@ -278,7 +278,8 @@ fn grow_is_bit_compatible_and_durable() {
 }
 
 /// Per-disk extents: interleaved `grow_disks` over overlapping disk
-/// ranges, a discard and writes into the grown blocks, integrity on.
+/// ranges, a discard that shortens two disks and the regrowth after it,
+/// and writes into the grown blocks, integrity on.
 /// Lengths, contents and seals must agree between the media at every
 /// step, and the file array must come back from its directory alone with
 /// the same ragged geometry.
@@ -295,7 +296,16 @@ fn ragged_growth_is_bit_compatible_and_durable() {
             let blocks = BLOCKS + (mix(&mut s) as usize) % 24;
             disks.grow_disks(first, count, blocks);
             if step == 5 {
+                let longest = (1..3).map(|d| disks.blocks_on(d)).max().unwrap();
                 assert!(disks.discard_tail(1, 2, BLOCKS + 2) > 0);
+                assert!((1..3).all(|d| disks.blocks_on(d) <= BLOCKS + 2), "{:?}", lens(disks));
+                // Regrown past where it ended, the range reads zeros.
+                disks.grow_disks(1, 2, longest + 1);
+                for d in 1..3 {
+                    for b in BLOCKS + 2..=longest {
+                        assert_eq!(disks.peek(BlockAddr::new(d, b)), vec![0; B], "({d}, {b})");
+                    }
+                }
             }
             // The last block of every disk of the range takes a write,
             // whether this call lengthened the disk or not.
