@@ -4,7 +4,7 @@
 //! A [`Front`] is one of the paper's dictionaries with its shape (degree,
 //! block size, universe, satellite width, hash family, journal ring) and
 //! the quirks the differential suites branch on; [`Front::try_build`] puts
-//! it behind `Box<dyn Dict + Send>`. [`fronts_with`] lists the seven the
+//! it behind `Box<dyn Dict + Send>`. [`fronts_with`] lists the nine the
 //! suites and the drill binaries run; a caller that wants another shape
 //! overrides the fields it means (`Front { degree: 20, ..front("basic") }`).
 //! [`Figure1`] is the paper's comparison table: four of those fronts at the
@@ -196,7 +196,24 @@ pub fn fronts_with(family: FamilyKind) -> Vec<Front> {
         intra_batch_dup: true,
         typed_delete: false,
     };
-    let dynamic = plain("dynamic", "§4.3 dynamic (det.)", Structure::Dynamic, 20, 64, 2);
+    let dynamic = Front { typed_delete: true, ..plain("dynamic", "§4.3 dynamic (det.)", Structure::Dynamic, 20, 64, 2) };
+    // Four-word records outgrow a 64-word bucket at every capacity the
+    // suites use (16 slots of 6 words at 192 keys, more above), so these
+    // keep Theorem 7's chains where the two-word fronts store records
+    // inline below 256 keys.
+    let chained = Front {
+        name: "dynamic_chained",
+        title: "§4.3 dynamic, chained records (det.)",
+        sigma: 4,
+        ..dynamic.clone()
+    };
+    let journaled = |front: &Front, name, title| Front {
+        name,
+        title,
+        journal_rows: JOURNAL_ROWS,
+        byte_identical: false,
+        ..front.clone()
+    };
     let one_probe = |name, title, variant| Front {
         min_keys: 20,
         is_static: true,
@@ -206,16 +223,9 @@ pub fn fronts_with(family: FamilyKind) -> Vec<Front> {
     };
     vec![
         plain("basic", "§4.1 basic (det.)", Structure::Basic, 8, 64, 1),
-        Front { typed_delete: true, ..dynamic.clone() },
+        dynamic.clone(),
         plain("wide", "§4.1 wide k=d/2 (det.)", Structure::Wide, 16, 128, 16),
-        Front {
-            name: "dynamic_journaled",
-            title: "§4.3 dynamic, journaled (det.)",
-            journal_rows: JOURNAL_ROWS,
-            byte_identical: false,
-            typed_delete: true,
-            ..dynamic
-        },
+        journaled(&dynamic, "dynamic_journaled", "§4.3 dynamic, journaled (det.)"),
         one_probe("one_probe_b", "§4.2 one-probe b (det., static)", OneProbeVariant::CaseB),
         one_probe("one_probe_a", "§4.2 one-probe a (det., static)", OneProbeVariant::CaseA),
         Front {
@@ -225,6 +235,8 @@ pub fn fronts_with(family: FamilyKind) -> Vec<Front> {
             typed_delete: true,
             ..plain("rebuild", "§4.3 + global rebuilding (det.)", Structure::Rebuild, 20, 64, 1)
         },
+        chained.clone(),
+        journaled(&chained, "dynamic_chained_journaled", "§4.3 dynamic, chained records, journaled (det.)"),
     ]
 }
 

@@ -27,8 +27,21 @@
 //! parallel I/O; keys living on level 1 (all but a `≤ ɛ` fraction) finish
 //! there, others pay one more I/O for their level. Unsuccessful searches
 //! are always exactly 1 I/O.
+//!
+//! **A record that fits its membership slot is stored there.** The
+//! membership dictionary already keeps a payload per key in a one-block
+//! bucket. When a bucket of `[flags, key, σ words]` slots fits one block —
+//! `slot_words(σ) × bucket_slots(N) ≤ B`, a function of the record width,
+//! the capacity and the block size alone — the payload *is* the satellite
+//! and no retrieval level is laid out: Section 4.1's dictionary, with its
+//! 1-I/O lookups and 2-I/O updates worst case. Otherwise the chain above,
+//! unchanged. Everything around the two layouts (batches, journal intents
+//! and replay, tombstones, reopen, degraded reads, migration) is one
+//! implementation; where the chained layout reads or writes fields the
+//! inline one has none.
 
 use crate::basic::{BasicDict, BasicDictConfig, BucketPatch};
+use crate::bucket::BucketCodec;
 use crate::config::DictParams;
 use crate::fields::{FieldArray, FieldPos};
 use crate::layout::{DiskAllocator, SpaceRow};
@@ -63,18 +76,27 @@ pub(crate) const META_MIGRATE_BATCH: Word = 4;
 pub(crate) const META_TOMBSTONES: Word = 5;
 
 /// One key's first-round probe: its membership buckets followed by its
-/// level-1 candidate fields — `2d` blocks on the structure's `2d` disks,
-/// one parallel I/O, and all a miss or a level-1 key ever needs. Computed
-/// apart from the read, its addresses appended to the caller's list, so a
-/// caller holding two structures on disjoint disks (the global-rebuilding
-/// wrapper) can fetch both probes at once.
+/// level-1 candidate fields — `2d` blocks on the structure's `2d` disks
+/// (`d` membership blocks when records are inline), one parallel I/O, and
+/// all a miss or a level-1 key ever needs. Computed apart from the read,
+/// its addresses appended to the caller's list, so a caller holding two
+/// structures on disjoint disks (the global-rebuilding wrapper) can fetch
+/// both probes at once.
 #[derive(Debug, Clone)]
 pub(crate) struct Probe {
     /// How many of the probe's addresses are membership addresses; the
-    /// rest are the level-1 field addresses.
+    /// rest are the level-1 field addresses (none when records are inline).
     pub(crate) msplit: usize,
     /// The key's candidate field on each stripe of level 1.
     fields0: Vec<usize>,
+}
+
+/// Where a membership record says its key's satellite lies.
+enum Located {
+    /// In the record itself: the inline layout.
+    Inline(Vec<Word>),
+    /// In a chain of fields, not yet read.
+    Chain(DeeperRecord),
 }
 
 /// What a key's first-round blocks say about it.
@@ -89,7 +111,8 @@ pub(crate) enum FirstRound {
     Deeper(DeeperRecord),
 }
 
-/// A record on a level past the first, located but not yet read.
+/// A record's chain, located but not yet read: on a level past the first
+/// for a lookup, on any level for a migration step.
 #[derive(Debug)]
 pub(crate) struct DeeperRecord {
     level: usize,
@@ -197,10 +220,13 @@ fn positions(fields: &[usize]) -> impl Iterator<Item = FieldPos> + '_ {
 pub struct DynamicDict {
     params: DictParams,
     membership: BasicDict,
+    /// The retrieval levels; none when records are inline.
     levels: Vec<Level>,
     enc: Chain,
     len: usize,
     insertions: usize,
+    /// Keys stored per level: one population, level 1's, when records are
+    /// inline.
     level_population: Vec<usize>,
     /// Keys stored here as *copies* of records a migration source still
     /// holds ([`Self::migrate_from`]); the global-rebuilding wrapper's
@@ -218,8 +244,27 @@ struct Level {
 }
 
 impl DynamicDict {
+    /// Whether a record of `params`' width is stored in its membership
+    /// slot on blocks of `block_words` words: a bucket of `[flags, key,
+    /// σ words]` slots, sized for the capacity, fits one block. Derived,
+    /// never set — the layout is a function of (σ, N, B) alone.
+    #[must_use]
+    pub fn records_inline(params: &DictParams, block_words: usize) -> bool {
+        let sigma = params.satellite_words;
+        let cfg = BasicDictConfig::log_load(params.capacity.max(2), params.universe, params.degree.max(1), sigma, 0);
+        BucketCodec::new(sigma).slot_words() * cfg.bucket_slots <= block_words
+    }
+
+    /// Whether this instance stores its records inline (no retrieval
+    /// level): [`Self::records_inline`] of its parameters and block size.
+    #[must_use]
+    pub fn is_inline(&self) -> bool {
+        self.levels.is_empty()
+    }
+
     /// Create an empty dictionary on disks
-    /// `first_disk .. first_disk + 2d`.
+    /// `first_disk .. first_disk + 2d`; the retrieval disks `d..2d` stay
+    /// empty when records are [inline](Self::records_inline).
     pub fn create(
         disks: &mut DiskArray,
         alloc: &mut DiskAllocator,
@@ -252,10 +297,12 @@ impl DynamicDict {
             });
         }
 
-        // Membership payload: head stripe + level, packed into one word.
-        let mcfg =
-            BasicDictConfig::log_load(n_cap, params.universe, d, 1, params.seed ^ 0x4D45_4D42)
-                .with_family(params.family);
+        // Membership payload: the satellite itself when it fits, else the
+        // head stripe + level, packed into one word.
+        let inline = Self::records_inline(&params, disks.block_words());
+        let payload_words = if inline { params.satellite_words } else { 1 };
+        let mcfg = BasicDictConfig::log_load(n_cap, params.universe, d, payload_words, params.seed ^ 0x4D45_4D42)
+            .with_family(params.family);
         let membership = BasicDict::create(disks, alloc, first_disk, mcfg)?;
         if membership.blocks_per_bucket() != 1 {
             return Err(DictError::UnsupportedParams(format!(
@@ -267,7 +314,7 @@ impl DynamicDict {
         }
 
         // Retrieval levels, sizes v·(6ε)^{i-1}, each its own expander.
-        let l = params::theorem7_levels(n_cap, graph_eps).max(1);
+        let l = if inline { 0 } else { params::theorem7_levels(n_cap, graph_eps).max(1) };
         let shrink = 6.0 * graph_eps;
         let mut levels = Vec::with_capacity(l);
         let mut stripe = ((params.right_slack * n_cap as f64).ceil() as usize).max(4);
@@ -291,7 +338,7 @@ impl DynamicDict {
             enc,
             len: 0,
             insertions: 0,
-            level_population: vec![0; l],
+            level_population: vec![0; l.max(1)],
             copies: 0,
             journal_seq: disks.last_journal_seq(),
         })
@@ -337,13 +384,14 @@ impl DynamicDict {
     }
 
     /// Instance tag recorded as `meta[0]` of every journal entry and
-    /// checkpoint: the placement of the level-1 field region, unique per
-    /// live instance (the allocator hands out disjoint regions). Replay
-    /// reconciliation filters on it, so two structures sharing one
-    /// journal (the active dictionary and its rebuild replacement) only
-    /// consume their own deltas.
+    /// checkpoint: the placement of the level-1 field region (of the
+    /// membership region when records are inline), unique per live
+    /// instance (the allocator hands out disjoint regions, and the two lie
+    /// on different disks of a slot). Replay reconciliation filters on it,
+    /// so two structures sharing one journal (the active dictionary and its
+    /// rebuild replacement) only consume their own deltas.
     pub(crate) fn meta_tag(&self) -> Word {
-        let r = self.levels[0].fields.region();
+        let r = self.levels.first().map_or(self.membership.region(), |level| level.fields.region());
         ((r.first_disk as Word) << 32) | r.first_block as Word
     }
 
@@ -359,9 +407,14 @@ impl DynamicDict {
     /// moment a group-commit truncation freezes the checkpoint at, counters
     /// and replay add up exactly.
     pub(crate) fn checkpoint_section(&self) -> Vec<Word> {
-        let mut section = vec![0; 6 + self.levels.len()];
+        let mut section = vec![0; self.section_len()];
         self.fill_section(&mut section);
         section
+    }
+
+    /// Words of [`checkpoint_section`](Self::checkpoint_section).
+    fn section_len(&self) -> usize {
+        6 + self.level_population.len()
     }
 
     /// Write [`checkpoint_section`](Self::checkpoint_section) into
@@ -369,7 +422,7 @@ impl DynamicDict {
     fn fill_section(&self, section: &mut [Word]) {
         section[..6].copy_from_slice(&[
             self.meta_tag(),
-            (4 + self.levels.len()) as Word,
+            (self.section_len() - 2) as Word,
             self.journal_seq,
             self.len as Word,
             self.insertions as Word,
@@ -404,7 +457,7 @@ impl DynamicDict {
             return false;
         };
         let section = &meta[range];
-        if section.len() != 6 + self.levels.len() {
+        if section.len() != self.section_len() {
             return false;
         }
         if section[2] >= self.journal_seq {
@@ -497,7 +550,7 @@ impl DynamicDict {
             return;
         }
         self.journal_seq = self.journal_seq.max(disks.last_journal_seq());
-        let len = 6 + self.levels.len();
+        let len = self.section_len();
         disks.journal_edit_meta(|meta| {
             let range = match self.find_section(meta) {
                 Some(range) if range.len() == len => range,
@@ -701,11 +754,14 @@ impl DynamicDict {
     /// to `addrs`.
     pub(crate) fn probe(&self, key: u64, addrs: &mut Vec<BlockAddr>) -> Probe {
         let start = addrs.len();
-        addrs.reserve(2 * self.params.degree);
+        addrs.reserve(self.probe_blocks());
         self.membership.extend_probe_addrs(key, addrs);
         let msplit = addrs.len() - start;
+        let Some(level) = self.levels.first() else {
+            return Probe { msplit, fields0: Vec::new() };
+        };
         let fields0 = self.level_fields(0, key);
-        addrs.extend(self.levels[0].fields.probe_addrs(positions(&fields0)));
+        addrs.extend(level.fields.probe_addrs(positions(&fields0)));
         Probe { msplit, fields0 }
     }
 
@@ -719,6 +775,10 @@ impl DynamicDict {
         scratch: &mut Vec<Word>,
     ) -> FirstRound {
         let mblocks = blocks.sub(0..probe.msplit);
+        if self.is_inline() {
+            let satellite = self.membership.find_with(key, &mblocks, <[Word]>::to_vec);
+            return satellite.map_or(FirstRound::Absent, |satellite| FirstRound::Here(Some(satellite)));
+        }
         let record = |payload: &[Word]| Self::unpack_payload(payload[0]);
         let Some((head, level)) = self.membership.find_with(key, &mblocks, record) else {
             return FirstRound::Absent;
@@ -728,14 +788,35 @@ impl DynamicDict {
             self.levels[0].fields.extract(positions(&probe.fields0), &fblocks0, scratch);
             return FirstRound::Here(self.decode_satellite(head, scratch));
         }
+        FirstRound::Deeper(self.chain(key, head, level))
+    }
+
+    /// Blocks of a first-round probe: `d` membership buckets, and `d`
+    /// level-1 fields unless records are inline.
+    fn probe_blocks(&self) -> usize {
+        self.params.degree * if self.is_inline() { 1 } else { 2 }
+    }
+
+    /// `key`'s chain starting at stripe `head` of `level`, located.
+    fn chain(&self, key: u64, head: usize, level: usize) -> DeeperRecord {
         let fields = self.level_fields(level, key);
         let addrs = self.levels[level].fields.probe_addrs(positions(&fields)).collect();
-        FirstRound::Deeper(DeeperRecord {
+        DeeperRecord {
             level,
             head,
             fields,
             addrs,
-        })
+        }
+    }
+
+    /// Where the membership record `payload` of `key` says its satellite
+    /// lies.
+    fn locate(&self, key: u64, payload: Vec<Word>) -> Located {
+        if self.is_inline() {
+            return Located::Inline(payload);
+        }
+        let (head, level) = Self::unpack_payload(payload[0]);
+        Located::Chain(self.chain(key, head, level))
     }
 
     /// Decode a deeper record from the blocks read for its `addrs`.
@@ -772,8 +853,9 @@ impl DynamicDict {
         (satellite, degraded)
     }
 
-    /// Lookup. 1 parallel I/O when the key is absent or lives on level 1;
-    /// 2 parallel I/Os otherwise — averaging `1 + ɛ` over stored keys.
+    /// Lookup. 1 parallel I/O when the key is absent, lives on level 1 or
+    /// records are inline; 2 parallel I/Os otherwise — averaging `1 + ɛ`
+    /// over stored keys.
     ///
     /// Reads are verified: a probe that fails (dead disk, transient
     /// window, checksum mismatch) is retried once; if damage persists the
@@ -825,7 +907,7 @@ impl DynamicDict {
     ) -> (Vec<Option<Vec<Word>>>, OpCost) {
         let scope = disks.begin_op();
         // Phase 1: membership + level-1 fields for every key, one plan.
-        let mut all: Vec<BlockAddr> = Vec::with_capacity(keys.len() * 2 * self.params.degree);
+        let mut all: Vec<BlockAddr> = Vec::with_capacity(keys.len() * self.probe_blocks());
         let mut probes = Vec::with_capacity(keys.len());
         for &key in keys {
             let start = all.len();
@@ -887,23 +969,32 @@ impl DynamicDict {
     /// one intent (`usize::MAX` without a journal): a batched insert and
     /// the migration step commit what they have staged at this many keys.
     /// An insertion changes at most a field's words (one more when it
-    /// straddles a word) in each of `m` blocks and one slot of a bucket;
-    /// keys sharing a block only share its header.
+    /// straddles a word) in each of `m` blocks — none when records are
+    /// inline — and one slot of a bucket; keys sharing a block only share
+    /// its header.
     fn intent_keys(&self, disks: &DiskArray) -> usize {
         use pdm::journal::{RUN_WORDS, TARGET_WORDS};
         let field = TARGET_WORDS + RUN_WORDS + self.enc.field_words() + 1;
-        // A slot is its flags, its key and the one payload word.
+        // A slot is its flags, its key and its payload.
         let slot = TARGET_WORDS + RUN_WORDS + 2 + self.membership.config().payload_words;
-        let per_key =
-            self.enc.fields_per_key * field + self.membership.blocks_per_bucket() * slot;
-        (disks.journal_intent_capacity(2 + self.levels.len()) / per_key).max(1)
+        let per_key = self.chain_blocks() * field + self.membership.blocks_per_bucket() * slot;
+        (disks.journal_intent_capacity(2 + self.level_population.len()) / per_key).max(1)
+    }
+
+    /// Field blocks one insertion writes: `m`, none when records are inline.
+    fn chain_blocks(&self) -> usize {
+        if self.is_inline() {
+            0
+        } else {
+            self.enc.fields_per_key
+        }
     }
 
     /// Commit the insertions `staged` holds as one journal intent tagged
     /// `op` ([`META_BATCH`] or [`META_MIGRATE_BATCH`]) whose metadata carries
-    /// their per-level counts, enough to reconcile `len`/`insertions`/
-    /// populations on replay. A key that did not land ([`Staged::commit`])
-    /// is counted out again; returns its error.
+    /// their per-level counts (one count when records are inline), enough
+    /// to reconcile `len`/`insertions`/populations on replay. A key that did
+    /// not land ([`Staged::commit`]) is counted out again; returns its error.
     fn commit_staged(
         &mut self,
         ex: &mut BatchExecutor<'_>,
@@ -911,7 +1002,7 @@ impl DynamicDict {
         staged: &mut Staged,
         results: &mut [Result<(), DictError>],
     ) -> Option<DictError> {
-        let mut meta = vec![0; 2 + self.levels.len()];
+        let mut meta = vec![0; 2 + self.level_population.len()];
         (meta[0], meta[1]) = (self.meta_tag(), op);
         for &(_, level, _) in &staged.keys {
             meta[2 + level] += 1;
@@ -973,8 +1064,12 @@ impl DynamicDict {
     ) -> (Vec<Result<(), DictError>>, OpCost) {
         let scope = disks.begin_op();
         let mut all: Vec<BlockAddr> = Vec::new();
+        // Each key's probe here, then `old`'s membership probe.
+        let mut own = 0;
         for (key, _) in entries {
+            let start = all.len();
             self.probe(*key, &mut all);
+            own = all.len() - start;
             if let Some(old) = old {
                 old.membership.extend_probe_addrs(*key, &mut all);
             }
@@ -993,7 +1088,7 @@ impl DynamicDict {
                 }
             }
             let twin = old.map_or(Ok(()), |old| {
-                let addrs = &all[i * per + 2 * self.params.degree..(i + 1) * per];
+                let addrs = &all[i * per + own..(i + 1) * per];
                 let (blocks, healths) = Self::staged_probe(&mut ex, addrs);
                 match old.membership.find_with(*key, &blocks, |_| ()) {
                     Some(()) => Err(DictError::DuplicateKey(*key)),
@@ -1093,24 +1188,34 @@ impl DynamicDict {
                 break;
             }
         }
-        let Some((level, fields, addrs, stripes)) = chosen else {
+        if chosen.is_none() && !self.is_inline() {
             return Err(DictError::LevelsExhausted { key });
-        };
+        }
 
         // Complete the membership record before staging anything: it can
         // still fail (BucketOverflow), and an aborted key must leave the
         // executor's dirty set untouched — otherwise orphaned field slots
         // would flush at commit and the batch would diverge from the
         // sequential path, which discards all writes on the same error.
-        let mpayload = [Self::pack_payload(stripes[0], level)];
-        self.membership.check_insertable(&mpayload)?;
-        let bucket = self.membership.fill(bucket, key, &mpayload)?;
-        let encoded = self.enc.encode(&stripes, satellite);
-        let fa = &self.levels[level].fields;
-        for (&s, bits) in stripes.iter().zip(encoded.chunks(self.enc.field_words())) {
-            let pos = (s, fields[s]);
-            fa.patch_words(pos, ex.stage_words(addrs[s], fa.words_of(pos)), bits);
-            staged.blocks.push(addrs[s]);
+        let packed;
+        let mpayload = match &chosen {
+            Some((level, _, _, stripes)) => {
+                packed = [Self::pack_payload(stripes[0], *level)];
+                &packed[..]
+            }
+            None => satellite,
+        };
+        self.membership.check_insertable(mpayload)?;
+        let bucket = self.membership.fill(bucket, key, mpayload)?;
+        let level = chosen.as_ref().map_or(0, |chain| chain.0);
+        if let Some((level, fields, addrs, stripes)) = chosen {
+            let encoded = self.enc.encode(&stripes, satellite);
+            let fa = &self.levels[level].fields;
+            for (&s, bits) in stripes.iter().zip(encoded.chunks(self.enc.field_words())) {
+                let pos = (s, fields[s]);
+                fa.patch_words(pos, ex.stage_words(addrs[s], fa.words_of(pos)), bits);
+                staged.blocks.push(addrs[s]);
+            }
         }
         for (a, img) in bucket.writes() {
             ex.stage_write(a, img);
@@ -1157,7 +1262,8 @@ impl DynamicDict {
     /// Insert. First-fit over the levels: `j + 1` parallel I/Os when the
     /// key lands on level `j` (1-based), averaging `2 + ɛ`: the duplicate
     /// check and level 1 share the first read, deeper levels are read on
-    /// demand, and one (journaled) write stores chain and record.
+    /// demand, and one (journaled) write stores chain and record. With
+    /// records inline: 2, the probe and the one bucket written.
     pub fn insert(
         &mut self,
         disks: &mut DiskArray,
@@ -1170,7 +1276,7 @@ impl DynamicDict {
         // membership record) becomes one intent entry — the words that
         // differ from the blocks this operation read — crash-atomic under
         // any crash point; without one it is a plain checked write.
-        let blocks = self.enc.fields_per_key + 1; // a patch is one run, seldom more
+        let blocks = self.chain_blocks() + 1; // a patch is one run, seldom more
         let mut runs = disks
             .journal_enabled()
             .then(|| Runs { runs: Vec::with_capacity(blocks), ends: Vec::with_capacity(blocks) });
@@ -1188,6 +1294,9 @@ impl DynamicDict {
                 return Err(e);
             }
             let bucket = self.membership.choose_bucket(key, &blocks.sub(0..probe.msplit))?;
+            if self.is_inline() {
+                return Ok((bucket, None));
+            }
             let fblocks0 = blocks.sub(probe.msplit..blocks.len());
             let fit =
                 self.fit_level(0, &probe.fields0, &fblocks0, fhealths0, satellite, runs.as_mut(), &mut scratch);
@@ -1213,26 +1322,30 @@ impl DynamicDict {
             chosen = fit.map(|fit| (level, fit));
             deeper = Some(laddrs);
         }
-        let Some((level, fit)) = chosen else {
+        if chosen.is_none() && !self.is_inline() {
             return Err(DictError::LevelsExhausted { key });
-        };
+        }
+        let level = chosen.as_ref().map_or(0, |(level, _)| *level);
         let faddrs = deeper.as_deref().unwrap_or(&addrs[probe.msplit..]);
 
-        // Membership record in the same write batch (disjoint disks).
-        let mpayload = [Self::pack_payload(fit.stripes[0], level)];
-        self.membership.check_insertable(&mpayload)?;
+        // Membership record in the same write batch (disjoint disks): the
+        // chain's head and level, or the record itself.
+        let packed;
+        let mpayload = match &chosen {
+            Some((level, fit)) => {
+                packed = [Self::pack_payload(fit.stripes[0], *level)];
+                &packed[..]
+            }
+            None => satellite,
+        };
+        self.membership.check_insertable(mpayload)?;
         let unfilled = runs.as_ref().map(|_| bucket.image().to_vec());
-        let bucket = self.membership.fill(bucket, key, &mpayload)?;
+        let bucket = self.membership.fill(bucket, key, mpayload)?;
         if let (Some(runs), Some(unfilled)) = (&mut runs, &unfilled) {
             runs.push_block(bucket.image(), unfilled);
         }
-        let refs: Vec<(BlockAddr, &[Word])> = fit
-            .stripes
-            .iter()
-            .map(|&s| faddrs[s])
-            .zip(fit.images.iter())
-            .chain(bucket.writes())
-            .collect();
+        let chain = chosen.iter().flat_map(|(_, fit)| fit.stripes.iter().map(|&s| faddrs[s]).zip(fit.images.iter()));
+        let refs: Vec<(BlockAddr, &[Word])> = chain.chain(bucket.writes()).collect();
         let deltas = runs.as_ref().map_or_else(Vec::new, Runs::deltas);
         let meta = [self.meta_tag(), META_INSERT, level as Word];
         let whealths = disks.journaled_delta_batch_checked(&refs, &deltas, &meta);
@@ -1413,18 +1526,12 @@ impl DynamicDict {
     }
 
     /// The live records of membership buckets `buckets` (a sub-range of
-    /// `0..membership_buckets()`), read in one charged batch: `(key, head
-    /// stripe, level)` per record, bucket by bucket. Consecutive buckets
-    /// sit on distinct disks, so a short range costs one parallel I/O.
-    fn scan_records(&self, disks: &mut DiskArray, buckets: Range<usize>) -> Vec<(u64, usize, usize)> {
-        self.membership
-            .scan_buckets(disks, buckets)
-            .into_iter()
-            .map(|(key, payload)| {
-                let (head, level) = Self::unpack_payload(payload[0]);
-                (key, head, level)
-            })
-            .collect()
+    /// `0..membership_buckets()`), read in one charged batch: each key and
+    /// where its satellite lies, bucket by bucket. Consecutive buckets sit
+    /// on distinct disks, so a short range costs one parallel I/O.
+    fn scan_records(&self, disks: &mut DiskArray, buckets: Range<usize>) -> Vec<(u64, Located)> {
+        let records = self.membership.scan_buckets(disks, buckets).into_iter();
+        records.map(|(key, payload)| (key, self.locate(key, payload))).collect()
     }
 
     /// Number of membership buckets (scan domain).
@@ -1436,17 +1543,20 @@ impl DynamicDict {
     /// How many of `old`'s membership buckets one planned batch of
     /// [`Self::migrate_from`] may cover and hold at most `blocks` blocks in
     /// memory. A bucket brings `old`'s mean load of keys; for each the
-    /// executor holds the `m + 1` blocks it stages where the backend is
-    /// memory, the `3d` blocks of its rounds (the record's fields in `old`,
-    /// the first-round probe here) where rounds are copied out. The answer
-    /// follows the medium, not the hazards of the moment (under a fault plan
-    /// a resident array's plan holds `3d / (m + 1)` times the bound), or a
-    /// crash point would move the very writes it is counted in.
+    /// executor holds the blocks it stages where the backend is memory
+    /// (`m + 1`; the bucket alone when records are inline here), the blocks
+    /// of its rounds where rounds are copied out (the record's `d` fields in
+    /// `old`, the first-round probe here: `3d` between chained layouts,
+    /// fields left out where records are inline). The answer follows the
+    /// medium, not the hazards of the moment (under a fault plan a resident
+    /// array's plan holds `3d / (m + 1)` times the bound), or a crash point
+    /// would move the very writes it is counted in.
     pub(crate) fn migration_buckets(&self, disks: &DiskArray, old: &DynamicDict, blocks: usize) -> usize {
         let per_key = if disks.backend_resident() {
-            self.enc.fields_per_key + 1
+            self.chain_blocks() + 1
         } else {
-            3 * self.params.degree
+            let record = if old.is_inline() { 0 } else { old.params.degree };
+            record + self.probe_blocks()
         };
         (blocks * old.membership_buckets() / (per_key * old.len().max(1))).max(1)
     }
@@ -1457,11 +1567,13 @@ impl DynamicDict {
     /// ranges.
     ///
     /// 1. The buckets are scanned in one charged read; each record found
-    ///    names its own level and chain head, so `old`'s membership is not
-    ///    probed again.
-    /// 2. One plan reads every record's fields in `old` *and* every key's
-    ///    first-round probe here — per-disk-maximum rounds across both
-    ///    disk ranges, not a sum over keys.
+    ///    is its satellite (records inline in `old`) or names its own level
+    ///    and chain head, so `old`'s membership is not probed again.
+    /// 2. One plan reads every chained record's fields in `old` *and* every
+    ///    key's first-round probe here — per-disk-maximum rounds across
+    ///    both disk ranges, not a sum over keys. Each record is thus read
+    ///    through `old`'s layout and written through this one's, whichever
+    ///    the two are.
     /// 3. Keys are placed first-fit in scan order, each seeing its
     ///    predecessors' staged fields. A key already stored here (deleted
     ///    and re-inserted during the rebuild, or copied by a step that a
@@ -1485,13 +1597,14 @@ impl DynamicDict {
             return (0, Ok(()));
         }
         let mut all: Vec<BlockAddr> = Vec::new();
-        let mut sources = Vec::with_capacity(records.len());
-        for &(key, _, level) in &records {
-            let fields = old.level_fields(level, key);
+        let mut fetched = Vec::with_capacity(records.len());
+        for (key, located) in &records {
             let at = all.len();
-            all.extend(old.levels[level].fields.probe_addrs(positions(&fields)));
-            sources.push((fields, at..all.len()));
-            self.probe(key, &mut all);
+            if let Located::Chain(chain) = located {
+                all.extend_from_slice(&chain.addrs);
+            }
+            fetched.push(at..all.len());
+            self.probe(*key, &mut all);
         }
         let room = self.intent_keys(disks);
         let mut ex = BatchExecutor::new(disks);
@@ -1501,10 +1614,15 @@ impl DynamicDict {
         let mut staged = Staged::default();
         let mut outcome = Ok(());
         let mut scratch = Vec::new();
-        for (&(key, head, level), (fields, range)) in records.iter().zip(sources) {
-            let (blocks, _) = Self::staged_probe(&mut ex, &all[range]);
-            old.levels[level].fields.extract(positions(&fields), &blocks, &mut scratch);
-            let Some(satellite) = old.decode_satellite(head, &scratch) else {
+        for ((key, located), range) in records.into_iter().zip(fetched) {
+            let satellite = match located {
+                Located::Inline(satellite) => Some(satellite),
+                Located::Chain(chain) => {
+                    let (blocks, _) = Self::staged_probe(&mut ex, &all[range]);
+                    old.decode_deeper(&chain, &blocks, &mut scratch)
+                }
+            };
+            let Some(satellite) = satellite else {
                 continue; // damaged in `old`: reads as a miss there too
             };
             if staged.keys.len() == room {
@@ -1548,9 +1666,11 @@ impl DynamicDict {
     /// level, so inserting `key` fails with
     /// [`DictError::LevelsExhausted`] (the deterministic stand-in for a
     /// sampled expander missing its unique-neighbor parameters) while
-    /// other keys insert normally.
+    /// other keys insert normally. Chained layouts only: inline records
+    /// have no fields to exhaust.
     #[cfg(test)]
     pub(crate) fn exhaust_key_fields(&self, disks: &mut DiskArray, key: u64) {
+        assert!(!self.is_inline(), "inline records have no fields to exhaust");
         let mut field = vec![0 as Word; self.enc.field_words()];
         field[0] = 1; // occupied bit; no chain ever links through it
         for level in 0..self.levels.len() {
@@ -1582,6 +1702,58 @@ mod tests {
         (0..n as u64)
             .map(|i| i.wrapping_mul(0x9E37_79B9).wrapping_add(11) % (1 << 30))
             .collect()
+    }
+
+    /// Record width of the chained shape: at `B = 64` a bucket of 6-word
+    /// slots outgrows its block at every capacity these tests use, so the
+    /// records take Theorem 7's chains.
+    const CHAINED: usize = 4;
+
+    /// `setup` at `CHAINED` words per record, asserted chained.
+    fn setup_chained(capacity: usize) -> (DiskArray, DynamicDict) {
+        let (disks, dict) = setup(capacity, CHAINED, 0.5);
+        assert!(!dict.is_inline() && dict.num_levels() > 1, "{capacity} keys of {CHAINED} words must chain");
+        (disks, dict)
+    }
+
+    /// A `sigma`-word record of `key`.
+    fn sat(key: u64, sigma: usize) -> Vec<Word> {
+        (0..sigma as u64).map(|i| key ^ (i << 40)).collect()
+    }
+
+    #[test]
+    fn the_layout_is_a_function_of_record_width_capacity_and_block() {
+        // 15 slots of [flags, key, σ] at N = 64; 21 at N = 4096.
+        for (capacity, sigma, block, inline) in
+            [(64, 2, 64, true), (64, 3, 64, false), (4096, 1, 64, true), (4096, 2, 64, false), (4096, 4, 128, true)]
+        {
+            let params = DictParams::new(capacity, 1 << 30, sigma).with_degree(20).with_epsilon(0.5);
+            assert_eq!(DynamicDict::records_inline(&params, block), inline, "N = {capacity}, σ = {sigma}, B = {block}");
+            let mut disks = DiskArray::new(PdmConfig::new(40, block), 0);
+            let dict = DynamicDict::create(&mut disks, &mut DiskAllocator::new(40), 0, params).unwrap();
+            assert_eq!(dict.is_inline(), inline);
+            assert_eq!(dict.num_levels() == 0, inline);
+            assert_eq!(dict.level_population().len(), dict.num_levels().max(1));
+            // Nothing is laid out on the retrieval disks of an inline shape.
+            assert_eq!((20..40).all(|disk| disks.blocks_on(disk) == 0), inline);
+        }
+    }
+
+    #[test]
+    fn inline_records_cost_one_round_to_read_and_two_to_write() {
+        let (mut disks, mut dict) = setup(500, 1, 0.5);
+        assert!(dict.is_inline());
+        for k in keys(500) {
+            let cost = dict.insert(&mut disks, k, &sat(k, 1)).unwrap();
+            assert_eq!((cost.parallel_ios, cost.block_writes), (2, 1), "key {k}");
+        }
+        for k in keys(500) {
+            let out = dict.lookup(&mut disks, k);
+            assert_eq!(out.satellite, Some(sat(k, 1)));
+            assert_eq!((out.cost.parallel_ios, out.cost.block_reads), (1, 20), "key {k}");
+        }
+        assert_eq!(dict.level_population(), [500]);
+        assert_eq!(dict.space_rows(), [("membership".to_string(), dict.membership_buckets())]);
     }
 
     #[test]
@@ -1638,11 +1810,11 @@ mod tests {
     #[test]
     fn average_insert_within_two_plus_eps() {
         let eps = 0.5;
-        let (mut disks, mut dict) = setup(500, 1, eps);
+        let (mut disks, mut dict) = setup_chained(500);
         let mut total = 0u64;
         let mut worst = 0u64;
         for k in keys(500) {
-            let c = dict.insert(&mut disks, k, &[k]).unwrap();
+            let c = dict.insert(&mut disks, k, &sat(k, CHAINED)).unwrap();
             total += c.parallel_ios;
             worst = worst.max(c.parallel_ios);
         }
@@ -1660,9 +1832,9 @@ mod tests {
 
     #[test]
     fn most_keys_land_on_level_one() {
-        let (mut disks, mut dict) = setup(400, 1, 0.5);
+        let (mut disks, mut dict) = setup_chained(400);
         for k in keys(400) {
-            dict.insert(&mut disks, k, &[0]).unwrap();
+            dict.insert(&mut disks, k, &[0; CHAINED]).unwrap();
         }
         let pop = dict.level_population();
         assert!(
@@ -1778,10 +1950,10 @@ mod tests {
 
     #[test]
     fn dead_field_disk_degrades_to_misses_never_garbage() {
-        let (mut disks, mut dict) = setup(200, 1, 0.5);
+        let (mut disks, mut dict) = setup_chained(200);
         let ks = keys(200);
         for k in &ks {
-            dict.insert(&mut disks, *k, &[*k]).unwrap();
+            dict.insert(&mut disks, *k, &sat(*k, CHAINED)).unwrap();
         }
         disks.enable_integrity();
         // Kill one retrieval disk (fields live on disks d..2d).
@@ -1792,7 +1964,7 @@ mod tests {
             let out = dict.lookup(&mut disks, *k);
             match out.satellite {
                 Some(s) => {
-                    assert_eq!(s, vec![*k], "degraded read must never invent data");
+                    assert_eq!(s, sat(*k, CHAINED), "degraded read must never invent data");
                     exact += 1;
                 }
                 None => {
@@ -1808,18 +1980,18 @@ mod tests {
 
     #[test]
     fn insert_routes_around_a_dead_field_disk() {
-        let (mut disks, mut dict) = setup(150, 1, 0.5);
+        let (mut disks, mut dict) = setup_chained(150);
         disks.enable_integrity();
         disks.set_fault_plan(pdm::FaultPlan::new().dead_disk(25));
         let ks = keys(150);
         for k in &ks {
             // d = 20 healthy-stripe candidates minus one dead still leaves
             // ≥ m = ⌈2d/3⌉ free fields, so every insert routes around.
-            dict.insert(&mut disks, *k, &[*k]).unwrap();
+            dict.insert(&mut disks, *k, &sat(*k, CHAINED)).unwrap();
         }
         for k in &ks {
             let out = dict.lookup(&mut disks, *k);
-            assert_eq!(out.satellite, Some(vec![*k]), "key {k}");
+            assert_eq!(out.satellite, Some(sat(*k, CHAINED)), "key {k}");
             assert!(!out.is_exact(), "probe touches the dead disk");
         }
         // Replace the disk: nothing was stored on it, so every lookup
@@ -1827,7 +1999,7 @@ mod tests {
         disks.clear_fault_plan();
         for k in &ks {
             let out = dict.lookup(&mut disks, *k);
-            assert_eq!(out.satellite, Some(vec![*k]));
+            assert_eq!(out.satellite, Some(sat(*k, CHAINED)));
             assert!(out.is_exact());
         }
     }
@@ -1934,7 +2106,7 @@ mod tests {
             // scans them all): the half a tear loses.
             let mut far = disks0.clone();
             let mut block = far.read(&[addr], ReadOptions::default()).blocks.block(0).to_vec();
-            let slot = crate::bucket::BucketCodec::new(1).slot_words();
+            let slot = BucketCodec::new(dict0.membership.config().payload_words).slot_words();
             let last = (block.len() / slot - 1) * slot;
             assert!(at < block.len() / 2 && block[last..].iter().all(|&w| w == 0));
             block.copy_within(at..at + slot, last);
@@ -1980,21 +2152,25 @@ mod tests {
 
     #[test]
     fn transient_read_window_is_absorbed_by_the_retry() {
-        let (mut disks, mut dict) = setup(100, 1, 0.5);
-        let ks = keys(100);
-        for k in &ks {
-            dict.insert(&mut disks, *k, &[*k]).unwrap();
-        }
-        disks.enable_integrity();
-        // Installing a plan zeroes the access clocks, so a 1-batch window
-        // at index 0 on disk 21 hits each lookup's first probe; the in-op
-        // retry lands past the window and must return the exact record.
-        for (i, k) in ks.iter().enumerate() {
-            disks.set_fault_plan(pdm::FaultPlan::new().transient_read(21, 0, 1));
-            let out = dict.lookup(&mut disks, *k);
-            assert_eq!(out.satellite, Some(vec![*k]), "key {i}");
-            assert!(out.is_exact(), "retry absorbed the window for key {i}");
-            disks.clear_fault_plan();
+        // Inline records, then chains: disk 1 holds membership buckets in
+        // both layouts, disk 21 level-1 fields in the chained one.
+        for (sigma, disk) in [(1, 1), (CHAINED, 1), (CHAINED, 21)] {
+            let (mut disks, mut dict) = setup(100, sigma, 0.5);
+            let ks = keys(100);
+            for k in &ks {
+                dict.insert(&mut disks, *k, &sat(*k, sigma)).unwrap();
+            }
+            disks.enable_integrity();
+            // Installing a plan zeroes the access clocks, so a 1-batch
+            // window at index 0 hits each lookup's first probe; the in-op
+            // retry lands past the window and must return the exact record.
+            for (i, k) in ks.iter().enumerate() {
+                disks.set_fault_plan(pdm::FaultPlan::new().transient_read(disk, 0, 1));
+                let out = dict.lookup(&mut disks, *k);
+                assert_eq!(out.satellite, Some(sat(*k, sigma)), "σ = {sigma}: key {i}");
+                assert!(out.is_exact(), "σ = {sigma}: retry absorbed the window on disk {disk} for key {i}");
+                disks.clear_fault_plan();
+            }
         }
     }
 
@@ -2247,26 +2423,33 @@ mod tests {
 
     /// Crash coverage for delta replay: two un-truncated intents patch the
     /// *same* blocks — two inserts sharing their field blocks (at this size
-    /// a level's stripe is one block), then an insert and the delete of the
-    /// same key in one bucket. For every crash point of the second
-    /// operation, the machine reboots from the image alone, recovers, and
-    /// recovers again: image and `len()` equal the uncrashed twin's when
-    /// the intent's head landed, and the untouched predecessor's when not.
+    /// a level's stripe is one block) or, inline, a membership disk's
+    /// bucket rows, then an insert and the delete of the same key in one
+    /// bucket. For every crash point of the second operation, the machine
+    /// reboots from the image alone, recovers, and recovers again: image
+    /// and `len()` equal the uncrashed twin's when the intent's head landed,
+    /// and the untouched predecessor's when not.
     #[test]
     fn two_live_intents_over_one_block_recover_to_the_twin_or_roll_back() {
-        let (mut disks1, mut dict1) = setup_journaled(64, 1);
+        for sigma in [1, CHAINED] {
+            two_live_intents_recover(sigma);
+        }
+    }
+
+    fn two_live_intents_recover(sigma: usize) {
+        let (mut disks1, mut dict1) = setup_journaled(64, sigma);
         for k in 0..5u64 {
-            dict1.insert(&mut disks1, k * 7 + 3, &[k]).unwrap();
+            dict1.insert(&mut disks1, k * 7 + 3, &sat(k, sigma)).unwrap();
         }
         let params = dict1.params;
         let region = disks1.journal_region().unwrap();
         disks1.journal_truncate();
         // The first of the pair stays un-truncated under the second.
-        dict1.insert(&mut disks1, 0xA11CE, &[1]).unwrap();
+        dict1.insert(&mut disks1, 0xA11CE, &sat(1, sigma)).unwrap();
         type Second = fn(&mut DynamicDict, &mut DiskArray);
         let seconds: [(&str, Second); 2] = [
-            ("insert sharing field blocks", |dict, disks| {
-                let _ = dict.insert(disks, 0xB0B, &[2]);
+            ("insert sharing blocks", |dict, disks| {
+                let _ = dict.insert(disks, 0xB0B, &sat(2, dict.params.satellite_words));
             }),
             ("delete in the same bucket", |dict, disks| {
                 let _ = dict.delete(disks, 0xA11CE);
@@ -2283,24 +2466,24 @@ mod tests {
                 let (mut disks, mut dict) = (disks1.clone(), dict1.clone());
                 disks.set_fault_plan(pdm::FaultPlan::new().crash_after(k));
                 second(&mut dict, &mut disks);
-                assert_eq!(disks.crash_fired(), k < writes, "{what}: crash at {k}");
+                assert_eq!(disks.crash_fired(), k < writes, "σ = {sigma}, {what}: crash at {k}");
                 disks.clear_fault_plan();
                 drop(dict);
                 let mut alloc = DiskAllocator::new(disks.disks());
                 let (reopened, report) =
                     DynamicDict::reopen(&mut disks, &mut alloc, 0, params, region).unwrap();
-                assert_eq!((report.stalled, report.mismatched), (0, 0), "{what}: crash at {k}");
+                assert_eq!((report.stalled, report.mismatched), (0, 0), "σ = {sigma}, {what}: crash at {k}");
                 // Both intents replay, or only the first.
                 let forward = report.replayed.len() == 2;
-                assert!(forward || report.replayed.len() == 1, "{what}: crash at {k}: {report:?}");
+                assert!(forward || report.replayed.len() == 1, "σ = {sigma}, {what}: crash at {k}: {report:?}");
                 rolled_forward += usize::from(forward);
                 let (want_disks, want) = if forward { (&twin_disks, &twin) } else { (&disks1, &dict1) };
-                assert_eq!(reopened.len(), want.len(), "{what}: crash at {k}");
-                assert_eq!(data_image(&disks), data_image(want_disks), "{what}: crash at {k}");
-                assert!(disks.recover().is_clean(), "{what}: crash at {k}");
-                assert_eq!(data_image(&disks), data_image(want_disks), "{what}: recovered twice");
+                assert_eq!(reopened.len(), want.len(), "σ = {sigma}, {what}: crash at {k}");
+                assert_eq!(data_image(&disks), data_image(want_disks), "σ = {sigma}, {what}: crash at {k}");
+                assert!(disks.recover().is_clean(), "σ = {sigma}, {what}: crash at {k}");
+                assert_eq!(data_image(&disks), data_image(want_disks), "σ = {sigma}, {what}: recovered twice");
             }
-            assert!(rolled_forward > 1 && rolled_forward <= writes as usize, "{what}");
+            assert!(rolled_forward > 1 && rolled_forward <= writes as usize, "σ = {sigma}, {what}");
         }
     }
 
@@ -2309,18 +2492,19 @@ mod tests {
     /// leaves a continuation without its head, and the insert rolls back.
     #[test]
     fn an_inserts_intent_is_two_slots_and_a_crash_between_them_rolls_back() {
-        let (mut disks0, mut dict0) = setup_journaled(64, 1);
+        let (mut disks0, mut dict0) = setup_journaled(64, CHAINED);
+        assert!(!dict0.is_inline());
         for k in 0..8u64 {
-            dict0.insert(&mut disks0, k * 7 + 3, &[k]).unwrap();
+            dict0.insert(&mut disks0, k * 7 + 3, &sat(k, CHAINED)).unwrap();
         }
         disks0.journal_truncate();
         let (mut disks, mut dict) = (disks0.clone(), dict0.clone());
-        let cost = dict.insert(&mut disks, 0xFACE, &[1]).unwrap();
+        let cost = dict.insert(&mut disks, 0xFACE, &sat(1, CHAINED)).unwrap();
         let m = dict.enc.fields_per_key as u64;
         assert_eq!(cost.block_writes, 2 + m + 1, "2 ring slots, m fields, the bucket");
         let (mut disks, mut dict) = (disks0.clone(), dict0.clone());
         disks.set_fault_plan(pdm::FaultPlan::new().crash_after(1));
-        let _ = dict.insert(&mut disks, 0xFACE, &[1]);
+        let _ = dict.insert(&mut disks, 0xFACE, &sat(1, CHAINED));
         disks.clear_fault_plan();
         let region = disks.journal_region().unwrap();
         disks.reopen_journal(region);
@@ -2334,10 +2518,10 @@ mod tests {
     /// intent holds commits as several, in order.
     #[test]
     fn a_large_insert_batch_commits_in_ring_sized_intents() {
-        let (mut disks, mut dict) = setup_ring(300, 1, 4);
+        let (mut disks, mut dict) = setup_ring(300, CHAINED, 4);
         let room = dict.intent_keys(&disks);
         assert!((64..256).contains(&room), "a 4-row ring holds {room} keys to an intent");
-        let entries: Vec<(u64, Vec<Word>)> = keys(256).into_iter().map(|k| (k, vec![k])).collect();
+        let entries: Vec<(u64, Vec<Word>)> = keys(256).into_iter().map(|k| (k, sat(k, CHAINED))).collect();
         let (results, _) = dict.insert_batch(&mut disks, &entries);
         assert!(results.iter().all(Result::is_ok));
         assert_eq!(disks.journal_bypassed(), 0);
@@ -2355,11 +2539,11 @@ mod tests {
     /// replayed deltas, and `len()` is exactly the keys that read back.
     #[test]
     fn a_split_insert_batch_keeps_a_prefix_under_any_crash_point() {
-        let (mut disks0, mut dict0) = setup_ring(128, 1, 1);
-        dict0.insert(&mut disks0, 1 << 29, &[9]).unwrap();
+        let (mut disks0, mut dict0) = setup_ring(128, CHAINED, 1);
+        dict0.insert(&mut disks0, 1 << 29, &sat(9, CHAINED)).unwrap();
         let room = dict0.intent_keys(&disks0);
         let entries: Vec<(u64, Vec<Word>)> =
-            keys(3 * room + 2).into_iter().map(|k| (k, vec![k])).collect();
+            keys(3 * room + 2).into_iter().map(|k| (k, sat(k, CHAINED))).collect();
         let mut prefixes = std::collections::BTreeSet::new();
         for k in (0..).step_by(5) {
             let (mut disks, mut dict) = (disks0.clone(), dict0.clone());
@@ -2427,22 +2611,42 @@ mod tests {
         assert!(reopened.lookup(&mut disks, 0x7777).found());
     }
 
+    /// Stamp the superblock of a journaled shard of `params` on `B`-word
+    /// blocks with format `version`, then reopen it.
+    fn reopen_stamped(params: DictParams, block_words: usize, version: Word) {
+        let mut disks = DiskArray::new(PdmConfig::new(2 * params.degree, block_words), 0);
+        let dict = DynamicDict::create(&mut disks, &mut DiskAllocator::new(2 * params.degree), 0, params).unwrap();
+        let region = disks.journal_region().unwrap();
+        let superblock = region.slot_addr(0, disks.disks());
+        let mut block = disks.peek(superblock);
+        assert_eq!(block[1], 4, "the stamp this build writes");
+        block[1] = version;
+        disks.poke(superblock, &block);
+        let mut alloc = DiskAllocator::new(disks.disks());
+        let _ = DynamicDict::reopen(&mut disks, &mut alloc, 0, dict.params, region);
+    }
+
     /// The ring's superblock carries the one format stamp a shard has. A
     /// shard written before the chain fields took their exact width
     /// (journal version 2) laid its field arrays out twice as wide: it is
     /// refused by name, never decoded under the wrong width.
     #[test]
-    #[should_panic(expected = "format version 2, this build reads version 3")]
+    #[should_panic(expected = "format version 2, this build reads version 4")]
     fn reopen_refuses_a_shard_stamped_with_the_wider_field_format() {
-        let (mut disks, dict) = setup_journaled(64, 2);
-        let region = disks.journal_region().unwrap();
-        let superblock = region.slot_addr(0, disks.disks());
-        let mut block = disks.peek(superblock);
-        assert_eq!(block[1], 3, "the stamp this build writes");
-        block[1] = 2;
-        disks.poke(superblock, &block);
-        let mut alloc = DiskAllocator::new(disks.disks());
-        let _ = DynamicDict::reopen(&mut disks, &mut alloc, 0, dict.params, region);
+        let (_, dict) = setup_chained(64);
+        reopen_stamped(dict.params.with_journal(2), 64, 2);
+    }
+
+    /// A shard written before records moved into their membership slots
+    /// (journal version 3) chained every record, the served 24-byte ones
+    /// (σ = 2 words at `B = 128`) included: it is refused by name, never
+    /// decoded as if its buckets held the records.
+    #[test]
+    #[should_panic(expected = "format version 3, this build reads version 4")]
+    fn reopen_refuses_a_shard_stamped_before_records_moved_inline() {
+        let params = DictParams::new(1 << 14, 1 << 30, 2).with_degree(20).with_epsilon(0.5).with_journal(2);
+        assert!(DynamicDict::records_inline(&params, 128));
+        reopen_stamped(params, 128, 3);
     }
 
     #[test]

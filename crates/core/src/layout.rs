@@ -246,32 +246,37 @@ mod tests {
     fn a_dynamic_dicts_disks_end_where_their_regions_do() {
         use crate::{DictParams, DynamicDict};
         let (d, ring) = (20, 4);
-        let params = DictParams::new(1024, 1 << 40, 2)
-            .with_degree(d)
-            .with_epsilon(0.5)
-            .with_seed(3)
-            .with_journal(ring);
-        let mut arr = DiskArray::new(PdmConfig::new(2 * d, 128), 0);
-        let mut alloc = DiskAllocator::new(2 * d);
-        let dict = DynamicDict::create(&mut arr, &mut alloc, 0, params).unwrap();
-        let rows = dict.space_rows();
-        assert_eq!(rows[0], ("membership".to_string(), dict.membership_buckets()));
-        let level_rows: usize = rows[1..].iter().map(|(_, blocks)| blocks / d).sum();
-        for disk in 0..2 * d {
-            // One bucket per block on the membership disks; the levels'
-            // field arrays stacked on the others.
-            let want = if disk < d { dict.membership_buckets() / d } else { level_rows };
-            assert_eq!(arr.blocks_on(disk), ring + want, "disk {disk}");
-            assert_eq!(alloc.used_blocks(disk), arr.blocks_on(disk), "disk {disk}");
+        // Two-word records sit in their 19-slot buckets (76 ≤ 128 words);
+        // six-word ones (152 > 128) take chains.
+        for (sigma, inline) in [(2, true), (6, false)] {
+            let params = DictParams::new(1024, 1 << 40, sigma)
+                .with_degree(d)
+                .with_epsilon(0.5)
+                .with_seed(3)
+                .with_journal(ring);
+            let mut arr = DiskArray::new(PdmConfig::new(2 * d, 128), 0);
+            let mut alloc = DiskAllocator::new(2 * d);
+            let dict = DynamicDict::create(&mut arr, &mut alloc, 0, params).unwrap();
+            assert_eq!(dict.is_inline(), inline);
+            let rows = dict.space_rows();
+            assert_eq!(rows[0], ("membership".to_string(), dict.membership_buckets()));
+            let level_rows: usize = rows[1..].iter().map(|(_, blocks)| blocks / d).sum();
+            for disk in 0..2 * d {
+                // One bucket per block on the membership disks; the levels'
+                // field arrays stacked on the others (none when inline).
+                let want = if disk < d { dict.membership_buckets() / d } else { level_rows };
+                assert_eq!(arr.blocks_on(disk), ring + want, "σ = {sigma}: disk {disk}");
+                assert_eq!(alloc.used_blocks(disk), arr.blocks_on(disk), "σ = {sigma}: disk {disk}");
+            }
+            assert_eq!(level_rows > dict.membership_buckets() / d, !inline, "σ = {sigma}: the chained shape is ragged");
+            let ledger = space_ledger(&arr, rows);
+            assert_eq!(ledger[0], ("journal".to_string(), ring * 2 * d));
+            assert_eq!(ledger.last(), Some(&("unowned".to_string(), 0)));
+            assert_eq!(ledger.len(), 3 + dict.num_levels());
+            let stored: usize = (0..2 * d).map(|disk| arr.blocks_on(disk)).sum();
+            assert_eq!(ledger.iter().map(|(_, blocks)| blocks).sum::<usize>(), stored);
+            assert_eq!(dict.space_words(&arr), (stored - ring * 2 * d) * 128);
         }
-        assert!(level_rows > dict.membership_buckets() / d, "the shape is ragged");
-        let ledger = space_ledger(&arr, rows);
-        assert_eq!(ledger[0], ("journal".to_string(), ring * 2 * d));
-        assert_eq!(ledger.last(), Some(&("unowned".to_string(), 0)));
-        assert_eq!(ledger.len(), 3 + dict.num_levels());
-        let stored: usize = (0..2 * d).map(|disk| arr.blocks_on(disk)).sum();
-        assert_eq!(ledger.iter().map(|(_, blocks)| blocks).sum::<usize>(), stored);
-        assert_eq!(dict.space_words(&arr), (stored - ring * 2 * d) * 128);
     }
 
     #[test]

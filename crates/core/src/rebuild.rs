@@ -18,7 +18,12 @@
 //! single operation ever pays more than a constant number of extra I/Os —
 //! the worst-case spreading the paper gets from Overmars–van Leeuwen.
 //! Migrated keys are *copied*, not moved — consistent with the paper's
-//! "no piece of data is ever moved" discipline.
+//! "no piece of data is ever moved" discipline. Each structure's layout
+//! follows from its own capacity ([`DynamicDict::records_inline`]), and a
+//! step reads every record through the old structure's layout and writes
+//! it through the replacement's: a rebuild whose capacity grows a bucket
+//! past its block moves the records out of their slots into chains, and a
+//! shrink moves them back.
 //!
 //! ## A rebuild window at full bandwidth
 //!
@@ -26,8 +31,10 @@
 //! needs from both it fetches in **one** parallel I/O:
 //!
 //! * a lookup reads both first-round probes (membership + level-1 fields,
-//!   `4d` blocks) at once and decodes the replacement first — any key on
-//!   level 1 of either structure, and any miss, costs exactly 1 I/O;
+//!   `4d` blocks; `d` fewer for each structure whose records are inline)
+//!   at once and decodes the replacement first — any key on level 1 or in
+//!   its membership slot in either structure, and any miss, costs exactly
+//!   1 I/O;
 //! * an insert shares that round between the old structure's duplicate
 //!   check and the replacement's first-fit read;
 //! * a delete reads both membership probes in one round and tombstones a
@@ -809,6 +816,70 @@ mod tests {
             .with_seed(0xFEED)
     }
 
+    /// Record width whose structures chain at every capacity here (`B =
+    /// 64`); one word and two below 256 keys store records inline.
+    const CHAINED: usize = 4;
+
+    /// A `sigma`-word record of `key`.
+    fn sat(key: u64, sigma: usize) -> Vec<Word> {
+        (0..sigma as u64).map(|i| key ^ (i << 40)).collect()
+    }
+
+    /// Both layouts under one `Dictionary`: records of two words are
+    /// stored inline while a bucket of 4-word slots fits a 64-word block
+    /// (capacity below 256), and chained past it. Growing past the
+    /// boundary migrates every record from its slot into chains; shrinking
+    /// back migrates them from chains into slots. Every key stays readable
+    /// at every step, and each structure's layout is what its capacity says.
+    #[test]
+    fn grows_from_inline_to_chained_and_back_on_shrink() {
+        let mut dict = Dictionary::new(params(64, 2).with_journal(2), 64).unwrap();
+        assert!(dict.active.is_inline());
+        let layout = |dict: &Dictionary| {
+            let params = DictParams { capacity: dict.capacity(), ..dict.template };
+            assert_eq!(dict.active.is_inline(), DynamicDict::records_inline(&params, 64));
+            dict.active.is_inline()
+        };
+        let mut k = 0u64;
+        while layout(&dict) || dict.is_rebuilding() {
+            dict.insert(k, &sat(k, 2)).unwrap();
+            k += 1;
+            if k.is_multiple_of(37) {
+                for probe in 0..k {
+                    assert_eq!(dict.lookup(probe).satellite, Some(sat(probe, 2)), "key {probe} at {k}");
+                }
+            }
+        }
+        assert!(dict.capacity() >= 256 && !dict.active.is_inline(), "grew to {}", dict.capacity());
+        for probe in 0..k {
+            assert_eq!(dict.lookup(probe).satellite, Some(sat(probe, 2)), "key {probe} once chained");
+        }
+        // Shrink: delete all but a few, then let the window close.
+        let keep = 10;
+        for doomed in keep..k {
+            assert!(dict.delete(doomed).unwrap().0, "delete of {doomed}");
+            layout(&dict);
+        }
+        let mut fresh = 1 << 20;
+        while !dict.active.is_inline() || dict.is_rebuilding() {
+            dict.insert(fresh, &sat(fresh, 2)).unwrap();
+            fresh += 1;
+            assert!(fresh < (1 << 20) + 1000, "never shrank back inline");
+        }
+        layout(&dict);
+        assert_eq!(dict.len(), keep as usize + (fresh - (1 << 20)) as usize);
+        for probe in (0..keep).chain(1 << 20..fresh) {
+            assert_eq!(dict.lookup(probe).satellite, Some(sat(probe, 2)), "key {probe} back inline");
+        }
+        for gone in keep..k {
+            assert!(!dict.lookup(gone).found(), "deleted key {gone} came back");
+        }
+        assert_eq!(dict.disks.journal_bypassed(), 0);
+        let report = Dict::recover(&mut dict);
+        assert_eq!((report.stalled, report.mismatched), (0, 0));
+        assert_eq!(dict.len(), keep as usize + (fresh - (1 << 20)) as usize);
+    }
+
     #[test]
     fn grows_past_initial_capacity() {
         let mut dict = Dictionary::new(params(64, 1), 64).unwrap();
@@ -894,9 +965,10 @@ mod tests {
     /// write — plus a migration step. A step scans `MIGRATE_BUCKETS_PER_OP`
     /// buckets in one round and hands on at most `k` keys, one per bucket
     /// slot; its read plan and its commit touch each disk at most once per
-    /// key, and each key may probe every deeper level once on its own.
+    /// key, and each key may probe every deeper level once on its own
+    /// (inline records have no level past their bucket: count one).
     fn op_cost_bound(dict: &Dictionary) -> u64 {
-        let mut levels = dict.active.num_levels();
+        let mut levels = dict.active.num_levels().max(1);
         if let Some(b) = &dict.building {
             levels = levels.max(b.dict.num_levels());
         }
@@ -908,15 +980,21 @@ mod tests {
 
     #[test]
     fn worst_case_op_cost_is_bounded() {
-        let mut dict = Dictionary::new(params(64, 1), 64).unwrap();
+        for sigma in [1, CHAINED] {
+            worst_case_op_cost_is_bounded_at(sigma);
+        }
+    }
+
+    fn worst_case_op_cost_is_bounded_at(sigma: usize) {
+        let mut dict = Dictionary::new(params(64, sigma), 64).unwrap();
         let mut window_lookups = 0;
         for k in 0..2000u64 {
             let before = op_cost_bound(&dict);
-            let c = dict.insert(k, &[k]).unwrap();
+            let c = dict.insert(k, &sat(k, sigma)).unwrap();
             let bound = before.max(op_cost_bound(&dict));
             assert!(
                 c.parallel_ios <= bound,
-                "insert {k} cost {} parallel I/Os, bound {bound}",
+                "σ = {sigma}: insert {k} cost {} parallel I/Os, bound {bound}",
                 c.parallel_ios
             );
             // Inside a window a lookup reads both structures' first rounds
@@ -1055,15 +1133,15 @@ mod tests {
         // successors through the rebuild path; none of them were
         // committed by the batch, so none may come back as a spurious
         // DuplicateKey or end up stored twice.
-        let mut dict = Dictionary::new(params(64, 1), 64).unwrap();
+        let mut dict = Dictionary::new(params(64, CHAINED), 64).unwrap();
         let victim = 1_000u64;
         dict.active.exhaust_key_fields(&mut dict.disks, victim);
         for k in 0..10u64 {
-            dict.insert(k, &[k]).unwrap();
+            dict.insert(k, &sat(k, CHAINED)).unwrap();
         }
         assert!(!dict.is_rebuilding());
-        let mut batch: Vec<(u64, Vec<Word>)> = vec![(victim, vec![victim])];
-        batch.extend((2_000..2_020u64).map(|k| (k, vec![k])));
+        let mut batch: Vec<(u64, Vec<Word>)> = vec![(victim, sat(victim, CHAINED))];
+        batch.extend((2_000..2_020u64).map(|k| (k, sat(k, CHAINED))));
         let (res, _) = dict.insert_batch(&batch);
         assert_eq!(res.len(), batch.len());
         for (i, r) in res.iter().enumerate() {
@@ -1075,7 +1153,7 @@ mod tests {
             assert_eq!(dict.lookup(*k).satellite, Some(sat.clone()), "key {k}");
         }
         for k in 0..10u64 {
-            assert_eq!(dict.lookup(k).satellite, Some(vec![k]), "pre-key {k}");
+            assert_eq!(dict.lookup(k).satellite, Some(sat(k, CHAINED)), "pre-key {k}");
         }
     }
 
@@ -1088,11 +1166,11 @@ mod tests {
     #[test]
     fn a_failed_migration_step_is_not_the_carrying_updates_error() {
         let registry = Arc::new(MetricsRegistry::new());
-        let mut dict = Dictionary::new(params(64, 1), 64).unwrap();
+        let mut dict = Dictionary::new(params(64, CHAINED), 64).unwrap();
         Dict::set_metrics(&mut dict, Some(registry.clone()));
         let mut n = 0u64;
         while !dict.is_rebuilding() {
-            dict.insert(n, &[n]).unwrap();
+            dict.insert(n, &sat(n, CHAINED)).unwrap();
             n += 1;
         }
         // A key the steps have not reached: it cannot be placed anywhere
@@ -1104,8 +1182,8 @@ mod tests {
         let stuck = |dict: &Dictionary| matches!(dict.last_step_error(), Some(DictError::LevelsExhausted { key }) if *key == victim);
         let mut carried = Vec::new();
         while carried.len() < 40 {
-            Dict::insert(&mut dict, n, &[n]).unwrap_or_else(|e| panic!("insert of {n} answered the step's error: {e}"));
-            assert_eq!(dict.lookup(n).satellite, Some(vec![n]));
+            Dict::insert(&mut dict, n, &sat(n, CHAINED)).unwrap_or_else(|e| panic!("insert of {n} answered the step's error: {e}"));
+            assert_eq!(dict.lookup(n).satellite, Some(sat(n, CHAINED)));
             if stuck(&dict) {
                 carried.push(n);
             }
@@ -1117,13 +1195,13 @@ mod tests {
         // A delete carries the step just as well, and removes the obstacle.
         assert_eq!(dict.delete(victim).map(|(was, _)| was), Ok(true));
         while dict.rebuilds() == 0 {
-            dict.insert(n, &[n]).unwrap();
+            dict.insert(n, &sat(n, CHAINED)).unwrap();
             n += 1;
         }
         assert_eq!(dict.last_step_error(), None);
         assert_eq!(dict.len(), n as usize - 1);
         for k in (0..n).filter(|&k| k != victim) {
-            assert_eq!(dict.lookup(k).satellite, Some(vec![k]), "key {k}");
+            assert_eq!(dict.lookup(k).satellite, Some(sat(k, CHAINED)), "key {k}");
         }
     }
 
@@ -1146,13 +1224,16 @@ mod tests {
                 }
             }
         }
-        let mut dict = Dictionary::new(params(1024, 1), 64).unwrap();
+        // Two-word records chain from 256 keys up (a bucket of 4-word slots
+        // outgrows the 64-word block).
+        let mut dict = Dictionary::new(params(1024, 2), 64).unwrap();
         let mut n = 0u64;
         while !dict.is_rebuilding() {
-            dict.insert(n, &[n]).unwrap();
+            dict.insert(n, &sat(n, 2)).unwrap();
             n += 1;
         }
         let b = dict.building.take().unwrap();
+        assert!(!b.dict.is_inline() && !dict.active.is_inline());
         let (d, m) = (20, 14); // m = ⌈2d/3⌉
         let plan = b.dict.migration_buckets(&dict.disks, &dict.active, MIGRATE_BLOCKS_PER_PLAN);
         let load = dict.active.len() as f64 / dict.active.membership_buckets() as f64;

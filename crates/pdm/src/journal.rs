@@ -105,8 +105,11 @@ const CONT_MAGIC: Word = 0x5044_4D4A_434F_4E32;
 /// On-disk format version recorded in the superblock — the one format
 /// stamp a served shard has, so it also covers what the ring protects.
 /// Version 1 logged whole block images; version 2 logs word runs; version
-/// 3 is version 2 over `pdm-dict`'s exact-width chain fields.
-const VERSION: Word = 3;
+/// 3 is version 2 over `pdm-dict`'s exact-width chain fields; version 4 is
+/// version 3 where a record that fits its membership slot is stored there
+/// (no retrieval level laid out), so a version-3 image of such a shape is
+/// refused, never decoded inline.
+const VERSION: Word = 4;
 
 /// Stream words one target costs before its runs: the packed
 /// `(disk, runs, block)` header and the checksum of the new image.

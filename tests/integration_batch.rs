@@ -168,7 +168,7 @@ fn diff_delete_batch(f: &Front, keys: &[u64], doomed: &[u64]) -> Result<(), Test
     // sequential delete paid alone may fall outside the batch's window.
     // And one journaled delete in eight pays the group commit's superblock.
     if f.name != "rebuild" {
-        let floor = seq_max - u64::from(f.name == "dynamic_journaled" && seq_max > 3);
+        let floor = seq_max - u64::from(f.journal_rows > 0 && seq_max > 3);
         prop_assert!(
             cost.parallel_ios >= floor,
             "{}: batch cost {} undercuts the per-key max {}", f.name, cost.parallel_ios, floor
@@ -354,7 +354,7 @@ fn batch_differentials_hold_under_family_rotation() {
 /// outside — so a synchronous caller's rounds do not move.
 #[test]
 fn a_delete_batch_of_one_is_charged_what_delete_is() {
-    for name in ["dynamic", "dynamic_journaled", "rebuild"] {
+    for name in ["dynamic", "dynamic_journaled", "dynamic_chained", "dynamic_chained_journaled", "rebuild"] {
         let f = front(name);
         // 200 keys: the rebuilding front starts at 32 and crosses windows.
         let capacity = if name == "rebuild" { 32 } else { 256 };
@@ -553,6 +553,18 @@ fn golden_stream(dict: &mut dyn Dict, sigma: usize, seed: u64) -> (Golden, u64) 
 /// the rebuilding `Dictionary`'s `image` only: the abandoned slot's disks
 /// now end at the ring, so the image is shorter. Every counter and
 /// `results` stayed equal.
+///
+/// Re-recorded when a record that fits its membership slot started being
+/// stored there. The unjournaled `DynamicDict` stream (capacity 4096, two
+/// words: 21 slots of 4 words outgrow the 64-word block) still chains and
+/// passed as recorded. The journaled one's `image` moved only by the ring
+/// superblock's format stamp (3 → 4); every counter and `results` held.
+/// The rebuilding `Dictionary` (one-word records, capacity 64 up to about
+/// 2 k: at most 20 slots of 3 words) now stores every record inline: no
+/// level fields are read or written (`parallel_ios` 21146 → 17413, reads
+/// 558281 → 252132, writes 66359 → 7515), and every lookup is charged one
+/// round, which `results` hashes. Its answers alone (found, satellite,
+/// insert and delete outcomes) hash the same as the parent's.
 #[test]
 fn golden_io_counts_and_images_match_the_recorded_parent() {
     let mut plain = front("dynamic").build(4096, &[], 0x601D);
@@ -582,7 +594,7 @@ fn golden_io_counts_and_images_match_the_recorded_parent() {
             block_reads: 445392,
             block_writes: 26887,
             rounds: 10318,
-            image: 0x4146021E8B986356,
+            image: 0x4587C59FBFA76951,
             results: 0x8BD6C178816A1AE4,
         },
         "journaled DynamicDict"
@@ -601,13 +613,13 @@ fn golden_io_counts_and_images_match_the_recorded_parent() {
     assert_eq!(
         got,
         Golden {
-            parallel_ios: 21146,
-            batches: 8619,
-            block_reads: 558281,
-            block_writes: 66359,
-            rounds: 14997,
-            image: 0x1D0FBD71895A93D6,
-            results: 0x500D0A912DB3FD6B,
+            parallel_ios: 17413,
+            batches: 8463,
+            block_reads: 252132,
+            block_writes: 7515,
+            rounds: 11320,
+            image: 0x75C92728157FC4E7,
+            results: 0xEDE0642EA99494BB,
         },
         "journaled rebuilding Dictionary"
     );

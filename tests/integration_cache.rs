@@ -230,11 +230,11 @@ proptest! {
     }
 }
 
-/// One crash cycle at `crash_at` physical writes into the mutation
-/// workload. Returns whether the crash fired (the caller's loop drains
-/// the whole write range).
-fn crash_cycle(crash_at: u64) -> bool {
-    let f = front("dynamic_journaled");
+/// One crash cycle of front `name` at `crash_at` physical writes into the
+/// mutation workload. Returns whether the crash fired (the caller's loop
+/// drains the whole write range).
+fn crash_cycle(name: &str, crash_at: u64) -> bool {
+    let f = front(name);
     let keys = dense_keys(24);
     let entries: Vec<(u64, Vec<Word>)> = keys.iter().map(|&k| (k, sat(k, f.sigma))).collect();
     let cap = entries.len() + 32;
@@ -325,18 +325,21 @@ fn crash_cycle(crash_at: u64) -> bool {
 
 /// Every crash point of the mutation workload, exhaustively: stop only
 /// when a cycle completes without the crash firing (the write range is
-/// drained).
+/// drained). Both journaled dynamic fronts: records in their membership
+/// slots, and chained.
 #[test]
 fn recovered_cache_serves_no_stale_hit_at_any_crash_point() {
-    let mut crash_at = 0u64;
-    loop {
-        if !crash_cycle(crash_at) {
-            break;
+    for name in ["dynamic_journaled", "dynamic_chained_journaled"] {
+        let mut crash_at = 0u64;
+        loop {
+            if !crash_cycle(name, crash_at) {
+                break;
+            }
+            crash_at += 1;
+            assert!(crash_at < 2_000, "{name}: crash point never drained");
         }
-        crash_at += 1;
-        assert!(crash_at < 2_000, "crash point never drained");
+        assert!(crash_at > 0, "{name}: workload must cross at least one crash point");
     }
-    assert!(crash_at > 0, "workload must cross at least one crash point");
 }
 
 /// Engine-level differential: cache-on and cache-off engines answer a
@@ -344,8 +347,14 @@ fn recovered_cache_serves_no_stale_hit_at_any_crash_point() {
 /// does serve from RAM.
 #[test]
 fn engine_replies_match_with_and_without_cache() {
+    for name in ["dynamic", "dynamic_chained"] {
+        engine_replies_match_on(name);
+    }
+}
+
+fn engine_replies_match_on(name: &str) {
     let build = || {
-        let f = front("dynamic");
+        let f = front(name);
         let keys = dense_keys(32);
         let entries: Vec<(u64, Vec<Word>)> = keys.iter().map(|&k| (k, sat(k, f.sigma))).collect();
         (f.sigma, f.build(128, &entries, 0xE46))

@@ -104,30 +104,35 @@ fn random_bit_corruption_never_panics() {
 #[test]
 fn dynamic_dict_tolerates_corrupted_membership_bucket() {
     let d = 20;
-    let params = DictParams::new(200, 1 << 30, 1)
-        .with_degree(d)
-        .with_epsilon(0.5)
-        .with_seed(6);
-    let (mut dict, mut disks) = DictHandle::in_memory(params, 128).unwrap().into_parts();
-    for (k, s) in entries(200, 1) {
-        dict.insert(&mut disks, k, &s).unwrap();
-    }
-    // Kill one membership disk: keys whose bucket lived there now miss;
-    // everything else still answers; nothing panics.
-    kill_disk(&mut disks, 3);
-    let mut still_found = 0;
-    for (k, s) in entries(200, 1) {
-        let out = dict.lookup(&mut disks, k);
-        if let Some(got) = out.satellite {
-            assert_eq!(got, s, "fabricated data for {k}");
-            still_found += 1;
+    // At 200 keys a bucket is 16 slots: records of one word sit in them
+    // (48 ≤ 128 words), records of seven take chains (144 > 128).
+    for (sigma, inline) in [(1, true), (7, false)] {
+        let params = DictParams::new(200, 1 << 30, sigma)
+            .with_degree(d)
+            .with_epsilon(0.5)
+            .with_seed(6);
+        let (mut dict, mut disks) = DictHandle::in_memory(params, 128).unwrap().into_parts();
+        assert_eq!(dict.is_inline(), inline);
+        for (k, s) in entries(200, sigma) {
+            dict.insert(&mut disks, k, &s).unwrap();
         }
+        // Kill one membership disk: keys whose bucket lived there now miss;
+        // everything else still answers; nothing panics.
+        kill_disk(&mut disks, 3);
+        let mut still_found = 0;
+        for (k, s) in entries(200, sigma) {
+            let out = dict.lookup(&mut disks, k);
+            if let Some(got) = out.satellite {
+                assert_eq!(got, s, "σ = {sigma}: fabricated data for {k}");
+                still_found += 1;
+            }
+        }
+        assert!(
+            still_found >= 150,
+            "σ = {sigma}: a single dead membership disk should strand ~1/d of keys, not {}",
+            200 - still_found
+        );
     }
-    assert!(
-        still_found >= 150,
-        "a single dead membership disk should strand ~1/d of keys, not {}",
-        200 - still_found
-    );
 }
 
 #[test]
@@ -162,6 +167,19 @@ fn batch_lookup_degrades_exactly_like_sequential_on_a_dead_disk() {
             exact_when_found: true,
             // 40 disks: a dead membership disk strands ~1/20 of keys.
             min_survivors: 150,
+        },
+        DeadDiskCase {
+            front: "dynamic_chained",
+            wipe: 3,
+            exact_when_found: true,
+            min_survivors: 150,
+        },
+        DeadDiskCase {
+            front: "dynamic_chained",
+            wipe: 23,
+            exact_when_found: true,
+            // A dead field disk breaks every chain through it.
+            min_survivors: 0,
         },
         DeadDiskCase {
             front: "one_probe_b",

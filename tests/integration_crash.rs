@@ -49,20 +49,29 @@ enum Op {
     Del(u64),
 }
 
-/// Run a mutation workload over the journaled dynamic front, crash after
+/// The journaled dynamic fronts: two-word records stored in their
+/// membership slots at these sizes, four-word ones chained.
+const JOURNALED: [&str; 2] = ["dynamic_journaled", "dynamic_chained_journaled"];
+
+/// Run a mutation workload over each journaled dynamic front, crash after
 /// `crash_at` physical writes, reopen from the disk image alone, and
 /// check the four invariants above.
 fn drive_crash(keys: &[u64], crash_at: u64) -> Result<(), TestCaseError> {
-    drive_crash_with(FamilyKind::default(), keys, crash_at)
+    for name in JOURNALED {
+        drive_crash_with(name, FamilyKind::default(), keys, crash_at)?;
+    }
+    Ok(())
 }
 
-/// Same crash cycle, over an explicit hash family (rotation below).
+/// Same crash cycle on front `name`, over an explicit hash family
+/// (rotation below).
 fn drive_crash_with(
+    name: &str,
     family: FamilyKind,
     keys: &[u64],
     crash_at: u64,
 ) -> Result<(), TestCaseError> {
-    let f = front_with("dynamic_journaled", family);
+    let f = front_with(name, family);
     let entries: Vec<(u64, Vec<Word>)> = keys.iter().map(|&k| (k, sat(k, f.sigma))).collect();
     let cap = entries.len() + 32;
     let seed = 0xC4A5;
@@ -231,8 +240,8 @@ fn crash_recovery_composes_with_every_family() {
         if family == FamilyKind::default() {
             continue;
         }
-        for crash_at in [5u64, 41] {
-            drive_crash_with(family, &keys, crash_at).unwrap();
+        for (name, crash_at) in JOURNALED.into_iter().flat_map(|name| [(name, 5u64), (name, 41)]) {
+            drive_crash_with(name, family, &keys, crash_at).unwrap();
         }
     }
 }
@@ -243,32 +252,36 @@ fn crash_recovery_composes_with_every_family() {
 /// "clean" bit may describe a write the crash dropped).
 #[test]
 fn recovery_distrusts_pre_crash_verification() {
-    let f = front("dynamic_journaled");
-    let keys = dense_keys(24);
-    let entries: Vec<(u64, Vec<Word>)> = keys.iter().map(|&k| (k, sat(k, f.sigma))).collect();
-    let mut dict = f.build(64, &entries, 0xC4A5);
-    dict.disks_mut().unwrap().enable_integrity();
-    // A scrub verifies (and caches) every block.
-    let report = dict.scrub();
-    assert!(report.blocks_scanned > 0);
-    assert!(
-        dict.disks().unwrap().verified_clean_blocks() > 0,
-        "scrub should populate the verified-clean cache"
-    );
-    dict.disks_mut()
-        .unwrap()
-        .set_fault_plan(FaultPlan::new().crash_after(3));
-    let k = KEY_SPACE + 5_000;
-    let _ = dict.insert(k, &sat(k, f.sigma));
-    let disks = dict.disks_mut().unwrap();
-    assert!(disks.crash_fired(), "insert should cross the crash point");
-    disks.clear_fault_plan();
-    let _ = disks.recover();
-    assert_eq!(
-        disks.verified_clean_blocks(),
-        0,
-        "recovery must drop every pre-crash verified-clean bit"
-    );
+    for name in JOURNALED {
+        let f = front(name);
+        let keys = dense_keys(24);
+        let entries: Vec<(u64, Vec<Word>)> = keys.iter().map(|&k| (k, sat(k, f.sigma))).collect();
+        let mut dict = f.build(64, &entries, 0xC4A5);
+        dict.disks_mut().unwrap().enable_integrity();
+        // A scrub verifies (and caches) every block.
+        let report = dict.scrub();
+        assert!(report.blocks_scanned > 0);
+        assert!(
+            dict.disks().unwrap().verified_clean_blocks() > 0,
+            "{name}: scrub should populate the verified-clean cache"
+        );
+        // The intent lands, the in-place writes do not (an inline record's
+        // insert is one ring slot and one bucket).
+        dict.disks_mut()
+            .unwrap()
+            .set_fault_plan(FaultPlan::new().crash_after(1));
+        let k = KEY_SPACE + 5_000;
+        let _ = dict.insert(k, &sat(k, f.sigma));
+        let disks = dict.disks_mut().unwrap();
+        assert!(disks.crash_fired(), "{name}: insert should cross the crash point");
+        disks.clear_fault_plan();
+        let _ = disks.recover();
+        assert_eq!(
+            disks.verified_clean_blocks(),
+            0,
+            "{name}: recovery must drop every pre-crash verified-clean bit"
+        );
+    }
 }
 
 /// One operation on the rebuilding wrapper, cut at every crash point.
@@ -290,12 +303,7 @@ enum Cut {
 /// operation is all-or-nothing — a batch as a whole: its keys are one
 /// intent — every other key of `live` is intact, `len()` is exact, the
 /// journal is truncated — and stays exact through the rest of the rebuild,
-/// with nothing having bypassed the journal.
-fn rebuild_crash_matrix(dict: &Dictionary, live: &BTreeSet<u64>, cut: Cut) {
-    rebuild_crash_matrix_of(dict, live, cut, 1);
-}
-
-/// [`rebuild_crash_matrix`] over satellites of `sigma` words.
+/// with nothing having bypassed the journal. Satellites are `sigma` words.
 fn rebuild_crash_matrix_of(dict: &Dictionary, live: &BTreeSet<u64>, cut: Cut, sigma: usize) {
     assert!(dict.is_rebuilding(), "the matrix is for operations inside a window");
     let run = |d: &mut Dictionary| match &cut {
@@ -423,16 +431,9 @@ fn tombstone_writes(dict: &Dictionary, key: u64) -> i64 {
     writes_of(key) - writes_of(KEY_SPACE + 9_999)
 }
 
-/// A journaled rebuilding dictionary filled until its first window opens,
-/// with the keys it holds and the supply of further ones.
-fn open_window(
-    capacity: usize,
-    journal_rows: usize,
-) -> (Dictionary, BTreeSet<u64>, impl Iterator<Item = u64>) {
-    open_window_of(capacity, journal_rows, 1)
-}
-
-/// [`open_window`] over satellites of `sigma` words.
+/// A journaled rebuilding dictionary of `sigma`-word records filled until
+/// its first window opens, with the keys it holds and the supply of
+/// further ones.
 fn open_window_of(
     capacity: usize,
     journal_rows: usize,
@@ -458,9 +459,42 @@ fn open_window_of(
 /// The crash matrix over the states of a window that differ in what a crash
 /// can cut: an insert with a batched step behind it; a delete of a key
 /// already copied (one tombstone intent over both structures); and the final
-/// step, which swaps, checkpoints and discards.
+/// step, which swaps, checkpoints and discards. Records of one word are
+/// stored in their membership slots on both sides of the window, records of
+/// four words chained on both.
 #[test]
 fn rebuilding_dictionary_is_crash_consistent_during_migration() {
+    for sigma in [1, 4] {
+        let (dict, live, keys) = open_window_of(64, JOURNAL_ROWS, sigma);
+        assert_eq!(inline_in_slots(&dict), (sigma == 1, sigma == 1), "σ = {sigma}: records inline in (old, new)");
+        window_crash_matrix(dict, live, keys, sigma);
+    }
+}
+
+/// Whether the structures of `dict`'s first window — the old one in the
+/// lower slot of `2d` disks, its replacement in the upper — store records
+/// inline: then a slot's retrieval disks (`d..2d` of it) hold only the ring.
+fn inline_in_slots(dict: &Dictionary) -> (bool, bool) {
+    let ring = dict.disks().journal_region().map_or(0, |r| r.rows);
+    let inline = |disk| dict.disks().blocks_on(disk) == ring;
+    (inline(20), inline(60))
+}
+
+/// The same matrix over the window that crosses the layout boundary: the
+/// old structure (capacity 200: 16 slots of 4 words, one 64-word block)
+/// stores its two-word records inline, the replacement (capacity 300: 17
+/// slots, 68 words) chains them. Every record a step copies is read out of
+/// its slot and written as a chain, cut at every write.
+#[test]
+fn a_window_from_inline_to_chained_records_is_crash_consistent() {
+    let (dict, live, keys) = open_window_of(200, JOURNAL_ROWS, 2);
+    assert_eq!(inline_in_slots(&dict), (true, false), "records inline in (old, new)");
+    window_crash_matrix(dict, live, keys, 2);
+}
+
+/// [`rebuilding_dictionary_is_crash_consistent_during_migration`]'s matrix
+/// from the open window of `dict`, on records of `sigma` words.
+fn window_crash_matrix(mut dict: Dictionary, mut live: BTreeSet<u64>, mut keys: impl Iterator<Item = u64>, sigma: usize) {
     let victim = KEY_SPACE + 7_000;
     let fresh: Vec<u64> = (0..5).map(|i| KEY_SPACE + 7_100 + i).collect();
     // Inserts until the window closes (a batch of as many closes it with
@@ -470,40 +504,40 @@ fn rebuilding_dictionary_is_crash_consistent_during_migration() {
     // *inside* of is left to the differential suite).
     let ops_left = |dict: &Dictionary| {
         let mut probe = dict.clone();
-        (0..).take_while(|&i| probe.is_rebuilding() && probe.insert(victim + i, &sat(victim + i, 1)).is_ok()).count()
+        (0..).take_while(|&i| probe.is_rebuilding() && probe.insert(victim + i, &sat(victim + i, sigma)).is_ok()).count()
     };
-    let (mut dict, mut live, mut keys) = open_window(64, JOURNAL_ROWS);
+    let matrix = |dict: &Dictionary, live: &BTreeSet<u64>, cut: Cut| rebuild_crash_matrix_of(dict, live, cut, sigma);
     assert!(ops_left(&dict) > fresh.len(), "the window is too short for a batch inside it");
-    rebuild_crash_matrix(&dict, &live, Cut::Insert(victim));
-    rebuild_crash_matrix(&dict, &live, Cut::InsertBatch(fresh.clone()));
+    matrix(&dict, &live, Cut::Insert(victim));
+    matrix(&dict, &live, Cut::InsertBatch(fresh.clone()));
     let (mut cut_a_copied_delete, mut cut_a_closing_batch) = (false, false);
     loop {
         let copied = live.iter().copied().find(|&k| tombstone_writes(&dict, k) == 3);
         if let (false, Some(k)) = (cut_a_copied_delete, copied) {
             cut_a_copied_delete = true;
-            rebuild_crash_matrix(&dict, &live, Cut::Delete(k));
+            matrix(&dict, &live, Cut::Delete(k));
             // A batch over a copied key and keys only one structure holds:
             // one intent, a section for each structure.
             let mut doomed: Vec<u64> = live.iter().copied().filter(|&d| d != k).step_by(9).collect();
             doomed.push(k);
-            rebuild_crash_matrix(&dict, &live, Cut::DeleteBatch(doomed));
+            matrix(&dict, &live, Cut::DeleteBatch(doomed));
         }
         let left = ops_left(&dict);
         if (2..=fresh.len()).contains(&left) && !cut_a_closing_batch {
             cut_a_closing_batch = true;
             // Batches whose step is the final one.
-            rebuild_crash_matrix(&dict, &live, Cut::InsertBatch(fresh[..left].to_vec()));
-            rebuild_crash_matrix(&dict, &live, Cut::DeleteBatch(live.iter().copied().step_by(7).collect()));
+            matrix(&dict, &live, Cut::InsertBatch(fresh[..left].to_vec()));
+            matrix(&dict, &live, Cut::DeleteBatch(live.iter().copied().step_by(7).collect()));
         }
         // The final step: one more operation ends the window.
         if left == 1 {
-            rebuild_crash_matrix(&dict, &live, Cut::Insert(victim));
+            matrix(&dict, &live, Cut::Insert(victim));
             let k = copied.expect("nothing copied by the last step");
-            rebuild_crash_matrix(&dict, &live, Cut::Delete(k));
+            matrix(&dict, &live, Cut::Delete(k));
             break;
         }
         let k = keys.next().expect("window never closed");
-        dict.insert(k, &sat(k, 1)).unwrap();
+        dict.insert(k, &sat(k, sigma)).unwrap();
         live.insert(k);
     }
     assert!(cut_a_copied_delete, "no delete of a copied key was cut");

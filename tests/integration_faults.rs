@@ -299,7 +299,7 @@ fn one_probe_b_single_disk_failure_drill() {
 /// `torn_tombstone_write_fails_deletes_typed` places one in each.)
 #[test]
 fn a_torn_tombstone_write_fails_the_delete_typed() {
-    for name in ["dynamic", "dynamic_journaled", "rebuild"] {
+    for name in ["dynamic", "dynamic_journaled", "dynamic_chained", "dynamic_chained_journaled", "rebuild"] {
         let f = harness::front(name);
         let entries = padded_entries(&f, &harness::dense_keys(40));
         let mut dict = f.build(entries.len() + 8, &entries, 0x70A2);
@@ -339,10 +339,15 @@ fn a_torn_tombstone_write_fails_the_delete_typed() {
     }
 }
 
-/// A journaled rebuilding `Dictionary` stopped inside a rebuild window with
-/// some keys already copied, and the satellites it holds.
-fn window_dictionary() -> (pdm_dict::Dictionary, std::collections::BTreeMap<u64, Vec<Word>>) {
-    let params = pdm_dict::DictParams::new(256, harness::UNIVERSE, 1)
+/// Record widths of a rebuilding `Dictionary` at `B = 64` around 256 keys:
+/// one word is stored in its membership slot, four take Theorem 7's chains.
+const INLINE_AND_CHAINED: [usize; 2] = [1, 4];
+
+/// A journaled rebuilding `Dictionary` of `sigma`-word records stopped
+/// inside a rebuild window with some keys already copied, and the
+/// satellites it holds.
+fn window_dictionary(sigma: usize) -> (pdm_dict::Dictionary, std::collections::BTreeMap<u64, Vec<Word>>) {
+    let params = pdm_dict::DictParams::new(256, harness::UNIVERSE, sigma)
         .with_degree(20)
         .with_epsilon(0.5)
         .with_seed(0xFA57)
@@ -352,8 +357,8 @@ fn window_dictionary() -> (pdm_dict::Dictionary, std::collections::BTreeMap<u64,
     let mut k = 0u64;
     let mut in_window = 0;
     while in_window < 3 {
-        dict.insert(k, &[k]).unwrap();
-        model.insert(k, vec![k]);
+        dict.insert(k, &sat(k, sigma)).unwrap();
+        model.insert(k, sat(k, sigma));
         in_window += usize::from(dict.is_rebuilding());
         k += 1;
     }
@@ -393,7 +398,7 @@ fn a_torn_write_inside_a_batch_is_retried_and_lands() {
             let plan = (0..disks.disks()).fold(FaultPlan::new(), |plan, d| plan.torn_write(d, nth));
             disks.set_fault_plan(plan);
         };
-        for name in ["dynamic", "dynamic_journaled"] {
+        for name in DYNAMIC_FRONTS {
             let f = harness::front(name);
             let entries = padded_entries(&f, &harness::dense_keys(40));
             let batch: Vec<(u64, Vec<Word>)> = fresh.iter().map(|(k, _)| (*k, sat(*k, f.sigma))).collect();
@@ -412,28 +417,46 @@ fn a_torn_write_inside_a_batch_is_retried_and_lands() {
             check_against(dict.as_mut(), &model, &doomed, &format!("{name}, tear {nth}"));
         }
         // Inside a rebuild window, each batch with its migration step.
-        let (mut dict, mut model) = window_dictionary();
-        let what = format!("window, tear {nth}");
-        tear_all(&mut dict);
-        let batch: Vec<(u64, Vec<Word>)> = fresh.iter().take(6).cloned().collect();
-        let (res, _) = dict.insert_batch(&batch);
-        assert!(res.iter().all(Result::is_ok), "{what}: {res:?}");
-        model.extend(batch);
-        assert!(dict.is_rebuilding(), "{what}: the window closed before the delete batch");
-        tear_all(&mut dict);
-        let doomed: Vec<u64> = model.keys().step_by(7).copied().collect();
-        let (res, _) = dict.delete_batch(&doomed);
-        assert!(res.iter().all(|r| matches!(r, Ok(true))), "{what}: {res:?}");
-        doomed.iter().for_each(|k| drop(model.remove(k)));
-        assert_eq!(dict.last_step_error(), None, "{what}");
-        check_against(&mut dict, &model, &doomed, &what);
-        // The rebuild finishes over what the steps copied.
-        for k in 0..200u64 {
-            dict.insert(KEY_SPACE + 20_000 + k, &[k]).unwrap();
-            model.insert(KEY_SPACE + 20_000 + k, vec![k]);
+        for sigma in INLINE_AND_CHAINED {
+            let (mut dict, mut model) = window_dictionary(sigma);
+            let what = format!("window of σ = {sigma}, tear {nth}");
+            tear_all(&mut dict);
+            let batch: Vec<(u64, Vec<Word>)> = fresh.iter().take(6).map(|(k, _)| (*k, sat(*k, sigma))).collect();
+            let (res, _) = dict.insert_batch(&batch);
+            assert!(res.iter().all(Result::is_ok), "{what}: {res:?}");
+            model.extend(batch);
+            assert!(dict.is_rebuilding(), "{what}: the window closed before the delete batch");
+            tear_all(&mut dict);
+            let doomed: Vec<u64> = model.keys().step_by(7).copied().collect();
+            let (res, _) = dict.delete_batch(&doomed);
+            assert!(res.iter().all(|r| matches!(r, Ok(true))), "{what}: {res:?}");
+            doomed.iter().for_each(|k| drop(model.remove(k)));
+            assert_eq!(dict.last_step_error(), None, "{what}");
+            check_against(&mut dict, &model, &doomed, &what);
+            // The rebuild finishes over what the steps copied.
+            for k in 0..200u64 {
+                dict.insert(KEY_SPACE + 20_000 + k, &sat(k, sigma)).unwrap();
+                model.insert(KEY_SPACE + 20_000 + k, sat(k, sigma));
+            }
+            assert!(dict.rebuilds() > 0, "{what}: the rebuild never finished");
+            check_against(&mut dict, &model, &doomed, &format!("{what}, after the swap"));
         }
-        assert!(dict.rebuilds() > 0, "{what}: the rebuild never finished");
-        check_against(&mut dict, &model, &doomed, &format!("{what}, after the swap"));
+    }
+}
+
+/// The unrebuilt Theorem 7 fronts: two-word records stored inline (at the
+/// capacity of 128 the tests below build them at), four-word ones chained.
+const DYNAMIC_FRONTS: [&str; 4] = ["dynamic", "dynamic_journaled", "dynamic_chained", "dynamic_chained_journaled"];
+
+/// Disk 3, which holds membership buckets of a dynamic front built at
+/// capacity 128, and disk 27 if it holds fields (records chained; nothing
+/// but the ring lies there when they are inline).
+fn membership_and_field_disks(f: &Front) -> &'static [usize] {
+    let empty = f.build(128, &[], 0).disks().unwrap().blocks_on(27) == f.journal_rows;
+    if empty {
+        &[3]
+    } else {
+        &[3, 27]
     }
 }
 
@@ -450,10 +473,9 @@ fn a_write_that_keeps_failing_fails_its_keys_typed() {
     let torn_on = |e: &DictError, disk: usize| {
         matches!(e, DictError::Io { kind: pdm::IoFaultKind::TornWrite, disk: at, .. } if *at == disk)
     };
-    for name in ["dynamic", "dynamic_journaled"] {
-        // Disk 3 holds membership buckets, disk 27 fields.
-        for disk in [3, 27] {
-            let f = harness::front(name);
+    for name in DYNAMIC_FRONTS {
+        let f = harness::front(name);
+        for &disk in membership_and_field_disks(&f) {
             let what = format!("{name}, disk {disk}");
             let entries = padded_entries(&f, &harness::dense_keys(40));
             let mut model: std::collections::BTreeMap<u64, Vec<Word>> = entries.iter().cloned().collect();
@@ -539,9 +561,9 @@ fn a_write_that_keeps_failing_fails_its_keys_typed() {
 /// the batch is applied, and `len()` moves by exactly the acknowledged keys.
 #[test]
 fn a_dead_disk_inside_a_batch_fails_typed_or_is_routed_around() {
-    for name in ["dynamic", "dynamic_journaled"] {
-        for disk in [3, 27] {
-            let f = harness::front(name);
+    for name in DYNAMIC_FRONTS {
+        let f = harness::front(name);
+        for &disk in membership_and_field_disks(&f) {
             let what = format!("{name}, disk {disk}");
             let entries = padded_entries(&f, &harness::dense_keys(40));
             let mut dict = f.build(128, &entries, 0x7EA4);
@@ -587,7 +609,10 @@ fn a_dead_disk_inside_a_batch_fails_typed_or_is_routed_around() {
 /// reply; and once the disk writes again the next update retakes the step.
 #[test]
 fn a_failing_disk_inside_a_window_costs_only_the_keys_it_lost() {
-    let (mut dict, mut model) = window_dictionary();
+    // Chained records: the replacement's fields are written on disks of
+    // their own (inline ones have none).
+    let sigma = INLINE_AND_CHAINED[1];
+    let (mut dict, mut model) = window_dictionary(sigma);
     // Rebuild 1 builds in the upper slot: its fields are on disks 60..80.
     let disk = 67;
     let plan = (0..64).fold(FaultPlan::new(), |plan, nth| plan.torn_write(disk, nth));
@@ -595,7 +620,8 @@ fn a_failing_disk_inside_a_window_costs_only_the_keys_it_lost() {
     let mut step_errors = 0;
     let mut lost = 0;
     for round in 0..3u64 {
-        let batch: Vec<(u64, Vec<Word>)> = (0..5).map(|i| KEY_SPACE + 9_000 + 5 * round + i).map(|k| (k, vec![k])).collect();
+        let batch: Vec<(u64, Vec<Word>)> =
+            (0..5).map(|i| KEY_SPACE + 9_000 + 5 * round + i).map(|k| (k, sat(k, sigma))).collect();
         let (res, _) = dict.insert_batch(&batch);
         for ((k, s), r) in batch.into_iter().zip(res) {
             match r {
@@ -630,8 +656,8 @@ fn a_failing_disk_inside_a_window_costs_only_the_keys_it_lost() {
     assert!(lost + step_errors > 0, "no write to disk {disk} in three rounds");
     assert!(dict.is_rebuilding(), "the window closed before the disk was replaced");
     dict.disks_mut().unwrap().clear_fault_plan();
-    dict.insert(KEY_SPACE + 9_900, &[1]).unwrap();
-    model.insert(KEY_SPACE + 9_900, vec![1]);
+    dict.insert(KEY_SPACE + 9_900, &sat(1, sigma)).unwrap();
+    model.insert(KEY_SPACE + 9_900, sat(1, sigma));
     assert_eq!(dict.last_step_error(), None, "the step was not retaken");
     assert_eq!(dict.len(), model.len());
     dict.recover();

@@ -258,6 +258,34 @@ fn space_ledger_accounts_for_every_block_in_exported_metrics() {
     between_windows(&rebuilding, "after the second finished rebuild");
 }
 
+/// A shard whose records fit their membership slots lays out no retrieval
+/// level, and says so through the gauges it already exports: `dict_levels`
+/// reads 0, and the space ledger is the ring and the membership buckets
+/// alone — no `level_*` row, nothing unowned — which is also the storage.
+#[test]
+fn an_inline_shard_exports_no_level_and_its_membership_alone() {
+    let f = front("dynamic_journaled");
+    let entries = padded_entries(&f, &dense_keys(100));
+    // 128 keys: 16 slots of 4 words fill a 64-word block exactly.
+    let mut dict = f.build(128, &entries, 0x1A1E);
+    let registry = Arc::new(MetricsRegistry::new());
+    dict.set_metrics(Some(Arc::clone(&registry)));
+    dict.refresh_gauges();
+    let snap = registry.snapshot();
+    assert_eq!(snap.gauge("dict_levels", &[("dict", "dynamic")]), Some(0));
+    let region = |r: &str| snap.gauge("dict_space_blocks", &[("dict", "dynamic"), ("region", r)]);
+    assert_eq!(region("level_1"), None, "an inline shard exports no level row");
+    assert_eq!(region("unowned"), Some(0));
+    let (ring, membership) = (region("journal").unwrap(), region("membership").unwrap());
+    let disks = dict.disks().unwrap();
+    assert_eq!(ring as usize, f.journal_rows * disks.disks());
+    assert_eq!(membership as usize, (0..f.degree).map(|d| disks.blocks_on(d) - f.journal_rows).sum::<usize>());
+    assert_eq!(snap.gauge("dict_storage_blocks", &[("dict", "dynamic")]), Some(ring + membership));
+    for (k, s) in &entries {
+        assert_eq!(dict.lookup(*k).satellite.as_ref(), Some(s));
+    }
+}
+
 /// Installing hooks must not change behavior: twin fronts with identical
 /// seeds, one instrumented, must do byte-identical work. (The pdm crate
 /// pins the same property at the executor level; this is the end-to-end

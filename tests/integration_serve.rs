@@ -45,17 +45,28 @@ fn engine_of(f: &Front, shards: usize, capacity: usize, seed: u64) -> ServeEngin
     )
 }
 
+/// The journaled dynamic fronts every engine test runs: two-word records
+/// stored in their membership slots at these capacities, and four-word
+/// ones chained.
+const JOURNALED: [&str; 2] = ["dynamic_journaled", "dynamic_chained_journaled"];
+
 /// Multi-threaded randomized stress against a per-thread sequential
 /// oracle. Threads own disjoint key ranges, so every reply is exactly
 /// predictable from the thread's own history (per-key linearizability),
 /// and the union of the oracles predicts the final image.
 #[test]
 fn concurrent_mixed_workload_matches_sequential_oracle() {
+    for name in JOURNALED {
+        concurrent_mixed_workload_on(name);
+    }
+}
+
+fn concurrent_mixed_workload_on(name: &str) {
     const THREADS: u64 = 4;
     const KEYS_PER_THREAD: u64 = 40;
     const OPS_PER_THREAD: u64 = 300;
 
-    let f = front("dynamic_journaled");
+    let f = front(name);
     let seed = suite_seed();
     let capacity = (THREADS * KEYS_PER_THREAD) as usize + 32;
     let engine = engine_of(&f, 2, capacity, seed);
@@ -94,7 +105,7 @@ fn concurrent_mixed_workload_matches_sequential_oracle() {
                                     assert_eq!(k, key);
                                     assert!(expected_err, "spurious duplicate for {key}");
                                 }
-                                Err(other) => panic!("insert({key}): {other}"),
+                                Err(other) => panic!("{name}: insert({key}): {other}"),
                             }
                         }
                         7..=9 => {
@@ -160,8 +171,14 @@ fn concurrent_mixed_workload_matches_sequential_oracle() {
 /// refused as duplicates, and the stored satellite is the winner's.
 #[test]
 fn racing_inserts_of_one_key_ack_exactly_one() {
+    for name in JOURNALED {
+        racing_inserts_on(name);
+    }
+}
+
+fn racing_inserts_on(name: &str) {
     const KEY: u64 = 42;
-    let f = front("dynamic_journaled");
+    let f = front(name);
     let engine = engine_of(&f, 2, 64, suite_seed() ^ 0xACE);
     let client = engine.client();
     let start = std::sync::Barrier::new(5);
@@ -190,11 +207,9 @@ fn racing_inserts_of_one_key_ack_exactly_one() {
 /// every op and leave exactly the inserted records, sharded correctly.
 #[test]
 fn engine_serves_over_every_family() {
-    for family in FamilyKind::ALL {
-        if family == FamilyKind::default() {
-            continue;
-        }
-        let f = front_with("dynamic_journaled", family);
+    let families = FamilyKind::ALL.into_iter().filter(|&family| family != FamilyKind::default());
+    for (family, name) in families.flat_map(|family| JOURNALED.map(|name| (family, name))) {
+        let f = front_with(name, family);
         let engine = engine_of(&f, 2, 128, suite_seed() ^ 0xFA);
         let client = engine.client();
         std::thread::scope(|s| {
@@ -210,10 +225,10 @@ fn engine_serves_over_every_family() {
             }
         });
         let stats = engine.stats();
-        assert_eq!(stats.acked, 75, "{family}: some op went unacked");
+        assert_eq!(stats.acked, 75, "{name}/{family}: some op went unacked");
         let mut shards = engine.shutdown();
         let total: usize = shards.iter().map(|d| d.len()).sum();
-        assert_eq!(total, 75, "{family}: record count disagrees");
+        assert_eq!(total, 75, "{name}/{family}: record count disagrees");
         for t in 0..3u64 {
             for i in 0..25 {
                 let k = t * 1_000 + i;
@@ -221,7 +236,7 @@ fn engine_serves_over_every_family() {
                     .iter_mut()
                     .filter_map(|d| d.lookup(k).satellite)
                     .collect();
-                assert_eq!(hits, vec![sat(k, f.sigma)], "{family}: key {k} wrong");
+                assert_eq!(hits, vec![sat(k, f.sigma)], "{name}/{family}: key {k} wrong");
             }
         }
     }
@@ -232,7 +247,13 @@ fn engine_serves_over_every_family() {
 /// replay) and every acked write present.
 #[test]
 fn graceful_shutdown_image_is_recover_consistent() {
-    let f = front("dynamic_journaled");
+    for name in JOURNALED {
+        graceful_shutdown_on(name);
+    }
+}
+
+fn graceful_shutdown_on(name: &str) {
+    let f = front(name);
     let seed = suite_seed() ^ 0x5D;
     let capacity = 128;
     let engine = engine_of(&f, 1, capacity, seed);
@@ -264,7 +285,7 @@ fn graceful_shutdown_image_is_recover_consistent() {
             assert_eq!(
                 reopened.lookup(key).satellite,
                 Some(sat(key, f.sigma)),
-                "acked insert {key} missing after reopen"
+                "{name}: acked insert {key} missing after reopen"
             );
         }
     }
@@ -284,10 +305,16 @@ fn graceful_shutdown_image_is_recover_consistent() {
 /// may be present or absent, but never torn.
 #[test]
 fn crash_drill_every_acked_write_survives_recovery() {
+    for name in JOURNALED {
+        crash_drill_on(name);
+    }
+}
+
+fn crash_drill_on(name: &str) {
     const THREADS: u64 = 3;
     const KEYS_PER_THREAD: u64 = 60;
 
-    let f = front("dynamic_journaled");
+    let f = front(name);
     let seed = suite_seed() ^ 0xC4A5;
     let capacity = (THREADS * KEYS_PER_THREAD) as usize + 32;
 
@@ -359,7 +386,7 @@ fn crash_drill_every_acked_write_survives_recovery() {
         assert_eq!(
             recovered.lookup(key).satellite,
             Some(sat(key, f.sigma)),
-            "ACKED insert {key} lost after crash at write {crash_at}"
+            "{name}: ACKED insert {key} lost after crash at write {crash_at}"
         );
     }
     // In-doubt ⇒ all-or-nothing: present with the right bits, or absent.
@@ -383,8 +410,14 @@ fn crash_drill_every_acked_write_survives_recovery() {
 /// the batch is invalidated before its reply: cache-on ≡ cache-off after it.
 #[test]
 fn a_pipelined_window_of_deletes_is_one_dict_call() {
+    for name in JOURNALED {
+        a_pipelined_window_of_deletes_on(name);
+    }
+}
+
+fn a_pipelined_window_of_deletes_on(name: &str) {
     use pdm_server::{Op, Reply};
-    let f = front("dynamic_journaled");
+    let f = front(name);
     let mut answers = Vec::new();
     for cache in [false, true] {
         let probe = harness::ShardProbe::new();
@@ -408,7 +441,7 @@ fn a_pipelined_window_of_deletes_is_one_dict_call() {
         let doomed: Vec<u64> = (0..40).step_by(2).chain([0, 90]).collect();
         let replies = probe.one_window(&client, 1 << 19, doomed.iter().map(|&k| Op::Delete(k)).collect());
         let want: Vec<_> = (0..doomed.len()).map(|i| Ok(Reply::Deleted(i < 20))).collect();
-        assert_eq!(replies, want, "cache = {cache}");
+        assert_eq!(replies, want, "{name}, cache = {cache}");
         let window: Vec<(&str, usize)> =
             probe.calls.lock().unwrap().iter().copied().filter(|(call, _)| call.starts_with("delete")).collect();
         assert_eq!(window, vec![("delete_batch", doomed.len())], "cache = {cache}: the window's delete calls");
