@@ -12,8 +12,14 @@
 //! bytes stored per key, and rounds per operation. It then states the
 //! crossover: the widest record stored inline, against the narrowest
 //! chained. A shape whose bucket fits a block in neither layout (Theorem 7
-//! inherits `B = Ω(log n)`) is listed as not built. It reports; it gates
-//! nothing.
+//! inherits `B = Ω(log n)`) is listed as not built.
+//!
+//! Then it states the cluster nodes' rule: for each σ, at N = 4 096 and at
+//! `cluster_mixed`'s N = 5 440, the block `ClusterConfig::block_words`
+//! derives (the smallest power of two from 64 to 512 words that stores the
+//! record inline, else 64 and chained), and that shape's write and space
+//! cost against the same record at B = 64, chained from σ = 2. Each shape
+//! holds N / 2 keys. It reports; it gates nothing.
 //!
 //! Writes `target/experiments/record_sweep.json`.
 //!
@@ -22,6 +28,7 @@
 
 use bench::fronts::{front, Front};
 use bench::workloads::{entries_for, miss_probes, uniform_keys};
+use pdm_cluster::ClusterConfig;
 use pdm_dict::{DictError, DictParams, DynamicDict};
 use serde::Serialize;
 
@@ -36,6 +43,7 @@ struct Row {
     layout: &'static str,
     /// Words stored a record (`wide` pads σ to a multiple of its `k`).
     record_words: usize,
+    capacity: usize,
     n: usize,
     written_per_insert: f64,
     written_per_delete: f64,
@@ -47,12 +55,14 @@ struct Row {
     delete_rounds: f64,
 }
 
-/// Build `f` at capacity `2n` and run the sweep's operations on it; the
-/// build's error if the shape does not meet its structure's conditions.
-fn measure(f: &Front, layout: &'static str, sigma: usize, n: usize) -> Result<Row, DictError> {
+/// Build `f` at `capacity`, insert half that many keys and run the sweep's
+/// operations on them; the build's error if the shape does not meet its
+/// structure's conditions.
+fn measure(f: &Front, layout: &'static str, sigma: usize, capacity: usize) -> Result<Row, DictError> {
+    let n = capacity / 2;
     let keys = uniform_keys(n, UNIVERSE, 0x5EC0 + sigma as u64);
     let entries = entries_for(&keys, f.sigma);
-    let measured = f.measured(2 * n, &[], 0x5EC1)?;
+    let measured = f.measured(capacity, &[], 0x5EC1)?;
     let (mut dict, desc) = (measured.dict, measured.desc);
     let writes = |dict: &dyn pdm_dict::Dict| dict.disks().expect("one array").stats().block_writes;
     let (mut insert_rounds, before) = (0, writes(dict.as_ref()));
@@ -77,6 +87,7 @@ fn measure(f: &Front, layout: &'static str, sigma: usize, n: usize) -> Result<Ro
         structure: f.name,
         layout,
         record_words: f.sigma,
+        capacity,
         n,
         written_per_insert: per(inserted, n),
         written_per_delete: per(deleted, doomed.len()),
@@ -113,7 +124,7 @@ fn main() -> std::process::ExitCode {
             let layout = if inline(sigma) { "inline" } else { "chained" };
             let chunks = sigma.div_ceil(k).max(1);
             for (f, layout) in [(Front { sigma, ..dynamic.clone() }, layout), (Front { sigma: k * chunks, ..wide.clone() }, "wide")] {
-                let row = match measure(&f, layout, sigma, n) {
+                let row = match measure(&f, layout, sigma, 2 * n) {
                     Ok(row) => row,
                     Err(e) => {
                         println!("{block_words:>4} {sigma:>3} {layout:<8} {:>6} | does not build: {e}", f.sigma);
@@ -121,21 +132,7 @@ fn main() -> std::process::ExitCode {
                         continue;
                     }
                 };
-                println!(
-                    "{:>4} {:>3} {:<8} {:>6} | {:>9.2} {:>9.2} {:>9.1} {:>10.1} | {:>6.3} {:>6.3} {:>6.3} {:>6.3}",
-                    row.block_words,
-                    row.sigma,
-                    row.layout,
-                    row.record_words,
-                    row.written_per_insert,
-                    row.written_per_delete,
-                    row.write_bytes_per_user_byte,
-                    row.stored_bytes_per_key,
-                    row.insert_rounds,
-                    row.lookup_rounds,
-                    row.miss_rounds,
-                    row.delete_rounds
-                );
+                println!("{row}");
                 rows.push(row);
             }
         }
@@ -157,12 +154,120 @@ fn main() -> std::process::ExitCode {
         println!("crossover: {crossover}");
         crossovers.push(crossover);
     }
+    let (node_rule, rules) = node_rule();
     #[derive(Serialize)]
     struct Report {
         rows: Vec<Row>,
         crossovers: Vec<String>,
         /// Shapes that do not meet their structure's conditions.
         unbuilt: Vec<String>,
+        node_rule: Vec<NodeShape>,
+        rules: Vec<String>,
     }
-    bench::finish("record_sweep", &Report { rows, crossovers, unbuilt }, &[], "")
+    bench::finish("record_sweep", &Report { rows, crossovers, unbuilt, node_rule, rules }, &[], "")
+}
+
+/// One record width under the cluster nodes' block rule.
+#[derive(Serialize)]
+struct NodeShape {
+    /// On the block `ClusterConfig::block_words` derives.
+    derived: Row,
+    /// The same record on 64-word blocks.
+    at_64: Row,
+}
+
+/// For each σ from 0 to one past the widest the rule stores inline, at
+/// N = 4 096 and 5 440: the derived block's costs against B = 64's, and the
+/// narrowest chained record on 1 024-word blocks. Returns the shapes and one
+/// summary line a capacity.
+fn node_rule() -> (Vec<NodeShape>, Vec<String>) {
+    println!("node rule: ClusterConfig::block_words against B = 64");
+    println!(
+        "{:>5} {:>3} {:>4} {:<8} | {:>9} {:>9} {:>10} {:>10} | {:>6} {:>6}",
+        "N", "σ", "B", "layout", "wB/uB", "@64", "stored B/k", "@64", "ins", "@64"
+    );
+    let (mut shapes, mut rules) = (Vec::new(), Vec::new());
+    for capacity in [4096, 5440] {
+        let cluster = |sigma| ClusterConfig { shard_capacity: capacity, universe: UNIVERSE, sigma, ..ClusterConfig::default() };
+        let inline = |sigma, block_words| DynamicDict::records_inline(&cluster(sigma).shard_params(0), block_words);
+        let layout = |sigma, block_words| if inline(sigma, block_words) { "inline" } else { "chained" };
+        let chained_from = (0..).find(|&sigma| !inline(sigma, cluster(sigma).block_words())).expect("a wide record chains");
+        let (mut first_sigma, mut write_gain, mut space_gain) = (Vec::<(usize, usize)>::new(), Vec::new(), Vec::new());
+        // Indexed by σ.
+        let mut widths = Vec::new();
+        for sigma in 0..=chained_from + 1 {
+            let block_words = cluster(sigma).block_words();
+            let row = |b| {
+                let f = Front { block_words: b, universe: UNIVERSE, sigma, ..front("dynamic") };
+                measure(&f, layout(sigma, b), sigma, capacity).expect("every node shape builds")
+            };
+            let (derived, at_64) = (row(block_words), row(64));
+            println!(
+                "{capacity:>5} {sigma:>3} {block_words:>4} {:<8} | {:>9.1} {:>9.1} {:>10.1} {:>10.1} | {:>6.3} {:>6.3}",
+                derived.layout,
+                derived.write_bytes_per_user_byte,
+                at_64.write_bytes_per_user_byte,
+                derived.stored_bytes_per_key,
+                at_64.stored_bytes_per_key,
+                derived.insert_rounds,
+                at_64.insert_rounds
+            );
+            if first_sigma.last().is_none_or(|&(b, _)| b != block_words) {
+                first_sigma.push((block_words, sigma));
+            }
+            if sigma < chained_from && !inline(sigma, 64) {
+                write_gain.push(at_64.write_bytes_per_user_byte / derived.write_bytes_per_user_byte);
+                space_gain.push(at_64.stored_bytes_per_key / derived.stored_bytes_per_key);
+            }
+            widths.push(NodeShape { derived, at_64 });
+        }
+        // The ceiling: the narrowest record the rule chains, on the next
+        // power of two, where its bucket would fit.
+        let f = Front { block_words: 1024, universe: UNIVERSE, sigma: chained_from, ..front("dynamic") };
+        let past = measure(&f, layout(chained_from, 1024), chained_from, capacity).expect("a 1 024-word shape builds");
+        let chained = &widths[chained_from].at_64;
+        println!("{capacity:>5} past the ceiling: {past}");
+        let blocks: Vec<String> = first_sigma.iter().map(|(b, from)| format!("{b} words from σ = {from}")).collect();
+        let range = |v: &[f64]| {
+            let (lo, hi) = v.iter().fold((f64::MAX, 0f64), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+            format!("{lo:.1} – {hi:.1} ×")
+        };
+        let rule = format!(
+            "N = {capacity}: {} (chained past the 512-word ceiling); where the derived block keeps a record \
+             B = 64 chains, it writes {} fewer bytes and stores {} fewer; at σ = {chained_from} a 1 024-word \
+             block would write {:.1} bytes a user byte against the chain's {:.1} (storing {:.0} B a key against {:.0})",
+            blocks.join(", "),
+            range(&write_gain),
+            range(&space_gain),
+            past.write_bytes_per_user_byte,
+            chained.write_bytes_per_user_byte,
+            past.stored_bytes_per_key,
+            chained.stored_bytes_per_key
+        );
+        println!("rule: {rule}");
+        rules.push(rule);
+        shapes.extend(widths);
+    }
+    (shapes, rules)
+}
+
+impl std::fmt::Display for Row {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{:>4} {:>3} {:<8} {:>6} | {:>9.2} {:>9.2} {:>9.1} {:>10.1} | {:>6.3} {:>6.3} {:>6.3} {:>6.3}",
+            self.block_words,
+            self.sigma,
+            self.layout,
+            self.record_words,
+            self.written_per_insert,
+            self.written_per_delete,
+            self.write_bytes_per_user_byte,
+            self.stored_bytes_per_key,
+            self.insert_rounds,
+            self.lookup_rounds,
+            self.miss_rounds,
+            self.delete_rounds
+        )
+    }
 }

@@ -22,7 +22,8 @@ use loadbalance::weighted::{choose_replicas, WeightedNode};
 
 /// Static cluster-wide configuration. Shared verbatim by every node and
 /// every router; together with the epoch history it determines the
-/// entire cluster layout, including each shard's dictionary parameters.
+/// entire cluster layout, including each shard's dictionary parameters
+/// and block size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// Global shard count.
@@ -72,6 +73,21 @@ impl ClusterConfig {
                 self.seed ^ (u64::from(shard) << 32) ^ 0x5AAD,
             ))
             .with_journal(self.journal_rows)
+    }
+
+    /// Words per block of every shard's array: the smallest power of two
+    /// from 64 to 512 (one 4 KiB page, `FileBackend`'s O_DIRECT alignment)
+    /// at which a shard stores its records in their membership slots
+    /// ([`pdm_dict::DynamicDict::records_inline`]); 64, with the records
+    /// chained, when no such block exists. Derived, never set: like the
+    /// layout itself, it follows from (σ, N) alone.
+    #[must_use]
+    pub fn block_words(&self) -> usize {
+        let params = self.shard_params(0);
+        [64, 128, 256, 512]
+            .into_iter()
+            .find(|&b| pdm_dict::DynamicDict::records_inline(&params, b))
+            .unwrap_or(64)
     }
 
     /// The global shard owning `key` (the same mix-based route the
@@ -457,6 +473,43 @@ mod tests {
         let b = c.shard_params(1);
         assert_ne!(a.seed, b.seed);
         assert_eq!(a.journal_rows, c.journal_rows);
+    }
+
+    #[test]
+    fn every_one_word_config_derives_64_word_blocks() {
+        // The default, and every capacity a suite, example or drill bin
+        // gives a σ = 1 cluster: 21 slots of 3 words at most.
+        assert_eq!(ClusterConfig::default().block_words(), 64);
+        for shard_capacity in [64, 128, 256, 512, 1024] {
+            assert_eq!(ClusterConfig { shard_capacity, ..ClusterConfig::default() }.block_words(), 64);
+        }
+    }
+
+    /// Whether `shard`'s retrieval disks `d..2d` hold the journal ring and
+    /// nothing else: no Theorem 7 level is laid out.
+    fn stored_inline(cfg: &ClusterConfig, shard: &dyn pdm_dict::Dict) -> bool {
+        let (disks, d) = (shard.disks().expect("a shard owns its array"), cfg.shard_params(0).degree);
+        (d..2 * d).all(|disk| disks.blocks_on(disk) == cfg.journal_rows)
+    }
+
+    #[test]
+    fn the_benchmark_shape_derives_128_word_blocks_and_stores_inline() {
+        // σ = 2, N = 5 440: 21 slots of 4 words overflow 64, fit 128.
+        let cfg = ClusterConfig { shard_capacity: 5440, sigma: 2, ..ClusterConfig::default() };
+        assert_eq!(cfg.block_words(), 128);
+        let shard = crate::node::build_shard(&cfg, 0);
+        assert_eq!(shard.disks().unwrap().block_words(), 128);
+        assert!(stored_inline(&cfg, shard.as_ref()));
+    }
+
+    #[test]
+    fn a_record_no_block_fits_keeps_64_words_and_chains() {
+        // σ = 40: 21 slots of 42 words are 882, past one 512-word page.
+        let cfg = ClusterConfig { sigma: 40, ..ClusterConfig::default() };
+        assert_eq!(cfg.block_words(), 64);
+        let shard = crate::node::build_shard(&cfg, 0);
+        assert_eq!(shard.disks().unwrap().block_words(), 64);
+        assert!(!stored_inline(&cfg, shard.as_ref()));
     }
 
     #[test]

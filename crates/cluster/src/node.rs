@@ -80,7 +80,8 @@ struct NodeInner {
 }
 
 /// Build one global shard's dictionary front from nothing but the
-/// shared config — deterministic, so every party agrees on the layout.
+/// shared config — deterministic, so every party agrees on the layout,
+/// down to the block size ([`ClusterConfig::block_words`]).
 ///
 /// # Panics
 /// Panics if the config's dictionary parameters are rejected (they are
@@ -88,7 +89,7 @@ struct NodeInner {
 /// runtime condition).
 #[must_use]
 pub fn build_shard(cluster: &ClusterConfig, shard: u32) -> Box<dyn Dict + Send> {
-    let shard = DictHandle::in_memory(cluster.shard_params(shard), 64)
+    let shard = DictHandle::in_memory(cluster.shard_params(shard), cluster.block_words())
         .unwrap_or_else(|e| panic!("shard {shard}: config yields invalid dictionary: {e}"));
     Box::new(shard)
 }
@@ -98,8 +99,9 @@ pub fn build_shard(cluster: &ClusterConfig, shard: u32) -> Box<dyn Dict + Send> 
 /// travels inside the image).
 ///
 /// # Errors
-/// [`ServeError::Protocol`] on a malformed image,
-/// [`ServeError::Dict`] when recovery rejects it.
+/// [`ServeError::Protocol`] on a malformed image or one whose geometry
+/// (disk count, block size) is not what [`build_shard`] lays out under
+/// this config, [`ServeError::Dict`] when recovery rejects it.
 pub fn install_shard(
     cluster: &ClusterConfig,
     shard: u32,
@@ -107,6 +109,14 @@ pub fn install_shard(
 ) -> Result<Box<dyn Dict + Send>, ServeError> {
     let mut disks = deserialize_image(image)
         .map_err(|e| ServeError::Protocol(format!("shard {shard} image: {e}")))?;
+    let want = (2 * cluster.shard_params(shard).degree, cluster.block_words());
+    let got = (disks.disks(), disks.block_words());
+    if got != want {
+        return Err(ServeError::Protocol(format!(
+            "shard {shard} image: {} disks of {}-word blocks, this cluster's shards are {} disks of {}-word blocks",
+            got.0, got.1, want.0, want.1
+        )));
+    }
     let mut alloc = DiskAllocator::new(disks.disks());
     // The journal ring is allocated first on every shard front, so it
     // deterministically sits at block 0 of every disk.
@@ -641,6 +651,36 @@ mod tests {
 
         source.shutdown();
         target.shutdown();
+    }
+
+    /// What `install_shard` answers for `image` under `cluster`: the
+    /// protocol error's text, or a panic if the image installed.
+    fn refusal(cluster: &ClusterConfig, image: &[u8]) -> String {
+        match install_shard(cluster, 0, image).map(|_| ()) {
+            Err(ServeError::Protocol(msg)) => msg,
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_image_of_another_geometry_is_refused() {
+        // σ = 2, N = 256: 17 slots of 4 words derive 128-word blocks.
+        let wide = ClusterConfig { sigma: 2, ..small_cluster() };
+        let narrow = small_cluster();
+        assert_eq!((wide.block_words(), narrow.block_words()), (128, 64));
+        let image_of = |cfg: &ClusterConfig| serialize_image(build_shard(cfg, 0).disks().unwrap());
+
+        let msg = refusal(&wide, &image_of(&narrow));
+        assert!(msg.contains("40 disks of 64-word blocks") && msg.contains("40 disks of 128-word blocks"), "{msg}");
+        let msg = refusal(&narrow, &image_of(&wide));
+        assert!(msg.contains("40 disks of 128-word blocks") && msg.contains("40 disks of 64-word blocks"), "{msg}");
+        let msg = refusal(&narrow, &serialize_image(&pdm::DiskArray::new(pdm::PdmConfig::new(3, 64), 1)));
+        assert!(msg.contains("3 disks of 64-word blocks") && msg.contains("40 disks of 64-word blocks"), "{msg}");
+
+        // Each config still installs its own image.
+        for cfg in [&wide, &narrow] {
+            assert!(install_shard(cfg, 0, &image_of(cfg)).is_ok());
+        }
     }
 
     #[test]

@@ -199,6 +199,18 @@ fn chaos_drill_node_kill_mid_traffic_loses_no_acked_writes() {
 /// primaries' frozen images.
 #[test]
 fn restarted_node_rereplicates_byte_identically() {
+    rereplication_drill(1, 64);
+}
+
+/// The same drill at σ = 2, where a shard of 256 keys derives 128-word
+/// blocks: images of that geometry cross the wire, install and reopen
+/// byte-identically.
+#[test]
+fn restarted_node_rereplicates_128_word_images_byte_identically() {
+    rereplication_drill(2, 128);
+}
+
+fn rereplication_drill(sigma: usize, block_words: usize) {
     const NODES: usize = 3;
     const VICTIM: usize = 2;
 
@@ -206,18 +218,21 @@ fn restarted_node_rereplicates_byte_identically() {
         shards: 8,
         replication: 2,
         shard_capacity: 256,
+        sigma,
         ..ClusterConfig::default()
     };
+    assert_eq!(cfg.block_words(), block_words);
     let weights = [1u32; NODES];
     let (mut nodes, addrs) = start_cluster(cfg, &weights);
     let router = ClusterRouter::new(cfg, &addrs, &weights, drill_router_config());
 
     let seed = suite_seed().wrapping_add(1);
     let keys: Vec<u64> = (0..300u64).map(|i| mix64(seed ^ i) % (1 << 21)).collect();
+    let record = |key: u64| -> Vec<u64> { (0..sigma as u64).map(|i| mix64(key ^ 0xABCD ^ i)).collect() };
     for &key in &keys {
         // Colliding mixed keys are fine to skip — the audit below walks
         // the same list.
-        let _ = router.insert(key, &[mix64(key ^ 0xABCD)]);
+        let _ = router.insert(key, &record(key));
     }
 
     nodes[VICTIM].take().unwrap().kill();
@@ -254,6 +269,8 @@ fn restarted_node_rereplicates_byte_identically() {
             mv.shard
         );
         assert!(!primary_image.is_empty());
+        // The `PDM2` header's third word is the image's block size.
+        assert_eq!(u32::from_le_bytes(primary_image[8..12].try_into().unwrap()) as usize, block_words);
     }
 
     // And the data is still exactly served (some reads now land on the
@@ -261,7 +278,7 @@ fn restarted_node_rereplicates_byte_identically() {
     for &key in &keys {
         assert_eq!(
             router.lookup(key).unwrap_or_else(|e| panic!("lookup of {key}: {e}")),
-            Some(vec![mix64(key ^ 0xABCD)]),
+            Some(record(key)),
             "write {key} lost across kill + restore"
         );
     }
