@@ -1,5 +1,9 @@
 //! A cluster node: several single-shard serving engines behind one TCP
-//! listener speaking the shard-addressed wire protocol.
+//! listener speaking the shard-addressed wire protocol. The listener and
+//! the per-connection frame loop are `pdm-server`'s own
+//! ([`pdm_server::server::Listener`], [`serve_frames`]); the node only
+//! supplies the request handler, so a stop reaches its connections the
+//! way it reaches a [`pdm_server::TcpServer`]'s.
 //!
 //! Each hosted global shard gets its **own** [`ServeEngine`] (one
 //! internal shard each). That keeps migration surgical: freezing a
@@ -21,41 +25,34 @@ use crate::map::ClusterConfig;
 use pdm::JournalRegion;
 use pdm_dict::layout::DiskAllocator;
 use pdm_dict::{Dict, DictHandle, DynamicDict};
-use pdm_server::protocol::{
-    decode_request, encode_response, read_frame_poll, write_frame, FrameRead, WireRequest,
-    WireResponse,
-};
-use pdm_server::server::DEFAULT_READ_POLL;
+use pdm_server::protocol::{WireRequest, WireResponse};
+use pdm_server::server::{serve_frames, Listener};
 use pdm_server::{DictClient, EngineConfig, Op, ServeEngine, ServeError};
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Tuning of one cluster node.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct NodeConfig {
     /// Engine tuning applied to every hosted shard's engine.
     pub engine: EngineConfig,
-    /// Connection read-poll (bounds node shutdown latency).
-    pub read_poll: Duration,
-}
-
-impl Default for NodeConfig {
-    fn default() -> Self {
-        NodeConfig {
-            engine: EngineConfig::default(),
-            read_poll: DEFAULT_READ_POLL,
-        }
-    }
 }
 
 struct ShardHost {
     engine: ServeEngine,
     client: DictClient,
+}
+
+impl ShardHost {
+    fn new(dict: Box<dyn Dict + Send>, cfg: EngineConfig) -> Self {
+        let engine = ServeEngine::new(vec![dict], cfg);
+        let client = engine.client();
+        ShardHost { engine, client }
+    }
 }
 
 struct ExportStage {
@@ -73,10 +70,20 @@ struct NodeInner {
     cluster: ClusterConfig,
     cfg: NodeConfig,
     epoch: AtomicU64,
-    stop: AtomicBool,
     shards: Mutex<HashMap<u32, ShardHost>>,
     exports: Mutex<HashMap<u32, ExportStage>>,
     installs: Mutex<HashMap<u32, InstallStage>>,
+}
+
+impl Drop for NodeInner {
+    /// Drain every engine so its worker thread exits; the returned
+    /// dictionaries are dropped — node state does not survive.
+    fn drop(&mut self) {
+        let shards = self.shards.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for (_, host) in shards.drain() {
+            drop(host.engine.shutdown());
+        }
+    }
 }
 
 /// Build one global shard's dictionary front from nothing but the
@@ -135,17 +142,17 @@ pub fn install_shard(
     Ok(Box::new(DictHandle::new(dict, disks)))
 }
 
-/// A running cluster node.
+/// A running cluster node. Dropping it stops its listener (every
+/// connection ends, see [`Listener`]) and then discards its shards.
 pub struct ClusterNode {
-    local_addr: SocketAddr,
+    listener: Listener,
     inner: Arc<NodeInner>,
-    acceptor: JoinHandle<()>,
 }
 
 impl std::fmt::Debug for ClusterNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterNode")
-            .field("addr", &self.local_addr)
+            .field("addr", &self.local_addr())
             .field("epoch", &self.inner.epoch.load(Ordering::Acquire))
             .finish_non_exhaustive()
     }
@@ -163,41 +170,46 @@ impl ClusterNode {
         shards: &[u32],
         cfg: NodeConfig,
     ) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let mut hosted = HashMap::new();
-        for &s in shards {
-            let dict = build_shard(&cluster, s);
-            let engine = ServeEngine::new(vec![dict], cfg.engine);
-            let client = engine.client();
-            hosted.insert(s, ShardHost { engine, client });
-        }
+        let dicts = shards.iter().map(|&s| (s, build_shard(&cluster, s))).collect();
+        Self::host(addr, cluster, dicts, cfg)
+    }
+
+    /// Start a node serving already-built dictionaries, each as the
+    /// global shard it is paired with.
+    ///
+    /// # Errors
+    /// Propagates bind failures.
+    pub fn host<A: ToSocketAddrs>(
+        addr: A,
+        cluster: ClusterConfig,
+        shards: Vec<(u32, Box<dyn Dict + Send>)>,
+        cfg: NodeConfig,
+    ) -> io::Result<Self> {
+        let hosted = shards
+            .into_iter()
+            .map(|(s, dict)| (s, ShardHost::new(dict, cfg.engine)))
+            .collect();
         let inner = Arc::new(NodeInner {
             cluster,
             cfg,
             epoch: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
             shards: Mutex::new(hosted),
             exports: Mutex::new(HashMap::new()),
             installs: Mutex::new(HashMap::new()),
         });
-        let acceptor = {
+        let listener = {
             let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name(format!("pdm-cluster-node-{}", local_addr.port()))
-                .spawn(move || accept_loop(&listener, &inner))?
+            Listener::bind(addr, "pdm-cluster", move |stream| {
+                serve_frames(stream, |request| dispatch(&inner, request));
+            })?
         };
-        Ok(ClusterNode {
-            local_addr,
-            inner,
-            acceptor,
-        })
+        Ok(ClusterNode { listener, inner })
     }
 
     /// The bound address.
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// The highest cluster-map epoch the node has seen.
@@ -217,89 +229,22 @@ impl ClusterNode {
     /// Kill the node as a failure drill: connections drop, the
     /// listener closes, and **all shard state is discarded** — exactly
     /// what a machine death looks like to the rest of the cluster. The
-    /// node can only come back empty, via re-replication.
+    /// node can only come back empty, via re-replication. The same as
+    /// dropping it.
     pub fn kill(self) {
-        self.teardown();
+        drop(self);
     }
 
     /// Graceful stop. Over the in-memory backend this equals
     /// [`kill`](Self::kill) (state is process-local either way); the
     /// distinct name keeps call sites honest about intent.
     pub fn shutdown(self) {
-        self.teardown();
-    }
-
-    fn teardown(self) {
-        self.inner.stop.store(true, Ordering::Release);
-        // Unblock accept; if the connect fails the listener is gone.
-        let _ = TcpStream::connect(self.local_addr);
-        let _ = self.acceptor.join();
-        // Drain engines so their worker threads exit; the returned
-        // dictionaries are dropped — node state does not survive.
-        let hosts = std::mem::take(&mut *lock(&self.inner.shards));
-        for (_, host) in hosts {
-            drop(host.engine.shutdown());
-        }
+        drop(self);
     }
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn accept_loop(listener: &TcpListener, inner: &Arc<NodeInner>) {
-    let connections: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
-    let mut next_id = 0u64;
-    for stream in listener.incoming() {
-        if inner.stop.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let inner = Arc::clone(inner);
-        let handle = std::thread::Builder::new()
-            .name(format!("pdm-cluster-conn-{next_id}"))
-            .spawn(move || {
-                let _ = serve_connection(stream, &inner);
-            });
-        next_id += 1;
-        if let Ok(handle) = handle {
-            let mut conns = lock(&connections);
-            conns.retain(|h| !h.is_finished());
-            conns.push(handle);
-        }
-    }
-    for handle in std::mem::take(&mut *lock(&connections)) {
-        let _ = handle.join();
-    }
-}
-
-fn serve_connection(stream: TcpStream, inner: &Arc<NodeInner>) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(inner.cfg.read_poll))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    loop {
-        if inner.stop.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        let payload =
-            match read_frame_poll(&mut reader, || inner.stop.load(Ordering::Acquire)) {
-                Ok(FrameRead::Frame(payload)) => payload,
-                Ok(FrameRead::Eof | FrameRead::Stopped) => return Ok(()),
-                Ok(FrameRead::Idle) => continue,
-                Err(e) => return Err(e),
-            };
-        let (response, drop_after) = match decode_request(&payload) {
-            Ok(req) => (dispatch(inner, req), false),
-            // After a framing error the stream position is
-            // untrustworthy: answer, then drop.
-            Err(malformed) => (WireResponse::Err(malformed), true),
-        };
-        write_frame(&mut writer, &encode_response(&response))?;
-        if drop_after {
-            return Ok(());
-        }
-    }
 }
 
 fn dispatch(inner: &Arc<NodeInner>, req: WireRequest) -> WireResponse {
@@ -342,19 +287,6 @@ fn shard_op(inner: &Arc<NodeInner>, shard: u32, epoch: u64, op: Op) -> WireRespo
             node: node_epoch,
         });
     }
-    // Reject out-of-universe keys here with a typed error: the
-    // dictionary treats them as a caller contract violation (panic),
-    // and a panicking shard worker would leave the reply slot forever
-    // empty.
-    let key = op.key();
-    if key >= inner.cluster.universe {
-        return WireResponse::Err(ServeError::Dict(pdm_dict::DictError::UnsupportedParams(
-            format!(
-                "key {key} outside the cluster universe of size {}",
-                inner.cluster.universe
-            ),
-        )));
-    }
     let Some(client) = lock(&inner.shards).get(&shard).map(|h| h.client.clone()) else {
         return WireResponse::Err(ServeError::WrongShard { shard });
     };
@@ -383,9 +315,7 @@ fn export_chunk(inner: &Arc<NodeInner>, shard: u32, chunk: u32) -> WireResponse 
         let mut dicts = host.engine.shutdown();
         let dict = dicts.pop().expect("single-shard engine returns its dict");
         let image = serialize_image(dict.disks().expect("shard fronts own their disks"));
-        let engine = ServeEngine::new(vec![dict], inner.cfg.engine);
-        let client = engine.client();
-        lock(&inner.shards).insert(shard, ShardHost { engine, client });
+        lock(&inner.shards).insert(shard, ShardHost::new(dict, inner.cfg.engine));
         let total = chunks_of(image.len());
         exports.insert(shard, ExportStage { bytes: image, total });
     }
@@ -452,11 +382,10 @@ fn install_chunk(
     };
     match install_shard(&inner.cluster, shard, &image) {
         Ok(dict) => {
-            let engine = ServeEngine::new(vec![dict], inner.cfg.engine);
-            let client = engine.client();
             // Replace any previous incarnation of the shard; drain its
             // engine so worker threads exit.
-            if let Some(old) = lock(&inner.shards).insert(shard, ShardHost { engine, client }) {
+            let host = ShardHost::new(dict, inner.cfg.engine);
+            if let Some(old) = lock(&inner.shards).insert(shard, host) {
                 drop(old.engine.shutdown());
             }
             WireResponse::InstallOk { installed: true }
@@ -468,8 +397,9 @@ fn install_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdm_server::protocol::{read_frame, WireRequest, WireResponse};
+    use pdm_server::protocol::{read_frame, write_frame, WireRequest, WireResponse};
     use pdm_server::{Reply, TcpClient};
+    use std::net::TcpStream;
 
     fn small_cluster() -> ClusterConfig {
         ClusterConfig {
@@ -479,17 +409,11 @@ mod tests {
         }
     }
 
-    fn fast_node() -> NodeConfig {
-        NodeConfig {
-            read_poll: Duration::from_millis(5),
-            ..NodeConfig::default()
-        }
-    }
-
     #[test]
     fn shard_ops_roundtrip_with_epoch_and_shard_typing() {
         let cluster = small_cluster();
-        let node = ClusterNode::start("127.0.0.1:0", cluster, &[0, 2], fast_node()).unwrap();
+        let node =
+            ClusterNode::start("127.0.0.1:0", cluster, &[0, 2], NodeConfig::default()).unwrap();
         let mut c = TcpClient::connect(node.local_addr()).unwrap();
 
         // Status reflects hosting.
@@ -559,8 +483,9 @@ mod tests {
     fn export_install_replicates_byte_identically() {
         let cluster = small_cluster();
         let source =
-            ClusterNode::start("127.0.0.1:0", cluster, &[1], fast_node()).unwrap();
-        let target = ClusterNode::start("127.0.0.1:0", cluster, &[], fast_node()).unwrap();
+            ClusterNode::start("127.0.0.1:0", cluster, &[1], NodeConfig::default()).unwrap();
+        let target =
+            ClusterNode::start("127.0.0.1:0", cluster, &[], NodeConfig::default()).unwrap();
         let mut sc = TcpClient::connect(source.local_addr()).unwrap();
         let mut tc = TcpClient::connect(target.local_addr()).unwrap();
 
@@ -686,7 +611,7 @@ mod tests {
     #[test]
     fn malformed_frames_answer_typed_then_drop() {
         let cluster = small_cluster();
-        let node = ClusterNode::start("127.0.0.1:0", cluster, &[0], fast_node()).unwrap();
+        let node = ClusterNode::start("127.0.0.1:0", cluster, &[0], NodeConfig::default()).unwrap();
         let mut stream = TcpStream::connect(node.local_addr()).unwrap();
         write_frame(&mut stream, &[0xEE, 1, 2]).unwrap();
         let payload = read_frame(&mut stream).unwrap().expect("typed answer");

@@ -659,6 +659,12 @@ impl DynamicDict {
         self.params.capacity
     }
 
+    /// The parameters the structure was laid out with.
+    #[must_use]
+    pub fn params(&self) -> &DictParams {
+        &self.params
+    }
+
     /// Total insertions ever performed. Deleted keys do not release their
     /// fields ("no piece of data is ever moved, once inserted"), so the
     /// capacity budget is consumed per *insertion*; global rebuilding

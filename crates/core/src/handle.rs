@@ -36,6 +36,11 @@ pub trait RawDict {
     /// Maximum keys (built key-set size for static structures).
     fn raw_capacity(&self) -> usize;
 
+    /// Key universe size; see [`Dict::universe`].
+    fn raw_universe(&self) -> u64 {
+        u64::MAX
+    }
+
     /// Look up `key` on `disks`.
     fn raw_lookup(&self, disks: &mut DiskArray, key: u64) -> LookupOutcome;
 
@@ -181,6 +186,9 @@ impl RawDict for DynamicDict {
     }
     fn raw_capacity(&self) -> usize {
         self.capacity()
+    }
+    fn raw_universe(&self) -> u64 {
+        self.params().universe
     }
     fn raw_lookup(&self, disks: &mut DiskArray, key: u64) -> LookupOutcome {
         self.lookup(disks, key)
@@ -426,6 +434,10 @@ impl<T: RawDict> Dict for DictHandle<T> {
 
     fn capacity(&self) -> usize {
         self.dict.raw_capacity()
+    }
+
+    fn universe(&self) -> u64 {
+        self.dict.raw_universe()
     }
 
     fn lookup(&mut self, key: u64) -> LookupOutcome {

@@ -676,6 +676,10 @@ impl Dict for Dictionary {
         Dictionary::capacity(self)
     }
 
+    fn universe(&self) -> u64 {
+        self.template.universe
+    }
+
     fn lookup(&mut self, key: u64) -> LookupOutcome {
         let out = Dictionary::lookup(self, key);
         if let Some(m) = &self.metrics {

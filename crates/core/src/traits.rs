@@ -265,6 +265,15 @@ pub trait Dict {
     /// structures, the size of the built key set).
     fn capacity(&self) -> usize;
 
+    /// Size of the key universe: the keys this instance accepts are those
+    /// below it. A key past it is a caller contract violation the expanders
+    /// panic on, so the serving engine refuses it before it reaches a
+    /// shard. `u64::MAX`, the default, accepts every key, as an expander
+    /// over a universe of that size does.
+    fn universe(&self) -> u64 {
+        u64::MAX
+    }
+
     /// Look up `key`.
     fn lookup(&mut self, key: u64) -> LookupOutcome;
 

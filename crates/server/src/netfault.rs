@@ -20,6 +20,13 @@
 //! vanish, and the client sees exactly what a real partition delivers:
 //! timeouts. [`ChaosNet::heal`] lifts the partition.
 //!
+//! Each link is a [`Listener`], the one every served socket uses: a
+//! connection through it runs one pump per direction, and a pump that
+//! ends — EOF, a cut, a failed write — shuts both sockets, so its
+//! sibling's blocked read returns at once. A stop of the fleet reaches
+//! each connection the same way, by shutting the read half of its
+//! client socket.
+//!
 //! Fault semantics per frame (first matching fault wins):
 //!
 //! * [`NetFault::Drop`] — the frame silently vanishes; the sender never
@@ -45,17 +52,13 @@
 //! windows, the flaky-link mix whose drills must stay deterministic
 //! end to end.
 
-use crate::protocol::{read_frame_poll, write_frame, FrameRead};
+use crate::protocol::{read_frame, write_frame};
+use crate::server::Listener;
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Duration;
-
-/// How long a forwarding thread blocks in `read` before re-checking
-/// the stop flag (bounds shutdown latency, invisible to traffic).
-const POLL: Duration = Duration::from_millis(20);
 
 /// Bound on the proxy's upstream connection attempt; a dead node makes
 /// the accepted client connection close immediately.
@@ -390,19 +393,12 @@ struct LinkCells {
 
 struct ChaosShared {
     plan: NetFaultPlan,
-    /// Global stop flag for acceptors and forwarding threads.
-    stop: AtomicBool,
     /// When unset, every frame forwards regardless of the plan
     /// (partitions still apply). See [`ChaosNet::disarm`].
     armed: AtomicBool,
     /// Per-link partition black-hole switch.
     blocked: Vec<AtomicBool>,
     stats: Vec<LinkCells>,
-}
-
-struct LinkHandle {
-    addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
 }
 
 /// A fleet of fault-injecting proxies, one per target endpoint
@@ -423,7 +419,7 @@ struct LinkHandle {
 /// ```
 pub struct ChaosNet {
     shared: Arc<ChaosShared>,
-    links: Vec<LinkHandle>,
+    links: Vec<Listener>,
 }
 
 impl ChaosNet {
@@ -435,24 +431,20 @@ impl ChaosNet {
     pub fn start(plan: NetFaultPlan, targets: &[SocketAddr]) -> io::Result<Self> {
         let shared = Arc::new(ChaosShared {
             plan,
-            stop: AtomicBool::new(false),
             armed: AtomicBool::new(true),
             blocked: targets.iter().map(|_| AtomicBool::new(false)).collect(),
             stats: targets.iter().map(|_| LinkCells::default()).collect(),
         });
-        let mut links = Vec::with_capacity(targets.len());
-        for (i, &target) in targets.iter().enumerate() {
-            let listener = TcpListener::bind("127.0.0.1:0")?;
-            let addr = listener.local_addr()?;
-            let shared = Arc::clone(&shared);
-            let acceptor = std::thread::Builder::new()
-                .name(format!("pdm-chaos-link-{i}"))
-                .spawn(move || link_loop(&listener, i, target, &shared))?;
-            links.push(LinkHandle {
-                addr,
-                acceptor: Some(acceptor),
-            });
-        }
+        let links = targets
+            .iter()
+            .enumerate()
+            .map(|(link, &target)| {
+                let shared = Arc::clone(&shared);
+                Listener::bind("127.0.0.1:0", &format!("pdm-chaos-{link}"), move |client| {
+                    proxy(client, link, target, &shared);
+                })
+            })
+            .collect::<io::Result<_>>()?;
         Ok(ChaosNet { shared, links })
     }
 
@@ -460,13 +452,13 @@ impl ChaosNet {
     /// place of the real target address).
     #[must_use]
     pub fn addr(&self, link: usize) -> SocketAddr {
-        self.links[link].addr
+        self.links[link].local_addr()
     }
 
     /// All proxied addresses, in link order.
     #[must_use]
     pub fn addrs(&self) -> Vec<SocketAddr> {
-        self.links.iter().map(|l| l.addr).collect()
+        self.links.iter().map(Listener::local_addr).collect()
     }
 
     /// Install a named partition. `groups[0]` is the group the clients
@@ -545,31 +537,10 @@ impl ChaosNet {
             .collect()
     }
 
-    /// Stop all listeners and forwarding threads and join them.
-    pub fn shutdown(mut self) {
-        self.stop_all();
-    }
-
-    fn stop_all(&mut self) {
-        if self.shared.stop.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Unblock each `accept` with a throwaway connection; if that
-        // fails the listener is already dead and accept has returned.
-        for link in &self.links {
-            let _ = TcpStream::connect(link.addr);
-        }
-        for link in &mut self.links {
-            if let Some(acceptor) = link.acceptor.take() {
-                let _ = acceptor.join();
-            }
-        }
-    }
-}
-
-impl Drop for ChaosNet {
-    fn drop(&mut self) {
-        self.stop_all();
+    /// Stop all listeners and forwarding threads and join them; dropping
+    /// the fleet does the same.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
@@ -582,74 +553,28 @@ impl std::fmt::Debug for ChaosNet {
     }
 }
 
-fn link_loop(listener: &TcpListener, link: usize, target: SocketAddr, shared: &Arc<ChaosShared>) {
-    let pumps: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
-    let mut next_id = 0u64;
-    for stream in listener.incoming() {
-        if shared.stop.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(client) = stream else { continue };
-        // A dead node behind the link: drop the accepted connection so
-        // the client sees an immediate close, like a refused target.
-        let Ok(upstream) = TcpStream::connect_timeout(&target, UPSTREAM_TIMEOUT) else {
-            continue;
-        };
-        if client.set_read_timeout(Some(POLL)).is_err()
-            || upstream.set_read_timeout(Some(POLL)).is_err()
-        {
-            continue;
-        }
-        let (Ok(client_rx), Ok(upstream_rx)) = (client.try_clone(), upstream.try_clone()) else {
-            continue;
-        };
-        let spawn_pump = |name: String, src: TcpStream, dst: TcpStream, dir: Dir| {
-            let shared = Arc::clone(shared);
-            std::thread::Builder::new()
-                .name(name)
-                .spawn(move || pump(src, dst, link, dir, &shared))
-        };
-        let to_node = spawn_pump(
-            format!("pdm-chaos-{link}-c{next_id}-tx"),
-            client_rx,
-            upstream,
-            Dir::ToNode,
-        );
-        let from_node = spawn_pump(
-            format!("pdm-chaos-{link}-c{next_id}-rx"),
-            upstream_rx,
-            client,
-            Dir::FromNode,
-        );
-        next_id += 1;
-        let mut held = pumps.lock().unwrap_or_else(PoisonError::into_inner);
-        // Reap finished pumps opportunistically so the vec does not
-        // grow with connection churn.
-        held.retain(|h| !h.is_finished());
-        held.extend(to_node.into_iter().chain(from_node));
-    }
-    let held = std::mem::take(&mut *pumps.lock().unwrap_or_else(PoisonError::into_inner));
-    for handle in held {
-        let _ = handle.join();
-    }
+/// Proxy one accepted client connection on `link` to `target`: one pump
+/// per direction, the request pump on this thread (see the module docs
+/// for how a connection ends).
+fn proxy(client: &TcpStream, link: usize, target: SocketAddr, shared: &ChaosShared) {
+    // A dead node behind the link: close the accepted connection so the
+    // client sees an immediate close, like a refused target.
+    let Ok(upstream) = TcpStream::connect_timeout(&target, UPSTREAM_TIMEOUT) else {
+        return;
+    };
+    std::thread::scope(|s| {
+        s.spawn(|| pump(&upstream, client, link, Dir::FromNode, shared));
+        pump(client, &upstream, link, Dir::ToNode, shared);
+    });
 }
 
 /// Forward frames from `src` to `dst` for one connection direction,
 /// applying partition state and the fault plan per frame.
-fn pump(mut src: TcpStream, mut dst: TcpStream, link: usize, dir: Dir, shared: &ChaosShared) {
+fn pump(mut src: &TcpStream, mut dst: &TcpStream, link: usize, dir: Dir, shared: &ChaosShared) {
     let mut clock: u64 = 0;
     // Reorder buffer: a held frame goes out right after its successor.
     let mut held: Option<Vec<u8>> = None;
-    let stop = || shared.stop.load(Ordering::Acquire);
-    loop {
-        if stop() {
-            break;
-        }
-        let frame = match read_frame_poll(&mut src, stop) {
-            Ok(FrameRead::Frame(payload)) => payload,
-            Ok(FrameRead::Idle) => continue,
-            Ok(FrameRead::Eof | FrameRead::Stopped) | Err(_) => break,
-        };
+    while let Ok(Some(frame)) = read_frame(&mut src) {
         let n = clock;
         clock += 1;
         let cells = &shared.stats[link];
@@ -725,7 +650,7 @@ fn pump(mut src: TcpStream, mut dst: TcpStream, link: usize, dir: Dir, shared: &
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::read_frame;
+    use std::net::TcpListener;
 
     /// A minimal frame-echo peer: echoes every frame back, one
     /// connection at a time. Detached — it dies with the test process

@@ -256,15 +256,17 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
     // truncated frame.
     let mut filled = 0;
     while filled < 4 {
-        match r.read(&mut len_buf[filled..])? {
-            0 if filled == 0 => return Ok(None),
-            0 => {
+        match r.read(&mut len_buf[filled..]) {
+            Ok(0) if filled == 0 => return Ok(None),
+            Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "eof inside frame length",
                 ))
             }
-            n => filled += n,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
     let len = u32::from_le_bytes(len_buf) as usize;
@@ -277,96 +279,6 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))
-}
-
-/// What one polling read attempt produced (see [`read_frame_poll`]).
-#[derive(Debug, PartialEq, Eq)]
-pub enum FrameRead {
-    /// A complete frame payload.
-    Frame(Vec<u8>),
-    /// The read timeout expired with **no** frame bytes consumed — the
-    /// connection is idle; re-check the stop condition and poll again.
-    Idle,
-    /// Clean EOF between frames.
-    Eof,
-    /// `should_stop` returned true while a frame was only partially read.
-    Stopped,
-}
-
-/// Read one frame from a stream with a read timeout installed, without
-/// ever desynchronizing on a timeout that lands *mid-frame*: a
-/// `WouldBlock`/`TimedOut` before the first byte of a frame returns
-/// [`FrameRead::Idle`] (the caller re-checks its stop flag and calls
-/// again), while a timeout after a frame has started keeps accumulating
-/// the partial bytes — consulting `should_stop` between attempts so a
-/// peer that dies mid-frame cannot wedge shutdown.
-///
-/// # Errors
-/// Propagates stream errors other than the timeout kinds; rejects
-/// oversized length prefixes with [`io::ErrorKind::InvalidData`] and
-/// EOF inside a frame with [`io::ErrorKind::UnexpectedEof`].
-pub fn read_frame_poll<R: Read>(
-    r: &mut R,
-    should_stop: impl Fn() -> bool,
-) -> io::Result<FrameRead> {
-    let mut len_buf = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut len_buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(FrameRead::Eof),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof inside frame length",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if filled == 0 {
-                    return Ok(FrameRead::Idle);
-                }
-                if should_stop() {
-                    return Ok(FrameRead::Stopped);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds MAX_FRAME"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    let mut got = 0;
-    while got < len {
-        match r.read(&mut payload[got..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof inside frame payload",
-                ))
-            }
-            Ok(n) => got += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if should_stop() {
-                    return Ok(FrameRead::Stopped);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(FrameRead::Frame(payload))
 }
 
 // ------------------------------------------------------------- primitives

@@ -422,6 +422,8 @@ impl ServeMetrics {
 /// Everything the client handles and workers share.
 pub(crate) struct Shared {
     pub(crate) queues: Vec<Arc<BoundedQueue<Request>>>,
+    /// Per-shard key universe ([`Dict::universe`]), read once at start.
+    pub(crate) universes: Vec<u64>,
     /// Per-shard flag: the shard's worker observed a crash and stopped
     /// acknowledging (its closed queue means [`ServeError::Disconnected`],
     /// not [`ServeError::ShuttingDown`]).
@@ -440,16 +442,25 @@ impl Shared {
         (mix64(self.cfg.route_seed ^ key) % self.queues.len() as u64) as usize
     }
 
-    /// Admission control: route, probe the shard's cache (lookups only —
-    /// a resident key is answered right here, consuming no queue slot
-    /// and no I/O round), then check the bound and enqueue. Refusals are
-    /// immediate and typed; nothing blocks.
+    /// Admission control: route, refuse a key outside the shard's
+    /// universe (the dictionary would panic on it and leave the reply slot
+    /// empty), probe the shard's cache (lookups only — a resident key is
+    /// answered right here, consuming no queue slot and no I/O round),
+    /// then check the bound and enqueue. Refusals are immediate and typed;
+    /// nothing blocks.
     pub(crate) fn submit(
         &self,
         op: Op,
         deadline: Duration,
     ) -> Result<Arc<OneShot<OpResult>>, ServeError> {
-        let shard = self.shard_of(op.key());
+        let key = op.key();
+        let shard = self.shard_of(key);
+        let universe = self.universes[shard];
+        if key >= universe && universe != u64::MAX {
+            return Err(ServeError::Dict(pdm_dict::DictError::UnsupportedParams(format!(
+                "key {key} outside the universe of size {universe}"
+            ))));
+        }
         if let (Op::Lookup(key), Some(caches)) = (&op, &self.caches) {
             // Skip the fast path once the shard stopped serving: a
             // crashed or closing shard must answer Disconnected /
@@ -594,6 +605,7 @@ impl ServeEngine {
             queues: (0..shards.len())
                 .map(|_| Arc::new(BoundedQueue::new(cfg.queue_bound)))
                 .collect(),
+            universes: shards.iter().map(|d| d.universe()).collect(),
             crashed: (0..shards.len()).map(|_| AtomicBool::new(false)).collect(),
             stats,
             metrics,

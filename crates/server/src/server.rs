@@ -1,5 +1,5 @@
-//! The TCP front-end: accepts connections, decodes request frames,
-//! drives a [`DictClient`], and writes response frames back.
+//! The TCP front-end, and the listener every socket in this crate and
+//! the cluster tier is served by.
 //!
 //! Concurrency model: one thread per connection (each blocks in the
 //! engine while its request is served — exactly the shape the
@@ -9,57 +9,152 @@
 //! is how the paper's "many concurrent clients" environment looks to a
 //! server anyway.
 //!
+//! [`Listener`] owns that model once: bind, the accept loop, the
+//! connection threads, and their stop. A stop reaches a connection by
+//! shutting the read half of its socket: a read blocked there returns
+//! EOF at once, so an idle connection ends without polling, while the
+//! write half stays open, so a request already inside the engine still
+//! writes its reply. [`serve_frames`] is the request loop both
+//! [`TcpServer`] and the cluster node run on each connection; each
+//! passes its own request handler.
+//!
 //! Every error is answered on the wire as an `ERROR` frame — including
 //! malformed requests, which get [`ServeError::Protocol`] before the
 //! connection is dropped. Admission rejections ([`ServeError::Overloaded`])
 //! are ordinary responses: the client sees typed backpressure, not a
 //! closed socket.
 
-use crate::client::DictClient;
+use crate::client::{DictClient, Pending};
 use crate::protocol::{
-    decode_request, encode_response, read_frame_poll, write_frame, FrameRead, WireRequest,
-    WireResponse,
+    decode_request, encode_response, read_frame, write_frame, WireRequest, WireResponse,
 };
-use crate::scheduler::Op;
 use crate::ServeError;
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufReader, BufWriter};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-/// Default for [`ServerConfig::read_poll`].
-pub const DEFAULT_READ_POLL: Duration = Duration::from_millis(50);
-
-/// Tuning knobs of the TCP front-end.
-#[derive(Debug, Clone, Copy)]
-pub struct ServerConfig {
-    /// How long a connection thread blocks in `read` before re-checking
-    /// the stop flag. Bounds shutdown latency, invisible to clients;
-    /// lower it when a test or drill needs fast server teardown.
-    pub read_poll: Duration,
+/// A bound TCP socket serving every accepted connection on a thread of
+/// its own. Stopping it — [`stop`](Self::stop) or drop — stops
+/// accepting, shuts the read half of every live connection and joins
+/// their threads (see the [module docs](self)).
+#[derive(Debug)]
+pub struct Listener {
+    local_addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    acceptor: Option<JoinHandle<()>>,
 }
 
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            read_poll: DEFAULT_READ_POLL,
-        }
+impl Listener {
+    /// Bind `addr` and run `serve` on each accepted connection, on a
+    /// thread named `<name>-<n>`. When `serve` returns, the connection is
+    /// closed toward the peer.
+    ///
+    /// # Errors
+    /// Propagates bind and thread-spawn failures.
+    pub fn bind<A, F>(addr: A, name: &str, serve: F) -> io::Result<Self>
+    where
+        A: ToSocketAddrs,
+        F: Fn(&TcpStream) + Send + Sync + 'static,
+    {
+        let listener = TcpListener::bind(addr)?;
+        let local_addr = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let acceptor = {
+            let stop = Arc::clone(&stop);
+            let name = name.to_owned();
+            std::thread::Builder::new()
+                .name(format!("{name}-accept"))
+                .spawn(move || accept_loop(&listener, &name, &stop, serve))?
+        };
+        Ok(Listener {
+            local_addr,
+            stop,
+            acceptor: Some(acceptor),
+        })
+    }
+
+    /// The bound address.
+    #[must_use]
+    pub fn local_addr(&self) -> SocketAddr {
+        self.local_addr
+    }
+
+    /// Stop accepting, shut the read half of every live connection, and
+    /// join their threads. Idempotent.
+    pub fn stop(&mut self) {
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
+        self.stop.store(true, Ordering::Release);
+        // Unblock `accept` with a throwaway connection; if that fails the
+        // listener is already dead and accept has returned anyway.
+        let _ = TcpStream::connect(self.local_addr);
+        let _ = acceptor.join();
     }
 }
 
-impl ServerConfig {
-    /// Set the stop-flag re-check interval for connection reads.
-    ///
-    /// # Panics
-    /// Panics if `poll` is zero (a zero read timeout would mean
-    /// "no timeout" to the OS and connections would never observe stop).
-    #[must_use]
-    pub fn with_read_poll(mut self, poll: Duration) -> Self {
-        assert!(!poll.is_zero(), "read poll must be positive");
-        self.read_poll = poll;
-        self
+impl Drop for Listener {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+fn accept_loop<F>(listener: &TcpListener, name: &str, stop: &AtomicBool, serve: F)
+where
+    F: Fn(&TcpStream) + Send + Sync + 'static,
+{
+    let serve = Arc::new(serve);
+    // Each live connection: its socket (to shut at stop) and its thread.
+    let mut live: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
+    for (n, stream) in listener.incoming().enumerate() {
+        if stop.load(Ordering::Acquire) {
+            break;
+        }
+        let Ok(stream) = stream else { continue };
+        let Ok(socket) = stream.try_clone() else { continue };
+        let serve = Arc::clone(&serve);
+        let thread = std::thread::Builder::new()
+            .name(format!("{name}-{n}"))
+            .spawn(move || {
+                serve(&stream);
+                // Close toward the peer now: `socket` keeps the file
+                // open until this thread is reaped.
+                let _ = stream.shutdown(Shutdown::Both);
+            });
+        // Reap finished connections so the list does not grow with
+        // connection churn.
+        live.retain(|(_, thread)| !thread.is_finished());
+        if let Ok(thread) = thread {
+            live.push((socket, thread));
+        }
+    }
+    for (socket, _) in &live {
+        let _ = socket.shutdown(Shutdown::Read);
+    }
+    for (_, thread) in live {
+        let _ = thread.join();
+    }
+}
+
+/// Serve request frames on `stream` until the peer closes, the listener
+/// stops, or the wire fails: each frame is decoded and answered with
+/// `handle`'s response. A malformed frame is answered with its
+/// [`ServeError::Protocol`], then the connection is dropped — after a
+/// framing error the stream position is untrustworthy.
+pub fn serve_frames(stream: &TcpStream, mut handle: impl FnMut(WireRequest) -> WireResponse) {
+    let _ = stream.set_nodelay(true);
+    let mut reader = BufReader::new(stream);
+    let mut writer = BufWriter::new(stream);
+    while let Ok(Some(payload)) = read_frame(&mut reader) {
+        let (response, malformed) = match decode_request(&payload) {
+            Ok(request) => (handle(request), false),
+            Err(e) => (WireResponse::Err(e), true),
+        };
+        if write_frame(&mut writer, &encode_response(&response)).is_err() || malformed {
+            return;
+        }
     }
 }
 
@@ -82,9 +177,7 @@ impl ServerConfig {
 /// [`ServeEngine`]: crate::ServeEngine
 #[derive(Debug)]
 pub struct TcpServer {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    acceptor: JoinHandle<()>,
+    listener: Listener,
 }
 
 impl TcpServer {
@@ -94,142 +187,38 @@ impl TcpServer {
     /// # Errors
     /// Propagates bind failures.
     pub fn bind<A: ToSocketAddrs>(addr: A, client: DictClient) -> io::Result<Self> {
-        Self::bind_with(addr, client, ServerConfig::default())
-    }
-
-    /// Like [`bind`](Self::bind) with explicit [`ServerConfig`] tuning.
-    ///
-    /// # Errors
-    /// Propagates bind failures.
-    pub fn bind_with<A: ToSocketAddrs>(
-        addr: A,
-        client: DictClient,
-        cfg: ServerConfig,
-    ) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let acceptor = {
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("pdm-serve-accept".into())
-                .spawn(move || accept_loop(&listener, &client, &stop, cfg))?
-        };
-        Ok(TcpServer {
-            local_addr,
-            stop,
-            acceptor,
-        })
+        let listener = Listener::bind(addr, "pdm-serve", move |stream| {
+            serve_frames(stream, |request| match request {
+                WireRequest::Ping => WireResponse::Pong,
+                WireRequest::Op(op) => match client.submit(op).and_then(Pending::wait) {
+                    Ok(reply) => WireResponse::Reply(reply),
+                    Err(e) => WireResponse::Err(e),
+                },
+                // Cluster opcodes only make sense on a multi-tenant
+                // cluster node; a single-engine server answers them typed.
+                _ => WireResponse::Err(ServeError::Protocol(
+                    "cluster request on a single-engine server".into(),
+                )),
+            });
+        })?;
+        Ok(TcpServer { listener })
     }
 
     /// The bound address.
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
-    /// Stop accepting, wake every connection thread, and join them all.
-    /// In-flight requests finish and answer first (a request already in
-    /// the engine keeps its reply slot). Does **not** shut the engine
-    /// down — call [`ServeEngine::shutdown`](crate::ServeEngine::shutdown)
+    /// Stop accepting, end every connection, and join their threads;
+    /// dropping the server does the same. A request already in the
+    /// engine still answers first: only each connection's read half is
+    /// shut. Does **not** shut the engine down — call
+    /// [`ServeEngine::shutdown`](crate::ServeEngine::shutdown)
     /// afterwards for the drain + checkpoint.
-    pub fn shutdown(self) {
-        self.stop.store(true, Ordering::Release);
-        // Unblock `accept` with a throwaway connection; if that fails the
-        // listener is already dead and accept has returned anyway.
-        let _ = TcpStream::connect(self.local_addr);
-        let _ = self.acceptor.join();
+    pub fn shutdown(mut self) {
+        self.listener.stop();
     }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    client: &DictClient,
-    stop: &Arc<AtomicBool>,
-    cfg: ServerConfig,
-) {
-    let connections: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
-    let mut next_id = 0u64;
-    for stream in listener.incoming() {
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let client = client.clone();
-        let stop = Arc::clone(stop);
-        let handle = std::thread::Builder::new()
-            .name(format!("pdm-serve-conn-{next_id}"))
-            .spawn(move || {
-                // A failing connection takes only itself down.
-                let _ = serve_connection(stream, &client, &stop, cfg);
-            });
-        next_id += 1;
-        if let Ok(handle) = handle {
-            let mut conns = connections.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            // Reap finished connections opportunistically so the vec
-            // does not grow with connection churn.
-            conns.retain(|h| !h.is_finished());
-            conns.push(handle);
-        }
-    }
-    let conns = std::mem::take(
-        &mut *connections.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
-    );
-    for handle in conns {
-        let _ = handle.join();
-    }
-}
-
-/// Serve one connection until the peer closes, the stop flag rises, or a
-/// wire error. Malformed frames answer `ERROR` then drop the connection.
-fn serve_connection(
-    stream: TcpStream,
-    client: &DictClient,
-    stop: &AtomicBool,
-    cfg: ServerConfig,
-) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(cfg.read_poll))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        // Mid-frame read polls keep accumulating (a slow writer must not
-        // desynchronize the stream); idle polls re-check the stop flag.
-        let payload = match read_frame_poll(&mut reader, || stop.load(Ordering::Acquire)) {
-            Ok(FrameRead::Frame(payload)) => payload,
-            Ok(FrameRead::Eof) => return Ok(()), // peer closed cleanly
-            Ok(FrameRead::Idle) => continue,     // read poll expired; re-check stop
-            Ok(FrameRead::Stopped) => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        let response = match decode_request(&payload) {
-            Ok(WireRequest::Ping) => WireResponse::Pong,
-            Ok(WireRequest::Op(op)) => match execute(client, op) {
-                Ok(reply) => WireResponse::Reply(reply),
-                Err(e) => WireResponse::Err(e),
-            },
-            // Cluster opcodes only make sense on a multi-tenant cluster
-            // node; a single-engine server answers them typed.
-            Ok(_) => WireResponse::Err(ServeError::Protocol(
-                "cluster request on a single-engine server".into(),
-            )),
-            Err(malformed) => {
-                // Answer, then drop: after a framing error the stream
-                // position is untrustworthy.
-                write_frame(&mut writer, &encode_response(&WireResponse::Err(malformed)))?;
-                writer.flush()?;
-                return Ok(());
-            }
-        };
-        write_frame(&mut writer, &encode_response(&response))?;
-    }
-}
-
-fn execute(client: &DictClient, op: Op) -> Result<crate::Reply, ServeError> {
-    client.submit(op)?.wait()
 }
 
 #[cfg(test)]

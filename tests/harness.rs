@@ -116,21 +116,31 @@ impl ShardProbe {
         Box::new(CountedShard { inner, probe: self.clone() })
     }
 
+    /// Close the gate: the shard's worker waits in its next `lookup_batch`.
+    pub fn hold(&self) {
+        *self.gate.0.lock().unwrap() = false;
+    }
+
+    /// Open the gate and wake a held worker.
+    pub fn release(&self) {
+        *self.gate.0.lock().unwrap() = true;
+        self.gate.1.notify_all();
+    }
+
     /// Run `ops` as **one** window of the shard's worker: hold it inside a
     /// lookup of `decoy` (a key no cache holds, so it reaches the shard),
     /// submit everything, release. Replies in submission order. Clears
     /// [`calls`](Self::calls) first, so afterwards it lists the decoy's
     /// lookup and then the window's calls.
     pub fn one_window(&self, client: &DictClient, decoy: u64, ops: Vec<Op>) -> Vec<OpResult> {
-        *self.gate.0.lock().unwrap() = false;
+        self.hold();
         self.calls.lock().unwrap().clear();
         let held = client.submit(Op::Lookup(decoy)).unwrap();
         while self.calls.lock().unwrap().is_empty() {
             std::thread::yield_now();
         }
         let pending: Vec<_> = ops.into_iter().map(|op| client.submit(op).unwrap()).collect();
-        *self.gate.0.lock().unwrap() = true;
-        self.gate.1.notify_all();
+        self.release();
         held.wait().unwrap();
         pending.into_iter().map(|p| p.wait()).collect()
     }
@@ -158,6 +168,9 @@ impl Dict for CountedShard {
     }
     fn capacity(&self) -> usize {
         self.inner.capacity()
+    }
+    fn universe(&self) -> u64 {
+        self.inner.universe()
     }
     fn lookup(&mut self, key: u64) -> pdm_dict::LookupOutcome {
         self.note("lookup", 1);

@@ -1,19 +1,26 @@
 //! Protocol-robustness drills (`pdm-server` wire layer): a server fed
-//! truncated frames, oversized length prefixes, random garbage, and
-//! mid-frame disconnects must never panic, never wedge, and keep
-//! serving fresh connections exactly.
+//! truncated frames, oversized length prefixes, random garbage,
+//! mid-frame disconnects and keys outside its universe must never
+//! panic, never wedge, and keep serving fresh connections exactly. Then
+//! the stop contract both TCP front-ends share.
 //!
 //! Randomization follows the suite convention: deterministic by
 //! default, `PROPTEST_SEED=<u64>` rotates the corpus (CI sets it per
 //! run).
 
+mod harness;
+
+use harness::ShardProbe;
 use pdm_cluster::map::ClusterConfig;
 use pdm_cluster::node::build_shard;
-use pdm_server::protocol::{decode_response, WireResponse, MAX_FRAME};
-use pdm_server::protocol::WireRequest;
-use pdm_server::{EngineConfig, Op, Reply, ServeEngine, TcpClient, TcpServer};
+use pdm_cluster::{ClusterNode, NodeConfig};
+use pdm_dict::{Dict, DictError, DictParams, Dictionary};
+use pdm_server::protocol::{
+    decode_response, encode_request, read_frame, write_frame, WireRequest, WireResponse, MAX_FRAME,
+};
+use pdm_server::{EngineConfig, Op, Reply, ServeEngine, ServeError, TcpClient, TcpServer};
 use proptest::prelude::*;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -26,12 +33,19 @@ struct Fixture {
     addr: SocketAddr,
 }
 
-fn fixture() -> Fixture {
-    let cluster = ClusterConfig {
+fn small_cluster() -> ClusterConfig {
+    ClusterConfig {
         shard_capacity: 64,
         ..ClusterConfig::default()
-    };
-    let engine = ServeEngine::new(vec![build_shard(&cluster, 0)], EngineConfig::default());
+    }
+}
+
+fn fixture() -> Fixture {
+    fixture_over(build_shard(&small_cluster(), 0))
+}
+
+fn fixture_over(shard: Box<dyn Dict + Send>) -> Fixture {
+    let engine = ServeEngine::new(vec![shard], EngineConfig::default());
     let server = TcpServer::bind("127.0.0.1:0", engine.client()).expect("bind");
     let addr = server.local_addr();
     Fixture {
@@ -238,4 +252,162 @@ fn a_swarm_of_hostile_peers_cannot_take_the_server_down() {
     });
     f.assert_serves(seed % (1 << 20));
     f.close();
+}
+
+/// Ask for the three operations on a key past the shard's universe (the
+/// expanders panic on one), each addressed by `request`: every one must
+/// answer the typed refusal.
+fn assert_refused_outside_universe(client: &mut TcpClient, request: impl Fn(Op) -> WireRequest) {
+    let key = 1 << 30;
+    for op in [Op::Lookup(key), Op::Insert(key, vec![key]), Op::Delete(key)] {
+        match client.request(&request(op.clone())) {
+            Ok(WireResponse::Err(ServeError::Dict(DictError::UnsupportedParams(_)))) => {}
+            other => panic!("{op:?} outside the universe answered {other:?}"),
+        }
+    }
+}
+
+/// A key outside the universe is refused at admission, so it cannot
+/// wedge the shard worker that would panic on it: the server keeps
+/// serving. Both served shapes: the cluster's `DictHandle` (universe
+/// 2^21) and a rebuilding `Dictionary` over 2^20 keys.
+#[test]
+fn a_key_outside_the_universe_is_refused_typed() {
+    let params = DictParams::new(64, 1 << 20, 1).with_degree(16).with_epsilon(1.0);
+    let shards: [Box<dyn Dict + Send>; 2] = [
+        build_shard(&small_cluster(), 0),
+        Box::new(Dictionary::new(params, 256).expect("dictionary")),
+    ];
+    for shard in shards {
+        let f = fixture_over(shard);
+        let mut client = TcpClient::connect(f.addr).expect("connect");
+        // Short: from a wedged shard no answer ever comes.
+        client.set_deadline(Some(Duration::from_secs(2))).expect("deadline");
+        assert_refused_outside_universe(&mut client, WireRequest::Op);
+        f.assert_serves(5);
+        f.close();
+    }
+}
+
+/// The same refusal through a cluster node's shard-addressed operation.
+#[test]
+fn a_shard_op_outside_the_universe_is_refused_typed() {
+    let node = ClusterNode::start("127.0.0.1:0", small_cluster(), &[0], NodeConfig::default())
+        .expect("start node");
+    let mut client = TcpClient::connect(node.local_addr()).expect("connect");
+    client.set_deadline(Some(Duration::from_secs(5))).expect("deadline");
+    let shard_op = |op| WireRequest::ShardOp { shard: 0, epoch: 0, op };
+    assert_refused_outside_universe(&mut client, shard_op);
+    assert_eq!(
+        client.request(&shard_op(Op::Insert(5, vec![5]))),
+        Ok(WireResponse::Reply(Reply::Inserted))
+    );
+    assert_eq!(
+        client.request(&shard_op(Op::Lookup(5))),
+        Ok(WireResponse::Reply(Reply::Lookup(Some(vec![5]))))
+    );
+    node.shutdown();
+}
+
+/// A TCP front-end serving one shard: its address, how it wants a
+/// dictionary operation addressed, and its stop.
+struct FrontEnd {
+    addr: SocketAddr,
+    request: fn(Op) -> WireRequest,
+    stop: Box<dyn FnOnce() + Send>,
+}
+
+fn tcp_server(shard: Box<dyn Dict + Send>) -> FrontEnd {
+    let engine = ServeEngine::new(vec![shard], EngineConfig::default());
+    let server = TcpServer::bind("127.0.0.1:0", engine.client()).expect("bind");
+    FrontEnd {
+        addr: server.local_addr(),
+        request: WireRequest::Op,
+        stop: Box::new(move || {
+            server.shutdown();
+            drop(engine.shutdown());
+        }),
+    }
+}
+
+fn cluster_node(shard: Box<dyn Dict + Send>) -> FrontEnd {
+    let node = ClusterNode::host(
+        "127.0.0.1:0",
+        small_cluster(),
+        vec![(0, shard)],
+        NodeConfig::default(),
+    )
+    .expect("start node");
+    FrontEnd {
+        addr: node.local_addr(),
+        request: |op| WireRequest::ShardOp { shard: 0, epoch: 0, op },
+        stop: Box::new(move || node.shutdown()),
+    }
+}
+
+/// The stop contract at the TCP layer, for both front-ends: a stop
+/// ends an idle connection at once, while a request already inside the
+/// engine still gets its reply over the wire, and the stop returns once
+/// it has.
+#[test]
+fn a_stop_answers_the_request_inside_the_engine_and_ends_idle_connections() {
+    for start in [tcp_server as fn(_) -> FrontEnd, cluster_node] {
+        let probe = ShardProbe::new();
+        let front = start(probe.wrap(build_shard(&small_cluster(), 0)));
+        let mut writer = TcpClient::connect(front.addr).expect("connect");
+        assert_eq!(
+            writer.request(&(front.request)(Op::Insert(7, vec![7]))),
+            Ok(WireResponse::Reply(Reply::Inserted))
+        );
+
+        // Park a lookup inside the engine: its worker waits at the gate.
+        probe.hold();
+        probe.calls.lock().unwrap().clear();
+        let mut parked = TcpClient::connect(front.addr).expect("connect");
+        parked.set_deadline(Some(Duration::from_secs(30))).expect("deadline");
+        let lookup = (front.request)(Op::Lookup(7));
+        let parked = std::thread::spawn(move || parked.request(&lookup));
+        while probe.calls.lock().unwrap().is_empty() {
+            std::thread::yield_now();
+        }
+
+        // An idle connection, answered once so its thread is serving.
+        let mut idle = TcpStream::connect(front.addr).expect("connect");
+        idle.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+        write_frame(&mut idle, &encode_request(&WireRequest::Ping)).expect("ping");
+        let pong = read_frame(&mut idle).expect("pong").expect("pong");
+        assert_eq!(decode_response(&pong), Ok(WireResponse::Pong));
+
+        let stopper = std::thread::spawn(front.stop);
+        assert_eq!(
+            read_frame(&mut idle).expect("a clean close"),
+            None,
+            "the stop ends an idle connection"
+        );
+        assert!(!stopper.is_finished(), "the stop waits for the parked request");
+        probe.release();
+        assert_eq!(
+            parked.join().unwrap(),
+            Ok(WireResponse::Reply(Reply::Lookup(Some(vec![7])))),
+            "the parked request is answered over the wire"
+        );
+        stopper.join().expect("the stop returns");
+    }
+}
+
+/// Dropping a front-end without its `shutdown` closes its port too.
+#[test]
+fn a_dropped_front_end_stops_listening() {
+    let engine = ServeEngine::new(vec![build_shard(&small_cluster(), 0)], EngineConfig::default());
+    let server = TcpServer::bind("127.0.0.1:0", engine.client()).expect("bind");
+    let node = ClusterNode::start("127.0.0.1:0", small_cluster(), &[0], NodeConfig::default())
+        .expect("start node");
+    let addrs = [server.local_addr(), node.local_addr()];
+    drop(server);
+    drop(node);
+    for addr in addrs {
+        let refused = TcpStream::connect(addr).expect_err("a dropped front-end still accepts");
+        assert_eq!(refused.kind(), io::ErrorKind::ConnectionRefused);
+    }
+    drop(engine.shutdown());
 }
