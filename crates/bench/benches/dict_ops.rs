@@ -92,20 +92,20 @@ fn bench_lookup_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// What a batch of one costs beside the single-key call it would replace
-/// (ROADMAP "a single-key operation is the batch of one"): 64 operations an
-/// iteration, each through `*_batch` of one key or through the single-key
-/// method, on a 32 Ki-key shard without a journal and with 4 ring rows.
-/// `lookup_batch64` above is the same 64 keys in one batch.
-fn bench_batch_of_one(c: &mut Criterion) {
+/// The per-key cost of the served structure's single-key calls, each the
+/// batch of one: 64 operations an iteration on a 32 Ki-key shard, without a
+/// journal and with 4 ring rows. `lookup_batch64` above is 64 keys in one
+/// batch.
+fn bench_single_key(c: &mut Criterion) {
     const LOADED: usize = 32 << 10;
     const RUN: usize = 64;
-    let keys = uniform_keys(LOADED + 2 * 30 * RUN, 1 << 40, 0xC2);
+    const CASE: usize = 30 * RUN;
+    let keys = uniform_keys(LOADED + CASE, 1 << 40, 0xC2);
     let entries = entries_for(&keys, SIGMA);
     for (label, journal_rows) in [("dynamic", 0), ("dynamic_journaled", 4)] {
         let mut shard = served(keys.len(), journal_rows, &entries[..LOADED]);
         // Every case works through a range of keys no other case touches
-        // (none finds its blocks warmed by its twin): 30 runs of loaded keys
+        // (none finds its blocks warmed by another): 30 runs of loaded keys
         // for the lookups and deletes, of the fresh ones behind them for the
         // inserts.
         let mut case = |group: &str, mut next: usize, op: &mut dyn FnMut(&mut dyn Dict, usize)| {
@@ -118,19 +118,15 @@ fn bench_batch_of_one(c: &mut Criterion) {
                 });
             });
         };
-        const CASE: usize = 30 * RUN;
         case("lookup_single", 0, &mut |d, i| drop(black_box(d.lookup(keys[i]))));
-        case("lookup_batch1", CASE, &mut |d, i| drop(black_box(d.lookup_batch(&keys[i..=i]))));
         case("insert_single", LOADED, &mut |d, i| {
             d.insert(entries[i].0, &entries[i].1).expect("insert");
         });
-        case("insert_batch1", LOADED + CASE, &mut |d, i| drop(black_box(d.insert_batch(&entries[i..=i]))));
-        case("delete_single", 2 * CASE, &mut |d, i| {
+        case("delete_single", CASE, &mut |d, i| {
             d.delete(keys[i]).expect("delete");
         });
-        case("delete_batch1", 3 * CASE, &mut |d, i| drop(black_box(d.delete_batch(&keys[i..=i]))));
     }
 }
 
-criterion_group!(benches, bench_lookups, bench_inserts, bench_static_build, bench_lookup_batch, bench_batch_of_one);
+criterion_group!(benches, bench_lookups, bench_inserts, bench_static_build, bench_lookup_batch, bench_single_key);
 criterion_main!(benches);

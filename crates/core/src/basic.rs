@@ -139,8 +139,6 @@ pub struct BucketPatch {
     first: BlockAddr,
     image: Vec<Word>,
     blocks: usize,
-    /// Which of the probe's candidate buckets this is a copy of.
-    candidate: usize,
 }
 
 impl BucketPatch {
@@ -151,21 +149,6 @@ impl BucketPatch {
             .chunks(self.image.len() / self.blocks)
             .enumerate()
             .map(move |(b, words)| (BlockAddr::new(first.disk, first.block + b), words))
-    }
-
-    /// The bucket's words, block after block.
-    #[must_use]
-    pub fn image(&self) -> &[Word] {
-        &self.image
-    }
-
-    /// The pre-images of [`writes`](Self::writes), in the same order: the
-    /// bucket's blocks as they lie in `probe_blocks`, the probe the patch
-    /// was planned from. A journaled writer takes the words it changed from
-    /// them ([`pdm::journal::diff_runs`]) while the probe is in hand.
-    pub fn bases<'a>(&self, probe_blocks: &'a impl BlockView) -> impl Iterator<Item = &'a [Word]> {
-        let first = self.candidate * self.blocks;
-        (first..first + self.blocks).map(move |b| probe_blocks.block(b))
     }
 }
 
@@ -286,9 +269,15 @@ impl BasicDict {
     /// parallel I/Os — 1 in the `B = Ω(log N)` regime.
     #[must_use]
     pub fn probe_addrs(&self, key: u64) -> Vec<BlockAddr> {
-        let mut out = Vec::with_capacity(self.cfg.degree * self.blocks_per_bucket);
+        let mut out = Vec::with_capacity(self.probe_blocks());
         self.extend_probe_addrs(key, &mut out);
         out
+    }
+
+    /// Blocks of [`probe_addrs`](Self::probe_addrs): `d` buckets of
+    /// [`blocks_per_bucket`](Self::blocks_per_bucket) blocks.
+    pub(crate) fn probe_blocks(&self) -> usize {
+        self.cfg.degree * self.blocks_per_bucket
     }
 
     /// Append [`probe_addrs`](Self::probe_addrs) of `key` to `out`.
@@ -374,6 +363,13 @@ impl BasicDict {
         key: u64,
         probe_blocks: &impl BlockView,
     ) -> Result<BucketPatch, DictError> {
+        let candidate = self.choose_candidate(key, probe_blocks)?;
+        Ok(self.patch(key, candidate, probe_blocks))
+    }
+
+    /// [`choose_bucket`](Self::choose_bucket)'s pass without the copy: the
+    /// candidate `key` goes to.
+    fn choose_candidate(&self, key: u64, probe_blocks: &impl BlockView) -> Result<usize, DictError> {
         let mut least = (usize::MAX, 0);
         for i in 0..self.cfg.degree {
             let bucket = self.bucket(probe_blocks, i);
@@ -383,7 +379,29 @@ impl BasicDict {
             }
             least = least.min((load, i));
         }
-        Ok(self.patch(key, least.1, probe_blocks))
+        Ok(least.1)
+    }
+
+    /// Where `key`'s record goes, from the blocks read for its probe, with
+    /// no copy made: after [`choose_bucket`](Self::choose_bucket)'s duplicate
+    /// check, the block of the slot [`fill`](Self::fill) would fill and the
+    /// slot's first word in it — or, the bucket full, the error `fill`
+    /// would give (`Err` in the `Ok`). Buckets of one block.
+    pub(crate) fn choose_slot(
+        &self,
+        key: u64,
+        probe_blocks: &impl BlockView,
+    ) -> Result<Result<(BlockAddr, usize), DictError>, DictError> {
+        debug_assert_eq!(self.blocks_per_bucket, 1, "a slot lies in one block");
+        let candidate = self.choose_candidate(key, probe_blocks)?;
+        let (stripe, j) = self.graph.stripe_of(self.graph.neighbor(key, candidate));
+        let at = self.codec.free_at(probe_blocks.block(candidate));
+        Ok(at.map(|at| (self.region.addr(stripe, j), at)).ok_or(DictError::BucketOverflow { key }))
+    }
+
+    /// The codec of the buckets.
+    pub(crate) fn codec(&self) -> BucketCodec {
+        self.codec
     }
 
     /// Put `key`'s record into the bucket [`choose_bucket`](Self::choose_bucket)
@@ -410,6 +428,18 @@ impl BasicDict {
         let mut patch = self.patch(key, i, probe_blocks);
         self.codec.delete(&mut patch.image, key);
         Some(patch)
+    }
+
+    /// Where deleting `key` writes, from the blocks read for its probe: the
+    /// block of its record and the record's flags word in it — all a
+    /// tombstone changes ([`BucketCodec::TOMBSTONE`]). `None` when the key is
+    /// absent.
+    pub(crate) fn tombstone_word(&self, key: u64, probe_blocks: &impl BlockView) -> Option<(BlockAddr, usize)> {
+        let (i, at) =
+            (0..self.cfg.degree).find_map(|i| Some((i, self.codec.flags_at(&self.bucket(probe_blocks, i), key)?)))?;
+        let b = probe_blocks.block(0).len();
+        let (stripe, j) = self.graph.stripe_of(self.graph.neighbor(key, i));
+        Some((self.region.addr(stripe, j * self.blocks_per_bucket + at / b), at % b))
     }
 
     /// Plan a payload update in place; `None` when the key is absent.
@@ -441,7 +471,6 @@ impl BasicDict {
             first: self.region.addr(stripe, j * self.blocks_per_bucket),
             image: self.bucket(probe_blocks, candidate).into_owned(),
             blocks: self.blocks_per_bucket,
-            candidate,
         }
     }
 

@@ -6,6 +6,13 @@
 //! deleted elements without influencing the search time of other
 //! elements"; tombstoned slots are reused by later insertions and space is
 //! reclaimed wholesale by global rebuilding.
+//!
+//! A record goes into the first slot that is not live, so the slots ever
+//! used are a prefix of the bucket: a scan ends at the first slot never
+//! used (flags 0), and a lightly loaded bucket costs the words it holds,
+//! not the block it lies in. A torn write keeps that true — it lands the
+//! head of an image whose used prefix is the old one's or longer — and a
+//! damaged block reads as zeros, an empty bucket.
 
 use pdm::Word;
 
@@ -39,16 +46,6 @@ impl BucketCodec {
         words / self.slot_words()
     }
 
-    fn slot<'a>(&self, buf: &'a [Word], i: usize) -> &'a [Word] {
-        let w = self.slot_words();
-        &buf[i * w..(i + 1) * w]
-    }
-
-    fn slot_mut<'a>(&self, buf: &'a mut [Word], i: usize) -> &'a mut [Word] {
-        let w = self.slot_words();
-        &mut buf[i * w..(i + 1) * w]
-    }
-
     /// Find a live slot holding `key`; returns its payload, a slice into
     /// the bucket.
     #[must_use]
@@ -80,8 +77,13 @@ impl BucketCodec {
     }
 
     fn live_slots<'a>(&self, buf: &'a [Word]) -> impl Iterator<Item = &'a [Word]> {
-        buf.chunks_exact(self.slot_words())
-            .filter(|s| s[0] == FLAG_LIVE)
+        self.used_slots(buf).filter(|s| s[0] == FLAG_LIVE)
+    }
+
+    /// The slots ever used, live or tombstoned: the bucket's prefix up to
+    /// the first never-used slot.
+    fn used_slots<'a>(&self, buf: &'a [Word]) -> impl Iterator<Item = &'a [Word]> {
+        buf.chunks_exact(self.slot_words()).take_while(|s| s[0] != 0)
     }
 
     /// Insert `(key, payload)` into the first free or tombstoned slot.
@@ -91,43 +93,54 @@ impl BucketCodec {
     /// Panics on a payload width mismatch.
     pub fn insert(&self, buf: &mut [Word], key: u64, payload: &[Word]) -> bool {
         assert_eq!(payload.len(), self.payload_words, "payload width mismatch");
-        for i in 0..self.capacity(buf.len()) {
-            if self.slot(buf, i)[0] != FLAG_LIVE {
-                let s = self.slot_mut(buf, i);
-                s[0] = FLAG_LIVE;
-                s[1] = key;
-                s[2..].copy_from_slice(payload);
-                return true;
-            }
-        }
-        false
+        let Some(at) = self.free_at(buf) else {
+            return false;
+        };
+        let s = &mut buf[at..at + self.slot_words()];
+        s[0] = FLAG_LIVE;
+        s[1] = key;
+        s[2..].copy_from_slice(payload);
+        true
+    }
+
+    /// The first word of the slot [`insert`](Self::insert) fills: the first
+    /// slot not live. `None` when the bucket is full.
+    #[must_use]
+    pub fn free_at(&self, buf: &[Word]) -> Option<usize> {
+        let w = self.slot_words();
+        (0..self.capacity(buf.len())).map(|i| i * w).find(|&at| buf[at] != FLAG_LIVE)
     }
 
     /// Overwrite the payload of `key`'s live slot. Returns `false` if the
     /// key is absent.
     pub fn update(&self, buf: &mut [Word], key: u64, payload: &[Word]) -> bool {
         assert_eq!(payload.len(), self.payload_words, "payload width mismatch");
-        for i in 0..self.capacity(buf.len()) {
-            let s = self.slot(buf, i);
-            if s[0] == FLAG_LIVE && s[1] == key {
-                self.slot_mut(buf, i)[2..].copy_from_slice(payload);
-                return true;
-            }
-        }
-        false
+        let Some(at) = self.flags_at(buf, key) else {
+            return false;
+        };
+        buf[at + 2..at + self.slot_words()].copy_from_slice(payload);
+        true
     }
 
     /// Tombstone `key`'s slot. Returns `false` if the key is absent.
     pub fn delete(&self, buf: &mut [Word], key: u64) -> bool {
-        for i in 0..self.capacity(buf.len()) {
-            let s = self.slot(buf, i);
-            if s[0] == FLAG_LIVE && s[1] == key {
-                self.slot_mut(buf, i)[0] = FLAG_TOMBSTONE;
-                return true;
-            }
+        let at = self.flags_at(buf, key);
+        if let Some(at) = at {
+            buf[at] = Self::TOMBSTONE;
         }
-        false
+        at.is_some()
     }
+
+    /// The flags word that deletes `key` once it holds [`Self::TOMBSTONE`]:
+    /// the first word of the live slot holding it, if there is one.
+    #[must_use]
+    pub fn flags_at(&self, buf: &[Word], key: u64) -> Option<usize> {
+        let at = self.used_slots(buf).position(|s| s[0] == FLAG_LIVE && s[1] == key)?;
+        Some(at * self.slot_words())
+    }
+
+    /// The flags of a deleted slot.
+    pub const TOMBSTONE: Word = FLAG_TOMBSTONE;
 
     /// All live `(key, payload)` pairs, in slot order.
     #[must_use]
@@ -197,6 +210,23 @@ mod tests {
         let c = BucketCodec::new(0);
         let mut b = buf(&c, 2);
         assert!(!c.delete(&mut b, 9));
+    }
+
+    /// Slots are used front to back, so a scan ends at the first slot never
+    /// used: a tombstone does not end it, and nothing past it is a record.
+    #[test]
+    fn a_scan_ends_at_the_first_never_used_slot() {
+        let c = BucketCodec::new(1);
+        let mut b = buf(&c, 4);
+        c.insert(&mut b, 1, &[10]);
+        c.insert(&mut b, 2, &[20]);
+        assert!(c.delete(&mut b, 1));
+        assert_eq!((c.find(&b, 2), c.live_count(&b)), (Some(&[20][..]), 1));
+        let w = c.slot_words();
+        b[3 * w..4 * w].copy_from_slice(&[FLAG_LIVE, 9, 90]);
+        assert_eq!((c.find(&b, 9), c.live_count(&b)), (None, 1), "slot 2 was never used");
+        assert!(c.insert(&mut b, 3, &[30]));
+        assert_eq!(c.flags_at(&b, 3), Some(0), "the tombstone's slot is reused");
     }
 
     #[test]

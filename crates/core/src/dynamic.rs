@@ -40,7 +40,7 @@
 //! implementation; where the chained layout reads or writes fields the
 //! inline one has none.
 
-use crate::basic::{BasicDict, BasicDictConfig, BucketPatch};
+use crate::basic::{BasicDict, BasicDictConfig};
 use crate::bucket::BucketCodec;
 use crate::config::DictParams;
 use crate::fields::{FieldArray, FieldPos};
@@ -49,15 +49,17 @@ use crate::one_probe::encoding::Chain;
 use crate::traits::{DictError, LookupOutcome};
 use expander::{params, FamilyExpander, NeighborFamily, NeighborFn};
 use pdm::batch::StagedBlocks;
-use pdm::journal::{diff_runs, Delta, JournalRegion, RecoveryReport};
+use pdm::journal::{JournalRegion, RecoveryReport};
 use pdm::{
-    BatchExecutor, BatchPlan, BlockAddr, BlockBuf, BlockHealth, BlockView, DiskArray, IoFaultKind,
-    OpCost, ReadOptions, Round, Word,
+    BatchExecutor, BatchPlan, BatchReads, BlockAddr, BlockHealth, BlockView, DiskArray, IoFaultKind, OpCost, Word,
 };
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// Journal-entry metadata opcodes (`meta[1]`); `meta[0]` is the
-/// instance tag ([`DynamicDict::meta_tag`]).
+/// instance tag ([`DynamicDict::meta_tag`]). This one is one insertion,
+/// `[tag, META_INSERT, level]`, as rings written before a single-key insert
+/// was the batch of one hold it (replayed, never written).
 pub(crate) const META_INSERT: Word = 1;
 /// One tombstone, as rings written before [`META_TOMBSTONES`] hold it
 /// (replayed, never written). A third word, when present, is the tag of a
@@ -83,12 +85,91 @@ pub(crate) const META_TOMBSTONES: Word = 5;
 /// structures on disjoint disks (the global-rebuilding wrapper) can fetch
 /// both probes at once.
 #[derive(Debug, Clone)]
-pub(crate) struct Probe {
+struct Probe {
     /// How many of the probe's addresses are membership addresses; the
     /// rest are the level-1 field addresses (none when records are inline).
-    pub(crate) msplit: usize,
+    msplit: usize,
     /// The key's candidate field on each stripe of level 1.
     fields0: Vec<usize>,
+}
+
+impl Probe {
+    /// Blocks of the probe: the membership buckets, then the level-1 fields.
+    fn len(&self) -> usize {
+        self.msplit + self.fields0.len()
+    }
+}
+
+/// One key of [`DynamicDict::lookup_in`]: its probe in each structure, then
+/// what each first round said and whether it read damaged; the structure
+/// consulted next, and whether damage taints the answer so far.
+struct Found {
+    probes: [Option<Probe>; 2],
+    firsts: [Option<(FirstRound, bool)>; 2],
+    at: usize,
+    taint: bool,
+}
+
+impl Found {
+    /// Consult the structures from `at` on: answer the key from the first
+    /// whose first round holds it, or queue the deeper record one names; a
+    /// miss in every structure is answered too.
+    fn settle(
+        &mut self,
+        i: usize,
+        deeper: &mut Vec<(usize, usize, DeeperRecord)>,
+        answer: &mut impl FnMut(usize, Option<Vec<Word>>, bool),
+    ) {
+        while let Some((first, damaged)) = self.firsts.get_mut(self.at).and_then(Option::take) {
+            self.taint |= damaged;
+            match first {
+                FirstRound::Absent | FirstRound::Here(None) => self.at += 1,
+                FirstRound::Here(Some(satellite)) => return answer(i, Some(satellite), self.taint),
+                FirstRound::Deeper(record) => return deeper.push((i, self.at, record)),
+            }
+        }
+        answer(i, None, self.taint);
+    }
+}
+
+/// Read `addrs` as one plan and hand each item — `width` consecutive
+/// blocks — to `take` with its index, the read and its range there. The
+/// items that read damaged are read once more, together, in one more plan
+/// (a later clock: a transient window can pass), and handed that read.
+fn read_retried(
+    disks: &mut DiskArray,
+    addrs: &[BlockAddr],
+    width: usize,
+    mut take: impl FnMut(usize, &BatchReads<'_>, Range<usize>),
+) {
+    let reads = BatchPlan::read(disks, addrs);
+    let (mut damaged, mut again) = (Vec::new(), Vec::new());
+    for i in 0..addrs.len() / width.max(1) {
+        let range = i * width..(i + 1) * width;
+        if reads.range_ok(range.clone()) {
+            take(i, &reads, range);
+        } else {
+            damaged.push((i, again.len()..again.len() + range.len()));
+            again.extend_from_slice(&addrs[range]);
+        }
+    }
+    drop(reads);
+    if damaged.is_empty() {
+        return;
+    }
+    let reads = BatchPlan::read(disks, &again);
+    for (i, range) in damaged {
+        take(i, &reads, range);
+    }
+}
+
+/// A lookup's outcome, degraded or not.
+pub(crate) fn outcome(satellite: Option<Vec<Word>>, cost: OpCost, degraded: bool) -> LookupOutcome {
+    if degraded {
+        LookupOutcome::degraded(satellite, cost)
+    } else {
+        LookupOutcome::new(satellite, cost)
+    }
 }
 
 /// Where a membership record says its key's satellite lies.
@@ -101,7 +182,7 @@ enum Located {
 
 /// What a key's first-round blocks say about it.
 #[derive(Debug)]
-pub(crate) enum FirstRound {
+enum FirstRound {
     /// No membership record: the key is not stored.
     Absent,
     /// Stored on level 1 and decoded from the probe itself (fail-closed:
@@ -114,50 +195,21 @@ pub(crate) enum FirstRound {
 /// A record's chain, located but not yet read: on a level past the first
 /// for a lookup, on any level for a migration step.
 #[derive(Debug)]
-pub(crate) struct DeeperRecord {
+struct DeeperRecord {
     level: usize,
     head: usize,
     fields: Vec<usize>,
     /// The `d` field blocks to read for [`DynamicDict::decode_deeper`].
-    pub(crate) addrs: Vec<BlockAddr>,
-}
-
-/// A level with room for one more chain: the stripes it takes (the chain
-/// starts at the first), and the patched images of the blocks it is
-/// written into, one per stripe taken.
-struct Fit {
-    stripes: Vec<usize>,
-    images: BlockBuf,
-}
-
-/// What a journaled insertion changed in each block it writes, in write
-/// order: the runs of words in which the new image differs from the block as
-/// read, taken while the read's round is in hand so that no pre-image
-/// outlives it. `ends[i]` is where block `i`'s runs end in `runs`.
-struct Runs {
-    runs: Vec<Range<usize>>,
-    ends: Vec<usize>,
-}
-
-impl Runs {
-    fn push_block(&mut self, new: &[Word], old: &[Word]) {
-        diff_runs(new, old, |run| self.runs.push(run));
-        self.ends.push(self.runs.len());
-    }
-
-    /// One [`Delta::Words`] per block pushed.
-    fn deltas(&self) -> Vec<Delta<'_>> {
-        let mut from = 0;
-        let of = |&end| Delta::Words(&self.runs[std::mem::replace(&mut from, end)..end]);
-        self.ends.iter().map(of).collect()
-    }
+    addrs: Vec<BlockAddr>,
 }
 
 /// The keys one executor has staged since its last commit, as `(index in
 /// the caller's results, what, end of its blocks)` — `what` the level of an
 /// insertion or the bit set of structures a tombstone is staged in — and
 /// the blocks they changed: a commit that loses a block names its keys.
-#[derive(Debug, Default)]
+/// Kept by the structure between its updates, emptied, like the executor's
+/// containers by the array.
+#[derive(Debug, Default, Clone)]
 struct Staged {
     keys: Vec<(usize, usize, usize)>,
     blocks: Vec<BlockAddr>,
@@ -176,27 +228,32 @@ impl Staged {
         ex: &mut BatchExecutor<'_>,
         meta: &[Word],
         results: &mut [Result<R, DictError>],
-        count: impl FnOnce(&[(usize, bool)], &mut DiskArray),
+        count: impl FnOnce(&mut dyn Iterator<Item = (usize, bool)>, &mut DiskArray),
     ) -> Option<DictError> {
         if self.keys.is_empty() {
             return None;
         }
         let mut report = ex.commit_checked_with_meta(meta);
-        if !report.is_clean() {
-            report = ex.commit_checked_with_meta(&[]);
+        if report.is_clean() {
+            count(&mut self.keys.drain(..).map(|(_, what, _)| (what, true)), ex.disks_mut());
+            self.blocks.clear();
+            return None;
         }
+        report = ex.commit_checked_with_meta(&[]);
         let (lost, healths): (Vec<BlockAddr>, Vec<BlockHealth>) = report.failed.into_iter().unzip();
         let error = DynamicDict::io_error(&lost, &healths);
         let mut from = 0;
-        let settled = self.keys.drain(..).map(|(index, what, end)| {
-            let landed = !self.blocks[from..end].iter().any(|a| lost.contains(a));
+        let blocks = &self.blocks;
+        let mut settled = self.keys.drain(..).map(|(index, what, end)| {
+            let landed = !blocks[from..end].iter().any(|a| lost.contains(a));
             if let (false, Some(e)) = (landed, &error) {
                 results[index] = Err(e.clone());
             }
             from = end;
             (what, landed)
         });
-        count(&settled.collect::<Vec<_>>(), ex.disks_mut());
+        count(&mut settled, ex.disks_mut());
+        drop(settled);
         self.blocks.clear();
         if error.is_some() {
             ex.disks_mut().journal_truncate();
@@ -235,6 +292,8 @@ pub struct DynamicDict {
     /// Watermark: journal seq of the newest op reflected in the
     /// counters above. [`Self::apply_replay`] applies only newer deltas.
     pub(crate) journal_seq: u64,
+    /// What an update has staged, between updates empty.
+    staged: Staged,
 }
 
 #[derive(Debug, Clone)]
@@ -341,6 +400,7 @@ impl DynamicDict {
             level_population: vec![0; l.max(1)],
             copies: 0,
             journal_seq: disks.last_journal_seq(),
+            staged: Staged::default(),
         })
     }
 
@@ -567,45 +627,16 @@ impl DynamicDict {
         });
     }
 
-    /// A typed error for the first in-place write of `writes` that did not
-    /// land (`healths` are the batch's). The op is then acked as failed,
-    /// so its intent must never replay — a later recovery would apply an
-    /// update the caller was told did not happen: the journal is truncated
-    /// before the error is returned.
-    fn write_error(
-        disks: &mut DiskArray,
-        writes: &[(BlockAddr, &[Word])],
-        healths: &[BlockHealth],
-    ) -> Option<DictError> {
-        let mut landed = |(&(a, image), &h): (&(BlockAddr, &[Word]), &BlockHealth)| {
-            h.is_ok() || (h == BlockHealth::TornWrite && Self::holds(disks, a, image))
-        };
-        let (&(addr, _), &health) = writes.iter().zip(healths).find(|&write| !landed(write))?;
-        let e = Self::io_error([&addr], &[health])?;
-        disks.journal_truncate();
-        Some(e)
-    }
-
-    /// Whether `addr` reads back healthy and equal to `image`: what settles
-    /// a write reported torn. A tear lands the first half of its image and
-    /// is reported even when every word that changed lay in that half — a
-    /// tombstone changes one — and answering such a key "failed" would keep
-    /// counting a key the next lookup certifies absent. Anything else keeps
-    /// its typed error.
-    fn holds(disks: &mut DiskArray, addr: BlockAddr, image: &[Word]) -> bool {
-        Self::read_retry(disks, &[addr], |blocks, healths| {
-            healths[0].is_ok() && blocks.block(0)[..image.len()] == *image
-        })
-    }
-
-    /// The executor's images and healths of `addrs`, re-read once (a later
-    /// clock: a transient window can pass) if any is not what its block holds.
+    /// The executor's images and healths of `addrs` — no health, when all
+    /// are `Ok` — re-read once (a later clock: a transient window can pass)
+    /// if any is not what its block holds.
     fn staged_probe<'s>(
         ex: &'s mut BatchExecutor<'_>,
         addrs: &'s [BlockAddr],
     ) -> (StagedBlocks<'s>, Vec<BlockHealth>) {
-        let (_, mut healths) = ex.get_many_verified(addrs);
-        if !healths.iter().all(|h| h.is_ok()) {
+        let mut healths = ex.verify(addrs);
+        if !healths.is_empty() {
+            ex.get_many(addrs);
             healths = ex.refresh(addrs);
         }
         (ex.get_many(addrs), healths)
@@ -622,12 +653,15 @@ impl DynamicDict {
         gone
     }
 
-    /// The [`META_TOMBSTONES`] metadata of an intent with `counts` in `dicts`.
-    fn tombstone_meta(dicts: &[&mut DynamicDict], counts: [(usize, usize); 2]) -> Vec<Word> {
-        let sections = dicts.iter().zip(counts).filter(|(_, gone)| gone.0 > 0);
-        sections
-            .flat_map(|(dict, (n, c))| [dict.meta_tag(), META_TOMBSTONES, n as Word, c as Word])
-            .collect()
+    /// The [`META_TOMBSTONES`] metadata of an intent with `counts` in `dicts`,
+    /// and its length.
+    fn tombstone_meta(dicts: &[&mut DynamicDict], counts: [(usize, usize); 2]) -> ([Word; 8], usize) {
+        let (mut meta, mut len) = ([0; 8], 0);
+        for (dict, (n, c)) in dicts.iter().zip(counts).filter(|(_, gone)| gone.0 > 0) {
+            meta[len..len + 4].copy_from_slice(&[dict.meta_tag(), META_TOMBSTONES, n as Word, c as Word]);
+            len += 4;
+        }
+        (meta, len)
     }
 
     /// Keys stored here that a migration source still holds.
@@ -723,7 +757,7 @@ impl DynamicDict {
     }
 
     /// The first unhealthy probe in a verified batch as a typed error.
-    pub(crate) fn io_error<'a>(
+    fn io_error<'a>(
         addrs: impl IntoIterator<Item = &'a BlockAddr>,
         healths: &[BlockHealth],
     ) -> Option<DictError> {
@@ -738,27 +772,9 @@ impl DynamicDict {
             })
     }
 
-    /// Verified read with one retry: transient windows pass with the
-    /// clock, so the retry is only charged when a probe actually failed.
-    /// `decode` sees the read that is kept; the round may be views of the
-    /// array, so whatever it returns is its own.
-    pub(crate) fn read_retry<R>(
-        disks: &mut DiskArray,
-        addrs: &[BlockAddr],
-        decode: impl FnOnce(&Round<'_>, &[BlockHealth]) -> R,
-    ) -> R {
-        let out = disks.read(addrs, ReadOptions::verified());
-        if out.all_ok() {
-            return decode(&out.blocks, &out.healths);
-        }
-        drop(out);
-        let retry = disks.read(addrs, ReadOptions::verified());
-        decode(&retry.blocks, &retry.healths)
-    }
-
     /// The first-round probe of `key` (no I/O); its addresses are appended
     /// to `addrs`.
-    pub(crate) fn probe(&self, key: u64, addrs: &mut Vec<BlockAddr>) -> Probe {
+    fn probe(&self, key: u64, addrs: &mut Vec<BlockAddr>) -> Probe {
         let start = addrs.len();
         addrs.reserve(self.probe_blocks());
         self.membership.extend_probe_addrs(key, addrs);
@@ -773,7 +789,7 @@ impl DynamicDict {
 
     /// Decode `key` from the blocks read for its [`Probe`] (no I/O).
     /// `scratch` is working space for the extracted fields.
-    pub(crate) fn first_round(
+    fn first_round(
         &self,
         key: u64,
         probe: &Probe,
@@ -826,7 +842,7 @@ impl DynamicDict {
     }
 
     /// Decode a deeper record from the blocks read for its `addrs`.
-    pub(crate) fn decode_deeper(
+    fn decode_deeper(
         &self,
         record: &DeeperRecord,
         blocks: &impl BlockView,
@@ -837,31 +853,9 @@ impl DynamicDict {
         self.decode_satellite(record.head, scratch)
     }
 
-    /// Finish a lookup whose first round is decoded (`found`; `degraded`
-    /// if a block of it was damaged), paying one more (retried) read only
-    /// for a deeper record. Returns the satellite and whether any block
-    /// involved was damaged.
-    pub(crate) fn finish_lookup(
-        &self,
-        disks: &mut DiskArray,
-        found: FirstRound,
-        mut degraded: bool,
-        scratch: &mut Vec<Word>,
-    ) -> (Option<Vec<Word>>, bool) {
-        let satellite = match found {
-            FirstRound::Absent => None,
-            FirstRound::Here(satellite) => satellite,
-            FirstRound::Deeper(record) => Self::read_retry(disks, &record.addrs, |fblocks, fh| {
-                degraded |= !fh.iter().all(|h| h.is_ok());
-                self.decode_deeper(&record, fblocks, scratch)
-            }),
-        };
-        (satellite, degraded)
-    }
-
-    /// Lookup. 1 parallel I/O when the key is absent, lives on level 1 or
-    /// records are inline; 2 parallel I/Os otherwise — averaging `1 + ɛ`
-    /// over stored keys.
+    /// Lookup, as the batch of one ([`Self::lookup_batch`]). 1 parallel I/O
+    /// when the key is absent, lives on level 1 or records are inline; 2
+    /// parallel I/Os otherwise — averaging `1 + ɛ` over stored keys.
     ///
     /// Reads are verified: a probe that fails (dead disk, transient
     /// window, checksum mismatch) is retried once; if damage persists the
@@ -869,21 +863,10 @@ impl DynamicDict {
     /// fail closed — a damaged key reads as a miss, never as wrong data.
     pub fn lookup(&self, disks: &mut DiskArray, key: u64) -> LookupOutcome {
         let scope = disks.begin_op();
-        // Parallel probe: membership buckets + level-1 fields.
-        let mut addrs = Vec::new();
-        let probe = self.probe(key, &mut addrs);
-        let mut scratch = Vec::new();
-        let (found, damaged) = Self::read_retry(disks, &addrs, |blocks, healths| {
-            let damaged = !healths.iter().all(|h| h.is_ok());
-            (self.first_round(key, &probe, blocks, &mut scratch), damaged)
-        });
-        let (satellite, degraded) = self.finish_lookup(disks, found, damaged, &mut scratch);
-        let cost = disks.end_op(scope);
-        if degraded {
-            LookupOutcome::degraded(satellite, cost)
-        } else {
-            LookupOutcome::new(satellite, cost)
-        }
+        let mut answer = None;
+        Self::lookup_in(disks, &[self], &[key], |_, satellite, degraded| answer = Some((satellite, degraded)));
+        let (satellite, degraded) = answer.expect("one answer per key");
+        outcome(satellite, disks.end_op(scope), degraded)
     }
 
     /// Decode the chain starting at stripe `head` of the `d` extracted
@@ -896,79 +879,100 @@ impl DynamicDict {
         })
     }
 
-    /// Batched lookup in **two phases**: one plan covers every key's
-    /// membership probe plus level-1 fields (all that most keys — and all
-    /// misses — ever need); a second plan covers only the stragglers that
-    /// landed on a deeper level. `m` lookups therefore cost at most two
-    /// batch rounds of per-disk-maximum I/Os instead of up to `2m`
-    /// sequential ones.
-    ///
-    /// Results are byte-identical to calling [`Self::lookup`] per key; a
-    /// key whose probe blocks read unhealthy falls back to the sequential
-    /// path (which retries once), so only damaged keys pay extra I/Os.
+    /// Batched lookup: one plan covers every key's membership probe plus
+    /// level-1 fields (all that most keys — and all misses — ever need); a
+    /// second plan covers only the stragglers that landed on a deeper
+    /// level. `m` lookups therefore cost at most two batch rounds of
+    /// per-disk-maximum I/Os instead of up to `2m` sequential ones, and a
+    /// key whose blocks read unhealthy is re-read once, together with the
+    /// other damaged keys of its plan, in one more.
     pub fn lookup_batch(
         &self,
         disks: &mut DiskArray,
         keys: &[u64],
     ) -> (Vec<Option<Vec<Word>>>, OpCost) {
         let scope = disks.begin_op();
-        // Phase 1: membership + level-1 fields for every key, one plan.
-        let mut all: Vec<BlockAddr> = Vec::with_capacity(keys.len() * self.probe_blocks());
-        let mut probes = Vec::with_capacity(keys.len());
-        for &key in keys {
-            let start = all.len();
-            let probe = self.probe(key, &mut all);
-            probes.push((probe, start..all.len()));
-        }
-        let plan = BatchPlan::new(disks.disks(), &all);
-        let reads = plan.execute_read(disks);
-
-        let mut results: Vec<Option<Vec<Word>>> = vec![None; keys.len()];
-        let mut scratch = Vec::new();
-        // Keys whose probe read unhealthy, finished by the sequential path
-        // once the plan's reads (which may be views of `disks`) are dropped.
-        let mut damaged: Vec<usize> = Vec::new();
-        // Stragglers living on level > 1 need a second probe.
-        let mut stragglers: Vec<(usize, DeeperRecord)> = Vec::new();
-        let mut addrs2: Vec<BlockAddr> = Vec::new();
-        let mut ranges2 = Vec::new();
-        for (i, (&key, (probe, range))) in keys.iter().zip(probes).enumerate() {
-            if !reads.range_ok(range.clone()) {
-                damaged.push(i);
-                continue;
-            }
-            match self.first_round(key, &probe, &reads.sub(range), &mut scratch) {
-                FirstRound::Absent => {}
-                FirstRound::Here(satellite) => results[i] = satellite,
-                FirstRound::Deeper(record) => {
-                    let start = addrs2.len();
-                    addrs2.extend_from_slice(&record.addrs);
-                    ranges2.push(start..addrs2.len());
-                    stragglers.push((i, record));
-                }
-            }
-        }
-        drop(reads);
-        for i in damaged.drain(..) {
-            results[i] = self.lookup(disks, keys[i]).satellite;
-        }
-        // Phase 2: one plan over every straggler's own level.
-        if !stragglers.is_empty() {
-            let plan = BatchPlan::new(disks.disks(), &addrs2);
-            let reads = plan.execute_read(disks);
-            for ((i, record), range) in stragglers.into_iter().zip(ranges2) {
-                if !reads.range_ok(range.clone()) {
-                    damaged.push(i);
-                    continue;
-                }
-                results[i] = self.decode_deeper(&record, &reads.sub(range), &mut scratch);
-            }
-            drop(reads);
-            for i in damaged {
-                results[i] = self.lookup(disks, keys[i]).satellite;
-            }
-        }
+        let mut results = vec![None; keys.len()];
+        Self::lookup_in(disks, &[self], keys, |i, satellite, _| results[i] = satellite);
         (results, disks.end_op(scope))
+    }
+
+    /// The lookup engine: `keys` in `dicts` — one structure, or a rebuild's
+    /// replacement followed by the structure it is built from, on disjoint
+    /// disks — handing `answer` each key's index, its satellite in the
+    /// first structure holding it, and whether a block the answer rests on
+    /// read damaged ([`crate::Provenance::Degraded`]).
+    ///
+    /// One plan reads every key's first-round probe in every structure; a
+    /// structure's first round is decoded only when the ones before it did
+    /// not answer outright. One more plan reads the records on a deeper
+    /// level of the first structure that holds the key — and, where such a
+    /// record does not decode, one more the next structure's. Each plan
+    /// re-reads its damaged keys once, together, in one more plan: the rule
+    /// "retried once, then degraded". Decodes fail closed.
+    pub(crate) fn lookup_in(
+        disks: &mut DiskArray,
+        dicts: &[&DynamicDict],
+        keys: &[u64],
+        mut answer: impl FnMut(usize, Option<Vec<Word>>, bool),
+    ) {
+        assert!(dicts.len() <= 2, "a key lives in at most two structures");
+        let per: usize = dicts.iter().map(|dict| dict.probe_blocks()).sum();
+        let mut addrs = Vec::with_capacity(keys.len() * per);
+        let mut found: Vec<Found> = keys
+            .iter()
+            .map(|&key| {
+                let start = addrs.len();
+                let probes = [0, 1].map(|j| dicts.get(j).map(|dict| dict.probe(key, &mut addrs)));
+                debug_assert_eq!(addrs.len() - start, per, "every probe is as wide");
+                Found { probes, firsts: [None, None], at: 0, taint: false }
+            })
+            .collect();
+        let mut scratch = Vec::new();
+        read_retried(disks, &addrs, per, |i, reads, range| {
+            let f = &mut found[i];
+            let mut at = range.start;
+            for (j, dict) in dicts.iter().enumerate() {
+                let probe = f.probes[j].take().expect("probed");
+                let blocks = at..at + probe.len();
+                at = blocks.end;
+                let first = dict.first_round(keys[i], &probe, &reads.sub(blocks.clone()), &mut scratch);
+                let answered = matches!(first, FirstRound::Here(Some(_)));
+                f.firsts[j] = Some((first, !reads.range_ok(blocks)));
+                if answered {
+                    break;
+                }
+            }
+        });
+        // (key, structure, record) of the keys a deeper level answers.
+        let mut deeper = Vec::new();
+        for (i, f) in found.iter_mut().enumerate() {
+            f.settle(i, &mut deeper, &mut answer);
+        }
+        while !deeper.is_empty() {
+            // A record is its `d` fields, in either structure.
+            addrs.clear();
+            addrs.extend(deeper.iter().flat_map(|(_, _, record): &(usize, usize, DeeperRecord)| &record.addrs));
+            let mut decoded = vec![(None, false); deeper.len()];
+            read_retried(disks, &addrs, addrs.len() / deeper.len(), |p, reads, range| {
+                let (_, j, record) = &deeper[p];
+                let satellite = dicts[*j].decode_deeper(record, &reads.sub(range.clone()), &mut scratch);
+                decoded[p] = (satellite, !reads.range_ok(range));
+            });
+            let mut next = Vec::new();
+            for ((i, _, _), (satellite, damaged)) in deeper.drain(..).zip(decoded) {
+                let f = &mut found[i];
+                f.taint |= damaged;
+                match satellite {
+                    Some(satellite) => answer(i, Some(satellite), f.taint),
+                    None => {
+                        f.at += 1;
+                        f.settle(i, &mut next, &mut answer);
+                    }
+                }
+            }
+            deeper = next;
+        }
     }
 
     /// Insertions one commit may stage and still fit the journal ring as
@@ -1008,13 +1012,15 @@ impl DynamicDict {
         staged: &mut Staged,
         results: &mut [Result<(), DictError>],
     ) -> Option<DictError> {
-        let mut meta = vec![0; 2 + self.level_population.len()];
+        let len = 2 + self.level_population.len();
+        let (mut inline, mut spilled) = ([0; 16], Vec::new());
+        let meta: &mut [Word] = if len <= 16 { &mut inline[..len] } else { spilled.resize(len, 0); &mut spilled };
         (meta[0], meta[1]) = (self.meta_tag(), op);
         for &(_, level, _) in &staged.keys {
             meta[2 + level] += 1;
         }
-        staged.commit(ex, &meta, results, |settled, disks| {
-            for &(level, _) in settled.iter().filter(|key| !key.1) {
+        staged.commit(ex, meta, results, |settled, disks| {
+            for (level, _) in settled.filter(|key| !key.1) {
                 self.len -= 1;
                 self.insertions -= 1;
                 self.level_population[level] -= 1;
@@ -1048,12 +1054,12 @@ impl DynamicDict {
     /// structure without double-inserting keys this batch already stored.
     /// Non-budget errors (duplicates, satellite width) are per-key and do
     /// not stop the batch, exactly as in a sequential loop; neither does a
-    /// write that did not land ([`DictError::Io`], as from [`Self::insert`]),
+    /// write that did not land on the commit's one retry ([`DictError::Io`]),
     /// though the keys not yet staged then fail with its error too.
-    pub fn insert_batch(
+    pub fn insert_batch<S: AsRef<[Word]>>(
         &mut self,
         disks: &mut DiskArray,
-        entries: &[(u64, Vec<Word>)],
+        entries: &[(u64, S)],
     ) -> (Vec<Result<(), DictError>>, OpCost) {
         self.insert_batch_beside(disks, entries, None)
     }
@@ -1062,46 +1068,59 @@ impl DynamicDict {
     /// structure it is built from (other disks of `disks`): the same plan
     /// probes `old`'s membership — the authority on what it holds — and a
     /// key found there is a duplicate. A budget error then stops nothing.
-    pub(crate) fn insert_batch_beside(
+    /// A key the checks refuse before any I/O ([`Self::check_insertable`] at
+    /// the call's start) is not probed: an insert refused so costs nothing.
+    pub(crate) fn insert_batch_beside<S: AsRef<[Word]>>(
         &mut self,
         disks: &mut DiskArray,
-        entries: &[(u64, Vec<Word>)],
+        entries: &[(u64, S)],
         old: Option<&DynamicDict>,
     ) -> (Vec<Result<(), DictError>>, OpCost) {
         let scope = disks.begin_op();
-        let mut all: Vec<BlockAddr> = Vec::new();
-        // Each key's probe here, then `old`'s membership probe.
-        let mut own = 0;
-        for (key, _) in entries {
+        let open = self.insertions < self.params.capacity;
+        let probed = |satellite: &[Word], sigma: usize| open && satellite.len() == sigma;
+        let sigma = self.params.satellite_words;
+        let twin = old.map_or(0, |old| old.membership.probe_blocks());
+        let mut all: Vec<BlockAddr> = Vec::with_capacity(entries.len() * (self.probe_blocks() + twin));
+        // Each probed key's probe here, then `old`'s membership probe.
+        let mut probes = Vec::with_capacity(entries.len());
+        for (key, _) in entries.iter().filter(|(_, satellite)| probed(satellite.as_ref(), sigma)) {
             let start = all.len();
-            self.probe(*key, &mut all);
-            own = all.len() - start;
+            probes.push((self.probe(*key, &mut all), start));
             if let Some(old) = old {
                 old.membership.extend_probe_addrs(*key, &mut all);
             }
         }
-        let per = all.len() / entries.len().max(1);
+        let mut probes = probes.into_iter();
         let room = self.intent_keys(disks);
         let mut ex = BatchExecutor::new(disks);
         ex.prefetch(&all);
         let mut results = Vec::with_capacity(entries.len());
-        let mut staged = Staged::default();
+        let mut staged = std::mem::take(&mut self.staged);
         for (i, (key, satellite)) in entries.iter().enumerate() {
+            let satellite = satellite.as_ref();
             if staged.keys.len() == room {
                 if let Some(e) = self.commit_staged(&mut ex, META_BATCH, &mut staged, &mut results) {
                     results.resize(entries.len(), Err(e));
                     break;
                 }
             }
-            let twin = old.map_or(Ok(()), |old| {
-                let addrs = &all[i * per + own..(i + 1) * per];
-                let (blocks, healths) = Self::staged_probe(&mut ex, addrs);
-                match old.membership.find_with(*key, &blocks, |_| ()) {
-                    Some(()) => Err(DictError::DuplicateKey(*key)),
-                    None => Self::io_error(addrs, &healths).map_or(Ok(()), Err),
+            let probe = probed(satellite, sigma).then(|| probes.next().expect("one probe per probed key"));
+            let res = self.check_insertable(satellite).and_then(|()| {
+                let (probe, start) = probe.expect("an insertable key was probed");
+                let own = start..start + probe.len();
+                if let Some(old) = old {
+                    let addrs = &all[own.end..own.end + twin];
+                    let (blocks, healths) = Self::staged_probe(&mut ex, addrs);
+                    if old.membership.find_with(*key, &blocks, |_| ()).is_some() {
+                        return Err(DictError::DuplicateKey(*key));
+                    }
+                    if let Some(e) = Self::io_error(addrs, &healths) {
+                        return Err(e);
+                    }
                 }
+                self.insert_staged(&mut ex, &mut staged, i, *key, satellite, &probe, &all[own])
             });
-            let res = twin.and_then(|()| self.insert_staged(&mut ex, &mut staged, i, *key, satellite));
             let stop = old.is_none()
                 && matches!(
                     res,
@@ -1113,6 +1132,7 @@ impl DynamicDict {
             }
         }
         self.commit_staged(&mut ex, META_BATCH, &mut staged, &mut results);
+        self.staged = staged;
         drop(ex);
         (results, disks.end_op(scope))
     }
@@ -1136,9 +1156,9 @@ impl DynamicDict {
     /// First-fit test of one level: the stripes of the first `m` of the
     /// key's candidate `fields` that are unoccupied in `fblocks` (the
     /// blocks read for them, stripe order), if there are `m`. Routes
-    /// around damage: a field on an unreadable block counts as occupied,
-    /// so no data is placed where a write would be dropped or a later
-    /// read sanitized.
+    /// around damage: a field on an unreadable block (`fhealths`, empty
+    /// when none is) counts as occupied, so no data is placed where a write
+    /// would be dropped or a later read sanitized.
     fn free_stripes(
         &self,
         level: usize,
@@ -1149,19 +1169,23 @@ impl DynamicDict {
     ) -> Option<Vec<usize>> {
         self.levels[level].fields.extract(positions(fields), fblocks, scratch);
         let (m, w) = (self.enc.fields_per_key, self.enc.field_words());
+        let healthy = |s: usize| fhealths.get(s).is_none_or(|h| h.is_ok());
         let mut free = Vec::with_capacity(m);
         free.extend(
             (0..fields.len())
-                .filter(|&s| fhealths[s].is_ok() && !self.enc.is_occupied(&scratch[s * w..]))
+                .filter(|&s| healthy(s) && !self.enc.is_occupied(&scratch[s * w..]))
                 .take(m),
         );
         (free.len() == m).then_some(free)
     }
 
-    /// One first-fit insertion through a batch executor: reads come from
+    /// One first-fit insertion through a batch executor, from the key's
+    /// first-round `probe` (its blocks `addrs`, prefetched): reads come from
     /// the executor's cache (which reflects earlier keys' staged writes),
-    /// writes are staged rather than flushed and noted in `staged` under
-    /// `index`.
+    /// a deeper level's fields read on demand, each read retried once under
+    /// damage; writes are staged rather than flushed and noted in `staged`
+    /// under `index`. The caller has made [`Self::check_insertable`]'s checks.
+    #[allow(clippy::too_many_arguments)]
     fn insert_staged(
         &mut self,
         ex: &mut BatchExecutor<'_>,
@@ -1169,28 +1193,31 @@ impl DynamicDict {
         index: usize,
         key: u64,
         satellite: &[Word],
+        probe: &Probe,
+        addrs: &[BlockAddr],
     ) -> Result<(), DictError> {
-        self.check_insertable(satellite)?;
-        let maddrs = self.membership.probe_addrs(key);
+        let maddrs = &addrs[..probe.msplit];
         // A membership bucket that stays unreadable makes the duplicate
         // check unsound, so the insertion must fail typed, not guess.
-        let (mblocks, mhealths) = Self::staged_probe(ex, &maddrs);
-        if let Some(e) = Self::io_error(&maddrs, &mhealths) {
+        let (mblocks, mhealths) = Self::staged_probe(ex, maddrs);
+        if let Some(e) = Self::io_error(maddrs, &mhealths) {
             return Err(e);
         }
-        let bucket = self.membership.choose_bucket(key, &mblocks)?;
+        let slot = self.membership.choose_slot(key, &mblocks)?;
 
         let mut scratch = Vec::new();
         let mut chosen = None;
         for level in 0..self.levels.len() {
-            let fields = self.level_fields(level, key);
-            let addrs: Vec<BlockAddr> =
-                self.levels[level].fields.probe_addrs(positions(&fields)).collect();
-            let (fblocks, fhealths) = ex.get_many_verified(&addrs);
-            if let Some(stripes) =
-                self.free_stripes(level, &fields, &fblocks, &fhealths, &mut scratch)
-            {
-                chosen = Some((level, fields, addrs, stripes));
+            let (fields, faddrs): (Cow<'_, [usize]>, Cow<'_, [BlockAddr]>) = if level == 0 {
+                (probe.fields0[..].into(), addrs[probe.msplit..].into())
+            } else {
+                let fields = self.level_fields(level, key);
+                let faddrs = self.levels[level].fields.probe_addrs(positions(&fields)).collect();
+                (fields.into(), faddrs)
+            };
+            let (fblocks, fhealths) = Self::staged_probe(ex, &faddrs);
+            if let Some(stripes) = self.free_stripes(level, &fields, &fblocks, &fhealths, &mut scratch) {
+                chosen = Some((level, fields, faddrs, stripes));
                 break;
             }
         }
@@ -1201,8 +1228,7 @@ impl DynamicDict {
         // Complete the membership record before staging anything: it can
         // still fail (BucketOverflow), and an aborted key must leave the
         // executor's dirty set untouched — otherwise orphaned field slots
-        // would flush at commit and the batch would diverge from the
-        // sequential path, which discards all writes on the same error.
+        // would flush at commit with no owning membership record.
         let packed;
         let mpayload = match &chosen {
             Some((level, _, _, stripes)) => {
@@ -1212,7 +1238,11 @@ impl DynamicDict {
             None => satellite,
         };
         self.membership.check_insertable(mpayload)?;
-        let bucket = self.membership.fill(bucket, key, mpayload)?;
+        let (maddr, at) = slot?;
+        let slot_words = self.membership.codec().slot_words();
+        let (mut inline, mut spilled) = ([0; 16], Vec::new());
+        let record: &mut [Word] = if slot_words <= 16 { &mut inline[..slot_words] } else { spilled.resize(slot_words, 0); &mut spilled };
+        self.membership.codec().insert(record, key, mpayload);
         let level = chosen.as_ref().map_or(0, |chain| chain.0);
         if let Some((level, fields, addrs, stripes)) = chosen {
             let encoded = self.enc.encode(&stripes, satellite);
@@ -1223,10 +1253,8 @@ impl DynamicDict {
                 staged.blocks.push(addrs[s]);
             }
         }
-        for (a, img) in bucket.writes() {
-            ex.stage_write(a, img);
-            staged.blocks.push(a);
-        }
+        ex.stage_patch(maddr, at, record);
+        staged.blocks.push(maddr);
         staged.keys.push((index, level, staged.blocks.len()));
         self.membership.note_inserted();
         self.len += 1;
@@ -1235,145 +1263,27 @@ impl DynamicDict {
         Ok(())
     }
 
-    /// One level's first-fit step outside a batch: if `fields` (read as
-    /// `fblocks`, one per stripe) have room, the chain of `satellite`
-    /// patched into copies of the `m` blocks it lands in — the only field
-    /// blocks an insertion copies — and, for a journal, what the patches
-    /// changed noted in `runs`.
-    #[allow(clippy::too_many_arguments)]
-    fn fit_level(
-        &self,
-        level: usize,
-        fields: &[usize],
-        fblocks: &impl BlockView,
-        fhealths: &[BlockHealth],
-        satellite: &[Word],
-        mut runs: Option<&mut Runs>,
-        scratch: &mut Vec<Word>,
-    ) -> Option<Fit> {
-        let stripes = self.free_stripes(level, fields, fblocks, fhealths, scratch)?;
-        let encoded = self.enc.encode(&stripes, satellite);
-        let fa = &self.levels[level].fields;
-        let mut images = BlockBuf::with_capacity(fblocks.block(0).len(), stripes.len());
-        for (t, (&s, bits)) in stripes.iter().zip(encoded.chunks(self.enc.field_words())).enumerate() {
-            images.push(fblocks.block(s));
-            fa.patch((s, fields[s]), images.block_mut(t), bits);
-            if let Some(runs) = &mut runs {
-                runs.push_block(images.block(t), fblocks.block(s));
-            }
-        }
-        Some(Fit { stripes, images })
-    }
-
-    /// Insert. First-fit over the levels: `j + 1` parallel I/Os when the
-    /// key lands on level `j` (1-based), averaging `2 + ɛ`: the duplicate
-    /// check and level 1 share the first read, deeper levels are read on
-    /// demand, and one (journaled) write stores chain and record. With
-    /// records inline: 2, the probe and the one bucket written.
+    /// Insert, as the batch of one ([`Self::insert_batch`]). First-fit over
+    /// the levels: `j + 1` parallel I/Os when the key lands on level `j`
+    /// (1-based), averaging `2 + ɛ`: the duplicate check and level 1 share
+    /// the first read, deeper levels are read on demand, and one (journaled)
+    /// write stores chain and record. With records inline: 2, the probe and
+    /// the one bucket written. Refused before any I/O (satellite width,
+    /// capacity), it costs nothing.
     pub fn insert(
         &mut self,
         disks: &mut DiskArray,
         key: u64,
         satellite: &[Word],
     ) -> Result<OpCost, DictError> {
-        self.check_insertable(satellite)?;
-        let scope = disks.begin_op();
-        // With a journal enabled the multi-block group (field patches +
-        // membership record) becomes one intent entry — the words that
-        // differ from the blocks this operation read — crash-atomic under
-        // any crash point; without one it is a plain checked write.
-        let blocks = self.chain_blocks() + 1; // a patch is one run, seldom more
-        let mut runs = disks
-            .journal_enabled()
-            .then(|| Runs { runs: Vec::with_capacity(blocks), ends: Vec::with_capacity(blocks) });
-        // First parallel I/O: membership probe + level-1 fields. What the
-        // insertion keeps of it — the bucket it chose and, if level 1 has
-        // room, the `m` blocks the chain lands in — it copies out.
-        let mut addrs = Vec::new();
-        let probe = self.probe(key, &mut addrs);
-        let mut scratch = Vec::new();
-        let (bucket, fit) = Self::read_retry(disks, &addrs, |blocks, healths| {
-            let (mhealths, fhealths0) = healths.split_at(probe.msplit);
-            // An unreadable membership bucket makes the duplicate check
-            // unsound: fail typed rather than risk a double insert.
-            if let Some(e) = Self::io_error(&addrs[..probe.msplit], mhealths) {
-                return Err(e);
-            }
-            let bucket = self.membership.choose_bucket(key, &blocks.sub(0..probe.msplit))?;
-            if self.is_inline() {
-                return Ok((bucket, None));
-            }
-            let fblocks0 = blocks.sub(probe.msplit..blocks.len());
-            let fit =
-                self.fit_level(0, &probe.fields0, &fblocks0, fhealths0, satellite, runs.as_mut(), &mut scratch);
-            Ok((bucket, fit))
-        })?;
-
-        // First-fit level search. A level's `d` blocks sit one per stripe,
-        // so the chain's field at stripe `s` patches block `s`.
-        let mut chosen = fit.map(|fit| (0, fit));
-        // The field addresses of a deeper level, kept past the search.
-        let mut deeper: Option<Vec<BlockAddr>> = None;
-        for level in 1..self.levels.len() {
-            if chosen.is_some() {
-                break;
-            }
-            let fields = self.level_fields(level, key);
-            let laddrs: Vec<BlockAddr> =
-                self.levels[level].fields.probe_addrs(positions(&fields)).collect();
-            // One more parallel I/O (plus a retry only under faults).
-            let fit = Self::read_retry(disks, &laddrs, |fblocks, fhealths| {
-                self.fit_level(level, &fields, fblocks, fhealths, satellite, runs.as_mut(), &mut scratch)
-            });
-            chosen = fit.map(|fit| (level, fit));
-            deeper = Some(laddrs);
-        }
-        if chosen.is_none() && !self.is_inline() {
-            return Err(DictError::LevelsExhausted { key });
-        }
-        let level = chosen.as_ref().map_or(0, |(level, _)| *level);
-        let faddrs = deeper.as_deref().unwrap_or(&addrs[probe.msplit..]);
-
-        // Membership record in the same write batch (disjoint disks): the
-        // chain's head and level, or the record itself.
-        let packed;
-        let mpayload = match &chosen {
-            Some((level, fit)) => {
-                packed = [Self::pack_payload(fit.stripes[0], *level)];
-                &packed[..]
-            }
-            None => satellite,
-        };
-        self.membership.check_insertable(mpayload)?;
-        let unfilled = runs.as_ref().map(|_| bucket.image().to_vec());
-        let bucket = self.membership.fill(bucket, key, mpayload)?;
-        if let (Some(runs), Some(unfilled)) = (&mut runs, &unfilled) {
-            runs.push_block(bucket.image(), unfilled);
-        }
-        let chain = chosen.iter().flat_map(|(_, fit)| fit.stripes.iter().map(|&s| faddrs[s]).zip(fit.images.iter()));
-        let refs: Vec<(BlockAddr, &[Word])> = chain.chain(bucket.writes()).collect();
-        let deltas = runs.as_ref().map_or_else(Vec::new, Runs::deltas);
-        let meta = [self.meta_tag(), META_INSERT, level as Word];
-        let whealths = disks.journaled_delta_batch_checked(&refs, &deltas, &meta);
-        // Some block of the insert did not land (disk died or the write
-        // tore short of it): the key is not counted as stored; whatever fragment did
-        // land decodes fail-closed (a chain missing a block, or a
-        // membership record whose fields are absent, reads as a miss) and
-        // is reclaimed by scrub or rebuild.
-        if let Some(e) = Self::write_error(disks, &refs, &whealths) {
-            return Err(e);
-        }
-        self.membership.note_inserted();
-        self.len += 1;
-        self.insertions += 1;
-        self.level_population[level] += 1;
-        self.after_op(disks);
-        Ok(disks.end_op(scope))
+        let (mut results, cost) = self.insert_batch(disks, &[(key, satellite)]);
+        results.pop().expect("one result per entry").map(|()| cost)
     }
 
-    /// Delete: tombstone the membership record (fields are not reclaimed —
-    /// "no piece of data is ever moved, once inserted"; space is recovered
-    /// by global rebuilding). Returns whether the key was present.
+    /// Delete, as the batch of one ([`Self::delete_batch`]): tombstone the
+    /// membership record (fields are not reclaimed — "no piece of data is
+    /// ever moved, once inserted"; space is recovered by global
+    /// rebuilding). Returns whether the key was present.
     ///
     /// With a journal enabled the tombstone write is journaled too
     /// (journal-all-mutations: if it bypassed the ring, a later recovery
@@ -1381,42 +1291,10 @@ impl DynamicDict {
     /// resurrect the key).
     ///
     /// # Errors
-    /// [`DictError::Io`] when the key was not found and some membership
-    /// probe stayed unreadable after the one retry: a stored key's bucket
-    /// may be the one that read as zeros, so "absent" would be a guess.
-    /// Also when the tombstone write did not land (dropped on a dead disk,
-    /// or torn short of it — a tear that kept the tombstone is a delete that
-    /// happened): the record may still be on disk, so the key stays counted
-    /// and the intent is truncated — nothing replays a delete that failed.
+    /// As [`Self::delete_batch`]'s for the key.
     pub fn delete(&mut self, disks: &mut DiskArray, key: u64) -> Result<(bool, OpCost), DictError> {
-        let scope = disks.begin_op();
-        let addrs = self.membership.probe_addrs(key);
-        let journaled = disks.journal_enabled();
-        // For a journal, the words the tombstone changes in its bucket's
-        // one block, taken while the probe is in hand.
-        let mut runs = Vec::new();
-        let planned = Self::read_retry(disks, &addrs, |blocks, healths| {
-            let Some(patch) = self.membership.plan_delete(key, blocks) else {
-                return Self::io_error(&addrs, healths).map_or(Ok(None), Err);
-            };
-            if journaled {
-                diff_runs(patch.image(), patch.bases(blocks).next().expect("one block"), |run| runs.push(run));
-            }
-            Ok(Some(patch))
-        })?;
-        let Some(patch) = planned else {
-            return Ok((false, disks.end_op(scope)));
-        };
-        let refs: Vec<(BlockAddr, &[Word])> = patch.writes().collect();
-        let words = [Delta::Words(&runs)];
-        let deltas = if journaled { &words[..] } else { &[] };
-        let meta = Self::tombstone_meta(&[self], [(1, 0), (0, 0)]);
-        let whealths = disks.journaled_delta_batch_checked(&refs, deltas, &meta);
-        if let Some(e) = Self::write_error(disks, &refs, &whealths) {
-            return Err(e);
-        }
-        self.note_deleted(disks, 1, 0);
-        Ok((true, disks.end_op(scope)))
+        let (mut results, cost) = self.delete_batch(disks, &[key]);
+        results.pop().expect("one result per key").map(|was| (was, cost))
     }
 
     /// Batched delete with sequential semantics. One plan reads every key's
@@ -1424,13 +1302,16 @@ impl DynamicDict {
     /// staged view — a key listed twice answers `true`, then `false` — and
     /// committed as **one** planned write under **one** journal intent
     /// (one per ring-sized run of keys on a smaller ring), atomic under a
-    /// crash. A batch of one is charged exactly what [`Self::delete`] is.
+    /// crash.
     ///
-    /// Per key `Ok(held)`, or [`DictError::Io`] as from [`Self::delete`]:
-    /// when the key did not show and a probe stayed unreadable after the
-    /// one retry ("absent" would be a guess), or when its tombstone did not
-    /// land — the key stays counted, and the intent is truncated so that
-    /// nothing replays a delete that failed.
+    /// Per key `Ok(held)`, or [`DictError::Io`]: when the key did not show
+    /// and a membership probe stayed unreadable after the one retry — a
+    /// stored key's bucket may be the one that read as zeros, so "absent"
+    /// would be a guess — or when its tombstone did not land after the
+    /// commit's one retry of what did not (dropped on a dead disk, torn
+    /// twice): the record may still be on disk, so the key stays counted,
+    /// and the intent is truncated so that nothing replays a delete that
+    /// failed.
     pub fn delete_batch(
         &mut self,
         disks: &mut DiskArray,
@@ -1453,21 +1334,22 @@ impl DynamicDict {
         keys: &[u64],
     ) -> Vec<Result<bool, DictError>> {
         use pdm::journal::{RUN_WORDS, TARGET_WORDS};
-        let mut all: Vec<BlockAddr> = Vec::new();
+        assert!(dicts.len() <= 2, "a key lives in at most two structures");
+        let each = dicts[0].membership.probe_blocks();
+        let mut all: Vec<BlockAddr> = Vec::with_capacity(keys.len() * each * dicts.len());
         for &key in keys {
             for dict in dicts.iter() {
                 dict.membership.extend_probe_addrs(key, &mut all);
             }
         }
-        let per = all.len() / keys.len().max(1);
-        let each = per / dicts.len();
+        let per = each * dicts.len();
         // A tombstone changes one word of one block of each structure.
         let room = disks.journal_intent_capacity(8) / (dicts.len() * (TARGET_WORDS + RUN_WORDS + 1));
         let room = room.max(1);
         let mut ex = BatchExecutor::new(disks);
         ex.prefetch(&all);
         let mut results = Vec::with_capacity(keys.len());
-        let mut staged = Staged::default();
+        let mut staged = std::mem::take(&mut dicts[0].staged);
         for (i, &key) in keys.iter().enumerate() {
             if staged.keys.len() == room {
                 if let Some(e) = Self::commit_tombstones(&mut ex, dicts, &mut staged, &mut results) {
@@ -1477,23 +1359,23 @@ impl DynamicDict {
             }
             let addrs = &all[i * per..(i + 1) * per];
             let (blocks, healths) = Self::staged_probe(&mut ex, addrs);
-            let (mut held, mut patches, mut unknown) = (0, Vec::new(), None);
+            let (mut held, mut words, mut unknown) = (0, [None; 2], None);
             for (j, dict) in dicts.iter().enumerate() {
                 let at = j * each..(j + 1) * each;
-                match dict.membership.plan_delete(key, &blocks.sub(at.clone())) {
-                    Some(patch) => {
+                match dict.membership.tombstone_word(key, &blocks.sub(at.clone())) {
+                    Some(word) => {
                         held |= 1 << j;
-                        patches.push(patch);
+                        words[j] = Some(word);
                     }
-                    None => unknown = unknown.or(Self::io_error(&addrs[at.clone()], &healths[at])),
+                    None => unknown = unknown.or(Self::io_error(&addrs[at.clone()], healths.get(at).unwrap_or(&[]))),
                 }
             }
             if let Some(e) = unknown {
                 results.push(Err(e));
                 continue;
             }
-            for (a, image) in patches.iter().flat_map(BucketPatch::writes) {
-                ex.stage_write(a, image);
+            for (a, word) in words.into_iter().flatten() {
+                ex.stage_words(a, word..word + 1)[0] = BucketCodec::TOMBSTONE;
                 staged.blocks.push(a);
             }
             if held != 0 {
@@ -1502,6 +1384,7 @@ impl DynamicDict {
             results.push(Ok(held != 0));
         }
         Self::commit_tombstones(&mut ex, dicts, &mut staged, &mut results);
+        dicts[0].staged = staged;
         results
     }
 
@@ -1514,8 +1397,9 @@ impl DynamicDict {
         results: &mut [Result<bool, DictError>],
     ) -> Option<DictError> {
         let counts = Self::tombstone_counts(staged.keys.iter().map(|key| key.1));
-        staged.commit(ex, &Self::tombstone_meta(dicts, counts), results, |settled, disks| {
-            let landed = Self::tombstone_counts(settled.iter().filter(|key| key.1).map(|key| key.0));
+        let (meta, len) = Self::tombstone_meta(dicts, counts);
+        staged.commit(ex, &meta[..len], results, |settled, disks| {
+            let landed = Self::tombstone_counts(settled.filter(|key| key.1).map(|key| key.0));
             for (dict, (n, c)) in dicts.iter_mut().zip(landed).filter(|(_, gone)| gone.0 > 0) {
                 dict.note_deleted(disks, n, c);
             }
@@ -1609,23 +1493,24 @@ impl DynamicDict {
             if let Located::Chain(chain) = located {
                 all.extend_from_slice(&chain.addrs);
             }
-            fetched.push(at..all.len());
-            self.probe(*key, &mut all);
+            let chain = at..all.len();
+            fetched.push((chain, self.probe(*key, &mut all)));
         }
         let room = self.intent_keys(disks);
         let mut ex = BatchExecutor::new(disks);
         ex.prefetch(&all);
         // One `Ok` per key copied; a commit that loses one says so there.
         let mut copied = Vec::with_capacity(records.len());
-        let mut staged = Staged::default();
+        let mut staged = std::mem::take(&mut self.staged);
         let mut outcome = Ok(());
         let mut scratch = Vec::new();
-        for ((key, located), range) in records.into_iter().zip(fetched) {
+        for ((key, located), (chain, probe)) in records.into_iter().zip(fetched) {
+            let own = chain.end..chain.end + probe.len();
             let satellite = match located {
                 Located::Inline(satellite) => Some(satellite),
-                Located::Chain(chain) => {
-                    let (blocks, _) = Self::staged_probe(&mut ex, &all[range]);
-                    old.decode_deeper(&chain, &blocks, &mut scratch)
+                Located::Chain(record) => {
+                    let (blocks, _) = Self::staged_probe(&mut ex, &all[chain]);
+                    old.decode_deeper(&record, &blocks, &mut scratch)
                 }
             };
             let Some(satellite) = satellite else {
@@ -1637,7 +1522,9 @@ impl DynamicDict {
                     break;
                 }
             }
-            match self.insert_staged(&mut ex, &mut staged, copied.len(), key, &satellite) {
+            let index = copied.len();
+            let res = self.check_insertable(&satellite);
+            match res.and_then(|()| self.insert_staged(&mut ex, &mut staged, index, key, &satellite, &probe, &all[own])) {
                 Ok(()) => {
                     copied.push(Ok(()));
                     self.copies += 1;
@@ -1652,6 +1539,7 @@ impl DynamicDict {
         if let Some(e) = self.commit_staged(&mut ex, META_MIGRATE_BATCH, &mut staged, &mut copied) {
             outcome = Err(e);
         }
+        self.staged = staged;
         (copied.iter().filter(|r| r.is_ok()).count(), outcome)
     }
 
@@ -1943,9 +1831,11 @@ mod tests {
         let victim = 0x5EED_u64;
         dict.membership
             .saturate_probe_buckets(&mut disks, victim, 1 << 40);
+        let mut addrs = Vec::new();
+        let probe = dict.probe(victim, &mut addrs);
         let mut ex = BatchExecutor::new(&mut disks);
         let mut staged = Staged::default();
-        let res = dict.insert_staged(&mut ex, &mut staged, 0, victim, &[7]);
+        let res = dict.insert_staged(&mut ex, &mut staged, 0, victim, &[7], &probe, &addrs);
         assert!(matches!(res, Err(DictError::BucketOverflow { .. })));
         assert_eq!(ex.staged_writes(), 0, "aborted insert staged writes");
         assert!(staged.keys.is_empty() && staged.blocks.is_empty());
@@ -2076,14 +1966,13 @@ mod tests {
         }
     }
 
-    /// The write-side twin: a tombstone write that tears did not provably
-    /// land — the record may still be on disk — so the delete fails typed,
-    /// `len()` keeps counting the key, and the journaled intent is
-    /// truncated: no recovery replays a delete the caller was told failed.
-    /// Unless it did land: a tear keeps the first half of the block, and a
-    /// tombstone whose one word lies there is on the medium, whole and
-    /// sealed — that delete is acknowledged and counted, or `len()` would
-    /// disagree with every lookup from then on.
+    /// The write-side twin: a tombstone write that tears is written once
+    /// more by the commit's retry, and one tear heals — the delete is
+    /// acknowledged and stays done after a recovery. A tombstone write that
+    /// keeps tearing did not provably land — the record may still be on
+    /// disk — so the delete fails typed, `len()` keeps counting the key, and
+    /// the intent is truncated: no recovery replays a delete the caller was
+    /// told failed, and the key reads back exact or not at all.
     #[test]
     fn torn_tombstone_write_fails_deletes_typed() {
         for journaled in [false, true] {
@@ -2096,63 +1985,72 @@ mod tests {
             for k in &ks {
                 dict0.insert(&mut disks0, *k, &[*k]).unwrap();
             }
+            disks0.enable_integrity();
             let victim = ks[7];
-            let addrs = dict0.membership.probe_addrs(victim);
-            let (addr, at) = DynamicDict::read_retry(&mut disks0, &addrs, |blocks, _| {
-                let patch = dict0.membership.plan_delete(victim, blocks).unwrap();
-                let base = patch.bases(blocks).next().unwrap();
-                let flag = patch.image().iter().zip(base).position(|(new, old)| new != old).unwrap();
-                let addr = patch.writes().next().unwrap().0;
-                (addr, flag)
-            });
-            let disk = addr.disk;
-            // Buckets fill from the front and stay a quarter full, so every
-            // record lies in the half of its block a tear keeps. A second
-            // array holds the victim's in the block's last slot (the codec
-            // scans them all): the half a tear loses.
-            let mut far = disks0.clone();
-            let mut block = far.read(&[addr], ReadOptions::default()).blocks.block(0).to_vec();
-            let slot = BucketCodec::new(dict0.membership.config().payload_words).slot_words();
-            let last = (block.len() / slot - 1) * slot;
-            assert!(at < block.len() / 2 && block[last..].iter().all(|&w| w == 0));
-            block.copy_within(at..at + slot, last);
-            block[at..at + slot].fill(0);
-            far.write(&[(addr, &block)], pdm::WriteOptions::default());
-            for (mut disks0, lost_half) in [(far, true), (disks0, false)] {
-                disks0.enable_integrity();
-                // The tombstone is the disk's first write since the plan was
-                // installed, or its second when the intent's ring slot happens
-                // to lie on the same disk.
-                let mut failed_typed = false;
-                for nth in 0..2 {
-                    let (mut disks, mut dict) = (disks0.clone(), dict0.clone());
-                    disks.set_fault_plan(pdm::FaultPlan::new().torn_write(disk, nth));
-                    let Err(e) = dict.delete(&mut disks, victim) else {
-                        // The tear fell elsewhere (no second write without a
-                        // journal; the ring slot with one), or kept the half
-                        // the tombstone is in: the delete is whole.
-                        assert!(!dict.lookup(&mut disks, victim).found() && dict.len() == 99);
-                        disks.clear_fault_plan();
-                        let report = disks.recover();
-                        dict.apply_replay(&report);
-                        assert!(!dict.lookup(&mut disks, victim).found() && dict.len() == 99);
-                        continue;
-                    };
-                    failed_typed = true;
-                    assert!(
-                        matches!(e, DictError::Io { kind: IoFaultKind::TornWrite, disk: at, .. } if at == disk),
-                        "journaled = {journaled}: {e}"
-                    );
-                    assert_eq!(dict.len(), 100, "a failed delete is not counted");
+            let probe = dict0.membership.probe_addrs(victim);
+            let blocks = disks0.read(&probe, pdm::ReadOptions::default()).blocks;
+            let disk = dict0.membership.tombstone_word(victim, &blocks).unwrap().0.disk;
+            drop(blocks);
+            // `healed`: one tear, on the tombstone's first write or — the
+            // intent's ring slot lying on its disk — on its second. Otherwise
+            // the retry's write tears too.
+            for (first, tears, healed) in [(0, 1, true), (1, 1, true), (0, 4, false)] {
+                let (mut disks, mut dict) = (disks0.clone(), dict0.clone());
+                let plan = (first..first + tears).fold(pdm::FaultPlan::new(), |p, nth| p.torn_write(disk, nth));
+                disks.set_fault_plan(plan);
+                let Err(e) = dict.delete(&mut disks, victim) else {
+                    assert!(healed, "journaled = {journaled}: a tombstone that kept tearing was acked");
+                    assert!(!dict.lookup(&mut disks, victim).found() && dict.len() == 99);
                     disks.clear_fault_plan();
                     let report = disks.recover();
-                    assert!(report.replayed.is_empty(), "the failed delete replayed: {report:?}");
-                    if let Some(got) = dict.lookup(&mut disks, victim).satellite {
-                        assert_eq!(got, vec![victim]);
-                    }
+                    dict.apply_replay(&report);
+                    assert!(!dict.lookup(&mut disks, victim).found() && dict.len() == 99);
+                    continue;
+                };
+                assert!(!healed, "journaled = {journaled}: one tear failed the delete: {e}");
+                assert!(
+                    matches!(e, DictError::Io { kind: IoFaultKind::TornWrite, disk: at, .. } if at == disk),
+                    "journaled = {journaled}: {e}"
+                );
+                assert_eq!(dict.len(), 100, "a failed delete is not counted");
+                disks.clear_fault_plan();
+                let report = disks.recover();
+                assert!(report.replayed.is_empty(), "the failed delete replayed: {report:?}");
+                assert_eq!(dict.apply_replay(&report), 0);
+                if let Some(got) = dict.lookup(&mut disks, victim).satellite {
+                    assert_eq!(got, vec![victim]);
                 }
-                assert_eq!(failed_typed, lost_half, "journaled = {journaled}: a tear fails the delete iff it lost the tombstone");
             }
+        }
+    }
+
+    /// A batch's damaged keys are re-read once, together: 16 keys under a
+    /// one-read transient window on a membership disk — every key probes
+    /// every membership disk, so every key reads damaged — are answered
+    /// exactly, for the fault-free cost and one re-read plan, not a
+    /// sequential lookup a key.
+    #[test]
+    fn a_batch_retries_its_damaged_keys_once_together() {
+        for sigma in [1, CHAINED] {
+            let (mut disks, mut dict) = setup(100, sigma, 0.5);
+            let ks = keys(100);
+            for k in &ks {
+                dict.insert(&mut disks, *k, &sat(*k, sigma)).unwrap();
+            }
+            let batch = &ks[..16];
+            let want: Vec<Option<Vec<Word>>> = batch.iter().map(|&k| Some(sat(k, sigma))).collect();
+            disks.enable_integrity();
+            let (found, clean) = dict.lookup_batch(&mut disks, batch);
+            assert_eq!(found, want);
+            disks.set_fault_plan(pdm::FaultPlan::new().transient_read(1, 0, 1));
+            let (found, cost) = dict.lookup_batch(&mut disks, batch);
+            assert_eq!(found, want, "σ = {sigma}");
+            assert!(
+                clean.parallel_ios < cost.parallel_ios && cost.parallel_ios <= 2 * clean.parallel_ios,
+                "σ = {sigma}: {} parallel I/Os under the window, {} without",
+                cost.parallel_ios,
+                clean.parallel_ios
+            );
         }
     }
 
@@ -2360,9 +2258,9 @@ mod tests {
         disks.journal_checkpoint(&dict.checkpoint_section());
         let snapshot = dict.clone();
         let addrs = dict.membership.probe_addrs(9);
-        let patch = DynamicDict::read_retry(&mut disks, &addrs, |blocks, _| {
-            dict.membership.plan_delete(9, blocks).unwrap()
-        });
+        let blocks = disks.read(&addrs, pdm::ReadOptions::default()).blocks;
+        let patch = dict.membership.plan_delete(9, &blocks).unwrap();
+        drop(blocks);
         let writes: Vec<(BlockAddr, &[Word])> = patch.writes().collect();
         disks.journaled_write_batch_checked(&writes, &[dict.meta_tag(), META_DELETE]);
         let mut rec = snapshot;
@@ -2371,6 +2269,43 @@ mod tests {
         assert_eq!(rec.len(), 2);
         assert!(!rec.lookup(&mut disks, 9).found());
         assert!(rec.lookup(&mut disks, 5).found() && rec.lookup(&mut disks, 13).found());
+    }
+
+    /// A ring written before single-key inserts were the batch of one holds
+    /// `[tag, META_INSERT, level]` intents: one still replays, and counts
+    /// its key once in `len`, `insertions` and its level's population.
+    #[test]
+    fn an_old_rings_single_key_insert_intent_replays() {
+        for sigma in [1, CHAINED] {
+            let (mut disks, mut dict) = setup_journaled(32, sigma);
+            for k in [5u64, 9] {
+                dict.insert(&mut disks, k, &sat(k, sigma)).unwrap();
+            }
+            disks.journal_checkpoint(&dict.checkpoint_section());
+            // The blocks an insert of 13 changes, as its twin wrote them.
+            let (mut twin_disks, mut twin) = (disks.clone(), dict.clone());
+            twin.insert(&mut twin_disks, 13, &sat(13, sigma)).unwrap();
+            let level = (0..).find(|&l| twin.level_population()[l] > dict.level_population()[l]).unwrap();
+            let (before, after) = (data_image(&disks), data_image(&twin_disks));
+            let rows = disks.journal_region().unwrap().rows;
+            let mut changed = Vec::new();
+            for (disk, (old, new)) in before.iter().zip(&after).enumerate() {
+                for (block, (old, new)) in old.iter().zip(new).enumerate() {
+                    if old != new {
+                        changed.push((BlockAddr::new(disk, rows + block), &new[..]));
+                    }
+                }
+            }
+            assert_eq!(changed.len(), 1 + dict.chain_blocks(), "σ = {sigma}: the bucket and the chain's fields");
+            disks.journaled_write_batch_checked(&changed, &[dict.meta_tag(), META_INSERT, level as Word]);
+            let mut rec = dict.clone();
+            let report = disks.recover();
+            assert_eq!(rec.apply_replay(&report), 1, "σ = {sigma}: {report:?}");
+            assert_eq!((rec.len(), rec.insertions()), (3, 3), "σ = {sigma}");
+            assert_eq!(rec.level_population(), twin.level_population(), "σ = {sigma}");
+            assert_eq!(rec.lookup(&mut disks, 13).satellite, Some(sat(13, sigma)), "σ = {sigma}");
+            assert_eq!(rec.apply_replay(&disks.recover()), 0, "σ = {sigma}: recovering twice");
+        }
     }
 
     #[test]

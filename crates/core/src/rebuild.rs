@@ -42,8 +42,8 @@
 //!
 //! ## A window's updates are one plan
 //!
-//! Updates arrive in batches (`insert_batch`, `delete_batch`; inside a
-//! window a single `insert` or `delete` is the batch of one). A batch is
+//! Updates arrive in batches (`insert_batch`, `delete_batch`; a single
+//! `insert` or `delete` is the batch of one, as a `lookup` is). A batch is
 //! one plan over both structures and one intent, then **one** migration
 //! step (`DynamicDict::migrate_from`). Pacing stays per operation —
 //! `MIGRATE_BUCKETS_PER_OP` buckets for each update applied, so a window
@@ -84,13 +84,11 @@
 //! reopen trims).
 
 use crate::config::DictParams;
-use crate::dynamic::{DynamicDict, FirstRound};
+use crate::dynamic::{outcome, DynamicDict};
 use crate::layout::{export_space, DiskAllocator, SpaceRow};
 use crate::traits::{Dict, DictError, LookupOutcome, OpRecorder};
 use pdm::metrics::{Counter, Gauge, Histogram, IoMetricsSink, MetricsRegistry};
-use pdm::{
-    BatchPlan, BlockAddr, BlockView, DiskArray, IoStats, OpCost, PdmConfig, ScrubReport, Word,
-};
+use pdm::{DiskArray, IoStats, OpCost, PdmConfig, ScrubReport, Word};
 use std::sync::Arc;
 
 /// Buckets migrated per operation during a rebuild. Each bucket holds
@@ -263,144 +261,47 @@ impl Dictionary {
         &self.disks
     }
 
-    /// Lookup. `O(1)` I/Os worst case: during a rebuild both structures'
-    /// first-round probes are read in one parallel I/O, so a miss or a
-    /// level-1 key of either structure costs exactly 1.
+    /// Lookup, as the batch of one ([`Self::lookup_batch`]). `O(1)` I/Os
+    /// worst case: during a rebuild both structures' first-round probes are
+    /// read in one parallel I/O, so a miss or a level-1 key of either
+    /// structure costs exactly 1.
     pub fn lookup(&mut self, key: u64) -> LookupOutcome {
-        let scope = self.disks.begin_op();
-        let Some(b) = &self.building else {
-            return self.active.lookup(&mut self.disks, key);
-        };
-        let mut all = Vec::new();
-        let new_probe = b.dict.probe(key, &mut all);
-        let split = all.len();
-        let old_probe = self.active.probe(key, &mut all);
-        let mut scratch = Vec::new();
-        // Both first rounds are decoded while the round is in hand (the old
-        // structure's unless the replacement answers outright).
-        let bad = |healths: &[pdm::BlockHealth]| !healths.iter().all(|h| h.is_ok());
-        let (new, old) = DynamicDict::read_retry(&mut self.disks, &all, |blocks, healths| {
-            let new = b.dict.first_round(key, &new_probe, &blocks.sub(0..split), &mut scratch);
-            let old = (!matches!(new, FirstRound::Here(Some(_)))).then(|| {
-                let found =
-                    self.active.first_round(key, &old_probe, &blocks.sub(split..all.len()), &mut scratch);
-                (found, bad(&healths[split..]))
-            });
-            ((new, bad(&healths[..split])), old)
-        });
-        // Replacement first: it holds the newest version of every key it
-        // holds at all.
-        let (satellite, tainted) = b.dict.finish_lookup(&mut self.disks, new.0, new.1, &mut scratch);
-        let (satellite, degraded) = match (satellite, old) {
-            (None, Some((found, damaged))) => {
-                // A degraded miss in the replacement cannot prove absence (a
-                // key inserted mid-rebuild lives only there), so the damage
-                // taints whatever the old structure reports.
-                let (satellite, degraded) =
-                    self.active.finish_lookup(&mut self.disks, found, damaged, &mut scratch);
-                (satellite, tainted || degraded)
-            }
-            (satellite, _) => (satellite, tainted),
-        };
-        let cost = self.disks.end_op(scope);
-        if degraded {
-            LookupOutcome::degraded(satellite, cost)
-        } else {
-            LookupOutcome::new(satellite, cost)
-        }
+        let mut answer = None;
+        let cost = self.lookup_with(&[key], |_, satellite, degraded| answer = Some((satellite, degraded)));
+        let (satellite, degraded) = answer.expect("one answer per key");
+        outcome(satellite, cost, degraded)
     }
 
     /// Batched lookup. During a rebuild one plan covers every key's
     /// first-round probe in **both** structures (they share no disk, so the
     /// plan's rounds are the larger of the two, not their sum) and is
-    /// decoded replacement-first; a second plan covers the keys stored on
-    /// a deeper level of whichever structure holds them. Results are
-    /// byte-identical to calling [`Self::lookup`] per key.
+    /// decoded replacement-first — it holds the newest version of every key
+    /// it holds at all; a second plan covers the keys stored on a deeper
+    /// level of whichever structure holds them (`DynamicDict::lookup_in`).
     pub fn lookup_batch(&mut self, keys: &[u64]) -> (Vec<Option<Vec<Word>>>, OpCost) {
-        let scope = self.disks.begin_op();
-        if self.building.is_none() {
-            let (results, _) = self.active.lookup_batch(&mut self.disks, keys);
-            return (results, self.disks.end_op(scope));
-        }
-        let mut all: Vec<BlockAddr> = Vec::new();
-        let mut probes = Vec::with_capacity(keys.len());
-        {
-            let b = self.building.as_ref().expect("rebuild in flight");
-            for &key in keys {
-                let start = all.len();
-                let new_probe = b.dict.probe(key, &mut all);
-                let split = all.len();
-                let old_probe = self.active.probe(key, &mut all);
-                probes.push((new_probe, old_probe, start, split, all.len()));
-            }
-        }
-        let plan = BatchPlan::new(self.disks.disks(), &all);
-        let reads = plan.execute_read(&mut self.disks);
+        let mut results = vec![None; keys.len()];
+        let cost = self.lookup_with(keys, |i, satellite, _| results[i] = satellite);
+        (results, cost)
+    }
 
-        let mut results: Vec<Option<Vec<Word>>> = vec![None; keys.len()];
-        let mut scratch = Vec::new();
-        // Keys the sequential path finishes (it retries and taints) once
-        // the plan's reads, which may be views of the array, are dropped.
-        let mut sequential: Vec<usize> = Vec::new();
-        // (key index, in the replacement?, record) of keys stored deeper.
-        let mut stragglers = Vec::new();
-        let mut addrs2: Vec<BlockAddr> = Vec::new();
-        let mut ranges2 = Vec::new();
-        let b = self.building.as_ref().expect("rebuild in flight");
-        for (i, (new_probe, old_probe, start, split, end)) in probes.into_iter().enumerate() {
-            if !reads.range_ok(start..end) {
-                sequential.push(i); // damaged probe
-                continue;
+    /// [`DynamicDict::lookup_in`] over the live structures: a degraded miss
+    /// in the replacement cannot prove absence (a key inserted mid-rebuild
+    /// lives only there), so its damage taints what the old one answers.
+    fn lookup_with(&mut self, keys: &[u64], answer: impl FnMut(usize, Option<Vec<Word>>, bool)) -> OpCost {
+        let scope = self.disks.begin_op();
+        let (both, one);
+        let dicts: &[&DynamicDict] = match &self.building {
+            Some(b) => {
+                both = [&b.dict, &self.active];
+                &both
             }
-            let mut found =
-                b.dict
-                    .first_round(keys[i], &new_probe, &reads.sub(start..split), &mut scratch);
-            let mut in_new = true;
-            if matches!(found, FirstRound::Absent | FirstRound::Here(None)) {
-                found =
-                    self.active
-                        .first_round(keys[i], &old_probe, &reads.sub(split..end), &mut scratch);
-                in_new = false;
+            None => {
+                one = [&self.active];
+                &one
             }
-            match found {
-                FirstRound::Absent => {}
-                FirstRound::Here(satellite) => results[i] = satellite,
-                FirstRound::Deeper(record) => {
-                    let at = addrs2.len();
-                    addrs2.extend_from_slice(&record.addrs);
-                    ranges2.push(at..addrs2.len());
-                    stragglers.push((i, in_new, record));
-                }
-            }
-        }
-        drop(reads);
-        for i in sequential.drain(..) {
-            results[i] = self.lookup(keys[i]).satellite;
-        }
-        if !stragglers.is_empty() {
-            let plan = BatchPlan::new(self.disks.disks(), &addrs2);
-            let reads = plan.execute_read(&mut self.disks);
-            let b = self.building.as_ref().expect("rebuild in flight");
-            for ((i, in_new, record), range) in stragglers.into_iter().zip(ranges2) {
-                let dict = if in_new { &b.dict } else { &self.active };
-                let decoded = reads
-                    .range_ok(range.clone())
-                    .then(|| dict.decode_deeper(&record, &reads.sub(range), &mut scratch));
-                match decoded {
-                    // A replacement record that fails to decode falls
-                    // through to the old structure, and a damaged read
-                    // retries: both are the sequential path's job.
-                    Some(None) if in_new => sequential.push(i),
-                    Some(satellite) => results[i] = satellite,
-                    None => sequential.push(i),
-                }
-            }
-            drop(reads);
-            for i in sequential {
-                results[i] = self.lookup(keys[i]).satellite;
-            }
-        }
-        (results, self.disks.end_op(scope))
+        };
+        DynamicDict::lookup_in(&mut self.disks, dicts, keys, answer);
+        self.disks.end_op(scope)
     }
 
     /// Batched insert. Outside a rebuild window the whole remaining batch
@@ -415,7 +316,7 @@ impl Dictionary {
     /// successors are guaranteed uncommitted, so offering them to the
     /// replacement can never re-insert a key the batch already stored
     /// (which would surface as a spurious [`DictError::DuplicateKey`]).
-    pub fn insert_batch(&mut self, entries: &[(u64, Vec<Word>)]) -> (Vec<Result<(), DictError>>, OpCost) {
+    pub fn insert_batch<S: AsRef<[Word]>>(&mut self, entries: &[(u64, S)]) -> (Vec<Result<(), DictError>>, OpCost) {
         let scope = self.disks.begin_op();
         let mut results: Vec<Result<(), DictError>> = Vec::with_capacity(entries.len());
         while results.len() < entries.len() {
@@ -431,7 +332,7 @@ impl Dictionary {
                 self.after_update(stored);
                 continue;
             }
-            let (mut res, _) = self.active.insert_batch(&mut self.disks, rest);
+            let (mut res, _) = self.active.insert_batch_beside(&mut self.disks, rest, None);
             // Out of budget: the batch stopped there without committing
             // that key or any successor, so they all go to a replacement.
             let spent = matches!(
@@ -442,53 +343,29 @@ impl Dictionary {
             let started =
                 if spent && res.is_empty() { self.start_rebuild() } else { self.maybe_start_rebuild() };
             results.extend(res);
-            if let (Err(e), true) = (started, results.len() < entries.len()) {
-                results.push(Err(e));
+            match started {
+                Err(e) if results.len() < entries.len() => results.push(Err(e)),
+                Err(e) => self.step_failed(e),
+                Ok(()) => {}
             }
         }
         (results, self.disks.end_op(scope))
     }
 
-    /// Insert. Averages `2 + ɛ` I/Os outside rebuild windows; `O(1)`
-    /// worst case always (insert + bounded migration work).
+    /// Insert, as the batch of one ([`Self::insert_batch`]). Averages
+    /// `2 + ɛ` I/Os outside rebuild windows; `O(1)` worst case always
+    /// (insert + bounded migration work).
     pub fn insert(&mut self, key: u64, satellite: &[Word]) -> Result<OpCost, DictError> {
-        let scope = self.disks.begin_op();
-        if self.building.is_none() {
-            match self.active.insert(&mut self.disks, key, satellite) {
-                Ok(_) => {
-                    self.after_update(0);
-                    return Ok(self.disks.end_op(scope));
-                }
-                // The active structure ran out of budget (capacity or
-                // expander headroom): start the replacement immediately and
-                // route this insert there. This is how the wrapper absorbs
-                // the sampled expander's rare local failures too.
-                Err(DictError::CapacityExhausted { .. } | DictError::LevelsExhausted { .. }) => {
-                    self.start_rebuild()?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        // A rebuild is in flight: the one-key case of the batch path.
-        let (mut res, _) = self.insert_batch(&[(key, satellite.to_vec())]);
-        res.pop().expect("one result per entry")?;
-        Ok(self.disks.end_op(scope))
+        let (mut results, cost) = self.insert_batch(&[(key, satellite)]);
+        results.pop().expect("one result per entry").map(|()| cost)
     }
 
-    /// Delete. Outside a rebuild window [`DynamicDict::delete`]; inside, the
-    /// one-key case of [`Self::delete_batch`]. Returns whether the key was
-    /// present; fails typed off an unreadable probe or a tombstone write
-    /// that did not land.
+    /// Delete, as the batch of one ([`Self::delete_batch`]). Returns whether
+    /// the key was present; fails typed off an unreadable probe or a
+    /// tombstone write that did not land.
     pub fn delete(&mut self, key: u64) -> Result<(bool, OpCost), DictError> {
-        let scope = self.disks.begin_op();
-        let was = if self.building.is_none() {
-            let (was, _) = self.active.delete(&mut self.disks, key)?;
-            self.after_update(0);
-            was
-        } else {
-            self.delete_batch(&[key]).0.pop().expect("one result per key")?
-        };
-        Ok((was, self.disks.end_op(scope)))
+        let (mut results, cost) = self.delete_batch(&[key]);
+        results.pop().expect("one result per key").map(|was| (was, cost))
     }
 
     /// Batched delete ([`DynamicDict::delete_batch`]): one plan reads
@@ -512,11 +389,16 @@ impl Dictionary {
     /// damaged source bucket) stays on the dictionary, with the cursor.
     fn after_update(&mut self, ops: usize) {
         if let Err(e) = self.advance_rebuild(ops).and_then(|()| self.maybe_start_rebuild()) {
-            if let Some(m) = &self.metrics {
-                m.step_errors.inc();
-            }
-            self.step_error = Some(e);
+            self.step_failed(e);
         }
+    }
+
+    /// A migration step or the start of a rebuild failed with `e`.
+    fn step_failed(&mut self, e: DictError) {
+        if let Some(m) = &self.metrics {
+            m.step_errors.inc();
+        }
+        self.step_error = Some(e);
     }
 
     /// The error of the latest migration step (or start of a rebuild) that
@@ -1306,6 +1188,36 @@ mod tests {
         }
     }
 
+    /// Inside a window too, a batch's damaged keys are re-read once,
+    /// together: 16 keys under a one-read transient window on a membership
+    /// disk of the old structure — every key probes it — are answered
+    /// exactly, for the fault-free cost and one re-read plan.
+    #[test]
+    fn a_window_batch_retries_its_damaged_keys_once_together() {
+        for sigma in [1, CHAINED] {
+            let mut dict = Dictionary::new(params(64, sigma), 64).unwrap();
+            let mut n = 0u64;
+            while !dict.is_rebuilding() {
+                dict.insert(n, &sat(n, sigma)).unwrap();
+                n += 1;
+            }
+            let batch: Vec<u64> = (0..16).collect();
+            let want: Vec<Option<Vec<Word>>> = batch.iter().map(|&k| Some(sat(k, sigma))).collect();
+            dict.disks.enable_integrity();
+            let (found, clean) = dict.lookup_batch(&batch);
+            assert_eq!(found, want);
+            dict.disks.set_fault_plan(pdm::FaultPlan::new().transient_read(1, 0, 1));
+            let (found, cost) = dict.lookup_batch(&batch);
+            assert_eq!(found, want, "σ = {sigma}");
+            assert!(
+                clean.parallel_ios < cost.parallel_ios && cost.parallel_ios <= 2 * clean.parallel_ios,
+                "σ = {sigma}: {} parallel I/Os under the window, {} without",
+                cost.parallel_ios,
+                clean.parallel_ios
+            );
+        }
+    }
+
     /// The write-side twin: inside a window one intent tombstones a key in
     /// both structures. One torn write is healed by the commit's retry. If
     /// a tombstone write keeps tearing, the record it was meant to kill may
@@ -1335,10 +1247,9 @@ mod tests {
         for in_both in [false, true] {
             let victim = (0..n).find(|&k| holds(&dict0, k) == (in_both, true)).expect("no such key");
             let addrs = dict0.active.membership().probe_addrs(victim);
-            let patch = DynamicDict::read_retry(&mut dict0.disks.clone(), &addrs, |blocks, _| {
-                dict0.active.membership().plan_delete(victim, blocks).unwrap()
-            });
-            let disk = patch.writes().next().unwrap().0.disk;
+            let mut image = dict0.disks.clone();
+            let blocks = image.read(&addrs, pdm::ReadOptions::default()).blocks;
+            let disk = dict0.active.membership().tombstone_word(victim, &blocks).unwrap().0.disk;
             // `healed`: one tear, on the intent's ring slot or on the
             // tombstone. Otherwise the retry's write tears too.
             for (first, tears, healed) in [(0, 1, true), (1, 1, true), (0, 4, false)] {

@@ -291,7 +291,9 @@ pub trait Dict {
     fn delete(&mut self, key: u64) -> Result<(bool, OpCost), DictError>;
 
     /// Batched lookup. The default loops over [`lookup`](Dict::lookup);
-    /// front-ends with a round-sharing batch engine override it.
+    /// front-ends with a round-sharing batch engine override it — and
+    /// answer a single-key call as the batch of one (Theorem 7's
+    /// dictionary and the rebuilding wrapper do, for all three operations).
     fn lookup_batch(&mut self, keys: &[u64]) -> (Vec<Option<Vec<Word>>>, OpCost) {
         lookup_each(keys, |key| self.lookup(key))
     }

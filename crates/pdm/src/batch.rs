@@ -37,6 +37,7 @@ use crate::journal::{diff_runs, Delta};
 use crate::metrics::IoEvent;
 use crate::stats::OpCost;
 use crate::Word;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
@@ -77,6 +78,11 @@ type AddrMap<V> = HashMap<BlockAddr, V, BuildHasherDefault<AddrHasher>>;
 /// order), so each round touches each disk at most once and the round
 /// count is the per-disk maximum — the `ParallelDisk` batch cost.
 ///
+/// Requests that name every disk at most once — one key's probe, one
+/// key's commit — are their own plan: no two can be one block, and one
+/// round in request order holds them all. The plan then keeps only their
+/// copy: no dedup map, no request-to-block map, no round table.
+///
 /// ```
 /// use pdm::{BatchPlan, BlockAddr};
 /// let plan = BatchPlan::new(4, &[
@@ -94,12 +100,51 @@ pub struct BatchPlan {
     disks: usize,
     /// Unique addresses in first-seen order.
     unique: Vec<BlockAddr>,
-    /// `slot[i]` = index into `unique` serving request `i`.
+    /// `slot[i]` = index into `unique` serving request `i`; empty when the
+    /// requests are `unique` themselves, one round in request order.
     slot: Vec<usize>,
-    /// `round_of[u]` = the round unique block `u` is scheduled in.
+    /// `round_of[u]` = the round unique block `u` is scheduled in (empty
+    /// with `slot`).
     round_of: Vec<usize>,
-    /// `round_sizes[r]` = blocks in round `r`, at most one per disk.
+    /// `round_sizes[r]` = blocks in round `r`, at most one per disk (empty
+    /// with `slot`).
     round_sizes: Vec<usize>,
+}
+
+/// Whether `requests` name every disk at most once: then they are their
+/// own one-round plan. One bit a disk, on the stack; requests on a disk
+/// past the 256th take the general path.
+fn disjoint(requests: &[BlockAddr]) -> bool {
+    let mut seen = [0u64; 4];
+    requests.iter().all(|a| {
+        let (word, bit) = (a.disk / 64, 1u64 << (a.disk % 64));
+        let fresh = word < seen.len() && seen[word] & bit == 0;
+        if fresh {
+            seen[word] |= bit;
+        }
+        fresh
+    })
+}
+
+/// Record one round of `blocks` blocks on `disks` (none for no block).
+fn record_round(disks: &mut DiskArray, blocks: usize) {
+    if blocks > 0 {
+        disks.record_rounds(1);
+        disks.emit_io_event(IoEvent::RoundScheduled { blocks: blocks as u64 });
+    }
+}
+
+/// Charge a read of `unique` (distinct addresses) and record `plan`'s
+/// rounds — one round where there is no plan, the addresses naming each
+/// disk at most once: all of a read but its completion (which may borrow
+/// `disks`).
+fn charge_rounds(disks: &mut DiskArray, unique: &[BlockAddr], plan: Option<&BatchPlan>) -> OpCost {
+    let cost = disks.charge_read(unique);
+    match plan {
+        Some(plan) => plan.record_rounds(disks),
+        None => record_round(disks, unique.len()),
+    }
+    cost
 }
 
 impl BatchPlan {
@@ -113,6 +158,13 @@ impl BatchPlan {
     #[must_use]
     pub fn new(disks: usize, requests: &[BlockAddr]) -> Self {
         assert!(disks > 0, "need at least one disk");
+        for a in requests {
+            assert!(a.disk < disks, "disk index {} out of range (D = {disks})", a.disk);
+        }
+        if disjoint(requests) {
+            let unique = requests.to_vec();
+            return BatchPlan { disks, unique, slot: Vec::new(), round_of: Vec::new(), round_sizes: Vec::new() };
+        }
         let mut index: AddrMap<usize> =
             AddrMap::with_capacity_and_hasher(requests.len(), BuildHasherDefault::default());
         // Sized for no duplicates: doubling allocates twice what is held.
@@ -122,11 +174,6 @@ impl BatchPlan {
         let mut round_of = Vec::with_capacity(requests.len());
         let mut round_sizes: Vec<usize> = Vec::new();
         for &a in requests {
-            assert!(
-                a.disk < disks,
-                "disk index {} out of range (D = {disks})",
-                a.disk
-            );
             let idx = *index.entry(a).or_insert_with(|| {
                 unique.push(a);
                 let r = per_disk[a.disk];
@@ -155,10 +202,15 @@ impl BatchPlan {
         self.disks
     }
 
+    /// Whether the requests are the unique blocks themselves, in one round.
+    fn one_round(&self) -> bool {
+        self.slot.is_empty()
+    }
+
     /// Number of original requests (duplicates included).
     #[must_use]
     pub fn num_requests(&self) -> usize {
-        self.slot.len()
+        if self.one_round() { self.unique.len() } else { self.slot.len() }
     }
 
     /// Number of distinct blocks touched.
@@ -172,7 +224,7 @@ impl BatchPlan {
     /// of executing the plan.
     #[must_use]
     pub fn num_rounds(&self) -> usize {
-        self.round_sizes.len()
+        if self.one_round() { usize::from(!self.unique.is_empty()) } else { self.round_sizes.len() }
     }
 
     /// The unique blocks, in first-seen order.
@@ -188,6 +240,9 @@ impl BatchPlan {
     #[must_use]
     pub fn round(&self, r: usize) -> Vec<BlockAddr> {
         assert!(r < self.num_rounds(), "round {r} out of range");
+        if self.one_round() {
+            return self.unique.clone();
+        }
         let in_round = self.unique.iter().zip(&self.round_of);
         in_round.filter(|(_, &at)| at == r).map(|(&a, _)| a).collect()
     }
@@ -195,6 +250,9 @@ impl BatchPlan {
     /// Record the plan's rounds on `disks`: the round counter, and one
     /// [`IoEvent::RoundScheduled`] per round.
     fn record_rounds(&self, disks: &mut DiskArray) {
+        if self.one_round() {
+            return record_round(disks, self.unique.len());
+        }
         disks.record_rounds(self.num_rounds() as u64);
         for &blocks in &self.round_sizes {
             disks.emit_io_event(IoEvent::RoundScheduled {
@@ -206,8 +264,7 @@ impl BatchPlan {
     /// One charged, verified read of the unique blocks, the rounds recorded
     /// between its accounting and its completion (which may borrow `disks`).
     fn read_unique<'d>(&self, disks: &'d mut DiskArray) -> IoOutcome<'d> {
-        let cost = disks.charge_read(&self.unique);
-        self.record_rounds(disks);
+        let cost = charge_rounds(disks, &self.unique, Some(self));
         disks.complete_read(&self.unique, ReadOptions::verified(), cost)
     }
 
@@ -226,8 +283,25 @@ impl BatchPlan {
         BatchReads {
             blocks: out.blocks,
             healths: out.healths,
-            slot: &self.slot,
+            slot: Cow::Borrowed(&self.slot),
         }
+    }
+
+    /// Plan `requests` and execute the plan's read at once
+    /// ([`execute_read`](BatchPlan::execute_read)): requests that name every
+    /// disk at most once are read as they are, with nothing copied.
+    ///
+    /// # Panics
+    /// As [`new`](BatchPlan::new).
+    pub fn read<'d>(disks: &'d mut DiskArray, requests: &[BlockAddr]) -> BatchReads<'d> {
+        if disjoint(requests) {
+            let cost = charge_rounds(disks, requests, None);
+            let out = disks.complete_read(requests, ReadOptions::verified(), cost);
+            return BatchReads { blocks: out.blocks, healths: out.healths, slot: Cow::Borrowed(&[]) };
+        }
+        let plan = BatchPlan::new(disks.disks(), requests);
+        let out = plan.read_unique(disks);
+        BatchReads { blocks: out.blocks, healths: out.healths, slot: Cow::Owned(plan.slot) }
     }
 
     /// Execute the plan through a **shared** reference: returns the reads
@@ -244,7 +318,7 @@ impl BatchPlan {
             BatchReads {
                 blocks: out.blocks,
                 healths: out.healths,
-                slot: &self.slot,
+                slot: Cow::Borrowed(&self.slot),
             },
             out.cost,
         )
@@ -261,20 +335,26 @@ pub struct BatchReads<'p> {
     blocks: Round<'p>,
     /// Health per unique block, aligned with `blocks`.
     healths: Vec<BlockHealth>,
-    slot: &'p [usize],
+    /// The plan's request-to-block map; empty when request `i` is block `i`.
+    slot: Cow<'p, [usize]>,
 }
 
 impl BlockView for BatchReads<'_> {
     fn len(&self) -> usize {
-        self.slot.len()
+        if self.slot.is_empty() { self.blocks.len() } else { self.slot.len() }
     }
 
     fn block(&self, i: usize) -> &[Word] {
-        self.blocks.block(self.slot[i])
+        self.blocks.block(self.unique_of(i))
     }
 }
 
 impl BatchReads<'_> {
+    /// The unique block serving request `i`.
+    fn unique_of(&self, i: usize) -> usize {
+        if self.slot.is_empty() { i } else { self.slot[i] }
+    }
+
     /// The health of the block serving request `i` (as observed when the
     /// plan executed).
     ///
@@ -282,7 +362,7 @@ impl BatchReads<'_> {
     /// Panics if `i >= len()`.
     #[must_use]
     pub fn health(&self, i: usize) -> BlockHealth {
-        self.healths[self.slot[i]]
+        self.healths[self.unique_of(i)]
     }
 
     /// Whether every block serving the request range read cleanly.
@@ -296,12 +376,12 @@ impl BatchReads<'_> {
 }
 
 /// What the executor knows of an address it has read or staged.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Held {
     /// The executor's own copy of the image, as `(index into
     /// BatchExecutor::bufs, block position in it)`; `None` while the image
     /// is the block in the backend, read there as a view.
-    copy: Option<(usize, usize)>,
+    copy: Option<(u32, u32)>,
     /// Staged for writing and not yet landed.
     dirty: bool,
     /// The image is what the medium holds apart from the words staged
@@ -313,7 +393,80 @@ struct Held {
 
 impl Held {
     fn clean(copy: Option<(usize, usize)>, sound: bool) -> Self {
-        Held { copy, dirty: false, sound }
+        Held { copy: copy.map(|(buf, slot)| (buf as u32, slot as u32)), dirty: false, sound }
+    }
+
+    /// [`copy`](Held::copy), as indices.
+    fn copied(&self) -> Option<(usize, usize)> {
+        self.copy.map(|(buf, slot)| (buf as usize, slot as usize))
+    }
+}
+
+/// What an executor knows of every address it read or staged: each disk's
+/// first block in the disk's own slot, found by index — all one key's probe
+/// needs, naming each disk once — and the others in a hash map. A slot
+/// counts only under the generation that filled it: emptying is a count.
+#[derive(Debug, Default)]
+struct HeldMap {
+    /// Per disk, `(generation, block, what is known of it)`.
+    first: Vec<(u64, usize, Held)>,
+    /// One past the generation of every slot filled before the latest
+    /// [`clear`](HeldMap::clear).
+    generation: u64,
+    rest: AddrMap<Held>,
+}
+
+impl HeldMap {
+    fn get(&self, a: &BlockAddr) -> Option<&Held> {
+        match self.first.get(a.disk)? {
+            (g, block, at) if *g == self.generation && *block == a.block => Some(at),
+            (g, ..) if *g == self.generation => self.rest.get(a),
+            _ => None,
+        }
+    }
+
+    fn get_mut(&mut self, a: &BlockAddr) -> Option<&mut Held> {
+        match self.first.get_mut(a.disk)? {
+            (g, block, at) if *g == self.generation && *block == a.block => Some(at),
+            (g, ..) if *g == self.generation => self.rest.get_mut(a),
+            _ => None,
+        }
+    }
+
+    fn contains_key(&self, a: &BlockAddr) -> bool {
+        self.get(a).is_some()
+    }
+
+    fn insert(&mut self, a: BlockAddr, held: Held) {
+        let generation = self.generation;
+        match &mut self.first[a.disk] {
+            (g, block, at) if *g == generation && *block == a.block => *at = held,
+            (g, ..) if *g == generation => {
+                self.rest.insert(a, held);
+            }
+            slot => *slot = (generation, a.block, held),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.first.iter().all(|slot| slot.0 != self.generation)
+    }
+
+    /// Forget every address, keeping a slot for each of `disks` disks; the
+    /// map's room beyond [`ARENA_ENTRIES`] is given back.
+    fn clear(&mut self, disks: usize) {
+        self.generation += 1;
+        self.first.resize(disks.max(self.first.len()), (0, 0, Held::default()));
+        self.rest.clear();
+        self.rest.shrink_to(ARENA_ENTRIES);
+    }
+}
+
+impl std::ops::Index<&BlockAddr> for HeldMap {
+    type Output = Held;
+
+    fn index(&self, a: &BlockAddr) -> &Held {
+        self.get(a).expect("the address is held")
     }
 }
 
@@ -339,6 +492,10 @@ impl Held {
 /// which words of a block each staging touched, and hands those ranges to
 /// [`DiskArray::journaled_delta_batch_checked`] with the commit.
 ///
+/// Its containers are kept by its array, emptied for each executor, so that
+/// a plan of one key allocates none of them once warm; a read or a commit
+/// whose addresses name every disk at most once plans no dedup.
+///
 /// ```
 /// use pdm::{BatchExecutor, BlockAddr, DiskArray, PdmConfig};
 /// let mut disks = DiskArray::new(PdmConfig::new(2, 4), 2);
@@ -353,7 +510,16 @@ impl Held {
 /// ```
 #[derive(Debug)]
 pub struct BatchExecutor<'a> {
+    /// The array, which keeps what the executor holds ([`Arena`]).
     disks: &'a mut DiskArray,
+}
+
+/// What a [`BatchExecutor`] holds, kept by its array: its read rounds and
+/// all but the first 64 KiB of its copies given back when it is dropped, the
+/// rest emptied when the next one starts, and room beyond [`ARENA_ENTRIES`]
+/// entries given back then.
+#[derive(Debug, Default)]
+pub(crate) struct Arena {
     /// `bufs[0]` collects the blocks that arrive one at a time (a view
     /// copied out for staging, a write staged over a block never read);
     /// each later entry is the buffer of one copied read round.
@@ -361,18 +527,69 @@ pub struct BatchExecutor<'a> {
     /// Positions of `bufs[0]` whose copy a landed commit gave back.
     free: Vec<usize>,
     /// Every address read or staged so far.
-    held: AddrMap<Held>,
+    map: HeldMap,
     /// Dirty addresses in first-staged order (each appears once).
     dirty: Vec<BlockAddr>,
     /// The word ranges staged since the last commit in blocks that were
     /// [sound](Held::sound) then, as `(block, start, end)`; empty, and
     /// never allocated, without a journal.
     touched: Vec<(BlockAddr, usize, usize)>,
+    /// Whether an image was ever held that is not the medium's (a read
+    /// sanitized, a write that did not land, a block staged unread).
+    unsound: bool,
+    /// What [`get_many`](BatchExecutor::get_many) found of its addresses.
+    found: Vec<Held>,
+}
+
+/// Entries an [`Arena`] container keeps room for: a few keys' probes.
+const ARENA_ENTRIES: usize = 256;
+
+/// A clone is a fresh array: it starts with an empty arena.
+impl Clone for Arena {
+    fn clone(&self) -> Self {
+        Arena::default()
+    }
+}
+
+impl Arena {
+    /// Empty the arena for an executor over `disks` disks of `block_words`
+    /// words.
+    fn reset(&mut self, disks: usize, block_words: usize) {
+        self.release();
+        if self.bufs.is_empty() {
+            self.bufs.push(BlockBuf::with_capacity(block_words, 0));
+        }
+        self.map.clear(disks);
+        self.free.clear();
+        self.dirty.clear();
+        self.touched.clear();
+        self.found.clear();
+        self.free.shrink_to(ARENA_ENTRIES);
+        self.dirty.shrink_to(ARENA_ENTRIES);
+        self.touched.shrink_to(ARENA_ENTRIES);
+        self.found.shrink_to(ARENA_ENTRIES);
+        self.unsound = false;
+    }
+
+    /// Give back the blocks an executor held: its read rounds, and the
+    /// copies beyond the first piece.
+    fn release(&mut self) {
+        self.bufs.truncate(1);
+        if let Some(singles) = self.bufs.first_mut() {
+            singles.clear();
+        }
+    }
+}
+
+impl Drop for BatchExecutor<'_> {
+    fn drop(&mut self) {
+        self.disks.arena.release();
+    }
 }
 
 /// The image `at` describes: the executor's copy, or the block in the backend.
 fn image_of<'x>(bufs: &'x [BlockBuf], disks: &'x DiskArray, addr: BlockAddr, at: Held) -> &'x [Word] {
-    match at.copy {
+    match at.copied() {
         Some((buf, slot)) => bufs[buf].block(slot),
         None => disks.resident(addr).expect("`settle` copies a view out once its array gives none"),
     }
@@ -381,15 +598,9 @@ fn image_of<'x>(bufs: &'x [BlockBuf], disks: &'x DiskArray, addr: BlockAddr, at:
 impl<'a> BatchExecutor<'a> {
     /// Start a batch over `disks`.
     pub fn new(disks: &'a mut DiskArray) -> Self {
-        let singles = BlockBuf::with_capacity(disks.block_words(), 0);
-        BatchExecutor {
-            disks,
-            bufs: vec![singles],
-            free: Vec::new(),
-            held: AddrMap::default(),
-            dirty: Vec::new(),
-            touched: Vec::new(),
-        }
+        let (d, w) = (disks.disks(), disks.block_words());
+        disks.arena.reset(d, w);
+        BatchExecutor { disks }
     }
 
     /// The disk array geometry (for planning probe addresses).
@@ -410,52 +621,60 @@ impl<'a> BatchExecutor<'a> {
     /// Blocks the executor holds copies of now: what a plan costs in memory.
     #[must_use]
     pub fn held_blocks(&self) -> usize {
-        self.bufs.iter().map(BlockView::len).sum::<usize>() - self.free.len()
+        self.disks.arena.bufs.iter().map(BlockView::len).sum::<usize>() - self.disks.arena.free.len()
     }
 
-    /// Read the unique blocks of `plan` as one verified batch; clean
-    /// addresses now resolve to the round — its buffer, held whole, or the
-    /// backend where it came as views. Returns the healths, aligned with
-    /// `plan.unique_blocks()`.
-    fn read_round(&mut self, plan: &BatchPlan) -> Vec<BlockHealth> {
-        let out = plan.read_unique(self.disks);
-        let copied = out.blocks.copied();
-        let buf = copied.as_ref().map(|_| self.bufs.len());
-        for (slot, (&a, h)) in plan.unique_blocks().iter().zip(&out.healths).enumerate() {
-            self.held.insert(a, Held::clean(buf.map(|buf| (buf, slot)), h.is_ok()));
+    /// Read `addrs` (duplicates allowed) as one planned, verified batch;
+    /// they now resolve to the round — its buffer, held whole, or the
+    /// backend where it came as views. Hands `each` every unique block and
+    /// its health, and returns how many there were.
+    fn read_round(&mut self, addrs: &[BlockAddr], mut each: impl FnMut(BlockAddr, BlockHealth)) -> usize {
+        let plan = (!disjoint(addrs)).then(|| BatchPlan::new(self.disks.disks(), addrs));
+        let unique = plan.as_ref().map_or(addrs, BatchPlan::unique_blocks);
+        let cost = charge_rounds(self.disks, unique, plan.as_ref());
+        let (copied, healths) = self.disks.complete_read_held(unique, cost);
+        let arena = &mut self.disks.arena;
+        let buf = copied.as_ref().map(|_| arena.bufs.len());
+        for (slot, &a) in unique.iter().enumerate() {
+            let h = healths.get(slot).copied().unwrap_or(BlockHealth::Ok);
+            arena.map.insert(a, Held::clean(buf.map(|buf| (buf, slot)), h.is_ok()));
+            arena.unsound |= !h.is_ok();
+            each(a, h);
         }
-        self.bufs.extend(copied);
-        out.healths
+        arena.bufs.extend(copied);
+        unique.len()
     }
 
     fn image(&self, addr: BlockAddr) -> &[Word] {
-        image_of(&self.bufs, self.disks, addr, self.held[&addr])
+        image_of(&self.disks.arena.bufs, self.disks, addr, self.disks.arena.map[&addr])
     }
 
     /// Make `addr`'s image the executor's own: the block copied out of the
     /// backend (once the array gives no views, as the medium holds it).
     fn copy_out(&mut self, addr: BlockAddr) {
-        let Some(block) = self.disks.resident(addr) else {
+        let (Some(block), arena) = self.disks.resident_and_arena(addr) else {
             let block = self.disks.peek(addr);
             return self.hold_single(addr, &block, true);
         };
-        let slot = Self::put(&mut self.bufs[0], &mut self.free, block);
-        self.held.insert(addr, Held::clean(Some((0, slot)), true));
+        let slot = Self::put(&mut arena.bufs[0], &mut arena.free, block);
+        arena.map.insert(addr, Held::clean(Some((0, slot)), true));
     }
 
     /// Copy out whichever of `addrs` are recorded as views of blocks the
     /// array no longer gives views of ([`disks_mut`](BatchExecutor::disks_mut)).
-    fn settle(&mut self, addrs: &[BlockAddr]) {
+    /// Returns whether it had to look.
+    fn settle(&mut self, addrs: &[BlockAddr]) -> bool {
         // With no hazard at all a resident array gives views of every block.
         let d = &*self.disks;
         if d.backend_resident() && d.fault_plan().is_none() && !d.integrity_enabled() {
-            return;
+            return false;
         }
         for &a in addrs {
-            if self.held.get(&a).is_some_and(|at| at.copy.is_none()) && self.disks.resident(a).is_none() {
+            if self.disks.arena.map.get(&a).is_some_and(|at| at.copy.is_none()) && self.disks.resident(a).is_none() {
                 self.copy_out(a);
             }
         }
+        true
     }
 
     /// Store `block` in `singles`, in a position given back if there is one.
@@ -475,11 +694,12 @@ impl<'a> BatchExecutor<'a> {
     /// Read every not-yet-cached address in `addrs` as one planned batch,
     /// charging its model cost.
     pub fn prefetch(&mut self, addrs: &[BlockAddr]) {
-        let missing: Vec<BlockAddr> = addrs
-            .iter()
-            .copied()
-            .filter(|a| !self.held.contains_key(a))
-            .collect();
+        // An executor that holds nothing yet misses every address.
+        let missing: Cow<'_, [BlockAddr]> = if self.disks.arena.map.is_empty() {
+            addrs.into()
+        } else {
+            addrs.iter().copied().filter(|a| !self.disks.arena.map.contains_key(a)).collect()
+        };
         let hits = (addrs.len() - missing.len()) as u64;
         if hits > 0 {
             self.disks.emit_io_event(IoEvent::CacheHit { blocks: hits });
@@ -487,11 +707,8 @@ impl<'a> BatchExecutor<'a> {
         if missing.is_empty() {
             return;
         }
-        let plan = BatchPlan::new(self.disks.disks(), &missing);
-        self.disks.emit_io_event(IoEvent::CacheMiss {
-            blocks: plan.num_unique_blocks() as u64,
-        });
-        self.read_round(&plan);
+        let blocks = self.read_round(&missing, |_, _| ()) as u64;
+        self.disks.emit_io_event(IoEvent::CacheMiss { blocks });
     }
 
     /// The current image of `addr`: staged write if any, else cached
@@ -499,7 +716,7 @@ impl<'a> BatchExecutor<'a> {
     /// as its own round), so under-prefetching stays correct — just
     /// costlier.
     pub fn get(&mut self, addr: BlockAddr) -> &[Word] {
-        if self.held.contains_key(&addr) {
+        if self.disks.arena.map.contains_key(&addr) {
             self.disks.emit_io_event(IoEvent::CacheHit { blocks: 1 });
             self.settle(&[addr]);
         } else {
@@ -508,9 +725,10 @@ impl<'a> BatchExecutor<'a> {
             let sound = self.disks.block_health(addr).is_ok();
             let copied = self.disks.read(&[addr], ReadOptions::default()).blocks.copied();
             self.disks.record_rounds(1);
+            self.disks.arena.unsound |= !sound;
             match copied {
                 Some(buf) => self.hold_single(addr, buf.block(0), sound),
-                None => drop(self.held.insert(addr, Held::clean(None, sound))),
+                None => self.disks.arena.map.insert(addr, Held::clean(None, sound)),
             }
         }
         self.image(addr)
@@ -520,7 +738,9 @@ impl<'a> BatchExecutor<'a> {
     /// order (cache misses are read as one planned batch, as in
     /// [`prefetch`](BatchExecutor::prefetch)).
     pub fn get_many<'s>(&'s mut self, addrs: &'s [BlockAddr]) -> StagedBlocks<'s> {
-        if addrs.iter().all(|a| self.held.contains_key(a)) {
+        let (map, found) = (&self.disks.arena.map, &mut self.disks.arena.found);
+        found.clear();
+        if addrs.iter().all(|a| map.get(a).map(|&at| found.push(at)).is_some()) {
             if !addrs.is_empty() {
                 self.disks.emit_io_event(IoEvent::CacheHit {
                     blocks: addrs.len() as u64,
@@ -529,35 +749,38 @@ impl<'a> BatchExecutor<'a> {
         } else {
             self.prefetch(addrs);
         }
-        self.settle(addrs);
-        StagedBlocks { ex: self, addrs }
+        if self.settle(addrs) || self.disks.arena.found.len() < addrs.len() {
+            self.disks.arena.found.clear();
+            self.disks.arena.found.extend(addrs.iter().map(|a| self.disks.arena.map[a]));
+        }
+        let (bufs, disks) = (&self.disks.arena.bufs, &*self.disks);
+        let images = addrs.iter().zip(&self.disks.arena.found).map(|(&a, &at)| image_of(bufs, disks, a, at)).collect();
+        StagedBlocks { images }
     }
 
-    /// [`get_many`](BatchExecutor::get_many) with each address's current
-    /// [`BlockHealth`] reported alongside. Blocks staged for writing in
-    /// this batch report `Ok` (their image is ours, not the disk's);
-    /// other blocks report [`DiskArray::block_health`] — except that a
-    /// cached image sanitized when it was read never reports `Ok`, even
-    /// if the health has since recovered: the image is zeros, not the
-    /// block. Call [`refresh`](BatchExecutor::refresh) to re-read such
-    /// blocks.
-    pub fn get_many_verified<'s>(
-        &'s mut self,
-        addrs: &'s [BlockAddr],
-    ) -> (StagedBlocks<'s>, Vec<BlockHealth>) {
-        // Health is sampled BEFORE the prefetch so it reflects the clock
-        // the read executes at (the read itself advances the clock).
-        let healths = addrs
-            .iter()
-            .map(|a| match self.held.get(a) {
-                Some(at) if at.dirty => BlockHealth::Ok,
-                Some(at) if !at.sound && self.disks.block_health(*a).is_ok() => {
-                    BlockHealth::TransientError
-                }
-                _ => self.disks.block_health(*a),
-            })
-            .collect();
-        (self.get_many(addrs), healths)
+    /// Each address's current [`BlockHealth`], or none at all — an empty
+    /// list — when every one is `Ok`; sampled ahead of
+    /// [`get_many`](BatchExecutor::get_many), at the clock its read runs at.
+    /// Blocks staged for writing report `Ok` (their image is ours, not the
+    /// disk's); others [`DiskArray::block_health`] — except that a cached
+    /// image sanitized when it was read never reports `Ok`, even if the
+    /// health has since recovered: the image is zeros, not the block. Call
+    /// [`refresh`](BatchExecutor::refresh) to re-read such blocks.
+    #[must_use]
+    pub fn verify(&self, addrs: &[BlockAddr]) -> Vec<BlockHealth> {
+        let d = &*self.disks;
+        if !self.disks.arena.unsound && d.fault_plan().is_none() && !d.integrity_enabled() {
+            return Vec::new();
+        }
+        let health = |a: &BlockAddr| match self.disks.arena.map.get(a) {
+            Some(at) if at.dirty => BlockHealth::Ok,
+            Some(at) if !at.sound && self.disks.block_health(*a).is_ok() => BlockHealth::TransientError,
+            _ => self.disks.block_health(*a),
+        };
+        if addrs.iter().all(|a| health(a).is_ok()) {
+            return Vec::new();
+        }
+        addrs.iter().map(health).collect()
     }
 
     /// Drop the cached images of the non-dirty addresses in `addrs` and
@@ -569,13 +792,13 @@ impl<'a> BatchExecutor<'a> {
         let retry: Vec<BlockAddr> = addrs
             .iter()
             .copied()
-            .filter(|a| !self.held.get(a).is_some_and(|at| at.dirty))
+            .filter(|a| !self.disks.arena.map.get(a).is_some_and(|at| at.dirty))
             .collect();
         let mut fresh: AddrMap<BlockHealth> = AddrMap::default();
         if !retry.is_empty() {
-            let plan = BatchPlan::new(self.disks.disks(), &retry);
-            let healths = self.read_round(&plan);
-            fresh.extend(plan.unique_blocks().iter().copied().zip(healths));
+            self.read_round(&retry, |a, h| {
+                fresh.insert(a, h);
+            });
         }
         addrs
             .iter()
@@ -585,8 +808,9 @@ impl<'a> BatchExecutor<'a> {
 
     /// Hold a copy of `block` as `addr`'s image, outside any round buffer.
     fn hold_single(&mut self, addr: BlockAddr, block: &[Word], sound: bool) {
-        let slot = Self::put(&mut self.bufs[0], &mut self.free, block);
-        self.held.insert(addr, Held::clean(Some((0, slot)), sound));
+        self.disks.arena.unsound |= !sound;
+        let slot = Self::put(&mut self.disks.arena.bufs[0], &mut self.disks.arena.free, block);
+        self.disks.arena.map.insert(addr, Held::clean(Some((0, slot)), sound));
     }
 
     /// Stage `addr` for writing and return its image to modify in place
@@ -607,23 +831,25 @@ impl<'a> BatchExecutor<'a> {
     /// # Panics
     /// Panics if `words` runs past the block.
     pub fn stage_words(&mut self, addr: BlockAddr, words: Range<usize>) -> &mut [Word] {
-        if !self.held.contains_key(&addr) {
+        if !self.disks.arena.map.contains_key(&addr) {
             self.get(addr);
         }
-        if self.held[&addr].copy.is_none() {
+        if self.disks.arena.map[&addr].copy.is_none() {
             // The first staging of a block read as a view copies it.
             self.copy_out(addr);
         }
-        let at = self.held.get_mut(&addr).expect("just read");
+        let journaled = self.disks.journal_enabled();
+        let arena = &mut self.disks.arena;
+        let at = arena.map.get_mut(&addr).expect("just read");
         if !at.dirty {
             at.dirty = true;
-            self.dirty.push(addr);
+            arena.dirty.push(addr);
         }
-        if at.sound && !words.is_empty() && self.disks.journal_enabled() {
-            self.touched.push((addr, words.start, words.end));
+        if at.sound && !words.is_empty() && journaled {
+            arena.touched.push((addr, words.start, words.end));
         }
-        let (buf, slot) = at.copy.expect("a staged block is a copy");
-        &mut self.bufs[buf].block_mut(slot)[words]
+        let (buf, slot) = at.copied().expect("a staged block is a copy");
+        &mut arena.bufs[buf].block_mut(slot)[words]
     }
 
     /// Stage a full-block write of `data`, whatever `addr` held before
@@ -639,30 +865,46 @@ impl<'a> BatchExecutor<'a> {
             self.disks.block_words(),
             "batch staging requires full-block images"
         );
-        let Some(&at) = self.held.get(&addr) else {
+        if !self.disks.arena.map.contains_key(&addr) {
             // Never read: a journal has nothing to take a delta from.
             self.hold_single(addr, data, false);
             self.stage_mut(addr);
             return;
-        };
-        if at.sound && self.disks.journal_enabled() {
-            // Over an image the batch knows, the words that differ.
+        }
+        self.stage_patch(addr, 0, data);
+    }
+
+    /// Stage `words` over the block's words from `at` on (read first if not
+    /// cached, as in [`get`](BatchExecutor::get)). Over an image the batch
+    /// knows a journaled commit logs the words that differ from it; over
+    /// any other, all of `words`.
+    ///
+    /// # Panics
+    /// Panics if `words` runs past the block.
+    pub fn stage_patch(&mut self, addr: BlockAddr, at: usize, words: &[Word]) {
+        if !self.disks.arena.map.contains_key(&addr) {
+            self.get(addr);
+        }
+        let range = at..at + words.len();
+        if self.disks.arena.map[&addr].sound && self.disks.journal_enabled() {
             self.settle(&[addr]);
-            let (held, touched) = (image_of(&self.bufs, self.disks, addr, self.held[&addr]), &mut self.touched);
-            diff_runs(data, held, |run| touched.push((addr, run.start, run.end)));
+            let mut touched = std::mem::take(&mut self.disks.arena.touched);
+            let image = self.image(addr);
+            diff_runs(words, &image[range.clone()], |run| touched.push((addr, at + run.start, at + run.end)));
+            self.disks.arena.touched = touched;
             // Dirty even when nothing differs, as without a journal.
             self.stage_words(addr, 0..0);
-            let (buf, slot) = self.held[&addr].copy.expect("a staged block is a copy");
-            self.bufs[buf].block_mut(slot).copy_from_slice(data);
+            let (buf, slot) = self.disks.arena.map[&addr].copied().expect("a staged block is a copy");
+            self.disks.arena.bufs[buf].block_mut(slot)[range].copy_from_slice(words);
         } else {
-            self.stage_mut(addr).copy_from_slice(data);
+            self.stage_words(addr, range).copy_from_slice(words);
         }
     }
 
     /// Number of distinct blocks currently staged for writing.
     #[must_use]
     pub fn staged_writes(&self) -> usize {
-        self.dirty.len()
+        self.disks.arena.dirty.len()
     }
 
     /// Flush all staged writes as one planned write batch and return its
@@ -706,91 +948,95 @@ impl<'a> BatchExecutor<'a> {
     /// `meta` to the journal intent entry (ignored without a journal).
     pub fn commit_checked_with_meta(&mut self, meta: &[Word]) -> CommitReport {
         let scope = self.disks.begin_op();
-        let mut landed = Vec::new();
         let mut failed = Vec::new();
-        if !self.dirty.is_empty() {
-            // Satellite fix: one canonical commit order (see above).
-            self.dirty.sort_unstable();
-            let plan = BatchPlan::new(self.disks.disks(), &self.dirty);
-            let (bufs, held) = (&self.bufs, &self.held);
+        if !self.disks.arena.dirty.is_empty() {
+            // Satellite fix: one canonical commit order (see above). The
+            // dirty blocks are distinct: a plan only schedules their rounds.
+            let (disks, journaled) = (self.disks.disks(), self.disks.journal_enabled());
+            let arena = &mut self.disks.arena;
+            arena.dirty.sort_unstable();
+            arena.touched.sort_unstable();
+            let plan = (!disjoint(&arena.dirty)).then(|| BatchPlan::new(disks, &arena.dirty));
+            // The images are the arena's, lent out for the write.
+            let (bufs, dirty) = (std::mem::take(&mut arena.bufs), std::mem::take(&mut arena.dirty));
             let image = |a: &BlockAddr| {
-                let (buf, slot) = held[a].copy.expect("a staged block is a copy");
+                let (buf, slot) = arena.map[a].copied().expect("a staged block is a copy");
                 bufs[buf].block(slot)
             };
-            let writes: Vec<(BlockAddr, &[Word])> =
-                plan.unique_blocks().iter().map(|a| (*a, image(a))).collect();
+            let writes: Vec<(BlockAddr, &[Word])> = dirty.iter().map(|a| (*a, image(a))).collect();
             // What a journal logs of each block: the ranges staged in it,
             // or all of it where the held image was not the medium's. Empty
             // without a journal, when the call below is a plain write.
-            self.touched.sort_unstable();
-            let ranges: Vec<Range<usize>> = self.touched.iter().map(|&(_, s, e)| s..e).collect();
+            let ranges: Vec<Range<usize>> = arena.touched.iter().map(|&(_, s, e)| s..e).collect();
             let mut deltas = Vec::new();
-            if self.disks.journal_enabled() {
+            if journaled {
                 let mut at = 0;
-                deltas.extend(plan.unique_blocks().iter().map(|a| {
+                deltas.extend(dirty.iter().map(|a| {
                     let from = at;
-                    at += self.touched[at..].iter().take_while(|t| t.0 == *a).count();
-                    if held[a].sound { Delta::Words(&ranges[from..at]) } else { Delta::Whole }
+                    at += arena.touched[at..].iter().take_while(|t| t.0 == *a).count();
+                    if arena.map[a].sound { Delta::Words(&ranges[from..at]) } else { Delta::Whole }
                 }));
             }
             let healths = self.disks.journaled_delta_batch_checked(&writes, &deltas, meta);
-            plan.record_rounds(self.disks);
+            match &plan {
+                Some(plan) => plan.record_rounds(self.disks),
+                None => record_round(self.disks, dirty.len()),
+            }
             self.disks.emit_io_event(IoEvent::BatchCommitted {
-                dirty_blocks: plan.num_unique_blocks() as u64,
+                dirty_blocks: dirty.len() as u64,
             });
             // What landed is the medium's content now; what did not left it
             // in doubt, and its retry journals the whole block.
-            self.touched.clear();
-            for (&a, h) in plan.unique_blocks().iter().zip(&healths) {
-                let at = self.held.get_mut(&a).expect("staged blocks are held");
+            for (&a, h) in dirty.iter().zip(&healths) {
+                // The backend holds a landed image now: the copy goes back.
+                let resident = h.is_ok() && self.disks.resident(a).is_some();
+                let arena = &mut self.disks.arena;
+                let at = arena.map.get_mut(&a).expect("staged blocks are held");
                 (at.sound, at.dirty) = (h.is_ok(), !h.is_ok());
-                if h.is_ok() {
-                    landed.push(a);
-                    // The backend holds the image now: give the copy back.
-                    if let (Some((0, slot)), Some(_)) = (at.copy, self.disks.resident(a)) {
-                        self.free.push(slot);
-                        at.copy = None;
-                    }
-                } else {
+                arena.unsound |= !h.is_ok();
+                if !h.is_ok() {
                     failed.push((a, *h));
+                } else if let (Some((0, slot)), true) = (at.copied(), resident) {
+                    arena.free.push(slot);
+                    at.copy = None;
                 }
             }
-            self.dirty.retain(|a| failed.iter().any(|(f, _)| f == a));
+            let arena = &mut self.disks.arena;
+            (arena.bufs, arena.dirty) = (bufs, dirty);
+            arena.touched.clear();
+            arena.dirty.retain(|a| failed.iter().any(|(f, _)| f == a));
         }
         CommitReport {
             cost: self.disks.end_op(scope),
-            landed,
             failed,
         }
     }
 }
 
 /// The executor's current images of a list of addresses
-/// ([`BatchExecutor::get_many`]), in the list's order.
+/// ([`BatchExecutor::get_many`]), in the list's order: looked up at once,
+/// as a read round's are, so that a decoder's misses on them overlap.
 #[derive(Debug)]
 pub struct StagedBlocks<'s> {
-    ex: &'s BatchExecutor<'s>,
-    addrs: &'s [BlockAddr],
+    images: Vec<&'s [Word]>,
 }
 
 impl BlockView for StagedBlocks<'_> {
     fn len(&self) -> usize {
-        self.addrs.len()
+        self.images.len()
     }
 
     fn block(&self, i: usize) -> &[Word] {
-        self.ex.image(self.addrs[i])
+        self.images[i]
     }
 }
 
 /// Outcome of [`BatchExecutor::commit_checked`]: which staged writes
-/// landed, which failed (and why), and the I/O charged.
+/// failed (and why) — every other one landed — and the I/O charged.
 #[derive(Debug, Clone, Default)]
 pub struct CommitReport {
     /// I/O cost of the commit batch.
     pub cost: OpCost,
-    /// Blocks whose staged image reached the disk.
-    pub landed: Vec<BlockAddr>,
     /// Blocks whose write failed; they remain staged (dirty) for retry.
     pub failed: Vec<(BlockAddr, BlockHealth)>,
 }
@@ -987,6 +1233,7 @@ mod tests {
         ex.stage_write(a, &[5; 4]);
         assert_eq!(ex.get(a), &[5; 4], "read-your-writes within the batch");
         assert_eq!(ex.get(b), &[0; 4], "other blocks unaffected");
+        drop(ex);
         assert_eq!(disks.peek(a), &[0; 4], "disk unchanged before commit");
     }
 
@@ -1031,6 +1278,7 @@ mod tests {
         let mut ex = BatchExecutor::new(&mut disks);
         let _ = ex.get(BlockAddr::new(1, 1));
         let _ = ex.get(BlockAddr::new(1, 1)); // cached: no second charge
+        drop(ex);
         let cost = disks.stats().since(&before);
         assert_eq!(cost.parallel_ios, 1);
         assert_eq!(cost.block_reads, 1);
@@ -1157,15 +1405,15 @@ mod tests {
         ex.stage_write(a, &[7; 4]);
         ex.stage_write(b, &[8; 4]);
         let report = ex.commit_checked();
-        assert_eq!(report.landed, vec![a]);
         assert_eq!(report.failed, vec![(b, BlockHealth::TornWrite)]);
         assert!(!report.is_clean());
         assert_eq!(ex.staged_writes(), 1, "failed write stays dirty");
         assert_eq!(ex.get(b), &[8; 4], "staged image intact for retry");
         let retry = ex.commit_checked();
         assert!(retry.is_clean());
-        assert_eq!(retry.landed, vec![b]);
+        assert_eq!(retry.cost.block_writes, 1, "only the lost write is retried");
         assert_eq!(ex.staged_writes(), 0);
+        drop(ex);
         assert_eq!(disks.peek(a), &[7; 4]);
         assert_eq!(disks.peek(b), &[8; 4]);
         assert_eq!(disks.scrub_verify().checksum_failures, 0);
@@ -1184,13 +1432,13 @@ mod tests {
         ex.stage_write(dead, &[5; 4]);
         ex.stage_write(live, &[6; 4]);
         let report = ex.commit_checked();
-        assert_eq!(report.landed, vec![live]);
         assert_eq!(report.failed, vec![(dead, BlockHealth::DiskDead)]);
         assert_eq!(ex.staged_writes(), 1, "dead-disk write stays dirty");
         // Replacement disk arrives: the retried commit lands.
         ex.disks.clear_fault_plan();
         let retry = ex.commit_checked();
         assert!(retry.is_clean());
+        drop(ex);
         assert_eq!(disks.peek(dead), &[5; 4]);
     }
 
@@ -1206,7 +1454,8 @@ mod tests {
         disks.set_fault_plan(FaultPlan::new().transient_read(0, 0, 1));
         let mut ex = BatchExecutor::new(&mut disks);
         let addrs = [a];
-        let (blocks, healths) = ex.get_many_verified(&addrs);
+        let healths = ex.verify(&addrs);
+        let blocks = ex.get_many(&addrs);
         assert_eq!(healths, vec![BlockHealth::TransientError]);
         assert_eq!(blocks.block(0), [0; 4], "window active: sanitized");
         let healths = ex.refresh(&[a]);
@@ -1238,6 +1487,7 @@ mod tests {
                 ex.stage_write(a, &[10 + i as Word; 4]);
             }
             let _ = ex.commit_checked();
+            drop(ex);
             disks.clear_fault_plan();
             for (rank, &a) in canonical.iter().enumerate() {
                 let want_landed = (rank as u64) < j;
@@ -1300,6 +1550,7 @@ mod tests {
             }
             // 3 × (2 + 2 + 2) = 18 delta words: a continuation and the head.
             let _ = ex.commit_checked_with_meta(&[2]);
+            drop(ex);
             let fired = disks.crash_fired();
             disks.clear_fault_plan();
             let region = disks.journal_region().unwrap();
@@ -1365,6 +1616,7 @@ mod tests {
             ex.stage_words(addrs[2], 0..1)[0] = 74;
             let second = ex.commit_checked();
             let costs = (first.cost, second.cost);
+            drop(ex);
             (costs, disks.stats(), disks.snapshot())
         };
         assert_eq!(run(false), run(true));
@@ -1389,7 +1641,8 @@ mod tests {
         assert_eq!(ex.get(a), [1; 4], "a recorded view is copied out, uncharged");
         assert_eq!((ex.held_blocks(), ex.disks().stats()), (1, before));
         let got = [a, b, c];
-        let (blocks, healths) = ex.get_many_verified(&got);
+        let healths = ex.verify(&got);
+        let blocks = ex.get_many(&got);
         assert_eq!((blocks.block(1), blocks.block(2)), (&[0; 4][..], &[0; 4][..]), "c is inside the window");
         assert_eq!(healths, [BlockHealth::Ok, BlockHealth::Ok, BlockHealth::TransientError]);
         assert_eq!(ex.held_blocks(), 3, "the later read is a held copy");
@@ -1422,6 +1675,7 @@ mod tests {
                 ex.stage_write(a, &[100 + i as Word; 16]);
             }
             let _ = ex.commit_checked_with_meta(&[k]);
+            drop(ex);
             disks.clear_fault_plan();
             let report = disks.recover();
             let committed = report.replayed.iter().any(|e| e.meta == vec![k]);

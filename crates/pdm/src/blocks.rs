@@ -184,6 +184,12 @@ impl BlockBuf {
         buf
     }
 
+    /// Drop every block, keeping the first piece's room.
+    pub(crate) fn clear(&mut self) {
+        self.first.clear();
+        self.rest = Vec::new();
+    }
+
     /// Append one block image.
     ///
     /// # Panics

@@ -170,6 +170,9 @@ pub struct DiskArray {
     stats: IoStats,
     // Scratch reused by batch cost computation to avoid per-call allocation.
     per_disk_scratch: Vec<usize>,
+    // A batch executor's containers between two executors, for the same
+    // reason (`crate::batch::Arena`).
+    pub(crate) arena: crate::batch::Arena,
     // Observability hook; `None` (the default) costs one branch per batch.
     sink: Option<Arc<dyn IoEventSink>>,
     // Active fault plan plus its per-disk access clocks.
@@ -222,6 +225,7 @@ impl Clone for DiskArray {
             )),
             stats: self.stats,
             per_disk_scratch: self.per_disk_scratch.clone(),
+            arena: self.arena.clone(),
             sink: self.sink.clone(),
             fault: self.fault.clone(),
             checksums: self.checksums.clone(),
@@ -279,6 +283,7 @@ impl DiskArray {
             backend,
             stats: IoStats::default(),
             per_disk_scratch: vec![0; cfg.disks],
+            arena: crate::batch::Arena::default(),
             sink: None,
             fault: None,
             checksums: None,
@@ -833,11 +838,34 @@ impl DiskArray {
         }
     }
 
+    /// [`complete_read`](DiskArray::complete_read) for a reader that keeps
+    /// what it reads itself (the batch executor): a clean read of a resident
+    /// array completes as nothing — its blocks stay where they lie, for
+    /// [`resident`](DiskArray::resident) — and any clean read with no health,
+    /// every one being `Ok`. Any other read is copied out, with each block's
+    /// health.
+    pub(crate) fn complete_read_held(&mut self, addrs: &[BlockAddr], cost: OpCost) -> (Option<BlockBuf>, Vec<BlockHealth>) {
+        if !self.reads_clean(addrs) {
+            let out = self.complete_read(addrs, ReadOptions::verified(), cost);
+            return (out.blocks.copied(), out.healths);
+        }
+        if addrs.first().is_some_and(|&a| self.backend.resident(a).is_some()) {
+            return (None, Vec::new());
+        }
+        (Some(self.backend.submit(IoSubmission::reads(addrs)).reads), Vec::new())
+    }
+
+    /// [`resident`](DiskArray::resident), beside the batch executor's arena.
+    pub(crate) fn resident_and_arena(&mut self, addr: BlockAddr) -> (Option<&[Word]>, &mut crate::batch::Arena) {
+        let clean = self.reads_clean(&[addr]);
+        (self.backend.resident(addr).filter(|_| clean), &mut self.arena)
+    }
+
     /// The block at `addr` where it lies in the backend, when a read of it
     /// completes as a view: the backend is resident and neither a fault plan
-    /// nor a pending checksum verification could change what is read.
+    /// nor a pending checksum verification could change what is read. For
+    /// an address a read or a write has bounds-checked already.
     pub(crate) fn resident(&self, addr: BlockAddr) -> Option<&[Word]> {
-        self.check(addr);
         self.backend.resident(addr).filter(|_| self.reads_clean(&[addr]))
     }
 

@@ -22,10 +22,10 @@
 //! new image differs from the pre-image the writer read in the same
 //! operation, each `(offset, len, words…)`. The diff is taken here, at
 //! [`DiskArray::journaled_delta_batch_checked`], from what the writer
-//! hands in beside the new image (a [`Delta`]): the pre-image itself — a
-//! single-key update still holds its probe — or, from the batch engine,
-//! which patches blocks where they lie and keeps no second copy, the word
-//! ranges it patched. A writer with neither (a scrub repair, whose target
+//! hands in beside the new image (a [`Delta`]): the pre-image itself, from
+//! a writer that still holds its probe, or, from the batch engine, which
+//! patches blocks where they lie and keeps no second copy, the word ranges
+//! it patched. A writer with neither (a scrub repair, whose target
 //! is damaged by definition; a bulk build) gets one run covering the whole
 //! block — the same entry layout, the same append, the same replay. Words
 //! are absolute values, never XORs or increments.

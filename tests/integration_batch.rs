@@ -565,6 +565,16 @@ fn golden_stream(dict: &mut dyn Dict, sigma: usize, seed: u64) -> (Golden, u64) 
 /// 558281 → 252132, writes 66359 → 7515), and every lookup is charged one
 /// round, which `results` hashes. Its answers alone (found, satellite,
 /// insert and delete outcomes) hash the same as the parent's.
+///
+/// Re-recorded when the single-key `lookup`, `insert` and `delete` became
+/// the batch of one: every `parallel_ios`, `batches`, `block_reads`,
+/// `block_writes` and `results` held in all three streams, and so did the
+/// unjournaled stream's `image`. `rounds` moved in all three (11131 →
+/// 15677, 10318 → 14937, 11320 → 15119): a single-key operation's read is
+/// now a plan of one and records its round, as a batch's always did. The
+/// two journaled `image`s moved because an insert's intent now carries
+/// `[tag, META_BATCH, count per level]` where it carried `[tag,
+/// META_INSERT, level]`, its targets in the commit's canonical order.
 #[test]
 fn golden_io_counts_and_images_match_the_recorded_parent() {
     let mut plain = front("dynamic").build(4096, &[], 0x601D);
@@ -575,7 +585,7 @@ fn golden_io_counts_and_images_match_the_recorded_parent() {
             batches: 5916,
             block_reads: 468001,
             block_writes: 24324,
-            rounds: 11131,
+            rounds: 15677,
             image: 0x6AD4BB1682089858,
             results: 0xB95B2CD1CCB773CC,
         },
@@ -593,8 +603,8 @@ fn golden_io_counts_and_images_match_the_recorded_parent() {
             batches: 7414,
             block_reads: 445392,
             block_writes: 26887,
-            rounds: 10318,
-            image: 0x4587C59FBFA76951,
+            rounds: 14937,
+            image: 0x686E6241BE55604E,
             results: 0x8BD6C178816A1AE4,
         },
         "journaled DynamicDict"
@@ -617,8 +627,8 @@ fn golden_io_counts_and_images_match_the_recorded_parent() {
             batches: 8463,
             block_reads: 252132,
             block_writes: 7515,
-            rounds: 11320,
-            image: 0x75C92728157FC4E7,
+            rounds: 15119,
+            image: 0x76EEDE48BFB87296,
             results: 0xEDE0642EA99494BB,
         },
         "journaled rebuilding Dictionary"

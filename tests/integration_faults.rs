@@ -221,7 +221,9 @@ proptest! {
 /// write of a tombstone on the rebuilding front (disk 6, block 0) and keeps
 /// the half the flag word is in: the medium holds exactly the block the
 /// delete staged, under a matching checksum. Reporting that delete failed
-/// kept counting a key the next lookup certified absent.
+/// kept counting a key the next lookup certified absent; the commit's one
+/// retry of a write that did not land now writes it whole, and the delete
+/// is acknowledged.
 #[test]
 fn a_torn_tombstone_that_landed_is_a_delete_that_happened() {
     let keys = [
@@ -284,19 +286,17 @@ fn one_probe_b_single_disk_failure_drill() {
     assert_eq!(second.repaired_blocks, 0, "idle scrub repaired: {second:?}");
 }
 
-/// A tombstone write that tears did not provably land — the record may
-/// still be on disk — so the delete fails typed instead of acknowledging,
-/// unless the tear kept the half of the block the tombstone's one word is
-/// in: then the medium holds the block the delete staged, and the delete
-/// happened. Every disk's first two writes tear (wherever the key's bucket
-/// lies, and whether or not a journal slot is written to that disk first).
+/// A tombstone write that tears is written once more by the commit's retry;
+/// one that tears again did not provably land — the record may still be on
+/// disk — so the delete fails typed instead of acknowledging. Every disk's
+/// first two writes tear (wherever the key's bucket lies, and whether or not
+/// a journal slot is written to that disk first), so the retry may tear too.
 /// Either way `len()` is what lookups answer, before and after a recovery:
 /// a failed delete leaves it counting the key, truncates its intent so that
 /// no recovery replays an op the caller was told failed, and never turns
 /// the key into wrong data; an acknowledged one is counted, and stays gone.
-/// (Which half a record lies in is the bucket's business — these lightly
-/// loaded ones fill from the front, the half a tear keeps; `pdm-dict`'s
-/// `torn_tombstone_write_fails_deletes_typed` places one in each.)
+/// (`pdm-dict`'s `torn_tombstone_write_fails_deletes_typed` counts the
+/// tears.)
 #[test]
 fn a_torn_tombstone_write_fails_the_delete_typed() {
     for name in ["dynamic", "dynamic_journaled", "dynamic_chained", "dynamic_chained_journaled", "rebuild"] {
