@@ -409,6 +409,48 @@ mod tests {
         }
     }
 
+    /// A fixed-capacity shard whose records are inline (σ = 1 at its
+    /// block) is refused only when `capacity` keys are live: a deletion
+    /// gives its slot back. 3 × capacity insert/delete pairs, never more
+    /// than capacity/2 keys live, are all taken, and every lookup is exact.
+    #[test]
+    fn an_inline_shard_takes_churn_past_its_capacity() {
+        let cluster = ClusterConfig { shard_capacity: 64, ..ClusterConfig::default() };
+        assert!(DynamicDict::records_inline(&cluster.shard_params(0), cluster.block_words()));
+        let mut shard = build_shard(&cluster, 0);
+        let (cap, live) = (64u64, 32u64);
+        for next in 0..3 * cap {
+            if next >= live {
+                assert_eq!(shard.delete(next - live).map(|(was, _)| was), Ok(true));
+            }
+            shard.insert(next, &[next]).unwrap_or_else(|e| panic!("insertion {}: {e}", next + 1));
+        }
+        assert_eq!(shard.len(), live as usize);
+        for k in 0..3 * cap {
+            let want = (k >= 3 * cap - live).then(|| vec![k]);
+            assert_eq!(shard.lookup(k).satellite, want, "key {k}");
+        }
+    }
+
+    /// The chained twin: at σ = 40 no block up to 512 words holds a bucket,
+    /// so the records are chained, and a deleted key keeps its fields ("no
+    /// piece of data is ever moved, once inserted"). The shard refuses
+    /// insertion `capacity + 1` with half its keys deleted.
+    #[test]
+    fn a_chained_shard_refuses_at_capacity_insertions() {
+        let cluster = ClusterConfig { shard_capacity: 64, sigma: 40, ..ClusterConfig::default() };
+        assert!(!DynamicDict::records_inline(&cluster.shard_params(0), cluster.block_words()));
+        let mut shard = build_shard(&cluster, 0);
+        for next in 0..64 {
+            if next >= 32 {
+                assert_eq!(shard.delete(next - 32).map(|(was, _)| was), Ok(true));
+            }
+            shard.insert(next, &[next; 40]).unwrap_or_else(|e| panic!("insertion {}: {e}", next + 1));
+        }
+        assert_eq!(shard.len(), 32);
+        assert_eq!(shard.insert(64, &[64; 40]), Err(pdm_dict::DictError::CapacityExhausted { capacity: 64 }));
+    }
+
     #[test]
     fn shard_ops_roundtrip_with_epoch_and_shard_typing() {
         let cluster = small_cluster();

@@ -699,13 +699,22 @@ impl DynamicDict {
         &self.params
     }
 
-    /// Total insertions ever performed. Deleted keys do not release their
-    /// fields ("no piece of data is ever moved, once inserted"), so the
-    /// capacity budget is consumed per *insertion*; global rebuilding
-    /// resets it.
+    /// Total insertions ever performed, deleted keys included.
     #[must_use]
     pub fn insertions(&self) -> usize {
         self.insertions
+    }
+
+    /// The capacity budget used: an insertion is refused once it reaches
+    /// [`capacity`](Self::capacity), and a rebuilding [`crate::Dictionary`]
+    /// grows at 3/4 of it. With records inline a deletion tombstones the
+    /// key's slot and a later insertion reuses it (§4.1), so the budget is
+    /// the live keys. Chained, deleted keys do not release their fields
+    /// ("no piece of data is ever moved, once inserted"), so it is every
+    /// [insertion](Self::insertions); global rebuilding resets it.
+    #[must_use]
+    pub fn budget_used(&self) -> usize {
+        if self.is_inline() { self.len } else { self.insertions }
     }
 
     /// Number of retrieval levels `l`.
@@ -1077,7 +1086,7 @@ impl DynamicDict {
         old: Option<&DynamicDict>,
     ) -> (Vec<Result<(), DictError>>, OpCost) {
         let scope = disks.begin_op();
-        let open = self.insertions < self.params.capacity;
+        let open = self.budget_used() < self.params.capacity;
         let probed = |satellite: &[Word], sigma: usize| open && satellite.len() == sigma;
         let sigma = self.params.satellite_words;
         let twin = old.map_or(0, |old| old.membership.probe_blocks());
@@ -1145,7 +1154,7 @@ impl DynamicDict {
                 got: satellite.len(),
             });
         }
-        if self.insertions >= self.params.capacity {
+        if self.budget_used() >= self.params.capacity {
             return Err(DictError::CapacityExhausted {
                 capacity: self.params.capacity,
             });
@@ -1281,9 +1290,10 @@ impl DynamicDict {
     }
 
     /// Delete, as the batch of one ([`Self::delete_batch`]): tombstone the
-    /// membership record (fields are not reclaimed — "no piece of data is
-    /// ever moved, once inserted"; space is recovered by global
-    /// rebuilding). Returns whether the key was present.
+    /// membership record. Inline, a later insertion reuses the slot; chained,
+    /// fields are not reclaimed ("no piece of data is ever moved, once
+    /// inserted"; space is recovered by global rebuilding). Returns whether
+    /// the key was present.
     ///
     /// With a journal enabled the tombstone write is journaled too
     /// (journal-all-mutations: if it bypassed the ring, a later recovery
@@ -1746,7 +1756,7 @@ mod tests {
         assert!(was);
         assert_eq!(cost.parallel_ios, 2);
         assert!(!dict.lookup(&mut disks, 42).found());
-        // Reinsert gets fresh fields (old ones are not reclaimed).
+        // Inline, the reinsert reuses the tombstoned slot.
         dict.insert(&mut disks, 42, &[2]).unwrap();
         assert_eq!(dict.lookup(&mut disks, 42).satellite, Some(vec![2]));
     }
@@ -2550,6 +2560,48 @@ mod tests {
         // And the reopened instance keeps working.
         reopened.insert(&mut disks, 0x7777, &[1]).unwrap();
         assert!(reopened.lookup(&mut disks, 0x7777).found());
+    }
+
+    /// Inline, the capacity budget is the live keys: tombstone batches
+    /// give their slots back, and a reopen reads the budget from the
+    /// checkpoint's `len` word with the `insertions` word where it was. The
+    /// image reopened here is the one a build that charged every insertion
+    /// wrote (its hash was recorded there; the write path did not change):
+    /// 64 insertions at capacity 64, half of them deleted. Reopened, it
+    /// takes inserts until 64 keys are live again, and refuses the next.
+    #[test]
+    fn an_inline_reopen_budgets_live_keys_and_takes_inserts_up_to_capacity() {
+        let cap = 64;
+        let (mut disks, mut dict) = setup_journaled(cap, 1);
+        assert!(dict.is_inline());
+        let ks = keys(2 * cap);
+        let entries: Vec<(u64, Vec<Word>)> = ks.iter().map(|&k| (k, vec![k])).collect();
+        assert!(dict.insert_batch(&mut disks, &entries[..cap]).0.iter().all(Result::is_ok));
+        for chunk in ks[..cap / 2].chunks(8) {
+            assert!(dict.delete_batch(&mut disks, chunk).0.iter().all(|r| r == &Ok(true)));
+        }
+        assert_eq!((dict.len(), dict.insertions(), dict.budget_used()), (32, 64, 32));
+        let mut image = 0xCBF2_9CE4_8422_2325u64;
+        for w in disks.snapshot().iter().flatten().flat_map(|block| block.iter()) {
+            image = (image ^ w).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        assert_eq!(image, 0xD622_4218_4E7E_6E0C, "not the image recorded where every insertion was charged");
+        let (params, region) = (dict.params, disks.journal_region().unwrap());
+        drop(dict);
+        let mut alloc = DiskAllocator::new(disks.disks());
+        let (mut reopened, report) = DynamicDict::reopen(&mut disks, &mut alloc, 0, params, region).unwrap();
+        assert_eq!((report.stalled, report.mismatched), (0, 0));
+        assert_eq!((reopened.len(), reopened.insertions(), reopened.budget_used()), (32, 64, 32));
+        for (k, s) in &entries[cap..cap + cap / 2] {
+            reopened.insert(&mut disks, *k, s).unwrap();
+        }
+        assert_eq!(reopened.budget_used(), cap);
+        let (k, s) = &entries[cap + cap / 2];
+        assert_eq!(reopened.insert(&mut disks, *k, s), Err(DictError::CapacityExhausted { capacity: cap }));
+        for (i, (k, s)) in entries.iter().enumerate() {
+            let live = (cap / 2..cap + cap / 2).contains(&i);
+            assert_eq!(reopened.lookup(&mut disks, *k).satellite.as_ref(), live.then_some(s), "key {k}");
+        }
     }
 
     /// Stamp the superblock of a journaled shard of `params` on `B`-word

@@ -243,6 +243,8 @@ impl RawDict for DynamicDict {
     }
     fn raw_gauges(&self, _disks: &DiskArray, out: &mut Vec<(&'static str, u64)>) {
         out.push(("levels", self.num_levels() as u64));
+        // Every insertion since layout: the capacity budget when records
+        // are chained; inline the budget is the live keys (`len`).
         out.push(("insertions", self.insertions() as u64));
     }
     fn raw_space_rows(&self) -> Vec<SpaceRow> {

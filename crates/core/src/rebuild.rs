@@ -11,8 +11,12 @@
 //!
 //! [`Dictionary`] owns a disk array of `4d` disks: two side-by-side slots
 //! of `2d` disks, each able to hold one [`DynamicDict`]. When the active
-//! structure fills past 3/4 of its capacity (or empties far below it), a
-//! replacement of capacity `2·live` starts in the other slot; every
+//! structure's capacity budget ([`DynamicDict::budget_used`]) reaches 3/4
+//! of its capacity (or its live keys fall below 1/8 of it), a replacement
+//! of capacity `2·live` starts in the other slot. With records inline the
+//! budget is the live keys — a deletion tombstones the slot and a later
+//! insertion reuses it — so a steady live set opens no window; chained, it
+//! is every insertion, since deleted keys keep their fields. Every
 //! subsequent operation migrates a few membership buckets' worth of keys,
 //! so the rebuild finishes long before the new structure can fill and no
 //! single operation ever pays more than a constant number of extra I/Os —
@@ -414,9 +418,10 @@ impl Dictionary {
         }
         let live = self.active.len();
         let cap = self.active.capacity();
-        // Grow when live keys OR the insertion budget (deletions leave
-        // their fields behind) approach capacity; shrink when mostly empty.
-        let grow = 4 * live >= 3 * cap || 4 * self.active.insertions() >= 3 * cap;
+        // Grow when the capacity budget approaches capacity: live keys when
+        // records are inline, every insertion when deletions leave fields
+        // behind (chained). Shrink when mostly empty.
+        let grow = 4 * self.active.budget_used() >= 3 * cap;
         let shrink = cap > self.min_capacity && 8 * live < cap;
         if !(grow || shrink) {
             return Ok(());
@@ -728,6 +733,7 @@ mod tests {
         };
         let mut k = 0u64;
         while layout(&dict) || dict.is_rebuilding() {
+            assert!(k < 1_000, "never grew chained in {k} inserts");
             dict.insert(k, &sat(k, 2)).unwrap();
             k += 1;
             if k.is_multiple_of(37) {
@@ -927,20 +933,22 @@ mod tests {
     /// The paper's constant-factor space: with the abandoned slot handed
     /// back at every swap, storage stays within the ring plus two slots
     /// however many rebuilds a steady live set crosses — and no commit,
-    /// however large its step, slips past the journal.
+    /// however large its step, slips past the journal. Chained, so that a
+    /// steady live set crosses rebuilds at all.
     #[test]
     fn storage_stays_constant_across_rebuild_cycles() {
-        let mut dict = Dictionary::new(params(64, 1).with_journal(2), 64).unwrap();
+        let mut dict = Dictionary::new(params(64, CHAINED).with_journal(2), 64).unwrap();
         let live = 40u64;
         for k in 0..live {
-            dict.insert(k, &[k]).unwrap();
+            dict.insert(k, &sat(k, CHAINED)).unwrap();
         }
         let mut next = live;
         let mut after_two = 0;
         while dict.rebuilds() < 42 {
+            assert!(next < 100 * live, "42 rebuilds not crossed in {} insert/delete pairs", next - live);
             // Steady state: one in, one out. Deleted keys keep their fields,
             // so the insertion budget alone keeps forcing rebuilds.
-            dict.insert(next, &[next]).unwrap();
+            dict.insert(next, &sat(next, CHAINED)).unwrap();
             assert!(dict.delete(next - live).unwrap().0);
             next += 1;
             if dict.rebuilds() == 2 && after_two == 0 {
@@ -956,9 +964,34 @@ mod tests {
         );
         assert_eq!(dict.disks.journal_bypassed(), 0);
         for k in next - live..next {
-            assert_eq!(dict.lookup(k).satellite, Some(vec![k]), "key {k}");
+            assert_eq!(dict.lookup(k).satellite, Some(sat(k, CHAINED)), "key {k}");
         }
         assert!(!dict.lookup(next - live - 1).found());
+    }
+
+    /// Inline, a deletion gives its slot back, so the budget is the live
+    /// keys: a steady live set below 3/4 of capacity (47 of 64 at its
+    /// peak) churns for 10 × capacity operations and opens no window.
+    #[test]
+    fn steady_inline_churn_below_three_quarters_opens_no_window() {
+        let cap = 64;
+        let mut dict = Dictionary::new(params(cap, 1).with_journal(2), 64).unwrap();
+        assert!(dict.active.is_inline());
+        let live = 3 * cap as u64 / 4 - 2;
+        for k in 0..live {
+            dict.insert(k, &[k]).unwrap();
+        }
+        for next in live..live + 5 * cap as u64 {
+            dict.insert(next, &[next]).unwrap();
+            assert!(dict.delete(next - live).unwrap().0);
+            assert!(!dict.is_rebuilding() && dict.rebuilds() == 0, "a window opened at key {next}");
+        }
+        assert_eq!((dict.len(), dict.capacity()), (live as usize, cap));
+        assert_eq!(dict.active.budget_used(), dict.len());
+        let end = live + 5 * cap as u64;
+        for k in 0..end {
+            assert_eq!(dict.lookup(k).found(), k >= end - live, "key {k}");
+        }
     }
 
     /// Swap → checkpoint → discard: once a rebuild has finished, the
@@ -970,6 +1003,7 @@ mod tests {
         let mut dict = Dictionary::new(params(64, 1).with_journal(2), 64).unwrap();
         let mut k = 0u64;
         while dict.rebuilds() == 0 {
+            assert!(k < 1_000, "no rebuild finished in {k} inserts");
             dict.insert(k, &[k]).unwrap();
             k += 1;
         }
@@ -993,11 +1027,12 @@ mod tests {
         for key in 0..k {
             assert_eq!(dict.lookup(key).satellite, Some(vec![key]), "key {key}");
         }
-        // The next rebuild regrows the released blocks and reuses the old tag.
+        // The next rebuild regrows the released blocks and reuses the old tag
+        // (growth opens the windows: inline, a steady live set opens none).
         let first_tag = dict.active.meta_tag();
         while dict.rebuilds() < 3 {
+            assert!(k < 1_000, "rebuild 3 not finished in {k} inserts");
             dict.insert(k, &[k]).unwrap();
-            dict.delete(k).unwrap();
             k += 1;
         }
         assert!(!dict.is_rebuilding(), "stopped on the operation that swapped");
@@ -1056,6 +1091,7 @@ mod tests {
         Dict::set_metrics(&mut dict, Some(registry.clone()));
         let mut n = 0u64;
         while !dict.is_rebuilding() {
+            assert!(n < 1_000, "no window opened in {n} inserts");
             dict.insert(n, &sat(n, CHAINED)).unwrap();
             n += 1;
         }
@@ -1081,6 +1117,7 @@ mod tests {
         // A delete carries the step just as well, and removes the obstacle.
         assert_eq!(dict.delete(victim).map(|(was, _)| was), Ok(true));
         while dict.rebuilds() == 0 {
+            assert!(n < 10_000, "the window never closed ({n} keys inserted)");
             dict.insert(n, &sat(n, CHAINED)).unwrap();
             n += 1;
         }
@@ -1115,6 +1152,7 @@ mod tests {
         let mut dict = Dictionary::new(params(1024, 2), 64).unwrap();
         let mut n = 0u64;
         while !dict.is_rebuilding() {
+            assert!(n < 10_000, "no window opened in {n} inserts");
             dict.insert(n, &sat(n, 2)).unwrap();
             n += 1;
         }
@@ -1158,6 +1196,7 @@ mod tests {
         let mut dict = Dictionary::new(params(64, 1).with_journal(2), 64).unwrap();
         let mut n = 0u64;
         while !dict.is_rebuilding() {
+            assert!(n < 1_000, "no window opened in {n} inserts");
             dict.insert(n, &[n]).unwrap();
             n += 1;
         }
@@ -1198,6 +1237,7 @@ mod tests {
             let mut dict = Dictionary::new(params(64, sigma), 64).unwrap();
             let mut n = 0u64;
             while !dict.is_rebuilding() {
+                assert!(n < 1_000, "σ = {sigma}: no window opened in {n} inserts");
                 dict.insert(n, &sat(n, sigma)).unwrap();
                 n += 1;
             }
@@ -1228,6 +1268,7 @@ mod tests {
         let mut dict0 = Dictionary::new(params(64, 1).with_journal(2), 64).unwrap();
         let mut n = 0u64;
         while !dict0.is_rebuilding() {
+            assert!(n < 1_000, "no window opened in {n} inserts");
             dict0.insert(n, &[n]).unwrap();
             n += 1;
         }

@@ -387,6 +387,7 @@ fn rebuild_crash_matrix_of(dict: &Dictionary, live: &BTreeSet<u64>, cut: Cut, si
         // Drive the rebuild to completion on the recovered state.
         let mut extra = 0u64;
         while survivor.is_rebuilding() {
+            assert!(extra < 10_000, "the window never closed after crash point {crash_at} of {cut:?}");
             let nk = KEY_SPACE + 8_000 + extra;
             extra += 1;
             survivor.insert(nk, &sat(nk, sigma)).unwrap();

@@ -5,7 +5,7 @@
 
 mod harness;
 
-use harness::{dense_keys, front, padded_entries};
+use harness::{dense_keys, front, padded_entries, Front};
 use pdm::metrics::{MetricsRegistry, PARALLEL_IOS_TOTAL};
 use pdm_dict::traits::{DICT_OPS_TOTAL, DICT_OP_PARALLEL_IOS};
 use pdm_dict::{Dict, DictParams, Dictionary};
@@ -116,10 +116,12 @@ fn basic_max_bucket_load_within_lemma3_bound_in_exported_metrics() {
 /// records its keys and its rounds, every finished rebuild hands its old
 /// slot's blocks back, and the storage gauge shows the result — space that
 /// does not grow with the number of rebuilds (read as each one finishes:
-/// inside a window the replacement's slot is live too).
+/// inside a window the replacement's slot is live too). The records are
+/// chained (four words at `B = 64`): a steady live set rebuilds only where
+/// deleted keys keep their fields.
 #[test]
 fn rebuild_reclaim_and_step_cost_show_in_exported_metrics() {
-    let f = front("rebuild");
+    let f = Front { sigma: 4, ..front("rebuild") };
     let mut dict = f.build(0, &[], 0x5EED);
     let registry = Arc::new(MetricsRegistry::new());
     dict.set_metrics(Some(Arc::clone(&registry)));
@@ -247,6 +249,7 @@ fn space_ledger_accounts_for_every_block_in_exported_metrics() {
     between_windows(&rebuilding, "after a build");
     let mut key = 0;
     while rebuilding.rebuilds() < 2 || rebuilding.is_rebuilding() {
+        assert!(key < 10_000, "two rebuilds not finished in {key} inserts");
         rebuilding.insert(key, &[key]).unwrap();
         key += 1;
         if rebuilding.rebuilds() == 1 && !rebuilding.is_rebuilding() {
