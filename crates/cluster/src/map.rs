@@ -485,11 +485,18 @@ mod tests {
         }
     }
 
-    /// Whether `shard`'s retrieval disks `d..2d` hold the journal ring and
-    /// nothing else: no Theorem 7 level is laid out.
-    fn stored_inline(cfg: &ClusterConfig, shard: &dyn pdm_dict::Dict) -> bool {
-        let (disks, d) = (shard.disks().expect("a shard owns its array"), cfg.shard_params(0).degree);
-        (d..2 * d).all(|disk| disks.blocks_on(disk) == cfg.journal_rows)
+    /// Whether `shard` stores its records in their membership slots: a miss
+    /// reads the key's `d` membership buckets and no level-1 field, and no
+    /// disk `d + i` is longer than disk `i` — the upper half of the
+    /// membership is at most as long as the lower one, where a Theorem 7
+    /// level stacks more rows than the membership holds.
+    fn stored_inline(cfg: &ClusterConfig, shard: &mut dyn pdm_dict::Dict) -> bool {
+        let d = cfg.shard_params(0).degree;
+        let reads = shard.lookup(0).cost.block_reads;
+        let disks = shard.disks().expect("a shard owns its array");
+        let halves = (d..2 * d).all(|disk| disks.blocks_on(disk) <= disks.blocks_on(disk - d));
+        assert_eq!(reads == d as u64, halves, "a probe of {reads} blocks");
+        halves
     }
 
     #[test]
@@ -497,9 +504,9 @@ mod tests {
         // σ = 2, N = 5 440: 21 slots of 4 words overflow 64, fit 128.
         let cfg = ClusterConfig { shard_capacity: 5440, sigma: 2, ..ClusterConfig::default() };
         assert_eq!(cfg.block_words(), 128);
-        let shard = crate::node::build_shard(&cfg, 0);
+        let mut shard = crate::node::build_shard(&cfg, 0);
         assert_eq!(shard.disks().unwrap().block_words(), 128);
-        assert!(stored_inline(&cfg, shard.as_ref()));
+        assert!(stored_inline(&cfg, shard.as_mut()));
     }
 
     #[test]
@@ -507,9 +514,9 @@ mod tests {
         // σ = 40: 21 slots of 42 words are 882, past one 512-word page.
         let cfg = ClusterConfig { sigma: 40, ..ClusterConfig::default() };
         assert_eq!(cfg.block_words(), 64);
-        let shard = crate::node::build_shard(&cfg, 0);
+        let mut shard = crate::node::build_shard(&cfg, 0);
         assert_eq!(shard.disks().unwrap().block_words(), 64);
-        assert!(!stored_inline(&cfg, shard.as_ref()));
+        assert!(!stored_inline(&cfg, shard.as_mut()));
     }
 
     #[test]

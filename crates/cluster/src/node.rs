@@ -131,6 +131,7 @@ pub fn install_shard(
         first_block: 0,
         rows: cluster.journal_rows,
     };
+    disks.check_journal(region).map_err(|e| ServeError::Protocol(format!("shard {shard} image: {e}")))?;
     let (dict, _report) = DynamicDict::reopen(
         &mut disks,
         &mut alloc,
@@ -648,6 +649,24 @@ mod tests {
         for cfg in [&wide, &narrow] {
             assert!(install_shard(cfg, 0, &image_of(cfg)).is_ok());
         }
+    }
+
+    /// An image of the right geometry stamped with journal version 4 lays
+    /// its inline membership out on half its disks: it is refused typed,
+    /// by its version, and the node does not panic; nor at an image too
+    /// short to hold a superblock.
+    #[test]
+    fn an_image_of_an_older_format_is_refused_typed() {
+        let cluster = small_cluster();
+        let empty = serialize_image(&pdm::DiskArray::new(pdm::PdmConfig::new(40, 64), 0));
+        assert!(refusal(&cluster, &empty).contains("no journal superblock"));
+        let mut disks = build_shard(&cluster, 0).disks().unwrap().clone();
+        let superblock = disks.journal_region().unwrap().slot_addr(0, disks.disks());
+        let mut block = disks.peek(superblock);
+        block[1] = 4;
+        disks.poke(superblock, &block);
+        let msg = refusal(&cluster, &serialize_image(&disks));
+        assert!(msg.contains("shard 0 image") && msg.contains("format version 4, this build reads version 5"), "{msg}");
     }
 
     #[test]

@@ -14,6 +14,12 @@
 //! read, so no in-memory index exists), and writes that bucket back:
 //! **two parallel I/Os**, the minimum possible for a read-modify-write.
 //!
+//! Given `2d` disks (`BasicDict::create_on`), bucket `j` of stripe `i`
+//! lies on disk `i + d·(j mod 2)`, at row `⌊j/2⌋` of its half (`⌈n/2⌉` rows
+//! below, `⌊n/2⌋` above, `n = v/d`: the blocks of `d` disks). A key's
+//! buckets still lie on `d` distinct disks, so the counts above hold, and a
+//! batch costs its largest per-disk load over `2d` disks instead of `d`.
+//!
 //! With `v = Θ(N / log N)` the greedy bound (Lemma 3) keeps every bucket
 //! at `Θ(log N)` records, so `B = Ω(log N)` gives single-block buckets.
 //! Without any constraint on `B` a bucket spans `O(log N / B)` blocks and
@@ -177,7 +183,10 @@ impl BucketPatch {
 pub struct BasicDict {
     cfg: BasicDictConfig,
     graph: FamilyExpander,
-    region: Region,
+    /// Bucket `j` of a stripe lies in `halves[j & spread]` at row `j >>
+    /// spread`; `spread` is 1 on `2d` disks, 0 (one half) on `d`.
+    halves: [Region; 2],
+    spread: usize,
     codec: BucketCodec,
     blocks_per_bucket: usize,
     len: usize,
@@ -191,24 +200,38 @@ impl BasicDict {
         first_disk: usize,
         cfg: BasicDictConfig,
     ) -> Result<Self, DictError> {
+        Self::create_on(disks, alloc, first_disk..first_disk + cfg.degree, cfg)
+    }
+
+    /// Create the structure on the disks `on`: `degree` of them, or
+    /// `2·degree` to spread every stripe over two (see the module doc).
+    ///
+    /// # Panics
+    /// Panics if `on` holds another number of disks.
+    pub(crate) fn create_on(
+        disks: &mut DiskArray,
+        alloc: &mut DiskAllocator,
+        on: std::ops::Range<usize>,
+        cfg: BasicDictConfig,
+    ) -> Result<Self, DictError> {
         cfg.validate()?;
+        let (d, spread) = (cfg.degree, usize::from(on.len() == 2 * cfg.degree));
+        assert_eq!(on.len(), d << spread, "a structure of degree {d} lies on {d} or {} disks", 2 * d);
         let codec = BucketCodec::new(cfg.payload_words);
         let bucket_words = codec.slot_words() * cfg.bucket_slots;
         let blocks_per_bucket = bucket_words.div_ceil(disks.block_words());
-        let buckets_per_disk = cfg.buckets / cfg.degree;
-        let region = alloc.alloc(
-            disks,
-            first_disk,
-            cfg.degree,
-            buckets_per_disk * blocks_per_bucket,
-        );
+        let buckets_per_disk = cfg.buckets / d;
+        let rows = |half: usize| (buckets_per_disk + spread - half) >> spread;
+        let lower = alloc.alloc(disks, on.start, d, rows(0) * blocks_per_bucket);
+        let upper = if spread == 1 { alloc.alloc(disks, on.start + d, d, rows(1) * blocks_per_bucket) } else { lower };
         let graph = cfg
             .family
-            .build(cfg.universe, buckets_per_disk, cfg.degree, cfg.seed);
+            .build(cfg.universe, buckets_per_disk, d, cfg.seed);
         Ok(BasicDict {
             cfg,
             graph,
-            region,
+            halves: [lower, upper],
+            spread,
             codec,
             blocks_per_bucket,
             len: 0,
@@ -248,19 +271,23 @@ impl BasicDict {
     /// Space usage in words.
     #[must_use]
     pub fn space_words(&self, disks: &DiskArray) -> usize {
-        self.region.space_words(disks)
+        self.regions().iter().map(|r| r.space_words(disks)).sum()
     }
 
-    /// Region (for composition-level diagnostics).
+    /// The regions of the buckets, one per half (for diagnostics).
     #[must_use]
-    pub fn region(&self) -> &Region {
-        &self.region
+    pub fn regions(&self) -> &[Region] {
+        &self.halves[..=self.spread]
+    }
+
+    /// Block `b` of bucket `(stripe, j)`.
+    fn block_addr(&self, stripe: usize, j: usize, b: usize) -> BlockAddr {
+        self.halves[j & self.spread].addr(stripe, (j >> self.spread) * self.blocks_per_bucket + b)
     }
 
     /// The block addresses of bucket `(stripe, j)`.
     fn bucket_addrs(&self, stripe: usize, j: usize) -> impl Iterator<Item = BlockAddr> + '_ {
-        (0..self.blocks_per_bucket)
-            .map(move |b| self.region.addr(stripe, j * self.blocks_per_bucket + b))
+        (0..self.blocks_per_bucket).map(move |b| self.block_addr(stripe, j, b))
     }
 
     /// Block addresses probed for `key`: all blocks of its `d` candidate
@@ -396,7 +423,7 @@ impl BasicDict {
         let candidate = self.choose_candidate(key, probe_blocks)?;
         let (stripe, j) = self.graph.stripe_of(self.graph.neighbor(key, candidate));
         let at = self.codec.free_at(probe_blocks.block(candidate));
-        Ok(at.map(|at| (self.region.addr(stripe, j), at)).ok_or(DictError::BucketOverflow { key }))
+        Ok(at.map(|at| (self.block_addr(stripe, j, 0), at)).ok_or(DictError::BucketOverflow { key }))
     }
 
     /// The codec of the buckets.
@@ -439,7 +466,7 @@ impl BasicDict {
             (0..self.cfg.degree).find_map(|i| Some((i, self.codec.flags_at(&self.bucket(probe_blocks, i), key)?)))?;
         let b = probe_blocks.block(0).len();
         let (stripe, j) = self.graph.stripe_of(self.graph.neighbor(key, i));
-        Some((self.region.addr(stripe, j * self.blocks_per_bucket + at / b), at % b))
+        Some((self.block_addr(stripe, j, at / b), at % b))
     }
 
     /// Plan a payload update in place; `None` when the key is absent.
@@ -468,7 +495,7 @@ impl BasicDict {
     fn patch(&self, key: u64, candidate: usize, probe_blocks: &impl BlockView) -> BucketPatch {
         let (stripe, j) = self.graph.stripe_of(self.graph.neighbor(key, candidate));
         BucketPatch {
-            first: self.region.addr(stripe, j * self.blocks_per_bucket),
+            first: self.block_addr(stripe, j, 0),
             image: self.bucket(probe_blocks, candidate).into_owned(),
             blocks: self.blocks_per_bucket,
         }
@@ -721,7 +748,7 @@ impl BasicDict {
                     let hi = (lo + bw).min(buf.len());
                     if lo < buf.len() {
                         writes.push((
-                            self.region.addr(stripe, j * self.blocks_per_bucket + b),
+                            self.block_addr(stripe, j, b),
                             buf[lo..hi].to_vec(),
                         ));
                     }
@@ -927,6 +954,79 @@ mod tests {
             family: FamilyKind::default(),
         };
         assert!(BasicDict::create(&mut disks, &mut alloc, 0, cfg).is_err());
+    }
+
+    /// `tcp_file_mixed`'s shard shape (N = 12 966, d = 20, B = 128, σ = 2):
+    /// 93 buckets a stripe, an odd count. Spread over `2d` disks when
+    /// `spread`, on `d` otherwise.
+    fn served(spread: bool) -> (DiskArray, BasicDict) {
+        let d = 20;
+        let cfg = BasicDictConfig::log_load(12_966, 1 << 40, d, 2, 7);
+        assert_eq!(cfg.buckets / d, 93);
+        let mut disks = DiskArray::new(PdmConfig::new(2 * d, 128), 0);
+        let mut alloc = DiskAllocator::new(2 * d);
+        let dict = BasicDict::create_on(&mut disks, &mut alloc, 0..d << usize::from(spread), cfg).unwrap();
+        (disks, dict)
+    }
+
+    #[test]
+    fn the_halves_hold_exactly_the_blocks_of_a_stripe() {
+        let (disks, dict) = served(true);
+        let halves: Vec<_> = dict.regions().iter().map(|r| (r.first_disk, r.disks, r.blocks_per_disk)).collect();
+        assert_eq!(halves, [(0, 20, 47), (20, 20, 46)]);
+        for stripe in 0..20 {
+            assert_eq!(disks.blocks_on(stripe) + disks.blocks_on(stripe + 20), 93, "stripe {stripe}");
+        }
+        // Every bucket has a block of its own, and every block is a bucket's.
+        let all: std::collections::HashSet<BlockAddr> =
+            (0..20).flat_map(|stripe| (0..93).map(move |j| (stripe, j))).map(|(i, j)| dict.block_addr(i, j, 0)).collect();
+        assert_eq!(all.len(), 20 * 93);
+        assert_eq!(dict.space_words(&disks), 20 * 93 * 128);
+        let (narrow_disks, narrow) = served(false);
+        assert_eq!(narrow.space_words(&narrow_disks), dict.space_words(&disks));
+    }
+
+    #[test]
+    fn a_spread_key_probes_one_disk_of_each_pair() {
+        let (_, dict) = served(true);
+        for key in 0..2_000u64 {
+            let disks: Vec<usize> = dict.probe_addrs(key.wrapping_mul(0x9E37_79B9) % (1 << 40)).iter().map(|a| a.disk).collect();
+            assert!(disks.iter().enumerate().all(|(i, &disk)| disk == i || disk == i + 20), "key {key}: {disks:?}");
+        }
+    }
+
+    /// A batch of `k` lookups costs its largest per-disk load of distinct
+    /// blocks, at most `k`; spread over `2d` disks that load is never more
+    /// than on `d` (disks `i` and `i + d` split what disk `i` held).
+    #[test]
+    fn a_batch_costs_its_largest_per_disk_load() {
+        let (mut spread_disks, spread) = served(true);
+        let (mut narrow_disks, narrow) = served(false);
+        let mut keys = (1..).map(|i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24);
+        let (mut spread_rounds, mut narrow_rounds) = (0, 0);
+        for k in [1, 2, 8, 64, 128, 512] {
+            let batch: Vec<u64> = keys.by_ref().take(k).collect();
+            let mut rounds = [0; 2];
+            for (r, (disks, dict)) in rounds.iter_mut().zip([(&mut spread_disks, &spread), (&mut narrow_disks, &narrow)]) {
+                let blocks: std::collections::HashSet<BlockAddr> = batch.iter().flat_map(|&key| dict.probe_addrs(key)).collect();
+                let load = (0..40).map(|disk| blocks.iter().filter(|a| a.disk == disk).count()).max().unwrap();
+                *r = dict.lookup_batch(disks, &batch).1.parallel_ios;
+                assert_eq!(*r, load as u64, "k = {k}");
+                assert!(load <= k, "k = {k}: load {load}");
+            }
+            assert!(rounds[0] <= rounds[1], "k = {k}: spread {rounds:?}");
+            spread_rounds += rounds[0];
+            narrow_rounds += rounds[1];
+        }
+        assert!(spread_rounds < narrow_rounds, "{spread_rounds} spread, {narrow_rounds} narrow");
+    }
+
+    #[test]
+    #[should_panic(expected = "lies on 13 or 26 disks")]
+    fn a_structure_lies_on_d_or_2d_disks() {
+        let mut disks = DiskArray::new(PdmConfig::new(40, 128), 0);
+        let cfg = BasicDictConfig::log_load(1000, 1 << 30, 13, 1, 1);
+        let _ = BasicDict::create_on(&mut disks, &mut DiskAllocator::new(40), 0..20, cfg);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! * a Section 4.1 membership dictionary (disks `0..d`) whose per-key
 //!   payload packs the head pointer (`⌈lg d⌉` bits) and the level the key
-//!   landed on;
+//!   landed on (on all `2d` disks when records are inline, below);
 //! * `l = ⌈log N / log(1/(6ε))⌉` retrieval arrays `A_1 ⊃ A_2 ⊃ …` of
 //!   geometrically decreasing size (factor `6ε`), each indexed by its own
 //!   degree-`d` expander, all on disks `d..2d`.
@@ -34,11 +34,12 @@
 //! `slot_words(σ) × bucket_slots(N) ≤ B`, a function of the record width,
 //! the capacity and the block size alone — the payload *is* the satellite
 //! and no retrieval level is laid out: Section 4.1's dictionary, with its
-//! 1-I/O lookups and 2-I/O updates worst case. Otherwise the chain above,
-//! unchanged. Everything around the two layouts (batches, journal intents
-//! and replay, tombstones, reopen, degraded reads, migration) is one
-//! implementation; where the chained layout reads or writes fields the
-//! inline one has none.
+//! 1-I/O lookups and 2-I/O updates worst case, spread over all `2d` disks
+//! (`BasicDict::create_on`: a batch's rounds are its largest load over
+//! `2d` disks). Otherwise the chain above, unchanged. Everything around the
+//! two layouts (batches, journal intents and replay, tombstones, reopen,
+//! degraded reads, migration) is one implementation; where the chained
+//! layout reads or writes fields the inline one has none.
 
 use crate::basic::{BasicDict, BasicDictConfig};
 use crate::bucket::BucketCodec;
@@ -322,8 +323,9 @@ impl DynamicDict {
     }
 
     /// Create an empty dictionary on disks
-    /// `first_disk .. first_disk + 2d`; the retrieval disks `d..2d` stay
-    /// empty when records are [inline](Self::records_inline).
+    /// `first_disk .. first_disk + 2d`: the membership on the first `d`, the
+    /// levels on the others — or, records [inline](Self::records_inline),
+    /// the membership spread over all `2d`.
     pub fn create(
         disks: &mut DiskArray,
         alloc: &mut DiskAllocator,
@@ -362,7 +364,7 @@ impl DynamicDict {
         let payload_words = if inline { params.satellite_words } else { 1 };
         let mcfg = BasicDictConfig::log_load(n_cap, params.universe, d, payload_words, params.seed ^ 0x4D45_4D42)
             .with_family(params.family);
-        let membership = BasicDict::create(disks, alloc, first_disk, mcfg)?;
+        let membership = BasicDict::create_on(disks, alloc, first_disk..first_disk + (d << usize::from(inline)), mcfg)?;
         if membership.blocks_per_bucket() != 1 {
             return Err(DictError::UnsupportedParams(format!(
                 "Theorem 7 inherits Theorem 6(a)'s condition B = Ω(log n): a bucket of {} \
@@ -451,7 +453,7 @@ impl DynamicDict {
     /// so two structures sharing one journal (the active dictionary and its
     /// rebuild replacement) only consume their own deltas.
     pub(crate) fn meta_tag(&self) -> Word {
-        let r = self.levels.first().map_or(self.membership.region(), |level| level.fields.region());
+        let r = self.levels.first().map_or(&self.membership.regions()[0], |level| level.fields.region());
         ((r.first_disk as Word) << 32) | r.first_block as Word
     }
 
@@ -735,7 +737,8 @@ impl DynamicDict {
     pub fn space_rows(&self) -> Vec<SpaceRow> {
         let levels = self.levels.iter().enumerate();
         let levels = levels.map(|(i, lv)| (format!("level_{}", i + 1), lv.fields.region().total_blocks()));
-        std::iter::once(("membership".to_string(), self.membership.region().total_blocks())).chain(levels).collect()
+        let membership = ("membership".to_string(), self.membership.regions().iter().map(|r| r.total_blocks()).sum());
+        std::iter::once(membership).chain(levels).collect()
     }
 
     /// Space usage in words.
@@ -1638,8 +1641,14 @@ mod tests {
             assert_eq!(dict.is_inline(), inline);
             assert_eq!(dict.num_levels() == 0, inline);
             assert_eq!(dict.level_population().len(), dict.num_levels().max(1));
-            // Nothing is laid out on the retrieval disks of an inline shape.
-            assert_eq!((20..40).all(|disk| disks.blocks_on(disk) == 0), inline);
+            // An inline membership is probed on all 40 disks (on 0..20 when
+            // each stripe is one bucket); a chained one on disks 0..20, its
+            // levels on the others.
+            let probed: std::collections::BTreeSet<usize> =
+                keys(500).into_iter().flat_map(|k| dict.membership.probe_addrs(k)).map(|a| a.disk).collect();
+            let width = if inline && dict.membership_buckets() > 20 { 40 } else { 20 };
+            assert_eq!(probed, (0..width).collect(), "N = {capacity}, σ = {sigma}");
+            assert_eq!(dict.membership.regions().len(), if inline { 2 } else { 1 });
         }
     }
 
@@ -1655,6 +1664,9 @@ mod tests {
             let out = dict.lookup(&mut disks, k);
             assert_eq!(out.satellite, Some(sat(k, 1)));
             assert_eq!((out.cost.parallel_ios, out.cost.block_reads), (1, 20), "key {k}");
+            // One block from each stripe's pair of disks {i, i + 20}.
+            let disks_read: Vec<usize> = dict.membership.probe_addrs(k).iter().map(|a| a.disk).collect();
+            assert!(disks_read.iter().enumerate().all(|(i, &disk)| disk == i || disk == i + 20), "key {k}: {disks_read:?}");
         }
         assert_eq!(dict.level_population(), [500]);
         assert_eq!(dict.space_rows(), [("membership".to_string(), dict.membership_buckets())]);
@@ -1930,10 +1942,18 @@ mod tests {
         assert!(io_errors > 0, "keys probing disk 0 must fail typed");
     }
 
+    /// The disk holding `key`'s record, from the blocks its probe reads.
+    fn record_disk(dict: &DynamicDict, disks: &mut DiskArray, key: u64) -> usize {
+        let blocks = disks.read(&dict.membership.probe_addrs(key), pdm::ReadOptions::default()).blocks;
+        dict.membership.tombstone_word(key, &blocks).expect("a stored key").0.disk
+    }
+
     /// The delete-side twin: with a membership disk unreadable, a stored
     /// key's bucket may be the one that read as zeros, so "not found" must
     /// fail typed — on both the journaled and the unjournaled path —
-    /// and `Ok(false)` is reserved for probes that read clean.
+    /// and `Ok(false)` is reserved for probes that read clean. The disk
+    /// killed holds a stored key's record; exactly the keys whose records
+    /// it holds fail.
     #[test]
     fn dead_membership_disk_fails_deletes_typed() {
         for journaled in [false, true] {
@@ -1946,8 +1966,11 @@ mod tests {
             for k in &ks {
                 dict.insert(&mut disks, *k, &[*k]).unwrap();
             }
+            let dead = record_disk(&dict, &mut disks, ks[0]);
+            let on_dead: Vec<u64> = ks.iter().copied().filter(|&k| record_disk(&dict, &mut disks, k) == dead).collect();
+            assert!(on_dead.len() < ks.len(), "other disks hold records too");
             disks.enable_integrity();
-            disks.set_fault_plan(pdm::FaultPlan::new().dead_disk(0));
+            disks.set_fault_plan(pdm::FaultPlan::new().dead_disk(dead));
             let (mut gone, mut typed) = (Vec::new(), Vec::new());
             for &k in &ks {
                 match dict.delete(&mut disks, k) {
@@ -1956,20 +1979,22 @@ mod tests {
                         gone.push(k);
                     }
                     Err(DictError::Io { kind, disk, .. }) => {
-                        assert_eq!((kind, disk), (pdm::IoFaultKind::DiskDead, 0));
+                        assert_eq!((kind, disk), (pdm::IoFaultKind::DiskDead, dead));
                         typed.push(k);
                     }
                     Err(e) => panic!("unexpected error {e}"),
                 }
             }
-            assert!(!gone.is_empty(), "records on live disks still delete");
-            assert!(!typed.is_empty(), "records on disk 0 must fail typed");
+            assert_eq!(typed, on_dead, "journaled = {journaled}: the records on disk {dead} fail typed");
             assert_eq!(dict.len(), typed.len(), "journaled = {journaled}");
-            // An absent key is just as unknowable while the disk is dead…
-            assert!(matches!(dict.delete(&mut disks, 1 << 29), Err(DictError::Io { .. })));
+            // An absent key probing the dead disk is just as unknowable…
+            let absent = (1u64 << 29..)
+                .find(|&k| dict.membership.probe_addrs(k).iter().any(|a| a.disk == dead))
+                .unwrap();
+            assert!(matches!(dict.delete(&mut disks, absent), Err(DictError::Io { .. })));
             // …and certifiably absent once every probe reads clean again.
             disks.clear_fault_plan();
-            assert!(!dict.delete(&mut disks, 1 << 29).unwrap().0);
+            assert!(!dict.delete(&mut disks, absent).unwrap().0);
             for k in gone {
                 assert!(!dict.lookup(&mut disks, k).found(), "deleted key {k} came back");
             }
@@ -2035,8 +2060,9 @@ mod tests {
     }
 
     /// A batch's damaged keys are re-read once, together: 16 keys under a
-    /// one-read transient window on a membership disk — every key probes
-    /// every membership disk, so every key reads damaged — are answered
+    /// one-read transient window on a membership disk — every chained key
+    /// probes it, and an inline key whenever its stripe-1 bucket is even
+    /// (the odd ones lie on disk 21) — are answered
     /// exactly, for the fault-free cost and one re-read plan, not a
     /// sequential lookup a key.
     #[test]
@@ -2566,14 +2592,17 @@ mod tests {
     /// give their slots back, and a reopen reads the budget from the
     /// checkpoint's `len` word with the `insertions` word where it was. The
     /// image reopened here is the one a build that charged every insertion
-    /// wrote (its hash was recorded there; the write path did not change):
-    /// 64 insertions at capacity 64, half of them deleted. Reopened, it
+    /// wrote (its hash was recorded there; the write path did not change),
+    /// but for the ring's format stamp, 4 there and 5 here (a stripe of one
+    /// bucket is laid out alike spread or not): 64 insertions at capacity
+    /// 64, half of them deleted. Reopened, it
     /// takes inserts until 64 keys are live again, and refuses the next.
     #[test]
     fn an_inline_reopen_budgets_live_keys_and_takes_inserts_up_to_capacity() {
         let cap = 64;
         let (mut disks, mut dict) = setup_journaled(cap, 1);
         assert!(dict.is_inline());
+        assert_eq!(dict.membership_buckets(), 20, "one bucket a stripe");
         let ks = keys(2 * cap);
         let entries: Vec<(u64, Vec<Word>)> = ks.iter().map(|&k| (k, vec![k])).collect();
         assert!(dict.insert_batch(&mut disks, &entries[..cap]).0.iter().all(Result::is_ok));
@@ -2585,7 +2614,7 @@ mod tests {
         for w in disks.snapshot().iter().flatten().flat_map(|block| block.iter()) {
             image = (image ^ w).wrapping_mul(0x0000_0100_0000_01B3);
         }
-        assert_eq!(image, 0xD622_4218_4E7E_6E0C, "not the image recorded where every insertion was charged");
+        assert_eq!(image, 0xBBCA_A742_F6D3_34BE, "not the image recorded where every insertion was charged");
         let (params, region) = (dict.params, disks.journal_region().unwrap());
         drop(dict);
         let mut alloc = DiskAllocator::new(disks.disks());
@@ -2612,7 +2641,7 @@ mod tests {
         let region = disks.journal_region().unwrap();
         let superblock = region.slot_addr(0, disks.disks());
         let mut block = disks.peek(superblock);
-        assert_eq!(block[1], 4, "the stamp this build writes");
+        assert_eq!(block[1], 5, "the stamp this build writes");
         block[1] = version;
         disks.poke(superblock, &block);
         let mut alloc = DiskAllocator::new(disks.disks());
@@ -2624,7 +2653,7 @@ mod tests {
     /// (journal version 2) laid its field arrays out twice as wide: it is
     /// refused by name, never decoded under the wrong width.
     #[test]
-    #[should_panic(expected = "format version 2, this build reads version 4")]
+    #[should_panic(expected = "format version 2, this build reads version 5")]
     fn reopen_refuses_a_shard_stamped_with_the_wider_field_format() {
         let (_, dict) = setup_chained(64);
         reopen_stamped(dict.params.with_journal(2), 64, 2);
@@ -2635,11 +2664,46 @@ mod tests {
     /// (σ = 2 words at `B = 128`) included: it is refused by name, never
     /// decoded as if its buckets held the records.
     #[test]
-    #[should_panic(expected = "format version 3, this build reads version 4")]
+    #[should_panic(expected = "format version 3, this build reads version 5")]
     fn reopen_refuses_a_shard_stamped_before_records_moved_inline() {
         let params = DictParams::new(1 << 14, 1 << 30, 2).with_degree(20).with_epsilon(0.5).with_journal(2);
         assert!(DynamicDict::records_inline(&params, 128));
         reopen_stamped(params, 128, 3);
+    }
+
+    /// A shard written before an inline membership spread its stripes over
+    /// both halves of the structure (journal version 4) kept bucket `j` of
+    /// stripe `i` on disk `i`, at block `j`: it is refused by name, never
+    /// read at the spread addresses.
+    #[test]
+    #[should_panic(expected = "format version 4, this build reads version 5")]
+    fn reopen_refuses_a_shard_stamped_before_the_membership_spread() {
+        let params = DictParams::new(1 << 14, 1 << 30, 2).with_degree(20).with_epsilon(0.5).with_journal(2);
+        assert!(DynamicDict::records_inline(&params, 128));
+        reopen_stamped(params, 128, 4);
+    }
+
+    /// A chained structure lays out what it did before inline ones spread:
+    /// the membership on disks `0..d`, addressed as a `BasicDict` of `d`
+    /// disks addresses it, and after 300 insertions the image (disk lengths
+    /// and words) hashes to the value that build wrote.
+    #[test]
+    fn a_chained_layout_is_the_narrow_one() {
+        let (mut disks, mut dict) = setup_chained(300);
+        assert_eq!(dict.membership.regions().len(), 1);
+        let mut twin_disks = DiskArray::new(PdmConfig::new(40, 64), 0);
+        let twin = BasicDict::create(&mut twin_disks, &mut DiskAllocator::new(40), 0, *dict.membership.config()).unwrap();
+        for k in keys(300) {
+            assert_eq!(dict.membership.probe_addrs(k), twin.probe_addrs(k), "key {k}");
+            dict.insert(&mut disks, k, &sat(k, CHAINED)).unwrap();
+        }
+        let mut image = 0xCBF2_9CE4_8422_2325u64;
+        for disk in disks.snapshot() {
+            for w in std::iter::once(disk.len() as Word).chain(disk.iter().flat_map(|block| block.iter().copied())) {
+                image = (image ^ w).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        assert_eq!(image, 0xF3C8_A4F6_9D2C_ED71, "not the image the narrow layout wrote");
     }
 
     #[test]

@@ -261,10 +261,18 @@ mod tests {
             let rows = dict.space_rows();
             assert_eq!(rows[0], ("membership".to_string(), dict.membership_buckets()));
             let level_rows: usize = rows[1..].iter().map(|(_, blocks)| blocks / d).sum();
+            let n = dict.membership_buckets() / d;
             for disk in 0..2 * d {
-                // One bucket per block on the membership disks; the levels'
-                // field arrays stacked on the others (none when inline).
-                let want = if disk < d { dict.membership_buckets() / d } else { level_rows };
+                // One bucket per block. Inline, stripe i's even buckets on
+                // disk i and its odd ones on disk i + d; chained, the whole
+                // stripe on disk i and the levels' field arrays stacked on
+                // the others.
+                let want = match (inline, disk < d) {
+                    (true, true) => n.div_ceil(2),
+                    (true, false) => n / 2,
+                    (false, true) => n,
+                    (false, false) => level_rows,
+                };
                 assert_eq!(arr.blocks_on(disk), ring + want, "σ = {sigma}: disk {disk}");
                 assert_eq!(alloc.used_blocks(disk), arr.blocks_on(disk), "σ = {sigma}: disk {disk}");
             }

@@ -278,6 +278,12 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
         None
     }
 
+    /// The materialised blocks and any kept outside the extent for later
+    /// writes: every block this backend holds memory for.
+    fn held_blocks(&self) -> Option<usize> {
+        self.materialised_blocks()
+    }
+
     /// Read one block without charging I/O (test/debug hook).
     fn peek(&self, addr: BlockAddr) -> Vec<Word>;
 
@@ -479,6 +485,10 @@ impl StorageBackend for MemBackend {
         Some(self.materialised)
     }
 
+    fn held_blocks(&self) -> Option<usize> {
+        Some(self.materialised + self.spare.len())
+    }
+
     fn flush_begin(&mut self) -> FlushTicket {
         FlushTicket { pending: 0 }
     }
@@ -641,7 +651,7 @@ mod tests {
         ) {
             let mut b = MemBackend::new(DISKS, WORDS, 1);
             let mut model: Dense = vec![vec![vec![0; WORDS]; 1]; DISKS];
-            let held = |b: &MemBackend| b.materialised_blocks().unwrap() + b.spare.len();
+            let held = |b: &MemBackend| b.held_blocks().unwrap();
             for (kind, x, salt) in steps {
                 let before = held(&b);
                 // Whether the step may allocate a block: only a write that

@@ -411,6 +411,12 @@ impl DiskArray {
         self.backend.materialised_blocks()
     }
 
+    /// [`StorageBackend::held_blocks`].
+    #[must_use]
+    pub fn held_blocks(&self) -> Option<usize> {
+        self.backend.held_blocks()
+    }
+
     /// Grow every disk to at least `blocks_per_disk` blocks (no I/O charged).
     pub fn grow(&mut self, blocks_per_disk: usize) {
         self.grow_disks(0, self.cfg.disks, blocks_per_disk);

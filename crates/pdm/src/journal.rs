@@ -108,8 +108,9 @@ const CONT_MAGIC: Word = 0x5044_4D4A_434F_4E32;
 /// 3 is version 2 over `pdm-dict`'s exact-width chain fields; version 4 is
 /// version 3 where a record that fits its membership slot is stored there
 /// (no retrieval level laid out), so a version-3 image of such a shape is
-/// refused, never decoded inline.
-const VERSION: Word = 4;
+/// refused, never decoded inline; version 5 spreads an inline membership's
+/// stripe `i` over disks `i` and `i + d`, so a version-4 image is refused.
+const VERSION: Word = 5;
 
 /// Stream words one target costs before its runs: the packed
 /// `(disk, runs, block)` header and the checksum of the new image.
@@ -511,24 +512,37 @@ impl DiskArray {
     /// a ring of whole-image intents cannot be replayed as deltas, and a
     /// shard laid out under wider chain fields cannot be read.
     pub fn reopen_journal(&mut self, region: JournalRegion) {
-        let d = self.disks();
-        let addr = region.slot_addr(0, d);
+        let addr = region.slot_addr(0, self.disks());
         let block = self.read_block(addr);
-        assert!(block[0] == SUPER_MAGIC, "no journal superblock at {addr:?}");
-        assert!(
-            block[1] == VERSION,
-            "journal superblock at {addr:?} has format version {}, this build reads version \
-             {VERSION}: recover the array with the build that wrote it, then enable a fresh \
-             journal",
-            block[1]
-        );
-        assert!(
-            seal_ok(self, addr, &block),
-            "journal superblock at {addr:?} fails its checksum"
-        );
+        if let Err(why) = self.superblock_fits(addr, &block) {
+            panic!("{why}");
+        }
         let meta_len = block[3] as usize;
         let meta = block[4..4 + meta_len].to_vec();
         self.journal = Some(JournalState::new(region, block[2], meta, true));
+    }
+
+    /// What [`reopen_journal`](Self::reopen_journal) would refuse at
+    /// `region`, read uncharged, so an image can be refused before it opens.
+    ///
+    /// # Errors
+    /// The refusal: no superblock, another format version or a failed seal.
+    pub fn check_journal(&self, region: JournalRegion) -> Result<(), String> {
+        let addr = region.slot_addr(0, self.disks());
+        let held = addr.block < self.blocks_on(addr.disk);
+        self.superblock_fits(addr, &if held { self.peek(addr) } else { vec![0; self.block_words()] })
+    }
+
+    fn superblock_fits(&self, addr: BlockAddr, block: &[Word]) -> Result<(), String> {
+        match block[1] {
+            _ if block[0] != SUPER_MAGIC => Err(format!("no journal superblock at {addr:?}")),
+            VERSION if seal_ok(self, addr, block) => Ok(()),
+            VERSION => Err(format!("journal superblock at {addr:?} fails its checksum")),
+            v => Err(format!(
+                "journal superblock at {addr:?} has format version {v}, this build reads version {VERSION}: \
+                 recover the array with the build that wrote it, then enable a fresh journal"
+            )),
+        }
     }
 
     /// Whether a journal is enabled on this array.
@@ -1392,6 +1406,26 @@ mod tests {
         block[..4].copy_from_slice(&[SUPER_MAGIC, 1, 0, 0]);
         block[B - 1] = disks.block_codec().checksum(addr, &block);
         disks.poke(addr, &block);
+        disks.journal = None;
+        disks.reopen_journal(region);
+    }
+
+    /// A version-4 ring belongs to a shard whose inline membership kept each
+    /// stripe on one disk: it is refused by name, as an error before it is
+    /// opened and as a panic if it is opened anyway.
+    #[test]
+    #[should_panic(expected = "format version 4, this build reads version 5")]
+    fn a_version_4_superblock_is_refused_by_name() {
+        let mut disks = array();
+        let region = disks.journal_region().unwrap();
+        assert_eq!(disks.check_journal(region), Ok(()));
+        let addr = region.slot_addr(0, 4);
+        let mut block = disks.peek(addr);
+        block[1] = 4;
+        block[B - 1] = disks.block_codec().checksum(addr, &block[..B - 1]);
+        disks.poke(addr, &block);
+        let why = disks.check_journal(region).unwrap_err();
+        assert!(why.contains("format version 4, this build reads version 5"), "{why}");
         disks.journal = None;
         disks.reopen_journal(region);
     }

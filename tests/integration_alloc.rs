@@ -51,9 +51,6 @@ mod harness;
 thread_local! {
     /// (allocations, bytes) made by this thread.
     static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
-    /// Allocations of exactly one block's bytes this thread holds: made
-    /// less freed.
-    static LIVE_BLOCKS: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -64,13 +61,6 @@ fn count(bytes: usize) {
         let (n, b) = c.get();
         c.set((n + 1, b + bytes as u64));
     });
-    live(bytes, 1);
-}
-
-fn live(bytes: usize, delta: i64) {
-    if bytes as u64 == BLOCK_BYTES {
-        let _ = LIVE_BLOCKS.try_with(|c| c.set(c.get() + delta));
-    }
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
@@ -88,12 +78,10 @@ unsafe impl GlobalAlloc for Counting {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
-        live(layout.size(), -1);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        live(layout.size(), -1);
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -347,21 +335,22 @@ fn engine_cold_shaped(sigma: usize) -> (Vec<(String, usize, usize)>, usize) {
         let blocks = (first_disk..first_disk + D).flat_map(|d| rows.clone().map(move |b| BlockAddr::new(d, b)));
         blocks.filter(|&a| disks.peek(a).iter().any(|&w| w != 0)).count()
     };
-    // (region, blocks, blocks written): membership fills disks 0..d, the
-    // levels sit one above the other on disks d..2d.
+    // (region, blocks, blocks written): the membership fills disks 0..d
+    // and, inline, the rest of it disks d..2d (stripe i's odd buckets on
+    // disk i + d); chained, the levels sit one above the other there.
     let mut regions = Vec::new();
-    let mut level_rows = 0;
+    let (lower, mut upper) = (disks.blocks_on(0), 0);
     for (region, blocks) in shard.dict().space_rows() {
         let rows = blocks / D;
         let n = if region == "membership" {
-            written(0, 0..rows)
+            written(0, 0..lower) + written(D, 0..rows - lower)
         } else {
-            level_rows += rows;
-            written(D, level_rows - rows..level_rows)
+            written(D, upper..upper + rows)
         };
+        upper += rows - if region == "membership" { lower } else { 0 };
         regions.push((region, blocks, n));
     }
-    assert_eq!((regions[0].1 / D, level_rows), (disks.blocks_on(0), disks.blocks_on(D)), "the layout read above");
+    assert_eq!(upper, disks.blocks_on(D), "the layout read above");
     let extent: usize = regions.iter().map(|r| r.1).sum();
     let held = disks.materialised_blocks().expect("a MemBackend counts its blocks");
     // Insertions never clear a word they wrote, so the blocks holding one
@@ -389,8 +378,9 @@ fn engine_cold_shaped(sigma: usize) -> (Vec<(String, usize, usize)>, usize) {
 /// rebuild's window — from its start to the swap, discard included — ends
 /// holding exactly the blocks it started with: the replacement is laid out
 /// over blocks its slot's last tenant gave back, and no block is allocated
-/// for it or freed after it. (Counted as allocations of one block's bytes
-/// this thread holds, made less freed.)
+/// for it or freed after it. (Counted as the blocks the array's backend
+/// holds memory for, [`DiskArray::held_blocks`]: those in the extent and
+/// those on its spare list.)
 #[test]
 fn a_rebuild_at_the_capacity_of_the_last_allocates_no_block() {
     let params = DictParams::new(98, 1 << 40, 2).with_degree(20).with_epsilon(0.5).with_seed(0x5BA7E).with_journal(2);
@@ -418,11 +408,12 @@ fn a_rebuild_at_the_capacity_of_the_last_allocates_no_block() {
         while !dict.is_rebuilding() {
             step(&mut dict);
         }
-        let (before, rebuilds) = (LIVE_BLOCKS.with(Cell::get), dict.rebuilds());
+        let held = |dict: &Dictionary| dict.disks().held_blocks().expect("a MemBackend counts its blocks") as i64;
+        let (before, rebuilds) = (held(&dict), dict.rebuilds());
         while dict.rebuilds() == rebuilds {
             step(&mut dict);
         }
-        blocks.push(LIVE_BLOCKS.with(Cell::get) - before);
+        blocks.push(held(&dict) - before);
         let slot_capacity = if dict.rebuilds().is_multiple_of(2) { params.capacity } else { 148 };
         assert_eq!(dict.capacity(), slot_capacity, "every rebuild in a slot at one capacity");
     }

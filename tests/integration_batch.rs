@@ -585,6 +585,15 @@ fn golden_stream(dict: &mut dyn Dict, sigma: usize, seed: u64) -> (Golden, u64) 
 /// 6835, `rounds` 15119 → 14706, and the `image`. `results` held, and so
 /// did every answer against the unjournaled twin. Both `DynamicDict`
 /// streams chain and passed as recorded.
+///
+/// Re-recorded when an inline membership spread each stripe over two disks
+/// (`i` and `i + d`): a batch's rounds are its largest per-disk load over
+/// `2d` disks where they were over `d`. The rebuilding `Dictionary` is
+/// inline: `parallel_ios` 16909 → 13345 and `rounds` 14706 → 11143, its
+/// `image` with the layout; `batches`, `block_reads`, `block_writes` and
+/// `results` held. The two `DynamicDict` streams chain and kept every
+/// counter and `results`; the journaled one's `image` moved only by the
+/// ring superblock's format stamp (4 → 5).
 #[test]
 fn golden_io_counts_and_images_match_the_recorded_parent() {
     let mut plain = front("dynamic").build(4096, &[], 0x601D);
@@ -614,7 +623,7 @@ fn golden_io_counts_and_images_match_the_recorded_parent() {
             block_reads: 445392,
             block_writes: 26887,
             rounds: 14937,
-            image: 0x686E6241BE55604E,
+            image: 0x06F713A0A64C4F8A,
             results: 0x8BD6C178816A1AE4,
         },
         "journaled DynamicDict"
@@ -633,12 +642,12 @@ fn golden_io_counts_and_images_match_the_recorded_parent() {
     assert_eq!(
         got,
         Golden {
-            parallel_ios: 16909,
+            parallel_ios: 13345,
             batches: 8286,
             block_reads: 241446,
             block_writes: 6835,
-            rounds: 14706,
-            image: 0x3B683FD16A0B8DCD,
+            rounds: 11143,
+            image: 0xC29E301080E5A9C5,
             results: 0xEDE0642EA99494BB,
         },
         "journaled rebuilding Dictionary"

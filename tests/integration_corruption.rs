@@ -129,7 +129,7 @@ fn dynamic_dict_tolerates_corrupted_membership_bucket() {
         }
         assert!(
             still_found >= 150,
-            "σ = {sigma}: a single dead membership disk should strand ~1/d of keys, not {}",
+            "σ = {sigma}: a single dead membership disk should strand ~1/d of keys (1/2d inline), not {}",
             200 - still_found
         );
     }
@@ -165,7 +165,8 @@ fn batch_lookup_degrades_exactly_like_sequential_on_a_dead_disk() {
             front: "dynamic",
             wipe: 3,
             exact_when_found: true,
-            // 40 disks: a dead membership disk strands ~1/20 of keys.
+            // 40 disks: a dead membership disk strands ~1/40 of keys (the
+            // membership is inline, on all 40 disks).
             min_survivors: 150,
         },
         DeadDiskCase {

@@ -474,11 +474,13 @@ fn rebuilding_dictionary_is_crash_consistent_during_migration() {
 
 /// Whether the structures of `dict`'s first window — the old one in the
 /// lower slot of `2d` disks, its replacement in the upper — store records
-/// inline: then a slot's retrieval disks (`d..2d` of it) hold only the ring.
+/// inline: then a slot's disks `d..2d` hold the ring and the upper half of
+/// the membership (stripe `i`'s odd buckets), never longer than the lower
+/// half on disks `0..d`; chained, they hold the levels, which stack more
+/// rows than the membership has.
 fn inline_in_slots(dict: &Dictionary) -> (bool, bool) {
-    let ring = dict.disks().journal_region().map_or(0, |r| r.rows);
-    let inline = |disk| dict.disks().blocks_on(disk) == ring;
-    (inline(20), inline(60))
+    let inline = |slot: usize| dict.disks().blocks_on(slot + 20) <= dict.disks().blocks_on(slot);
+    (inline(0), inline(40))
 }
 
 /// The same matrix over the window that crosses the layout boundary: the

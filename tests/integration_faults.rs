@@ -448,16 +448,47 @@ fn a_torn_write_inside_a_batch_is_retried_and_lands() {
 /// capacity of 128 the tests below build them at), four-word ones chained.
 const DYNAMIC_FRONTS: [&str; 4] = ["dynamic", "dynamic_journaled", "dynamic_chained", "dynamic_chained_journaled"];
 
-/// Disk 3, which holds membership buckets of a dynamic front built at
-/// capacity 128, and disk 27 if it holds fields (records chained; nothing
-/// but the ring lies there when they are inline).
-fn membership_and_field_disks(f: &Front) -> &'static [usize] {
-    let empty = f.build(128, &[], 0).disks().unwrap().blocks_on(27) == f.journal_rows;
-    if empty {
-        &[3]
-    } else {
-        &[3, 27]
-    }
+/// The keys of `keys` whose records lie on `disk`, read off their probes:
+/// on a copy of the array with `disk` dead, exactly their lookups miss — a
+/// record's bucket reads as zeros there, and every other record is found in
+/// a bucket its probe still reads. The dictionary's own array is put back.
+fn records_on(dict: &mut dyn Dict, disk: usize, keys: &[u64]) -> Vec<u64> {
+    let mut dead = dict.disks().unwrap().clone();
+    harness::kill_disk(&mut dead, disk);
+    let live = std::mem::replace(dict.disks_mut().unwrap(), dead);
+    let on = keys.iter().copied().filter(|&k| !dict.lookup(k).found()).collect();
+    *dict.disks_mut().unwrap() = live;
+    on
+}
+
+/// The batch both drills below insert.
+fn drill_batch(f: &Front) -> Vec<(u64, Vec<Word>)> {
+    (0..24u64).map(|i| KEY_SPACE + 9_000 + i).map(|k| (k, sat(k, f.sigma))).collect()
+}
+
+/// A drill's disks on a dynamic front built at capacity 128 from `entries`
+/// at `seed`, and for each, when it is a membership disk, the batch keys a
+/// fault-free twin that took [`drill_batch`] stored there, in batch order. The membership
+/// disk is the first holding the records of a batch key and of a key the
+/// drills delete (every other entry), so a fault there reaches both; disk
+/// 27 joins it where records are chained (a lookup reads more than the `d`
+/// membership buckets) and holds fields.
+fn drill_disks(f: &Front, entries: &[(u64, Vec<Word>)], seed: u64) -> Vec<(usize, Option<Vec<u64>>)> {
+    let mut twin = f.build(128, entries, seed);
+    let batch = drill_batch(f);
+    assert!(twin.insert_batch(&batch).0.iter().all(Result::is_ok));
+    let doomed: Vec<u64> = entries.iter().step_by(2).map(|e| e.0).collect();
+    let added: Vec<u64> = batch.iter().map(|e| e.0).collect();
+    let membership = (0..2 * f.degree)
+        .find_map(|disk| {
+            let on = records_on(twin.as_mut(), disk, &added);
+            (!on.is_empty() && !records_on(twin.as_mut(), disk, &doomed).is_empty()).then_some((disk, on))
+        })
+        .expect("a disk holding records of both");
+    let chained = twin.lookup(KEY_SPACE + 77_777).cost.block_reads > f.degree as u64;
+    let mut drills = vec![(membership.0, Some(membership.1))];
+    drills.extend(chained.then_some((27, None)));
+    drills
 }
 
 /// A write that keeps failing (every write to one disk tears, the commit's
@@ -475,15 +506,14 @@ fn a_write_that_keeps_failing_fails_its_keys_typed() {
     };
     for name in DYNAMIC_FRONTS {
         let f = harness::front(name);
-        for &disk in membership_and_field_disks(&f) {
+        let entries = padded_entries(&f, &harness::dense_keys(40));
+        for (disk, staged) in drill_disks(&f, &entries, 0x7EA3) {
             let what = format!("{name}, disk {disk}");
-            let entries = padded_entries(&f, &harness::dense_keys(40));
             let mut model: std::collections::BTreeMap<u64, Vec<Word>> = entries.iter().cloned().collect();
             let mut dict = f.build(128, &entries, 0x7EA3);
             dict.disks_mut().unwrap().enable_integrity();
             tear(dict.as_mut(), disk);
-            let batch: Vec<(u64, Vec<Word>)> =
-                (0..24u64).map(|i| KEY_SPACE + 9_000 + i).map(|k| (k, sat(k, f.sigma))).collect();
+            let batch = drill_batch(&f);
             let (res, _) = dict.insert_batch(&batch);
             let mut lost = Vec::new();
             for ((k, s), r) in batch.iter().zip(&res) {
@@ -496,6 +526,11 @@ fn a_write_that_keeps_failing_fails_its_keys_typed() {
                 }
             }
             assert!(!lost.is_empty() && lost.len() < batch.len(), "{what}: {} of {} inserts lost", lost.len(), batch.len());
+            // The batch is placed before it is written, as the twin placed
+            // it; a write batch tears the first block it carries to the disk.
+            if let Some(staged) = &staged {
+                assert!(lost.iter().all(|k| staged.contains(k)), "{what}: lost {lost:?}, staged on the disk {staged:?}");
+            }
             // What the tear damaged beside the batch is the fault's, not
             // the commit's: stored keys it reached are still counted, and
             // no longer vouched for.
@@ -508,9 +543,11 @@ fn a_write_that_keeps_failing_fails_its_keys_typed() {
             };
             let counted = collateral(&mut dict, &mut model);
             assert_eq!(dict.len(), model.len() + counted, "{what}: len() after the insert batch");
-            // Deletes under the same plan (membership disk only: a
-            // tombstone writes nothing to a field disk).
+            // Deletes under the same plan fail for records on the disk — those
+            // in the block torn — (a membership disk only: a tombstone writes
+            // nothing to a field disk).
             let doomed: Vec<u64> = model.keys().step_by(2).copied().collect();
+            let on_disk = if staged.is_some() { records_on(dict.as_mut(), disk, &doomed) } else { Vec::new() };
             let (res, _) = dict.delete_batch(&doomed);
             let mut gone = Vec::new();
             // Failed typed: not counted (an insert) or still counted (a
@@ -530,7 +567,8 @@ fn a_write_that_keeps_failing_fails_its_keys_typed() {
                 }
                 model.remove(k);
             }
-            assert_eq!(!kept.is_empty(), disk == 3, "{what}: {} deletes lost", kept.len());
+            assert_eq!(!kept.is_empty(), staged.is_some(), "{what}: {} deletes lost", kept.len());
+            assert!(kept.iter().all(|(k, _)| on_disk.contains(k)), "{what}: a delete lost off the disk");
             let counted = collateral(&mut dict, &mut model) + kept.len();
             assert_eq!(dict.len(), model.len() + counted, "{what}: len() after the delete batch");
             dict.disks_mut().unwrap().clear_fault_plan();
@@ -556,46 +594,56 @@ fn a_write_that_keeps_failing_fails_its_keys_typed() {
 
 /// A disk that dies before a batch. A field disk is routed around (its
 /// fields count as occupied, nothing is written to it): every key is
-/// acknowledged and stored. A membership disk leaves every duplicate check
-/// open, and every delete of a key it held: those fail typed, the rest of
-/// the batch is applied, and `len()` moves by exactly the acknowledged keys.
+/// acknowledged and stored. A membership disk leaves open the duplicate
+/// check of every key whose probe reads it, and every delete of a key it
+/// held: exactly those fail typed, the rest of the batch is applied, and
+/// `len()` moves by exactly the acknowledged keys.
 #[test]
 fn a_dead_disk_inside_a_batch_fails_typed_or_is_routed_around() {
     for name in DYNAMIC_FRONTS {
         let f = harness::front(name);
-        for &disk in membership_and_field_disks(&f) {
+        let entries = padded_entries(&f, &harness::dense_keys(40));
+        for (disk, staged) in drill_disks(&f, &entries, 0x7EA4) {
             let what = format!("{name}, disk {disk}");
-            let entries = padded_entries(&f, &harness::dense_keys(40));
+            let membership = staged.is_some();
             let mut dict = f.build(128, &entries, 0x7EA4);
+            let doomed: Vec<u64> = entries.iter().step_by(2).map(|(k, _)| *k).collect();
+            let held = if membership { records_on(dict.as_mut(), disk, &doomed) } else { Vec::new() };
+            assert_eq!(held.is_empty(), !membership, "{what}: the disk holds a doomed key's record");
             dict.disks_mut().unwrap().enable_integrity();
             harness::kill_disk(dict.disks_mut().unwrap(), disk);
             let before = dict.len();
-            let batch: Vec<(u64, Vec<Word>)> =
-                (0..24u64).map(|i| KEY_SPACE + 9_000 + i).map(|k| (k, sat(k, f.sigma))).collect();
-            let (res, _) = dict.insert_batch(&batch);
-            let stored = res.iter().filter(|r| r.is_ok()).count();
-            assert_eq!(stored, if disk == 3 { 0 } else { batch.len() }, "{what}: {res:?}");
-            for r in res.iter().filter_map(|r| r.as_ref().err()) {
-                assert!(matches!(r, DictError::Io { kind: pdm::IoFaultKind::DiskDead, disk: 3, .. }), "{what}: {r}");
+            let batch = drill_batch(&f);
+            // A probe that reads the dead disk is degraded.
+            let blind: Vec<bool> = batch.iter().map(|(k, _)| membership && !dict.lookup(*k).is_exact()).collect();
+            assert!(blind.contains(&true) || !membership, "{what}: no probe reads the disk");
+            let (inserted, _) = dict.insert_batch(&batch);
+            let stored = inserted.iter().filter(|r| r.is_ok()).count();
+            for ((r, blind), (k, _)) in inserted.iter().zip(&blind).zip(&batch) {
+                assert_eq!(r.is_err(), *blind, "{what}: insert of {k}: {r:?}");
+                if let Err(e) = r {
+                    assert!(matches!(e, DictError::Io { kind: pdm::IoFaultKind::DiskDead, disk: at, .. } if *at == disk), "{what}: {e}");
+                }
             }
             assert_eq!(dict.len(), before + stored, "{what}: len() after the insert batch");
-            let doomed: Vec<u64> = entries.iter().step_by(2).map(|(k, _)| *k).collect();
             let (res, _) = dict.delete_batch(&doomed);
             let mut gone = 0;
             for (k, r) in doomed.iter().zip(&res) {
                 match r {
-                    Ok(true) => {
+                    Ok(true) if !held.contains(k) => {
                         gone += 1;
                         assert!(!dict.lookup(*k).found(), "{what}: deleted key {k} reads back");
                     }
-                    Err(DictError::Io { kind: pdm::IoFaultKind::DiskDead, disk: 3, .. }) if disk == 3 => {}
+                    Err(DictError::Io { kind: pdm::IoFaultKind::DiskDead, disk: at, .. }) if *at == disk && held.contains(k) => {}
                     other => panic!("{what}: delete of stored key {k} answered {other:?}"),
                 }
             }
             assert!(gone > 0, "{what}: no delete went through");
             assert_eq!(dict.len(), before + stored - gone, "{what}: len() after the delete batch");
-            for (k, s) in batch.iter().take(stored) {
-                assert_eq!(dict.lookup(*k).satellite.as_ref(), Some(s), "{what}: key {k}");
+            for ((k, s), r) in batch.iter().zip(&inserted) {
+                if r.is_ok() {
+                    assert_eq!(dict.lookup(*k).satellite.as_ref(), Some(s), "{what}: key {k}");
+                }
             }
         }
     }
@@ -663,3 +711,4 @@ fn a_failing_disk_inside_a_window_costs_only_the_keys_it_lost() {
     dict.recover();
     assert_eq!(dict.len(), model.len(), "len() after recovery");
 }
+

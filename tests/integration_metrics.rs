@@ -265,6 +265,8 @@ fn space_ledger_accounts_for_every_block_in_exported_metrics() {
 /// level, and says so through the gauges it already exports: `dict_levels`
 /// reads 0, and the space ledger is the ring and the membership buckets
 /// alone — no `level_*` row, nothing unowned — which is also the storage.
+/// The membership lies on all `2d` disks (stripe `i`'s odd buckets on disk
+/// `i + d`), and a lookup reads its `d` buckets and nothing else.
 #[test]
 fn an_inline_shard_exports_no_level_and_its_membership_alone() {
     let f = front("dynamic_journaled");
@@ -282,10 +284,14 @@ fn an_inline_shard_exports_no_level_and_its_membership_alone() {
     let (ring, membership) = (region("journal").unwrap(), region("membership").unwrap());
     let disks = dict.disks().unwrap();
     assert_eq!(ring as usize, f.journal_rows * disks.disks());
-    assert_eq!(membership as usize, (0..f.degree).map(|d| disks.blocks_on(d) - f.journal_rows).sum::<usize>());
+    let past_ring = |d: usize| disks.blocks_on(d) - f.journal_rows;
+    assert_eq!(membership as usize, (0..disks.disks()).map(past_ring).sum::<usize>());
+    assert!((f.degree..2 * f.degree).all(|d| past_ring(d) > 0), "the upper half holds buckets");
     assert_eq!(snap.gauge("dict_storage_blocks", &[("dict", "dynamic")]), Some(ring + membership));
     for (k, s) in &entries {
-        assert_eq!(dict.lookup(*k).satellite.as_ref(), Some(s));
+        let out = dict.lookup(*k);
+        assert_eq!(out.satellite.as_ref(), Some(s));
+        assert_eq!(out.cost.block_reads, f.degree as u64, "key {k}: the membership probe alone");
     }
 }
 
