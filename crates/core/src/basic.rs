@@ -684,6 +684,16 @@ impl BasicDict {
             .collect()
     }
 
+    /// The keys of every bucket, read in **one** charged, verified batch;
+    /// `None` when a bucket reads damaged.
+    pub(crate) fn live_keys(&self, disks: &mut DiskArray) -> Option<Vec<u64>> {
+        let d = self.cfg.degree;
+        let addrs: Vec<BlockAddr> = (0..self.cfg.buckets).flat_map(|i| self.bucket_addrs(i % d, i / d)).collect();
+        let out = disks.read(&addrs, ReadOptions::verified());
+        let keys = |i| self.codec.live_entries(&self.bucket(&out.blocks, i)).into_iter().map(|(key, _)| key);
+        out.all_ok().then(|| (0..self.cfg.buckets).flat_map(keys).collect())
+    }
+
     /// Observed maximum bucket load (peeks without I/O; diagnostics only).
     #[must_use]
     pub fn max_load_peek(&self, disks: &DiskArray) -> usize {

@@ -224,23 +224,32 @@ impl Staged {
     /// owner's counters and checkpoint section; a key with a block still not
     /// on the medium gets the typed error in `results`, and the intent is
     /// truncated so that it never replays a key the caller was told failed.
+    /// Under a journal, one staged block is written in place with no intent
+    /// (atomic by the model) when `recountable`: an inline structure's,
+    /// changing no counter but `len`, which [`DynamicDict::recount`] takes
+    /// back from the image at recovery.
     fn commit<R>(
         &mut self,
         ex: &mut BatchExecutor<'_>,
         meta: &[Word],
+        recountable: bool,
         results: &mut [Result<R, DictError>],
         count: impl FnOnce(&mut dyn Iterator<Item = (usize, bool)>, &mut DiskArray),
     ) -> Option<DictError> {
         if self.keys.is_empty() {
             return None;
         }
-        let mut report = ex.commit_checked_with_meta(meta);
+        let in_place = ex.disks().journal_enabled() && recountable && ex.staged_writes() == 1;
+        let commit = |ex: &mut BatchExecutor<'_>, meta| {
+            if in_place { ex.commit_checked_in_place() } else { ex.commit_checked_with_meta(meta) }
+        };
+        let mut report = commit(ex, meta);
         if report.is_clean() {
             count(&mut self.keys.drain(..).map(|(_, what, _)| (what, true)), ex.disks_mut());
             self.blocks.clear();
             return None;
         }
-        report = ex.commit_checked_with_meta(&[]);
+        report = commit(ex, &[]);
         let (lost, healths): (Vec<BlockAddr>, Vec<BlockHealth>) = report.failed.into_iter().unzip();
         let error = DynamicDict::io_error(&lost, &healths);
         let mut from = 0;
@@ -256,7 +265,7 @@ impl Staged {
         count(&mut settled, ex.disks_mut());
         drop(settled);
         self.blocks.clear();
-        if error.is_some() {
+        if error.is_some() && !in_place {
             ex.disks_mut().journal_truncate();
         }
         error
@@ -411,7 +420,8 @@ impl DynamicDict {
     /// ([`DiskArray::reopen_journal`]), rebuild the (deterministic)
     /// layout, replay in-flight intents ([`DiskArray::recover`]), restore
     /// counters from the persisted checkpoint, reconcile them with the
-    /// replay, and truncate. The result answers lookups for every key
+    /// replay, recount an inline structure's live keys from the image (its
+    /// one-block updates went in place with no intent), and truncate. The result answers lookups for every key
     /// whose journaled mutation was acked before the crash.
     ///
     /// `params` must equal the parameters the image was created with
@@ -441,6 +451,7 @@ impl DynamicDict {
             ));
         }
         dict.apply_replay(&report);
+        dict.recount(disks);
         disks.journal_checkpoint(&dict.checkpoint_section());
         Ok((dict, report))
     }
@@ -602,6 +613,24 @@ impl DynamicDict {
         applied
     }
 
+    /// Under a journal, take an inline structure's `len` (and insertions, by
+    /// what it grew) from one verified read of its membership, and return
+    /// the keys counted: a one-block update went in place with no intent
+    /// ([`Staged::commit`]). A damaged bucket leaves the counters as they are.
+    pub(crate) fn recount(&mut self, disks: &mut DiskArray) -> Option<Vec<u64>> {
+        if !self.is_inline() || !disks.journal_enabled() {
+            return None;
+        }
+        let keys = self.membership.live_keys(disks)?;
+        let len = keys.len();
+        let grown = len.saturating_sub(self.len);
+        self.insertions += grown;
+        self.level_population[0] += grown;
+        self.len = len;
+        self.membership.set_len(len);
+        Some(keys)
+    }
+
     /// Post-mutation journal bookkeeping: advance the watermark to the
     /// intent just appended and stage the updated counters — this
     /// instance's [section](Self::checkpoint_section) of the checkpoint,
@@ -671,10 +700,10 @@ impl DynamicDict {
         self.copies
     }
 
-    /// The migration source is gone: nothing stored here is a copy any
-    /// more.
-    pub(crate) fn forget_source(&mut self) {
-        self.copies = 0;
+    /// Set [`Self::copies`]: none once the migration source is gone, or the
+    /// keys a recovery counted in both structures.
+    pub(crate) fn set_copies(&mut self, copies: usize) {
+        self.copies = copies;
     }
 
     /// Live keys.
@@ -1031,7 +1060,8 @@ impl DynamicDict {
         for &(_, level, _) in &staged.keys {
             meta[2 + level] += 1;
         }
-        staged.commit(ex, meta, results, |settled, disks| {
+        let recountable = self.is_inline() && op != META_MIGRATE_BATCH;
+        staged.commit(ex, meta, recountable, results, |settled, disks| {
             for (level, _) in settled.filter(|key| !key.1) {
                 self.len -= 1;
                 self.insertions -= 1;
@@ -1280,8 +1310,8 @@ impl DynamicDict {
     /// (1-based), averaging `2 + ɛ`: the duplicate check and level 1 share
     /// the first read, deeper levels are read on demand, and one (journaled)
     /// write stores chain and record. With records inline: 2, the probe and
-    /// the one bucket written. Refused before any I/O (satellite width,
-    /// capacity), it costs nothing.
+    /// the one bucket written, in place under a journal too. Refused before
+    /// any I/O (satellite width, capacity), it costs nothing.
     pub fn insert(
         &mut self,
         disks: &mut DiskArray,
@@ -1298,10 +1328,9 @@ impl DynamicDict {
     /// inserted"; space is recovered by global rebuilding). Returns whether
     /// the key was present.
     ///
-    /// With a journal enabled the tombstone write is journaled too
-    /// (journal-all-mutations: if it bypassed the ring, a later recovery
-    /// replaying an older intact intent over the same bucket block would
-    /// resurrect the key).
+    /// With a journal enabled an inline tombstone is one block, written in
+    /// place with no intent after truncating any live
+    /// intent, whose replay over the same bucket would resurrect the key.
     ///
     /// # Errors
     /// As [`Self::delete_batch`]'s for the key.
@@ -1411,7 +1440,8 @@ impl DynamicDict {
     ) -> Option<DictError> {
         let counts = Self::tombstone_counts(staged.keys.iter().map(|key| key.1));
         let (meta, len) = Self::tombstone_meta(dicts, counts);
-        staged.commit(ex, &meta[..len], results, |settled, disks| {
+        let recountable = dicts.iter().zip(counts).all(|(dict, gone)| gone.0 == 0 || dict.is_inline());
+        staged.commit(ex, &meta[..len], recountable, results, |settled, disks| {
             let landed = Self::tombstone_counts(settled.filter(|key| key.1).map(|key| key.0));
             for (dict, (n, c)) in dicts.iter_mut().zip(landed).filter(|(_, gone)| gone.0 > 0) {
                 dict.note_deleted(disks, n, c);
@@ -2026,9 +2056,10 @@ mod tests {
             let blocks = disks0.read(&probe, pdm::ReadOptions::default()).blocks;
             let disk = dict0.membership.tombstone_word(victim, &blocks).unwrap().0.disk;
             drop(blocks);
-            // `healed`: one tear, on the tombstone's first write or — the
-            // intent's ring slot lying on its disk — on its second. Otherwise
-            // the retry's write tears too.
+            // `healed`: one tear, on the tombstone's first write or on its
+            // disk's second (an inline tombstone goes in place, its disk's
+            // only write, so that tear never fires). Otherwise the retry's
+            // write tears too.
             for (first, tears, healed) in [(0, 1, true), (1, 1, true), (0, 4, false)] {
                 let (mut disks, mut dict) = (disks0.clone(), dict0.clone());
                 let plan = (first..first + tears).fold(pdm::FaultPlan::new(), |p, nth| p.torn_write(disk, nth));
@@ -2137,13 +2168,17 @@ mod tests {
     /// physical-write index `k`, kill the batch after `k` writes, run
     /// recovery against a pre-crash metadata snapshot, and check the op
     /// is all-or-nothing — the key reads back fully or not at all, the
-    /// counters match, and every previously acked key survives.
+    /// counters match, and every previously acked key survives. Chained,
+    /// so that the insert is an intent over its `m` fields and its bucket
+    /// (inline it is one block, written in place: see
+    /// `an_in_place_update_is_atomic_under_any_crash_point`).
     #[test]
     fn journaled_insert_is_atomic_under_any_crash_point() {
-        let (mut disks0, mut dict0) = setup_journaled(64, 1);
+        let (mut disks0, mut dict0) = setup_journaled(64, CHAINED);
+        assert!(!dict0.is_inline());
         let pre: Vec<u64> = (0..8u64).map(|i| i * 7 + 3).collect();
         for &k in &pre {
-            dict0.insert(&mut disks0, k, &[k]).unwrap();
+            dict0.insert(&mut disks0, k, &sat(k, CHAINED)).unwrap();
         }
         let victim = 0xFACE_u64;
         let mut completed = false;
@@ -2151,7 +2186,7 @@ mod tests {
             let mut disks = disks0.clone();
             let mut dict = dict0.clone();
             disks.set_fault_plan(pdm::FaultPlan::new().crash_after(k));
-            let _ = dict.insert(&mut disks, victim, &[victim]);
+            let _ = dict.insert(&mut disks, victim, &sat(victim, CHAINED));
             let fired = disks.crash_fired();
             disks.clear_fault_plan();
 
@@ -2163,7 +2198,7 @@ mod tests {
 
             let out = rec.lookup(&mut disks, victim);
             if out.found() {
-                assert_eq!(out.satellite, Some(vec![victim]), "crash at {k}");
+                assert_eq!(out.satellite, Some(sat(victim, CHAINED)), "crash at {k}");
                 assert_eq!(rec.len(), dict0.len() + 1, "crash at {k}");
             } else {
                 assert_eq!(rec.len(), dict0.len(), "crash at {k}");
@@ -2171,7 +2206,7 @@ mod tests {
             for &p in &pre {
                 assert_eq!(
                     rec.lookup(&mut disks, p).satellite,
-                    Some(vec![p]),
+                    Some(sat(p, CHAINED)),
                     "acked key {p} lost at crash point {k}"
                 );
             }
@@ -2186,11 +2221,15 @@ mod tests {
         assert!(completed, "crash matrix never reached the uncrashed end");
     }
 
+    /// A chained delete's tombstone is an intent, replayed or rolled back
+    /// whole, with `len()` to match (inline, the one block goes in place:
+    /// see `an_in_place_update_is_atomic_under_any_crash_point`).
     #[test]
     fn journaled_delete_is_atomic_and_replayable() {
-        let (mut disks0, mut dict0) = setup_journaled(32, 1);
+        let (mut disks0, mut dict0) = setup_journaled(32, CHAINED);
+        assert!(!dict0.is_inline());
         for k in [5u64, 9, 13] {
-            dict0.insert(&mut disks0, k, &[k]).unwrap();
+            dict0.insert(&mut disks0, k, &sat(k, CHAINED)).unwrap();
         }
         let mut completed = false;
         for k in 0..40u64 {
@@ -2227,11 +2266,14 @@ mod tests {
     /// A journaled `delete_batch` is one intent: cut at any crash point it
     /// tombstones every key of the batch or none (a key listed twice, an
     /// absent one and a stored one that stays), and the replay lands on the
-    /// exact `len()`. Recovering twice changes nothing.
+    /// exact `len()`. Recovering twice changes nothing. Twenty tombstones
+    /// make the intent two ring slots, so the matrix cuts inside it too
+    /// (the inline preload went in place and left no intent for the
+    /// batch's group commit to truncate first).
     #[test]
     fn journaled_delete_batch_is_all_or_nothing_under_any_crash_point() {
         let (mut disks0, mut dict0) = setup_journaled(64, 1);
-        let stored = keys(24);
+        let stored = keys(40);
         for &k in &stored {
             dict0.insert(&mut disks0, k, &[k]).unwrap();
         }
@@ -2401,11 +2443,13 @@ mod tests {
     /// Crash coverage for delta replay: two un-truncated intents patch the
     /// *same* blocks — two inserts sharing their field blocks (at this size
     /// a level's stripe is one block) or, inline, a membership disk's
-    /// bucket rows, then an insert and the delete of the same key in one
-    /// bucket. For every crash point of the second operation, the machine
-    /// reboots from the image alone, recovers, and recovers again: image
-    /// and `len()` equal the uncrashed twin's when the intent's head landed,
-    /// and the untouched predecessor's when not.
+    /// bucket rows, then an insert and the delete of the same keys in their
+    /// buckets. Each operation is a batch of two keys: inline, one key's
+    /// update is one block, written in place with no intent. For every
+    /// crash point of the second operation, the machine reboots from the
+    /// image alone, recovers, and recovers again: image and `len()` equal
+    /// the uncrashed twin's when the intent's head landed, and the
+    /// untouched predecessor's when not.
     #[test]
     fn two_live_intents_over_one_block_recover_to_the_twin_or_roll_back() {
         for sigma in [1, CHAINED] {
@@ -2422,14 +2466,18 @@ mod tests {
         let region = disks1.journal_region().unwrap();
         disks1.journal_truncate();
         // The first of the pair stays un-truncated under the second.
-        dict1.insert(&mut disks1, 0xA11CE, &sat(1, sigma)).unwrap();
+        let seq = disks1.last_journal_seq();
+        let first = [(0xA11CE, sat(1, sigma)), (0xC0FFEE, sat(3, sigma))];
+        assert!(dict1.insert_batch(&mut disks1, &first).0.iter().all(Result::is_ok));
+        assert_eq!(disks1.last_journal_seq(), seq + 1, "σ = {sigma}: the first batch is an intent");
         type Second = fn(&mut DynamicDict, &mut DiskArray);
         let seconds: [(&str, Second); 2] = [
             ("insert sharing blocks", |dict, disks| {
-                let _ = dict.insert(disks, 0xB0B, &sat(2, dict.params.satellite_words));
+                let sigma = dict.params.satellite_words;
+                let _ = dict.insert_batch(disks, &[(0xB0B, sat(2, sigma)), (0xD00D, sat(4, sigma))]);
             }),
-            ("delete in the same bucket", |dict, disks| {
-                let _ = dict.delete(disks, 0xA11CE);
+            ("delete in the same buckets", |dict, disks| {
+                let _ = dict.delete_batch(disks, &[0xA11CE, 0xC0FFEE]);
             }),
         ];
         for (what, second) in seconds {
@@ -2461,6 +2509,43 @@ mod tests {
                 assert_eq!(data_image(&disks), data_image(want_disks), "σ = {sigma}, {what}: recovered twice");
             }
             assert!(rolled_forward > 1 && rolled_forward <= writes as usize, "σ = {sigma}, {what}");
+        }
+    }
+
+    /// The hazard of writing in place under a journal: a live batch intent
+    /// over bucket `X` holds the words of a key's slot there, and a later
+    /// one-block tombstone in `X` goes in place. Were the intent still live
+    /// when the machine stops, before any later superblock, a reopen would
+    /// patch the slot's words back over the tombstone and the key would
+    /// return. The in-place write truncates every live intent first, so the
+    /// key stays deleted, and `len()` counts what the image holds.
+    #[test]
+    fn an_in_place_tombstone_is_not_undone_by_an_older_intent() {
+        let (mut disks, mut dict) = setup_journaled(64, 1);
+        assert!(dict.is_inline());
+        let entries: Vec<(u64, Vec<Word>)> = keys(6).into_iter().map(|k| (k, vec![k])).collect();
+        assert!(dict.insert_batch(&mut disks, &entries).0.iter().all(Result::is_ok));
+        let victim = entries[2].0;
+        let probe = disks.read(&dict.membership.probe_addrs(victim), pdm::ReadOptions::default()).blocks;
+        let (at, _) = dict.membership.tombstone_word(victim, &probe).unwrap();
+        drop(probe);
+        let region = disks.journal_region().unwrap();
+        // The batch's intent names the victim's bucket and is still live.
+        let mut image = disks.clone();
+        image.reopen_journal(region);
+        let live = image.recover();
+        assert!(live.replayed.iter().any(|intent| intent.targets.contains(&at)), "{live:?}");
+        let writes = disks.stats().block_writes;
+        assert!(dict.delete(&mut disks, victim).unwrap().0);
+        assert_eq!(disks.stats().block_writes - writes, 2, "the superblock, then the bucket in place");
+        // The machine stops here: only the image survives.
+        let mut alloc = DiskAllocator::new(disks.disks());
+        let (reopened, report) = DynamicDict::reopen(&mut disks, &mut alloc, 0, dict.params, region).unwrap();
+        assert!(report.replayed.is_empty() && (report.stalled, report.mismatched) == (0, 0), "{report:?}");
+        assert!(!reopened.lookup(&mut disks, victim).found(), "the tombstone was undone");
+        assert_eq!(reopened.len(), entries.len() - 1);
+        for (k, s) in entries.iter().filter(|(k, _)| *k != victim) {
+            assert_eq!(reopened.lookup(&mut disks, *k).satellite.as_ref(), Some(s), "key {k}");
         }
     }
 

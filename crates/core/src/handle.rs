@@ -110,15 +110,16 @@ pub trait RawDict {
     }
 
     /// Reconcile in-memory counters with a journal recovery replay
-    /// ([`DiskArray::recover`]) and the metadata `checkpoint` the journal
+    /// ([`DiskArray::recover`]) and the metadata checkpoint the journal
     /// holds ([`DiskArray::journal_meta`]). Default: nothing to reconcile —
     /// front-ends whose counters a replayed intent changes (the dynamic
     /// dictionary) override this: the checkpoint's counters where they are
     /// newer than the instance's own (a truncation inside the interrupted
     /// operation — a batch committed as several intents — froze them past
-    /// what this process state knew), then the replayed deltas.
-    fn raw_recover_reconcile(&mut self, checkpoint: &[Word], report: &pdm::RecoveryReport) {
-        let _ = (checkpoint, report);
+    /// what this process state knew), then the replayed deltas, then what
+    /// the image says of updates written in place with no intent.
+    fn raw_recover_reconcile(&mut self, disks: &mut DiskArray, report: &pdm::RecoveryReport) {
+        let _ = (disks, report);
     }
 
     /// The metadata checkpoint to persist when truncating the journal
@@ -250,9 +251,10 @@ impl RawDict for DynamicDict {
     fn raw_space_rows(&self) -> Vec<SpaceRow> {
         self.space_rows()
     }
-    fn raw_recover_reconcile(&mut self, checkpoint: &[Word], report: &pdm::RecoveryReport) {
-        self.adopt_section(checkpoint);
+    fn raw_recover_reconcile(&mut self, disks: &mut DiskArray, report: &pdm::RecoveryReport) {
+        self.adopt_section(disks.journal_meta());
         self.apply_replay(report);
+        self.recount(disks);
     }
     fn raw_checkpoint_meta(&self) -> Vec<Word> {
         self.checkpoint_section()
@@ -491,7 +493,7 @@ impl<T: RawDict> Dict for DictHandle<T> {
 
     fn recover(&mut self) -> pdm::RecoveryReport {
         let report = self.disks.recover();
-        self.dict.raw_recover_reconcile(self.disks.journal_meta(), &report);
+        self.dict.raw_recover_reconcile(&mut self.disks, &report);
         // Truncate: with counters reconciled, nothing in the ring needs
         // to survive another crash-before-next-op.
         self.checkpoint();

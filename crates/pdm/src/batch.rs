@@ -947,12 +947,23 @@ impl<'a> BatchExecutor<'a> {
     /// [`commit_checked`](BatchExecutor::commit_checked), attaching
     /// `meta` to the journal intent entry (ignored without a journal).
     pub fn commit_checked_with_meta(&mut self, meta: &[Word]) -> CommitReport {
+        self.commit_as(Some(meta))
+    }
+
+    /// [`commit_checked`](BatchExecutor::commit_checked) of the **one**
+    /// staged block, written in place with no intent
+    /// ([`DiskArray::write_block_atomic`]).
+    pub fn commit_checked_in_place(&mut self) -> CommitReport {
+        self.commit_as(None)
+    }
+
+    fn commit_as(&mut self, meta: Option<&[Word]>) -> CommitReport {
         let scope = self.disks.begin_op();
         let mut failed = Vec::new();
         if !self.disks.arena.dirty.is_empty() {
             // Satellite fix: one canonical commit order (see above). The
             // dirty blocks are distinct: a plan only schedules their rounds.
-            let (disks, journaled) = (self.disks.disks(), self.disks.journal_enabled());
+            let (disks, journaled) = (self.disks.disks(), meta.is_some() && self.disks.journal_enabled());
             let arena = &mut self.disks.arena;
             arena.dirty.sort_unstable();
             arena.touched.sort_unstable();
@@ -965,8 +976,8 @@ impl<'a> BatchExecutor<'a> {
             };
             let writes: Vec<(BlockAddr, &[Word])> = dirty.iter().map(|a| (*a, image(a))).collect();
             // What a journal logs of each block: the ranges staged in it,
-            // or all of it where the held image was not the medium's. Empty
-            // without a journal, when the call below is a plain write.
+            // or all of it where the held image was not the medium's. None
+            // without an intent, when the call below is a plain write.
             let ranges: Vec<Range<usize>> = arena.touched.iter().map(|&(_, s, e)| s..e).collect();
             let mut deltas = Vec::new();
             if journaled {
@@ -977,7 +988,11 @@ impl<'a> BatchExecutor<'a> {
                     if arena.map[a].sound { Delta::Words(&ranges[from..at]) } else { Delta::Whole }
                 }));
             }
-            let healths = self.disks.journaled_delta_batch_checked(&writes, &deltas, meta);
+            let healths = match (meta, &writes[..]) {
+                (Some(meta), _) => self.disks.journaled_delta_batch_checked(&writes, &deltas, meta),
+                (None, &[(a, image)]) => vec![self.disks.write_block_atomic(a, image)],
+                (None, _) => panic!("an in-place commit writes one block"),
+            };
             match &plan {
                 Some(plan) => plan.record_rounds(self.disks),
                 None => record_round(self.disks, dirty.len()),

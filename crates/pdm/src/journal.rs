@@ -83,9 +83,11 @@
 //! While a journal is enabled, **every** mutation of journal-protected
 //! structures must route through
 //! [`DiskArray::journaled_delta_batch_checked`] (or its pre-image-less
-//! form [`DiskArray::journaled_write_batch_checked`]): an in-place change
-//! the journal never saw can lie *between* two states an intent's delta
-//! was taken across, and replay would then rebuild neither.
+//! form [`DiskArray::journaled_write_batch_checked`]) or, writing one block,
+//! [`DiskArray::write_block_atomic`], which truncates every live intent
+//! first: an in-place change the journal never saw can lie *between* two
+//! states an intent's delta was taken across, and replay would then rebuild
+//! neither.
 
 use crate::blocks::BlockView;
 use crate::disk::{BlockAddr, DiskArray, ReadOptions, WriteOptions};
@@ -670,6 +672,25 @@ impl DiskArray {
             j.live.pop_front();
         }
         j.appends_since_persist = 0;
+    }
+
+    /// A checked write of **one** block in place with no intent, atomic by
+    /// the model. While the ring holds a live intent the superblock is
+    /// persisted first, truncating them all, stalled ones too: an older
+    /// delta replayed across the new image would patch its words back. An
+    /// owner whose counters the write moves recounts them at recovery.
+    ///
+    /// # Panics
+    /// On a reopened journal not yet recovered.
+    pub fn write_block_atomic(&mut self, addr: BlockAddr, image: &[Word]) -> BlockHealth {
+        if let Some(j) = self.journal.as_mut() {
+            assert!(!j.needs_scan, "journal reopened but not recovered: call recover() first");
+            if let Some(&(newest, _)) = j.live.back() {
+                j.applied = j.applied.max(newest);
+                self.persist_superblock();
+            }
+        }
+        self.write(&[(addr, image)], WriteOptions::checked()).healths[0]
     }
 
     /// [`journaled_delta_batch_checked`](DiskArray::journaled_delta_batch_checked)
@@ -1369,6 +1390,26 @@ mod tests {
         assert_eq!(report.stalled, 0, "{report:?}");
         assert_eq!(disks.read_block(a), v1);
         assert!(disks.block_health(a).is_ok());
+    }
+
+    /// A one-block write in place truncates the live intents first (one
+    /// superblock write), so no older delta is replayed across it; behind
+    /// an empty ring it is the one write.
+    #[test]
+    fn an_atomic_block_write_truncates_live_intents_first() {
+        let mut disks = array();
+        let a = BlockAddr::new(1, 1);
+        disks.journaled_write_batch_checked(&[(a, &img(4)), (BlockAddr::new(2, 1), &img(6))], &[]);
+        let writes = disks.stats().block_writes;
+        assert!(disks.write_block_atomic(a, &img(5)).is_ok());
+        assert_eq!(disks.stats().block_writes - writes, 2, "the superblock, then the block");
+        assert!(disks.write_block_atomic(a, &img(7)).is_ok());
+        assert_eq!(disks.stats().block_writes - writes, 3, "then the block alone");
+        let region = disks.journal_region().unwrap();
+        let mut reopened = disks.clone();
+        reopened.reopen_journal(region);
+        assert!(reopened.recover().is_clean());
+        assert_eq!(reopened.read_block(a), img(7));
     }
 
     #[test]

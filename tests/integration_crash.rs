@@ -265,15 +265,16 @@ fn recovery_distrusts_pre_crash_verification() {
             dict.disks().unwrap().verified_clean_blocks() > 0,
             "{name}: scrub should populate the verified-clean cache"
         );
-        // The intent lands, the in-place writes do not (an inline record's
-        // insert is one ring slot and one bucket).
+        // The intent lands, the in-place writes do not: a batch of four
+        // keys' records is one ring slot and their blocks (one key's inline
+        // record alone would be one block, written in place with no intent).
         dict.disks_mut()
             .unwrap()
             .set_fault_plan(FaultPlan::new().crash_after(1));
-        let k = KEY_SPACE + 5_000;
-        let _ = dict.insert(k, &sat(k, f.sigma));
+        let entries: Vec<(u64, Vec<Word>)> = (5_000..5_004).map(|k| (KEY_SPACE + k, sat(KEY_SPACE + k, f.sigma))).collect();
+        let _ = dict.insert_batch(&entries);
         let disks = dict.disks_mut().unwrap();
-        assert!(disks.crash_fired(), "{name}: insert should cross the crash point");
+        assert!(disks.crash_fired(), "{name}: the batch should cross the crash point");
         disks.clear_fault_plan();
         let _ = disks.recover();
         assert_eq!(
@@ -282,6 +283,99 @@ fn recovery_distrusts_pre_crash_verification() {
             "{name}: recovery must drop every pre-crash verified-clean bit"
         );
     }
+}
+
+/// A single-key update of an inline journaled structure writes its one
+/// bucket in place with no intent. Cut at every physical write of a run of
+/// them — two inserts and two deletes, behind a live batch intent, so that
+/// the first truncates the ring before it writes — the structure reopened
+/// from the image alone, on `MemBackend` and on a reopened `FileBackend`
+/// directory, holds every acked update (acked ⊆ durable), the cut one
+/// whole or not at all, `len()` equal to the keys that read back (the
+/// recount), and no stalled or mismatched intent.
+#[test]
+fn an_in_place_update_is_atomic_under_any_crash_point() {
+    for file in [false, true] {
+        let mut crash_at = 0;
+        while in_place_crash(file, crash_at) {
+            crash_at += 1;
+        }
+        assert!(crash_at >= 5, "file = {file}: the run wrote {crash_at} blocks");
+    }
+}
+
+/// One cell of [`an_in_place_update_is_atomic_under_any_crash_point`]:
+/// whether the crash after `crash_at` writes fired.
+fn in_place_crash(file: bool, crash_at: u64) -> bool {
+    use pdm::{DiskArray, FileBackend, FileBackendOptions, MemBackend, PdmConfig, StorageBackend};
+    use pdm_dict::{layout::DiskAllocator, DynamicDict};
+    const D: usize = 20;
+    const B: usize = 64;
+    let cfg = PdmConfig::new(2 * D, B);
+    let params = DictParams::new(64, UNIVERSE, 2).with_degree(D).with_epsilon(0.5).with_seed(0x1A7E).with_journal(JOURNAL_ROWS);
+    let dir = std::env::temp_dir().join(format!("pdm-in-place-{}-{crash_at}", std::process::id()));
+    let backend: Box<dyn StorageBackend> = if file {
+        Box::new(FileBackend::create(&dir, 2 * D, B, 0, FileBackendOptions::default()).unwrap())
+    } else {
+        Box::new(MemBackend::new(2 * D, B, 0))
+    };
+    let mut disks = DiskArray::with_backend(cfg, backend).unwrap();
+    let mut dict = DynamicDict::create(&mut disks, &mut DiskAllocator::new(2 * D), 0, params).unwrap();
+    assert!(dict.is_inline());
+    let stored = dense_keys(16);
+    let entries: Vec<(u64, Vec<Word>)> = stored.iter().map(|&k| (k, sat(k, 2))).collect();
+    assert!(dict.insert_batch(&mut disks, &entries).0.iter().all(Result::is_ok));
+
+    let (a, b) = (KEY_SPACE + 1, KEY_SPACE + 2);
+    // The keys the acked updates left stored, and the cut update's key.
+    let (mut acked, mut cut): (BTreeSet<u64>, _) = (stored.iter().copied().collect(), None);
+    disks.set_fault_plan(FaultPlan::new().crash_after(crash_at));
+    for (i, op) in [Op::Ins(a), Op::Del(stored[3]), Op::Ins(b), Op::Del(a)].into_iter().enumerate() {
+        let writes = disks.stats().block_writes;
+        let key = match op {
+            Op::Ins(k) => dict.insert(&mut disks, k, &sat(k, 2)).map(|_| k).unwrap(),
+            Op::Del(k) => dict.delete(&mut disks, k).map(|(was, _)| was.then_some(k)).unwrap().unwrap(),
+        };
+        if disks.crash_fired() {
+            cut = Some(key);
+            break;
+        }
+        // In place: the bucket, and first the superblock truncating the batch.
+        assert_eq!(disks.stats().block_writes - writes, 1 + u64::from(i == 0), "op {i}");
+        match op {
+            Op::Ins(k) => acked.insert(k),
+            Op::Del(k) => acked.remove(&k),
+        };
+    }
+    let fired = disks.crash_fired();
+    disks.clear_fault_plan();
+
+    // The process dies; only the medium survives.
+    let mut disks = if file {
+        drop(disks);
+        DiskArray::with_backend(cfg, Box::new(FileBackend::open(&dir, FileBackendOptions::default()).unwrap())).unwrap()
+    } else {
+        DiskArray::with_backend(cfg, Box::new(MemBackend::from_image(B, disks.snapshot()))).unwrap()
+    };
+    let region = pdm::journal::JournalRegion { first_block: 0, rows: JOURNAL_ROWS };
+    let (rec, report) = DynamicDict::reopen(&mut disks, &mut DiskAllocator::new(2 * D), 0, params, region).unwrap();
+    let at = format!("file = {file}, crash at {crash_at}");
+    assert_eq!((report.stalled, report.mismatched), (0, 0), "{at}: {report:?}");
+    assert_eq!(fired, cut.is_some());
+    let mut present = 0;
+    for k in stored.iter().copied().chain([a, b]) {
+        let got = rec.lookup(&mut disks, k).satellite;
+        assert!(got.is_none() || got == Some(sat(k, 2)), "{at}: key {k} damaged");
+        // Acked ⊆ durable, and an acked delete stays deleted; the cut
+        // update's key is either way.
+        assert!(got.is_some() == acked.contains(&k) || cut == Some(k), "{at}: key {k} read {got:?}");
+        present += usize::from(got.is_some());
+    }
+    assert_eq!(rec.len(), present, "{at}: len() against the keys that read back");
+    assert!(disks.recover().is_clean(), "{at}");
+    drop(disks);
+    let _ = std::fs::remove_dir_all(&dir);
+    fired
 }
 
 /// One operation on the rebuilding wrapper, cut at every crash point.
